@@ -129,26 +129,35 @@ def _sell_dates(tree: EventTree, profile: StoppingProfile) -> np.ndarray:
     return dates
 
 
-def _round_trip_values(
-    model: MarketModel, kind: str, sec_idx: int, profile: StoppingProfile
+def _round_trips(
+    model: MarketModel, root: NodeRef, profiles: list[StoppingProfile]
 ) -> np.ndarray:
+    """Discounted round-trip values of every profile under ``root``.
+
+    Shape (profiles, securities, 2, n_paths), long before short, zero off the
+    root's paths.  Each path's total adds the entry leg, the exit leg and then
+    the dividend legs date by date, the same float operations as a path-by-path
+    sum.
+    """
     tree = model.tree
-    sec = model.securities[sec_idx]
     _, Binv = model.discounts()
-    s = profile.root.time
-    values = np.zeros(tree.n_paths)
-    sell_date = _sell_dates(tree, profile)
-    sign = 1.0 if kind == "long" else -1.0
-    entry = sec.ask if kind == "long" else sec.bid
-    exit_px = sec.bid if kind == "long" else sec.ask
-    div = sec.div_ask if kind == "long" else sec.div_bid
-    for i in tree.node_paths(profile.root):
-        u = sell_date[i]
-        total = -entry[i, s] * Binv[i, s] + exit_px[i, u] * Binv[i, u]
-        for v in range(s + 1, u + 1):
-            total += (div[i, v] - div[i, v - 1]) * Binv[i, v]
-        values[i] = sign * total
-    return values
+    s = root.time
+    idx = np.asarray(tree.node_paths(root))
+    rows = idx[None, :]
+    sell = np.array([_sell_dates(tree, prof)[idx] for prof in profiles])
+    out = np.zeros((len(profiles), model.n_securities, 2, tree.n_paths))
+    for j, sec in enumerate(model.securities):
+        sides = (
+            (1.0, sec.ask, sec.bid, sec.div_ask),
+            (-1.0, sec.bid, sec.ask, sec.div_bid),
+        )
+        for side, (sign, entry, exit_px, div) in enumerate(sides):
+            total = -entry[idx, s] * Binv[idx, s] + exit_px[rows, sell] * Binv[rows, sell]
+            for v in range(s + 1, tree.horizon + 1):
+                step = (div[idx, v] - div[idx, v - 1]) * Binv[idx, v]
+                total = np.where(v <= sell, total + step, total)
+            out[:, j, side, idx] = sign * total
+    return out
 
 
 def generators_for(
@@ -175,18 +184,32 @@ def generators_for(
         )
     gens: list[ConeGenerator] = []
     for node in roots:
-        for profile in stopping_profiles(tree, node):
+        profiles = stopping_profiles(tree, node)
+        values = _round_trips(model, node, profiles)
+        for p, profile in enumerate(profiles):
             for j in range(model.n_securities):
-                for kind in ("long", "short"):
+                for side, kind in enumerate(("long", "short")):
                     gens.append(
                         ConeGenerator(
                             kind=kind,
                             security=j,
                             profile=profile,
-                            values=_round_trip_values(model, kind, j, profile),
+                            values=values[p, j, side],
                         )
                     )
     return GeneratorSet(start=t, generators=tuple(gens))
+
+
+def _enumeration(
+    model: MarketModel, t: int, cap: int, generators: Optional[GeneratorSet]
+) -> GeneratorSet:
+    """``generators`` when the caller has enumerated the date-t round trips
+    already, else a fresh enumeration."""
+    if generators is None:
+        return generators_for(model, t, cap=cap)
+    if generators.start != t:
+        raise ValidationError(f"generators start at t={generators.start}, not at t={t}")
+    return generators
 
 
 def generator_strategy(model: MarketModel, gen: ConeGenerator) -> TradingStrategy:
@@ -222,6 +245,7 @@ def arbitrage_check(
     *,
     tol: float = lp.DEFAULT_TOL,
     cap: int = DEFAULT_GENERATOR_CAP,
+    generators: Optional[GeneratorSet] = None,
 ) -> Optional[ArbitrageWitness]:
     """Search for an arbitrage among hedging cash flows initiated at date t.
 
@@ -229,22 +253,23 @@ def arbitrage_check(
     combined cash flow is pathwise nonnegative on the node and carries at
     least one unit of probability mass.  Thrown-away amounts only lower cash
     flows, so the generator family can neither fabricate nor hide one.
+    ``generators`` is the date-t enumeration when the caller already has it.
     """
     tree = model.tree
-    gens = generators_for(model, t, cap=cap)
+    gens = _enumeration(model, t, cap, generators)
+    G_all = gens.matrix()
+    # a generator belongs to the date-t node above its root
+    roots = {g.root for g in gens.generators}
+    owner = {r: tree.node_of(t, tree.node_paths(r)[0]) for r in roots}
     p = tree.probabilities
     for node in tree.nodes(t):
         paths = list(tree.node_paths(node))
-        sub = [
-            g
-            for g in gens.generators
-            if set(tree.node_paths(g.root)) <= set(paths)
-        ]
-        if not sub:
+        pick = [k for k, g in enumerate(gens.generators) if owner[g.root] == node]
+        if not pick:
             continue
-        G = np.array([g.values for g in sub])  # (k, n_paths)
+        G = G_all[pick]  # (k, n_paths)
         mass = G[:, paths] @ p[paths]
-        k = len(sub)
+        k = len(pick)
         a_ub = np.vstack([-G[:, paths].T, -mass[None, :]])
         b_ub = np.concatenate([np.zeros(len(paths)), [-1.0]])
         prog = lp.LinearProgram.build(
@@ -256,7 +281,7 @@ def arbitrage_check(
             return ArbitrageWitness(
                 node=node,
                 weights=sol.x,
-                generators=tuple(sub),
+                generators=tuple(gens.generators[j] for j in pick),
                 cash_flow=flow,
             )
     return None

@@ -1,6 +1,22 @@
 """Dense linear programming kernel.
 
-Two-phase primal simplex with Bland's anti-cycling rule on a dense tableau.
+Two-phase primal simplex with Bland's anti-cycling rule on a condensed
+tableau: one column per *nonbasic* variable plus the right-hand side, one row
+per constraint plus the reduced costs.  The full tableau's basic columns are
+exact unit vectors (piv/piv is 1.0 and x - x*1.0 is 0.0), so leaving them out
+loses nothing; the leaving variable's column is rebuilt in the entering
+column's slot with the same float operations a full pivot would make.  Every
+entry a pivot choice reads is therefore the full tableau's, bit for bit, and
+the pivot sequence is the same.  A pivot is one numpy rank-1 update, and the
+entering and ratio tests are vectorized scans making Bland's choices.  The
+pricing LPs are tall (a few variables, one row per hedging generator), so
+this shrinks a pivot from rows x (rows + variables) cells to about
+rows x variables.
+
+Dual recovery solves B^T y = c_B over the pristine rows.  A basic slack forces
+its row's dual to zero, so the system keeps only the rows without a basic
+slack and the basic structural columns: at most (variables) x (variables).
+
 Every optimal solve is certified: primal feasibility, dual feasibility and the
 duality gap are checked against the requested tolerance and a
 :class:`~conic_pricer.errors.ComputationError` is raised if certification
@@ -80,53 +96,62 @@ class LPSolution:
     iterations: int = 0
 
 
-def _pivot(T, basis, row, col):
-    piv = T[row, col]
-    T[row, :] = T[row, :] / piv
-    for i in range(T.shape[0]):
-        if i != row:
-            factor = T[i, col]
-            if factor != 0:
-                T[i, :] = T[i, :] - factor * T[row, :]
-    basis[row] = col
+def _pivot(T, basis, nonbasic, row, k):
+    """Exchange ``basis[row]`` with the variable of condensed column ``k``.
+
+    The leaving variable's full-tableau column is the unit vector e_row; it
+    takes over slot ``k`` with the entries a full pivot would give it, 1/piv
+    in the pivot row and 0 - factor/piv elsewhere, computed by the same float
+    operations.
+    """
+    col = T[:, k].copy()
+    prow = T[row].copy()
+    prow[k] = 1
+    prow /= col[row]
+    col[row] = 0
+    # Rows whose factor is zero are left untouched, as a full pivot skips them.
+    hit = (col != 0)[:, None]
+    np.copyto(T[:, k : k + 1], 0, where=hit)
+    np.subtract(T, np.multiply.outer(col, prow), out=T, where=hit)
+    T[row] = prow
+    basis[row], nonbasic[k] = nonbasic[k], basis[row]
 
 
-def _run_simplex(T, basis, blocked, tol, max_iter):
-    """Bland's rule on tableau T (last row = reduced costs, last col = rhs).
+def _run_simplex(T, basis, nonbasic, limit, tol, max_iter):
+    """Bland's rule on the condensed tableau T (last row = reduced costs of
+    the nonbasic variables, last col = rhs); variables >= ``limit`` may not
+    enter.
 
     Returns ("optimal" | "unbounded", iterations).
     """
     m = T.shape[0] - 1
-    width = T.shape[1] - 1
     it = 0
     while True:
-        enter = -1
-        zrow = T[-1]
-        for j in range(width):
-            if j in blocked:
-                continue
-            if zrow[j] < -tol:
-                enter = j
-                break
-        if enter < 0:
+        cand = np.flatnonzero((T[-1, :-1] < -tol) & (nonbasic < limit))
+        if not cand.size:
             return "optimal", it
-        leave, best_ratio, best_basis = -1, None, None
-        for i in range(m):
-            a = T[i, enter]
-            if a > tol:
-                ratio = T[i, -1] / a
-                if best_ratio is None or ratio < best_ratio or (
-                    ratio == best_ratio and basis[i] < best_basis
-                ):
-                    leave, best_ratio, best_basis = i, ratio, basis[i]
-        if leave < 0:
+        k = cand[np.argmin(nonbasic[cand])]
+        col = T[:m, k]
+        rows = np.flatnonzero(col > tol)
+        if not rows.size:
             return "unbounded", it
-        _pivot(T, basis, leave, enter)
+        ratios = T[rows, -1] / col[rows]
+        ties = rows[ratios == ratios.min()]
+        _pivot(T, basis, nonbasic, ties[np.argmin(basis[ties])], k)
         it += 1
         if it > max_iter:
             raise ComputationError(
                 f"simplex iteration limit ({max_iter}) exceeded; numerical breakdown"
             )
+
+
+def _set_objective(T, basis, nonbasic, c):
+    """Reduced-cost row of objective ``c`` (indexed by variable) for the basis,
+    accumulated over the basic rows in row order."""
+    T[-1, :-1] = -c[nonbasic]
+    T[-1, -1] = 0
+    for i in np.flatnonzero(c[basis]):
+        T[-1] = T[-1] + c[basis[i]] * T[i]
 
 
 def _to_fraction_array(arr):
@@ -151,160 +176,130 @@ def solve(
     c_obj = sense_mult * lp.c
 
     # Fold finite variable upper bounds in as extra <= rows.
-    ub_rows = []
-    ub_rhs = []
-    ub_vars = []
-    if lp.upper is not None:
-        for i, u in enumerate(lp.upper):
-            if np.isfinite(u):
-                row = np.zeros(n)
-                row[i] = 1.0
-                ub_rows.append(row)
-                ub_rhs.append(u)
-                ub_vars.append(i)
+    ub_vars = (
+        np.flatnonzero(np.isfinite(lp.upper)) if lp.upper is not None
+        else np.zeros(0, dtype=int)
+    )
     n_orig_ub = lp.a_ub.shape[0]
-    a_ub = np.vstack([lp.a_ub] + ub_rows) if ub_rows else lp.a_ub
-    b_ub = np.concatenate([lp.b_ub, np.asarray(ub_rhs)]) if ub_rows else lp.b_ub
+    if ub_vars.size:
+        a_ub = np.vstack([lp.a_ub, np.eye(n)[ub_vars]])
+        b_ub = np.concatenate([lp.b_ub, lp.upper[ub_vars]])
+    else:
+        a_ub, b_ub = lp.a_ub, lp.b_ub
 
     m_ub, m_eq = a_ub.shape[0], lp.a_eq.shape[0]
     m = m_ub + m_eq
 
-    # Normalized rows: [A | slack | artificial | rhs], rhs >= 0.
+    # Normalized rows A x (+ slack) (+ artificial) = b with b >= 0.
     A = np.vstack([a_ub, lp.a_eq]) if m else np.zeros((0, n))
     b = np.concatenate([b_ub, lp.b_eq]) if m else np.zeros(0)
 
     # Row equilibration keeps mixed-magnitude rows (e.g. wide density bands)
     # well conditioned; duals are rescaled back below.
-    row_scale = np.ones(m)
-    for i in range(m):
-        s = float(np.max(np.abs(A[i]))) if n else 0.0
-        if s > 0:
-            row_scale[i] = s
-            A[i] = A[i] / s
-            b[i] = b[i] / s
-    sigma = np.ones(m)
-    slack = np.zeros((m, m_ub))
-    for i in range(m_ub):
-        slack[i, i] = 1.0
-    for i in range(m):
-        if b[i] < 0:
-            sigma[i] = -1.0
-            A[i] = -A[i]
-            b[i] = -b[i]
-            if i < m_ub:
-                slack[i, i] = -1.0
+    scale = np.max(np.abs(A), axis=1) if n else np.zeros(m)
+    row_scale = np.where(scale > 0, scale, 1.0)
+    A = A / row_scale[:, None]
+    b = b / row_scale
+    sigma = np.where(b < 0, -1.0, 1.0)
+    A = A * sigma[:, None]
+    b = b * sigma
 
-    # Artificial columns only where the slack cannot start the basis: equality
-    # rows and sign-flipped inequality rows (surplus form).  This keeps
-    # phase 1 small and far less degenerate.
-    needs_art = [i >= m_ub or sigma[i] < 0 for i in range(m)]
-    art_of: dict[int, int] = {}
-    n_art = 0
-    for i in range(m):
-        if needs_art[i]:
-            art_of[i] = n + m_ub + n_art
-            n_art += 1
-    width = n + m_ub + n_art  # + rhs column appended below
-    full = np.zeros((m + 1, width + 1))
-    if m:
-        full[:m, :n] = A
-        full[:m, n : n + m_ub] = slack
-        for i, col in art_of.items():
-            full[i, col] = 1.0
-        full[:m, -1] = b
-    art_cols = set(art_of.values())
-    full0 = full.copy()  # pristine scaled rows, for fresh dual recovery
+    # Variables: n structural, then slack n + i of each <= row i, then the
+    # artificials.  Artificials exist only where the slack cannot start the
+    # basis: equality rows and sign-flipped inequality rows (surplus form).
+    # This keeps phase 1 small and far less degenerate.
+    needs_art = (np.arange(m) >= m_ub) | (sigma < 0)
+    art_rows = np.flatnonzero(needs_art)
+    surplus = art_rows[art_rows < m_ub]
+    width = n + m_ub + art_rows.size
+    own = n + np.arange(m)  # the variable each row's basis starts from
+    own[art_rows] = n + m_ub + np.arange(art_rows.size)
+    basis = own.copy()
+
+    # Condensed tableau: one column per nonbasic variable (``nonbasic[k]``
+    # is the variable of column k) plus the rhs; the basic columns of the
+    # full tableau are unit vectors and are not stored.
+    nonbasic = np.concatenate([np.arange(n), n + surplus])
+    T = np.zeros((m + 1, nonbasic.size + 1))
+    T[:m, :n] = A
+    T[surplus, n + np.arange(surplus.size)] = -1.0
+    T[:m, -1] = b
 
     if exact:
-        T = _to_fraction_array(full)
+        T = _to_fraction_array(T)
         zero = Fraction(0)
         piv_tol = zero
     else:
-        T = full
         zero = 0.0
         piv_tol = tol
 
-    basis = [art_of[i] if needs_art[i] else n + i for i in range(m)]
     if max_iter is None:
         max_iter = 500 + 80 * (m + width)
 
     it1 = 0
-    if n_art:
+    if art_rows.size:
         # Phase 1: maximize -(sum of artificials).
         c1 = np.zeros(width, dtype=object if exact else float)
-        for j in art_cols:
-            c1[j] = Fraction(-1) if exact else -1.0
-        T[-1, :width] = -c1
-        T[-1, -1] = zero
-        for i, bi in enumerate(basis):
-            if c1[bi] != 0:
-                T[-1, :] = T[-1, :] + c1[bi] * T[i, :]
-        status1, it1 = _run_simplex(T, basis, set(), piv_tol, max_iter)
-        phase1_val = T[-1, -1]
+        c1[n + m_ub:] = Fraction(-1) if exact else -1.0
+        _set_objective(T, basis, nonbasic, c1)
+        status1, it1 = _run_simplex(T, basis, nonbasic, width, piv_tol, max_iter)
         feas_tol = zero if exact else max(tol, 1e-9)
-        if status1 != "optimal" or phase1_val < -feas_tol:
+        if status1 != "optimal" or T[-1, -1] < -feas_tol:
             return LPSolution(status="infeasible", iterations=it1)
 
     # Drive remaining basic artificials out; drop redundant rows.
     drop_rows = []
-    for i in range(len(basis)):
-        if basis[i] in art_cols:
-            done = False
-            for j in range(n + m_ub):
-                if abs(T[i, j]) > (piv_tol if not exact else 0):
-                    _pivot(T, basis, i, j)
-                    done = True
-                    break
-            if not done:
-                drop_rows.append(i)
+    for i in np.flatnonzero(basis >= n + m_ub):
+        cand = np.flatnonzero((np.abs(T[i, :-1]) > piv_tol) & (nonbasic < n + m_ub))
+        if cand.size:
+            _pivot(T, basis, nonbasic, i, cand[np.argmin(nonbasic[cand])])
+        else:
+            drop_rows.append(i)
+    alive = np.ones(m, dtype=bool)
+    alive[drop_rows] = False
     if drop_rows:
-        keep = [i for i in range(len(basis)) if i not in drop_rows]
-        T = np.vstack([T[keep], T[-1:]])
-        basis = [basis[i] for i in keep]
+        T = np.vstack([T[:-1][alive], T[-1:]])
+        basis = basis[alive]
 
-    # Phase 2 objective.
+    # Phase 2 objective; artificials may no longer enter.
     c2 = np.zeros(width, dtype=object if exact else float)
-    for j in range(n):
-        c2[j] = Fraction(float(c_obj[j])) if exact else c_obj[j]
-    T[-1, :width] = -c2
-    T[-1, -1] = zero
-    for i, bi in enumerate(basis):
-        if c2[bi] != 0:
-            T[-1, :] = T[-1, :] + c2[bi] * T[i, :]
-    blocked = set(art_cols)
-    status2, it2 = _run_simplex(T, basis, blocked, piv_tol, max_iter)
+    c2[:n] = [Fraction(float(v)) for v in c_obj] if exact else c_obj
+    _set_objective(T, basis, nonbasic, c2)
+    status2, it2 = _run_simplex(T, basis, nonbasic, n + m_ub, piv_tol, max_iter)
     if status2 == "unbounded":
         return LPSolution(status="unbounded", iterations=it1 + it2)
 
     x_full = np.zeros(width, dtype=object if exact else float)
-    nrows = T.shape[0] - 1
-    for i in range(nrows):
-        x_full[basis[i]] = T[i, -1]
-    x = np.array([float(v) for v in x_full[:n]])
+    x_full[basis] = T[:-1, -1]
+    x = np.array(x_full[:n], dtype=float)
     value_max = float(T[-1, -1])
 
     # Row duals, recomputed fresh from the final basis (the maintained
     # objective row can drift over many pivots): y solves B^T y = c_B over the
-    # pristine scaled rows; dropped redundant rows carry dual zero.
-    alive = [i for i in range(m) if i not in drop_rows]
+    # pristine scaled rows.  A basic slack's column is +-e_i, so it forces
+    # y_i = 0 and the system shrinks to the rows without a basic slack and the
+    # basic structural columns.  Dropped redundant rows carry dual zero.
     y_norm = np.zeros(m)
-    if alive:
-        if exact:
-            for pos, i in enumerate(alive):
-                col = art_of.get(i, n + i)
-                y_norm[i] = float(T[-1, col])
-        else:
-            basis_mat = full0[np.ix_(alive, basis)]
-            cb = np.array([c2[j] for j in basis])
+    if exact:
+        slot = {int(v): k for k, v in enumerate(nonbasic)}
+        for i in np.flatnonzero(alive):
+            k = slot.get(int(own[i]))
+            y_norm[i] = 0.0 if k is None else float(T[-1, k])
+    else:
+        rows = alive.copy()
+        rows[basis[(basis >= n) & (basis < n + m_ub)] - n] = False
+        struct = basis[basis < n]
+        if rows.any():
+            basis_mat = A[np.ix_(rows, struct)]
+            cb = c2[struct]
             try:
-                y_alive = np.linalg.solve(basis_mat.T, cb)
+                y_rows = np.linalg.solve(basis_mat.T, cb)
                 for _ in range(2):  # iterative refinement against conditioning
-                    resid = cb - basis_mat.T @ y_alive
-                    y_alive = y_alive + np.linalg.solve(basis_mat.T, resid)
+                    resid = cb - basis_mat.T @ y_rows
+                    y_rows = y_rows + np.linalg.solve(basis_mat.T, resid)
             except np.linalg.LinAlgError:
-                y_alive, *_ = np.linalg.lstsq(basis_mat.T, cb, rcond=None)
-            for pos, i in enumerate(alive):
-                y_norm[i] = float(y_alive[pos])
+                y_rows, *_ = np.linalg.lstsq(basis_mat.T, cb, rcond=None)
+            y_norm[rows] = y_rows
     # duals of the rows as supplied (all-<= + eq), max sense
     y = sigma * y_norm / row_scale
 
@@ -312,26 +307,23 @@ def solve(
     y_eq = y[m_ub:]
     y_ub = y_ub_all[:n_orig_ub]
     y_upper = np.zeros(n)
-    for k, var in enumerate(ub_vars):
-        y_upper[var] = y_ub_all[n_orig_ub + k]
+    y_upper[ub_vars] = y_ub_all[n_orig_ub:]
 
     # Certification in max space; residuals are relative to the magnitudes
     # entering each row/column so badly scaled data certify honestly.
     primal_res = float(np.max(-x)) if n else 0.0
-    ax_abs = np.abs(a_ub) @ np.abs(x) if m_ub else np.zeros(0)
-    for i in range(m_ub):
+    if m_ub:
+        ax_abs = np.abs(a_ub) @ np.abs(x)
         primal_res = max(
             primal_res,
-            float(a_ub[i] @ x - b_ub[i]) / (1.0 + abs(b_ub[i]) + ax_abs[i]),
+            float(np.max((a_ub @ x - b_ub) / (1.0 + np.abs(b_ub) + ax_abs))),
         )
     if m_eq:
         aeqx_abs = np.abs(lp.a_eq) @ np.abs(x)
-        for i in range(m_eq):
-            primal_res = max(
-                primal_res,
-                abs(float(lp.a_eq[i] @ x - lp.b_eq[i]))
-                / (1.0 + abs(lp.b_eq[i]) + aeqx_abs[i]),
-            )
+        primal_res = max(
+            primal_res,
+            float(np.max(np.abs(lp.a_eq @ x - lp.b_eq) / (1.0 + np.abs(lp.b_eq) + aeqx_abs))),
+        )
     reduced = c_obj.copy()
     reduced_scale = 1.0 + np.abs(c_obj)
     if m_ub:

@@ -34,8 +34,14 @@ import numpy as np
 
 from . import lp
 from .acceptability import DensityBand, dglr_eval
-from .cone import ConeGenerator, GeneratorSet, arbitrage_check, generators_for
-from .errors import ComputationError, ValidationError
+from .cone import (
+    ConeGenerator,
+    GeneratorSet,
+    _enumeration,
+    arbitrage_check,
+    generators_for,
+)
+from .errors import ValidationError
 from .lattice import NodeRef, as_values, tail_sum
 from .market import CashFlow, MarketModel
 
@@ -126,27 +132,31 @@ def _discounted_tail(model: MarketModel, cash_flow, t: int) -> np.ndarray:
     return tail_sum(as_values(cash_flow) * Binv, t + 1)
 
 
-def _generator_rows(
-    model: MarketModel, t: int, entry: str, *, cap: int
-) -> tuple[np.ndarray, np.ndarray, GeneratorSet]:
-    """Rows p * G (one per generator rooted at dates >= t) and their rhs."""
+def _enumerate(
+    model: MarketModel, t: int, entry: str, cap: int, generators: Optional[GeneratorSet]
+) -> GeneratorSet:
+    """The round trips rooted at dates >= t, after checking ``entry``."""
     if entry not in ("trade", "mark"):
         raise ValidationError(f"entry must be 'trade' or 'mark', got {entry!r}")
-    gens = generators_for(model, t, cap=cap)
+    return _enumeration(model, t, cap, generators)
+
+
+def _generator_rows(
+    model: MarketModel, t: int, entry: str, gens: GeneratorSet
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rows p * G (one per generator rooted at dates >= t) and their rhs."""
     p = model.probabilities
     B, _ = model.discounts()
-    rows = []
-    for g in gens.generators:
-        vals = g.values
-        if entry == "mark" and g.root.time == t and t >= 1:
-            sec = model.securities[g.security]
-            vals = vals.copy()
-            for i in model.tree.node_paths(g.root):
-                vals[i] += (sec.ask[i, t] - sec.bid[i, t]) / B[i, t]
-        rows.append(p * vals)
-    matrix = np.array(rows)
+    matrix = gens.matrix()
+    if entry == "mark" and t >= 1:
+        for k, g in enumerate(gens.generators):
+            if g.root.time == t:
+                sec = model.securities[g.security]
+                idx = list(model.tree.node_paths(g.root))
+                matrix[k, idx] += (sec.ask[idx, t] - sec.bid[idx, t]) / B[idx, t]
+    matrix = matrix * p
     rhs = GEN_ROW_SLACK * np.maximum(np.max(np.abs(matrix), axis=1), 1.0)
-    return matrix, rhs, gens
+    return matrix, rhs
 
 
 def _band_rows(n: int, gamma: float) -> tuple[np.ndarray, np.ndarray]:
@@ -170,15 +180,21 @@ def noarb_bounds(
     cap: int = 100_000,
 ) -> PriceQuote:
     """Lower/upper bounds of the conditional discounted tail over the closure
-    of the risk-neutral density polytope, per date-t node."""
+    of the risk-neutral density polytope, per date-t node.
+
+    A node whose bound LP fails raises :class:`ComputationError`: the
+    arbitrage search has already cleared the market, so the failure is the
+    solver's, not an arbitrage.
+    """
     tree = model.tree
-    witness = arbitrage_check(model, t, tol=tol, cap=cap)
+    gens = _enumerate(model, t, entry, cap, None)
+    witness = arbitrage_check(model, t, tol=tol, cap=cap, generators=gens)
     if witness is not None:
         entries = tuple(
             PriceEntry(node, np.nan, np.nan, STATUS_ARBITRAGE) for node in tree.nodes(t)
         )
         return PriceQuote(time=t, gamma=None, entries=entries)
-    rows, gen_rhs, _ = _generator_rows(model, t, entry, cap=cap)
+    rows, gen_rhs = _generator_rows(model, t, entry, gens)
     x = _discounted_tail(model, cash_flow, t)
     p = tree.probabilities
     entries = []
@@ -188,18 +204,15 @@ def noarb_bounds(
         den = np.zeros(tree.n_paths)
         num[idx] = p[idx] * x[idx]
         den[idx] = p[idx]
-        try:
-            hi = lp.solve_ratio(
-                num, den, a_ub=rows, b_ub=gen_rhs,
-                a_eq=p[None, :], b_eq=np.ones(1), sense="max", tol=tol,
-            ).value
-            lo = lp.solve_ratio(
-                num, den, a_ub=rows, b_ub=gen_rhs,
-                a_eq=p[None, :], b_eq=np.ones(1), sense="min", tol=tol,
-            ).value
-            entries.append(PriceEntry(node, lo, hi, STATUS_OK))
-        except ComputationError:
-            entries.append(PriceEntry(node, np.nan, np.nan, STATUS_ARBITRAGE))
+        hi = lp.solve_ratio(
+            num, den, a_ub=rows, b_ub=gen_rhs,
+            a_eq=p[None, :], b_eq=np.ones(1), sense="max", tol=tol,
+        ).value
+        lo = lp.solve_ratio(
+            num, den, a_ub=rows, b_ub=gen_rhs,
+            a_eq=p[None, :], b_eq=np.ones(1), sense="min", tol=tol,
+        ).value
+        entries.append(PriceEntry(node, lo, hi, STATUS_OK))
     return PriceQuote(time=t, gamma=None, entries=tuple(entries))
 
 
@@ -211,15 +224,17 @@ def good_deal_certificate(
     entry: str = "trade",
     cap: int = 100_000,
     slack: float = 1e-9,
+    generators: Optional[GeneratorSet] = None,
 ) -> list[GoodDealWitness]:
     """Hedging cash flows whose date-t gain-loss ratio beats ``gamma``.
 
     Scans single generators (their flows are verifiable via
     :func:`conic_pricer.acceptability.dglr_eval`); each witness carries the
     node where the ratio clears the level.  Sorted by ratio, best first.
+    ``generators`` is the date-t enumeration when the caller already has it.
     """
     tree = model.tree
-    _, _, gens = _generator_rows(model, t, entry, cap=cap)
+    gens = _enumerate(model, t, entry, cap, generators)
     p = tree.probabilities
     found = []
     for g in gens.generators:
@@ -242,6 +257,7 @@ def ngd_check(
     tol: float = lp.DEFAULT_TOL,
     entry: str = "trade",
     cap: int = 100_000,
+    generators: Optional[GeneratorSet] = None,
 ) -> NgdResult:
     """Feasibility of (risk-neutral polytope) intersect (density band).
 
@@ -249,10 +265,12 @@ def ngd_check(
     satisfies every generator row together with the band and normalization;
     band feasibility forces strict positivity, so LP feasibility is the whole
     story.  When violated, a witness hedging flow is searched for.
+    ``generators`` is the date-t enumeration when the caller already has it.
     """
     DensityBand(gamma)
     tree = model.tree
-    rows, gen_rhs, _ = _generator_rows(model, t, entry, cap=cap)
+    gens = _enumerate(model, t, entry, cap, generators)
+    rows, gen_rhs = _generator_rows(model, t, entry, gens)
     n = tree.n_paths
     p = tree.probabilities
     band_a, band_b = _band_rows(n, gamma)
@@ -265,7 +283,7 @@ def ngd_check(
     sol = lp.solve(prog, tol=tol)
     if sol.status == "optimal":
         return NgdResult(holds=True, gamma=gamma, time=t)
-    witnesses = good_deal_certificate(model, t, gamma, entry=entry, cap=cap)
+    witnesses = good_deal_certificate(model, t, gamma, entry=entry, generators=gens)
     return NgdResult(
         holds=False,
         gamma=gamma,
@@ -283,17 +301,20 @@ def good_deal_prices(
     tol: float = lp.DEFAULT_TOL,
     entry: str = "trade",
     cap: int = 100_000,
+    generators: Optional[GeneratorSet] = None,
 ) -> PriceQuote:
     """Bid/ask of the discounted tail over band-restricted risk-neutral
-    densities; sentinel +inf/-inf quotes when no such density exists."""
+    densities; sentinel +inf/-inf quotes when no such density exists.
+    ``generators`` is the date-t enumeration when the caller already has it."""
     tree = model.tree
-    check = ngd_check(model, t, gamma, tol=tol, entry=entry, cap=cap)
+    gens = _enumerate(model, t, entry, cap, generators)
+    check = ngd_check(model, t, gamma, tol=tol, entry=entry, generators=gens)
     if not check.holds:
         entries = tuple(
             PriceEntry(node, np.inf, -np.inf, STATUS_NGD) for node in tree.nodes(t)
         )
         return PriceQuote(time=t, gamma=gamma, entries=entries, witness=check.witness)
-    rows, gen_rhs, _ = _generator_rows(model, t, entry, cap=cap)
+    rows, gen_rhs = _generator_rows(model, t, entry, gens)
     n = tree.n_paths
     p = tree.probabilities
     x = _discounted_tail(model, cash_flow, t)
@@ -369,7 +390,8 @@ def liquidity_surface(
     """Good-deal bid/ask/spread on a (gamma, lambda) grid.
 
     The model is rebuilt per transaction-cost coefficient and the payoff per
-    model, then each level is repriced at the requested date-t node.
+    model, then each level is repriced at the requested date-t node over the
+    one enumeration of that model's round trips.
     """
     if not gammas or not lambdas:
         raise ValidationError("surface needs nonempty gamma and lambda lists")
@@ -377,8 +399,11 @@ def liquidity_surface(
     for lam in lambdas:
         model = model_builder(lam)
         payoff = payoff_builder(model)
+        gens = generators_for(model, t)
         for gamma in gammas:
-            quote = good_deal_prices(model, payoff, t, gamma, tol=tol, entry=entry)
+            quote = good_deal_prices(
+                model, payoff, t, gamma, tol=tol, entry=entry, generators=gens
+            )
             e = quote.entry(node)
             spread = e.ask - e.bid if e.status == STATUS_OK else np.nan
             cells.append(SurfaceCell(gamma, lam, e.bid, e.ask, spread, e.status))

@@ -1,0 +1,190 @@
+"""Full-tableau two-phase Bland simplex: the reference for ``lp.solve``.
+
+This is the dense kernel ``conic_pricer.lp`` used before it moved to a
+condensed tableau: one column for every structural, slack and artificial
+variable, and a Python loop over rows in each pivot.  It stops at the primal
+answer (status, value, x, iterations); ``lp.solve`` must reproduce all four
+bit for bit, because both kernels make the same float operations on every
+entry that a pivot choice reads.
+"""
+
+from fractions import Fraction
+
+import numpy as np
+
+from conic_pricer.errors import ComputationError
+
+
+def _pivot(T, basis, row, col):
+    piv = T[row, col]
+    T[row, :] = T[row, :] / piv
+    for i in range(T.shape[0]):
+        if i != row:
+            factor = T[i, col]
+            if factor != 0:
+                T[i, :] = T[i, :] - factor * T[row, :]
+    basis[row] = col
+
+
+def _run_simplex(T, basis, blocked, tol, max_iter):
+    m = T.shape[0] - 1
+    width = T.shape[1] - 1
+    it = 0
+    while True:
+        enter = -1
+        zrow = T[-1]
+        for j in range(width):
+            if j in blocked:
+                continue
+            if zrow[j] < -tol:
+                enter = j
+                break
+        if enter < 0:
+            return "optimal", it
+        leave, best_ratio, best_basis = -1, None, None
+        for i in range(m):
+            a = T[i, enter]
+            if a > tol:
+                ratio = T[i, -1] / a
+                if best_ratio is None or ratio < best_ratio or (
+                    ratio == best_ratio and basis[i] < best_basis
+                ):
+                    leave, best_ratio, best_basis = i, ratio, basis[i]
+        if leave < 0:
+            return "unbounded", it
+        _pivot(T, basis, leave, enter)
+        it += 1
+        if it > max_iter:
+            raise ComputationError(
+                f"simplex iteration limit ({max_iter}) exceeded; numerical breakdown"
+            )
+
+
+def _to_fraction_array(arr):
+    out = np.empty(arr.shape, dtype=object)
+    flat_in = arr.ravel()
+    flat_out = out.ravel()
+    for k, v in enumerate(flat_in):
+        flat_out[k] = Fraction(float(v))
+    return out
+
+
+def reference_solve(lp, *, tol=1e-9, exact=False):
+    """(status, value, x, iterations) of ``lp`` on the full tableau."""
+    n = lp.c.shape[0]
+    sense_mult = 1.0 if lp.sense == "max" else -1.0
+    c_obj = sense_mult * lp.c
+
+    ub_rows = []
+    ub_rhs = []
+    if lp.upper is not None:
+        for i, u in enumerate(lp.upper):
+            if np.isfinite(u):
+                row = np.zeros(n)
+                row[i] = 1.0
+                ub_rows.append(row)
+                ub_rhs.append(u)
+    a_ub = np.vstack([lp.a_ub] + ub_rows) if ub_rows else lp.a_ub
+    b_ub = np.concatenate([lp.b_ub, np.asarray(ub_rhs)]) if ub_rows else lp.b_ub
+
+    m_ub, m_eq = a_ub.shape[0], lp.a_eq.shape[0]
+    m = m_ub + m_eq
+
+    A = np.vstack([a_ub, lp.a_eq]) if m else np.zeros((0, n))
+    b = np.concatenate([b_ub, lp.b_eq]) if m else np.zeros(0)
+
+    for i in range(m):
+        s = float(np.max(np.abs(A[i]))) if n else 0.0
+        if s > 0:
+            A[i] = A[i] / s
+            b[i] = b[i] / s
+    sigma = np.ones(m)
+    slack = np.zeros((m, m_ub))
+    for i in range(m_ub):
+        slack[i, i] = 1.0
+    for i in range(m):
+        if b[i] < 0:
+            sigma[i] = -1.0
+            A[i] = -A[i]
+            b[i] = -b[i]
+            if i < m_ub:
+                slack[i, i] = -1.0
+
+    needs_art = [i >= m_ub or sigma[i] < 0 for i in range(m)]
+    art_of = {}
+    n_art = 0
+    for i in range(m):
+        if needs_art[i]:
+            art_of[i] = n + m_ub + n_art
+            n_art += 1
+    width = n + m_ub + n_art
+    full = np.zeros((m + 1, width + 1))
+    if m:
+        full[:m, :n] = A
+        full[:m, n : n + m_ub] = slack
+        for i, col in art_of.items():
+            full[i, col] = 1.0
+        full[:m, -1] = b
+    art_cols = set(art_of.values())
+
+    if exact:
+        T = _to_fraction_array(full)
+        zero = Fraction(0)
+        piv_tol = zero
+    else:
+        T = full
+        zero = 0.0
+        piv_tol = tol
+
+    basis = [art_of[i] if needs_art[i] else n + i for i in range(m)]
+    max_iter = 500 + 80 * (m + width)
+
+    it1 = 0
+    if n_art:
+        c1 = np.zeros(width, dtype=object if exact else float)
+        for j in art_cols:
+            c1[j] = Fraction(-1) if exact else -1.0
+        T[-1, :width] = -c1
+        T[-1, -1] = zero
+        for i, bi in enumerate(basis):
+            if c1[bi] != 0:
+                T[-1, :] = T[-1, :] + c1[bi] * T[i, :]
+        status1, it1 = _run_simplex(T, basis, set(), piv_tol, max_iter)
+        phase1_val = T[-1, -1]
+        feas_tol = zero if exact else max(tol, 1e-9)
+        if status1 != "optimal" or phase1_val < -feas_tol:
+            return "infeasible", np.nan, None, it1
+
+    drop_rows = []
+    for i in range(len(basis)):
+        if basis[i] in art_cols:
+            done = False
+            for j in range(n + m_ub):
+                if abs(T[i, j]) > (piv_tol if not exact else 0):
+                    _pivot(T, basis, i, j)
+                    done = True
+                    break
+            if not done:
+                drop_rows.append(i)
+    if drop_rows:
+        keep = [i for i in range(len(basis)) if i not in drop_rows]
+        T = np.vstack([T[keep], T[-1:]])
+        basis = [basis[i] for i in keep]
+
+    c2 = np.zeros(width, dtype=object if exact else float)
+    for j in range(n):
+        c2[j] = Fraction(float(c_obj[j])) if exact else c_obj[j]
+    T[-1, :width] = -c2
+    T[-1, -1] = zero
+    for i, bi in enumerate(basis):
+        if c2[bi] != 0:
+            T[-1, :] = T[-1, :] + c2[bi] * T[i, :]
+    status2, it2 = _run_simplex(T, basis, set(art_cols), piv_tol, max_iter)
+    if status2 == "unbounded":
+        return "unbounded", np.nan, None, it1 + it2
+
+    x_full = np.zeros(width, dtype=object if exact else float)
+    for i in range(T.shape[0] - 1):
+        x_full[basis[i]] = T[i, -1]
+    x = np.array([float(v) for v in x_full[:n]])
+    return "optimal", sense_mult * float(T[-1, -1]), x, it1 + it2

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from conic_pricer import lp
 from conic_pricer.cli import (
     EXIT_INTERNAL,
     EXIT_OK,
@@ -13,6 +14,7 @@ from conic_pricer.cli import (
     model_to_dict,
     payoff_from_dict,
 )
+from conic_pricer.errors import ComputationError
 from conic_pricer.fixtures import fixture_path
 
 MODEL = fixture_path("two_period_stock.json")
@@ -151,6 +153,17 @@ class TestBounds:
         up = rows[0].split(",")
         assert abs(float(up[1]) - 5.35011) <= 1e-3
         assert abs(float(up[2]) - 5.79988) <= 1e-3
+
+
+    def test_solver_failure_exits_internal(self, capsys, monkeypatch):
+        def failing(*args, **kwargs):
+            raise ComputationError("LP certification failed: injected")
+
+        monkeypatch.setattr(lp, "solve_ratio", failing)
+        code, out, err = run(capsys, "bounds", MODEL, PAYOFF)
+        assert code == EXIT_INTERNAL
+        assert "arbitrage" not in out
+        assert "injected" in err
 
 
 class TestNgdAndArbitrage:

@@ -1,6 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from conic_pricer import cone, pricing
 from conic_pricer.cone import (
     arbitrage_check,
     generator_strategy,
@@ -17,6 +20,7 @@ from conic_pricer.market import (
     wealth_closed_form,
 )
 
+from cone_reference import reference_generator_matrix
 from conftest import (
     TABLE_BIDS,
     binomial_model,
@@ -25,6 +29,16 @@ from conftest import (
     two_period_model,
     two_period_tree,
 )
+
+
+def two_security_market(rng, tree) -> MarketModel:
+    """Two securities with dividends over adapted stochastic rates."""
+    first = random_market(rng, tree, dividends=True, rates=True)
+    second = random_market(rng, tree, dividends=True).securities[0]
+    return MarketModel(
+        tree, first.rates,
+        [first.securities[0], dataclasses.replace(second, name="s2")],
+    )
 
 
 class TestStoppingProfiles:
@@ -86,6 +100,18 @@ class TestGeneratorsFor:
         model = two_period_model()
         with pytest.raises(ComputationError, match="generator count 12 exceeds cap 4"):
             generators_for(model, 0, cap=4)
+
+    def test_matrix_matches_path_by_path_reference(self, rng):
+        # the batched per-root computation makes the same float operations as
+        # the path-by-path loop, so the matrices agree byte for byte
+        for _ in range(15):
+            tree = random_tree(rng, int(rng.integers(3, 8)), int(rng.integers(2, 4)))
+            model = two_security_market(rng, tree)
+            for t in range(tree.horizon):
+                got = generators_for(model, t).matrix()
+                want = reference_generator_matrix(model, t)
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
 
     def test_strategy_consistency_on_random_markets(self, rng):
         # every generator is the terminal discounted wealth of an explicit
@@ -185,3 +211,65 @@ class TestArbitrageCheck:
 
     def test_binomial_consistency(self):
         assert arbitrage_check(binomial_model(), 0) is None
+
+
+class TestOneEnumerationPerQuote:
+    """Each public pricing call enumerates the cone once and hands it down."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counted = []
+        real = cone.generators_for
+
+        def counting(*args, **kwargs):
+            counted.append(args[1])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cone, "generators_for", counting)
+        monkeypatch.setattr(pricing, "generators_for", counting)
+        return counted
+
+    @pytest.fixture
+    def flow(self):
+        flow = np.zeros((5, 3))
+        flow[:, 2] = np.maximum(TABLE_BIDS[:, 2] - 65.0, 0.0)
+        return flow
+
+    def test_noarb_bounds(self, calls, flow):
+        model = two_period_model(lam=0.01)
+        for t, entry in ((0, "trade"), (1, "trade"), (1, "mark")):
+            calls.clear()
+            quote = pricing.noarb_bounds(model, flow, t, entry=entry)
+            assert quote.status() == pricing.STATUS_OK
+            assert calls == [t]
+
+    def test_ngd_check_and_good_deal_prices(self, calls, flow):
+        model = two_period_model(lam=0.01)
+        for gamma in (0.25, 8.0):  # violated, then holding
+            for price in (
+                lambda: pricing.ngd_check(model, 0, gamma),
+                lambda: pricing.good_deal_prices(model, flow, 0, gamma),
+                lambda: pricing.good_deal_prices(model, flow, 1, gamma, entry="mark"),
+            ):
+                calls.clear()
+                price()
+                assert len(calls) == 1
+
+    def test_liquidity_surface_once_per_lambda(self, calls):
+        lambdas = [0.0, 0.005, 0.01]
+        pricing.liquidity_surface(
+            two_period_model,
+            lambda model: np.maximum(model.securities[0].bid - 65.0, 0.0) * (
+                np.arange(3) == 2
+            ),
+            [0.25, 1.0, 8.0],
+            lambdas,
+        )
+        assert calls == [0] * len(lambdas)
+
+    def test_enumeration_must_start_at_the_pricing_date(self):
+        model = two_period_model()
+        with pytest.raises(ValidationError, match="start at t=1"):
+            pricing.ngd_check(model, 0, 1.0, generators=generators_for(model, 1))
+        with pytest.raises(ValidationError, match="start at t=0"):
+            arbitrage_check(model, 1, generators=generators_for(model, 0))

@@ -5,6 +5,7 @@ from conic_pricer.errors import ComputationError, ValidationError
 from conic_pricer.lp import LinearProgram, solve, solve_ratio
 
 from conftest import lp_vertex_oracle
+from lp_reference import reference_solve
 
 
 class TestSolveBasics:
@@ -107,6 +108,125 @@ class TestDeterminism:
             assert again.value == first.value
             assert np.array_equal(again.x, first.x)
             assert again.iterations == first.iterations
+
+
+def _tall(rng):
+    # few variables, many rows, like the generator rows of a density polytope
+    # and a normalization row; a third of the rows are tight at x0
+    n, m = int(rng.integers(3, 7)), int(rng.integers(25, 70))
+    x0 = rng.uniform(0.1, 1.0, size=n)
+    a_ub, a_eq = rng.normal(size=(m, n)), rng.uniform(0.1, 1.0, size=(1, n))
+    return LinearProgram.build(
+        "max" if rng.random() < 0.5 else "min", rng.normal(size=n),
+        a_ub=a_ub, b_ub=a_ub @ x0 + np.abs(rng.normal(size=m)) * (rng.random(m) < 0.7),
+        a_eq=a_eq, b_eq=a_eq @ x0,
+    )
+
+
+def _wide(rng):
+    # many variables, few rows, like the arbitrage search: a surplus row
+    n, k = int(rng.integers(15, 40)), int(rng.integers(2, 6))
+    G = rng.normal(size=(n, k))
+    return LinearProgram.build(
+        "min", np.ones(n),
+        a_ub=np.vstack([-G.T, -np.abs(G).sum(axis=1)[None, :]]),
+        b_ub=np.concatenate([np.zeros(k), [-1.0]]),
+    )
+
+
+def _mixed(rng):
+    # equality rows (some repeated, so redundant) and negative right-hand
+    # sides (surplus rows with artificials) under finite and infinite upper
+    # bounds
+    n, m, e = int(rng.integers(3, 8)), int(rng.integers(2, 8)), int(rng.integers(1, 3))
+    x0 = rng.uniform(0.0, 1.0, size=n)
+    a_ub, a_eq = rng.normal(size=(m, n)), rng.normal(size=(e, n))
+    if rng.random() < 0.3:
+        a_eq = np.vstack([a_eq, a_eq[:1]])
+    upper = np.where(rng.random(n) < 0.5, rng.uniform(1.0, 3.0, size=n), np.inf)
+    return LinearProgram.build(
+        "max" if rng.random() < 0.5 else "min", rng.normal(size=n),
+        a_ub=a_ub, b_ub=a_ub @ x0 + rng.uniform(0.0, 0.5, size=m),
+        a_eq=a_eq, b_eq=a_eq @ x0, upper=upper,
+    )
+
+
+def _degenerate(rng):
+    # small integers: many zero right-hand sides and tied ratios, so the
+    # Bland tie-breaks decide the pivots
+    n, m = int(rng.integers(3, 7)), int(rng.integers(4, 12))
+    return LinearProgram.build(
+        "max", rng.integers(-2, 4, size=n).astype(float),
+        a_ub=rng.integers(-3, 4, size=(m, n)).astype(float),
+        b_ub=rng.integers(0, 3, size=m).astype(float),
+        upper=np.full(n, 2.0),
+    )
+
+
+def _charnes_cooper(rng):
+    # homogeneous rows in (y, s) with the denominator pinned to one, as
+    # solve_ratio builds them
+    n, m = int(rng.integers(3, 7)), int(rng.integers(8, 30))
+    x0 = rng.uniform(0.1, 1.0, size=n)
+    a_ub, p = rng.normal(size=(m, n)), rng.uniform(0.1, 1.0, size=n)
+    b_ub = a_ub @ x0 + np.abs(rng.normal(size=m)) * (rng.random(m) < 0.7)
+    return LinearProgram.build(
+        "max" if rng.random() < 0.5 else "min", np.append(rng.normal(size=n), 0.0),
+        a_ub=np.hstack([a_ub, -b_ub[:, None]]), b_ub=np.zeros(m),
+        a_eq=np.vstack([np.append(rng.uniform(0.1, 1.0, size=n), 0.0), np.append(p, -p @ x0)]),
+        b_eq=[1.0, 0.0],
+    )
+
+
+def _infeasible(rng):
+    n = int(rng.integers(2, 6))
+    a = np.abs(rng.normal(size=(2, n)))
+    return LinearProgram.build(
+        "max", rng.normal(size=n), a_ub=a, b_ub=[1.0, 1.0], a_eq=a[:1], b_eq=[2.0]
+    )
+
+
+def _unbounded(rng):
+    n = int(rng.integers(2, 6))
+    a = rng.normal(size=(3, n))
+    a[:, 0] = -np.abs(a[:, 0])  # x0 can grow without limit
+    c = rng.normal(size=n)
+    c[0] = 1.0
+    return LinearProgram.build("max", c, a_ub=a, b_ub=np.abs(rng.normal(size=3)))
+
+
+SHAPES = [_tall, _wide, _mixed, _degenerate, _charnes_cooper, _infeasible, _unbounded]
+
+
+class TestCondensedKernel:
+    """lp.solve against the full-tableau reference: same pivots, same answer."""
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=lambda f: f.__name__[1:])
+    def test_same_pivot_path_as_full_tableau(self, shape):
+        rng = np.random.default_rng(20261018)
+        statuses = set()
+        for _ in range(30):
+            prog = shape(rng)
+            sol = solve(prog)
+            status, value, x, iterations = reference_solve(prog)
+            statuses.add(status)
+            assert sol.status == status
+            assert sol.iterations == iterations
+            if status == "optimal":
+                assert np.float64(sol.value).tobytes() == np.float64(value).tobytes()
+                assert sol.x.tobytes() == x.tobytes()
+        expected = {"_infeasible": "infeasible", "_unbounded": "unbounded"}
+        assert expected.get(shape.__name__, "optimal") in statuses
+
+    @pytest.mark.parametrize("shape", [_mixed, _degenerate, _infeasible, _unbounded])
+    def test_exact_mode_agrees_with_float(self, shape):
+        rng = np.random.default_rng(7)
+        for _ in range(8):
+            prog = shape(rng)
+            sol, exact = solve(prog), solve(prog, exact=True)
+            assert exact.status == sol.status
+            if sol.status == "optimal":
+                assert exact.value == pytest.approx(sol.value, abs=1e-9)
 
 
 class TestExactMode:

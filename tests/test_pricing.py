@@ -4,7 +4,7 @@ import pytest
 from conic_pricer import lp, pricing
 from conic_pricer.acceptability import dglr_eval
 from conic_pricer.cone import arbitrage_check, generators_for
-from conic_pricer.errors import ValidationError
+from conic_pricer.errors import ComputationError, ValidationError
 from conic_pricer.lattice import EventTree
 from conic_pricer.market import CashFlow, MarketModel, apply_transaction_costs, asian_call
 from conic_pricer.pricing import (
@@ -71,6 +71,18 @@ class TestNoArbBounds:
         assert arbitrage_check(model, 0) is not None
         quote = noarb_bounds(model, call_payoff(model), 0)
         assert quote.entry(0).status == STATUS_ARBITRAGE
+
+    def test_solver_failure_is_not_arbitrage(self, monkeypatch):
+        # the arbitrage search clears the market; a failing bound LP after it
+        # is the solver's failure and must surface as one
+        def failing(*args, **kwargs):
+            raise ComputationError("LP certification failed: injected")
+
+        monkeypatch.setattr(lp, "solve_ratio", failing)
+        model = two_period_model()
+        assert arbitrage_check(model, 0) is None
+        with pytest.raises(ComputationError, match="injected"):
+            noarb_bounds(model, call_payoff(model), 0)
 
 
 class TestNgdCheck:
