@@ -37,9 +37,7 @@ from .cone import (
 )
 from .acceptability import (
     DensityBand,
-    correspondence_check,
     dglr_eval,
-    index_level,
     rho_gamma,
 )
 from .pricing import (
@@ -51,7 +49,6 @@ from .pricing import (
     liquidity_surface,
     ngd_check,
     noarb_bounds,
-    primal_price_oracle,
 )
 
 __version__ = "0.1.0"

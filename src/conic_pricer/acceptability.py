@@ -1,4 +1,4 @@
-"""Dynamic gain-loss ratio, its density band, and the induced risk measures.
+"""Dynamic gain-loss ratio, its density band, and the induced risk measure.
 
 The performance measure of a cash flow D at date t is, per node, the ratio of
 the expected remaining cumulative flow to the expectation of its negative
@@ -10,40 +10,23 @@ form c*(1 + L) with 0 <= L <= gamma and normalization E[c*(1+L)] = 1 - a
 multiplicative band of relative width (1 + gamma).  The associated risk
 measure rho is minus the worst-case conditional expectation over the band;
 its level sets recover the ratio: rho_gamma <= 0 exactly when the ratio is at
-least gamma, so the index can also be computed by bisecting rho in gamma.
+least gamma.
 
-Per-node band optimization is linear-fractional.  On small nodes it is solved
-exactly by enumerating band vertices (each L coordinate at 0 or gamma; along
-any coordinate the ratio is monotone, so extrema sit at vertices); a sorted
-threshold scan visits only the vertices that can be optimal.  Larger nodes
-fall back to the Charnes-Cooper LP, and a cross-check mode runs every route
-and insists they agree.
+Per-node band optimization is linear-fractional.  Along any coordinate of L
+the ratio is monotone, so an optimal L loads gamma on a value-threshold set
+of the flow, and a sorted threshold scan finds the exact optimum.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import lp
-from .errors import ComputationError, ValidationError
+from .errors import ValidationError
 from .lattice import EventTree, as_values, tail_sum
 
-__all__ = [
-    "DensityBand",
-    "dglr_eval",
-    "rho_gamma",
-    "index_level",
-    "band_ratio_extreme",
-    "correspondence_check",
-    "CorrespondenceReport",
-]
-
-VERTEX_CAP = 20
-INDEX_GAMMA_LOW = 1e-12
-INDEX_GAMMA_HIGH = 1e9
+__all__ = ["DensityBand", "dglr_eval", "rho_gamma", "band_ratio_extreme"]
 
 
 @dataclass(frozen=True)
@@ -99,12 +82,16 @@ def dglr_eval(tree: EventTree, cash_flow, t: int) -> np.ndarray:
     return out
 
 
-def _ratio_extreme_scan(x: np.ndarray, w: np.ndarray, gamma: float, minimize: bool):
-    """Extreme of sum(w*(1+L)*x)/sum(w*(1+L)) over 0 <= L <= gamma.
+def band_ratio_extreme(x, weights, gamma: float, *, minimize: bool = True) -> float:
+    """Worst (or best) band-weighted average of ``x`` on one node: the extreme
+    of sum(w*(1+L)*x)/sum(w*(1+L)) over 0 <= L <= gamma.
 
     Optimal L loads gamma on a value-threshold set of x, so scanning prefixes
     of the sorted order visits an optimal vertex.
     """
+    DensityBand(gamma)
+    x = np.asarray(x, dtype=float)
+    w = np.asarray(weights, dtype=float)
     order = np.argsort(x) if minimize else np.argsort(-x)
     xs, ws = x[order], w[order]
     base_num, base_den = float(w @ x), float(w.sum())
@@ -114,86 +101,6 @@ def _ratio_extreme_scan(x: np.ndarray, w: np.ndarray, gamma: float, minimize: bo
     return float(np.min(vals) if minimize else np.max(vals))
 
 
-def _ratio_extreme_vertices(x, w, gamma, minimize, cap=VERTEX_CAP):
-    """Full enumeration over L in {0, gamma}^n - the authoritative small-node oracle."""
-    n = len(x)
-    if n > cap:
-        raise ValidationError(f"node with {n} paths exceeds vertex enumeration cap {cap}")
-    best = None
-    chunk = 1 << 16
-    bits = np.arange(n)
-    total = 1 << n
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        lam = ((idx[:, None] >> bits[None, :]) & 1) * gamma
-        ww = w[None, :] * (1.0 + lam)
-        vals = (ww @ x) / ww.sum(axis=1)
-        cand = float(np.min(vals) if minimize else np.max(vals))
-        if best is None or (cand < best if minimize else cand > best):
-            best = cand
-    return best
-
-
-def _ratio_extreme_lp(x, w, gamma, minimize, tol=lp.DEFAULT_TOL):
-    """Charnes-Cooper route: variables (eta on the node, m), band rows, den = 1.
-
-    The band constraints are scale-free, so the node normalization is pinned
-    as an equality to tie down the transform's scale variable.
-    """
-    n = len(x)
-    a_ub = np.zeros((2 * n, n + 1))
-    for i in range(n):
-        a_ub[i, i] = -1.0
-        a_ub[i, n] = 1.0  # m - eta_i <= 0
-        a_ub[n + i, i] = 1.0
-        a_ub[n + i, n] = -(1.0 + gamma)  # eta_i - (1+gamma) m <= 0
-    res = lp.solve_ratio(
-        np.concatenate([w * x, [0.0]]),
-        np.concatenate([w, [0.0]]),
-        a_ub=a_ub,
-        b_ub=np.zeros(2 * n),
-        a_eq=np.concatenate([w, [0.0]])[None, :],
-        b_eq=np.ones(1),
-        sense="min" if minimize else "max",
-        tol=tol,
-    )
-    return res.value
-
-
-def band_ratio_extreme(
-    x,
-    weights,
-    gamma: float,
-    *,
-    minimize: bool = True,
-    method: str = "auto",
-    vertex_cap: int = VERTEX_CAP,
-    tol: float = lp.DEFAULT_TOL,
-) -> float:
-    """Worst (or best) band-weighted average of ``x`` on one node."""
-    DensityBand(gamma)
-    x = np.asarray(x, dtype=float)
-    w = np.asarray(weights, dtype=float)
-    if method == "auto":
-        return _ratio_extreme_scan(x, w, gamma, minimize)
-    if method == "vertex":
-        return _ratio_extreme_vertices(x, w, gamma, minimize, cap=vertex_cap)
-    if method == "lp":
-        return _ratio_extreme_lp(x, w, gamma, minimize, tol=tol)
-    if method == "check":
-        scan = _ratio_extreme_scan(x, w, gamma, minimize)
-        ref = [_ratio_extreme_lp(x, w, gamma, minimize, tol=tol)]
-        if len(x) <= vertex_cap:
-            ref.append(_ratio_extreme_vertices(x, w, gamma, minimize, cap=vertex_cap))
-        for r in ref:
-            if abs(r - scan) > 1e-9 * (1.0 + abs(scan)):
-                raise ComputationError(
-                    f"band optimum mismatch: scan {scan!r} vs {r!r}"
-                )
-        return scan
-    raise ValidationError(f"unknown method {method!r}")
-
-
 def rho_gamma(
     tree: EventTree,
     cash_flow,
@@ -201,143 +108,15 @@ def rho_gamma(
     gamma: float,
     *,
     start: int | None = None,
-    method: str = "auto",
-    vertex_cap: int = VERTEX_CAP,
-    tol: float = lp.DEFAULT_TOL,
 ) -> np.ndarray:
     """Risk of the cumulative flow from ``start`` (default: t) onward.
 
     Per node this is minus the minimum band-weighted conditional expectation.
-    ``method="check"`` recomputes each node via vertex enumeration (on nodes
-    within the cap) and the LP route and demands 1e-9 agreement; ``"auto"``
-    uses the exact threshold scan, which coincides with vertex enumeration.
-    Nodes beyond the cap automatically use the LP when ``method="vertex"``.
     """
     x = tail_sum(as_values(cash_flow), t if start is None else start)
     p = tree.probabilities
     out = np.empty(tree.n_paths)
     for cell in tree.partitions[t]:
         idx = list(cell)
-        mode = method
-        if method == "vertex" and len(idx) > vertex_cap:
-            mode = "lp"
-        val = band_ratio_extreme(
-            x[idx], p[idx], gamma, minimize=True, method=mode,
-            vertex_cap=vertex_cap, tol=tol,
-        )
-        out[idx] = -val
+        out[idx] = -band_ratio_extreme(x[idx], p[idx], gamma)
     return out
-
-
-def _rho_node(x, w, gamma) -> float:
-    return -_ratio_extreme_scan(np.asarray(x, float), np.asarray(w, float), gamma, True)
-
-
-def index_level(
-    tree: EventTree,
-    cash_flow,
-    t: int,
-    *,
-    gamma_low: float = INDEX_GAMMA_LOW,
-    gamma_high: float = INDEX_GAMMA_HIGH,
-    tol: float = 1e-6,
-) -> np.ndarray:
-    """Highest acceptance level with nonpositive risk, found by bisection.
-
-    rho is nondecreasing and continuous in gamma, so the boundary of
-    {gamma : rho <= 0} is located to absolute tolerance ``tol``; levels
-    escaping the bracket map to 0 below and +inf above.
-    """
-    x = tail_sum(as_values(cash_flow), t)
-    p = tree.probabilities
-    out = np.empty(tree.n_paths)
-    slack = 1e-12
-    for cell in tree.partitions[t]:
-        idx = list(cell)
-        xc, wc = x[idx], p[idx]
-        if _rho_node(xc, wc, gamma_low) > slack:
-            out[idx] = 0.0
-            continue
-        if _rho_node(xc, wc, gamma_high) <= slack:
-            out[idx] = np.inf
-            continue
-        lo, hi = gamma_low, gamma_high
-        while hi - lo > tol:
-            mid = 0.5 * (lo + hi)
-            if _rho_node(xc, wc, mid) <= slack:
-                lo = mid
-            else:
-                hi = mid
-        out[idx] = 0.5 * (lo + hi)
-    return out
-
-
-@dataclass
-class CorrespondenceReport:
-    checked: int = 0
-    passed: int = 0
-    failures: list = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return self.checked > 0 and not self.failures
-
-
-def correspondence_check(
-    tree: EventTree,
-    samples: Iterable[tuple],
-    *,
-    tol_value: float = 1e-9,
-    tol_boundary: float = 1e-9,
-) -> CorrespondenceReport:
-    """Verify, per node, that the ratio clears level gamma exactly when the
-    worst band-conditional expectation is nonnegative, and that the threshold
-    density (gamma on the loss set) reproduces the box-LP minimum of the
-    band-weighted mass.
-
-    ``samples`` yields (cash_flow, t, gamma) triples.  Near-boundary cases
-    (either discriminant within ``tol_boundary`` of zero) count as passes.
-    """
-    report = CorrespondenceReport()
-    for cash_flow, t, gamma in samples:
-        DensityBand(gamma)
-        x = tail_sum(as_values(cash_flow), t)
-        p = tree.probabilities
-        ratio = dglr_eval(tree, cash_flow, t)
-        for k, cell in enumerate(tree.partitions[t]):
-            idx = list(cell)
-            report.checked += 1
-            mass_closed = float(p[idx] @ x[idx]) - gamma * float(
-                p[idx] @ np.maximum(-x[idx], 0.0)
-            )
-            prog = lp.LinearProgram.build(
-                "min",
-                p[idx] * x[idx],
-                upper=np.full(len(idx), gamma),
-            )
-            sol = lp.solve(prog)
-            mass_lp = float(p[idx] @ x[idx]) + sol.value
-            value_ok = abs(mass_closed - mass_lp) <= tol_value
-            lhs = ratio[idx[0]] >= gamma
-            rhs = (
-                band_ratio_extreme(x[idx], p[idx], gamma, minimize=True) >= 0.0
-            )
-            near = abs(mass_closed) <= tol_boundary or abs(
-                ratio[idx[0]] - gamma
-            ) <= tol_boundary
-            equiv_ok = (lhs == rhs) or near
-            if value_ok and equiv_ok:
-                report.passed += 1
-            else:
-                report.failures.append(
-                    {
-                        "t": t,
-                        "cell": k,
-                        "gamma": gamma,
-                        "mass_closed": mass_closed,
-                        "mass_lp": mass_lp,
-                        "ratio": float(ratio[idx[0]]),
-                        "band_min_nonneg": bool(rhs),
-                    }
-                )
-    return report

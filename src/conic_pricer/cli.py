@@ -159,7 +159,7 @@ def payoff_from_dict(model: MarketModel, data: dict) -> CashFlow:
 def _fmt(value, precision: int):
     if isinstance(value, str):
         return value
-    v = float(value)
+    v = float(value) + 0.0  # -0.0 prints as 0
     if math.isnan(v):
         return "nan"
     if math.isinf(v):
@@ -184,7 +184,7 @@ def _emit(args, header: list[str], rows: list[list], meta: dict) -> str:
 def _coerce_json(value, precision: int):
     if isinstance(value, str):
         return value
-    v = float(value)
+    v = float(value) + 0.0
     if math.isinf(v) or math.isnan(v):
         return _fmt(v, precision)
     return float(f"{v:.{precision}g}")
@@ -361,34 +361,39 @@ def _float_list(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"not a comma-separated float list: {text!r}")
 
 
-def _add_common(sub, payoff=True, gamma=False):
+def _add_common(sub, payoff=True, gamma=False, entry=True, report=True):
+    """Register only the flags the command reads."""
     sub.add_argument("model", help="model JSON file")
     if payoff:
         sub.add_argument("payoff", help="payoff JSON file")
     if gamma:
         sub.add_argument("--gamma", type=_positive_gamma, required=True,
                          help="acceptance level (> 0)")
-    sub.add_argument("--time", "-t", type=int, default=0, help="valuation date")
     sub.add_argument("--lam", type=float, default=None,
                      help="override: rebuild every ask as bid*(1+lam)")
-    sub.add_argument("--entry", choices=("trade", "mark"), default="trade",
-                     help="valuation-date hedge entry pricing (see README)")
-    sub.add_argument("--format", "-f", choices=("csv", "json"), default="csv")
-    sub.add_argument("--precision", type=int, default=6,
-                     help="significant digits in reports")
+    if entry:
+        sub.add_argument("--entry", choices=("trade", "mark"), default="trade",
+                         help="valuation-date hedge entry pricing (see README)")
+    if report:
+        sub.add_argument("--time", "-t", type=int, default=0, help="valuation date")
+        sub.add_argument("--format", "-f", choices=("csv", "json"), default="csv")
+        sub.add_argument("--precision", type=int, default=6,
+                         help="significant digits in reports")
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="conic-pricer", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True)
 
-    _add_common(subs.add_parser("validate", help="check a model file"), payoff=False)
+    _add_common(subs.add_parser("validate", help="check a model file"),
+                payoff=False, entry=False, report=False)
     _add_common(subs.add_parser("price", help="good-deal bid/ask"), gamma=True)
     _add_common(subs.add_parser("bounds", help="no-arbitrage bounds"))
     _add_common(subs.add_parser("ngd", help="no-good-deal feasibility"),
                 payoff=False, gamma=True)
-    _add_common(subs.add_parser("arbitrage", help="arbitrage search"), payoff=False)
-    _add_common(subs.add_parser("dglr", help="gain-loss ratio of a payoff"))
+    _add_common(subs.add_parser("arbitrage", help="arbitrage search"),
+                payoff=False, entry=False)
+    _add_common(subs.add_parser("dglr", help="gain-loss ratio of a payoff"), entry=False)
     _add_common(subs.add_parser("forward", help="good-deal forward quotes"), gamma=True)
     surface = subs.add_parser("surface", help="bid-ask spread over a (gamma, lambda) grid")
     _add_common(surface)

@@ -201,12 +201,15 @@ def generators_for(
 
 
 def _enumeration(
-    model: MarketModel, t: int, cap: int, generators: Optional[GeneratorSet]
+    model: MarketModel, t: int, generators: Optional[GeneratorSet], entry: str = "trade"
 ) -> GeneratorSet:
     """``generators`` when the caller has enumerated the date-t round trips
-    already, else a fresh enumeration."""
+    already, else a fresh enumeration, after checking the pricing ``entry``
+    convention the caller will apply to them."""
+    if entry not in ("trade", "mark"):
+        raise ValidationError(f"entry must be 'trade' or 'mark', got {entry!r}")
     if generators is None:
-        return generators_for(model, t, cap=cap)
+        return generators_for(model, t)
     if generators.start != t:
         raise ValidationError(f"generators start at t={generators.start}, not at t={t}")
     return generators
@@ -244,7 +247,6 @@ def arbitrage_check(
     t: int,
     *,
     tol: float = lp.DEFAULT_TOL,
-    cap: int = DEFAULT_GENERATOR_CAP,
     generators: Optional[GeneratorSet] = None,
 ) -> Optional[ArbitrageWitness]:
     """Search for an arbitrage among hedging cash flows initiated at date t.
@@ -253,10 +255,14 @@ def arbitrage_check(
     combined cash flow is pathwise nonnegative on the node and carries at
     least one unit of probability mass.  Thrown-away amounts only lower cash
     flows, so the generator family can neither fabricate nor hide one.
+    Round trips worth zero up to rounding are left out: every value within
+    1e-12 * max(1, largest value on the node) of zero, as across a node with a
+    single child in a frictionless market.  Huge weights on their float
+    residue would otherwise fake the unit of mass.
     ``generators`` is the date-t enumeration when the caller already has it.
     """
     tree = model.tree
-    gens = _enumeration(model, t, cap, generators)
+    gens = _enumeration(model, t, generators)
     G_all = gens.matrix()
     # a generator belongs to the date-t node above its root
     roots = {g.root for g in gens.generators}
@@ -265,6 +271,9 @@ def arbitrage_check(
     for node in tree.nodes(t):
         paths = list(tree.node_paths(node))
         pick = [k for k, g in enumerate(gens.generators) if owner[g.root] == node]
+        size = np.max(np.abs(G_all[pick]), axis=1, initial=0.0)
+        floor = 1e-12 * max(1.0, float(np.max(size, initial=0.0)))
+        pick = [k for k, s in zip(pick, size) if s > floor]
         if not pick:
             continue
         G = G_all[pick]  # (k, n_paths)

@@ -166,28 +166,17 @@ class MarketModel:
         return self._discounts
 
 
-def discount_factors(model: MarketModel, *, initial_accrual: bool = False):
+def discount_factors(model: MarketModel):
     """Savings account B and its reciprocal.
 
-    Default convention: B_0 = 1 and B_t = prod_{s<t} (1 + r_s), so the rate
-    fixed at date s accrues over (s, s+1].  With ``initial_accrual=True`` the
-    date-0 rate is credited immediately (B_0 = 1 + r_0) and the product runs
-    one index ahead; the final period then reuses the last stored rate, since
-    only ``horizon`` many rates exist.  The two conventions coincide whenever
-    r = 0.  All wealth accounting uses the default, whose unit initial value
-    makes the date-0 setup cost and the explicit wealth sum consistent.
+    B_0 = 1 and B_t = prod_{s<t} (1 + r_s), so the rate fixed at date s
+    accrues over (s, s+1].  The unit initial value makes the date-0 setup cost
+    and the explicit wealth sum consistent.
     """
     n, T = model.tree.n_paths, model.tree.horizon
     B = np.ones((n, T + 1))
     for t in range(1, T + 1):
         B[:, t] = B[:, t - 1] * (1.0 + model.rates[:, t - 1])
-    if initial_accrual:
-        shifted = np.ones((n, T + 1))
-        shifted[:, 0] = 1.0 + model.rates[:, 0]
-        for t in range(1, T + 1):
-            r_idx = min(t, T - 1)
-            shifted[:, t] = shifted[:, t - 1] * (1.0 + model.rates[:, r_idx])
-        B = shifted
     return B, 1.0 / B
 
 

@@ -10,6 +10,9 @@ densities u against the reference probabilities:
 * optional band rows m <= u <= (1 + gamma) m plus the global normalization
   sum u * p = 1 - these restrict to the acceptability density band.
 
+One builder assembles these rows for every program below, and one loop takes
+each node's minimum and maximum over them.
+
 Conditional objectives are linear-fractional and are solved through the
 Charnes-Cooper transform with the node normalization sum_node u * p = 1; with
 the band present the free scalar m is automatically bounded away from zero,
@@ -27,13 +30,13 @@ reference tables for intermediate-date bounds; see the README.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from . import lp
-from .acceptability import DensityBand, dglr_eval
+from .acceptability import DensityBand
 from .cone import (
     ConeGenerator,
     GeneratorSet,
@@ -55,14 +58,12 @@ __all__ = [
     "NgdResult",
     "GoodDealWitness",
     "SurfaceCell",
-    "OracleInterval",
     "noarb_bounds",
     "ngd_check",
     "good_deal_certificate",
     "good_deal_prices",
     "forward_prices",
     "liquidity_surface",
-    "primal_price_oracle",
 ]
 
 STATUS_OK = "ok"
@@ -127,47 +128,68 @@ class NgdResult:
         return self.holds
 
 
-def _discounted_tail(model: MarketModel, cash_flow, t: int) -> np.ndarray:
-    _, Binv = model.discounts()
-    return tail_sum(as_values(cash_flow) * Binv, t + 1)
+def _polytope(
+    model: MarketModel,
+    t: int,
+    entry: str,
+    gens: GeneratorSet,
+    gamma: Optional[float] = None,
+) -> dict:
+    """The density polytope as ``a_ub``/``b_ub``/``a_eq``/``b_eq`` keywords of
+    ``lp.solve_ratio`` and ``lp.LinearProgram.build``.
 
-
-def _enumerate(
-    model: MarketModel, t: int, entry: str, cap: int, generators: Optional[GeneratorSet]
-) -> GeneratorSet:
-    """The round trips rooted at dates >= t, after checking ``entry``."""
-    if entry not in ("trade", "mark"):
-        raise ValidationError(f"entry must be 'trade' or 'mark', got {entry!r}")
-    return _enumeration(model, t, cap, generators)
-
-
-def _generator_rows(
-    model: MarketModel, t: int, entry: str, gens: GeneratorSet
-) -> tuple[np.ndarray, np.ndarray]:
-    """Rows p * G (one per generator rooted at dates >= t) and their rhs."""
+    Rows, in order: p * G <= slack for every round trip of ``gens`` (rooted at
+    dates >= t); with ``gamma``, the band rows m <= u <= (1 + gamma) m over the
+    extra variable m; then the normalization sum u * p = 1.
+    """
     p = model.probabilities
     B, _ = model.discounts()
-    matrix = gens.matrix()
+    rows = gens.matrix()
     if entry == "mark" and t >= 1:
         for k, g in enumerate(gens.generators):
             if g.root.time == t:
                 sec = model.securities[g.security]
                 idx = list(model.tree.node_paths(g.root))
-                matrix[k, idx] += (sec.ask[idx, t] - sec.bid[idx, t]) / B[idx, t]
-    matrix = matrix * p
-    rhs = GEN_ROW_SLACK * np.maximum(np.max(np.abs(matrix), axis=1), 1.0)
-    return matrix, rhs
+                rows[k, idx] += (sec.ask[idx, t] - sec.bid[idx, t]) / B[idx, t]
+    rows = rows * p
+    rhs = GEN_ROW_SLACK * np.maximum(np.max(np.abs(rows), axis=1), 1.0)
+    a_eq = p[None, :]
+    if gamma is not None:
+        DensityBand(gamma)
+        n = len(p)
+        band = np.zeros((2 * n, n + 1))
+        for i in range(n):
+            band[i, i] = -1.0
+            band[i, n] = 1.0
+            band[n + i, i] = 1.0
+            band[n + i, n] = -(1.0 + gamma)
+        rows = np.vstack([np.hstack([rows, np.zeros((rows.shape[0], 1))]), band])
+        rhs = np.concatenate([rhs, np.zeros(2 * n)])
+        a_eq = np.hstack([a_eq, np.zeros((1, 1))])
+    return {"a_ub": rows, "b_ub": rhs, "a_eq": a_eq, "b_eq": np.ones(1)}
 
 
-def _band_rows(n: int, gamma: float) -> tuple[np.ndarray, np.ndarray]:
-    """Rows over variables (u_1..u_n, m): m <= u <= (1+gamma) m."""
-    a = np.zeros((2 * n, n + 1))
-    for i in range(n):
-        a[i, i] = -1.0
-        a[i, n] = 1.0
-        a[n + i, i] = 1.0
-        a[n + i, n] = -(1.0 + gamma)
-    return a, np.zeros(2 * n)
+def _node_quotes(
+    model: MarketModel, cash_flow, t: int, polytope: dict, tol: float
+) -> tuple[PriceEntry, ...]:
+    """Min and max of each date-t node's conditional discounted tail over the
+    polytope (Charnes-Cooper with the node normalization)."""
+    tree = model.tree
+    p = tree.probabilities
+    _, Binv = model.discounts()
+    x = tail_sum(as_values(cash_flow) * Binv, t + 1)
+    width = polytope["a_eq"].shape[1]
+    entries = []
+    for node in tree.nodes(t):
+        idx = list(tree.node_paths(node))
+        num = np.zeros(width)
+        den = np.zeros(width)
+        num[idx] = p[idx] * x[idx]
+        den[idx] = p[idx]
+        hi = lp.solve_ratio(num, den, **polytope, sense="max", tol=tol).value
+        lo = lp.solve_ratio(num, den, **polytope, sense="min", tol=tol).value
+        entries.append(PriceEntry(node, lo, hi, STATUS_OK))
+    return tuple(entries)
 
 
 def noarb_bounds(
@@ -177,7 +199,6 @@ def noarb_bounds(
     *,
     tol: float = lp.DEFAULT_TOL,
     entry: str = "trade",
-    cap: int = 100_000,
 ) -> PriceQuote:
     """Lower/upper bounds of the conditional discounted tail over the closure
     of the risk-neutral density polytope, per date-t node.
@@ -186,34 +207,17 @@ def noarb_bounds(
     arbitrage search has already cleared the market, so the failure is the
     solver's, not an arbitrage.
     """
-    tree = model.tree
-    gens = _enumerate(model, t, entry, cap, None)
-    witness = arbitrage_check(model, t, tol=tol, cap=cap, generators=gens)
-    if witness is not None:
+    gens = _enumeration(model, t, None, entry)
+    if arbitrage_check(model, t, tol=tol, generators=gens) is not None:
         entries = tuple(
-            PriceEntry(node, np.nan, np.nan, STATUS_ARBITRAGE) for node in tree.nodes(t)
+            PriceEntry(node, np.nan, np.nan, STATUS_ARBITRAGE)
+            for node in model.tree.nodes(t)
         )
         return PriceQuote(time=t, gamma=None, entries=entries)
-    rows, gen_rhs = _generator_rows(model, t, entry, gens)
-    x = _discounted_tail(model, cash_flow, t)
-    p = tree.probabilities
-    entries = []
-    for node in tree.nodes(t):
-        idx = list(tree.node_paths(node))
-        num = np.zeros(tree.n_paths)
-        den = np.zeros(tree.n_paths)
-        num[idx] = p[idx] * x[idx]
-        den[idx] = p[idx]
-        hi = lp.solve_ratio(
-            num, den, a_ub=rows, b_ub=gen_rhs,
-            a_eq=p[None, :], b_eq=np.ones(1), sense="max", tol=tol,
-        ).value
-        lo = lp.solve_ratio(
-            num, den, a_ub=rows, b_ub=gen_rhs,
-            a_eq=p[None, :], b_eq=np.ones(1), sense="min", tol=tol,
-        ).value
-        entries.append(PriceEntry(node, lo, hi, STATUS_OK))
-    return PriceQuote(time=t, gamma=None, entries=tuple(entries))
+    polytope = _polytope(model, t, entry, gens)
+    return PriceQuote(
+        time=t, gamma=None, entries=_node_quotes(model, cash_flow, t, polytope, tol)
+    )
 
 
 def good_deal_certificate(
@@ -221,20 +225,18 @@ def good_deal_certificate(
     t: int,
     gamma: float,
     *,
-    entry: str = "trade",
-    cap: int = 100_000,
-    slack: float = 1e-9,
     generators: Optional[GeneratorSet] = None,
 ) -> list[GoodDealWitness]:
     """Hedging cash flows whose date-t gain-loss ratio beats ``gamma``.
 
     Scans single generators (their flows are verifiable via
     :func:`conic_pricer.acceptability.dglr_eval`); each witness carries the
-    node where the ratio clears the level.  Sorted by ratio, best first.
-    ``generators`` is the date-t enumeration when the caller already has it.
+    node where the ratio clears the level by more than 1e-9.  Sorted by ratio,
+    best first.  ``generators`` is the date-t enumeration when the caller
+    already has it.
     """
     tree = model.tree
-    gens = _enumerate(model, t, entry, cap, generators)
+    gens = _enumeration(model, t, generators)
     p = tree.probabilities
     found = []
     for g in gens.generators:
@@ -242,11 +244,27 @@ def good_deal_certificate(
         idx = list(tree.node_paths(node))
         gain = float(p[idx] @ g.values[idx])
         loss = float(p[idx] @ np.maximum(-g.values[idx], 0.0))
-        if gain - gamma * loss > slack:
+        if gain - gamma * loss > 1e-9:
             ratio = gain / loss if loss > 0 else np.inf
             found.append(GoodDealWitness(node, g, g.values.copy(), ratio))
     found.sort(key=lambda w: -w.dglr)
     return found
+
+
+def _ngd(
+    model: MarketModel, t: int, gamma: float, gens: GeneratorSet, polytope: dict, tol: float
+) -> NgdResult:
+    """Feasibility of the band polytope; a witness from ``gens`` when empty."""
+    prog = lp.LinearProgram.build("max", np.zeros(model.tree.n_paths + 1), **polytope)
+    if lp.solve(prog, tol=tol).status == "optimal":
+        return NgdResult(holds=True, gamma=gamma, time=t)
+    witnesses = good_deal_certificate(model, t, gamma, generators=gens)
+    return NgdResult(
+        holds=False,
+        gamma=gamma,
+        time=t,
+        witness=witnesses[0] if witnesses else None,
+    )
 
 
 def ngd_check(
@@ -256,7 +274,6 @@ def ngd_check(
     *,
     tol: float = lp.DEFAULT_TOL,
     entry: str = "trade",
-    cap: int = 100_000,
     generators: Optional[GeneratorSet] = None,
 ) -> NgdResult:
     """Feasibility of (risk-neutral polytope) intersect (density band).
@@ -267,29 +284,8 @@ def ngd_check(
     story.  When violated, a witness hedging flow is searched for.
     ``generators`` is the date-t enumeration when the caller already has it.
     """
-    DensityBand(gamma)
-    tree = model.tree
-    gens = _enumerate(model, t, entry, cap, generators)
-    rows, gen_rhs = _generator_rows(model, t, entry, gens)
-    n = tree.n_paths
-    p = tree.probabilities
-    band_a, band_b = _band_rows(n, gamma)
-    a_ub = np.vstack([np.hstack([rows, np.zeros((rows.shape[0], 1))]), band_a])
-    b_ub = np.concatenate([gen_rhs, band_b])
-    a_eq = np.hstack([p[None, :], np.zeros((1, 1))])
-    prog = lp.LinearProgram.build(
-        "max", np.zeros(n + 1), a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=np.ones(1)
-    )
-    sol = lp.solve(prog, tol=tol)
-    if sol.status == "optimal":
-        return NgdResult(holds=True, gamma=gamma, time=t)
-    witnesses = good_deal_certificate(model, t, gamma, entry=entry, generators=gens)
-    return NgdResult(
-        holds=False,
-        gamma=gamma,
-        time=t,
-        witness=witnesses[0] if witnesses else None,
-    )
+    gens = _enumeration(model, t, generators, entry)
+    return _ngd(model, t, gamma, gens, _polytope(model, t, entry, gens, gamma), tol)
 
 
 def good_deal_prices(
@@ -300,45 +296,22 @@ def good_deal_prices(
     *,
     tol: float = lp.DEFAULT_TOL,
     entry: str = "trade",
-    cap: int = 100_000,
     generators: Optional[GeneratorSet] = None,
 ) -> PriceQuote:
     """Bid/ask of the discounted tail over band-restricted risk-neutral
     densities; sentinel +inf/-inf quotes when no such density exists.
     ``generators`` is the date-t enumeration when the caller already has it."""
-    tree = model.tree
-    gens = _enumerate(model, t, entry, cap, generators)
-    check = ngd_check(model, t, gamma, tol=tol, entry=entry, generators=gens)
+    gens = _enumeration(model, t, generators, entry)
+    polytope = _polytope(model, t, entry, gens, gamma)
+    check = _ngd(model, t, gamma, gens, polytope, tol)
     if not check.holds:
         entries = tuple(
-            PriceEntry(node, np.inf, -np.inf, STATUS_NGD) for node in tree.nodes(t)
+            PriceEntry(node, np.inf, -np.inf, STATUS_NGD) for node in model.tree.nodes(t)
         )
         return PriceQuote(time=t, gamma=gamma, entries=entries, witness=check.witness)
-    rows, gen_rhs = _generator_rows(model, t, entry, gens)
-    n = tree.n_paths
-    p = tree.probabilities
-    x = _discounted_tail(model, cash_flow, t)
-    band_a, band_b = _band_rows(n, gamma)
-    a_ub = np.vstack([np.hstack([rows, np.zeros((rows.shape[0], 1))]), band_a])
-    b_ub = np.concatenate([gen_rhs, band_b])
-    a_eq = np.hstack([p[None, :], np.zeros((1, 1))])
-    entries = []
-    for node in tree.nodes(t):
-        idx = list(tree.node_paths(node))
-        num = np.zeros(n + 1)
-        den = np.zeros(n + 1)
-        num[idx] = p[idx] * x[idx]
-        den[idx] = p[idx]
-        ask = lp.solve_ratio(
-            num, den, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=np.ones(1),
-            sense="max", tol=tol,
-        ).value
-        bid = lp.solve_ratio(
-            num, den, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=np.ones(1),
-            sense="min", tol=tol,
-        ).value
-        entries.append(PriceEntry(node, bid, ask, STATUS_OK))
-    return PriceQuote(time=t, gamma=gamma, entries=tuple(entries))
+    return PriceQuote(
+        time=t, gamma=gamma, entries=_node_quotes(model, cash_flow, t, polytope, tol)
+    )
 
 
 def forward_prices(
@@ -349,7 +322,6 @@ def forward_prices(
     *,
     tol: float = lp.DEFAULT_TOL,
     entry: str = "trade",
-    cap: int = 100_000,
 ) -> PriceQuote:
     """Forward (pay-at-horizon) quotes: the spot quote scaled by the terminal
     savings account, which requires a deterministic rate process."""
@@ -358,7 +330,7 @@ def forward_prices(
         raise ValidationError("forward prices require deterministic rates")
     B, _ = model.discounts()
     scale = float(B[0, model.tree.horizon])
-    spot = good_deal_prices(model, cash_flow, t, gamma, tol=tol, entry=entry, cap=cap)
+    spot = good_deal_prices(model, cash_flow, t, gamma, tol=tol, entry=entry)
     entries = tuple(
         PriceEntry(e.node, scale * e.bid, scale * e.ask, e.status)
         for e in spot.entries
@@ -400,6 +372,9 @@ def liquidity_surface(
         model = model_builder(lam)
         payoff = payoff_builder(model)
         gens = generators_for(model, t)
+        count = len(model.tree.nodes(t))
+        if not 0 <= node < count:
+            raise ValidationError(f"node {node} outside 0..{count - 1} at t={t}")
         for gamma in gammas:
             quote = good_deal_prices(
                 model, payoff, t, gamma, tol=tol, entry=entry, generators=gens
@@ -408,107 +383,3 @@ def liquidity_surface(
             spread = e.ask - e.bid if e.status == STATUS_OK else np.nan
             cells.append(SurfaceCell(gamma, lam, e.bid, e.ask, spread, e.status))
     return cells
-
-
-@dataclass(frozen=True)
-class OracleInterval:
-    bid: float
-    ask: float
-
-
-def primal_price_oracle(
-    model: MarketModel,
-    cash_flow,
-    t: int,
-    gamma: float,
-    *,
-    weight_points: int = 9,
-    max_weight: float = 6.0,
-    v_points: int = 4001,
-    refine: int = 2,
-) -> OracleInterval:
-    """Brute-force hedged-acceptability prices on a tiny one-period instance.
-
-    The ask is the least cash v making (v + hedge - discounted payoff)
-    acceptable at level gamma for some conic hedge combination from a weight
-    grid; the bid mirrors it.  Acceptability of a flow Y is the sign test
-    E[Y] - gamma * E[Y-] >= 0.  Grids: ``weight_points`` per generator over
-    [0, max_weight] with one local refinement, and ``v_points`` cash points
-    with ``refine`` zooming passes.  Intended solely as an independent check
-    of the dual LP prices.
-    """
-    DensityBand(gamma)
-    tree = model.tree
-    if tree.horizon != 1 or t != 0:
-        raise ValidationError("oracle instance too large: need a one-period model at t=0")
-    gens = generators_for(model, 0)
-    if len(gens) > 3:
-        raise ValidationError(f"oracle instance too large: {len(gens)} generators > 3")
-    G = gens.matrix()
-    x = _discounted_tail(model, cash_flow, 0)
-    p = tree.probabilities
-
-    def least_acceptable_cash(target: np.ndarray) -> float:
-        """Least v on the grid with flow = v - target acceptable at gamma.
-
-        The acceptance mass E[flow] - gamma * E[flow-] is nondecreasing in v
-        with slope >= 1, so the first acceptable grid point brackets the true
-        threshold; each refinement pass zooms into that bracket.
-        """
-        lo = min(float(np.min(target)), float(p @ target)) - 1.0
-        hi = float(np.max(target)) + 1.0
-        best = hi
-        for _ in range(refine + 1):
-            grid = np.linspace(lo, hi, v_points)
-            flows = grid[:, None] - target[None, :]
-            mass = flows @ p - gamma * (np.maximum(-flows, 0.0) @ p)
-            hits = np.nonzero(mass >= -1e-12)[0]
-            k = int(hits[0]) if hits.size else v_points - 1
-            step = grid[1] - grid[0]
-            best = float(grid[k])
-            lo, hi = best - step, best + step
-        return best
-
-    def grid_around(center, step):
-        axes = [
-            np.linspace(max(0.0, ci - step), ci + step, weight_points)
-            for ci in center
-        ]
-        return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(
-            -1, len(gens)
-        )
-
-    def search(side: str) -> float:
-        # ask: least v with v + w@G - x acceptable, i.e. target = x - w@G.
-        # bid: greatest v with x + w@G - v acceptable; substituting v -> -v
-        # this is -(least v with v - (-(x + w@G)) acceptable).
-        def target_for(w):
-            return x - w @ G if side == "ask" else -(x + w @ G)
-
-        base = np.linspace(0.0, max_weight, weight_points)
-        combos = np.stack(
-            np.meshgrid(*([base] * len(gens)), indexing="ij"), axis=-1
-        ).reshape(-1, len(gens))
-        best_v, best_w = None, None
-        for w in combos:
-            v = least_acceptable_cash(target_for(w))
-            if best_v is None or v < best_v:
-                best_v, best_w = v, w
-        # The threshold is convex in the weights, so the grid walks toward the
-        # optimum: pan at the same resolution while the incumbent keeps
-        # reaching the window's edge, then zoom.
-        step = max_weight / (weight_points - 1) if weight_points > 1 else 1.0
-        for _ in range(60):
-            if step < 1e-5:
-                break
-            prev_w = best_w
-            for w in grid_around(best_w, step):
-                v = least_acceptable_cash(target_for(w))
-                if v < best_v - 1e-15:
-                    best_v, best_w = v, w
-            on_edge = np.any(np.abs(best_w - prev_w) >= step * (1.0 - 1e-9))
-            if not on_edge:
-                step *= 2.0 / (weight_points - 1)
-        return best_v if side == "ask" else -best_v
-
-    return OracleInterval(bid=search("bid"), ask=search("ask"))

@@ -3,18 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conic_pricer.acceptability import (
-    DensityBand,
-    band_ratio_extreme,
-    correspondence_check,
-    dglr_eval,
-    index_level,
-    rho_gamma,
-)
+from conic_pricer.acceptability import DensityBand, band_ratio_extreme, dglr_eval, rho_gamma
 from conic_pricer.errors import ValidationError
 from conic_pricer.lattice import EventTree
 
 from conftest import random_cashflow, random_tree, two_period_tree
+from oracles import band_extreme_vertices, correspondence_check, index_level, rho_reference
 
 
 def two_state(probs=(0.5, 0.5)):
@@ -100,13 +94,16 @@ class TestRhoGamma:
         assert np.allclose(out, -(0.3 * 2 - 0.7), atol=1e-8)
 
     def test_methods_agree(self, rng):
+        # the threshold scan against vertex enumeration and against the LP
         for _ in range(40):
             tree = random_tree(rng, int(rng.integers(2, 7)), int(rng.integers(1, 4)))
             d = random_cashflow(rng, tree)
             t = int(rng.integers(0, tree.horizon + 1))
             gamma = float(rng.uniform(0.05, 5.0))
-            ref = rho_gamma(tree, d, t, gamma, method="check")
-            assert np.max(np.abs(ref - rho_gamma(tree, d, t, gamma))) <= 1e-9
+            scan = rho_gamma(tree, d, t, gamma)
+            for vertex_cap in (20, 0):
+                ref = rho_reference(tree, d, t, gamma, vertex_cap=vertex_cap)
+                assert np.all(np.abs(ref - scan) <= 1e-9 * (1.0 + np.abs(scan)))
 
     def test_start_parameter_shifts_the_window(self):
         tree = two_period_tree()
@@ -130,7 +127,7 @@ class TestRhoGamma:
     def test_vertex_cap_falls_back_to_lp(self, rng):
         tree = random_tree(rng, 6, 1)
         d = random_cashflow(rng, tree)
-        out = rho_gamma(tree, d, 0, 1.0, method="vertex", vertex_cap=3)
+        out = rho_reference(tree, d, 0, 1.0, vertex_cap=3)
         assert np.max(np.abs(out - rho_gamma(tree, d, 0, 1.0))) <= 1e-9
 
 
@@ -143,7 +140,7 @@ class TestBandRatioExtreme:
             gamma = float(rng.uniform(0.05, 8.0))
             for minimize in (True, False):
                 fast = band_ratio_extreme(x, w, gamma, minimize=minimize)
-                full = band_ratio_extreme(x, w, gamma, minimize=minimize, method="vertex")
+                full = band_extreme_vertices(x, w, gamma, minimize=minimize)
                 assert fast == pytest.approx(full, abs=1e-12)
 
 
@@ -415,13 +412,9 @@ class TestWeakConsistency:
             p = tree.probabilities
             for cell in tree.partitions[t]:
                 idx = list(cell)
-                today = band_ratio_extreme(
-                    x[idx], p[idx], gamma, minimize=True, method="vertex"
-                )
+                today = band_extreme_vertices(x[idx], p[idx], gamma)
                 best_child = max(
-                    band_ratio_extreme(
-                        x[list(kid)], p[list(kid)], gamma, minimize=True, method="vertex"
-                    )
+                    band_extreme_vertices(x[list(kid)], p[list(kid)], gamma)
                     for kid in tree.partitions[t + 1]
                     if set(kid) <= set(cell)
                 )

@@ -13,13 +13,7 @@ import numpy as np
 import pytest
 
 from conic_pricer import lp
-from conic_pricer.acceptability import (
-    band_ratio_extreme,
-    correspondence_check,
-    dglr_eval,
-    index_level,
-    rho_gamma,
-)
+from conic_pricer.acceptability import dglr_eval, rho_gamma
 from conic_pricer.cli import main
 from conic_pricer.cone import arbitrage_check, generators_for
 from conic_pricer.fixtures import fixture_path
@@ -41,7 +35,6 @@ from conic_pricer.pricing import (
     good_deal_prices,
     ngd_check,
     noarb_bounds,
-    primal_price_oracle,
 )
 
 from conftest import (
@@ -52,6 +45,12 @@ from conftest import (
     random_self_financing,
     random_tree,
     two_period_model,
+)
+from oracles import (
+    band_extreme_vertices,
+    correspondence_check,
+    index_level,
+    primal_price_oracle,
 )
 
 MODEL_FILE = fixture_path("two_period_stock.json")
@@ -332,12 +331,12 @@ def test_c05_primal_dual_duality(capsys):
         if not ngd_check(model, 0, gamma).holds:
             continue
         dual = good_deal_prices(model, payoff, 0, gamma).entry(0)
-        oracle = primal_price_oracle(model, payoff, 0, gamma)
+        oracle = primal_price_oracle(model, payoff, 0, gamma)[0]
         worst = max(worst, abs(oracle.ask - dual.ask), abs(oracle.bid - dual.bid))
         done += 1
     with capsys.disabled():
         ok = verdict(
-            "05 hedged-price duality (grid oracle vs dual LP)",
+            "05 hedged-price duality (primal hedging LP vs dual LP)",
             worst <= 1e-3,
             f"20 instances, worst gap {worst:.2e}",
         )
@@ -485,9 +484,9 @@ def test_c07_axiom_suites(capsys):
         p = tree.probabilities
         for cell in tree.partitions[t]:
             idx = list(cell)
-            today = band_ratio_extreme(x[idx], p[idx], gamma, method="vertex")
+            today = band_extreme_vertices(x[idx], p[idx], gamma)
             best_kid = max(
-                band_ratio_extreme(x[list(k)], p[list(k)], gamma, method="vertex")
+                band_extreme_vertices(x[list(k)], p[list(k)], gamma)
                 for k in tree.partitions[t + 1]
                 if set(k) <= set(cell)
             )

@@ -71,6 +71,15 @@ class TestValidate:
         assert code == EXIT_VALIDATION
         assert "line 3" in err
 
+    def test_reads_only_lam(self, capsys):
+        code, out, _ = run(capsys, "validate", MODEL, "--lam", "0.01")
+        assert code == EXIT_OK and out.strip() == "ok"
+        for flag in (["--time", "1"], ["--entry", "mark"], ["--format", "json"],
+                     ["--precision", "3"]):
+            code, _, err = run(capsys, "validate", MODEL, *flag)
+            assert code == EXIT_USAGE, flag
+            assert "unrecognized arguments" in err
+
 
 class TestPrice:
     def test_violated_levels_emit_sentinels(self, capsys):
@@ -182,6 +191,12 @@ class TestNgdAndArbitrage:
         code, out, _ = run(capsys, "arbitrage", MODEL)
         assert out.strip().splitlines()[1].startswith("0,none")
 
+    def test_entry_flag_not_read(self, capsys):
+        for argv in (["arbitrage", MODEL], ["dglr", MODEL, PAYOFF]):
+            code, _, err = run(capsys, *argv, "--entry", "mark")
+            assert code == EXIT_USAGE, argv
+            assert "unrecognized arguments" in err
+
 
 class TestDglr:
     def test_hedge_flow_value(self, capsys, tmp_path):
@@ -265,6 +280,25 @@ class TestSurface:
         srow = out_s.strip().splitlines()[1].split(",")
         prow = out_p.strip().splitlines()[1].split(",")
         assert srow[2] == prow[1] and srow[3] == prow[2]
+
+    def test_node_out_of_range_exits_2(self, capsys):
+        for node in ("5", "-1"):  # two date-1 nodes on the fixture
+            code, out, err = run(
+                capsys, "surface", MODEL, PAYOFF, "--gammas", "8", "--lambdas", "0",
+                "--time", "1", "--node", node,
+            )
+            assert code == EXIT_VALIDATION, node
+            assert out == "" and f"node {node} outside 0..1" in err
+
+    def test_negative_zero_prints_as_zero(self, capsys):
+        # the date-1 down node's payoff is zero on every path
+        code, out, _ = run(
+            capsys, "surface", MODEL, PAYOFF, "--gammas", "8", "--lambdas", "0,0.01",
+            "--time", "1", "--node", "1",
+        )
+        assert code == EXIT_OK
+        for line in out.strip().splitlines()[1:]:
+            assert line.split(",")[2:5] == ["0", "0", "0"]
 
     def test_empty_gamma_list_is_usage_error(self, capsys):
         code, _, _ = run(

@@ -23,6 +23,7 @@ from conic_pricer.market import (
 from cone_reference import reference_generator_matrix
 from conftest import (
     TABLE_BIDS,
+    arbitrage_free_market,
     binomial_model,
     random_market,
     random_tree,
@@ -211,6 +212,23 @@ class TestArbitrageCheck:
 
     def test_binomial_consistency(self):
         assert arbitrage_check(binomial_model(), 0) is None
+
+    def test_rounding_is_not_arbitrage(self):
+        # Frictionless martingale markets: a round trip across a node with a
+        # single child is worth exactly zero but computes to about 1e-14.
+        markets = 0
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            tree = random_tree(rng, int(rng.integers(3, 7)), 3)
+            if all(len(tree.children(v)) > 1 for s in range(3) for v in tree.nodes(s)):
+                continue
+            model = arbitrage_free_market(
+                rng, tree, dividends=bool(seed % 2), rates=bool(seed % 3), lam=0.0
+            )
+            markets += 1
+            for t in range(3):
+                assert arbitrage_check(model, t) is None, (seed, t)
+        assert markets >= 30
 
 
 class TestOneEnumerationPerQuote:

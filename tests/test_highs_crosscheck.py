@@ -11,10 +11,9 @@ optimize = pytest.importorskip("scipy.optimize")
 from conic_pricer import pricing  # noqa: E402
 from conic_pricer.cone import generators_for  # noqa: E402
 from conic_pricer.lp import solve  # noqa: E402
-from conic_pricer.market import MarketModel, Security  # noqa: E402
 from conic_pricer.pricing import STATUS_OK, noarb_bounds  # noqa: E402
 
-from conftest import random_adapted, random_cashflow, random_tree  # noqa: E402
+from conftest import arbitrage_free_market, random_cashflow, random_tree  # noqa: E402
 from test_lp import SHAPES  # noqa: E402
 
 HIGHS_STATUS = {0: "optimal", 2: "infeasible", 3: "unbounded"}
@@ -72,40 +71,6 @@ def highs_node_bounds(model, flow, t, node):
         assert status == "optimal"
         out.append(value)
     return out
-
-
-def arbitrage_free_market(rng, tree, *, dividends, rates):
-    """Bid = the discounted conditional expectation, under a random equivalent
-    measure, of the terminal price plus the dividends still to come; ask =
-    bid * (1 + lambda).  The measure prices every round trip at most zero, so
-    the market is free of arbitrage by construction.
-
-    lambda stays above zero: without costs, a round trip across a node with a
-    single child is worth exactly zero, and ``arbitrage_check`` reports its
-    float rounding (about 1e-14) as an arbitrage.
-    """
-    n, T = tree.n_paths, tree.horizon
-    r = np.zeros((n, T))
-    if rates:
-        for t in range(T):
-            for cell in tree.partitions[t]:
-                r[list(cell), t] = rng.uniform(0.0, 0.05)
-    Binv = 1.0 / np.hstack([np.ones((n, 1)), np.cumprod(1.0 + r, axis=1)])
-    div = np.zeros((n, T + 1))
-    if dividends:
-        div = np.cumsum(random_adapted(rng, tree, base=1.0, vol=0.3), axis=1)
-        div -= div[:, :1]
-    q = rng.dirichlet(np.ones(n)) + 0.05
-    bid = np.zeros((n, T + 1))
-    bid[:, T] = random_adapted(rng, tree)[:, T]
-    gains = bid[:, T] * Binv[:, T]
-    for t in range(T - 1, -1, -1):
-        gains = gains + (div[:, t + 1] - div[:, t]) * Binv[:, t + 1]
-        for cell in tree.partitions[t]:
-            idx = list(cell)
-            bid[idx, t] = (q[idx] @ gains[idx]) / q[idx].sum() / Binv[idx[0], t]
-    lam = rng.uniform(0.002, 0.03)
-    return MarketModel(tree, r, [Security("s", bid, bid * (1.0 + lam), div, div)])
 
 
 @pytest.fixture(scope="module")

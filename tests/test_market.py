@@ -51,18 +51,6 @@ class TestDiscounting:
         assert np.allclose(B[:, 1], 1.1)
         assert np.allclose(B[:, 2], 1.21)
 
-    def test_initial_accrual_convention(self):
-        tree = two_period_tree()
-        model = MarketModel(tree, 0.1, [apply_transaction_costs(TABLE_BIDS, 0.0)])
-        B, _ = discount_factors(model, initial_accrual=True)
-        assert np.allclose(B[:, 0], 1.1)
-        assert np.allclose(B[:, 1], 1.21)
-        # conventions coincide at zero rates
-        z = two_period_model()
-        assert np.array_equal(
-            discount_factors(z)[0], discount_factors(z, initial_accrual=True)[0]
-        )
-
     def test_state_dependent_rates_stay_adapted(self):
         tree = two_period_tree()
         rates = np.zeros((5, 2))

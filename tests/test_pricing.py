@@ -17,10 +17,10 @@ from conic_pricer.pricing import (
     liquidity_surface,
     ngd_check,
     noarb_bounds,
-    primal_price_oracle,
 )
 
 from conftest import TABLE_BIDS, binomial_model, random_market, random_tree, two_period_model
+from oracles import primal_price_oracle
 
 T2_TABLE = {
     # lam -> (lower, upper) published reference bounds at the root
@@ -384,14 +384,14 @@ class TestLiquiditySurface:
 class TestPrimalOracle:
     def test_zero_contract(self):
         model = binomial_model(probs=(0.25, 0.75))
-        res = primal_price_oracle(model, np.zeros((2, 2)), 0, 1.0)
+        res = primal_price_oracle(model, np.zeros((2, 2)), 0, 1.0)[0]
         assert res.ask == pytest.approx(0.0, abs=1e-6)
         assert res.bid == pytest.approx(0.0, abs=1e-6)
 
     def test_complete_binomial_collapses_to_replication(self):
         model = binomial_model(probs=(0.25, 0.75))
         payoff = call_payoff(model)
-        res = primal_price_oracle(model, payoff, 0, 1.0)
+        res = primal_price_oracle(model, payoff, 0, 1.0)[0]
         assert res.ask == pytest.approx(5.0, abs=2e-3)
         assert res.bid == pytest.approx(5.0, abs=2e-3)
 
@@ -405,14 +405,29 @@ class TestPrimalOracle:
         gamma = (max(c.dglr for c in certs) if certs else 0.0) + 0.5
         assert ngd_check(model, 0, gamma).holds
         dual = good_deal_prices(model, d, 0, gamma).entry(0)
-        oracle = primal_price_oracle(model, d, 0, gamma)
+        oracle = primal_price_oracle(model, d, 0, gamma)[0]
         assert oracle.ask == pytest.approx(dual.ask, abs=1e-3)
         assert oracle.bid == pytest.approx(dual.bid, abs=1e-3)
 
-    def test_instance_size_guard(self):
+    def test_matches_dual_prices_on_two_period_fixture(self):
+        # every node at both dates, with and without costs
+        for lam in (0.0, 0.005, 0.01):
+            model = two_period_model(lam=lam)
+            payoff = asian_call(model, 0, 65.0)
+            for gamma in (8.0, 20.0):
+                for t in (0, 1):
+                    dual = good_deal_prices(model, payoff, t, gamma)
+                    oracle = primal_price_oracle(model, payoff, t, gamma)
+                    assert dual.status() == STATUS_OK
+                    for e, o in zip(dual.entries, oracle, strict=True):
+                        assert o.ask == pytest.approx(e.ask, abs=1e-9)
+                        assert o.bid == pytest.approx(e.bid, abs=1e-9)
+
+    def test_violated_level_gives_sentinels(self):
+        # below the no-good-deal threshold cash can be withdrawn without end
         model = two_period_model()
-        with pytest.raises(ValidationError, match="too large"):
-            primal_price_oracle(model, np.zeros((5, 3)), 0, 1.0)
+        res = primal_price_oracle(model, asian_call(model, 0, 65.0), 0, 0.05)[0]
+        assert np.isposinf(res.bid) and np.isneginf(res.ask)
 
 
 class TestTableReproduction:
