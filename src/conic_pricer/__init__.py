@@ -27,13 +27,10 @@ from .market import (
 )
 from .cone import (
     ArbitrageWitness,
-    ConeGenerator,
-    GeneratorSet,
-    StoppingProfile,
+    NodeRows,
     arbitrage_check,
-    generator_strategy,
     generators_for,
-    stopping_profiles,
+    hedge_strategy,
 )
 from .acceptability import (
     DensityBand,

@@ -354,6 +354,12 @@ def _positive_gamma(text: str) -> float:
     return v
 
 
+def _precision(text: str) -> int:
+    if not text.isdigit():
+        raise argparse.ArgumentTypeError(f"precision must be an integer >= 0, got {text!r}")
+    return int(text)
+
+
 def _float_list(text: str) -> list[float]:
     try:
         return [float(tok) for tok in text.split(",") if tok.strip() != ""]
@@ -377,7 +383,7 @@ def _add_common(sub, payoff=True, gamma=False, entry=True, report=True):
     if report:
         sub.add_argument("--time", "-t", type=int, default=0, help="valuation date")
         sub.add_argument("--format", "-f", choices=("csv", "json"), default="csv")
-        sub.add_argument("--precision", type=int, default=6,
+        sub.add_argument("--precision", type=_precision, default=6,
                          help="significant digits in reports")
 
 

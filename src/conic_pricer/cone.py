@@ -1,18 +1,38 @@
-"""Finite generating family of the hedging cone, and arbitrage detection.
+"""The hedging cone in node form, and arbitrage detection.
 
-Every zero-cost self-financing strategy decomposes, per security, into
-nonnegative combinations of elementary *round trips*: open one unit (long at
-the ask / short at the bid) at a root node, collect the matching dividend
-stream, and liquidate according to a stopping profile - an antichain of
-strictly later nodes crossed exactly once by every path through the root.
-The discounted terminal value of each round trip is recorded per path; conic
-combinations of these generators span the attainable hedging cash flows up to
-thrown-away (nonnegative) amounts, which never matter for the "<= 0 under a
-nonnegative measure" constraints assembled downstream.
+Every zero-cost self-financing strategy is, per security, a sum of long and
+short positions: open one unit at a node (long at the ask, short at the bid),
+collect the matching dividend stream while it is held, and close it at a
+later node (long at the bid, short at the ask).  "Every such round trip is
+worth at most zero under the measure" says that the ask at each node
+dominates the Snell envelope of the discounted bid-plus-ask-dividend process
+(and mirrored for shorts, the bid the lower envelope of the
+ask-plus-bid-dividend process).  The envelope does not depend on where the
+position was opened, so one pair of rows per node and security replaces the
+enumeration of every stopping profile (Jouini & Kallal, *Martingales and
+arbitrage in securities markets with transaction costs*, JET 1995).
 
-Arbitrage detection solves, per node, a feasibility LP over conic weights:
-a combination that is pathwise nonnegative on the node with strictly positive
-probability mass is an arbitrage witness.
+The rows are linear in the density u (one entry per path) and in the
+nonnegative envelope excesses V_v (long) and W_v (short) of every node v at
+dates t+1..T-1; V and W are zero at the horizon.  With m_v = sum_{i in v}
+p_i u_i and discounted prices, per security:
+
+* open at s (every node at dates t..T-1):
+  sum_children [V_c + (bid_c + ddiv_ask_c) m_c] - ask_s m_s <= 0, and
+  sum_children [W_c - (ask_c + ddiv_bid_c) m_c] + bid_s m_s <= 0;
+* carry on at v (every node at dates t+1..T-1): the same with -V_v - bid_v m_v
+  (resp. -W_v + ask_v m_v) in place of the entry leg.
+
+A row is also a trade: weight y on it holds y units (long or short) from its
+node into the node's children.  A nonnegative combination of rows whose net
+weight on every V and W is nonnegative (no more is carried on than is held)
+is a strategy, and sum_rows y * (u-coefficients) / p is its discounted
+terminal cash flow, up to the spreads it saves by netting.  Every row belongs
+to the subtree of one date-t node.
+
+Arbitrage detection solves, per date-t node, the same matrix transposed: a
+combination whose flow is pathwise nonnegative on the node with at least one
+unit of probability mass is an arbitrage.
 """
 
 from __future__ import annotations
@@ -23,274 +43,189 @@ from typing import Optional
 import numpy as np
 
 from . import lp
-from .errors import ComputationError, ValidationError
-from .lattice import EventTree, NodeRef
+from .errors import ValidationError
+from .lattice import NodeRef
 from .market import MarketModel, TradingStrategy, make_self_financing
 
 __all__ = [
-    "StoppingProfile",
-    "ConeGenerator",
-    "GeneratorSet",
+    "NodeRows",
     "ArbitrageWitness",
-    "stopping_profiles",
     "generators_for",
-    "generator_strategy",
+    "hedge_strategy",
     "arbitrage_check",
 ]
 
-DEFAULT_GENERATOR_CAP = 100_000
-
 
 @dataclass(frozen=True)
-class StoppingProfile:
-    """Liquidation rule: sell on first arrival at any of the sell nodes."""
+class NodeRows:
+    """The hedging-cone rows of one start date, ``a_u @ u + a_v @ (V, W) <= 0``.
 
-    root: NodeRef
-    sells: tuple[NodeRef, ...]
+    Row r holds ``side[r]`` (+1 long, -1 short) units of security
+    ``security[r]`` from node (``date[r]``, ``cell[r]``) into its children,
+    opened there or, where ``carry[r]``, carried on from its parent;
+    ``owner`` gives the date-``start`` cell above each row and ``col_owner``
+    the one above each envelope column.
+    """
 
-
-@dataclass(frozen=True)
-class ConeGenerator:
-    """One elementary round trip with its per-path discounted total cash flow."""
-
-    kind: str  # "long" | "short"
-    security: int
-    profile: StoppingProfile
-    values: np.ndarray  # (n_paths,), zero off the root's paths
-
-    @property
-    def root(self) -> NodeRef:
-        return self.profile.root
-
-
-@dataclass(frozen=True)
-class GeneratorSet:
     start: int
-    generators: tuple[ConeGenerator, ...]
+    a_u: np.ndarray  # (rows, n_paths): p_i times the row's value on path i
+    a_v: np.ndarray  # (rows, envelope columns)
+    date: np.ndarray
+    cell: np.ndarray
+    security: np.ndarray
+    side: np.ndarray
+    carry: np.ndarray
+    owner: np.ndarray
+    col_owner: np.ndarray
 
     def __len__(self):
-        return len(self.generators)
-
-    def matrix(self) -> np.ndarray:
-        return np.array([g.values for g in self.generators])
+        return self.a_u.shape[0]
 
 
-def _covers(tree: EventTree, node: NodeRef) -> list[tuple[NodeRef, ...]]:
-    """Antichain exact covers of ``node``'s paths by nodes at dates >= node.time.
+def generators_for(model: MarketModel, t: int, entry: str = "trade") -> NodeRows:
+    """Open and carry-on rows of every node with date in t..horizon-1.
 
-    The cover consisting of the node itself comes first; deeper covers follow
-    in child order, which keeps the overall enumeration deterministic.
-    """
-    options: list[tuple[NodeRef, ...]] = [(node,)]
-    if node.time < tree.horizon:
-        kid_options = [_covers(tree, kid) for kid in tree.children(node)]
-        combos: list[tuple[NodeRef, ...]] = [()]
-        for opts in kid_options:
-            combos = [done + extra for done in combos for extra in opts]
-        options.extend(combos)
-    return options
-
-
-def _count_covers(tree: EventTree, node: NodeRef) -> int:
-    if node.time >= tree.horizon:
-        return 1
-    prod = 1
-    for kid in tree.children(node):
-        prod *= _count_covers(tree, kid)
-    return 1 + prod
-
-
-def stopping_profiles(tree: EventTree, root: NodeRef) -> list[StoppingProfile]:
-    """All liquidation profiles strictly below ``root``, in deterministic order."""
-    if root.time > tree.horizon - 1:
-        raise ValidationError(
-            f"round trips must start no later than t={tree.horizon - 1}"
-        )
-    kid_options = [_covers(tree, kid) for kid in tree.children(root)]
-    combos: list[tuple[NodeRef, ...]] = [()]
-    for opts in kid_options:
-        combos = [done + extra for done in combos for extra in opts]
-    return [StoppingProfile(root, sells) for sells in combos]
-
-
-def _profile_count(tree: EventTree, root: NodeRef) -> int:
-    prod = 1
-    for kid in tree.children(root):
-        prod *= _count_covers(tree, kid)
-    return prod
-
-
-def _sell_dates(tree: EventTree, profile: StoppingProfile) -> np.ndarray:
-    """Per-path liquidation date (0 off the root's paths)."""
-    dates = np.zeros(tree.n_paths, dtype=int)
-    for sell in profile.sells:
-        for i in tree.node_paths(sell):
-            dates[i] = sell.time
-    return dates
-
-
-def _round_trips(
-    model: MarketModel, root: NodeRef, profiles: list[StoppingProfile]
-) -> np.ndarray:
-    """Discounted round-trip values of every profile under ``root``.
-
-    Shape (profiles, securities, 2, n_paths), long before short, zero off the
-    root's paths.  Each path's total adds the entry leg, the exit leg and then
-    the dividend legs date by date, the same float operations as a path-by-path
-    sum.
+    Row order: the carry-on rows, then the open rows; each block by date,
+    then security, long before short, the date's nodes in cell order (carry-on
+    rows first take Bland's rule through about half the pivots at horizon 8).
+    Envelope columns: by date t+1..horizon-1, then security, V of each node,
+    then W.
+    ``entry="mark"`` values the entry leg of the date-t rows (t >= 1) at the
+    exit price, long at the bid and short at the ask.
     """
     tree = model.tree
-    _, Binv = model.discounts()
-    s = root.time
-    idx = np.asarray(tree.node_paths(root))
-    rows = idx[None, :]
-    sell = np.array([_sell_dates(tree, prof)[idx] for prof in profiles])
-    out = np.zeros((len(profiles), model.n_securities, 2, tree.n_paths))
-    for j, sec in enumerate(model.securities):
-        sides = (
-            (1.0, sec.ask, sec.bid, sec.div_ask),
-            (-1.0, sec.bid, sec.ask, sec.div_bid),
-        )
-        for side, (sign, entry, exit_px, div) in enumerate(sides):
-            total = -entry[idx, s] * Binv[idx, s] + exit_px[rows, sell] * Binv[rows, sell]
-            for v in range(s + 1, tree.horizon + 1):
-                step = (div[idx, v] - div[idx, v - 1]) * Binv[idx, v]
-                total = np.where(v <= sell, total + step, total)
-            out[:, j, side, idx] = sign * total
-    return out
-
-
-def generators_for(
-    model: MarketModel, t: int, *, cap: int = DEFAULT_GENERATOR_CAP
-) -> GeneratorSet:
-    """Long and short round trips rooted at every node with date in t..horizon-1.
-
-    Enumeration order: roots by (date, cell index), then stopping profiles,
-    then security index, long before short.
-    """
-    tree = model.tree
-    if not 0 <= t <= tree.horizon - 1:
-        raise ValidationError(f"start date {t} outside 0..{tree.horizon - 1}")
-    count = 0
-    roots = []
-    for s in range(t, tree.horizon):
-        for node in tree.nodes(s):
-            roots.append(node)
-            count += _profile_count(tree, node) * model.n_securities * 2
-    if count > cap:
-        raise ComputationError(
-            f"generator count {count} exceeds cap {cap}; "
-            "use a smaller horizon or a narrower tree"
-        )
-    gens: list[ConeGenerator] = []
-    for node in roots:
-        profiles = stopping_profiles(tree, node)
-        values = _round_trips(model, node, profiles)
-        for p, profile in enumerate(profiles):
-            for j in range(model.n_securities):
-                for side, kind in enumerate(("long", "short")):
-                    gens.append(
-                        ConeGenerator(
-                            kind=kind,
-                            security=j,
-                            profile=profile,
-                            values=values[p, j, side],
-                        )
-                    )
-    return GeneratorSet(start=t, generators=tuple(gens))
-
-
-def _enumeration(
-    model: MarketModel, t: int, generators: Optional[GeneratorSet], entry: str = "trade"
-) -> GeneratorSet:
-    """``generators`` when the caller has enumerated the date-t round trips
-    already, else a fresh enumeration, after checking the pricing ``entry``
-    convention the caller will apply to them."""
+    T, S = tree.horizon, model.n_securities
+    if not 0 <= t <= T - 1:
+        raise ValidationError(f"start date {t} outside 0..{T - 1}")
     if entry not in ("trade", "mark"):
         raise ValidationError(f"entry must be 'trade' or 'mark', got {entry!r}")
-    if generators is None:
-        return generators_for(model, t)
-    if generators.start != t:
-        raise ValidationError(f"generators start at t={generators.start}, not at t={t}")
-    return generators
+    p = tree.probabilities
+    _, Binv = model.discounts()
+    counts = [len(tree.partitions[s]) for s in range(T + 1)]
+    heads = [np.array([c[0] for c in tree.partitions[s]]) for s in range(T + 1)]
+    base, width = {}, 0
+    for s in range(t + 1, T):
+        for j in range(S):
+            base[s, j] = width
+            width += 2 * counts[s]
+    col_owner = np.array([c for s in range(t + 1, T)
+                          for c in np.tile(tree.cell_index(t)[heads[s]], 2 * S)], dtype=int)
+    prices = [(sec.bid * Binv, sec.ask * Binv) for sec in model.securities]
+    blocks = {False: [], True: []}  # open rows, carry-on rows: (a_u, a_v, meta)
+    for s in range(t, T):
+        k, k_next = counts[s], counts[s + 1]
+        cells = tree.cell_index(s)
+        weight = (np.arange(k)[:, None] == cells[None, :]) * p  # p on each node's paths
+        parent = cells[heads[s + 1]]
+        hold = (parent[None, :] == np.arange(k)[:, None]).astype(float)
+        owner = tree.cell_index(t)[heads[s]]
+        mark = entry == "mark" and s == t >= 1
+        for j, sec in enumerate(model.securities):
+            bid, ask = prices[j]
+            long_exit = bid[:, s + 1] + (sec.div_ask[:, s + 1] - sec.div_ask[:, s]) * Binv[:, s + 1]
+            short_exit = ask[:, s + 1] + (sec.div_bid[:, s + 1] - sec.div_bid[:, s]) * Binv[:, s + 1]
+            kinds = [
+                (1, long_exit - (bid[:, s] if mark else ask[:, s]), 0),
+                (-1, (ask[:, s] if mark else bid[:, s]) - short_exit, k_next),
+            ]
+            if s > t:
+                kinds += [(1, long_exit - bid[:, s], 0), (-1, ask[:, s] - short_exit, k_next)]
+            for n_kind, (side, value, shift) in enumerate(kinds):
+                block = np.zeros((k, width))
+                if s + 1 < T:
+                    at = base[s + 1, j] + shift
+                    block[:, at : at + k_next] = hold
+                if n_kind >= 2:
+                    at = base[s, j] + (0 if side > 0 else k)
+                    block[:, at : at + k] -= np.eye(k)
+                info = [np.full(k, s), np.arange(k), np.full(k, j), np.full(k, side),
+                        np.full(k, n_kind >= 2), owner]
+                blocks[n_kind >= 2].append((weight * value, block, np.array(info)))
+    a_u, a_v, meta = zip(*blocks[True], *blocks[False])
+    date, cell, security, side, carry, owner = np.hstack(meta)
+    return NodeRows(start=t, a_u=np.vstack(a_u), a_v=np.vstack(a_v), date=date, cell=cell,
+                    security=security, side=side, carry=carry == 1, owner=owner,
+                    col_owner=col_owner)
 
 
-def generator_strategy(model: MarketModel, gen: ConeGenerator) -> TradingStrategy:
-    """The explicit zero-cost self-financing strategy behind a generator.
+def hedge_strategy(model: MarketModel, rows: NodeRows, weights) -> TradingStrategy:
+    """The self-financing strategy behind nonnegative ``weights`` on ``rows``.
 
-    Holding one (long) or minus one (short) unit from the root until each
-    path's sell node, with the savings account absorbing all cash, reproduces
-    ``gen.values`` as the discounted terminal wealth.
+    Each row holds its weight in units from its node into the node's
+    children; the savings account absorbs every purchase, sale and dividend.
+    Its discounted terminal wealth dominates the rows' combined cash flow
+    (netting a sale and a purchase at one node only saves the spread) when
+    the weights carry on no more than they hold.
     """
     tree = model.tree
-    n, T, S = tree.n_paths, tree.horizon, model.n_securities
-    legs = np.zeros((T + 1, S, n))
-    sign = 1.0 if gen.kind == "long" else -1.0
-    s = gen.root.time
-    sell_date = _sell_dates(tree, gen.profile)
-    for i in tree.node_paths(gen.root):
-        for v in range(s + 1, sell_date[i] + 1):
-            legs[v, gen.security, i] = sign
+    w = np.asarray(weights, dtype=float) * rows.side
+    legs = np.zeros((tree.horizon + 1, model.n_securities, tree.n_paths))
+    for s in range(rows.start, tree.horizon):
+        for j in range(model.n_securities):
+            pick = (rows.date == s) & (rows.security == j)
+            per_node = np.bincount(rows.cell[pick], w[pick], len(tree.partitions[s]))
+            legs[s + 1, j] = per_node[tree.cell_index(s)]
     return make_self_financing(model, legs)
 
 
 @dataclass(frozen=True)
 class ArbitrageWitness:
     node: NodeRef
-    weights: np.ndarray  # conic weights over the node's generator list
-    generators: tuple[ConeGenerator, ...]
-    cash_flow: np.ndarray  # per-path discounted total of the combination
+    strategy: TradingStrategy
+    cash_flow: np.ndarray  # per-path discounted total of the combined rows
+
+
+def _node_hedges(model: MarketModel, rows: NodeRows, node: NodeRef):
+    """The rows under a date-``rows.start`` node as hedges: (row indices,
+    the node's paths, per-path values on them, envelope coefficients).
+
+    A row whose values are all within 1e-12 * max(1, largest value on the
+    node) of zero, as across a node with a single child in a frictionless
+    market, counts as worth exactly zero: huge weights on its float residue
+    would otherwise fake a gain.  Rows left with no coefficient are dropped.
+    """
+    p = model.probabilities
+    paths = np.asarray(model.tree.node_paths(node))
+    pick = np.flatnonzero(rows.owner == node.cell)
+    G = rows.a_u[np.ix_(pick, paths)] / p[paths]
+    H = rows.a_v[np.ix_(pick, np.flatnonzero(rows.col_owner == node.cell))]
+    size = np.max(np.abs(G), axis=1, initial=0.0)
+    G[size <= 1e-12 * max(1.0, float(np.max(size, initial=0.0)))] = 0.0
+    keep = np.any(G != 0.0, axis=1) | np.any(H != 0.0, axis=1)
+    return pick[keep], paths, G[keep], H[keep]
 
 
 def arbitrage_check(
-    model: MarketModel,
-    t: int,
-    *,
-    tol: float = lp.DEFAULT_TOL,
-    generators: Optional[GeneratorSet] = None,
+    model: MarketModel, t: int, *, tol: float = lp.DEFAULT_TOL
 ) -> Optional[ArbitrageWitness]:
-    """Search for an arbitrage among hedging cash flows initiated at date t.
+    """Search for an arbitrage among hedges initiated at date t.
 
-    Per date-t node, a feasibility LP looks for conic generator weights whose
-    combined cash flow is pathwise nonnegative on the node and carries at
-    least one unit of probability mass.  Thrown-away amounts only lower cash
-    flows, so the generator family can neither fabricate nor hide one.
-    Round trips worth zero up to rounding are left out: every value within
-    1e-12 * max(1, largest value on the node) of zero, as across a node with a
-    single child in a frictionless market.  Huge weights on their float
-    residue would otherwise fake the unit of mass.
-    ``generators`` is the date-t enumeration when the caller already has it.
+    Per date-t node, a feasibility LP looks for nonnegative weights on the
+    node's rows whose combined flow is pathwise nonnegative on the node,
+    carries at least one unit of probability mass and carries on no more
+    than it holds.  Rows worth zero up to rounding count as worth zero (see
+    ``_node_hedges``).
     """
+    return _arbitrage(model, generators_for(model, t), tol)
+
+
+def _arbitrage(model: MarketModel, rows: NodeRows, tol: float) -> Optional[ArbitrageWitness]:
+    """:func:`arbitrage_check` over the trade rows ``rows`` of its date."""
     tree = model.tree
-    gens = _enumeration(model, t, generators)
-    G_all = gens.matrix()
-    # a generator belongs to the date-t node above its root
-    roots = {g.root for g in gens.generators}
-    owner = {r: tree.node_of(t, tree.node_paths(r)[0]) for r in roots}
     p = tree.probabilities
-    for node in tree.nodes(t):
-        paths = list(tree.node_paths(node))
-        pick = [k for k, g in enumerate(gens.generators) if owner[g.root] == node]
-        size = np.max(np.abs(G_all[pick]), axis=1, initial=0.0)
-        floor = 1e-12 * max(1.0, float(np.max(size, initial=0.0)))
-        pick = [k for k, s in zip(pick, size) if s > floor]
-        if not pick:
+    for node in tree.nodes(rows.start):
+        pick, paths, G, H = _node_hedges(model, rows, node)
+        if not pick.size:
             continue
-        G = G_all[pick]  # (k, n_paths)
-        mass = G[:, paths] @ p[paths]
-        k = len(pick)
-        a_ub = np.vstack([-G[:, paths].T, -mass[None, :]])
-        b_ub = np.concatenate([np.zeros(len(paths)), [-1.0]])
-        prog = lp.LinearProgram.build(
-            "min", np.ones(k), a_ub=a_ub, b_ub=b_ub
-        )
+        mass = G @ p[paths]
+        a_ub = np.vstack([-G.T, -mass[None, :], -H.T])
+        b_ub = np.concatenate([np.zeros(len(paths)), [-1.0], np.zeros(H.shape[1])])
+        prog = lp.LinearProgram.build("min", np.ones(len(pick)), a_ub=a_ub, b_ub=b_ub)
         sol = lp.solve(prog, tol=tol)
         if sol.status == "optimal":
-            flow = sol.x @ G
-            return ArbitrageWitness(
-                node=node,
-                weights=sol.x,
-                generators=tuple(gens.generators[j] for j in pick),
-                cash_flow=flow,
-            )
+            weights = np.zeros(len(rows))
+            weights[pick] = sol.x
+            flow = np.zeros(tree.n_paths)
+            flow[paths] = sol.x @ G
+            return ArbitrageWitness(node, hedge_strategy(model, rows, weights), flow)
     return None

@@ -9,9 +9,9 @@ column's slot with the same float operations a full pivot would make.  Every
 entry a pivot choice reads is therefore the full tableau's, bit for bit, and
 the pivot sequence is the same.  A pivot is one numpy rank-1 update, and the
 entering and ratio tests are vectorized scans making Bland's choices.  The
-pricing LPs are tall (a few variables, one row per hedging generator), so
-this shrinks a pivot from rows x (rows + variables) cells to about
-rows x variables.
+pricing LPs have more rows (two per node, security and side of the hedging
+cone, plus the band) than variables (paths and envelope excesses), so this
+shrinks a pivot from rows x (rows + variables) cells to rows x variables.
 
 Dual recovery solves B^T y = c_B over the pristine rows.  A basic slack forces
 its row's dual to zero, so the system keeps only the rows without a basic
@@ -371,9 +371,10 @@ def solve(
 @dataclass
 class RatioSolution:
     value: float
-    x: np.ndarray
+    x: Optional[np.ndarray]
     scale: float
     lp_solution: LPSolution = field(repr=False, default=None)
+    status: str = "optimal"  # "optimal" | "infeasible" (empty feasible set)
 
 
 def solve_ratio(
@@ -394,7 +395,10 @@ def solve_ratio(
 
     The caller must guarantee the denominator is strictly positive on the
     feasible set.  Charnes-Cooper: with y = s*x, s >= 0, constraints become
-    homogeneous in (y, s) and the denominator is pinned to 1.
+    homogeneous in (y, s) and the denominator is pinned to 1.  If that program
+    is infeasible, the constraints alone decide: an empty feasible set gives
+    status ``infeasible`` (value NaN), a nonempty one on which the
+    denominator vanishes raises :class:`ComputationError`.
     """
     num = np.atleast_1d(np.asarray(num, dtype=float))
     den = np.atleast_1d(np.asarray(den, dtype=float))
@@ -433,6 +437,11 @@ def solve_ratio(
         b_eq=np.concatenate(rhs_eq),
     )
     sol = solve(prog, tol=tol)
+    if sol.status == "infeasible":
+        bare = solve(LinearProgram.build(sense, np.zeros(n), a_ub, b_ub, a_eq, b_eq, upper), tol=tol)
+        if bare.status == "infeasible":
+            return RatioSolution(np.nan, None, np.nan, bare, status="infeasible")
+        raise ComputationError("fractional program not solvable: denominator degenerate")
     if sol.status != "optimal":
         raise ComputationError(f"fractional program not solvable: LP status {sol.status}")
     s = float(sol.x[n])

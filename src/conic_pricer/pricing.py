@@ -4,13 +4,13 @@ All prices are conditional expectations of the discounted remaining payments
 of a contract, optimized over a polytope of measures expressed through their
 densities u against the reference probabilities:
 
-* generator rows: sum_paths u * p * G <= 0 for every hedging-cone generator G
-  rooted at the valuation date or later - these carve out the risk-neutral
-  densities;
+* the hedging-cone rows of :func:`conic_pricer.cone.generators_for`, over u
+  and the nonnegative Snell-envelope excesses, for every node from the
+  valuation date on - these carve out the risk-neutral densities;
 * optional band rows m <= u <= (1 + gamma) m plus the global normalization
   sum u * p = 1 - these restrict to the acceptability density band.
 
-One builder assembles these rows for every program below, and one loop takes
+One builder assembles these rows for every price below, and one loop takes
 each node's minimum and maximum over them.
 
 Conditional objectives are linear-fractional and are solved through the
@@ -20,12 +20,21 @@ so feasible densities are strictly positive and no epsilon is needed.  Pure
 no-arbitrage bounds drop the band and range over the closure (u >= 0) of the
 equivalent risk-neutral set, whose suprema/infima coincide with those over
 the open set whenever an equivalent risk-neutral measure exists - which is
-pre-checked by the arbitrage search.
+pre-checked by the arbitrage search.  Without the band the rows form a cone,
+so each node's bounds are normalized on the node's own mass; a node that no
+density of the cone charges gets the status ``infeasible``.
+
+The rows and the band decompose per date-t node, so by LP duality the band
+polytope is empty exactly when some date-t node has a hedge (a nonnegative
+combination of its cone rows) whose gain-loss ratio beats the level.  The
+no-good-deal check looks for that hedge with one small LP per node; its
+weights are the witness, reported with the hedge's trading strategy.
 
 ``entry="mark"`` switches the valuation-date legs of hedges initiated exactly
 at the pricing date to liquidation-side prices (entry spread refunded).  This
 is not the transaction-priced cone (the default) but reproduces published
-reference tables for intermediate-date bounds; see the README.
+reference tables for intermediate-date bounds; see the README.  Its cone can
+charge no node at all, even in a market free of arbitrage.
 """
 
 from __future__ import annotations
@@ -36,17 +45,11 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import lp
-from .acceptability import DensityBand
-from .cone import (
-    ConeGenerator,
-    GeneratorSet,
-    _enumeration,
-    arbitrage_check,
-    generators_for,
-)
+from .acceptability import DensityBand, dglr_eval
+from .cone import NodeRows, _arbitrage, _node_hedges, generators_for, hedge_strategy
 from .errors import ValidationError
 from .lattice import NodeRef, as_values, tail_sum
-from .market import CashFlow, MarketModel
+from .market import CashFlow, MarketModel, TradingStrategy
 
 __all__ = [
     "STATUS_OK",
@@ -70,13 +73,6 @@ STATUS_OK = "ok"
 STATUS_NGD = "ngd-violated"
 STATUS_ARBITRAGE = "arbitrage"
 STATUS_INFEASIBLE = "infeasible"
-
-# Frictionless markets make long/short generator rows exact mirror pairs, so
-# the measure polytope is an affine slice whose float representation can be
-# inconsistent by an ulp.  Each generator row therefore gets this much slack
-# (scaled by the row's magnitude); it moves prices by far less than any
-# documented tolerance.
-GEN_ROW_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
@@ -112,8 +108,8 @@ class PriceQuote:
 @dataclass(frozen=True)
 class GoodDealWitness:
     node: NodeRef
-    generator: ConeGenerator
-    cash_flow: np.ndarray
+    strategy: TradingStrategy
+    cash_flow: np.ndarray  # per-path discounted total, zero off the node
     dglr: float
 
 
@@ -128,57 +124,43 @@ class NgdResult:
         return self.holds
 
 
-def _polytope(
-    model: MarketModel,
-    t: int,
-    entry: str,
-    gens: GeneratorSet,
-    gamma: Optional[float] = None,
-) -> dict:
-    """The density polytope as ``a_ub``/``b_ub``/``a_eq``/``b_eq`` keywords of
-    ``lp.solve_ratio`` and ``lp.LinearProgram.build``.
+def _polytope(model: MarketModel, rows: NodeRows, gamma: Optional[float] = None) -> dict:
+    """The density polytope as ``a_ub``/``b_ub`` (and ``a_eq``/``b_eq``)
+    keywords of ``lp.solve_ratio`` and ``lp.LinearProgram.build``.
 
-    Rows, in order: p * G <= slack for every round trip of ``gens`` (rooted at
-    dates >= t); with ``gamma``, the band rows m <= u <= (1 + gamma) m over the
-    extra variable m; then the normalization sum u * p = 1.
+    Columns: u per path, then the envelope excesses of ``rows``; with
+    ``gamma``, the band's scalar m.  Rows, in order: the cone rows; with
+    ``gamma``, the band rows m <= u <= (1 + gamma) m and the normalization
+    sum u * p = 1.  Without ``gamma`` the rows form a cone.
     """
-    p = model.probabilities
-    B, _ = model.discounts()
-    rows = gens.matrix()
-    if entry == "mark" and t >= 1:
-        for k, g in enumerate(gens.generators):
-            if g.root.time == t:
-                sec = model.securities[g.security]
-                idx = list(model.tree.node_paths(g.root))
-                rows[k, idx] += (sec.ask[idx, t] - sec.bid[idx, t]) / B[idx, t]
-    rows = rows * p
-    rhs = GEN_ROW_SLACK * np.maximum(np.max(np.abs(rows), axis=1), 1.0)
-    a_eq = p[None, :]
-    if gamma is not None:
-        DensityBand(gamma)
-        n = len(p)
-        band = np.zeros((2 * n, n + 1))
-        for i in range(n):
-            band[i, i] = -1.0
-            band[i, n] = 1.0
-            band[n + i, i] = 1.0
-            band[n + i, n] = -(1.0 + gamma)
-        rows = np.vstack([np.hstack([rows, np.zeros((rows.shape[0], 1))]), band])
-        rhs = np.concatenate([rhs, np.zeros(2 * n)])
-        a_eq = np.hstack([a_eq, np.zeros((1, 1))])
-    return {"a_ub": rows, "b_ub": rhs, "a_eq": a_eq, "b_eq": np.ones(1)}
+    a_ub = np.hstack([rows.a_u, rows.a_v])
+    if gamma is None:
+        return {"a_ub": a_ub, "b_ub": np.zeros(len(rows))}
+    DensityBand(gamma)
+    n, k = rows.a_u.shape[1], rows.a_v.shape[1]
+    eye, pad = np.eye(n), np.zeros((n, k))
+    a_ub = np.vstack([
+        np.hstack([a_ub, np.zeros((len(rows), 1))]),
+        np.hstack([-eye, pad, np.ones((n, 1))]),
+        np.hstack([eye, pad, np.full((n, 1), -(1.0 + gamma))]),
+    ])
+    a_eq = np.concatenate([model.probabilities, np.zeros(k + 1)])[None, :]
+    return {"a_ub": a_ub, "b_ub": np.zeros(a_ub.shape[0]), "a_eq": a_eq, "b_eq": np.ones(1)}
 
 
 def _node_quotes(
-    model: MarketModel, cash_flow, t: int, polytope: dict, tol: float
+    model: MarketModel, cash_flow, t: int, gamma: Optional[float], polytope: dict, tol: float
 ) -> tuple[PriceEntry, ...]:
     """Min and max of each date-t node's conditional discounted tail over the
-    polytope (Charnes-Cooper with the node normalization)."""
+    polytope of ``_polytope(model, rows, gamma)`` (Charnes-Cooper with the
+    node normalization).  Without the band (``gamma`` None) the polytope is a
+    cone, normalized here on each node's own mass, so a node it cannot charge
+    has no feasible point and gets ``STATUS_INFEASIBLE``."""
     tree = model.tree
     p = tree.probabilities
     _, Binv = model.discounts()
     x = tail_sum(as_values(cash_flow) * Binv, t + 1)
-    width = polytope["a_eq"].shape[1]
+    width = polytope["a_ub"].shape[1]
     entries = []
     for node in tree.nodes(t):
         idx = list(tree.node_paths(node))
@@ -186,9 +168,15 @@ def _node_quotes(
         den = np.zeros(width)
         num[idx] = p[idx] * x[idx]
         den[idx] = p[idx]
-        hi = lp.solve_ratio(num, den, **polytope, sense="max", tol=tol).value
-        lo = lp.solve_ratio(num, den, **polytope, sense="min", tol=tol).value
-        entries.append(PriceEntry(node, lo, hi, STATUS_OK))
+        program = polytope if gamma is not None else dict(
+            polytope, a_eq=den[None, :], b_eq=np.ones(1)
+        )
+        hi = lp.solve_ratio(num, den, **program, sense="max", tol=tol)
+        if hi.status == "infeasible":
+            entries.append(PriceEntry(node, np.nan, np.nan, STATUS_INFEASIBLE))
+            continue
+        lo = lp.solve_ratio(num, den, **program, sense="min", tol=tol)
+        entries.append(PriceEntry(node, lo.value, hi.value, STATUS_OK))
     return tuple(entries)
 
 
@@ -203,68 +191,107 @@ def noarb_bounds(
     """Lower/upper bounds of the conditional discounted tail over the closure
     of the risk-neutral density polytope, per date-t node.
 
-    A node whose bound LP fails raises :class:`ComputationError`: the
-    arbitrage search has already cleared the market, so the failure is the
-    solver's, not an arbitrage.
+    A node that no density of the cone charges (possible under
+    ``entry="mark"``) gets ``STATUS_INFEASIBLE`` and NaN bounds.  A node whose
+    bound LP fails raises :class:`ComputationError`: the arbitrage search has
+    already cleared the market, so the failure is the solver's, not an
+    arbitrage.
     """
-    gens = _enumeration(model, t, None, entry)
-    if arbitrage_check(model, t, tol=tol, generators=gens) is not None:
+    rows = generators_for(model, t)
+    if _arbitrage(model, rows, tol) is not None:
         entries = tuple(
             PriceEntry(node, np.nan, np.nan, STATUS_ARBITRAGE)
             for node in model.tree.nodes(t)
         )
         return PriceQuote(time=t, gamma=None, entries=entries)
-    polytope = _polytope(model, t, entry, gens)
+    if entry != "trade":
+        rows = generators_for(model, t, entry)
+    polytope = _polytope(model, rows)
     return PriceQuote(
-        time=t, gamma=None, entries=_node_quotes(model, cash_flow, t, polytope, tol)
+        time=t, gamma=None, entries=_node_quotes(model, cash_flow, t, None, polytope, tol)
     )
 
 
 def good_deal_certificate(
-    model: MarketModel,
-    t: int,
-    gamma: float,
-    *,
-    generators: Optional[GeneratorSet] = None,
-) -> list[GoodDealWitness]:
-    """Hedging cash flows whose date-t gain-loss ratio beats ``gamma``.
+    model: MarketModel, rows: NodeRows, weights, gamma: float
+) -> Optional[GoodDealWitness]:
+    """The hedge behind nonnegative ``weights`` on ``rows``, if it beats
+    ``gamma``.
 
-    Scans single generators (their flows are verifiable via
-    :func:`conic_pricer.acceptability.dglr_eval`); each witness carries the
-    node where the ratio clears the level by more than 1e-9.  Sorted by ratio,
-    best first.  ``generators`` is the date-t enumeration when the caller
-    already has it.
+    The weights combine into a hedge per date-t node, scaled to a largest row
+    weight of one there: the flow a_u^T w / p on the node's paths.  The node
+    whose hedge has the best gain-loss ratio is kept when its gain exceeds
+    gamma times its loss by more than 1e-9 * max(1, largest row value on the
+    node), so that a combination of rows worth zero up to rounding is no
+    witness, and :func:`conic_pricer.acceptability.dglr_eval` confirms that
+    the ratio beats ``gamma``.  The witness carries the node, the hedge's
+    trading strategy, its per-path discounted total and the ratio.
     """
-    tree = model.tree
-    gens = _enumeration(model, t, generators)
-    p = tree.probabilities
-    found = []
-    for g in gens.generators:
-        node = tree.node_of(t, tree.node_paths(g.root)[0])
+    tree, t = model.tree, rows.start
+    p = model.probabilities
+    w = np.maximum(np.asarray(weights, dtype=float), 0.0)
+    best = None
+    for node in tree.nodes(t):
+        owned = rows.owner == node.cell
+        if not np.any(w[owned] > 0):
+            continue
         idx = list(tree.node_paths(node))
-        gain = float(p[idx] @ g.values[idx])
-        loss = float(p[idx] @ np.maximum(-g.values[idx], 0.0))
-        if gain - gamma * loss > 1e-9:
-            ratio = gain / loss if loss > 0 else np.inf
-            found.append(GoodDealWitness(node, g, g.values.copy(), ratio))
-    found.sort(key=lambda w: -w.dglr)
-    return found
+        scaled = np.where(owned, w / np.max(w[owned]), 0.0)
+        flow = scaled @ rows.a_u[:, idx] / p[idx]
+        gain, loss = p[idx] @ flow, p[idx] @ np.maximum(-flow, 0.0)
+        size = max(1.0, float(np.max(np.abs(rows.a_u[owned][:, idx] / p[idx]))))
+        ratio = gain / loss if loss > 0 else np.inf
+        if gain - gamma * loss > 1e-9 * size and (best is None or ratio > best[1]):
+            best = (node, ratio, scaled, idx, flow)
+    if best is None:
+        return None
+    node, _, scaled, idx, flow = best
+    paid = np.zeros((tree.n_paths, tree.horizon + 1))
+    paid[idx, -1] = flow
+    ratio = float(dglr_eval(tree, paid, t)[idx[0]])
+    if not ratio > gamma:
+        return None
+    return GoodDealWitness(node, hedge_strategy(model, rows, scaled), paid[:, -1], ratio)
 
 
-def _ngd(
-    model: MarketModel, t: int, gamma: float, gens: GeneratorSet, polytope: dict, tol: float
-) -> NgdResult:
-    """Feasibility of the band polytope; a witness from ``gens`` when empty."""
-    prog = lp.LinearProgram.build("max", np.zeros(model.tree.n_paths + 1), **polytope)
-    if lp.solve(prog, tol=tol).status == "optimal":
+def _good_deal_weights(model: MarketModel, rows: NodeRows, gamma: float, tol: float):
+    """Weights on ``rows`` of a hedge beating ``gamma`` at the first date-t
+    node that has one, or None: per node, the least total weight y >= 0 whose
+    flow X = G^T y carries on no more than it holds and has
+    E[X] - gamma E[z] >= 1 for a loss bound z >= max(-X, 0)."""
+    p = model.probabilities
+    for node in model.tree.nodes(rows.start):
+        pick, paths, G, H = _node_hedges(model, rows, node)
+        if not pick.size:
+            continue
+        q = p[paths]
+        k, m = len(pick), len(paths)
+        a_ub = np.vstack([
+            np.hstack([-G.T, -np.eye(m)]),
+            np.hstack([-H.T, np.zeros((H.shape[1], m))]),
+            np.concatenate([-(G @ q), gamma * q])[None, :],
+        ])
+        b_ub = np.concatenate([np.zeros(m + H.shape[1]), [-1.0]])
+        prog = lp.LinearProgram.build(
+            "min", np.concatenate([np.ones(k), np.zeros(m)]), a_ub=a_ub, b_ub=b_ub
+        )
+        sol = lp.solve(prog, tol=tol)
+        if sol.status == "optimal":
+            weights = np.zeros(len(rows))
+            weights[pick] = sol.x[:k]
+            return weights
+    return None
+
+
+def _ngd(model: MarketModel, gamma: float, rows: NodeRows, tol: float) -> NgdResult:
+    """The no-good-deal check: violated when some date-t node has a hedge
+    beating ``gamma``, with that hedge as the witness."""
+    t = rows.start
+    weights = _good_deal_weights(model, rows, gamma, tol)
+    if weights is None:
         return NgdResult(holds=True, gamma=gamma, time=t)
-    witnesses = good_deal_certificate(model, t, gamma, generators=gens)
-    return NgdResult(
-        holds=False,
-        gamma=gamma,
-        time=t,
-        witness=witnesses[0] if witnesses else None,
-    )
+    witness = good_deal_certificate(model, rows, weights, gamma)
+    return NgdResult(holds=False, gamma=gamma, time=t, witness=witness)
 
 
 def ngd_check(
@@ -274,18 +301,15 @@ def ngd_check(
     *,
     tol: float = lp.DEFAULT_TOL,
     entry: str = "trade",
-    generators: Optional[GeneratorSet] = None,
 ) -> NgdResult:
-    """Feasibility of (risk-neutral polytope) intersect (density band).
+    """Whether a density satisfies every cone row, the band and the
+    normalization (band feasibility forces strict positivity).
 
-    The no-good-deal condition at level gamma holds exactly when a density
-    satisfies every generator row together with the band and normalization;
-    band feasibility forces strict positivity, so LP feasibility is the whole
-    story.  When violated, a witness hedging flow is searched for.
-    ``generators`` is the date-t enumeration when the caller already has it.
+    That fails exactly when some date-t node has a hedge whose gain-loss
+    ratio beats gamma; the check looks for one node by node, and the hedge it
+    finds is the witness.
     """
-    gens = _enumeration(model, t, generators, entry)
-    return _ngd(model, t, gamma, gens, _polytope(model, t, entry, gens, gamma), tol)
+    return _ngd(model, gamma, generators_for(model, t, entry), tol)
 
 
 def good_deal_prices(
@@ -296,21 +320,19 @@ def good_deal_prices(
     *,
     tol: float = lp.DEFAULT_TOL,
     entry: str = "trade",
-    generators: Optional[GeneratorSet] = None,
 ) -> PriceQuote:
     """Bid/ask of the discounted tail over band-restricted risk-neutral
-    densities; sentinel +inf/-inf quotes when no such density exists.
-    ``generators`` is the date-t enumeration when the caller already has it."""
-    gens = _enumeration(model, t, generators, entry)
-    polytope = _polytope(model, t, entry, gens, gamma)
-    check = _ngd(model, t, gamma, gens, polytope, tol)
+    densities; sentinel +inf/-inf quotes when no such density exists."""
+    rows = generators_for(model, t, entry)
+    check = _ngd(model, gamma, rows, tol)
     if not check.holds:
         entries = tuple(
             PriceEntry(node, np.inf, -np.inf, STATUS_NGD) for node in model.tree.nodes(t)
         )
         return PriceQuote(time=t, gamma=gamma, entries=entries, witness=check.witness)
+    polytope = _polytope(model, rows, gamma)
     return PriceQuote(
-        time=t, gamma=gamma, entries=_node_quotes(model, cash_flow, t, polytope, tol)
+        time=t, gamma=gamma, entries=_node_quotes(model, cash_flow, t, gamma, polytope, tol)
     )
 
 
@@ -362,8 +384,7 @@ def liquidity_surface(
     """Good-deal bid/ask/spread on a (gamma, lambda) grid.
 
     The model is rebuilt per transaction-cost coefficient and the payoff per
-    model, then each level is repriced at the requested date-t node over the
-    one enumeration of that model's round trips.
+    model, then each level is repriced at the requested date-t node.
     """
     if not gammas or not lambdas:
         raise ValidationError("surface needs nonempty gamma and lambda lists")
@@ -371,14 +392,13 @@ def liquidity_surface(
     for lam in lambdas:
         model = model_builder(lam)
         payoff = payoff_builder(model)
-        gens = generators_for(model, t)
+        if not 0 <= t < model.tree.horizon:
+            raise ValidationError(f"start date {t} outside 0..{model.tree.horizon - 1}")
         count = len(model.tree.nodes(t))
         if not 0 <= node < count:
             raise ValidationError(f"node {node} outside 0..{count - 1} at t={t}")
         for gamma in gammas:
-            quote = good_deal_prices(
-                model, payoff, t, gamma, tol=tol, entry=entry, generators=gens
-            )
+            quote = good_deal_prices(model, payoff, t, gamma, tol=tol, entry=entry)
             e = quote.entry(node)
             spread = e.ask - e.bid if e.status == STATUS_OK else np.nan
             cells.append(SurfaceCell(gamma, lam, e.bid, e.ask, spread, e.status))

@@ -1,13 +1,69 @@
-"""Path-by-path round-trip values: the reference for ``cone.generators_for``.
+"""The enumerated round-trip cone: the reference for the node-form rows.
 
-This is the loop ``conic_pricer.cone`` used before it computed a root's round
-trips in one batch: one generator at a time, one path at a time, summing the
-entry leg, the exit leg and the dividend legs in date order.
+Every zero-cost hedge is a conic combination of elementary round trips: open
+one unit (long at the ask / short at the bid) at a root node, collect the
+matching dividend stream, and liquidate according to a stopping profile - an
+antichain of strictly later nodes crossed exactly once by every path through
+the root.  The count is doubly exponential in the horizon (1,500 at binary
+horizon 4, 919,658 at horizon 5), so the engine uses the Snell-envelope rows
+of ``conic_pricer.cone.generators_for`` instead; these tests hold those rows
+to this family.  Values are computed one generator and one path at a time,
+summing the entry leg, the exit leg and the dividend legs in date order.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 
-from conic_pricer.cone import stopping_profiles
+from conic_pricer import lp
+from conic_pricer.acceptability import DensityBand
+from conic_pricer.errors import ValidationError
+from conic_pricer.lattice import NodeRef, as_values, tail_sum
+from conic_pricer.market import make_self_financing
+
+
+@dataclass(frozen=True)
+class StoppingProfile:
+    """Liquidation rule: sell on first arrival at any of the sell nodes."""
+
+    root: NodeRef
+    sells: tuple
+
+
+@dataclass(frozen=True)
+class ConeGenerator:
+    """One elementary round trip with its per-path discounted total cash flow."""
+
+    kind: str  # "long" | "short"
+    security: int
+    profile: StoppingProfile
+    values: np.ndarray  # (n_paths,), zero off the root's paths
+
+    @property
+    def root(self):
+        return self.profile.root
+
+
+def _covers(tree, node):
+    """Antichain exact covers of ``node``'s paths by nodes at dates >= node.time;
+    the node itself first, deeper covers in child order."""
+    options = [(node,)]
+    if node.time < tree.horizon:
+        combos = [()]
+        for opts in (_covers(tree, kid) for kid in tree.children(node)):
+            combos = [done + extra for done in combos for extra in opts]
+        options.extend(combos)
+    return options
+
+
+def stopping_profiles(tree, root):
+    """All liquidation profiles strictly below ``root``, in deterministic order."""
+    if root.time > tree.horizon - 1:
+        raise ValidationError(f"round trips must start no later than t={tree.horizon - 1}")
+    combos = [()]
+    for opts in (_covers(tree, kid) for kid in tree.children(root)):
+        combos = [done + extra for done in combos for extra in opts]
+    return [StoppingProfile(root, sells) for sells in combos]
 
 
 def _sell_dates(tree, profile):
@@ -38,15 +94,177 @@ def round_trip_values(model, kind, sec_idx, profile):
     return values
 
 
-def reference_generator_matrix(model, t):
-    """Generator values in ``generators_for`` order: roots by (date, cell),
-    then stopping profiles, then security, long before short."""
+def reference_generators(model, t):
+    """Long and short round trips rooted at every node with date in
+    t..horizon-1: roots by (date, cell), then stopping profiles, then
+    security, long before short."""
     tree = model.tree
-    rows = []
+    out = []
     for s in range(t, tree.horizon):
         for node in tree.nodes(s):
             for profile in stopping_profiles(tree, node):
                 for j in range(model.n_securities):
                     for kind in ("long", "short"):
-                        rows.append(round_trip_values(model, kind, j, profile))
-    return np.array(rows)
+                        values = round_trip_values(model, kind, j, profile)
+                        out.append(ConeGenerator(kind, j, profile, values))
+    return out
+
+
+def reference_generator_matrix(model, t):
+    return np.array([g.values for g in reference_generators(model, t)])
+
+
+def generator_strategy(model, gen):
+    """The zero-cost self-financing strategy behind a generator: one unit
+    (minus one for shorts) from the root until each path's sell node."""
+    tree = model.tree
+    legs = np.zeros((tree.horizon + 1, model.n_securities, tree.n_paths))
+    sign = 1.0 if gen.kind == "long" else -1.0
+    sell_date = _sell_dates(tree, gen.profile)
+    for i in tree.node_paths(gen.root):
+        for v in range(gen.root.time + 1, sell_date[i] + 1):
+            legs[v, gen.security, i] = sign
+    return make_self_financing(model, legs)
+
+
+def node_rows_of(model, rows, gen):
+    """Weights on the node-form ``rows`` that trade ``gen``: its open row at
+    the root plus a carry-on row at every node it holds through."""
+    tree = model.tree
+    side = 1 if gen.kind == "long" else -1
+    sell_date = _sell_dates(tree, gen.profile)
+    w = np.zeros(len(rows))
+    for r in range(len(rows)):
+        if rows.security[r] != gen.security or rows.side[r] != side:
+            continue
+        node = NodeRef(int(rows.date[r]), int(rows.cell[r]))
+        i = tree.node_paths(node)[0]
+        if node == gen.root and not rows.carry[r]:
+            w[r] = 1.0
+        elif (
+            rows.carry[r]
+            and tree.node_of(gen.root.time, i) == gen.root
+            and gen.root.time < node.time < sell_date[i]
+        ):
+            w[r] = 1.0
+    return w
+
+
+# ---------------------------------------------------------------------------
+# the pricing programs over the enumerated cone
+
+
+def best_single_ratio(model, t):
+    """Largest gain-loss ratio of a single round trip at its date-t node,
+    among those with a gain above 1e-9 (0 when there is none)."""
+    tree = model.tree
+    p = tree.probabilities
+    best = 0.0
+    for g in reference_generators(model, t):
+        idx = list(tree.node_paths(_owner(tree, t, g)))
+        gain = float(p[idx] @ g.values[idx])
+        loss = float(p[idx] @ np.maximum(-g.values[idx], 0.0))
+        if gain > 1e-9:
+            best = max(best, gain / loss if loss > 0 else np.inf)
+    return best
+
+
+def _owner(tree, t, g):
+    return tree.node_of(t, tree.node_paths(g.root)[0])
+
+
+def enumerated_arbitrage(model, t):
+    """The date-t node of the first arbitrage among conic generator
+    combinations (round trips all within rounding of zero left out), or None."""
+    tree = model.tree
+    p = tree.probabilities
+    gens = reference_generators(model, t)
+    for node in tree.nodes(t):
+        paths = list(tree.node_paths(node))
+        G = np.array([g.values for g in gens if _owner(tree, t, g) == node])
+        size = np.max(np.abs(G), axis=1)
+        G = G[size > 1e-12 * max(1.0, float(np.max(size)))]
+        if not len(G):
+            continue
+        mass = G[:, paths] @ p[paths]
+        prog = lp.LinearProgram.build(
+            "min", np.ones(len(G)),
+            a_ub=np.vstack([-G[:, paths].T, -mass[None, :]]),
+            b_ub=np.concatenate([np.zeros(len(paths)), [-1.0]]),
+        )
+        if lp.solve(prog).status == "optimal":
+            return node
+    return None
+
+
+def enumerated_polytope(model, t, entry="trade", gamma=None):
+    """p * G <= slack for every round trip rooted at dates >= t (entry spread
+    refunded at date-t roots under ``mark``, t >= 1); with ``gamma`` the band
+    m <= u <= (1 + gamma) m and sum p u = 1.
+
+    Without costs, round trips are sums of others in exact arithmetic but not
+    in floats, and the equalities they imply contradict each other by an ulp;
+    each row therefore gets a slack of 1e-12 times its largest entry (at
+    least 1e-12).
+    """
+    tree = model.tree
+    p = tree.probabilities
+    B, _ = model.discounts()
+    gens = reference_generators(model, t)
+    rows = np.array([g.values for g in gens])
+    if entry == "mark" and t >= 1:
+        for k, g in enumerate(gens):
+            if g.root.time == t:
+                sec = model.securities[g.security]
+                idx = list(tree.node_paths(g.root))
+                rows[k, idx] += (sec.ask[idx, t] - sec.bid[idx, t]) / B[idx, t]
+    rows = rows * p
+    slack = 1e-12 * np.maximum(np.max(np.abs(rows), axis=1), 1.0)
+    n = len(p)
+    if gamma is None:
+        return {"a_ub": rows, "b_ub": slack}
+    DensityBand(gamma)
+    band = np.vstack([
+        np.hstack([-np.eye(n), np.ones((n, 1))]),
+        np.hstack([np.eye(n), np.full((n, 1), -(1.0 + gamma))]),
+    ])
+    a_ub = np.vstack([np.hstack([rows, np.zeros((len(rows), 1))]), band])
+    return {
+        "a_ub": a_ub, "b_ub": np.concatenate([slack, np.zeros(2 * n)]),
+        "a_eq": np.append(p, 0.0)[None, :], "b_eq": np.ones(1),
+    }
+
+
+def enumerated_ngd(model, t, gamma, entry="trade"):
+    """Whether a band density satisfies every round-trip row."""
+    polytope = enumerated_polytope(model, t, entry, gamma)
+    prog = lp.LinearProgram.build("max", np.zeros(polytope["a_ub"].shape[1]), **polytope)
+    return lp.solve(prog).status == "optimal"
+
+
+def enumerated_quotes(model, cash_flow, t, entry="trade", gamma=None):
+    """(lower, upper) per date-t node over the enumerated polytope, None where
+    it charges no density to the node.  Without the band, each node's program
+    is normalized on the node's own mass."""
+    tree = model.tree
+    p = tree.probabilities
+    _, Binv = model.discounts()
+    x = tail_sum(as_values(cash_flow) * Binv, t + 1)
+    polytope = enumerated_polytope(model, t, entry, gamma)
+    width = polytope["a_ub"].shape[1]
+    out = []
+    for node in tree.nodes(t):
+        idx = list(tree.node_paths(node))
+        num, den = np.zeros(width), np.zeros(width)
+        num[idx] = p[idx] * x[idx]
+        den[idx] = p[idx]
+        program = polytope if gamma is not None else dict(
+            polytope, a_eq=den[None, :], b_eq=np.ones(1)
+        )
+        hi = lp.solve_ratio(num, den, **program, sense="max")
+        if hi.status != "optimal":
+            out.append(None)
+            continue
+        lo = lp.solve_ratio(num, den, **program, sense="min")
+        out.append((lo.value, hi.value))
+    return out

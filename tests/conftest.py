@@ -47,6 +47,23 @@ def binomial_model(probs=(0.25, 0.75), bid_up=80.0, bid_dn=40.0, spot=50.0, lam=
     return MarketModel(tree, rate, [apply_transaction_costs(bids, lam, name="stock", tree=tree)])
 
 
+def binary_tree_market(u, d, r, p_up, lam, horizon=4) -> MarketModel:
+    """Recombination-free binary market on one stock bid 100 at the root, up
+    by u or down by d each period (path bit 0 is an up move, built as the
+    benchmark builds its tree markets), ask = bid * (1 + lam), rate r."""
+    n = 2**horizon
+    probs, bids = np.ones(n), np.full((n, horizon + 1), 100.0)
+    for i in range(n):
+        for k in range(horizon):
+            up = (i >> (horizon - 1 - k)) & 1 == 0
+            probs[i] *= p_up if up else 1.0 - p_up
+            bids[i, k + 1] = bids[i, k] * (u if up else d)
+    parts = [[tuple(range(k * (n >> t), (k + 1) * (n >> t))) for k in range(2**t)]
+             for t in range(horizon + 1)]
+    tree = EventTree(horizon, probs, parts)
+    return MarketModel(tree, r, [apply_transaction_costs(bids, lam, tree=tree)])
+
+
 def random_tree(rng, n_paths: int, horizon: int) -> EventTree:
     parts = [[tuple(range(n_paths))]]
     for _ in range(horizon):

@@ -18,9 +18,10 @@ import numpy as np
 
 from conic_pricer import lp
 from conic_pricer.acceptability import DensityBand, band_ratio_extreme, dglr_eval
-from conic_pricer.cone import generators_for
 from conic_pricer.errors import ComputationError, ValidationError
 from conic_pricer.lattice import as_values, tail_sum
+
+from cone_reference import reference_generator_matrix
 
 VERTEX_CAP = 20
 INDEX_GAMMA_LOW = 1e-12
@@ -247,7 +248,7 @@ def primal_price_oracle(model, cash_flow, t, gamma):
     p = tree.probabilities
     _, Binv = model.discounts()
     x = tail_sum(as_values(cash_flow) * Binv, t + 1)
-    G_all = generators_for(model, t).matrix()
+    G_all = reference_generator_matrix(model, t)
     out = []
     for node in tree.nodes(t):
         idx = list(tree.node_paths(node))

@@ -164,6 +164,21 @@ class TestBounds:
         assert abs(float(up[2]) - 5.79988) <= 1e-3
 
 
+    def test_node_the_mark_cone_cannot_charge(self, capsys, tmp_path, base_model_dict):
+        # the up node's children all bid between its bid and ask: clean under
+        # the trade convention, no pricing density under the mark convention
+        base_model_dict["securities"][0]["bid"][0][2] = 80.3
+        base_model_dict["securities"][0]["bid"][1][2] = 80.5
+        base_model_dict["securities"][0]["bid"][2][2] = 80.6
+        model = write_json(tmp_path, "model.json", base_model_dict)
+        code, out, err = run(
+            capsys, "bounds", model, PAYOFF, "--lam", "0.01", "--time", "1", "--entry", "mark"
+        )
+        assert code == EXIT_OK, err
+        up, down = out.strip().splitlines()[1:]
+        assert up == "1:0,nan,nan,infeasible"
+        assert down.endswith(",ok")
+
     def test_solver_failure_exits_internal(self, capsys, monkeypatch):
         def failing(*args, **kwargs):
             raise ComputationError("LP certification failed: injected")
@@ -326,6 +341,12 @@ class TestRoundTripAndDeterminism:
             _, out, _ = run(capsys, "bounds", MODEL, PAYOFF, "--lam", "0.005")
             outs.add(out)
         assert len(outs) == 1
+
+    def test_negative_precision_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "bounds", MODEL, PAYOFF, "--precision", "-1")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "precision" in err
 
     def test_precision_flag(self, capsys):
         _, out, _ = run(capsys, "bounds", MODEL, PAYOFF, "--precision", "3")

@@ -4,26 +4,27 @@ import numpy as np
 import pytest
 
 from conic_pricer import cone, pricing
-from conic_pricer.cone import (
-    arbitrage_check,
-    generator_strategy,
-    generators_for,
-    stopping_profiles,
-)
-from conic_pricer.errors import ComputationError, ValidationError
+from conic_pricer.cone import arbitrage_check, generators_for, hedge_strategy
+from conic_pricer.errors import ValidationError
 from conic_pricer.lattice import EventTree, NodeRef
 from conic_pricer.market import (
     MarketModel,
-    Security,
     apply_transaction_costs,
     make_self_financing,
     wealth_closed_form,
 )
 
-from cone_reference import reference_generator_matrix
+from cone_reference import (
+    enumerated_arbitrage,
+    generator_strategy,
+    node_rows_of,
+    reference_generators,
+    stopping_profiles,
+)
 from conftest import (
     TABLE_BIDS,
     arbitrage_free_market,
+    binary_tree_market,
     binomial_model,
     random_market,
     random_tree,
@@ -75,44 +76,71 @@ class TestStoppingProfiles:
 
 
 class TestGeneratorsFor:
+    """The node-form rows against the enumerated round trips of
+    ``cone_reference``, and that enumeration's own structure."""
+
     def test_counts(self):
         model = two_period_model()
-        assert len(generators_for(model, 0)) == 12
+        assert len(reference_generators(model, 0)) == 12
+        assert len(reference_generators(model, 1)) == 4
+        # open rows at the root and both date-1 nodes, carry-on rows at the
+        # date-1 nodes, long and short
+        assert len(generators_for(model, 0)) == 10
         assert len(generators_for(model, 1)) == 4
+
+    def test_row_count_grows_with_the_nodes(self):
+        # binary horizon 4: 1,500 round trips, 15 + 14 nodes x long/short
+        for horizon, count in ((4, 58), (8, 1018)):
+            model = binary_tree_market(1.1, 0.9, 0.0, 0.5, 0.01, horizon)
+            assert len(generators_for(model, 0)) == count
 
     def test_one_step_long_values(self):
         model = two_period_model()
-        gens = generators_for(model, 0)
-        first = gens.generators[0]
+        first = reference_generators(model, 0)[0]
         assert first.kind == "long"
         assert np.allclose(first.values, [30, 30, 30, -10, -10])
+        rows = generators_for(model, 0)
+        root_long = np.flatnonzero((rows.date == 0) & (rows.side == 1) & ~rows.carry)
+        assert len(root_long) == 1
+        assert np.allclose(rows.a_u[root_long[0]] / model.probabilities, first.values)
 
     def test_nesting(self):
         model = two_period_model(lam=0.01)
-        later = {
-            (g.kind, g.security, g.profile) for g in generators_for(model, 1).generators
-        }
-        earlier = {
-            (g.kind, g.security, g.profile) for g in generators_for(model, 0).generators
-        }
+        later = {(g.kind, g.security, g.profile) for g in reference_generators(model, 1)}
+        earlier = {(g.kind, g.security, g.profile) for g in reference_generators(model, 0)}
         assert later < earlier
 
-    def test_cap_exceeded_names_count(self):
-        model = two_period_model()
-        with pytest.raises(ComputationError, match="generator count 12 exceeds cap 4"):
-            generators_for(model, 0, cap=4)
-
     def test_matrix_matches_path_by_path_reference(self, rng):
-        # the batched per-root computation makes the same float operations as
-        # the path-by-path loop, so the matrices agree byte for byte
+        # every enumerated round trip is its open row plus a carry-on row at
+        # each node it holds through: the weights reproduce its path-by-path
+        # values, and every envelope column they leave nonzero is the one of a
+        # sell node, held and not carried on
         for _ in range(15):
             tree = random_tree(rng, int(rng.integers(3, 8)), int(rng.integers(2, 4)))
             model = two_security_market(rng, tree)
+            p = model.probabilities
             for t in range(tree.horizon):
-                got = generators_for(model, t).matrix()
-                want = reference_generator_matrix(model, t)
-                assert got.shape == want.shape
-                assert got.tobytes() == want.tobytes()
+                rows = generators_for(model, t)
+                for g in reference_generators(model, t):
+                    w = node_rows_of(model, rows, g)
+                    assert np.allclose(w @ rows.a_u / p, g.values, rtol=0, atol=1e-12)
+                    assert set(np.unique(w @ rows.a_v)) <= {0.0, 1.0}
+
+    def test_mark_entry_refunds_the_date_t_spread(self):
+        model = two_period_model(lam=0.01)
+        sec = model.securities[0]
+        trade, mark = generators_for(model, 1), generators_for(model, 1, "mark")
+        on_node = model.tree.cell_index(1)[None, :] == trade.cell[:, None]
+        spread = (sec.ask[:, 1] - sec.bid[:, 1]) * model.probabilities
+        assert np.allclose(mark.a_u - trade.a_u, spread * on_node, rtol=0, atol=1e-12)
+        assert np.array_equal(generators_for(model, 0, "mark").a_u, generators_for(model, 0).a_u)
+
+    def test_entry_and_start_are_validated(self):
+        model = two_period_model()
+        with pytest.raises(ValidationError, match="entry"):
+            generators_for(model, 0, "bid")
+        with pytest.raises(ValidationError, match="outside 0..1"):
+            generators_for(model, 2)
 
     def test_strategy_consistency_on_random_markets(self, rng):
         # every generator is the terminal discounted wealth of an explicit
@@ -120,53 +148,53 @@ class TestGeneratorsFor:
         for _ in range(25):
             tree = random_tree(rng, int(rng.integers(3, 8)), int(rng.integers(2, 4)))
             model = random_market(rng, tree, dividends=True, rates=True)
-            gens = generators_for(model, 0)
-            for g in gens.generators:
+            for g in reference_generators(model, 0):
                 phi = generator_strategy(model, g)
                 vt = wealth_closed_form(model, phi)[:, tree.horizon]
                 assert np.max(np.abs(vt - g.values)) <= 1e-9
 
     def test_domination_soundness(self, rng):
         # conic combinations are dominated by an honest self-financing
-        # strategy built from the summed security legs
+        # strategy built from the summed security legs, and the node rows'
+        # strategy of the same combination is that strategy
         for _ in range(20):
             tree = random_tree(rng, int(rng.integers(3, 8)), int(rng.integers(2, 4)))
             model = random_market(rng, tree, dividends=True)
-            gens = generators_for(model, 0)
-            G = gens.matrix()
+            gens = reference_generators(model, 0)
+            rows = generators_for(model, 0)
+            G = np.array([g.values for g in gens])
             w = rng.uniform(0.0, 1.0, size=len(gens)) * (rng.random(len(gens)) < 0.4)
             legs = np.zeros((tree.horizon + 1, 1, tree.n_paths))
-            for k, g in enumerate(gens.generators):
+            y = np.zeros(len(rows))
+            for k, g in enumerate(gens):
                 if w[k]:
                     legs += w[k] * generator_strategy(model, g).holdings[:, 1:, :]
+                    y += w[k] * node_rows_of(model, rows, g)
             chi = make_self_financing(model, legs)
             vt = wealth_closed_form(model, chi)[:, tree.horizon]
             assert np.min(vt - w @ G) >= -1e-9
+            phi = hedge_strategy(model, rows, y)
+            assert np.allclose(phi.holdings, chi.holdings, rtol=0, atol=1e-12)
+            assert np.allclose(y @ rows.a_u / model.probabilities, w @ G, rtol=0, atol=1e-9)
 
     def test_multi_step_strictness(self):
         # holding through the intermediate date beats rolling two one-step
         # trades by exactly the intermediate spread
         model = two_period_model(lam=0.01)
         sec = model.securities[0]
-        gens0 = generators_for(model, 0)
+        gens0 = reference_generators(model, 0)
         hold = next(
-            g for g in gens0.generators
+            g for g in gens0
             if g.kind == "long" and g.root.time == 0
             and all(s.time == 2 for s in g.profile.sells)
         )
         step0 = next(
-            g for g in gens0.generators
+            g for g in gens0
             if g.kind == "long" and g.root.time == 0
             and all(s.time == 1 for s in g.profile.sells)
         )
-        up_step = next(
-            g for g in gens0.generators
-            if g.kind == "long" and g.root == NodeRef(1, 0)
-        )
-        dn_step = next(
-            g for g in gens0.generators
-            if g.kind == "long" and g.root == NodeRef(1, 1)
-        )
+        up_step = next(g for g in gens0 if g.kind == "long" and g.root == NodeRef(1, 0))
+        dn_step = next(g for g in gens0 if g.kind == "long" and g.root == NodeRef(1, 1))
         rolled = step0.values + up_step.values + dn_step.values
         diff = hold.values - rolled
         spread = sec.ask[:, 1] - sec.bid[:, 1]
@@ -231,8 +259,36 @@ class TestArbitrageCheck:
         assert markets >= 30
 
 
+    def test_agrees_with_enumerated_search(self, rng):
+        # same verdict and node as the feasibility LP over the enumerated
+        # round trips; every witness is a strategy whose wealth dominates its
+        # nonnegative cash flow
+        found = clean = 0
+        for k in range(40):
+            tree = random_tree(rng, int(rng.integers(3, 7)), int(rng.integers(2, 4)))
+            if k % 2:
+                model = two_security_market(rng, tree)
+            else:
+                model = arbitrage_free_market(rng, tree, dividends=True, rates=True)
+            for t in range(tree.horizon):
+                witness = arbitrage_check(model, t)
+                want = enumerated_arbitrage(model, t)
+                assert (witness is None) == (want is None)
+                if witness is None:
+                    clean += 1
+                    continue
+                found += 1
+                assert witness.node == want
+                paths = list(tree.node_paths(witness.node))
+                assert np.all(witness.cash_flow >= -1e-9)
+                assert witness.cash_flow[paths] @ tree.probabilities[paths] >= 1.0 - 1e-9
+                wealth = wealth_closed_form(model, witness.strategy)[:, tree.horizon]
+                assert np.all(wealth >= witness.cash_flow - 1e-9)
+        assert found >= 10 and clean >= 10
+
+
 class TestOneEnumerationPerQuote:
-    """Each public pricing call enumerates the cone once and hands it down."""
+    """Each pricing call builds the cone rows of its convention once."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -254,12 +310,14 @@ class TestOneEnumerationPerQuote:
         return flow
 
     def test_noarb_bounds(self, calls, flow):
+        # the arbitrage search and the polytope share the trade rows; the
+        # mark convention at t >= 1 builds its own rows for the polytope
         model = two_period_model(lam=0.01)
-        for t, entry in ((0, "trade"), (1, "trade"), (1, "mark")):
+        for t, entry, builds in ((0, "trade", [0]), (1, "trade", [1]), (1, "mark", [1, 1])):
             calls.clear()
             quote = pricing.noarb_bounds(model, flow, t, entry=entry)
             assert quote.status() == pricing.STATUS_OK
-            assert calls == [t]
+            assert calls == builds
 
     def test_ngd_check_and_good_deal_prices(self, calls, flow):
         model = two_period_model(lam=0.01)
@@ -272,22 +330,3 @@ class TestOneEnumerationPerQuote:
                 calls.clear()
                 price()
                 assert len(calls) == 1
-
-    def test_liquidity_surface_once_per_lambda(self, calls):
-        lambdas = [0.0, 0.005, 0.01]
-        pricing.liquidity_surface(
-            two_period_model,
-            lambda model: np.maximum(model.securities[0].bid - 65.0, 0.0) * (
-                np.arange(3) == 2
-            ),
-            [0.25, 1.0, 8.0],
-            lambdas,
-        )
-        assert calls == [0] * len(lambdas)
-
-    def test_enumeration_must_start_at_the_pricing_date(self):
-        model = two_period_model()
-        with pytest.raises(ValidationError, match="start at t=1"):
-            pricing.ngd_check(model, 0, 1.0, generators=generators_for(model, 1))
-        with pytest.raises(ValidationError, match="start at t=0"):
-            arbitrage_check(model, 1, generators=generators_for(model, 0))

@@ -8,11 +8,10 @@ import pytest
 
 optimize = pytest.importorskip("scipy.optimize")
 
-from conic_pricer import pricing  # noqa: E402
-from conic_pricer.cone import generators_for  # noqa: E402
 from conic_pricer.lp import solve  # noqa: E402
 from conic_pricer.pricing import STATUS_OK, noarb_bounds  # noqa: E402
 
+from cone_reference import reference_generator_matrix  # noqa: E402
 from conftest import arbitrage_free_market, random_cashflow, random_tree  # noqa: E402
 from test_lp import SHAPES  # noqa: E402
 
@@ -51,8 +50,8 @@ def test_lp_values_match_highs(shape):
 
 def highs_node_bounds(model, flow, t, node):
     """Range of the node's conditional discounted tail over densities u >= 0
-    with E[u G] <= 0 for every generator and E[u] = 1, by Charnes-Cooper in
-    (y, s) = (s u, s)."""
+    with E[u G] <= 0 for every enumerated round trip G and E[u] = 1, by
+    Charnes-Cooper in (y, s) = (s u, s)."""
     tree = model.tree
     p = tree.probabilities
     _, Binv = model.discounts()
@@ -62,7 +61,7 @@ def highs_node_bounds(model, flow, t, node):
     den = np.zeros(tree.n_paths + 1)
     num[idx] = p[idx] * x[idx]
     den[idx] = p[idx]
-    G = generators_for(model, t).matrix() * p
+    G = reference_generator_matrix(model, t) * p
     a_ub = np.hstack([G, np.zeros((G.shape[0], 1))])
     a_eq = np.vstack([den, np.append(p, -1.0)])
     out = []
@@ -101,25 +100,16 @@ def agrees(e, lo, hi):
 
 
 @pytest.mark.parametrize("horizon", [2, 3])
-def test_noarb_bounds_match_highs(horizon, sweeps, monkeypatch):
-    # The generator-row slack is the one known cause of disagreement (see the
-    # next test): every bound must match once it is off.
-    for model, flow, t, e, lo, hi in sweeps[horizon]:
-        if not agrees(e, lo, hi):
-            with monkeypatch.context() as mp:
-                mp.setattr(pricing, "GEN_ROW_SLACK", 0.0)
-                e = noarb_bounds(model, flow, t).entries[e.node.cell]
-            assert agrees(e, lo, hi)
+def test_noarb_bounds_match_highs(horizon, sweeps):
+    for _, _, _, e, lo, hi in sweeps[horizon]:
+        assert agrees(e, lo, hi)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="GEN_ROW_SLACK is absolute in density space, and the Charnes-Cooper "
-    "scale 1/(node mass) multiplies it: where the bound's density gives the node "
-    "almost no mass, the slack widens the bound (ask 10.586 against HiGHS 6.556 "
-    "at one horizon-3 node)",
-)
 def test_row_slack_leaves_bounds_unchanged(sweeps):
+    # The enumerated cone once took a per-row slack of 1e-12 in density
+    # space; the Charnes-Cooper scale 1/(node mass) multiplied it, so a bound
+    # whose density gave the node almost no mass went loose (ask 10.586
+    # against 6.556 at one horizon-3 node).  The node-form rows need no slack.
     for rows in sweeps.values():
         for _, _, _, e, lo, hi in rows:
             assert agrees(e, lo, hi)

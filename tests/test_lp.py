@@ -281,3 +281,9 @@ class TestSolveRatio:
     def test_degenerate_denominator_raises(self):
         with pytest.raises(ComputationError, match="degenerate|not solvable"):
             solve_ratio([1.0], [1.0], a_ub=[[1.0]], b_ub=[0.0], sense="max")
+
+    def test_empty_feasible_set_reports_infeasible(self):
+        # x >= 2 and x <= 1: nothing to optimize over, and no exception
+        res = solve_ratio([1.0], [1.0], a_ub=[[1.0], [-1.0]], b_ub=[1.0, -2.0])
+        assert res.status == "infeasible"
+        assert np.isnan(res.value) and res.x is None

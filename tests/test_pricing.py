@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -6,9 +8,16 @@ from conic_pricer.acceptability import dglr_eval
 from conic_pricer.cone import arbitrage_check, generators_for
 from conic_pricer.errors import ComputationError, ValidationError
 from conic_pricer.lattice import EventTree
-from conic_pricer.market import CashFlow, MarketModel, apply_transaction_costs, asian_call
+from conic_pricer.market import (
+    CashFlow,
+    MarketModel,
+    apply_transaction_costs,
+    asian_call,
+    wealth_closed_form,
+)
 from conic_pricer.pricing import (
     STATUS_ARBITRAGE,
+    STATUS_INFEASIBLE,
     STATUS_NGD,
     STATUS_OK,
     forward_prices,
@@ -19,7 +28,24 @@ from conic_pricer.pricing import (
     noarb_bounds,
 )
 
-from conftest import TABLE_BIDS, binomial_model, random_market, random_tree, two_period_model
+from cone_reference import (
+    best_single_ratio,
+    enumerated_ngd,
+    enumerated_quotes,
+    reference_generators,
+)
+from conftest import (
+    TABLE_BIDS,
+    TABLE_PARTS,
+    TABLE_PROBS,
+    arbitrage_free_market,
+    binary_tree_market,
+    binomial_model,
+    random_cashflow,
+    random_market,
+    random_tree,
+    two_period_model,
+)
 from oracles import primal_price_oracle
 
 T2_TABLE = {
@@ -28,6 +54,17 @@ T2_TABLE = {
     0.005: (1.23020, 1.48402),
     0.01: (1.16726, 1.55003),
 }
+
+
+def mark_empty_model():
+    """The fixture tree, 1% costs, with the up node's children all bid between
+    its bid and ask: no round trip from the node is an arbitrage, but its
+    marked entry (long at the bid 80) loses to every child, so no density
+    charges the node under ``entry="mark"``."""
+    tree = EventTree(2, TABLE_PROBS, TABLE_PARTS)
+    bids = TABLE_BIDS.copy()
+    bids[:3, 2] = [80.3, 80.5, 80.6]
+    return MarketModel(tree, 0.0, [apply_transaction_costs(bids, 0.01, tree=tree)])
 
 
 def call_payoff(model, strike=60.0):
@@ -85,6 +122,28 @@ class TestNoArbBounds:
             noarb_bounds(model, call_payoff(model), 0)
 
 
+    def test_node_the_mark_cone_cannot_charge_is_infeasible(self):
+        model = mark_empty_model()
+        payoff = asian_call(model, 0, 65.0)
+        assert arbitrage_check(model, 1) is None
+        assert noarb_bounds(model, payoff, 1).status() == STATUS_OK
+        up, down = noarb_bounds(model, payoff, 1, entry="mark").entries
+        assert up.status == STATUS_INFEASIBLE
+        assert np.isnan(up.bid) and np.isnan(up.ask)
+        assert down.status == STATUS_OK
+        assert down.bid <= down.ask
+
+    def test_empty_mark_polytope_is_infeasible_everywhere(self):
+        model = mark_empty_model()
+        bids = model.securities[0].bid.copy()
+        bids[3:, 2] = [40.1, 40.2]  # the down node's children too
+        model = MarketModel(model.tree, 0.0,
+                            [apply_transaction_costs(bids, 0.01, tree=model.tree)])
+        quote = noarb_bounds(model, asian_call(model, 0, 65.0), 1, entry="mark")
+        assert [e.status for e in quote.entries] == [STATUS_INFEASIBLE] * 2
+        assert quote.status() == STATUS_INFEASIBLE
+
+
 class TestNgdCheck:
     def test_reference_measure_in_band(self):
         # the martingale weights coincide with the reference probabilities, so
@@ -96,8 +155,8 @@ class TestNgdCheck:
     def test_threshold_at_hedge_ratio(self):
         model = binomial_model(probs=(0.6, 0.4))
         # buy-and-hold nets (30, -10): ratio = (18 - 4) / 4 = 3.5
-        gens = generators_for(model, 0)
-        vals = dglr_eval(model.tree, np.column_stack([np.zeros(2), gens.generators[0].values]), 0)
+        first = reference_generators(model, 0)[0]
+        vals = dglr_eval(model.tree, np.column_stack([np.zeros(2), first.values]), 0)
         assert vals[0] == pytest.approx(3.5)
         assert not ngd_check(model, 0, 3.4).holds
         assert ngd_check(model, 0, 3.5).holds
@@ -105,8 +164,7 @@ class TestNgdCheck:
 
     def test_sentinel_level_above_all_generators(self):
         model = two_period_model(lam=0.01)
-        certs = good_deal_certificate(model, 0, 0.0001)
-        top = max(c.dglr for c in certs)
+        top = best_single_ratio(model, 0)
         assert np.isfinite(top)
         assert not ngd_check(model, 0, top * 0.99).holds
         # combinations can beat single round trips, so the safe sentinel sits
@@ -125,6 +183,107 @@ class TestNgdCheck:
         checked = dglr_eval(model.tree, flow, 0)
         assert checked[w.node.cell] == pytest.approx(w.dglr, abs=1e-9)
         assert w.dglr > 0.05
+
+    def test_witness_combines_securities(self):
+        # one period, three equiprobable states, no costs: two securities
+        # priced 0.9 pay (3, 0, 0) and (0, 3, 0).  Each alone reaches a
+        # gain-loss ratio of 1/6; long both reaches 1/3.
+        tree = EventTree(1, [1 / 3] * 3, [[(0, 1, 2)], [(0,), (1,), (2,)]])
+        secs = [
+            apply_transaction_costs(np.array([[0.9, 3.0], [0.9, 0.0], [0.9, 0.0]]), 0.0,
+                                    name="a", tree=tree),
+            apply_transaction_costs(np.array([[0.9, 0.0], [0.9, 3.0], [0.9, 0.0]]), 0.0,
+                                    name="b", tree=tree),
+        ]
+        model = MarketModel(tree, 0.0, secs)
+        assert best_single_ratio(model, 0) == pytest.approx(1 / 6)
+        for gamma in (0.2, 0.25, 0.3):
+            res = ngd_check(model, 0, gamma)
+            assert not res.holds
+            w = res.witness
+            assert w is not None
+            flow = np.zeros((3, 2))
+            flow[:, 1] = w.cash_flow
+            assert dglr_eval(tree, flow, 0)[0] == pytest.approx(w.dglr, abs=1e-12)
+            assert w.dglr > gamma
+            assert w.dglr == pytest.approx(1 / 3)
+            held = w.strategy.holdings[1, 1:, 0]
+            assert held[0] > 0 and held[1] > 0  # long both
+
+    def test_witness_strategy_dominates_its_cash_flow(self, rng):
+        checked = 0
+        for _ in range(20):
+            tree = random_tree(rng, int(rng.integers(3, 7)), int(rng.integers(1, 4)))
+            model = arbitrage_free_market(rng, tree, dividends=True, rates=True)
+            res = ngd_check(model, 0, 0.05)
+            if res.holds:
+                continue
+            w = res.witness
+            assert w is not None and w.dglr > 0.05
+            wealth = wealth_closed_form(model, w.strategy)[:, tree.horizon]
+            assert np.all(wealth >= w.cash_flow - 1e-9)
+            checked += 1
+        assert checked >= 10
+
+    def test_witness_from_the_node_program(self, rng):
+        # the per-node hedge LP finds weights exactly when the band polytope
+        # of all date-t nodes together is empty
+        checked = 0
+        for _ in range(20):
+            tree = random_tree(rng, int(rng.integers(3, 7)), int(rng.integers(1, 4)))
+            model = arbitrage_free_market(rng, tree, dividends=True, rates=True)
+            for t in range(tree.horizon):
+                rows = generators_for(model, t)
+                for gamma in (0.05, 0.5):
+                    band = pricing._polytope(model, rows, gamma)
+                    prog = lp.LinearProgram.build("max", np.zeros(band["a_ub"].shape[1]), **band)
+                    empty = lp.solve(prog).status != "optimal"
+                    weights = pricing._good_deal_weights(model, rows, gamma, lp.DEFAULT_TOL)
+                    assert (weights is not None) == empty
+                    if weights is not None:
+                        w = good_deal_certificate(model, rows, weights, gamma)
+                        assert w is not None and w.dglr > gamma
+                        checked += 1
+        assert checked >= 10
+
+    def test_frictionless_binary_market_gets_a_witness(self):
+        # horizon-4 binary market without costs at gamma = 0.5, whose band
+        # LP ends phase 1 at a near-singular basis: the witness must be a real
+        # hedge, not a flow worth zero up to rounding, and its strategy must
+        # beat the level too
+        model = binary_tree_market(
+            1.1158852723655976, 0.9138993925477081, 0.01, 0.386764098288852, 0.0
+        )
+        res = ngd_check(model, 0, 0.5)
+        assert not res.holds
+        w = res.witness
+        assert w is not None and w.dglr > 0.5
+        assert np.max(np.abs(w.cash_flow)) > 1e-3
+        flow = np.zeros((16, 5))
+        for paid in (w.cash_flow, wealth_closed_form(model, w.strategy)[:, -1]):
+            flow[:, -1] = paid
+            assert dglr_eval(model.tree, flow, 0)[0] >= w.dglr - 1e-9
+
+    def test_rounding_is_no_witness(self):
+        # Frictionless martingale markets: a row across a node with a single
+        # child is worth exactly zero but computes to about 1e-14, which has
+        # an infinite gain-loss ratio when it is never negative.
+        checked = 0
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            tree = random_tree(rng, int(rng.integers(3, 7)), 3)
+            model = arbitrage_free_market(
+                rng, tree, dividends=bool(seed % 2), rates=bool(seed % 3), lam=0.0
+            )
+            rows = generators_for(model, 0)
+            values = rows.a_u / model.probabilities
+            for r in np.flatnonzero((np.max(values, axis=1) > 0) & (np.min(values, axis=1) >= 0)):
+                assert np.max(values[r]) < 1e-12
+                weights = np.zeros(len(rows))
+                weights[r] = 1.0
+                assert good_deal_certificate(model, rows, weights, 1.0) is None, (seed, r)
+                checked += 1
+        assert checked >= 10
 
     def test_implies_no_arbitrage(self, rng):
         hits = 0
@@ -178,6 +337,16 @@ class TestGoodDealPrices:
         assert e.ask == pytest.approx(5.0 * 9.0 / 22.0, abs=1e-9)
         assert e.bid == pytest.approx(5.0 / 6.0, abs=1e-9)
 
+    def test_stalled_binary_market_prices(self):
+        # horizon-4 binary market with 1% costs and gamma = 2, whose band LP
+        # over the enumerated round trips ran to the simplex iteration limit
+        model = binary_tree_market(
+            1.1043686640170864, 0.9258077400201192, 0.02, 0.5890045592020542, 0.01
+        )
+        e = good_deal_prices(model, call_payoff(model, 98.0008665406378), 0, 2.0).entry(0)
+        assert e.status == STATUS_OK
+        assert e.bid <= 12.7235786 <= e.ask  # the CRR value
+
     def test_symmetry(self, rng):
         # ask of D equals minus the bid of -D
         done = 0
@@ -186,8 +355,7 @@ class TestGoodDealPrices:
             model = random_market(rng, tree)
             if arbitrage_check(model, 0) is not None:
                 continue
-            certs = good_deal_certificate(model, 0, 1e-6)
-            gamma = (max(c.dglr for c in certs) if certs else 0.0) + 1.0
+            gamma = best_single_ratio(model, 0) + 1.0
             if not np.isfinite(gamma) or not ngd_check(model, 0, gamma).holds:
                 continue
             d = np.zeros((tree.n_paths, tree.horizon + 1))
@@ -210,8 +378,7 @@ class TestGoodDealPrices:
             t = int(rng.integers(1, tree.horizon))
             if arbitrage_check(model, t) is not None:
                 continue
-            certs = good_deal_certificate(model, t, 1e-9)
-            top = max((c.dglr for c in certs), default=0.0)
+            top = best_single_ratio(model, t)
             if not np.isfinite(top) or not ngd_check(model, t, top + 1.0).holds:
                 continue
             gamma = top + 1.0
@@ -380,6 +547,17 @@ class TestLiquiditySurface:
         with pytest.raises(ValidationError):
             liquidity_surface(build_model, build_payoff, [], [0.0])
 
+    def test_node_validated_before_pricing(self, monkeypatch):
+        # a quote that fails must not mask the usage error
+        def failing(*args, **kwargs):
+            raise ComputationError("priced before the node was checked")
+
+        monkeypatch.setattr(pricing, "good_deal_prices", failing)
+        build_model, build_payoff = self._builders()
+        for t, node, message in ((1, 2, "node 2 outside 0..1"), (2, 0, "start date 2")):
+            with pytest.raises(ValidationError, match=message):
+                liquidity_surface(build_model, build_payoff, [8.0], [0.0], t, node=node)
+
 
 class TestPrimalOracle:
     def test_zero_contract(self):
@@ -401,8 +579,7 @@ class TestPrimalOracle:
         model = MarketModel(tree, 0.0, [apply_transaction_costs(bids, 0.005, tree=tree)])
         d = np.zeros((3, 2))
         d[:, 1] = np.maximum(bids[:, 1] - 103.0, 0.0)
-        certs = good_deal_certificate(model, 0, 1e-9)
-        gamma = (max(c.dglr for c in certs) if certs else 0.0) + 0.5
+        gamma = best_single_ratio(model, 0) + 0.5
         assert ngd_check(model, 0, gamma).holds
         dual = good_deal_prices(model, d, 0, gamma).entry(0)
         oracle = primal_price_oracle(model, d, 0, gamma)[0]
@@ -469,3 +646,52 @@ class TestTableReproduction:
         mark = noarb_bounds(model, payoff, 0, entry="mark").entry(0)
         assert trade.bid == pytest.approx(mark.bid, abs=1e-12)
         assert trade.ask == pytest.approx(mark.ask, abs=1e-12)
+
+
+class TestNodeFormMatchesEnumeration:
+    """Every quote and status over the node-form rows equals the one over the
+    enumerated round trips of ``cone_reference``."""
+
+    @staticmethod
+    def close(a, b):
+        return abs(a - b) <= 1e-9 * max(1.0, abs(b))
+
+    def markets(self):
+        rng = np.random.default_rng(515)
+        for k in range(12):
+            tree = random_tree(rng, int(rng.integers(3, 6)), int(rng.integers(2, 4)))
+            lam = 0.0 if k % 3 == 0 else None
+            first = arbitrage_free_market(rng, tree, dividends=True, rates=k % 2 == 1, lam=lam)
+            secs = list(first.securities)
+            if k % 4 >= 2:
+                other = arbitrage_free_market(rng, tree, dividends=True, rates=False, lam=lam)
+                secs.append(dataclasses.replace(other.securities[0], name="s2"))
+            model = MarketModel(tree, first.rates, secs)
+            yield model, random_cashflow(rng, tree)
+
+    def test_bounds_good_deal_prices_and_ngd_status(self):
+        statuses = set()
+        for model, flow in self.markets():
+            for t in range(model.tree.horizon):
+                if arbitrage_check(model, t) is not None:
+                    statuses.add("arbitrage")
+                    continue
+                for entry in ("trade", "mark"):
+                    got = noarb_bounds(model, flow, t, entry=entry).entries
+                    want = enumerated_quotes(model, flow, t, entry)
+                    for e, w in zip(got, want, strict=True):
+                        statuses.add(e.status)
+                        assert (e.status == STATUS_INFEASIBLE) == (w is None)
+                        if w is not None:
+                            assert self.close(e.bid, w[0]) and self.close(e.ask, w[1])
+                    for gamma in (0.5, 2.0, 8.0):
+                        holds = ngd_check(model, t, gamma, entry=entry).holds
+                        assert holds == enumerated_ngd(model, t, gamma, entry)
+                        statuses.add(holds)
+                        if not holds:
+                            continue
+                        got = good_deal_prices(model, flow, t, gamma, entry=entry).entries
+                        want = enumerated_quotes(model, flow, t, entry, gamma)
+                        for e, w in zip(got, want, strict=True):
+                            assert self.close(e.bid, w[0]) and self.close(e.ask, w[1])
+        assert {STATUS_OK, STATUS_INFEASIBLE, True, False} <= statuses
