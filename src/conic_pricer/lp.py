@@ -1,17 +1,30 @@
 """Dense linear programming kernel.
 
-Two-phase primal simplex with Bland's anti-cycling rule on a condensed
-tableau: one column per *nonbasic* variable plus the right-hand side, one row
-per constraint plus the reduced costs.  The full tableau's basic columns are
-exact unit vectors (piv/piv is 1.0 and x - x*1.0 is 0.0), so leaving them out
-loses nothing; the leaving variable's column is rebuilt in the entering
-column's slot with the same float operations a full pivot would make.  Every
-entry a pivot choice reads is therefore the full tableau's, bit for bit, and
-the pivot sequence is the same.  A pivot is one numpy rank-1 update, and the
-entering and ratio tests are vectorized scans making Bland's choices.  The
-pricing LPs have more rows (two per node, security and side of the hedging
-cone, plus the band) than variables (paths and envelope excesses), so this
-shrinks a pivot from rows x (rows + variables) cells to rows x variables.
+Two-phase primal simplex on a condensed tableau: one column per *nonbasic*
+variable plus the right-hand side, one row per constraint plus the reduced
+costs.  The full tableau's basic columns are exact unit vectors (piv/piv is
+1.0 and x - x*1.0 is 0.0), so leaving them out loses nothing; the leaving
+variable's column is rebuilt in the entering column's slot with the same float
+operations a full pivot would make.  Every entry a pivot choice reads is
+therefore the full tableau's, bit for bit, and the pivot sequence is the same.
+A pivot is one numpy rank-1 update.  The pricing LPs have more rows (two per
+node, security and side of the hedging cone, plus the band) than variables
+(paths and envelope excesses), so this shrinks a pivot from
+rows x (rows + variables) cells to rows x variables.
+
+Pricing is exact steepest edge (Forrest & Goldfarb, Math. Prog. 1992): the
+eligible column with the largest rc^2 / (1 + |column|^2) enters, the norm
+taken fresh over the column's constraint rows at each pivot.  The tableau
+stores every nonbasic column, so this is one reduction per pivot, and with no
+square root it runs unchanged over ``Fraction`` entries.  Ties go to the
+smallest variable index; the ratio test takes the smallest ratio, ties to the
+smallest basic index.  The pricing LPs are highly degenerate, so after
+``_STALL_PIVOTS`` zero-step pivots in a row Bland's rule picks the entering
+column until a pivot moves the right-hand side; that keeps the loop finite.
+
+Phase 1 reads only the rows, so :func:`solve` runs it once and phase 2 starts
+from it; :func:`solve_ratio` runs phase 2 twice, once per sense, from copies
+of one phase 1.
 
 Dual recovery solves B^T y = c_B over the pristine rows.  A basic slack forces
 its row's dual to zero, so the system keeps only the rows without a basic
@@ -28,12 +41,12 @@ in tests.
 
 The linear-fractional entry point :func:`solve_ratio` applies the
 Charnes-Cooper transformation (scale the variables, pin the denominator to 1,
-add a nonnegative scale variable) and de-homogenizes the result.
+add a nonnegative scale variable) and de-homogenizes both extremes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional
 
@@ -42,6 +55,8 @@ import numpy as np
 from .errors import ComputationError, ValidationError
 
 DEFAULT_TOL = 1e-9
+# Zero-step pivots in a row after which Bland's rule picks the entering column.
+_STALL_PIVOTS = 50
 
 
 @dataclass
@@ -118,26 +133,32 @@ def _pivot(T, basis, nonbasic, row, k):
 
 
 def _run_simplex(T, basis, nonbasic, limit, tol, max_iter):
-    """Bland's rule on the condensed tableau T (last row = reduced costs of
-    the nonbasic variables, last col = rhs); variables >= ``limit`` may not
-    enter.
+    """Steepest edge, Bland's rule after a stall (see the module docstring),
+    on the condensed tableau T (last row = reduced costs of the nonbasic
+    variables, last col = rhs); variables >= ``limit`` may not enter.
 
     Returns ("optimal" | "unbounded", iterations).
     """
     m = T.shape[0] - 1
-    it = 0
+    it = stalled = 0
     while True:
-        cand = np.flatnonzero((T[-1, :-1] < -tol) & (nonbasic < limit))
+        cand = ((T[-1, :-1] < -tol) & (nonbasic < limit)).nonzero()[0]
         if not cand.size:
             return "optimal", it
-        k = cand[np.argmin(nonbasic[cand])]
+        if stalled < _STALL_PIVOTS:
+            sub, rc = T[:m, cand], T[-1, cand]
+            score = rc * rc / (1 + (sub * sub).sum(axis=0))
+            cand = cand[score == score.max()]
+        k = cand[nonbasic[cand].argmin()]
         col = T[:m, k]
-        rows = np.flatnonzero(col > tol)
+        rows = (col > tol).nonzero()[0]
         if not rows.size:
             return "unbounded", it
         ratios = T[rows, -1] / col[rows]
-        ties = rows[ratios == ratios.min()]
-        _pivot(T, basis, nonbasic, ties[np.argmin(basis[ties])], k)
+        step = ratios.min()
+        ties = rows[ratios == step]
+        _pivot(T, basis, nonbasic, ties[basis[ties].argmin()], k)
+        stalled = 0 if step > 0 else stalled + 1
         it += 1
         if it > max_iter:
             raise ComputationError(
@@ -163,24 +184,41 @@ def _to_fraction_array(arr):
     return out
 
 
-def solve(
-    lp: LinearProgram,
-    *,
-    tol: float = DEFAULT_TOL,
-    exact: bool = False,
-    max_iter: Optional[int] = None,
-) -> LPSolution:
-    """Solve the LP, certifying optimal answers by strong duality."""
+@dataclass
+class _Start:
+    """The end of phase 1: a feasible basis of an LP's rows with the scaled
+    data that phase 2 and the dual recovery read.  Phase 1 reads neither the
+    objective nor the sense, so one start serves both senses."""
+
+    iterations: int
+    exact: bool
+    max_iter: int
+    piv_tol: object
+    width: int
+    T: np.ndarray
+    basis: np.ndarray
+    nonbasic: np.ndarray
+    alive: np.ndarray  # rows kept (redundant equalities dropped)
+    own: np.ndarray  # the slack or artificial each row's basis started from
+    A: np.ndarray  # rows scaled and sign-normalized
+    sigma: np.ndarray
+    row_scale: np.ndarray
+    a_ub: np.ndarray  # with the finite upper bounds appended as rows
+    b_ub: np.ndarray
+    ub_vars: np.ndarray
+
+
+def _phase1(lp: LinearProgram, tol: float, exact: bool, max_iter: Optional[int]):
+    """Phase 1 on the rows of ``lp``: the ``infeasible`` answer, or a
+    :class:`_Start` whose basis has every artificial driven out (rows left
+    holding one are redundant and dropped)."""
     n = lp.c.shape[0]
-    sense_mult = 1.0 if lp.sense == "max" else -1.0
-    c_obj = sense_mult * lp.c
 
     # Fold finite variable upper bounds in as extra <= rows.
     ub_vars = (
         np.flatnonzero(np.isfinite(lp.upper)) if lp.upper is not None
         else np.zeros(0, dtype=int)
     )
-    n_orig_ub = lp.a_ub.shape[0]
     if ub_vars.size:
         a_ub = np.vstack([lp.a_ub, np.eye(n)[ub_vars]])
         b_ub = np.concatenate([lp.b_ub, lp.upper[ub_vars]])
@@ -195,7 +233,7 @@ def solve(
     b = np.concatenate([b_ub, lp.b_eq]) if m else np.zeros(0)
 
     # Row equilibration keeps mixed-magnitude rows (e.g. wide density bands)
-    # well conditioned; duals are rescaled back below.
+    # well conditioned; duals are rescaled back in phase 2.
     scale = np.max(np.abs(A), axis=1) if n else np.zeros(m)
     row_scale = np.where(scale > 0, scale, 1.0)
     A = A / row_scale[:, None]
@@ -260,14 +298,33 @@ def solve(
     if drop_rows:
         T = np.vstack([T[:-1][alive], T[-1:]])
         basis = basis[alive]
+    return _Start(
+        iterations=it1, exact=exact, max_iter=max_iter, piv_tol=piv_tol, width=width,
+        T=T, basis=basis, nonbasic=nonbasic, alive=alive, own=own, A=A, sigma=sigma,
+        row_scale=row_scale, a_ub=a_ub, b_ub=b_ub, ub_vars=ub_vars,
+    )
+
+
+def _phase2(lp: LinearProgram, start: _Start, tol: float) -> LPSolution:
+    """Phase 2 of ``lp`` from a copy of ``start``, certified by strong
+    duality; a float answer that fails certification is re-solved exactly."""
+    exact = start.exact
+    T, basis, nonbasic = start.T.copy(), start.basis.copy(), start.nonbasic.copy()
+    alive, A, a_ub, b_ub = start.alive, start.A, start.a_ub, start.b_ub
+    n = lp.c.shape[0]
+    m_ub, m_eq = a_ub.shape[0], lp.a_eq.shape[0]
+    m, width = m_ub + m_eq, start.width
+    sense_mult = 1.0 if lp.sense == "max" else -1.0
+    c_obj = sense_mult * lp.c
 
     # Phase 2 objective; artificials may no longer enter.
     c2 = np.zeros(width, dtype=object if exact else float)
     c2[:n] = [Fraction(float(v)) for v in c_obj] if exact else c_obj
     _set_objective(T, basis, nonbasic, c2)
-    status2, it2 = _run_simplex(T, basis, nonbasic, n + m_ub, piv_tol, max_iter)
+    status2, it2 = _run_simplex(T, basis, nonbasic, n + m_ub, start.piv_tol, start.max_iter)
+    iterations = start.iterations + it2
     if status2 == "unbounded":
-        return LPSolution(status="unbounded", iterations=it1 + it2)
+        return LPSolution(status="unbounded", iterations=iterations)
 
     x_full = np.zeros(width, dtype=object if exact else float)
     x_full[basis] = T[:-1, -1]
@@ -283,7 +340,7 @@ def solve(
     if exact:
         slot = {int(v): k for k, v in enumerate(nonbasic)}
         for i in np.flatnonzero(alive):
-            k = slot.get(int(own[i]))
+            k = slot.get(int(start.own[i]))
             y_norm[i] = 0.0 if k is None else float(T[-1, k])
     else:
         rows = alive.copy()
@@ -301,13 +358,14 @@ def solve(
                 y_rows, *_ = np.linalg.lstsq(basis_mat.T, cb, rcond=None)
             y_norm[rows] = y_rows
     # duals of the rows as supplied (all-<= + eq), max sense
-    y = sigma * y_norm / row_scale
+    y = start.sigma * y_norm / start.row_scale
 
+    n_orig_ub = lp.a_ub.shape[0]
     y_ub_all = y[:m_ub]
     y_eq = y[m_ub:]
     y_ub = y_ub_all[:n_orig_ub]
     y_upper = np.zeros(n)
-    y_upper[ub_vars] = y_ub_all[n_orig_ub:]
+    y_upper[start.ub_vars] = y_ub_all[n_orig_ub:]
 
     # Certification in max space; residuals are relative to the magnitudes
     # entering each row/column so badly scaled data certify honestly.
@@ -347,7 +405,7 @@ def solve(
         if not exact:
             # Tableau drift can park the float path at a near-optimal basis;
             # the rational path has no drift and re-certifies from scratch.
-            return solve(lp, tol=tol, exact=True, max_iter=max_iter)
+            return solve(lp, tol=tol, exact=True, max_iter=start.max_iter)
         raise ComputationError(
             "LP certification failed: "
             f"primal={primal_res:.3e} dual={dual_res:.3e} gap={gap:.3e} (tol {tol:.3e})"
@@ -364,8 +422,22 @@ def solve(
         gap=gap,
         primal_residual=primal_res,
         dual_residual=dual_res,
-        iterations=it1 + it2,
+        iterations=iterations,
     )
+
+
+def solve(
+    lp: LinearProgram,
+    *,
+    tol: float = DEFAULT_TOL,
+    exact: bool = False,
+    max_iter: Optional[int] = None,
+) -> LPSolution:
+    """Solve the LP, certifying optimal answers by strong duality."""
+    start = _phase1(lp, tol, exact, max_iter)
+    if isinstance(start, LPSolution):
+        return start
+    return _phase2(lp, start, tol)
 
 
 @dataclass
@@ -388,17 +460,20 @@ def solve_ratio(
     a_eq=None,
     b_eq=None,
     upper=None,
-    sense: str = "max",
     tol: float = DEFAULT_TOL,
-) -> RatioSolution:
-    """Optimize (num @ x + num0) / (den @ x + den0) over the LP feasible set.
+) -> tuple[RatioSolution, RatioSolution]:
+    """Minimum and maximum of (num @ x + num0) / (den @ x + den0) over the LP
+    feasible set, as ``(lo, hi)``.
 
     The caller must guarantee the denominator is strictly positive on the
     feasible set.  Charnes-Cooper: with y = s*x, s >= 0, constraints become
-    homogeneous in (y, s) and the denominator is pinned to 1.  If that program
-    is infeasible, the constraints alone decide: an empty feasible set gives
-    status ``infeasible`` (value NaN), a nonempty one on which the
-    denominator vanishes raises :class:`ComputationError`.
+    homogeneous in (y, s) and the denominator is pinned to 1.  Both extremes
+    start phase 2 from one phase 1 of that program, so each is bit for bit
+    what ``solve`` gives for its sense; certification and the exact fallback
+    stay per extreme.  If the program is infeasible, the constraints alone
+    decide: an empty feasible set gives status ``infeasible`` (value NaN) for
+    both, a nonempty one on which the denominator vanishes raises
+    :class:`ComputationError`.
     """
     num = np.atleast_1d(np.asarray(num, dtype=float))
     den = np.atleast_1d(np.asarray(den, dtype=float))
@@ -429,19 +504,27 @@ def solve_ratio(
         rows_eq.append(np.hstack([a_eq, -b_eq[:, None]]))
         rhs_eq.append(np.zeros(a_eq.shape[0]))
     prog = LinearProgram.build(
-        sense,
+        "max",
         np.hstack([num, [num0]]),
         a_ub=np.vstack(rows_ub) if rows_ub else None,
         b_ub=np.concatenate(rhs_ub) if rows_ub else None,
         a_eq=np.vstack(rows_eq),
         b_eq=np.concatenate(rhs_eq),
     )
-    sol = solve(prog, tol=tol)
-    if sol.status == "infeasible":
-        bare = solve(LinearProgram.build(sense, np.zeros(n), a_ub, b_ub, a_eq, b_eq, upper), tol=tol)
+    start = _phase1(prog, tol, False, None)
+    if isinstance(start, LPSolution):
+        bare = LinearProgram.build("max", np.zeros(n), a_ub, b_ub, a_eq, b_eq, upper)
+        bare = solve(bare, tol=tol)
         if bare.status == "infeasible":
-            return RatioSolution(np.nan, None, np.nan, bare, status="infeasible")
+            empty = RatioSolution(np.nan, None, np.nan, bare, status="infeasible")
+            return empty, empty
         raise ComputationError("fractional program not solvable: denominator degenerate")
+    hi = _dehomogenize(_phase2(prog, start, tol), n, tol)
+    lo = _dehomogenize(_phase2(replace(prog, sense="min"), start, tol), n, tol)
+    return lo, hi
+
+
+def _dehomogenize(sol: LPSolution, n: int, tol: float) -> RatioSolution:
     if sol.status != "optimal":
         raise ComputationError(f"fractional program not solvable: LP status {sol.status}")
     s = float(sol.x[n])

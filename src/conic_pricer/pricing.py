@@ -171,12 +171,11 @@ def _node_quotes(
         program = polytope if gamma is not None else dict(
             polytope, a_eq=den[None, :], b_eq=np.ones(1)
         )
-        hi = lp.solve_ratio(num, den, **program, sense="max", tol=tol)
+        lo, hi = lp.solve_ratio(num, den, **program, tol=tol)
         if hi.status == "infeasible":
             entries.append(PriceEntry(node, np.nan, np.nan, STATUS_INFEASIBLE))
-            continue
-        lo = lp.solve_ratio(num, den, **program, sense="min", tol=tol)
-        entries.append(PriceEntry(node, lo.value, hi.value, STATUS_OK))
+        else:
+            entries.append(PriceEntry(node, lo.value, hi.value, STATUS_OK))
     return tuple(entries)
 
 
@@ -323,7 +322,14 @@ def good_deal_prices(
 ) -> PriceQuote:
     """Bid/ask of the discounted tail over band-restricted risk-neutral
     densities; sentinel +inf/-inf quotes when no such density exists."""
-    rows = generators_for(model, t, entry)
+    return _good_deal_quote(model, cash_flow, generators_for(model, t, entry), gamma, tol)
+
+
+def _good_deal_quote(
+    model: MarketModel, cash_flow, rows: NodeRows, gamma: float, tol: float
+) -> PriceQuote:
+    """:func:`good_deal_prices` over the cone ``rows`` of its date."""
+    t = rows.start
     check = _ngd(model, gamma, rows, tol)
     if not check.holds:
         entries = tuple(
@@ -383,8 +389,9 @@ def liquidity_surface(
 ) -> list[SurfaceCell]:
     """Good-deal bid/ask/spread on a (gamma, lambda) grid.
 
-    The model is rebuilt per transaction-cost coefficient and the payoff per
-    model, then each level is repriced at the requested date-t node.
+    The model, the payoff and the cone rows are built once per
+    transaction-cost coefficient, then each level is repriced at the
+    requested date-t node.
     """
     if not gammas or not lambdas:
         raise ValidationError("surface needs nonempty gamma and lambda lists")
@@ -397,8 +404,9 @@ def liquidity_surface(
         count = len(model.tree.nodes(t))
         if not 0 <= node < count:
             raise ValidationError(f"node {node} outside 0..{count - 1} at t={t}")
+        rows = generators_for(model, t, entry)
         for gamma in gammas:
-            quote = good_deal_prices(model, payoff, t, gamma, tol=tol, entry=entry)
+            quote = _good_deal_quote(model, payoff, rows, gamma, tol)
             e = quote.entry(node)
             spread = e.ask - e.bid if e.status == STATUS_OK else np.nan
             cells.append(SurfaceCell(gamma, lam, e.bid, e.ask, spread, e.status))

@@ -261,10 +261,6 @@ def enumerated_quotes(model, cash_flow, t, entry="trade", gamma=None):
         program = polytope if gamma is not None else dict(
             polytope, a_eq=den[None, :], b_eq=np.ones(1)
         )
-        hi = lp.solve_ratio(num, den, **program, sense="max")
-        if hi.status != "optimal":
-            out.append(None)
-            continue
-        lo = lp.solve_ratio(num, den, **program, sense="min")
-        out.append((lo.value, hi.value))
+        lo, hi = lp.solve_ratio(num, den, **program)
+        out.append((lo.value, hi.value) if hi.status == "optimal" else None)
     return out

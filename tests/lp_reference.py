@@ -1,11 +1,14 @@
-"""Full-tableau two-phase Bland simplex: the reference for ``lp.solve``.
+"""Full-tableau two-phase steepest-edge simplex: the reference for ``lp.solve``.
 
-This is the dense kernel ``conic_pricer.lp`` used before it moved to a
-condensed tableau: one column for every structural, slack and artificial
-variable, and a Python loop over rows in each pivot.  It stops at the primal
-answer (status, value, x, iterations); ``lp.solve`` must reproduce all four
-bit for bit, because both kernels make the same float operations on every
-entry that a pivot choice reads.
+This is the layout ``conic_pricer.lp`` used before it moved to a condensed
+tableau: one column for every structural, slack and artificial variable, and
+a Python loop over rows in each pivot.  It prices with the same
+rule as ``lp``: the eligible column with the largest rc^2 / (1 + |column|^2)
+enters, by the same numpy reduction over the same entries, and after
+``STALL_PIVOTS`` zero-step pivots in a row Bland's rule picks until a pivot
+moves.  It stops at the primal answer (status, value, x, iterations);
+``lp.solve`` must reproduce all four bit for bit, because both kernels make
+the same float operations on every entry that a pivot choice reads.
 """
 
 from fractions import Fraction
@@ -13,6 +16,8 @@ from fractions import Fraction
 import numpy as np
 
 from conic_pricer.errors import ComputationError
+
+STALL_PIVOTS = 50
 
 
 def _pivot(T, basis, row, col):
@@ -29,18 +34,17 @@ def _pivot(T, basis, row, col):
 def _run_simplex(T, basis, blocked, tol, max_iter):
     m = T.shape[0] - 1
     width = T.shape[1] - 1
-    it = 0
+    it = stalled = 0
     while True:
-        enter = -1
         zrow = T[-1]
-        for j in range(width):
-            if j in blocked:
-                continue
-            if zrow[j] < -tol:
-                enter = j
-                break
-        if enter < 0:
+        cand = [j for j in range(width) if j not in blocked and zrow[j] < -tol]
+        if not cand:
             return "optimal", it
+        enter = cand[0]
+        if stalled < STALL_PIVOTS:
+            sub, rc = T[:m, cand], zrow[cand]
+            score = rc * rc / (1 + (sub * sub).sum(axis=0))
+            enter = cand[int(np.argmax(score))]
         leave, best_ratio, best_basis = -1, None, None
         for i in range(m):
             a = T[i, enter]
@@ -53,6 +57,7 @@ def _run_simplex(T, basis, blocked, tol, max_iter):
         if leave < 0:
             return "unbounded", it
         _pivot(T, basis, leave, enter)
+        stalled = 0 if best_ratio > 0 else stalled + 1
         it += 1
         if it > max_iter:
             raise ComputationError(

@@ -70,15 +70,15 @@ def band_extreme_lp(x, w, gamma, minimize=True):
         a_ub[i, n] = 1.0
         a_ub[n + i, i] = 1.0
         a_ub[n + i, n] = -(1.0 + gamma)
-    return lp.solve_ratio(
+    lo, hi = lp.solve_ratio(
         np.concatenate([w * x, [0.0]]),
         np.concatenate([w, [0.0]]),
         a_ub=a_ub,
         b_ub=np.zeros(2 * n),
         a_eq=np.concatenate([w, [0.0]])[None, :],
         b_eq=np.ones(1),
-        sense="min" if minimize else "max",
-    ).value
+    )
+    return (lo if minimize else hi).value
 
 
 def rho_reference(tree, cash_flow, t, gamma, *, vertex_cap=VERTEX_CAP):

@@ -330,3 +330,11 @@ class TestOneEnumerationPerQuote:
                 calls.clear()
                 price()
                 assert len(calls) == 1
+
+    def test_liquidity_surface_once_per_lambda(self, calls, flow):
+        gammas, lambdas = [0.25, 8.0, 12.0], [0.0, 0.01]
+        cells = pricing.liquidity_surface(
+            two_period_model, lambda model: flow, gammas, lambdas
+        )
+        assert {c.status for c in cells} == {pricing.STATUS_NGD, pricing.STATUS_OK}
+        assert calls == [0] * len(lambdas)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conic_pricer import lp
 from conic_pricer.errors import ComputationError, ValidationError
 from conic_pricer.lp import LinearProgram, solve, solve_ratio
 
@@ -229,6 +230,53 @@ class TestCondensedKernel:
                 assert exact.value == pytest.approx(sol.value, abs=1e-9)
 
 
+def _stalling_cone():
+    # 83 rows a_i x <= 0 through the origin with a direction d inside the
+    # cone, and an objective near d: the start is a vertex where every row is
+    # tight, and steepest edge makes 67 zero-step pivots in a row there
+    rng = np.random.default_rng(161)
+    n, m = int(rng.integers(10, 14)), int(rng.integers(60, 110))
+    d = rng.uniform(0.2, 1.0, size=n)
+    a_ub = rng.normal(size=(m, n))
+    a_ub -= np.outer(a_ub @ d / (d @ d) + 0.05, d)
+    c = d + 0.5 * rng.normal(size=n)
+    return LinearProgram.build("max", c, a_ub=a_ub, b_ub=np.zeros(m), upper=np.ones(n))
+
+
+class TestStallFallback:
+    """After ``lp._STALL_PIVOTS`` zero-step pivots Bland's rule takes over."""
+
+    def test_bland_leaves_a_degenerate_vertex(self, monkeypatch):
+        steps = []
+        real = lp._pivot
+
+        def recording(T, basis, nonbasic, row, k):
+            steps.append(T[row, -1] / T[row, k])
+            real(T, basis, nonbasic, row, k)
+
+        monkeypatch.setattr(lp, "_pivot", recording)
+        prog = _stalling_cone()
+        sol = solve(prog)
+        run = longest = 0
+        for step in steps:
+            run = 0 if step > 0 else run + 1
+            longest = max(longest, run)
+        assert longest >= lp._STALL_PIVOTS  # the fallback picked a column
+        assert steps[-1] > 0 and sol.value > 1.0  # and the solve moved on
+        assert max(sol.gap, sol.primal_residual, sol.dual_residual) <= 1e-9
+        status, value, x, iterations = reference_solve(prog)
+        assert (status, iterations) == (sol.status, sol.iterations)
+        assert np.float64(sol.value).tobytes() == np.float64(value).tobytes()
+        assert sol.x.tobytes() == x.tobytes()
+        # steepest edge throughout reaches the same optimum on another path
+        fallback_steps = list(steps)
+        steps.clear()
+        monkeypatch.setattr(lp, "_STALL_PIVOTS", 10**9)
+        plain = solve(prog)
+        assert steps != fallback_steps
+        assert plain.value == pytest.approx(sol.value, abs=1e-9)
+
+
 class TestExactMode:
     def test_matches_float_solution(self):
         prog = LinearProgram.build(
@@ -245,45 +293,71 @@ class TestExactMode:
 
 class TestSolveRatio:
     def test_monotone_ratio_on_interval(self):
-        # max (2x + 1)/(x + 1) over x in [0, 1] -> 1.5 at x = 1
-        res = solve_ratio([2.0], [1.0], num0=1.0, den0=1.0, upper=[1.0], sense="max")
-        assert res.value == pytest.approx(1.5, abs=1e-9)
-        assert res.x[0] == pytest.approx(1.0, abs=1e-9)
+        # (2x + 1)/(x + 1) over x in [0, 1]: 1 at x = 0, 1.5 at x = 1
+        lo, hi = solve_ratio([2.0], [1.0], num0=1.0, den0=1.0, upper=[1.0])
+        assert hi.value == pytest.approx(1.5, abs=1e-9)
+        assert hi.x[0] == pytest.approx(1.0, abs=1e-9)
+        assert lo.value == pytest.approx(1.0, abs=1e-9)
+        assert lo.x[0] == pytest.approx(0.0, abs=1e-9)
 
     def test_constant_denominator_reduces_to_lp(self):
-        res = solve_ratio(
-            [1.0, 1.0], [0.0, 0.0], den0=1.0,
-            a_ub=[[1.0, 1.0]], b_ub=[1.0], sense="max",
+        lo, hi = solve_ratio(
+            [1.0, 1.0], [0.0, 0.0], den0=1.0, a_ub=[[1.0, 1.0]], b_ub=[1.0]
         )
-        assert res.value == pytest.approx(1.0, abs=1e-9)
+        assert hi.value == pytest.approx(1.0, abs=1e-9)
+        assert lo.value == pytest.approx(0.0, abs=1e-9)
 
     def test_two_state_band_minimum(self):
-        # min of the band-weighted average of (1, -1) at level 1: the density
-        # loads weight 2 on the loss state -> -1/3
-        res = solve_ratio(
+        # the band-weighted average of (1, -1) at level 1: the minimum loads
+        # weight 2 on the loss state -> -1/3, the maximum on the gain state
+        lo, hi = solve_ratio(
             [0.5, -0.5], [0.5, 0.5],
             a_ub=[[-1.0, 0.0], [0.0, -1.0], [1.0, 0.0], [0.0, 1.0]],
             b_ub=[-1.0, -1.0, 2.0, 2.0],
-            sense="min",
         )
-        assert res.value == pytest.approx(-1.0 / 3.0, abs=1e-9)
+        assert lo.value == pytest.approx(-1.0 / 3.0, abs=1e-9)
+        assert hi.value == pytest.approx(1.0 / 3.0, abs=1e-9)
 
     def test_upper_bounds_homogenize(self):
         # max (x1 + x2)/(x1 + 1) with x in [0, 2]^2: push x2 to its cap and
-        # shrink x1
-        res = solve_ratio(
-            [1.0, 1.0], [1.0, 0.0], den0=1.0, upper=[2.0, 2.0], sense="max"
-        )
-        assert res.value == pytest.approx(2.0, abs=1e-9)
-        assert res.x[0] == pytest.approx(0.0, abs=1e-9)
-        assert res.x[1] == pytest.approx(2.0, abs=1e-9)
+        # shrink x1; the minimum 0 needs x2 = 0
+        lo, hi = solve_ratio([1.0, 1.0], [1.0, 0.0], den0=1.0, upper=[2.0, 2.0])
+        assert hi.value == pytest.approx(2.0, abs=1e-9)
+        assert hi.x[0] == pytest.approx(0.0, abs=1e-9)
+        assert hi.x[1] == pytest.approx(2.0, abs=1e-9)
+        assert lo.value == pytest.approx(0.0, abs=1e-9)
+        assert lo.x[1] == pytest.approx(0.0, abs=1e-9)
 
     def test_degenerate_denominator_raises(self):
         with pytest.raises(ComputationError, match="degenerate|not solvable"):
-            solve_ratio([1.0], [1.0], a_ub=[[1.0]], b_ub=[0.0], sense="max")
+            solve_ratio([1.0], [1.0], a_ub=[[1.0]], b_ub=[0.0])
 
     def test_empty_feasible_set_reports_infeasible(self):
         # x >= 2 and x <= 1: nothing to optimize over, and no exception
-        res = solve_ratio([1.0], [1.0], a_ub=[[1.0], [-1.0]], b_ub=[1.0, -2.0])
-        assert res.status == "infeasible"
-        assert np.isnan(res.value) and res.x is None
+        for res in solve_ratio([1.0], [1.0], a_ub=[[1.0], [-1.0]], b_ub=[1.0, -2.0]):
+            assert res.status == "infeasible"
+            assert np.isnan(res.value) and res.x is None
+
+    def test_both_extremes_equal_separate_solves(self):
+        # (lo, hi) share one phase 1, so each is bit for bit a separate
+        # solve of the same Charnes-Cooper program in its sense
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            n, m = int(rng.integers(3, 7)), int(rng.integers(8, 30))
+            x0 = rng.uniform(0.1, 1.0, size=n)
+            a_ub, den = rng.normal(size=(m, n)), rng.uniform(0.1, 1.0, size=n)
+            b_ub = a_ub @ x0 + np.abs(rng.normal(size=m)) * (rng.random(m) < 0.7)
+            a_eq = rng.uniform(0.1, 1.0, size=(1, n))
+            num = rng.normal(size=n)
+            lo, hi = solve_ratio(num, den, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=a_eq @ x0)
+            for sense, got in (("max", hi), ("min", lo)):
+                want = solve(LinearProgram.build(
+                    sense, np.append(num, 0.0),
+                    a_ub=np.hstack([a_ub, -b_ub[:, None]]), b_ub=np.zeros(m),
+                    a_eq=np.vstack([np.append(den, 0.0), np.append(a_eq, -a_eq @ x0)]),
+                    b_eq=[1.0, 0.0],
+                ))
+                sol = got.lp_solution
+                assert np.float64(sol.value).tobytes() == np.float64(want.value).tobytes()
+                assert sol.x.tobytes() == want.x.tobytes()
+                assert sol.iterations == want.iterations

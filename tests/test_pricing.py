@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -423,6 +424,56 @@ class TestGoodDealPrices:
         assert abs(e.ask - nb.ask) <= 1e-6
 
 
+def crr_call(u, d, r, p_up, strike, horizon):
+    """CRR value at the root of a call on the last bid 100 * u^k * d^(T-k),
+    and the ratio of the largest to the smallest CRR density."""
+    q = (1.0 + r - d) / (u - d)
+    value = sum(
+        math.comb(horizon, k) * q**k * (1.0 - q) ** (horizon - k)
+        * max(100.0 * u**k * d ** (horizon - k) - strike, 0.0)
+        for k in range(horizon + 1)
+    ) / (1.0 + r) ** horizon
+    up, down = q / p_up, (1.0 - q) / (1.0 - p_up)
+    return value, (max(up, down) / min(up, down)) ** horizon
+
+
+class TestFrictionlessBinaryMarkets:
+    """Without costs the market is complete: every band that holds the one
+    risk-neutral density prices at its CRR value."""
+
+    GAMMAS = (0.25, 0.5, 1.0, 2.0, 4.0, 6.0, 8.0, 10.0, 20.0)
+
+    def check(self, u, d, r, p_up, strike, horizon, gammas):
+        value, ratio = crr_call(u, d, r, p_up, strike, horizon)
+        model = binary_tree_market(u, d, r, p_up, 0.0, horizon)
+        payoff = call_payoff(model, strike)
+        for gamma in gammas:
+            assert ratio <= 1.0 + gamma
+            e = good_deal_prices(model, payoff, 0, gamma).entry(0)
+            assert e.status == STATUS_OK, gamma
+            assert e.bid == pytest.approx(value, abs=1e-8)
+            assert e.ask == pytest.approx(value, abs=1e-8)
+        return value, ratio
+
+    def test_horizon_4_tree_market(self):
+        # the benchmark's tree market 0, density ratio 4.29; its band LP read
+        # infeasible at gamma 6, 8 and 20 under Bland's pivots
+        value, _ = self.check(
+            1.1158852723655976, 0.9138993925477081, 0.01, 0.386764098288852,
+            109.07230570514098, 4, (4.0, 6.0, 8.0, 10.0, 20.0),
+        )
+        assert value == pytest.approx(6.151889, abs=1e-6)
+
+    def test_horizon_5_ladder_market(self):
+        # the benchmark's ladder market 0 without costs, density ratio 1.0003:
+        # every level is in the band, and each read infeasible under Bland's
+        # pivots
+        self.check(
+            1.0656226129109645, 0.9169887424428936, 0.01, 0.6257877141447595,
+            92.25254968839278, 5, self.GAMMAS,
+        )
+
+
 class TestForwardPrices:
     def test_zero_rate_equals_spot(self):
         model = binomial_model(probs=(0.25, 0.75))
@@ -552,11 +603,36 @@ class TestLiquiditySurface:
         def failing(*args, **kwargs):
             raise ComputationError("priced before the node was checked")
 
-        monkeypatch.setattr(pricing, "good_deal_prices", failing)
+        monkeypatch.setattr(pricing, "_good_deal_quote", failing)
         build_model, build_payoff = self._builders()
         for t, node, message in ((1, 2, "node 2 outside 0..1"), (2, 0, "start date 2")):
             with pytest.raises(ValidationError, match=message):
                 liquidity_surface(build_model, build_payoff, [8.0], [0.0], t, node=node)
+
+
+    def test_pivot_budget(self, monkeypatch):
+        # two horizon-3 binary surfaces (the benchmark's surface markets 0 and
+        # 1): 3,622 pivots with Bland's rule and a phase 1 per extreme, 1,413
+        # with steepest edge and one phase 1 per node polytope
+        pivots = []
+        real = lp._pivot
+
+        def counting(*args):
+            pivots.append(1)
+            real(*args)
+
+        monkeypatch.setattr(lp, "_pivot", counting)
+        for u, d, r, p_up, strike in (
+            (1.1169597643210607, 0.9673785501310888, 0.02, 0.4717907656066426, 97.61587059499817),
+            (1.0860124974091736, 0.9134688409994752, 0.01, 0.5169193207716103, 106.43894314743076),
+        ):
+            liquidity_surface(
+                lambda lam: binary_tree_market(u, d, r, p_up, lam, horizon=3),
+                lambda model: call_payoff(model, strike),
+                [0.25, 0.5, 1.0, 2.0, 4.0, 8.0],
+                [0.0, 0.005, 0.01, 0.02],
+            )
+        assert len(pivots) <= 1700
 
 
 class TestPrimalOracle:
