@@ -39,14 +39,14 @@ An exact-rational mode (``exact=True``) runs the same pivoting over
 ``fractions.Fraction`` entries; it is slow and intended for dispute resolution
 in tests.
 
-The linear-fractional entry point :func:`solve_ratio` applies the
-Charnes-Cooper transformation (scale the variables, pin the denominator to 1,
-add a nonnegative scale variable) and de-homogenizes both extremes.
+:func:`solve_ratio` takes the extremes of a ratio over a polyhedral cone: the
+ratio is scale-free, so they are those of its numerator on the slice where
+the denominator is one, a plain LP.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
 
@@ -440,94 +440,21 @@ def solve(
     return _phase2(lp, start, tol)
 
 
-@dataclass
-class RatioSolution:
-    value: float
-    x: Optional[np.ndarray]
-    scale: float
-    lp_solution: LPSolution = field(repr=False, default=None)
-    status: str = "optimal"  # "optimal" | "infeasible" (empty feasible set)
+def solve_ratio(num, den, a_ub, *, tol: float = DEFAULT_TOL) -> tuple[LPSolution, LPSolution]:
+    """Minimum and maximum of (num @ x) / (den @ x) over the points of the
+    cone {x >= 0, a_ub @ x <= 0} with den @ x > 0, as ``(lo, hi)``.
 
-
-def solve_ratio(
-    num,
-    den,
-    *,
-    num0: float = 0.0,
-    den0: float = 0.0,
-    a_ub=None,
-    b_ub=None,
-    a_eq=None,
-    b_eq=None,
-    upper=None,
-    tol: float = DEFAULT_TOL,
-) -> tuple[RatioSolution, RatioSolution]:
-    """Minimum and maximum of (num @ x + num0) / (den @ x + den0) over the LP
-    feasible set, as ``(lo, hi)``.
-
-    The caller must guarantee the denominator is strictly positive on the
-    feasible set.  Charnes-Cooper: with y = s*x, s >= 0, constraints become
-    homogeneous in (y, s) and the denominator is pinned to 1.  Both extremes
-    start phase 2 from one phase 1 of that program, so each is bit for bit
-    what ``solve`` gives for its sense; certification and the exact fallback
-    stay per extreme.  If the program is infeasible, the constraints alone
-    decide: an empty feasible set gives status ``infeasible`` (value NaN) for
-    both, a nonempty one on which the denominator vanishes raises
-    :class:`ComputationError`.
+    The ratio does not change when x is scaled, so each extreme is that of
+    num @ x on the slice den @ x = 1.  Both senses start phase 2 from one
+    phase 1 of the slice, so each is bit for bit what ``solve`` gives for its
+    sense; certification and the exact fallback stay per extreme.  Both read
+    ``infeasible`` when the cone does not reach the slice.
     """
-    num = np.atleast_1d(np.asarray(num, dtype=float))
-    den = np.atleast_1d(np.asarray(den, dtype=float))
-    n = num.shape[0]
-    if den.shape[0] != n:
-        raise ValidationError("numerator/denominator dimension mismatch")
-    a_ub = np.zeros((0, n)) if a_ub is None else np.atleast_2d(np.asarray(a_ub, float))
-    b_ub = np.zeros(0) if b_ub is None else np.atleast_1d(np.asarray(b_ub, float))
-    a_eq = np.zeros((0, n)) if a_eq is None else np.atleast_2d(np.asarray(a_eq, float))
-    b_eq = np.zeros(0) if b_eq is None else np.atleast_1d(np.asarray(b_eq, float))
-    rows_ub = []
-    rhs_ub = []
-    if a_ub.shape[0]:
-        rows_ub.append(np.hstack([a_ub, -b_ub[:, None]]))
-        rhs_ub.append(np.zeros(a_ub.shape[0]))
-    if upper is not None:
-        upper = np.atleast_1d(np.asarray(upper, dtype=float))
-        for i, u in enumerate(upper):
-            if np.isfinite(u):
-                row = np.zeros(n + 1)
-                row[i] = 1.0
-                row[n] = -u
-                rows_ub.append(row[None, :])
-                rhs_ub.append(np.zeros(1))
-    rows_eq = [np.hstack([den, [den0]])[None, :]]
-    rhs_eq = [np.ones(1)]
-    if a_eq.shape[0]:
-        rows_eq.append(np.hstack([a_eq, -b_eq[:, None]]))
-        rhs_eq.append(np.zeros(a_eq.shape[0]))
+    a_ub = np.atleast_2d(np.asarray(a_ub, dtype=float))
     prog = LinearProgram.build(
-        "max",
-        np.hstack([num, [num0]]),
-        a_ub=np.vstack(rows_ub) if rows_ub else None,
-        b_ub=np.concatenate(rhs_ub) if rows_ub else None,
-        a_eq=np.vstack(rows_eq),
-        b_eq=np.concatenate(rhs_eq),
+        "max", num, a_ub=a_ub, b_ub=np.zeros(a_ub.shape[0]), a_eq=[den], b_eq=[1.0]
     )
     start = _phase1(prog, tol, False, None)
     if isinstance(start, LPSolution):
-        bare = LinearProgram.build("max", np.zeros(n), a_ub, b_ub, a_eq, b_eq, upper)
-        bare = solve(bare, tol=tol)
-        if bare.status == "infeasible":
-            empty = RatioSolution(np.nan, None, np.nan, bare, status="infeasible")
-            return empty, empty
-        raise ComputationError("fractional program not solvable: denominator degenerate")
-    hi = _dehomogenize(_phase2(prog, start, tol), n, tol)
-    lo = _dehomogenize(_phase2(replace(prog, sense="min"), start, tol), n, tol)
-    return lo, hi
-
-
-def _dehomogenize(sol: LPSolution, n: int, tol: float) -> RatioSolution:
-    if sol.status != "optimal":
-        raise ComputationError(f"fractional program not solvable: LP status {sol.status}")
-    s = float(sol.x[n])
-    if s <= tol:
-        raise ComputationError("denominator degenerate: zero scale at optimum")
-    return RatioSolution(value=float(sol.value), x=sol.x[:n] / s, scale=s, lp_solution=sol)
+        return start, start
+    return _phase2(replace(prog, sense="min"), start, tol), _phase2(prog, start, tol)

@@ -1,34 +1,38 @@
 """Measure-polytope pricing programs.
 
 All prices are conditional expectations of the discounted remaining payments
-of a contract, optimized over a polytope of measures expressed through their
-densities u against the reference probabilities:
+of a contract, optimized over measures expressed through their densities u
+against the reference probabilities:
 
 * the hedging-cone rows of :func:`conic_pricer.cone.generators_for`, over u
   and the nonnegative Snell-envelope excesses, for every node from the
   valuation date on - these carve out the risk-neutral densities;
-* optional band rows m <= u <= (1 + gamma) m plus the global normalization
-  sum u * p = 1 - these restrict to the acceptability density band.
+* optional band rows m <= u <= (1 + gamma) m - these restrict to the
+  acceptability density band.
 
-One builder assembles these rows for every price below, and one loop takes
-each node's minimum and maximum over them.
+Every row belongs to the subtree of one date-t node and is homogeneous, so
+each node is priced over its own cone alone: its rows over its own paths,
+envelope excesses and, with the band, its own scalar m.  The node's
+conditional expectation sum_node p u x / sum_node p u does not change when u
+is scaled, so its extremes are those of one plain LP on the slice where the
+node's mass is one.  This is exact: a density of the whole tree restricts to
+a point of each node's cone, and once every node's cone reaches its slice,
+rescaling each node's point to a common m (to any common scale without the
+band) glues them into one density of the whole tree with every node's ratio
+unchanged.  The no-good-deal check establishes that before any good-deal
+quote; a node that its no-arbitrage cone cannot charge (possible under
+``entry="mark"``) gets the status ``infeasible``.  With the band, m is
+bounded away from zero on the slice, so densities are strictly positive and
+no epsilon is needed.  Pure no-arbitrage bounds range over the closure
+(u >= 0) of the equivalent risk-neutral set, whose suprema/infima coincide
+with those over the open set whenever an equivalent risk-neutral measure
+exists - which is pre-checked by the arbitrage search.
 
-Conditional objectives are linear-fractional and are solved through the
-Charnes-Cooper transform with the node normalization sum_node u * p = 1; with
-the band present the free scalar m is automatically bounded away from zero,
-so feasible densities are strictly positive and no epsilon is needed.  Pure
-no-arbitrage bounds drop the band and range over the closure (u >= 0) of the
-equivalent risk-neutral set, whose suprema/infima coincide with those over
-the open set whenever an equivalent risk-neutral measure exists - which is
-pre-checked by the arbitrage search.  Without the band the rows form a cone,
-so each node's bounds are normalized on the node's own mass; a node that no
-density of the cone charges gets the status ``infeasible``.
-
-The rows and the band decompose per date-t node, so by LP duality the band
-polytope is empty exactly when some date-t node has a hedge (a nonnegative
-combination of its cone rows) whose gain-loss ratio beats the level.  The
-no-good-deal check looks for that hedge with one small LP per node; its
-weights are the witness, reported with the hedge's trading strategy.
+The no-good-deal check is the dual of the same per-node decomposition: by LP
+duality a node's band cone misses its slice exactly when the node has a
+hedge (a nonnegative combination of its cone rows) whose gain-loss ratio
+beats the level.  The check looks for that hedge with one small LP per node;
+its weights are the witness, reported with the hedge's trading strategy.
 
 ``entry="mark"`` switches the valuation-date legs of hedges initiated exactly
 at the pricing date to liquidation-side prices (entry spread refunded).  This
@@ -124,54 +128,40 @@ class NgdResult:
         return self.holds
 
 
-def _polytope(model: MarketModel, rows: NodeRows, gamma: Optional[float] = None) -> dict:
-    """The density polytope as ``a_ub``/``b_ub`` (and ``a_eq``/``b_eq``)
-    keywords of ``lp.solve_ratio`` and ``lp.LinearProgram.build``.
-
-    Columns: u per path, then the envelope excesses of ``rows``; with
-    ``gamma``, the band's scalar m.  Rows, in order: the cone rows; with
-    ``gamma``, the band rows m <= u <= (1 + gamma) m and the normalization
-    sum u * p = 1.  Without ``gamma`` the rows form a cone.
-    """
-    a_ub = np.hstack([rows.a_u, rows.a_v])
+def _node_cone(rows: NodeRows, cell: int, paths: list, gamma: Optional[float]):
+    """The pricing cone of date-t node ``cell`` on ``paths``: its rows of
+    ``rows`` over its own columns, u of its paths and then its envelope
+    excesses; with ``gamma``, the band m <= u <= (1 + gamma) m over its own
+    scalar m as a last column."""
+    pick = rows.owner == cell
+    a = np.hstack([rows.a_u[np.ix_(pick, paths)], rows.a_v[np.ix_(pick, rows.col_owner == cell)]])
     if gamma is None:
-        return {"a_ub": a_ub, "b_ub": np.zeros(len(rows))}
-    DensityBand(gamma)
-    n, k = rows.a_u.shape[1], rows.a_v.shape[1]
+        return a
+    n, k = len(paths), a.shape[1] - len(paths)
     eye, pad = np.eye(n), np.zeros((n, k))
-    a_ub = np.vstack([
-        np.hstack([a_ub, np.zeros((len(rows), 1))]),
+    return np.vstack([
+        np.hstack([a, np.zeros((len(a), 1))]),
         np.hstack([-eye, pad, np.ones((n, 1))]),
         np.hstack([eye, pad, np.full((n, 1), -(1.0 + gamma))]),
     ])
-    a_eq = np.concatenate([model.probabilities, np.zeros(k + 1)])[None, :]
-    return {"a_ub": a_ub, "b_ub": np.zeros(a_ub.shape[0]), "a_eq": a_eq, "b_eq": np.ones(1)}
 
 
 def _node_quotes(
-    model: MarketModel, cash_flow, t: int, gamma: Optional[float], polytope: dict, tol: float
+    model: MarketModel, cash_flow, rows: NodeRows, gamma: Optional[float], tol: float
 ) -> tuple[PriceEntry, ...]:
     """Min and max of each date-t node's conditional discounted tail over the
-    polytope of ``_polytope(model, rows, gamma)`` (Charnes-Cooper with the
-    node normalization).  Without the band (``gamma`` None) the polytope is a
-    cone, normalized here on each node's own mass, so a node it cannot charge
-    has no feasible point and gets ``STATUS_INFEASIBLE``."""
-    tree = model.tree
-    p = tree.probabilities
+    node's own cone; a node the cone cannot charge gets ``STATUS_INFEASIBLE``."""
+    p = model.probabilities
     _, Binv = model.discounts()
-    x = tail_sum(as_values(cash_flow) * Binv, t + 1)
-    width = polytope["a_ub"].shape[1]
+    x = tail_sum(as_values(cash_flow) * Binv, rows.start + 1)
     entries = []
-    for node in tree.nodes(t):
-        idx = list(tree.node_paths(node))
-        num = np.zeros(width)
-        den = np.zeros(width)
-        num[idx] = p[idx] * x[idx]
-        den[idx] = p[idx]
-        program = polytope if gamma is not None else dict(
-            polytope, a_eq=den[None, :], b_eq=np.ones(1)
-        )
-        lo, hi = lp.solve_ratio(num, den, **program, tol=tol)
+    for node in model.tree.nodes(rows.start):
+        paths = list(model.tree.node_paths(node))
+        a_ub = _node_cone(rows, node.cell, paths, gamma)
+        num, den = np.zeros(a_ub.shape[1]), np.zeros(a_ub.shape[1])
+        num[: len(paths)] = p[paths] * x[paths]
+        den[: len(paths)] = p[paths]
+        lo, hi = lp.solve_ratio(num, den, a_ub, tol=tol)
         if hi.status == "infeasible":
             entries.append(PriceEntry(node, np.nan, np.nan, STATUS_INFEASIBLE))
         else:
@@ -205,10 +195,7 @@ def noarb_bounds(
         return PriceQuote(time=t, gamma=None, entries=entries)
     if entry != "trade":
         rows = generators_for(model, t, entry)
-    polytope = _polytope(model, rows)
-    return PriceQuote(
-        time=t, gamma=None, entries=_node_quotes(model, cash_flow, t, None, polytope, tol)
-    )
+    return PriceQuote(time=t, gamma=None, entries=_node_quotes(model, cash_flow, rows, None, tol))
 
 
 def good_deal_certificate(
@@ -285,6 +272,7 @@ def _good_deal_weights(model: MarketModel, rows: NodeRows, gamma: float, tol: fl
 def _ngd(model: MarketModel, gamma: float, rows: NodeRows, tol: float) -> NgdResult:
     """The no-good-deal check: violated when some date-t node has a hedge
     beating ``gamma``, with that hedge as the witness."""
+    DensityBand(gamma)
     t = rows.start
     weights = _good_deal_weights(model, rows, gamma, tol)
     if weights is None:
@@ -336,9 +324,8 @@ def _good_deal_quote(
             PriceEntry(node, np.inf, -np.inf, STATUS_NGD) for node in model.tree.nodes(t)
         )
         return PriceQuote(time=t, gamma=gamma, entries=entries, witness=check.witness)
-    polytope = _polytope(model, rows, gamma)
     return PriceQuote(
-        time=t, gamma=gamma, entries=_node_quotes(model, cash_flow, t, gamma, polytope, tol)
+        time=t, gamma=gamma, entries=_node_quotes(model, cash_flow, rows, gamma, tol)
     )
 
 

@@ -21,6 +21,8 @@ from conic_pricer.errors import ValidationError
 from conic_pricer.lattice import NodeRef, as_values, tail_sum
 from conic_pricer.market import make_self_financing
 
+from lp_reference import solve_ratio
+
 
 @dataclass(frozen=True)
 class StoppingProfile:
@@ -261,6 +263,34 @@ def enumerated_quotes(model, cash_flow, t, entry="trade", gamma=None):
         program = polytope if gamma is not None else dict(
             polytope, a_eq=den[None, :], b_eq=np.ones(1)
         )
-        lo, hi = lp.solve_ratio(num, den, **program)
+        lo, hi = solve_ratio(num, den, **program)
         out.append((lo.value, hi.value) if hi.status == "optimal" else None)
     return out
+
+
+# ---------------------------------------------------------------------------
+# the whole-tree route over the node-form rows
+
+
+def node_form_polytope(model, rows, gamma=None):
+    """The density polytope of the node-form ``rows`` over the whole tree, as
+    ``a_ub``/``b_ub`` (and ``a_eq``/``b_eq``) keywords of ``lp.LinearProgram``.
+
+    Columns: u per path, then the envelope excesses of ``rows``; with
+    ``gamma``, one band scalar m for the whole tree.  Rows, in order: the cone
+    rows; with ``gamma``, the band rows m <= u <= (1 + gamma) m and the
+    normalization sum u * p = 1.  Without ``gamma`` the rows form a cone.
+    """
+    a_ub = np.hstack([rows.a_u, rows.a_v])
+    if gamma is None:
+        return {"a_ub": a_ub, "b_ub": np.zeros(len(rows))}
+    DensityBand(gamma)
+    n, k = rows.a_u.shape[1], rows.a_v.shape[1]
+    eye, pad = np.eye(n), np.zeros((n, k))
+    a_ub = np.vstack([
+        np.hstack([a_ub, np.zeros((len(rows), 1))]),
+        np.hstack([-eye, pad, np.ones((n, 1))]),
+        np.hstack([eye, pad, np.full((n, 1), -(1.0 + gamma))]),
+    ])
+    a_eq = np.concatenate([model.probabilities, np.zeros(k + 1)])[None, :]
+    return {"a_ub": a_ub, "b_ub": np.zeros(a_ub.shape[0]), "a_eq": a_eq, "b_eq": np.ones(1)}

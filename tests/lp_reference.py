@@ -9,13 +9,21 @@ enters, by the same numpy reduction over the same entries, and after
 moves.  It stops at the primal answer (status, value, x, iterations);
 ``lp.solve`` must reproduce all four bit for bit, because both kernels make
 the same float operations on every entry that a pivot choice reads.
+
+It also holds the general linear-fractional solver ``solve_ratio``: the
+Charnes-Cooper transform over ``lp``'s phases, with constant terms, bounds
+and equalities, which the whole-tree reference programs need.
+``lp.solve_ratio`` only takes ratios over a cone.
 """
 
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from typing import Optional
 
 import numpy as np
 
-from conic_pricer.errors import ComputationError
+from conic_pricer.errors import ComputationError, ValidationError
+from conic_pricer.lp import DEFAULT_TOL, LinearProgram, LPSolution, _phase1, _phase2, solve
 
 STALL_PIVOTS = 50
 
@@ -193,3 +201,100 @@ def reference_solve(lp, *, tol=1e-9, exact=False):
         x_full[basis[i]] = T[i, -1]
     x = np.array([float(v) for v in x_full[:n]])
     return "optimal", sense_mult * float(T[-1, -1]), x, it1 + it2
+
+
+# ---------------------------------------------------------------------------
+# the general linear-fractional program (Charnes-Cooper)
+
+
+@dataclass
+class RatioSolution:
+    value: float
+    x: Optional[np.ndarray]
+    scale: float
+    lp_solution: LPSolution = field(repr=False, default=None)
+    status: str = "optimal"  # "optimal" | "infeasible" (empty feasible set)
+
+
+def solve_ratio(
+    num,
+    den,
+    *,
+    num0: float = 0.0,
+    den0: float = 0.0,
+    a_ub=None,
+    b_ub=None,
+    a_eq=None,
+    b_eq=None,
+    upper=None,
+    tol: float = DEFAULT_TOL,
+) -> tuple[RatioSolution, RatioSolution]:
+    """Minimum and maximum of (num @ x + num0) / (den @ x + den0) over the LP
+    feasible set, as ``(lo, hi)``.
+
+    The caller must guarantee the denominator is strictly positive on the
+    feasible set.  Charnes-Cooper: with y = s*x, s >= 0, constraints become
+    homogeneous in (y, s) and the denominator is pinned to 1.  Both extremes
+    start phase 2 from one phase 1 of that program, so each is bit for bit
+    what ``solve`` gives for its sense; certification and the exact fallback
+    stay per extreme.  If the program is infeasible, the constraints alone
+    decide: an empty feasible set gives status ``infeasible`` (value NaN) for
+    both, a nonempty one on which the denominator vanishes raises
+    :class:`ComputationError`.
+    """
+    num = np.atleast_1d(np.asarray(num, dtype=float))
+    den = np.atleast_1d(np.asarray(den, dtype=float))
+    n = num.shape[0]
+    if den.shape[0] != n:
+        raise ValidationError("numerator/denominator dimension mismatch")
+    a_ub = np.zeros((0, n)) if a_ub is None else np.atleast_2d(np.asarray(a_ub, float))
+    b_ub = np.zeros(0) if b_ub is None else np.atleast_1d(np.asarray(b_ub, float))
+    a_eq = np.zeros((0, n)) if a_eq is None else np.atleast_2d(np.asarray(a_eq, float))
+    b_eq = np.zeros(0) if b_eq is None else np.atleast_1d(np.asarray(b_eq, float))
+    rows_ub = []
+    rhs_ub = []
+    if a_ub.shape[0]:
+        rows_ub.append(np.hstack([a_ub, -b_ub[:, None]]))
+        rhs_ub.append(np.zeros(a_ub.shape[0]))
+    if upper is not None:
+        upper = np.atleast_1d(np.asarray(upper, dtype=float))
+        for i, u in enumerate(upper):
+            if np.isfinite(u):
+                row = np.zeros(n + 1)
+                row[i] = 1.0
+                row[n] = -u
+                rows_ub.append(row[None, :])
+                rhs_ub.append(np.zeros(1))
+    rows_eq = [np.hstack([den, [den0]])[None, :]]
+    rhs_eq = [np.ones(1)]
+    if a_eq.shape[0]:
+        rows_eq.append(np.hstack([a_eq, -b_eq[:, None]]))
+        rhs_eq.append(np.zeros(a_eq.shape[0]))
+    prog = LinearProgram.build(
+        "max",
+        np.hstack([num, [num0]]),
+        a_ub=np.vstack(rows_ub) if rows_ub else None,
+        b_ub=np.concatenate(rhs_ub) if rows_ub else None,
+        a_eq=np.vstack(rows_eq),
+        b_eq=np.concatenate(rhs_eq),
+    )
+    start = _phase1(prog, tol, False, None)
+    if isinstance(start, LPSolution):
+        bare = LinearProgram.build("max", np.zeros(n), a_ub, b_ub, a_eq, b_eq, upper)
+        bare = solve(bare, tol=tol)
+        if bare.status == "infeasible":
+            empty = RatioSolution(np.nan, None, np.nan, bare, status="infeasible")
+            return empty, empty
+        raise ComputationError("fractional program not solvable: denominator degenerate")
+    hi = _dehomogenize(_phase2(prog, start, tol), n, tol)
+    lo = _dehomogenize(_phase2(replace(prog, sense="min"), start, tol), n, tol)
+    return lo, hi
+
+
+def _dehomogenize(sol: LPSolution, n: int, tol: float) -> RatioSolution:
+    if sol.status != "optimal":
+        raise ComputationError(f"fractional program not solvable: LP status {sol.status}")
+    s = float(sol.x[n])
+    if s <= tol:
+        raise ComputationError("denominator degenerate: zero scale at optimum")
+    return RatioSolution(value=float(sol.value), x=sol.x[:n] / s, scale=s, lp_solution=sol)

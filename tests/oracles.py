@@ -22,6 +22,7 @@ from conic_pricer.errors import ComputationError, ValidationError
 from conic_pricer.lattice import as_values, tail_sum
 
 from cone_reference import reference_generator_matrix
+from lp_reference import solve_ratio
 
 VERTEX_CAP = 20
 INDEX_GAMMA_LOW = 1e-12
@@ -70,7 +71,7 @@ def band_extreme_lp(x, w, gamma, minimize=True):
         a_ub[i, n] = 1.0
         a_ub[n + i, i] = 1.0
         a_ub[n + i, n] = -(1.0 + gamma)
-    lo, hi = lp.solve_ratio(
+    lo, hi = solve_ratio(
         np.concatenate([w * x, [0.0]]),
         np.concatenate([w, [0.0]]),
         a_ub=a_ub,

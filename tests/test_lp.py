@@ -7,6 +7,7 @@ from conic_pricer.lp import LinearProgram, solve, solve_ratio
 
 from conftest import lp_vertex_oracle
 from lp_reference import reference_solve
+from lp_reference import solve_ratio as charnes_cooper
 
 
 class TestSolveBasics:
@@ -292,16 +293,20 @@ class TestExactMode:
 
 
 class TestSolveRatio:
+    """``solve_ratio`` over a cone; the general linear-fractional cases
+    (constant terms, bounds, a vanishing denominator) run on the
+    Charnes-Cooper reference that the whole-tree oracles use."""
+
     def test_monotone_ratio_on_interval(self):
         # (2x + 1)/(x + 1) over x in [0, 1]: 1 at x = 0, 1.5 at x = 1
-        lo, hi = solve_ratio([2.0], [1.0], num0=1.0, den0=1.0, upper=[1.0])
+        lo, hi = charnes_cooper([2.0], [1.0], num0=1.0, den0=1.0, upper=[1.0])
         assert hi.value == pytest.approx(1.5, abs=1e-9)
         assert hi.x[0] == pytest.approx(1.0, abs=1e-9)
         assert lo.value == pytest.approx(1.0, abs=1e-9)
         assert lo.x[0] == pytest.approx(0.0, abs=1e-9)
 
     def test_constant_denominator_reduces_to_lp(self):
-        lo, hi = solve_ratio(
+        lo, hi = charnes_cooper(
             [1.0, 1.0], [0.0, 0.0], den0=1.0, a_ub=[[1.0, 1.0]], b_ub=[1.0]
         )
         assert hi.value == pytest.approx(1.0, abs=1e-9)
@@ -310,18 +315,26 @@ class TestSolveRatio:
     def test_two_state_band_minimum(self):
         # the band-weighted average of (1, -1) at level 1: the minimum loads
         # weight 2 on the loss state -> -1/3, the maximum on the gain state
-        lo, hi = solve_ratio(
+        lo, hi = charnes_cooper(
             [0.5, -0.5], [0.5, 0.5],
             a_ub=[[-1.0, 0.0], [0.0, -1.0], [1.0, 0.0], [0.0, 1.0]],
             b_ub=[-1.0, -1.0, 2.0, 2.0],
         )
         assert lo.value == pytest.approx(-1.0 / 3.0, abs=1e-9)
         assert hi.value == pytest.approx(1.0 / 3.0, abs=1e-9)
+        # the same band as a cone over (u1, u2, m): m <= u <= 2m
+        lo, hi = solve_ratio(
+            [0.5, -0.5, 0.0], [0.5, 0.5, 0.0],
+            [[-1.0, 0.0, 1.0], [0.0, -1.0, 1.0], [1.0, 0.0, -2.0], [0.0, 1.0, -2.0]],
+        )
+        assert lo.value == pytest.approx(-1.0 / 3.0, abs=1e-9)
+        assert hi.value == pytest.approx(1.0 / 3.0, abs=1e-9)
+        assert 0.5 * hi.x[0] + 0.5 * hi.x[1] == pytest.approx(1.0, abs=1e-12)
 
     def test_upper_bounds_homogenize(self):
         # max (x1 + x2)/(x1 + 1) with x in [0, 2]^2: push x2 to its cap and
         # shrink x1; the minimum 0 needs x2 = 0
-        lo, hi = solve_ratio([1.0, 1.0], [1.0, 0.0], den0=1.0, upper=[2.0, 2.0])
+        lo, hi = charnes_cooper([1.0, 1.0], [1.0, 0.0], den0=1.0, upper=[2.0, 2.0])
         assert hi.value == pytest.approx(2.0, abs=1e-9)
         assert hi.x[0] == pytest.approx(0.0, abs=1e-9)
         assert hi.x[1] == pytest.approx(2.0, abs=1e-9)
@@ -330,34 +343,33 @@ class TestSolveRatio:
 
     def test_degenerate_denominator_raises(self):
         with pytest.raises(ComputationError, match="degenerate|not solvable"):
-            solve_ratio([1.0], [1.0], a_ub=[[1.0]], b_ub=[0.0])
+            charnes_cooper([1.0], [1.0], a_ub=[[1.0]], b_ub=[0.0])
 
     def test_empty_feasible_set_reports_infeasible(self):
-        # x >= 2 and x <= 1: nothing to optimize over, and no exception
-        for res in solve_ratio([1.0], [1.0], a_ub=[[1.0], [-1.0]], b_ub=[1.0, -2.0]):
+        # x1 <= 0 on the cone: no point charges den = (1, 0), so there is
+        # nothing to optimize over, and no exception
+        for res in solve_ratio([1.0, 1.0], [1.0, 0.0], [[1.0, 0.0], [-1.0, 1.0]]):
             assert res.status == "infeasible"
             assert np.isnan(res.value) and res.x is None
 
     def test_both_extremes_equal_separate_solves(self):
         # (lo, hi) share one phase 1, so each is bit for bit a separate
-        # solve of the same Charnes-Cooper program in its sense
+        # solve of the slice den @ x = 1 of the cone in its sense
         rng = np.random.default_rng(11)
         for _ in range(20):
             n, m = int(rng.integers(3, 7)), int(rng.integers(8, 30))
             x0 = rng.uniform(0.1, 1.0, size=n)
             a_ub, den = rng.normal(size=(m, n)), rng.uniform(0.1, 1.0, size=n)
-            b_ub = a_ub @ x0 + np.abs(rng.normal(size=m)) * (rng.random(m) < 0.7)
-            a_eq = rng.uniform(0.1, 1.0, size=(1, n))
+            # shift the rows so that x0 lies in the cone, most rows slack
+            a_ub -= np.outer(a_ub @ x0 + np.abs(rng.normal(size=m)) * (rng.random(m) < 0.7),
+                             x0 / (x0 @ x0))
             num = rng.normal(size=n)
-            lo, hi = solve_ratio(num, den, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=a_eq @ x0)
+            lo, hi = solve_ratio(num, den, a_ub)
             for sense, got in (("max", hi), ("min", lo)):
                 want = solve(LinearProgram.build(
-                    sense, np.append(num, 0.0),
-                    a_ub=np.hstack([a_ub, -b_ub[:, None]]), b_ub=np.zeros(m),
-                    a_eq=np.vstack([np.append(den, 0.0), np.append(a_eq, -a_eq @ x0)]),
-                    b_eq=[1.0, 0.0],
+                    sense, num, a_ub=a_ub, b_ub=np.zeros(m), a_eq=[den], b_eq=[1.0]
                 ))
-                sol = got.lp_solution
-                assert np.float64(sol.value).tobytes() == np.float64(want.value).tobytes()
-                assert sol.x.tobytes() == want.x.tobytes()
-                assert sol.iterations == want.iterations
+                assert got.status == want.status == "optimal"
+                assert np.float64(got.value).tobytes() == np.float64(want.value).tobytes()
+                assert got.x.tobytes() == want.x.tobytes()
+                assert got.iterations == want.iterations

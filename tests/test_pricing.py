@@ -33,6 +33,7 @@ from cone_reference import (
     best_single_ratio,
     enumerated_ngd,
     enumerated_quotes,
+    node_form_polytope,
     reference_generators,
 )
 from conftest import (
@@ -236,7 +237,7 @@ class TestNgdCheck:
             for t in range(tree.horizon):
                 rows = generators_for(model, t)
                 for gamma in (0.05, 0.5):
-                    band = pricing._polytope(model, rows, gamma)
+                    band = node_form_polytope(model, rows, gamma)
                     prog = lp.LinearProgram.build("max", np.zeros(band["a_ub"].shape[1]), **band)
                     empty = lp.solve(prog).status != "optimal"
                     weights = pricing._good_deal_weights(model, rows, gamma, lp.DEFAULT_TOL)
@@ -338,15 +339,38 @@ class TestGoodDealPrices:
         assert e.ask == pytest.approx(5.0 * 9.0 / 22.0, abs=1e-9)
         assert e.bid == pytest.approx(5.0 / 6.0, abs=1e-9)
 
-    def test_stalled_binary_market_prices(self):
-        # horizon-4 binary market with 1% costs and gamma = 2, whose band LP
-        # over the enumerated round trips ran to the simplex iteration limit
-        model = binary_tree_market(
-            1.1043686640170864, 0.9258077400201192, 0.02, 0.5890045592020542, 0.01
-        )
-        e = good_deal_prices(model, call_payoff(model, 98.0008665406378), 0, 2.0).entry(0)
-        assert e.status == STATUS_OK
-        assert e.bid <= 12.7235786 <= e.ask  # the CRR value
+    @pytest.mark.parametrize("market, strike, t, gamma, crr", [
+        # tree market 2 of the benchmark: its band LP over the enumerated
+        # round trips ran to the simplex iteration limit
+        ((1.1043686640170864, 0.9258077400201192, 0.02, 0.5890045592020542, 0.01, 4),
+         98.0008665406378, 0, 2.0, (12.7235786,)),
+        # the benchmark's horizon-6 ladder market: the whole-tree
+        # Charnes-Cooper program ran to the iteration limit (75,220)
+        ((1.0928958413535974, 0.9078999912795677, 0.0, 0.45219561150702625, 0.01, 6),
+         97.37991843927061, 1, 8.0, (15.4344470, 4.5656506)),
+        # the benchmark's tree market 7, whose CRR density (ratio 146) is
+        # outside the band: the whole-tree program fell back to exact
+        # rationals twice
+        ((1.1125017509724777, 0.9664659185246623, 0.0, 0.5090445389062614, 0.02, 4),
+         95.83543320054928, 1, 20.0, (15.4147419, 4.7381275)),
+    ], ids=["tree-market-2", "ladder-horizon-6", "tree-market-7"])
+    def test_stalled_binary_market_prices(self, monkeypatch, market, strike, t, gamma, crr):
+        # binary markets with costs: each node's quotes bracket its CRR value,
+        # and no solve falls back to exact rationals
+        exact = []
+        real = lp.solve
+
+        def recording(prog, **kwargs):
+            exact.append(kwargs.get("exact", False))
+            return real(prog, **kwargs)
+
+        monkeypatch.setattr(lp, "solve", recording)
+        model = binary_tree_market(*market)
+        quote = good_deal_prices(model, call_payoff(model, strike), t, gamma)
+        for e, value in zip(quote.entries, crr, strict=True):
+            assert e.status == STATUS_OK
+            assert e.bid <= value <= e.ask
+        assert exact and not any(exact)
 
     def test_symmetry(self, rng):
         # ask of D equals minus the bid of -D
@@ -597,6 +621,18 @@ class TestLiquiditySurface:
         build_model, build_payoff = self._builders()
         with pytest.raises(ValidationError):
             liquidity_surface(build_model, build_payoff, [], [0.0])
+        # so is a level outside (0, inf), in the surface and every quote
+        model = build_model(0.0)
+        payoff = build_payoff(model)
+        for gamma in (0.0, -1.0, np.nan, np.inf):
+            for call in (
+                lambda: liquidity_surface(build_model, build_payoff, [gamma], [0.0]),
+                lambda: ngd_check(model, 0, gamma),
+                lambda: good_deal_prices(model, payoff, 0, gamma),
+                lambda: forward_prices(model, payoff, 1, gamma),
+            ):
+                with pytest.raises(ValidationError, match="acceptance level"):
+                    call()
 
     def test_node_validated_before_pricing(self, monkeypatch):
         # a quote that fails must not mask the usage error
