@@ -12,6 +12,7 @@ CONIC_PRICER_TOLERANCE overrides the global 1e-9 LP tolerance.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -387,6 +388,7 @@ def _add_common(sub, payoff=True, gamma=False, entry=True, report=True):
                          help="significant digits in reports")
 
 
+@functools.cache  # parsing leaves the parser unchanged, so one serves every call
 def build_parser() -> _Parser:
     parser = _Parser(prog="conic-pricer", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True)

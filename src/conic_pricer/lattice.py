@@ -147,6 +147,21 @@ class EventTree:
         """Cell index per path at date t."""
         return self._cell_of[t]
 
+    def unmeasurable_cell(
+        self, values: np.ndarray, tol: float = 0.0
+    ) -> Optional[tuple[int, Cell]]:
+        """The first (t, cell), by date and then cell, whose values in column
+        t of ``values`` differ by more than ``tol`` (max - min > tol), or None."""
+        for t in range(values.shape[1]):
+            idx, n_cells = self._cell_of[t], len(self.partitions[t])
+            hi, lo = np.full(n_cells, -np.inf), np.full(n_cells, np.inf)
+            np.maximum.at(hi, idx, values[:, t])
+            np.minimum.at(lo, idx, values[:, t])
+            over = np.flatnonzero(hi - lo > tol)
+            if over.size:
+                return t, self.partitions[t][over[0]]
+        return None
+
     def children(self, node: NodeRef) -> list[NodeRef]:
         if node.time >= self.horizon:
             return []
@@ -183,14 +198,13 @@ def ensure_adapted(
         )
     if not np.all(np.isfinite(arr)):
         raise ValidationError(f"{name} contains non-finite entries")
-    for t in range(tree.horizon + 1):
-        for cell in tree.partitions[t]:
-            col = arr[list(cell), t]
-            if np.max(col) - np.min(col) > tol:
-                raise ValidationError(
-                    f"{name} is not measurable at t={t}: values differ inside "
-                    f"cell {cell} ({col.tolist()})"
-                )
+    bad = tree.unmeasurable_cell(arr, tol)
+    if bad is not None:
+        t, cell = bad
+        raise ValidationError(
+            f"{name} is not measurable at t={t}: values differ inside "
+            f"cell {cell} ({arr[list(cell), t].tolist()})"
+        )
     return arr
 
 

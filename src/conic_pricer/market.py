@@ -115,11 +115,9 @@ class MarketModel:
             raise ValidationError(f"rates must have shape {(n, T)}, got {r.shape}")
         if np.any(r < 0):
             raise ValidationError("rates must be nonnegative")
-        for t in range(T):
-            for cell in tree.partitions[t]:
-                col = r[list(cell), t]
-                if np.max(col) - np.min(col) > 0:
-                    raise ValidationError(f"rates not adapted at t={t}, cell {cell}")
+        bad = tree.unmeasurable_cell(r)
+        if bad is not None:
+            raise ValidationError(f"rates not adapted at t={bad[0]}, cell {bad[1]}")
         self.rates = r
 
         if not securities:

@@ -34,6 +34,13 @@ hedge (a nonnegative combination of its cone rows) whose gain-loss ratio
 beats the level.  The check looks for that hedge with one small LP per node;
 its weights are the witness, reported with the hedge's trading strategy.
 
+The check is monotone in the level: the band m <= u <= (1 + gamma) m only
+widens as gamma grows, so a level at which no hedge beats gamma leaves every
+larger level free of good deals, and a witness whose ratio r has been
+confirmed by ``dglr_eval`` beats every level below r.  The liquidity surface
+sweeps each of its lambda rows upward through the levels and runs the check
+only where neither fact already answers it.
+
 ``entry="mark"`` switches the valuation-date legs of hedges initiated exactly
 at the pricing date to liquidation-side prices (entry spread refunded).  This
 is not the transaction-priced cone (the default) but reproduces published
@@ -310,15 +317,16 @@ def good_deal_prices(
 ) -> PriceQuote:
     """Bid/ask of the discounted tail over band-restricted risk-neutral
     densities; sentinel +inf/-inf quotes when no such density exists."""
-    return _good_deal_quote(model, cash_flow, generators_for(model, t, entry), gamma, tol)
+    rows = generators_for(model, t, entry)
+    return _good_deal_quote(model, cash_flow, rows, gamma, tol, _ngd(model, gamma, rows, tol))
 
 
 def _good_deal_quote(
-    model: MarketModel, cash_flow, rows: NodeRows, gamma: float, tol: float
+    model: MarketModel, cash_flow, rows: NodeRows, gamma: float, tol: float, check: NgdResult
 ) -> PriceQuote:
-    """:func:`good_deal_prices` over the cone ``rows`` of its date."""
+    """:func:`good_deal_prices` over the cone ``rows`` of its date, given the
+    no-good-deal ``check`` at ``gamma`` on those rows."""
     t = rows.start
-    check = _ngd(model, gamma, rows, tol)
     if not check.holds:
         entries = tuple(
             PriceEntry(node, np.inf, -np.inf, STATUS_NGD) for node in model.tree.nodes(t)
@@ -374,14 +382,25 @@ def liquidity_surface(
     tol: float = lp.DEFAULT_TOL,
     entry: str = "trade",
 ) -> list[SurfaceCell]:
-    """Good-deal bid/ask/spread on a (gamma, lambda) grid.
+    """Good-deal bid/ask/spread on a (gamma, lambda) grid, in the order of
+    ``lambdas`` and, within each, of ``gammas``.
 
     The model, the payoff and the cone rows are built once per
     transaction-cost coefficient, then each level is repriced at the
-    requested date-t node.
+    requested date-t node.  Along one such row the no-good-deal check is
+    swept over the levels in ascending order: the band widens with gamma, so
+    a level at which no hedge beats gamma clears every larger level too, and
+    a witness hedge of ratio r beats every level below r.  A level at or above
+    the smallest one seen to hold is priced without a check.  One below the
+    largest witness ratio seen is violated with that witness, still a valid
+    certificate there: its ratio is the one ``dglr_eval`` computed, and it
+    exceeds the level.  Only the levels in between run the check.
     """
     if not gammas or not lambdas:
         raise ValidationError("surface needs nonempty gamma and lambda lists")
+    for gamma in gammas:
+        DensityBand(gamma)
+    ascending = sorted(range(len(gammas)), key=gammas.__getitem__)
     cells = []
     for lam in lambdas:
         model = model_builder(lam)
@@ -392,9 +411,25 @@ def liquidity_surface(
         if not 0 <= node < count:
             raise ValidationError(f"node {node} outside 0..{count - 1} at t={t}")
         rows = generators_for(model, t, entry)
-        for gamma in gammas:
-            quote = _good_deal_quote(model, payoff, rows, gamma, tol)
-            e = quote.entry(node)
+        # ascending, so a check runs only above every witness ratio seen and
+        # below any level held: the first level held is the smallest, and the
+        # latest witness has the largest ratio
+        held, beaten = np.inf, None
+        row = [None] * len(gammas)
+        for i in ascending:
+            gamma = gammas[i]
+            if gamma >= held:
+                check = NgdResult(holds=True, gamma=gamma, time=t)
+            elif beaten is not None and gamma < beaten.dglr:
+                check = NgdResult(holds=False, gamma=gamma, time=t, witness=beaten)
+            else:
+                check = _ngd(model, gamma, rows, tol)
+                if check.holds:
+                    held = gamma
+                elif check.witness is not None:
+                    beaten = check.witness
+            e = _good_deal_quote(model, payoff, rows, gamma, tol, check).entry(node)
             spread = e.ask - e.bid if e.status == STATUS_OK else np.nan
-            cells.append(SurfaceCell(gamma, lam, e.bid, e.ask, spread, e.status))
+            row[i] = SurfaceCell(gamma, lam, e.bid, e.ask, spread, e.status)
+        cells.extend(row)
     return cells

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import conic_pricer
 from conic_pricer import lp
 from conic_pricer.cli import (
     EXIT_INTERNAL,
@@ -341,6 +345,32 @@ class TestRoundTripAndDeterminism:
             _, out, _ = run(capsys, "bounds", MODEL, PAYOFF, "--lam", "0.005")
             outs.add(out)
         assert len(outs) == 1
+
+    def test_one_process_matches_fresh_processes(self, capsys):
+        # main reuses one parser: a command after a json report or a usage
+        # error prints what it prints in a process of its own
+        commands = [
+            ["bounds", MODEL, PAYOFF, "--time", "1", "--format", "json"],
+            ["bounds", MODEL, PAYOFF, "--gamma", "8"],
+            ["price", MODEL, PAYOFF, "--gamma", "8", "--precision", "3"],
+            ["bounds", MODEL, PAYOFF, "--time", "1"],
+            ["surface", MODEL, PAYOFF, "--gammas", "8,0.25", "--lambdas", "0.01,0"],
+            ["ngd", MODEL, "--gamma", "0.25"],
+        ]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [os.path.dirname(os.path.dirname(conic_pricer.__file__)), env.get("PYTHONPATH", "")]
+        )
+        codes = []
+        for argv in commands:
+            code, out, _ = run(capsys, *argv)
+            fresh = subprocess.run(
+                [sys.executable, "-m", "conic_pricer.cli", *argv],
+                capture_output=True, text=True, env=env, timeout=60,
+            )
+            assert (code, out) == (fresh.returncode, fresh.stdout), argv
+            codes.append(code)
+        assert codes == [EXIT_OK, EXIT_USAGE, EXIT_OK, EXIT_OK, EXIT_OK, EXIT_OK]
 
     def test_negative_precision_is_usage_error(self, capsys):
         code, out, err = run(capsys, "bounds", MODEL, PAYOFF, "--precision", "-1")

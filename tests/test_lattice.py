@@ -86,6 +86,20 @@ class TestAdaptedness:
         out = ensure_adapted(tree, vals, tol=1e-12)
         assert out.shape == (5, 3)
 
+    def test_message_names_first_cell_over_tolerance(self):
+        tree = two_period_tree()
+        vals = TABLE_BIDS.copy()
+        vals[4, 1] += 1e-13  # second date-1 cell
+        vals[1, 1] += 1e-13  # first date-1 cell, reported first
+        with pytest.raises(ValidationError) as exc:
+            ensure_adapted(tree, vals, name="stock bid")
+        assert str(exc.value) == (
+            "stock bid is not measurable at t=1: values differ inside cell "
+            "(0, 1, 2) ([80.0, 80.0000000000001, 80.0])"
+        )
+        # a spread equal to the tolerance is accepted
+        ensure_adapted(tree, vals, tol=max(vals[1, 1] - vals[0, 1], vals[4, 1] - vals[3, 1]))
+
     def test_ingest_wrapper(self):
         tree = two_period_tree()
         proc = AdaptedProcess.ingest(tree, TABLE_BIDS)

@@ -115,6 +115,14 @@ class TestModelValidation:
         with pytest.raises(ValidationError, match="nonnegative"):
             MarketModel(tree, -0.01, [apply_transaction_costs(TABLE_BIDS, 0.0)])
 
+    def test_unadapted_rates_rejected(self):
+        tree = two_period_tree()
+        rates = np.zeros((5, 2))
+        rates[4, 1] = 0.01  # differs from path 3 inside date-1 cell (3, 4)
+        with pytest.raises(ValidationError) as exc:
+            MarketModel(tree, rates, [apply_transaction_costs(TABLE_BIDS, 0.0)])
+        assert str(exc.value) == "rates not adapted at t=1, cell (3, 4)"
+
 
 class TestWealth:
     def test_buy_then_liquidate_values(self):

@@ -551,6 +551,13 @@ class TestForwardPrices:
             forward_prices(model, np.zeros((4, 3)), 0, 1.0)
 
 
+# the benchmark's surface markets 0 and 1: (u, d, r, p_up, strike)
+PIVOT_BUDGET_MARKETS = (
+    (1.1169597643210607, 0.9673785501310888, 0.02, 0.4717907656066426, 97.61587059499817),
+    (1.0860124974091736, 0.9134688409994752, 0.01, 0.5169193207716103, 106.43894314743076),
+)
+
+
 class TestLiquiditySurface:
     @staticmethod
     def _builders():
@@ -639,36 +646,89 @@ class TestLiquiditySurface:
         def failing(*args, **kwargs):
             raise ComputationError("priced before the node was checked")
 
-        monkeypatch.setattr(pricing, "_good_deal_quote", failing)
+        # each cell runs the no-good-deal check, unless the sweep knows its
+        # answer, and then the quote
+        for name in ("_ngd", "_good_deal_quote"):
+            monkeypatch.setattr(pricing, name, failing)
         build_model, build_payoff = self._builders()
         for t, node, message in ((1, 2, "node 2 outside 0..1"), (2, 0, "start date 2")):
             with pytest.raises(ValidationError, match=message):
                 liquidity_surface(build_model, build_payoff, [8.0], [0.0], t, node=node)
 
+    def test_levels_validated_before_building(self):
+        # a level the sweep would answer without a check is still rejected,
+        # before any model is built
+        built = []
+        _, build_payoff = self._builders()
+        with pytest.raises(ValidationError, match="acceptance level"):
+            liquidity_surface(built.append, build_payoff, [8.0, -1.0], [0.0])
+        assert built == []
+
+    @pytest.mark.parametrize("market", PIVOT_BUDGET_MARKETS)
+    def test_sweep_equals_per_cell_quotes(self, market, monkeypatch):
+        # the sweep over an unsorted level list with a duplicate answers each
+        # cell as good_deal_prices does, bit for bit, with fewer checks
+        u, d, r, p_up, strike = market
+        gammas = [4.0, 0.25, 8.0, 1.0, 4.0, 0.5, 2.0]
+        lambdas = [0.0, 0.01]
+        checks = []
+        real = pricing._ngd
+
+        def counting(*args):
+            checks.append(1)
+            return real(*args)
+
+        def build_model(lam):
+            return binary_tree_market(u, d, r, p_up, lam, horizon=3)
+
+        monkeypatch.setattr(pricing, "_ngd", counting)
+        surfaces = {
+            (t, node): liquidity_surface(
+                build_model, lambda model: call_payoff(model, strike), gammas, lambdas, t,
+                node=node,
+            )
+            for t, node in ((0, 0), (1, 1))
+        }
+        monkeypatch.undo()
+        assert 0 < len(checks) < 2 * len(gammas) * len(lambdas)
+        for (t, node), cells in surfaces.items():
+            grid = [(lam, gamma) for lam in lambdas for gamma in gammas]
+            assert [(c.lam, c.gamma) for c in cells] == grid
+            for c in cells:
+                model = build_model(c.lam)
+                e = good_deal_prices(model, call_payoff(model, strike), t, c.gamma).entry(node)
+                assert c.status == e.status
+                assert np.array_equal([c.bid, c.ask], [e.bid, e.ask], equal_nan=True)
+
 
     def test_pivot_budget(self, monkeypatch):
         # two horizon-3 binary surfaces (the benchmark's surface markets 0 and
-        # 1): 3,622 pivots with Bland's rule and a phase 1 per extreme, 1,413
-        # with steepest edge and one phase 1 per node polytope
-        pivots = []
-        real = lp._pivot
+        # 1): 3,622 pivots with Bland's rule and a phase 1 per extreme, 1,381
+        # with steepest edge and one phase 1 per node polytope, 1,112 with the
+        # no-good-deal check swept along each lambda row (48 hedge searches
+        # down to 17)
+        pivots, searches = [], []
+        real_pivot, real_weights = lp._pivot, pricing._good_deal_weights
 
         def counting(*args):
             pivots.append(1)
-            real(*args)
+            real_pivot(*args)
+
+        def searching(*args):
+            searches.append(1)
+            return real_weights(*args)
 
         monkeypatch.setattr(lp, "_pivot", counting)
-        for u, d, r, p_up, strike in (
-            (1.1169597643210607, 0.9673785501310888, 0.02, 0.4717907656066426, 97.61587059499817),
-            (1.0860124974091736, 0.9134688409994752, 0.01, 0.5169193207716103, 106.43894314743076),
-        ):
+        monkeypatch.setattr(pricing, "_good_deal_weights", searching)
+        for u, d, r, p_up, strike in PIVOT_BUDGET_MARKETS:
             liquidity_surface(
                 lambda lam: binary_tree_market(u, d, r, p_up, lam, horizon=3),
                 lambda model: call_payoff(model, strike),
                 [0.25, 0.5, 1.0, 2.0, 4.0, 8.0],
                 [0.0, 0.005, 0.01, 0.02],
             )
-        assert len(pivots) <= 1700
+        assert len(pivots) <= 1250
+        assert len(searches) <= 20
 
 
 class TestPrimalOracle:
