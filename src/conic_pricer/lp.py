@@ -26,6 +26,20 @@ Phase 1 reads only the rows, so :func:`solve` runs it once and phase 2 starts
 from it; :func:`solve_ratio` runs phase 2 twice, once per sense, from copies
 of one phase 1.
 
+Every float optimum keeps its final basis, numbered as phase 1 numbers the
+variables, and :func:`solve_ratio` can restart each extreme from a previous
+pair's basis on rows of the same shape whose data changed (the liquidity
+surface's band widening from one level to the next).  The basis is
+refactored on the new scaled rows by one dense solve against every column,
+[A | I] for the ratio program.  A basis left infeasible there but still dual
+feasible goes to the dual simplex: the most negative basic value leaves, ties
+to the smallest basic index, and the column with the least rc/|a| enters,
+ties to the smallest variable index.  Phase 2, certification and the exact
+fallback then run as from phase 1.  A basis that is singular, infeasible and
+not dual feasible, or whose dual simplex finds no feasible point or runs past
+one pivot per row, is dropped for the cold phase 1, which gives the cold
+answer bit for bit.
+
 Dual recovery solves B^T y = c_B over the pristine rows.  A basic slack forces
 its row's dual to zero, so the system keeps only the rows without a basic
 slack and the basic structural columns: at most (variables) x (variables).
@@ -109,6 +123,9 @@ class LPSolution:
     primal_residual: float = np.nan
     dual_residual: float = np.nan
     iterations: int = 0
+    # final basis of a float optimum, one variable per row kept, numbered as
+    # phase 1 numbers the variables: what solve_ratio restarts from
+    basis: Optional[np.ndarray] = None
 
 
 def _pivot(T, basis, nonbasic, row, k):
@@ -166,6 +183,38 @@ def _run_simplex(T, basis, nonbasic, limit, tol, max_iter):
             )
 
 
+def _run_dual(T, basis, nonbasic, limit, tol, max_iter):
+    """Dual simplex on the condensed tableau T from a dual feasible basis:
+    the most negative basic value leaves, ties to the smallest basic index;
+    of the columns with a negative entry in its row, the one with the least
+    rc / |a| enters, ties to the smallest variable index.  Variables >=
+    ``limit`` may not enter.
+
+    Returns ("optimal" | "infeasible" | "stalled", iterations): "optimal" once
+    every basic value is >= -tol, "infeasible" at a row that no column can
+    lift, "stalled" past ``max_iter`` pivots.
+    """
+    m = T.shape[0] - 1
+    it = 0
+    while True:
+        rhs = T[:m, -1]
+        low = rhs.min() if m else 0.0
+        if low >= -tol:
+            return "optimal", it
+        rows = (rhs == low).nonzero()[0]
+        row = rows[basis[rows].argmin()]
+        a = T[row, :-1]
+        cand = ((a < -tol) & (nonbasic < limit)).nonzero()[0]
+        if not cand.size:
+            return "infeasible", it
+        ratios = T[-1, cand] / -a[cand]
+        cand = cand[ratios == ratios.min()]
+        _pivot(T, basis, nonbasic, row, cand[nonbasic[cand].argmin()])
+        it += 1
+        if it > max_iter:
+            return "stalled", it
+
+
 def _set_objective(T, basis, nonbasic, c):
     """Reduced-cost row of objective ``c`` (indexed by variable) for the basis,
     accumulated over the basic rows in row order."""
@@ -186,9 +235,9 @@ def _to_fraction_array(arr):
 
 @dataclass
 class _Start:
-    """The end of phase 1: a feasible basis of an LP's rows with the scaled
-    data that phase 2 and the dual recovery read.  Phase 1 reads neither the
-    objective nor the sense, so one start serves both senses."""
+    """A basis of an LP's rows with the scaled data that phase 2 and the dual
+    recovery read: at the end of phase 1 a feasible one.  Phase 1 reads
+    neither the objective nor the sense, so one start serves both senses."""
 
     iterations: int
     exact: bool
@@ -208,10 +257,10 @@ class _Start:
     ub_vars: np.ndarray
 
 
-def _phase1(lp: LinearProgram, tol: float, exact: bool, max_iter: Optional[int]):
-    """Phase 1 on the rows of ``lp``: the ``infeasible`` answer, or a
-    :class:`_Start` whose basis has every artificial driven out (rows left
-    holding one are redundant and dropped)."""
+def _slack_start(lp: LinearProgram, tol: float, exact: bool, max_iter: Optional[int]) -> _Start:
+    """The rows of ``lp`` scaled and sign-normalized, with the basis phase 1
+    starts from: each row's slack, or its artificial where the slack cannot
+    start it."""
     n = lp.c.shape[0]
 
     # Fold finite variable upper bounds in as extra <= rows.
@@ -265,23 +314,35 @@ def _phase1(lp: LinearProgram, tol: float, exact: bool, max_iter: Optional[int])
 
     if exact:
         T = _to_fraction_array(T)
-        zero = Fraction(0)
-        piv_tol = zero
+        piv_tol = Fraction(0)
     else:
-        zero = 0.0
         piv_tol = tol
 
     if max_iter is None:
         max_iter = 500 + 80 * (m + width)
+    return _Start(
+        iterations=0, exact=exact, max_iter=max_iter, piv_tol=piv_tol, width=width,
+        T=T, basis=basis, nonbasic=nonbasic, alive=np.ones(m, dtype=bool), own=own, A=A,
+        sigma=sigma, row_scale=row_scale, a_ub=a_ub, b_ub=b_ub, ub_vars=ub_vars,
+    )
+
+
+def _phase1(lp: LinearProgram, tol: float, exact: bool, max_iter: Optional[int]):
+    """Phase 1 on the rows of ``lp``: the ``infeasible`` answer, or a
+    :class:`_Start` whose basis has every artificial driven out (rows left
+    holding one are redundant and dropped)."""
+    start = _slack_start(lp, tol, exact, max_iter)
+    T, basis, nonbasic, piv_tol = start.T, start.basis, start.nonbasic, start.piv_tol
+    n, m_ub, width = lp.c.shape[0], start.a_ub.shape[0], start.width
 
     it1 = 0
-    if art_rows.size:
+    if width > n + m_ub:
         # Phase 1: maximize -(sum of artificials).
-        c1 = np.zeros(width, dtype=object if exact else float)
-        c1[n + m_ub:] = Fraction(-1) if exact else -1.0
+        c1 = np.zeros(width, dtype=object if start.exact else float)
+        c1[n + m_ub:] = Fraction(-1) if start.exact else -1.0
         _set_objective(T, basis, nonbasic, c1)
-        status1, it1 = _run_simplex(T, basis, nonbasic, width, piv_tol, max_iter)
-        feas_tol = zero if exact else max(tol, 1e-9)
+        status1, it1 = _run_simplex(T, basis, nonbasic, width, piv_tol, start.max_iter)
+        feas_tol = Fraction(0) if start.exact else max(tol, 1e-9)
         if status1 != "optimal" or T[-1, -1] < -feas_tol:
             return LPSolution(status="infeasible", iterations=it1)
 
@@ -293,16 +354,62 @@ def _phase1(lp: LinearProgram, tol: float, exact: bool, max_iter: Optional[int])
             _pivot(T, basis, nonbasic, i, cand[np.argmin(nonbasic[cand])])
         else:
             drop_rows.append(i)
-    alive = np.ones(m, dtype=bool)
-    alive[drop_rows] = False
+    start.alive[drop_rows] = False
     if drop_rows:
-        T = np.vstack([T[:-1][alive], T[-1:]])
-        basis = basis[alive]
-    return _Start(
-        iterations=it1, exact=exact, max_iter=max_iter, piv_tol=piv_tol, width=width,
-        T=T, basis=basis, nonbasic=nonbasic, alive=alive, own=own, A=A, sigma=sigma,
-        row_scale=row_scale, a_ub=a_ub, b_ub=b_ub, ub_vars=ub_vars,
-    )
+        start.T = np.vstack([T[:-1][start.alive], T[-1:]])
+        start.basis = basis[start.alive]
+    start.iterations = it1
+    return start
+
+
+def _restart(lp: LinearProgram, rows: _Start, basis, tol: float) -> Optional[_Start]:
+    """A feasible float start of ``lp`` at ``basis``, a previous optimum's
+    basis of rows of the same shape, or None, and phase 1 runs instead.
+    ``rows`` is the slack start of ``lp``'s rows; it is left as it is.
+
+    The basis is refactored on the new scaled rows by one dense solve over
+    every column, [A | I] with a surplus row's slack signed -1.  Where a basic
+    value is negative and every reduced cost of ``lp``'s objective is
+    nonnegative, the dual simplex pivots to a feasible basis.  None when the
+    basis does not fit the rows or is singular, when it is infeasible and not
+    dual feasible, or when the dual simplex finds no feasible point or needs
+    more pivots than there are rows.
+    """
+    n, m_ub, m = lp.c.shape[0], rows.a_ub.shape[0], rows.A.shape[0]
+    if basis is None or basis.size != m or np.any(basis >= n + m_ub):
+        return None
+    cols = np.zeros((m, rows.width))
+    cols[:, :n] = rows.A
+    cols[np.arange(m), rows.own] = 1.0
+    surplus = np.flatnonzero(rows.sigma[:m_ub] < 0)
+    cols[surplus, n + surplus] = -1.0
+    free = np.ones(rows.width, dtype=bool)
+    free[basis] = False
+    nonbasic = np.flatnonzero(free)
+    T = np.zeros((m + 1, nonbasic.size + 1))
+    try:
+        T[:m] = np.linalg.solve(
+            cols[:, basis], np.column_stack([cols[:, nonbasic], rows.T[:m, -1]])
+        )
+    except np.linalg.LinAlgError:
+        return None
+    if not np.all(np.isfinite(T)):
+        return None
+    basis = basis.copy()
+    it = 0
+    if T[:m, -1].min(initial=0.0) < -tol:
+        c = np.zeros(rows.width)
+        c[:n] = lp.c if lp.sense == "max" else -lp.c
+        _set_objective(T, basis, nonbasic, c)
+        if np.any(T[-1, :-1][nonbasic < n + m_ub] < -tol):
+            return None
+        # a restart needing more pivots than there are rows is no cheaper
+        # than phase 1, and the cap keeps the loop finite without a
+        # cycling rule
+        status, it = _run_dual(T, basis, nonbasic, n + m_ub, tol, m)
+        if status != "optimal":
+            return None
+    return replace(rows, iterations=it, T=T, basis=basis, nonbasic=nonbasic)
 
 
 def _phase2(lp: LinearProgram, start: _Start, tol: float) -> LPSolution:
@@ -423,6 +530,7 @@ def _phase2(lp: LinearProgram, start: _Start, tol: float) -> LPSolution:
         primal_residual=primal_res,
         dual_residual=dual_res,
         iterations=iterations,
+        basis=None if exact else basis,
     )
 
 
@@ -440,7 +548,9 @@ def solve(
     return _phase2(lp, start, tol)
 
 
-def solve_ratio(num, den, a_ub, *, tol: float = DEFAULT_TOL) -> tuple[LPSolution, LPSolution]:
+def solve_ratio(
+    num, den, a_ub, *, tol: float = DEFAULT_TOL, warm: Optional[tuple] = None
+) -> tuple[LPSolution, LPSolution]:
     """Minimum and maximum of (num @ x) / (den @ x) over the points of the
     cone {x >= 0, a_ub @ x <= 0} with den @ x > 0, as ``(lo, hi)``.
 
@@ -449,12 +559,25 @@ def solve_ratio(num, den, a_ub, *, tol: float = DEFAULT_TOL) -> tuple[LPSolution
     phase 1 of the slice, so each is bit for bit what ``solve`` gives for its
     sense; certification and the exact fallback stay per extreme.  Both read
     ``infeasible`` when the cone does not reach the slice.
+
+    ``warm``, a previous ``(lo, hi)`` of a cone of the same shape, restarts
+    each extreme from that extreme's final basis (see ``_restart``); an
+    extreme that cannot restart takes the shared phase 1 as without it.
     """
     a_ub = np.atleast_2d(np.asarray(a_ub, dtype=float))
     prog = LinearProgram.build(
         "max", num, a_ub=a_ub, b_ub=np.zeros(a_ub.shape[0]), a_eq=[den], b_eq=[1.0]
     )
-    start = _phase1(prog, tol, False, None)
-    if isinstance(start, LPSolution):
-        return start, start
-    return _phase2(replace(prog, sense="min"), start, tol), _phase2(prog, start, tol)
+    rows = _slack_start(prog, tol, False, None) if warm is not None else None
+    cold = None
+    out = []
+    for k, side in enumerate((replace(prog, sense="min"), prog)):
+        start = _restart(side, rows, warm[k].basis, tol) if warm is not None else None
+        if start is None:
+            if cold is None:
+                cold = _phase1(prog, tol, False, None)
+            if isinstance(cold, LPSolution):
+                return cold, cold
+            start = cold
+        out.append(_phase2(side, start, tol))
+    return out[0], out[1]

@@ -135,17 +135,18 @@ class NgdResult:
         return self.holds
 
 
-def _node_cone(rows: NodeRows, cell: int, paths: list, gamma: Optional[float]):
-    """The pricing cone of date-t node ``cell`` on ``paths``: its rows of
+def _node_cone(rows: NodeRows, cell: int, paths: list):
+    """The no-arbitrage cone of date-t node ``cell`` on ``paths``: its rows of
     ``rows`` over its own columns, u of its paths and then its envelope
-    excesses; with ``gamma``, the band m <= u <= (1 + gamma) m over its own
-    scalar m as a last column."""
+    excesses."""
     pick = rows.owner == cell
-    a = np.hstack([rows.a_u[np.ix_(pick, paths)], rows.a_v[np.ix_(pick, rows.col_owner == cell)]])
-    if gamma is None:
-        return a
-    n, k = len(paths), a.shape[1] - len(paths)
-    eye, pad = np.eye(n), np.zeros((n, k))
+    return np.hstack([rows.a_u[np.ix_(pick, paths)], rows.a_v[np.ix_(pick, rows.col_owner == cell)]])
+
+
+def _with_band(a: np.ndarray, n: int, gamma: float):
+    """The node cone ``a`` (u of its n paths first) cut down by the band
+    m <= u <= (1 + gamma) m over the node's own scalar m as a last column."""
+    eye, pad = np.eye(n), np.zeros((n, a.shape[1] - n))
     return np.vstack([
         np.hstack([a, np.zeros((len(a), 1))]),
         np.hstack([-eye, pad, np.ones((n, 1))]),
@@ -153,26 +154,42 @@ def _node_cone(rows: NodeRows, cell: int, paths: list, gamma: Optional[float]):
     ])
 
 
+def _discounted_tail(model: MarketModel, cash_flow, t: int) -> np.ndarray:
+    """Per-path discounted payments after date t."""
+    _, Binv = model.discounts()
+    return tail_sum(as_values(cash_flow) * Binv, t + 1)
+
+
+def _node_quote(model: MarketModel, x, a_ub, node: NodeRef, tol: float, warm=None):
+    """Min and max of the node's conditional mean of ``x`` over the cone
+    ``a_ub`` (u of the node's paths first) as a :class:`PriceEntry`, with the
+    ``(lo, hi)`` solutions to restart the next quote of a cone of the same
+    shape from (None when the cone cannot charge the node, which gets
+    ``STATUS_INFEASIBLE``)."""
+    p = model.probabilities
+    paths = list(model.tree.node_paths(node))
+    num, den = np.zeros(a_ub.shape[1]), np.zeros(a_ub.shape[1])
+    num[: len(paths)] = p[paths] * x[paths]
+    den[: len(paths)] = p[paths]
+    lo, hi = lp.solve_ratio(num, den, a_ub, tol=tol, warm=warm)
+    if hi.status == "infeasible":
+        return PriceEntry(node, np.nan, np.nan, STATUS_INFEASIBLE), None
+    return PriceEntry(node, lo.value, hi.value, STATUS_OK), (lo, hi)
+
+
 def _node_quotes(
     model: MarketModel, cash_flow, rows: NodeRows, gamma: Optional[float], tol: float
 ) -> tuple[PriceEntry, ...]:
-    """Min and max of each date-t node's conditional discounted tail over the
-    node's own cone; a node the cone cannot charge gets ``STATUS_INFEASIBLE``."""
-    p = model.probabilities
-    _, Binv = model.discounts()
-    x = tail_sum(as_values(cash_flow) * Binv, rows.start + 1)
+    """:func:`_node_quote` of each date-t node over its own cone, with the
+    band at ``gamma`` unless that is None."""
+    x = _discounted_tail(model, cash_flow, rows.start)
     entries = []
     for node in model.tree.nodes(rows.start):
         paths = list(model.tree.node_paths(node))
-        a_ub = _node_cone(rows, node.cell, paths, gamma)
-        num, den = np.zeros(a_ub.shape[1]), np.zeros(a_ub.shape[1])
-        num[: len(paths)] = p[paths] * x[paths]
-        den[: len(paths)] = p[paths]
-        lo, hi = lp.solve_ratio(num, den, a_ub, tol=tol)
-        if hi.status == "infeasible":
-            entries.append(PriceEntry(node, np.nan, np.nan, STATUS_INFEASIBLE))
-        else:
-            entries.append(PriceEntry(node, lo.value, hi.value, STATUS_OK))
+        a_ub = _node_cone(rows, node.cell, paths)
+        if gamma is not None:
+            a_ub = _with_band(a_ub, len(paths), gamma)
+        entries.append(_node_quote(model, x, a_ub, node, tol)[0])
     return tuple(entries)
 
 
@@ -318,15 +335,7 @@ def good_deal_prices(
     """Bid/ask of the discounted tail over band-restricted risk-neutral
     densities; sentinel +inf/-inf quotes when no such density exists."""
     rows = generators_for(model, t, entry)
-    return _good_deal_quote(model, cash_flow, rows, gamma, tol, _ngd(model, gamma, rows, tol))
-
-
-def _good_deal_quote(
-    model: MarketModel, cash_flow, rows: NodeRows, gamma: float, tol: float, check: NgdResult
-) -> PriceQuote:
-    """:func:`good_deal_prices` over the cone ``rows`` of its date, given the
-    no-good-deal ``check`` at ``gamma`` on those rows."""
-    t = rows.start
+    check = _ngd(model, gamma, rows, tol)
     if not check.holds:
         entries = tuple(
             PriceEntry(node, np.inf, -np.inf, STATUS_NGD) for node in model.tree.nodes(t)
@@ -395,6 +404,16 @@ def liquidity_surface(
     largest witness ratio seen is violated with that witness, still a valid
     certificate there: its ratio is the one ``dglr_eval`` computed, and it
     exceeds the level.  Only the levels in between run the check.
+
+    The check covers every date-t node, but only the requested node is
+    quoted: the per-node programs are independent.  Its cone is built once
+    per row without the band, and each level appends its band.  The first
+    priced level of a row is solved from phase 1, exactly as
+    :func:`good_deal_prices` solves it; each later one restarts the node's
+    min and max LPs from the previous priced level's optimal bases (see
+    :func:`conic_pricer.lp.solve_ratio`).  A wider band leaves those bases
+    optimal or a few dual simplex pivots away; the quotes agree with a cold
+    solve to rounding, not bit for bit.
     """
     if not gammas or not lambdas:
         raise ValidationError("surface needs nonempty gamma and lambda lists")
@@ -411,24 +430,32 @@ def liquidity_surface(
         if not 0 <= node < count:
             raise ValidationError(f"node {node} outside 0..{count - 1} at t={t}")
         rows = generators_for(model, t, entry)
+        at = model.tree.nodes(t)[node]
+        x = _discounted_tail(model, payoff, t)
+        paths = list(model.tree.node_paths(at))
+        cone = _node_cone(rows, node, paths)
         # ascending, so a check runs only above every witness ratio seen and
         # below any level held: the first level held is the smallest, and the
         # latest witness has the largest ratio
-        held, beaten = np.inf, None
+        held, beaten, warm = np.inf, None, None
         row = [None] * len(gammas)
         for i in ascending:
             gamma = gammas[i]
             if gamma >= held:
-                check = NgdResult(holds=True, gamma=gamma, time=t)
+                holds = True
             elif beaten is not None and gamma < beaten.dglr:
-                check = NgdResult(holds=False, gamma=gamma, time=t, witness=beaten)
+                holds = False
             else:
                 check = _ngd(model, gamma, rows, tol)
-                if check.holds:
+                holds = check.holds
+                if holds:
                     held = gamma
                 elif check.witness is not None:
                     beaten = check.witness
-            e = _good_deal_quote(model, payoff, rows, gamma, tol, check).entry(node)
+            if holds:
+                e, warm = _node_quote(model, x, _with_band(cone, len(paths), gamma), at, tol, warm)
+            else:
+                e = PriceEntry(at, np.inf, -np.inf, STATUS_NGD)
             spread = e.ask - e.bid if e.status == STATUS_OK else np.nan
             row[i] = SurfaceCell(gamma, lam, e.bid, e.ask, spread, e.status)
         cells.extend(row)

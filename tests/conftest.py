@@ -200,3 +200,22 @@ def lp_vertex_oracle(c, a_ub, b_ub, upper, sense="max"):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260808)
+
+
+@pytest.fixture
+def count_calls(monkeypatch):
+    """``count_calls(module, name)`` wraps ``module.name`` for the rest of the
+    test (or until ``monkeypatch.undo()``) and returns a list that gains one
+    entry per call."""
+
+    def wrap(module, name):
+        calls, real = [], getattr(module, name)
+
+        def counting(*args, **kwargs):
+            calls.append(None)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+        return calls
+
+    return wrap

@@ -8,8 +8,16 @@ import pytest
 
 optimize = pytest.importorskip("scipy.optimize")
 
+from conic_pricer import lp  # noqa: E402
+from conic_pricer.cone import generators_for  # noqa: E402
 from conic_pricer.lp import solve  # noqa: E402
-from conic_pricer.pricing import STATUS_OK, noarb_bounds  # noqa: E402
+from conic_pricer.pricing import (  # noqa: E402
+    STATUS_OK,
+    _node_cone,
+    _with_band,
+    liquidity_surface,
+    noarb_bounds,
+)
 
 from cone_reference import reference_generator_matrix  # noqa: E402
 from conftest import arbitrage_free_market, random_cashflow, random_tree  # noqa: E402
@@ -113,3 +121,55 @@ def test_row_slack_leaves_bounds_unchanged(sweeps):
     for rows in sweeps.values():
         for _, _, _, e, lo, hi in rows:
             assert agrees(e, lo, hi)
+
+
+def highs_good_deal_cell(model, flow, t, cell, gamma):
+    """Min and max of the date-t node's conditional discounted tail over its
+    band-restricted cone, the node LP the engine builds, solved by HiGHS."""
+    tree = model.tree
+    p = tree.probabilities
+    _, Binv = model.discounts()
+    x = (flow * Binv)[:, t + 1:].sum(axis=1)
+    idx = list(tree.partitions[t][cell])
+    a_ub = _with_band(_node_cone(generators_for(model, t), cell, idx), len(idx), gamma)
+    num, den = np.zeros(a_ub.shape[1]), np.zeros(a_ub.shape[1])
+    num[: len(idx)] = p[idx] * x[idx]
+    den[: len(idx)] = p[idx]
+    out = []
+    for sense in ("min", "max"):
+        status, value = highs(num, sense, a_ub, np.zeros(len(a_ub)), [den], [1.0])
+        assert status == "optimal"
+        out.append(value)
+    return out
+
+
+@pytest.mark.parametrize("horizon", [2, 3])
+def test_warm_surface_cells_match_highs(horizon, count_calls):
+    # every priced cell of surfaces whose quotes restart along each lambda
+    # row from the previous cell's bases, at the first and last node of
+    # every date, against HiGHS on the same node LP
+    restarts = count_calls(lp, "_restart")
+    rng = np.random.default_rng(20261019 + horizon)
+    priced = 0
+    for k in range(4):
+        tree = random_tree(rng, int(rng.integers(3, 7)), horizon)
+        seed, flow = int(rng.integers(2**31)), random_cashflow(rng, tree)
+
+        def build(lam):
+            return arbitrage_free_market(
+                np.random.default_rng(seed), tree, dividends=bool(k % 2), rates=bool(k % 3),
+                lam=lam,
+            )
+
+        for t in range(horizon):
+            for cell in sorted({0, len(tree.partitions[t]) - 1}):
+                cells = liquidity_surface(
+                    build, lambda model: flow, [0.25, 0.5, 1.0, 2.0, 4.0, 8.0],
+                    [0.005, 0.02], t, node=cell,
+                )
+                for c in cells:
+                    if c.status == STATUS_OK:
+                        priced += 1
+                        lo, hi = highs_good_deal_cell(build(c.lam), flow, t, cell, c.gamma)
+                        assert agrees(c, lo, hi)
+    assert priced and restarts

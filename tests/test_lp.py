@@ -1,9 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from conic_pricer import lp
 from conic_pricer.errors import ComputationError, ValidationError
 from conic_pricer.lp import LinearProgram, solve, solve_ratio
+from conic_pricer.pricing import _with_band
 
 from conftest import lp_vertex_oracle
 from lp_reference import reference_solve
@@ -373,3 +376,140 @@ class TestSolveRatio:
                 assert np.float64(got.value).tobytes() == np.float64(want.value).tobytes()
                 assert got.x.tobytes() == want.x.tobytes()
                 assert got.iterations == want.iterations
+
+
+def _seeded_cones(seed, count):
+    """(num, den, a, k): seeded cones over (u, v), u their first k columns,
+    holding a point whose u spreads by at most a factor 2, so the band of the
+    pricing cones reaches the slice from level 1 on and may miss it below;
+    num and den weigh u alone."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        k, j, r = int(rng.integers(3, 7)), int(rng.integers(0, 4)), int(rng.integers(4, 16))
+        x0 = np.concatenate([rng.uniform(0.5, 1.0, size=k), rng.uniform(0.0, 1.0, size=j)])
+        a = rng.normal(size=(r, k + j))
+        a -= np.outer(a @ x0 + np.abs(rng.normal(size=r)) * (rng.random(r) < 0.7), x0 / (x0 @ x0))
+        p = rng.dirichlet(np.ones(k))
+        yield (np.concatenate([p * rng.normal(size=k), np.zeros(j + 1)]),
+               np.concatenate([p, np.zeros(j + 1)]), a, k)
+
+
+LEVELS = (0.05, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0)
+
+
+def _close(got, want, num):
+    # within 1e-12 of the size of num @ x's terms: on these cones the cold
+    # answer itself is up to 5e-12 (relative) off the exact rational optimum
+    # where the terms cancel, so a plain relative bound would test rounding
+    return abs(got.value - want.value) <= 1e-12 * (np.abs(num) @ np.abs(want.x))
+
+
+def _same(got, want):
+    return (got.status == want.status
+            and np.float64(got.value).tobytes() == np.float64(want.value).tobytes()
+            and (got.x is None) == (want.x is None)
+            and (got.x is None or got.x.tobytes() == want.x.tobytes())
+            and got.iterations == want.iterations)
+
+
+class TestWarmRestart:
+    """``solve_ratio`` restarted from a previous ``(lo, hi)`` pair."""
+
+    def test_ascending_band_matches_cold(self, count_calls):
+        # each level restarts from the previous level's optimal bases, as the
+        # liquidity surface sweeps a lambda row
+        duals, phase1 = count_calls(lp, "_run_dual"), count_calls(lp, "_phase1")
+        warm_solves = cold_solves = 0
+        for num, den, a, k in _seeded_cones(5, 40):
+            pair = None
+            for gamma in LEVELS:
+                a_ub = _with_band(a, k, gamma)
+                cold = solve_ratio(num, den, a_ub)
+                before = len(phase1)
+                got = solve_ratio(num, den, a_ub, warm=pair)
+                cold_solves += 1
+                warm_solves += len(phase1) == before
+                for g, c in zip(got, cold):
+                    assert g.status == c.status
+                    if c.status == "optimal":
+                        assert _close(g, c, num)
+                        assert max(g.gap, g.primal_residual, g.dual_residual) <= 1e-9
+                pair = got if got[1].status == "optimal" else None
+        assert duals  # some restarts needed the dual simplex
+        assert warm_solves > cold_solves / 2
+
+    def test_refused_basis_gives_the_cold_result(self, monkeypatch):
+        # a basis the restart refuses leaves its extreme to the shared phase
+        # 1, and so to the cold answer bit for bit: a singular one (one
+        # variable repeated); an optimal basis from the level below, its own
+        # extreme's or the other one's, where it is infeasible on the new rows
+        # and not dual feasible there, or where its dual simplex runs past
+        # its pivot cap, cut to one pivot here
+        outcomes, duals = [], []  # per restart: (refused, dual simplex status)
+        real_restart, real_dual = lp._restart, lp._run_dual
+
+        def restart(*args):
+            runs = len(duals)
+            start = real_restart(*args)
+            outcomes.append((start is None, duals[-1] if len(duals) > runs else None))
+            return start
+
+        def dual(T, basis, nonbasic, limit, tol, max_iter):
+            status, it = real_dual(T, basis, nonbasic, limit, tol, 1)
+            duals.append(status)
+            return status, it
+
+        monkeypatch.setattr(lp, "_restart", restart)
+        monkeypatch.setattr(lp, "_run_dual", dual)
+        refusals = {None: 0, "stalled": 0}
+        for num, den, a, k in _seeded_cones(6, 30):
+            pair = None
+            for gamma in LEVELS:
+                a_ub = _with_band(a, k, gamma)
+                cold = solve_ratio(num, den, a_ub)
+                if cold[1].status != "optimal":
+                    pair = None
+                    continue
+                for warm in (pair, pair[::-1]) if pair is not None else ():
+                    outcomes.clear()
+                    got = solve_ratio(num, den, a_ub, warm=warm)
+                    for g, c, (refused, status) in zip(got, cold, outcomes):
+                        if refused:
+                            assert _same(g, c)
+                            refusals[status] += 1
+                        else:
+                            assert _close(g, c, num)
+                singular = dataclasses.replace(cold[0], basis=np.zeros_like(cold[0].basis))
+                outcomes.clear()
+                got = solve_ratio(num, den, a_ub, warm=(singular, singular))
+                assert outcomes == [(True, None)] * 2
+                assert all(_same(g, c) for g, c in zip(got, cold))
+                pair = cold
+        assert all(refusals.values())
+
+    def test_unreachable_slice_reads_infeasible(self, monkeypatch):
+        # a descending band: from a level whose band reaches the slice to one
+        # where it does not, the restart reads infeasible as the cold solve
+        # does, also where the dual simplex meets a row no column can lift
+        statuses, real = [], lp._run_dual
+
+        def dual(*args):
+            status, it = real(*args)
+            statuses.append(status)
+            return status, it
+
+        monkeypatch.setattr(lp, "_run_dual", dual)
+        seen = 0
+        for num, den, a, k in _seeded_cones(7, 40):
+            pair = None
+            for gamma in LEVELS[::-1]:
+                a_ub = _with_band(a, k, gamma)
+                cold = solve_ratio(num, den, a_ub)
+                got = solve_ratio(num, den, a_ub, warm=pair)
+                assert [g.status for g in got] == [c.status for c in cold]
+                if cold[1].status == "infeasible":
+                    seen += pair is not None
+                    assert all(_same(g, c) for g, c in zip(got, cold))
+                    break
+                pair = got
+        assert seen and "infeasible" in statuses

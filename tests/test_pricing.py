@@ -647,8 +647,8 @@ class TestLiquiditySurface:
             raise ComputationError("priced before the node was checked")
 
         # each cell runs the no-good-deal check, unless the sweep knows its
-        # answer, and then the quote
-        for name in ("_ngd", "_good_deal_quote"):
+        # answer, and then the node's quote
+        for name in ("_ngd", "_node_quote"):
             monkeypatch.setattr(pricing, name, failing)
         build_model, build_payoff = self._builders()
         for t, node, message in ((1, 2, "node 2 outside 0..1"), (2, 0, "start date 2")):
@@ -665,23 +665,21 @@ class TestLiquiditySurface:
         assert built == []
 
     @pytest.mark.parametrize("market", PIVOT_BUDGET_MARKETS)
-    def test_sweep_equals_per_cell_quotes(self, market, monkeypatch):
+    def test_sweep_equals_per_cell_quotes(self, market, monkeypatch, count_calls):
         # the sweep over an unsorted level list with a duplicate answers each
-        # cell as good_deal_prices does, bit for bit, with fewer checks
+        # cell as good_deal_prices does, with fewer checks.  A violated cell
+        # and the first priced cell of a lambda row (in ascending level order)
+        # are the same solves and match bit for bit; a later priced cell
+        # restarts from the previous one's bases, whose pivots end at the same
+        # optimum by another path
         u, d, r, p_up, strike = market
         gammas = [4.0, 0.25, 8.0, 1.0, 4.0, 0.5, 2.0]
         lambdas = [0.0, 0.01]
-        checks = []
-        real = pricing._ngd
-
-        def counting(*args):
-            checks.append(1)
-            return real(*args)
 
         def build_model(lam):
             return binary_tree_market(u, d, r, p_up, lam, horizon=3)
 
-        monkeypatch.setattr(pricing, "_ngd", counting)
+        checks = count_calls(pricing, "_ngd")
         surfaces = {
             (t, node): liquidity_surface(
                 build_model, lambda model: call_payoff(model, strike), gammas, lambdas, t,
@@ -691,35 +689,52 @@ class TestLiquiditySurface:
         }
         monkeypatch.undo()
         assert 0 < len(checks) < 2 * len(gammas) * len(lambdas)
+        ascending = sorted(range(len(gammas)), key=gammas.__getitem__)
+        warm = 0
         for (t, node), cells in surfaces.items():
             grid = [(lam, gamma) for lam in lambdas for gamma in gammas]
             assert [(c.lam, c.gamma) for c in cells] == grid
-            for c in cells:
-                model = build_model(c.lam)
-                e = good_deal_prices(model, call_payoff(model, strike), t, c.gamma).entry(node)
-                assert c.status == e.status
-                assert np.array_equal([c.bid, c.ask], [e.bid, e.ask], equal_nan=True)
+            for j, lam in enumerate(lambdas):
+                model = build_model(lam)
+                priced = False
+                for i in ascending:
+                    c = cells[j * len(gammas) + i]
+                    e = good_deal_prices(model, call_payoff(model, strike), t, c.gamma).entry(node)
+                    assert c.status == e.status
+                    if c.status == STATUS_OK and priced:
+                        warm += 1
+                        assert c.bid == pytest.approx(e.bid, rel=1e-12, abs=0)
+                        assert c.ask == pytest.approx(e.ask, rel=1e-12, abs=0)
+                    else:
+                        assert np.array_equal([c.bid, c.ask], [e.bid, e.ask], equal_nan=True)
+                    priced = priced or c.status == STATUS_OK
+        assert warm > 0
 
+    def test_one_quote_per_priced_cell(self, count_calls):
+        # at t=1 the binary tree has two nodes; the surface quotes only the
+        # requested one, while the no-good-deal check still covers both
+        u, d, r, p_up, strike = PIVOT_BUDGET_MARKETS[1]
+        ratios = count_calls(lp, "solve_ratio")
+        cells = liquidity_surface(
+            lambda lam: binary_tree_market(u, d, r, p_up, lam, horizon=3),
+            lambda model: call_payoff(model, strike),
+            [0.25, 0.5, 1.0, 2.0, 4.0, 8.0], [0.0, 0.01], 1, node=1,
+        )
+        priced = sum(c.status != STATUS_NGD for c in cells)
+        assert 0 < priced < len(cells)
+        assert len(ratios) == priced
 
-    def test_pivot_budget(self, monkeypatch):
+    def test_pivot_budget(self, count_calls):
         # two horizon-3 binary surfaces (the benchmark's surface markets 0 and
         # 1): 3,622 pivots with Bland's rule and a phase 1 per extreme, 1,381
         # with steepest edge and one phase 1 per node polytope, 1,112 with the
         # no-good-deal check swept along each lambda row (48 hedge searches
-        # down to 17)
-        pivots, searches = [], []
-        real_pivot, real_weights = lp._pivot, pricing._good_deal_weights
-
-        def counting(*args):
-            pivots.append(1)
-            real_pivot(*args)
-
-        def searching(*args):
-            searches.append(1)
-            return real_weights(*args)
-
-        monkeypatch.setattr(lp, "_pivot", counting)
-        monkeypatch.setattr(pricing, "_good_deal_weights", searching)
+        # down to 17), 564 with each quote after the first of a row restarted
+        # from the previous one's bases (phase 1 runs 49 -> 26: 17 hedge
+        # searches, 8 first quotes and one basis the restart refused)
+        pivots = count_calls(lp, "_pivot")
+        starts = count_calls(lp, "_phase1")
+        searches = count_calls(pricing, "_good_deal_weights")
         for u, d, r, p_up, strike in PIVOT_BUDGET_MARKETS:
             liquidity_surface(
                 lambda lam: binary_tree_market(u, d, r, p_up, lam, horizon=3),
@@ -727,7 +742,8 @@ class TestLiquiditySurface:
                 [0.25, 0.5, 1.0, 2.0, 4.0, 8.0],
                 [0.0, 0.005, 0.01, 0.02],
             )
-        assert len(pivots) <= 1250
+        assert len(pivots) <= 620
+        assert len(starts) <= 29
         assert len(searches) <= 20
 
 
