@@ -22,7 +22,6 @@ from .market import (
     discount_factors,
     is_self_financing,
     make_self_financing,
-    wealth_closed_form,
     wealth_process,
 )
 from .cone import (

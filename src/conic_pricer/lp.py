@@ -15,10 +15,9 @@ rows x (rows + variables) cells to rows x variables.
 Pricing is exact steepest edge (Forrest & Goldfarb, Math. Prog. 1992): the
 eligible column with the largest rc^2 / (1 + |column|^2) enters, the norm
 taken fresh over the column's constraint rows at each pivot.  The tableau
-stores every nonbasic column, so this is one reduction per pivot, and with no
-square root it runs unchanged over ``Fraction`` entries.  Ties go to the
-smallest variable index; the ratio test takes the smallest ratio, ties to the
-smallest basic index.  The pricing LPs are highly degenerate, so after
+stores every nonbasic column, so this is one reduction per pivot.  Ties go to
+the smallest variable index; the ratio test takes the smallest ratio, ties to
+the smallest basic index.  The pricing LPs are highly degenerate, so after
 ``_STALL_PIVOTS`` zero-step pivots in a row Bland's rule picks the entering
 column until a pivot moves the right-hand side; that keeps the loop finite.
 
@@ -26,7 +25,7 @@ Phase 1 reads only the rows, so :func:`solve` runs it once and phase 2 starts
 from it; :func:`solve_ratio` runs phase 2 twice, once per sense, from copies
 of one phase 1.
 
-Every float optimum keeps its final basis, numbered as phase 1 numbers the
+Every optimum keeps its final basis, numbered as phase 1 numbers the
 variables, and :func:`solve_ratio` can restart each extreme from a previous
 pair's basis on rows of the same shape whose data changed (the liquidity
 surface's band widening from one level to the next).  The basis is
@@ -34,24 +33,22 @@ refactored on the new scaled rows by one dense solve against every column,
 [A | I] for the ratio program.  A basis left infeasible there but still dual
 feasible goes to the dual simplex: the most negative basic value leaves, ties
 to the smallest basic index, and the column with the least rc/|a| enters,
-ties to the smallest variable index.  Phase 2, certification and the exact
-fallback then run as from phase 1.  A basis that is singular, infeasible and
-not dual feasible, or whose dual simplex finds no feasible point or runs past
-one pivot per row, is dropped for the cold phase 1, which gives the cold
-answer bit for bit.
+ties to the smallest variable index.  Phase 2 and certification then run as
+from phase 1.  A basis that is singular, infeasible and not dual feasible, or
+whose dual simplex finds no feasible point or runs past one pivot per row, is
+dropped for the cold phase 1, which gives the cold answer bit for bit.
 
 Dual recovery solves B^T y = c_B over the pristine rows.  A basic slack forces
 its row's dual to zero, so the system keeps only the rows without a basic
 slack and the basic structural columns: at most (variables) x (variables).
 
-Every optimal solve is certified: primal feasibility, dual feasibility and the
-duality gap are checked against the requested tolerance and a
-:class:`~conic_pricer.errors.ComputationError` is raised if certification
-fails, so a wrong status is never returned silently.
-
-An exact-rational mode (``exact=True``) runs the same pivoting over
-``fractions.Fraction`` entries; it is slow and intended for dispute resolution
-in tests.
+Every answer but ``unbounded`` is certified on the rows as supplied, or the
+solve raises :class:`~conic_pricer.errors.ComputationError`; a wrong status is
+never returned silently.  An optimum is certified by strong duality: primal
+feasibility, dual feasibility and the duality gap within the requested
+tolerance.  An ``infeasible`` answer is certified by the Farkas ray that
+phase 1's final reduced costs hold: y with y^T A >= 0, y >= 0 on the
+inequality rows and y^T b < 0, which no x >= 0 can meet.
 
 :func:`solve_ratio` takes the extremes of a ratio over a polyhedral cone: the
 ratio is scale-free, so they are those of its numerator on the slice where
@@ -61,7 +58,6 @@ the denominator is one, a plain LP.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from typing import Optional
 
 import numpy as np
@@ -113,6 +109,10 @@ class LinearProgram:
 
 @dataclass
 class LPSolution:
+    """An LP's answer.  The duals of an ``infeasible`` one are its Farkas ray
+    over the rows as supplied: y^T A >= 0, y >= 0 on the inequality and
+    upper-bound rows, and y^T b < 0."""
+
     status: str  # "optimal" | "infeasible" | "unbounded"
     value: float = np.nan
     x: Optional[np.ndarray] = None
@@ -123,7 +123,7 @@ class LPSolution:
     primal_residual: float = np.nan
     dual_residual: float = np.nan
     iterations: int = 0
-    # final basis of a float optimum, one variable per row kept, numbered as
+    # final basis of an optimum, one variable per row kept, numbered as
     # phase 1 numbers the variables: what solve_ratio restarts from
     basis: Optional[np.ndarray] = None
 
@@ -224,15 +224,6 @@ def _set_objective(T, basis, nonbasic, c):
         T[-1] = T[-1] + c[basis[i]] * T[i]
 
 
-def _to_fraction_array(arr):
-    out = np.empty(arr.shape, dtype=object)
-    flat_in = arr.ravel()
-    flat_out = out.ravel()
-    for k, v in enumerate(flat_in):
-        flat_out[k] = Fraction(float(v))
-    return out
-
-
 @dataclass
 class _Start:
     """A basis of an LP's rows with the scaled data that phase 2 and the dual
@@ -240,9 +231,7 @@ class _Start:
     neither the objective nor the sense, so one start serves both senses."""
 
     iterations: int
-    exact: bool
     max_iter: int
-    piv_tol: object
     width: int
     T: np.ndarray
     basis: np.ndarray
@@ -257,7 +246,7 @@ class _Start:
     ub_vars: np.ndarray
 
 
-def _slack_start(lp: LinearProgram, tol: float, exact: bool, max_iter: Optional[int]) -> _Start:
+def _slack_start(lp: LinearProgram) -> _Start:
     """The rows of ``lp`` scaled and sign-normalized, with the basis phase 1
     starts from: each row's slack, or its artificial where the slack cannot
     start it."""
@@ -312,44 +301,35 @@ def _slack_start(lp: LinearProgram, tol: float, exact: bool, max_iter: Optional[
     T[surplus, n + np.arange(surplus.size)] = -1.0
     T[:m, -1] = b
 
-    if exact:
-        T = _to_fraction_array(T)
-        piv_tol = Fraction(0)
-    else:
-        piv_tol = tol
-
-    if max_iter is None:
-        max_iter = 500 + 80 * (m + width)
     return _Start(
-        iterations=0, exact=exact, max_iter=max_iter, piv_tol=piv_tol, width=width,
-        T=T, basis=basis, nonbasic=nonbasic, alive=np.ones(m, dtype=bool), own=own, A=A,
+        iterations=0, max_iter=500 + 80 * (m + width), width=width, T=T, basis=basis,
+        nonbasic=nonbasic, alive=np.ones(m, dtype=bool), own=own, A=A,
         sigma=sigma, row_scale=row_scale, a_ub=a_ub, b_ub=b_ub, ub_vars=ub_vars,
     )
 
 
-def _phase1(lp: LinearProgram, tol: float, exact: bool, max_iter: Optional[int]):
-    """Phase 1 on the rows of ``lp``: the ``infeasible`` answer, or a
-    :class:`_Start` whose basis has every artificial driven out (rows left
+def _phase1(lp: LinearProgram, tol: float):
+    """Phase 1 on the rows of ``lp``: the certified ``infeasible`` answer, or
+    a :class:`_Start` whose basis has every artificial driven out (rows left
     holding one are redundant and dropped)."""
-    start = _slack_start(lp, tol, exact, max_iter)
-    T, basis, nonbasic, piv_tol = start.T, start.basis, start.nonbasic, start.piv_tol
+    start = _slack_start(lp)
+    T, basis, nonbasic = start.T, start.basis, start.nonbasic
     n, m_ub, width = lp.c.shape[0], start.a_ub.shape[0], start.width
 
     it1 = 0
     if width > n + m_ub:
         # Phase 1: maximize -(sum of artificials).
-        c1 = np.zeros(width, dtype=object if start.exact else float)
-        c1[n + m_ub:] = Fraction(-1) if start.exact else -1.0
+        c1 = np.zeros(width)
+        c1[n + m_ub:] = -1.0
         _set_objective(T, basis, nonbasic, c1)
-        status1, it1 = _run_simplex(T, basis, nonbasic, width, piv_tol, start.max_iter)
-        feas_tol = Fraction(0) if start.exact else max(tol, 1e-9)
-        if status1 != "optimal" or T[-1, -1] < -feas_tol:
-            return LPSolution(status="infeasible", iterations=it1)
+        status1, it1 = _run_simplex(T, basis, nonbasic, width, tol, start.max_iter)
+        if status1 != "optimal" or T[-1, -1] < -max(tol, 1e-9):
+            return _infeasible(lp, start, tol, it1)
 
     # Drive remaining basic artificials out; drop redundant rows.
     drop_rows = []
     for i in np.flatnonzero(basis >= n + m_ub):
-        cand = np.flatnonzero((np.abs(T[i, :-1]) > piv_tol) & (nonbasic < n + m_ub))
+        cand = np.flatnonzero((np.abs(T[i, :-1]) > tol) & (nonbasic < n + m_ub))
         if cand.size:
             _pivot(T, basis, nonbasic, i, cand[np.argmin(nonbasic[cand])])
         else:
@@ -362,8 +342,51 @@ def _phase1(lp: LinearProgram, tol: float, exact: bool, max_iter: Optional[int])
     return start
 
 
+def _shape(lp: LinearProgram) -> str:
+    return f"{lp.a_ub.shape[0] + lp.a_eq.shape[0]} rows x {lp.c.shape[0]} columns"
+
+
+def _solution(lp: LinearProgram, start: _Start, y, **fields) -> LPSolution:
+    """``fields`` with the multipliers ``y`` of ``start``'s rows, split into
+    those of ``lp.a_ub``, of ``lp.a_eq`` and of the folded upper bounds."""
+    m_ub, k = start.a_ub.shape[0], lp.a_ub.shape[0]
+    upper = np.zeros(lp.c.shape[0])
+    upper[start.ub_vars] = y[k:m_ub]
+    return LPSolution(dual_ub=y[:k], dual_eq=y[m_ub:], dual_upper=upper, **fields)
+
+
+def _infeasible(lp: LinearProgram, start: _Start, tol: float, iterations: int) -> LPSolution:
+    """The ``infeasible`` answer at the end of phase 1, certified by its
+    Farkas ray, or :class:`ComputationError`.
+
+    The phase-1 duals y are read from the final reduced-cost row: the
+    reduced cost of row i's own slack is y_i, that of its own artificial
+    y_i + 1, and a basic variable's is zero.  Mapped to the rows as supplied,
+    y must meet y^T A >= 0, y >= 0 on the inequality rows and y^T b < 0, each
+    relative to the magnitudes entering it as in :func:`_phase2`.
+    """
+    n, m_ub = lp.c.shape[0], start.a_ub.shape[0]
+    rc = np.zeros(start.width)
+    rc[start.nonbasic] = start.T[-1, :-1]
+    y = start.sigma * (rc[start.own] - (start.own >= n + m_ub)) / start.row_scale
+    rows = np.vstack([start.a_ub, lp.a_eq])
+    b = np.concatenate([start.b_ub, lp.b_eq])
+    y_ub_all = y[:m_ub]
+    dual_res = float(np.max(-(y @ rows) / (1.0 + np.abs(y) @ np.abs(rows)), initial=0.0))
+    sign_res = float(np.max(-y_ub_all, initial=0.0)) / (
+        1.0 + float(np.max(np.abs(y_ub_all), initial=0.0))
+    )
+    value = float(y @ b) / (1.0 + float(np.abs(y) @ np.abs(b)))
+    if not (dual_res <= tol and sign_res <= tol and value < -tol):  # NaN fails too
+        raise ComputationError(
+            f"LP infeasibility certification failed ({_shape(lp)}): "
+            f"dual={dual_res:.3e} sign={sign_res:.3e} value={value:.3e} (tol {tol:.3e})"
+        )
+    return _solution(lp, start, y, status="infeasible", iterations=iterations)
+
+
 def _restart(lp: LinearProgram, rows: _Start, basis, tol: float) -> Optional[_Start]:
-    """A feasible float start of ``lp`` at ``basis``, a previous optimum's
+    """A feasible start of ``lp`` at ``basis``, a previous optimum's
     basis of rows of the same shape, or None, and phase 1 runs instead.
     ``rows`` is the slack start of ``lp``'s rows; it is left as it is.
 
@@ -414,8 +437,7 @@ def _restart(lp: LinearProgram, rows: _Start, basis, tol: float) -> Optional[_St
 
 def _phase2(lp: LinearProgram, start: _Start, tol: float) -> LPSolution:
     """Phase 2 of ``lp`` from a copy of ``start``, certified by strong
-    duality; a float answer that fails certification is re-solved exactly."""
-    exact = start.exact
+    duality."""
     T, basis, nonbasic = start.T.copy(), start.basis.copy(), start.nonbasic.copy()
     alive, A, a_ub, b_ub = start.alive, start.A, start.a_ub, start.b_ub
     n = lp.c.shape[0]
@@ -425,17 +447,17 @@ def _phase2(lp: LinearProgram, start: _Start, tol: float) -> LPSolution:
     c_obj = sense_mult * lp.c
 
     # Phase 2 objective; artificials may no longer enter.
-    c2 = np.zeros(width, dtype=object if exact else float)
-    c2[:n] = [Fraction(float(v)) for v in c_obj] if exact else c_obj
+    c2 = np.zeros(width)
+    c2[:n] = c_obj
     _set_objective(T, basis, nonbasic, c2)
-    status2, it2 = _run_simplex(T, basis, nonbasic, n + m_ub, start.piv_tol, start.max_iter)
+    status2, it2 = _run_simplex(T, basis, nonbasic, n + m_ub, tol, start.max_iter)
     iterations = start.iterations + it2
     if status2 == "unbounded":
         return LPSolution(status="unbounded", iterations=iterations)
 
-    x_full = np.zeros(width, dtype=object if exact else float)
+    x_full = np.zeros(width)
     x_full[basis] = T[:-1, -1]
-    x = np.array(x_full[:n], dtype=float)
+    x = x_full[:n].copy()
     value_max = float(T[-1, -1])
 
     # Row duals, recomputed fresh from the final basis (the maintained
@@ -444,35 +466,23 @@ def _phase2(lp: LinearProgram, start: _Start, tol: float) -> LPSolution:
     # y_i = 0 and the system shrinks to the rows without a basic slack and the
     # basic structural columns.  Dropped redundant rows carry dual zero.
     y_norm = np.zeros(m)
-    if exact:
-        slot = {int(v): k for k, v in enumerate(nonbasic)}
-        for i in np.flatnonzero(alive):
-            k = slot.get(int(start.own[i]))
-            y_norm[i] = 0.0 if k is None else float(T[-1, k])
-    else:
-        rows = alive.copy()
-        rows[basis[(basis >= n) & (basis < n + m_ub)] - n] = False
-        struct = basis[basis < n]
-        if rows.any():
-            basis_mat = A[np.ix_(rows, struct)]
-            cb = c2[struct]
-            try:
-                y_rows = np.linalg.solve(basis_mat.T, cb)
-                for _ in range(2):  # iterative refinement against conditioning
-                    resid = cb - basis_mat.T @ y_rows
-                    y_rows = y_rows + np.linalg.solve(basis_mat.T, resid)
-            except np.linalg.LinAlgError:
-                y_rows, *_ = np.linalg.lstsq(basis_mat.T, cb, rcond=None)
-            y_norm[rows] = y_rows
+    rows = alive.copy()
+    rows[basis[(basis >= n) & (basis < n + m_ub)] - n] = False
+    struct = basis[basis < n]
+    if rows.any():
+        basis_mat = A[np.ix_(rows, struct)]
+        cb = c2[struct]
+        try:
+            y_rows = np.linalg.solve(basis_mat.T, cb)
+            for _ in range(2):  # iterative refinement against conditioning
+                resid = cb - basis_mat.T @ y_rows
+                y_rows = y_rows + np.linalg.solve(basis_mat.T, resid)
+        except np.linalg.LinAlgError:
+            y_rows, *_ = np.linalg.lstsq(basis_mat.T, cb, rcond=None)
+        y_norm[rows] = y_rows
     # duals of the rows as supplied (all-<= + eq), max sense
     y = start.sigma * y_norm / start.row_scale
-
-    n_orig_ub = lp.a_ub.shape[0]
-    y_ub_all = y[:m_ub]
-    y_eq = y[m_ub:]
-    y_ub = y_ub_all[:n_orig_ub]
-    y_upper = np.zeros(n)
-    y_upper[start.ub_vars] = y_ub_all[n_orig_ub:]
+    y_ub_all, y_eq = y[:m_ub], y[m_ub:]
 
     # Certification in max space; residuals are relative to the magnitudes
     # entering each row/column so badly scaled data certify honestly.
@@ -508,41 +518,23 @@ def _phase2(lp: LinearProgram, start: _Start, tol: float) -> LPSolution:
         float(np.abs(b_ub) @ np.abs(y_ub_all)) if m_ub else 0.0
     ) + (float(np.abs(lp.b_eq) @ np.abs(y_eq)) if m_eq else 0.0)
     gap = abs(value_max - dual_value) / (1.0 + abs(value_max) + dual_mass)
-    if primal_res > tol or dual_res > tol or gap > tol:
-        if not exact:
-            # Tableau drift can park the float path at a near-optimal basis;
-            # the rational path has no drift and re-certifies from scratch.
-            return solve(lp, tol=tol, exact=True, max_iter=start.max_iter)
+    if not (primal_res <= tol and dual_res <= tol and gap <= tol):  # NaN fails too
         raise ComputationError(
-            "LP certification failed: "
+            f"LP certification failed ({_shape(lp)}): "
             f"primal={primal_res:.3e} dual={dual_res:.3e} gap={gap:.3e} (tol {tol:.3e})"
         )
 
-    value = sense_mult * value_max
-    return LPSolution(
-        status="optimal",
-        value=value,
-        x=x,
-        dual_ub=sense_mult * y_ub,
-        dual_eq=sense_mult * y_eq,
-        dual_upper=sense_mult * y_upper,
-        gap=gap,
-        primal_residual=primal_res,
-        dual_residual=dual_res,
-        iterations=iterations,
-        basis=None if exact else basis,
+    return _solution(
+        lp, start, sense_mult * y, status="optimal", value=sense_mult * value_max, x=x,
+        gap=gap, primal_residual=primal_res, dual_residual=dual_res,
+        iterations=iterations, basis=basis,
     )
 
 
-def solve(
-    lp: LinearProgram,
-    *,
-    tol: float = DEFAULT_TOL,
-    exact: bool = False,
-    max_iter: Optional[int] = None,
-) -> LPSolution:
-    """Solve the LP, certifying optimal answers by strong duality."""
-    start = _phase1(lp, tol, exact, max_iter)
+def solve(lp: LinearProgram, *, tol: float = DEFAULT_TOL) -> LPSolution:
+    """Solve the LP, certifying optimal answers by strong duality and
+    infeasible ones by a Farkas ray."""
+    start = _phase1(lp, tol)
     if isinstance(start, LPSolution):
         return start
     return _phase2(lp, start, tol)
@@ -557,8 +549,8 @@ def solve_ratio(
     The ratio does not change when x is scaled, so each extreme is that of
     num @ x on the slice den @ x = 1.  Both senses start phase 2 from one
     phase 1 of the slice, so each is bit for bit what ``solve`` gives for its
-    sense; certification and the exact fallback stay per extreme.  Both read
-    ``infeasible`` when the cone does not reach the slice.
+    sense; certification stays per extreme.  Both read ``infeasible``, with
+    one Farkas ray, when the cone does not reach the slice.
 
     ``warm``, a previous ``(lo, hi)`` of a cone of the same shape, restarts
     each extreme from that extreme's final basis (see ``_restart``); an
@@ -568,14 +560,14 @@ def solve_ratio(
     prog = LinearProgram.build(
         "max", num, a_ub=a_ub, b_ub=np.zeros(a_ub.shape[0]), a_eq=[den], b_eq=[1.0]
     )
-    rows = _slack_start(prog, tol, False, None) if warm is not None else None
+    rows = _slack_start(prog) if warm is not None else None
     cold = None
     out = []
     for k, side in enumerate((replace(prog, sense="min"), prog)):
         start = _restart(side, rows, warm[k].basis, tol) if warm is not None else None
         if start is None:
             if cold is None:
-                cold = _phase1(prog, tol, False, None)
+                cold = _phase1(prog, tol)
             if isinstance(cold, LPSolution):
                 return cold, cold
             start = cold

@@ -16,10 +16,6 @@ Wealth bookkeeping:
 * ``is_self_financing`` checks the rebalance identity at every intermediate
   date: the bank-account change plus the signed cost of the position change
   must equal the dividends received.
-* ``wealth_closed_form`` evaluates the equivalent explicit sum (setup cost,
-  liquidation value, cumulative purchases/sales, discounted dividends), which
-  must reproduce the discounted recursion exactly for self-financing
-  strategies - and only for those.
 """
 
 from __future__ import annotations
@@ -42,7 +38,6 @@ __all__ = [
     "apply_transaction_costs",
     "wealth_process",
     "is_self_financing",
-    "wealth_closed_form",
     "make_self_financing",
     "asian_call",
     "cds_dividends",
@@ -271,51 +266,6 @@ def is_self_financing(
             i = int(np.argmax(np.abs(resid)))
             return SelfFinancingCheck(False, time=t, path=i, residual=float(resid[i]))
     return SelfFinancingCheck(True)
-
-
-def wealth_closed_form(
-    model: MarketModel, phi: TradingStrategy, *, tol: float = 1e-9
-) -> np.ndarray:
-    """Discounted wealth via the explicit self-financing sum.
-
-    Refuses strategies that fail the rebalance identity, since the sum only
-    represents the wealth of self-financing strategies.
-    """
-    check = is_self_financing(model, phi, tol=tol)
-    if not check:
-        raise ValidationError(
-            "strategy is not self-financing "
-            f"(t={check.time}, path {model.tree.paths[check.path]}, "
-            f"residual {check.residual:.3e})"
-        )
-    return _closed_form_sum(model, phi)
-
-
-def _closed_form_sum(model: MarketModel, phi: TradingStrategy) -> np.ndarray:
-    tree = model.tree
-    h = phi.holdings
-    n, T = tree.n_paths, tree.horizon
-    _, Binv = model.discounts()
-    V0 = wealth_process(model, phi)[:, 0]
-    out = np.zeros((n, T + 1))
-    out[:, 0] = V0
-    buys = np.zeros(n)
-    divs = np.zeros(n)
-    for t in range(1, T + 1):
-        liq = np.zeros(n)
-        for j, sec in enumerate(model.securities):
-            d = h[t][1 + j] - h[t - 1][1 + j]
-            buys += _split(
-                d, Binv[:, t - 1] * sec.ask[:, t - 1], Binv[:, t - 1] * sec.bid[:, t - 1]
-            )
-            d_ask = sec.div_ask[:, t] - sec.div_ask[:, t - 1]
-            d_bid = sec.div_bid[:, t] - sec.div_bid[:, t - 1]
-            divs += _split(h[t][1 + j], Binv[:, t] * d_ask, Binv[:, t] * d_bid)
-            liq += _split(
-                h[t][1 + j], Binv[:, t] * sec.bid[:, t], Binv[:, t] * sec.ask[:, t]
-            )
-        out[:, t] = V0 + liq - buys + divs
-    return out
 
 
 def make_self_financing(

@@ -236,11 +236,10 @@ def solve_ratio(
     feasible set.  Charnes-Cooper: with y = s*x, s >= 0, constraints become
     homogeneous in (y, s) and the denominator is pinned to 1.  Both extremes
     start phase 2 from one phase 1 of that program, so each is bit for bit
-    what ``solve`` gives for its sense; certification and the exact fallback
-    stay per extreme.  If the program is infeasible, the constraints alone
-    decide: an empty feasible set gives status ``infeasible`` (value NaN) for
-    both, a nonempty one on which the denominator vanishes raises
-    :class:`ComputationError`.
+    what ``solve`` gives for its sense; certification stays per extreme.  If
+    the program is infeasible, the constraints alone decide: an empty
+    feasible set gives status ``infeasible`` (value NaN) for both, a nonempty
+    one on which the denominator vanishes raises :class:`ComputationError`.
     """
     num = np.atleast_1d(np.asarray(num, dtype=float))
     den = np.atleast_1d(np.asarray(den, dtype=float))
@@ -278,7 +277,7 @@ def solve_ratio(
         a_eq=np.vstack(rows_eq),
         b_eq=np.concatenate(rhs_eq),
     )
-    start = _phase1(prog, tol, False, None)
+    start = _phase1(prog, tol)
     if isinstance(start, LPSolution):
         bare = LinearProgram.build("max", np.zeros(n), a_ub, b_ub, a_eq, b_eq, upper)
         bare = solve(bare, tol=tol)

@@ -9,7 +9,11 @@ package computes another way:
   form of ``dglr_eval``;
 * the ratio/threshold-density correspondence, per node;
 * hedged-acceptability prices from the primal side (least cash plus conic
-  hedge that is acceptable), against the dual density-polytope quotes.
+  hedge that is acceptable), against the dual density-polytope quotes;
+* discounted wealth by the explicit self-financing sum (setup cost,
+  liquidation value, cumulative purchases/sales, discounted dividends),
+  against the date-by-date recursion of ``wealth_process``: the two agree
+  for self-financing strategies, and only for those.
 """
 
 from dataclasses import dataclass, field
@@ -20,6 +24,13 @@ from conic_pricer import lp
 from conic_pricer.acceptability import DensityBand, band_ratio_extreme, dglr_eval
 from conic_pricer.errors import ComputationError, ValidationError
 from conic_pricer.lattice import as_values, tail_sum
+from conic_pricer.market import (
+    MarketModel,
+    TradingStrategy,
+    _split,
+    is_self_financing,
+    wealth_process,
+)
 
 from cone_reference import reference_generator_matrix
 from lp_reference import solve_ratio
@@ -259,4 +270,54 @@ def primal_price_oracle(model, cash_flow, t, gamma):
         ask = _least_acceptable_cash(x[idx], G, q, gamma)
         bid = -_least_acceptable_cash(-x[idx], G, q, gamma)
         out.append(OracleInterval(bid=bid, ask=ask))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# accounting
+
+
+def wealth_closed_form(
+    model: MarketModel, phi: TradingStrategy, *, tol: float = 1e-9
+) -> np.ndarray:
+    """Discounted wealth via the explicit self-financing sum.
+
+    Refuses strategies that fail the rebalance identity, since the sum only
+    represents the wealth of self-financing strategies.
+    """
+    check = is_self_financing(model, phi, tol=tol)
+    if not check:
+        raise ValidationError(
+            "strategy is not self-financing "
+            f"(t={check.time}, path {model.tree.paths[check.path]}, "
+            f"residual {check.residual:.3e})"
+        )
+    return _closed_form_sum(model, phi)
+
+
+def _closed_form_sum(model: MarketModel, phi: TradingStrategy) -> np.ndarray:
+    """The explicit sum itself, whether or not ``phi`` is self-financing."""
+    tree = model.tree
+    h = phi.holdings
+    n, T = tree.n_paths, tree.horizon
+    _, Binv = model.discounts()
+    V0 = wealth_process(model, phi)[:, 0]
+    out = np.zeros((n, T + 1))
+    out[:, 0] = V0
+    buys = np.zeros(n)
+    divs = np.zeros(n)
+    for t in range(1, T + 1):
+        liq = np.zeros(n)
+        for j, sec in enumerate(model.securities):
+            d = h[t][1 + j] - h[t - 1][1 + j]
+            buys += _split(
+                d, Binv[:, t - 1] * sec.ask[:, t - 1], Binv[:, t - 1] * sec.bid[:, t - 1]
+            )
+            d_ask = sec.div_ask[:, t] - sec.div_ask[:, t - 1]
+            d_bid = sec.div_bid[:, t] - sec.div_bid[:, t - 1]
+            divs += _split(h[t][1 + j], Binv[:, t] * d_ask, Binv[:, t] * d_bid)
+            liq += _split(
+                h[t][1 + j], Binv[:, t] * sec.bid[:, t], Binv[:, t] * sec.ask[:, t]
+            )
+        out[:, t] = V0 + liq - buys + divs
     return out

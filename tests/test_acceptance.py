@@ -25,7 +25,6 @@ from conic_pricer.market import (
     apply_transaction_costs,
     asian_call,
     is_self_financing,
-    wealth_closed_form,
     wealth_process,
 )
 from conic_pricer.pricing import (
@@ -47,10 +46,12 @@ from conftest import (
     two_period_model,
 )
 from oracles import (
+    _closed_form_sum,
     band_extreme_vertices,
     correspondence_check,
     index_level,
     primal_price_oracle,
+    wealth_closed_form,
 )
 
 MODEL_FILE = fixture_path("two_period_stock.json")
@@ -618,8 +619,6 @@ def test_c10_accounting_identities(capsys):
         h[int(rng.integers(2, tree.horizon + 1)), 0] += 1.0
         broken = TradingStrategy(h)
         assert not is_self_financing(model, broken).ok
-        from conic_pricer.market import _closed_form_sum
-
         _, Binv = model.discounts()
         gap = np.max(np.abs(_closed_form_sum(model, broken) - Binv * wealth_process(model, broken)))
         if gap > 1e-6:

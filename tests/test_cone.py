@@ -11,7 +11,6 @@ from conic_pricer.market import (
     MarketModel,
     apply_transaction_costs,
     make_self_financing,
-    wealth_closed_form,
 )
 
 from cone_reference import (
@@ -31,6 +30,7 @@ from conftest import (
     two_period_model,
     two_period_tree,
 )
+from oracles import wealth_closed_form
 
 
 def two_security_market(rng, tree) -> MarketModel:

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from conic_pricer import lp
+from conic_pricer.cli import EXIT_INTERNAL, main
 from conic_pricer.errors import ComputationError, ValidationError
+from conic_pricer.fixtures import fixture_path
 from conic_pricer.lp import LinearProgram, solve, solve_ratio
 from conic_pricer.pricing import _with_band
 
@@ -225,13 +227,23 @@ class TestCondensedKernel:
 
     @pytest.mark.parametrize("shape", [_mixed, _degenerate, _infeasible, _unbounded])
     def test_exact_mode_agrees_with_float(self, shape):
+        # the rational reference settles disputes over the float answer
         rng = np.random.default_rng(7)
         for _ in range(8):
             prog = shape(rng)
-            sol, exact = solve(prog), solve(prog, exact=True)
-            assert exact.status == sol.status
+            sol = solve(prog)
+            status, value, _, _ = reference_solve(prog, exact=True)
+            assert status == sol.status
             if sol.status == "optimal":
-                assert exact.value == pytest.approx(sol.value, abs=1e-9)
+                assert value == pytest.approx(sol.value, abs=1e-9)
+
+    def test_infeasible_answers_carry_a_farkas_ray(self):
+        rng = np.random.default_rng(20261018)
+        for _ in range(30):
+            prog = _infeasible(rng)
+            sol = solve(prog)
+            assert sol.status == "infeasible"
+            assert _is_farkas_ray(sol, prog)
 
 
 def _stalling_cone():
@@ -282,17 +294,75 @@ class TestStallFallback:
 
 
 class TestExactMode:
+    """The rational reference, ``reference_solve(prog, exact=True)``."""
+
     def test_matches_float_solution(self):
         prog = LinearProgram.build(
             "max", [3.0, 5.0],
             a_ub=[[1.0, 0.0], [0.0, 2.0], [3.0, 2.0]],
             b_ub=[4.0, 12.0, 18.0],
         )
-        assert solve(prog, exact=True).value == pytest.approx(36.0, abs=1e-12)
+        assert reference_solve(prog, exact=True)[1] == pytest.approx(36.0, abs=1e-12)
 
     def test_exact_infeasible(self):
         prog = LinearProgram.build("max", [0.0], a_ub=[[1.0]], b_ub=[-2.0])
-        assert solve(prog, exact=True).status == "infeasible"
+        assert reference_solve(prog, exact=True)[0] == "infeasible"
+
+
+def _is_farkas_ray(sol, prog):
+    """Whether ``sol``'s duals certify that no x >= 0 meets ``prog``'s rows
+    (it has no upper bounds): y^T A >= 0, y >= 0 on the inequality rows and
+    y^T b < 0, each within 1e-9 of the magnitudes entering it."""
+    y_ub, y_eq = sol.dual_ub, sol.dual_eq
+    if y_ub is None or y_eq is None:
+        return False
+    ya = y_ub @ prog.a_ub + y_eq @ prog.a_eq
+    ya_mass = np.abs(y_ub) @ np.abs(prog.a_ub) + np.abs(y_eq) @ np.abs(prog.a_eq)
+    yb = y_ub @ prog.b_ub + y_eq @ prog.b_eq
+    yb_mass = np.abs(y_ub) @ np.abs(prog.b_ub) + np.abs(y_eq) @ np.abs(prog.b_eq)
+    return (np.all(ya >= -1e-9 * (1.0 + ya_mass))
+            and np.all(y_ub >= -1e-9 * (1.0 + np.abs(y_ub).max(initial=0.0)))
+            and yb < -1e-9 * (1.0 + yb_mass))
+
+
+def _stop_phase(monkeypatch, phase):
+    """Make ``lp._run_simplex`` report "optimal" at once in the given phase:
+    phase 1 lets every variable enter, phase 2 bars the artificials."""
+    real = lp._run_simplex
+
+    def run(T, basis, nonbasic, limit, tol, max_iter):
+        if (limit == nonbasic.size + basis.size) == (phase == 1):
+            return "optimal", 0
+        return real(T, basis, nonbasic, limit, tol, max_iter)
+
+    monkeypatch.setattr(lp, "_run_simplex", run)
+
+
+class TestCertifiedOrError:
+    """Every answer is certified or a labelled ``ComputationError``."""
+
+    def test_uncertified_infeasible_raises(self, monkeypatch):
+        # x1 + 2 x2 = 2 is met by x = (0, 1), but phase 1 stopped at its
+        # artificial start would call the rows infeasible
+        prog = LinearProgram.build("max", [1.0, 1.0], a_eq=[[1.0, 2.0]], b_eq=[2.0])
+        assert solve(prog).status == "optimal"
+        _stop_phase(monkeypatch, 1)
+        with pytest.raises(ComputationError, match="^LP infeasibility certification failed"):
+            solve(prog)
+
+    def test_uncertified_optimum_raises_once(self, monkeypatch, count_calls):
+        # phase 2 stopped where phase 1 left it, (0, 1), short of the optimum
+        # (2, 0): one solve raises, with no second attempt, and the CLI exits 70
+        prog = LinearProgram.build("max", [1.0, 0.25], a_eq=[[1.0, 2.0]], b_eq=[2.0])
+        assert solve(prog).value == pytest.approx(2.0, abs=1e-12)
+        _stop_phase(monkeypatch, 2)
+        solves = count_calls(lp, "solve")
+        shape = r"^LP certification failed \(1 rows x 2 columns\)"
+        with pytest.raises(ComputationError, match=shape):
+            lp.solve(prog)
+        assert len(solves) == 1
+        model, payoff = fixture_path("two_period_stock.json"), fixture_path("asian_call_65.json")
+        assert main(["bounds", model, payoff]) == EXIT_INTERNAL
 
 
 class TestSolveRatio:
@@ -510,6 +580,10 @@ class TestWarmRestart:
                 if cold[1].status == "infeasible":
                     seen += pair is not None
                     assert all(_same(g, c) for g, c in zip(got, cold))
+                    slice_lp = LinearProgram.build(
+                        "max", num, a_ub=a_ub, b_ub=np.zeros(len(a_ub)), a_eq=[den], b_eq=[1.0]
+                    )
+                    assert all(_is_farkas_ray(g, slice_lp) for g in got)
                     break
                 pair = got
         assert seen and "infeasible" in statuses

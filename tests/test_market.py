@@ -16,7 +16,6 @@ from conic_pricer.market import (
     discount_factors,
     is_self_financing,
     make_self_financing,
-    wealth_closed_form,
     wealth_process,
 )
 
@@ -28,6 +27,7 @@ from conftest import (
     two_period_model,
     two_period_tree,
 )
+from oracles import _closed_form_sum, wealth_closed_form
 
 
 def buy_then_liquidate(model):
@@ -218,15 +218,9 @@ class TestClosedForm:
             broken = TradingStrategy(h)
             assert not is_self_financing(model, broken).ok
             _, Binv = model.discounts()
-            lhs = broken and _closed_form(model, broken)
+            lhs = broken and _closed_form_sum(model, broken)
             rhs = Binv * wealth_process(model, broken)
             assert np.max(np.abs(lhs - rhs)) > 1e-6
-
-
-def _closed_form(model, phi):
-    from conic_pricer.market import _closed_form_sum
-
-    return _closed_form_sum(model, phi)
 
 
 class TestFrictionlessReduction:
