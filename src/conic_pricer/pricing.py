@@ -34,12 +34,14 @@ hedge (a nonnegative combination of its cone rows) whose gain-loss ratio
 beats the level.  The check looks for that hedge with one small LP per node;
 its weights are the witness, reported with the hedge's trading strategy.
 
-The check is monotone in the level: the band m <= u <= (1 + gamma) m only
-widens as gamma grows, so a level at which no hedge beats gamma leaves every
-larger level free of good deals, and a witness whose ratio r has been
-confirmed by ``dglr_eval`` beats every level below r.  The liquidity surface
-sweeps each of its lambda rows upward through the levels and runs the check
-only where neither fact already answers it.
+Across levels the check has one threshold per node.  A hedge's gain-loss
+ratio is its expected gain over its expected loss, so a node has a hedge
+beating gamma exactly when gamma L < 1, where L is the node's least expected
+loss per unit of expected gain and 1/L its best ratio (Cherny & Madan, RFS
+2009).  The liquidity surface finds L by one LP per node and lambda row, free
+of the level, and reads every level's status from it, a level at exactly 1/L
+included.  Single-level quotes keep the check, whose least-weight hedge is
+the witness they report.
 
 ``entry="mark"`` switches the valuation-date legs of hedges initiated exactly
 at the pricing date to liquidation-side prices (entry spread refunded).  This
@@ -84,7 +86,6 @@ STATUS_OK = "ok"
 STATUS_NGD = "ngd-violated"
 STATUS_ARBITRAGE = "arbitrage"
 STATUS_INFEASIBLE = "infeasible"
-
 
 @dataclass(frozen=True)
 class PriceEntry:
@@ -264,6 +265,17 @@ def good_deal_certificate(
     return GoodDealWitness(node, hedge_strategy(model, rows, scaled), paid[:, -1], ratio)
 
 
+def _hedge_loss_rows(G: np.ndarray, H: np.ndarray) -> np.ndarray:
+    """Rows a_ub <= 0 over a node's hedge weights w and the loss bound z of
+    its paths: z >= -G^T w, and H^T w >= 0 (the hedge carries on no more
+    than it holds)."""
+    m = G.shape[1]
+    return np.vstack([
+        np.hstack([-G.T, -np.eye(m)]),
+        np.hstack([-H.T, np.zeros((H.shape[1], m))]),
+    ])
+
+
 def _good_deal_weights(model: MarketModel, rows: NodeRows, gamma: float, tol: float):
     """Weights on ``rows`` of a hedge beating ``gamma`` at the first date-t
     node that has one, or None: per node, the least total weight y >= 0 whose
@@ -276,11 +288,7 @@ def _good_deal_weights(model: MarketModel, rows: NodeRows, gamma: float, tol: fl
             continue
         q = p[paths]
         k, m = len(pick), len(paths)
-        a_ub = np.vstack([
-            np.hstack([-G.T, -np.eye(m)]),
-            np.hstack([-H.T, np.zeros((H.shape[1], m))]),
-            np.concatenate([-(G @ q), gamma * q])[None, :],
-        ])
+        a_ub = np.vstack([_hedge_loss_rows(G, H), np.concatenate([-(G @ q), gamma * q])])
         b_ub = np.concatenate([np.zeros(m + H.shape[1]), [-1.0]])
         prog = lp.LinearProgram.build(
             "min", np.concatenate([np.ones(k), np.zeros(m)]), a_ub=a_ub, b_ub=b_ub
@@ -291,6 +299,37 @@ def _good_deal_weights(model: MarketModel, rows: NodeRows, gamma: float, tol: fl
             weights[pick] = sol.x[:k]
             return weights
     return None
+
+
+def _least_loss(model: MarketModel, rows: NodeRows, tol: float) -> np.ndarray:
+    """Per date-t node, the least expected loss L of a hedge on ``rows`` per
+    unit of its expected gain: the minimum of E[z] over weights w >= 0 and a
+    loss bound z >= max(-X, 0) of the flow X = G^T w, with E[X] = 1 and the
+    hedge carrying on no more than it holds.
+
+    The node's best gain-loss ratio is 1/L, so a hedge there beats gamma
+    exactly when gamma L < 1.  L is +inf when no hedge gains (the LP is
+    infeasible) or the node has no rows, and 0 for a lossless hedge (a
+    rounding residue below 0 reads 0).  The objective is bounded below by 0,
+    so the LP is never unbounded.
+    """
+    p = model.probabilities
+    losses = []
+    for node in model.tree.nodes(rows.start):
+        pick, paths, G, H = _node_hedges(model, rows, node)
+        if not pick.size:
+            losses.append(np.inf)
+            continue
+        q = p[paths]
+        a_ub = _hedge_loss_rows(G, H)
+        prog = lp.LinearProgram.build(
+            "min", np.concatenate([np.zeros(len(pick)), q]), a_ub=a_ub,
+            b_ub=np.zeros(len(a_ub)), a_eq=[np.concatenate([G @ q, np.zeros(len(q))])],
+            b_eq=[1.0],
+        )
+        sol = lp.solve(prog, tol=tol)
+        losses.append(max(sol.value, 0.0) if sol.status == "optimal" else np.inf)
+    return np.array(losses)
 
 
 def _ngd(model: MarketModel, gamma: float, rows: NodeRows, tol: float) -> NgdResult:
@@ -396,24 +435,23 @@ def liquidity_surface(
 
     The model, the payoff and the cone rows are built once per
     transaction-cost coefficient, then each level is repriced at the
-    requested date-t node.  Along one such row the no-good-deal check is
-    swept over the levels in ascending order: the band widens with gamma, so
-    a level at which no hedge beats gamma clears every larger level too, and
-    a witness hedge of ratio r beats every level below r.  A level at or above
-    the smallest one seen to hold is priced without a check.  One below the
-    largest witness ratio seen is violated with that witness, still a valid
-    certificate there: its ratio is the one ``dglr_eval`` computed, and it
-    exceeds the level.  Only the levels in between run the check.
+    requested date-t node.  The no-good-deal status of every level of such a
+    row comes from one threshold: each date-t node's least loss per unit of
+    gain L (see :func:`_least_loss`), one LP per node and row.  A level gamma
+    is violated exactly when gamma L < 1 at some node, i.e. when the node's
+    best gain-loss ratio 1/L beats it; a level at exactly 1/L is not beaten
+    and is priced.  No level runs the check itself, and violated cells carry
+    no witness.
 
-    The check covers every date-t node, but only the requested node is
+    The threshold covers every date-t node, but only the requested node is
     quoted: the per-node programs are independent.  Its cone is built once
-    per row without the band, and each level appends its band.  The first
-    priced level of a row is solved from phase 1, exactly as
-    :func:`good_deal_prices` solves it; each later one restarts the node's
-    min and max LPs from the previous priced level's optimal bases (see
-    :func:`conic_pricer.lp.solve_ratio`).  A wider band leaves those bases
-    optimal or a few dual simplex pivots away; the quotes agree with a cold
-    solve to rounding, not bit for bit.
+    per row without the band, and each level appends its band.  The levels
+    are priced in ascending order.  The first priced level of a row is solved
+    from phase 1, exactly as :func:`good_deal_prices` solves it; each later
+    one restarts the node's min and max LPs from the previous priced level's
+    optimal bases (see :func:`conic_pricer.lp.solve_ratio`).  A wider band
+    leaves those bases optimal or a few dual simplex pivots away; the quotes
+    agree with a cold solve to rounding, not bit for bit.
     """
     if not gammas or not lambdas:
         raise ValidationError("surface needs nonempty gamma and lambda lists")
@@ -434,25 +472,12 @@ def liquidity_surface(
         x = _discounted_tail(model, payoff, t)
         paths = list(model.tree.node_paths(at))
         cone = _node_cone(rows, node, paths)
-        # ascending, so a check runs only above every witness ratio seen and
-        # below any level held: the first level held is the smallest, and the
-        # latest witness has the largest ratio
-        held, beaten, warm = np.inf, None, None
+        loss = float(np.min(_least_loss(model, rows, tol)))
+        warm = None
         row = [None] * len(gammas)
         for i in ascending:
             gamma = gammas[i]
-            if gamma >= held:
-                holds = True
-            elif beaten is not None and gamma < beaten.dglr:
-                holds = False
-            else:
-                check = _ngd(model, gamma, rows, tol)
-                holds = check.holds
-                if holds:
-                    held = gamma
-                elif check.witness is not None:
-                    beaten = check.witness
-            if holds:
+            if gamma * loss >= 1.0:
                 e, warm = _node_quote(model, x, _with_band(cone, len(paths), gamma), at, tol, warm)
             else:
                 e = PriceEntry(at, np.inf, -np.inf, STATUS_NGD)

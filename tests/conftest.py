@@ -122,13 +122,15 @@ def random_market(rng, tree, *, lam=None, dividends=False, rates=False) -> Marke
     return MarketModel(tree, r, [sec])
 
 
-def arbitrage_free_market(rng, tree, *, dividends, rates, lam=None):
+def arbitrage_free_market(rng, tree, *, dividends, rates, lam=None, securities=1):
     """Bid = the discounted conditional expectation, under a random equivalent
     measure, of the terminal price plus the dividends still to come; ask =
     bid * (1 + lam).  The measure prices every round trip at most zero, so
     the market is free of arbitrage by construction.
 
-    ``lam`` is drawn from [0.002, 0.03] unless given.
+    ``lam`` is drawn from [0.002, 0.03] unless given.  With several
+    ``securities`` each gets its own terminal price and dividends, all priced
+    by the one measure; the first is drawn as the only one would be.
     """
     n, T = tree.n_paths, tree.horizon
     r = np.zeros((n, T))
@@ -137,22 +139,30 @@ def arbitrage_free_market(rng, tree, *, dividends, rates, lam=None):
             for cell in tree.partitions[t]:
                 r[list(cell), t] = rng.uniform(0.0, 0.05)
     Binv = 1.0 / np.hstack([np.ones((n, 1)), np.cumprod(1.0 + r, axis=1)])
-    div = np.zeros((n, T + 1))
-    if dividends:
-        div = np.cumsum(random_adapted(rng, tree, base=1.0, vol=0.3), axis=1)
-        div -= div[:, :1]
-    q = rng.dirichlet(np.ones(n)) + 0.05
-    bid = np.zeros((n, T + 1))
-    bid[:, T] = random_adapted(rng, tree)[:, T]
-    gains = bid[:, T] * Binv[:, T]
-    for t in range(T - 1, -1, -1):
-        gains = gains + (div[:, t + 1] - div[:, t]) * Binv[:, t + 1]
-        for cell in tree.partitions[t]:
-            idx = list(cell)
-            bid[idx, t] = (q[idx] @ gains[idx]) / q[idx].sum() / Binv[idx[0], t]
+    q, priced = None, []
+    for _ in range(securities):
+        div = np.zeros((n, T + 1))
+        if dividends:
+            div = np.cumsum(random_adapted(rng, tree, base=1.0, vol=0.3), axis=1)
+            div -= div[:, :1]
+        if q is None:
+            q = rng.dirichlet(np.ones(n)) + 0.05
+        bid = np.zeros((n, T + 1))
+        bid[:, T] = random_adapted(rng, tree)[:, T]
+        gains = bid[:, T] * Binv[:, T]
+        for t in range(T - 1, -1, -1):
+            gains = gains + (div[:, t + 1] - div[:, t]) * Binv[:, t + 1]
+            for cell in tree.partitions[t]:
+                idx = list(cell)
+                bid[idx, t] = (q[idx] @ gains[idx]) / q[idx].sum() / Binv[idx[0], t]
+        priced.append((bid, div))
     if lam is None:
         lam = rng.uniform(0.002, 0.03)
-    return MarketModel(tree, r, [Security("s", bid, bid * (1.0 + lam), div, div)])
+    secs = [
+        Security("s" if j == 0 else f"s{j + 1}", bid, bid * (1.0 + lam), div, div)
+        for j, (bid, div) in enumerate(priced)
+    ]
+    return MarketModel(tree, r, secs)
 
 
 def random_legs(rng, tree, n_securities=1, scale=2.0):

@@ -488,6 +488,28 @@ class TestFrictionlessBinaryMarkets:
         )
 
 
+    @pytest.mark.xfail(
+        raises=ComputationError, strict=True,
+        reason="phase 1 stalls at the cone's apex and the Farkas check of its "
+        "'infeasible' fails (ROADMAP item 1)",
+    )
+    @pytest.mark.parametrize("t, gamma", [(0, 50.0), (0, 100.0), (1, 40.0), (1, 50.0), (1, 100.0)])
+    def test_horizon_5_ladder_market_wide_bands(self, t, gamma):
+        # the market above: its one density lies in every band and the check
+        # holds, so each node prices at its no-arbitrage value; levels up to
+        # 40 at t=0 do, these raise instead
+        model = binary_tree_market(
+            1.0656226129109645, 0.9169887424428936, 0.01, 0.6257877141447595, 0.0, 5
+        )
+        payoff = call_payoff(model, 92.25254968839278)
+        assert ngd_check(model, t, gamma).holds
+        quote = good_deal_prices(model, payoff, t, gamma)
+        for e, b in zip(quote.entries, noarb_bounds(model, payoff, t).entries, strict=True):
+            assert e.status == STATUS_OK
+            assert e.bid == pytest.approx(b.bid, abs=1e-8)
+            assert e.ask == pytest.approx(b.ask, abs=1e-8)
+
+
 class TestForwardPrices:
     def test_zero_rate_equals_spot(self):
         model = binomial_model(probs=(0.25, 0.75))
@@ -636,9 +658,9 @@ class TestLiquiditySurface:
         def failing(*args, **kwargs):
             raise ComputationError("priced before the node was checked")
 
-        # each cell runs the no-good-deal check, unless the sweep knows its
-        # answer, and then the node's quote
-        for name in ("_ngd", "_node_quote"):
+        # each lambda row solves its least-loss threshold and each cell quotes
+        # its node
+        for name in ("_least_loss", "_node_quote"):
             monkeypatch.setattr(pricing, name, failing)
         build_model, build_payoff = self._builders()
         for t, node, message in ((1, 2, "node 2 outside 0..1"), (2, 0, "start date 2")):
@@ -654,42 +676,27 @@ class TestLiquiditySurface:
             liquidity_surface(built.append, build_payoff, [8.0, -1.0], [0.0])
         assert built == []
 
-    @pytest.mark.parametrize("market", PIVOT_BUDGET_MARKETS)
-    def test_sweep_equals_per_cell_quotes(self, market, monkeypatch, count_calls):
-        # the sweep over an unsorted level list with a duplicate answers each
-        # cell as good_deal_prices does, with fewer checks.  A violated cell
-        # and the first priced cell of a lambda row (in ascending level order)
-        # are the same solves and match bit for bit; a later priced cell
-        # restarts from the previous one's bases, whose pivots end at the same
-        # optimum by another path
-        u, d, r, p_up, strike = market
-        gammas = [4.0, 0.25, 8.0, 1.0, 4.0, 0.5, 2.0]
-        lambdas = [0.0, 0.01]
+    @staticmethod
+    def _count_cells_like_good_deal_prices(build_model, build_payoff, gammas, lambdas, surfaces):
+        """Check that each cell of ``surfaces`` ((t, node, entry) -> cells)
+        answers as good_deal_prices does, and count the restarted ones.
 
-        def build_model(lam):
-            return binary_tree_market(u, d, r, p_up, lam, horizon=3)
-
-        checks = count_calls(pricing, "_ngd")
-        surfaces = {
-            (t, node): liquidity_surface(
-                build_model, lambda model: call_payoff(model, strike), gammas, lambdas, t,
-                node=node,
-            )
-            for t, node in ((0, 0), (1, 1))
-        }
-        monkeypatch.undo()
-        assert 0 < len(checks) < 2 * len(gammas) * len(lambdas)
+        A violated cell and the first priced cell of a lambda row (in
+        ascending level order) are the same solves and match bit for bit; a
+        later priced cell restarts from the previous one's bases, whose pivots
+        end at the same optimum by another path."""
         ascending = sorted(range(len(gammas)), key=gammas.__getitem__)
         warm = 0
-        for (t, node), cells in surfaces.items():
+        for (t, node, entry), cells in surfaces.items():
             grid = [(lam, gamma) for lam in lambdas for gamma in gammas]
             assert [(c.lam, c.gamma) for c in cells] == grid
             for j, lam in enumerate(lambdas):
                 model = build_model(lam)
+                payoff = build_payoff(model)
                 priced = False
                 for i in ascending:
                     c = cells[j * len(gammas) + i]
-                    e = good_deal_prices(model, call_payoff(model, strike), t, c.gamma).entry(node)
+                    e = good_deal_prices(model, payoff, t, c.gamma, entry=entry).entry(node)
                     assert c.status == e.status
                     if c.status == STATUS_OK and priced:
                         warm += 1
@@ -698,11 +705,77 @@ class TestLiquiditySurface:
                     else:
                         assert np.array_equal([c.bid, c.ask], [e.bid, e.ask], equal_nan=True)
                     priced = priced or c.status == STATUS_OK
+        return warm
+
+    @pytest.mark.parametrize("market", PIVOT_BUDGET_MARKETS)
+    def test_sweep_equals_per_cell_quotes(self, market, monkeypatch, count_calls):
+        # the sweep over an unsorted level list with a duplicate answers each
+        # cell as good_deal_prices does, reading every level's status from one
+        # least-loss LP per date-t node and lambda row (one node at t=0, two
+        # at t=1), with no check off the threshold
+        u, d, r, p_up, strike = market
+        gammas = [4.0, 0.25, 8.0, 1.0, 4.0, 0.5, 2.0]
+        lambdas = [0.0, 0.01]
+
+        def build_model(lam):
+            return binary_tree_market(u, d, r, p_up, lam, horizon=3)
+
+        def build_payoff(model):
+            return call_payoff(model, strike)
+
+        checks = count_calls(pricing, "_ngd")
+        thresholds = count_calls(pricing, "_least_loss")
+        solves = count_calls(lp, "solve")
+        surfaces = {
+            (t, node, "trade"): liquidity_surface(
+                build_model, build_payoff, gammas, lambdas, t, node=node
+            )
+            for t, node in ((0, 0), (1, 1))
+        }
+        monkeypatch.undo()
+        assert checks == []
+        assert len(thresholds) == 2 * len(lambdas)
+        assert len(solves) == (1 + 2) * len(lambdas)
+        warm = self._count_cells_like_good_deal_prices(
+            build_model, build_payoff, gammas, lambdas, surfaces
+        )
+        assert warm > 0
+
+    def test_sweep_equals_per_cell_quotes_on_two_securities(self):
+        # two dividend-paying securities under stochastic rates, every node at
+        # t=1, under both entry conventions
+        rng = np.random.default_rng(7)
+        tree = random_tree(rng, 6, 3)
+        flow = random_cashflow(rng, tree)
+        gammas = [4.0, 0.25, 8.0, 1.0, 4.0, 0.5, 2.0]
+        lambdas = [0.0, 0.01]
+
+        def build_model(lam):
+            return arbitrage_free_market(
+                np.random.default_rng(7), tree, dividends=True, rates=True, lam=lam,
+                securities=2,
+            )
+
+        surfaces = {
+            (1, node, entry): liquidity_surface(
+                build_model, lambda model: flow, gammas, lambdas, 1, node=node, entry=entry
+            )
+            for node in range(len(tree.nodes(1)))
+            for entry in ("trade", "mark")
+        }
+        assert len(surfaces) > 2
+        statuses = {
+            (entry, c.status) for (_, _, entry), cells in surfaces.items() for c in cells
+        }
+        assert {("trade", STATUS_OK), ("trade", STATUS_NGD), ("mark", STATUS_OK)} <= statuses
+        warm = self._count_cells_like_good_deal_prices(
+            build_model, lambda model: flow, gammas, lambdas, surfaces
+        )
         assert warm > 0
 
     def test_one_quote_per_priced_cell(self, count_calls):
         # at t=1 the binary tree has two nodes; the surface quotes only the
-        # requested one, while the no-good-deal check still covers both
+        # requested one, while the least-loss threshold still covers both
         u, d, r, p_up, strike = PIVOT_BUDGET_MARKETS[1]
         ratios = count_calls(lp, "solve_ratio")
         cells = liquidity_surface(
@@ -720,10 +793,13 @@ class TestLiquiditySurface:
         # with steepest edge and one phase 1 per node polytope, 1,112 with the
         # no-good-deal check swept along each lambda row (48 hedge searches
         # down to 17), 564 with each quote after the first of a row restarted
-        # from the previous one's bases (phase 1 runs 49 -> 26: 17 hedge
-        # searches, 8 first quotes and one basis the restart refused)
+        # from the previous one's bases, 451 with every level's status read
+        # from one least-loss LP per row (phase 1 runs 26 -> 17: 8 least-loss
+        # LPs, 8 first quotes and one basis the restart refused; no hedge
+        # search)
         pivots = count_calls(lp, "_pivot")
         starts = count_calls(lp, "_phase1")
+        solves = count_calls(lp, "solve")
         searches = count_calls(pricing, "_good_deal_weights")
         for u, d, r, p_up, strike in PIVOT_BUDGET_MARKETS:
             liquidity_surface(
@@ -732,9 +808,68 @@ class TestLiquiditySurface:
                 [0.25, 0.5, 1.0, 2.0, 4.0, 8.0],
                 [0.0, 0.005, 0.01, 0.02],
             )
-        assert len(pivots) <= 620
-        assert len(starts) <= 29
-        assert len(searches) <= 20
+        assert len(pivots) <= 500
+        assert len(starts) <= 19
+        assert len(solves) == 8
+        assert searches == []
+
+
+class TestLeastLoss:
+    """Each date-t node's least loss per unit of gain L is its no-good-deal
+    threshold: the check is violated at a level gamma exactly when gamma L < 1
+    at some node, and its witness sits at the first such node."""
+
+    GRID = (0.25, 0.5, 1.0, 2.0, 4.0, 8.0)
+
+    @staticmethod
+    def markets():
+        for u, d, r, p_up, _ in PIVOT_BUDGET_MARKETS:
+            for lam in (0.0, 0.01):
+                yield binary_tree_market(u, d, r, p_up, lam, horizon=3)
+        # two dividend-paying securities under stochastic rates
+        rng = np.random.default_rng(7)
+        yield arbitrage_free_market(
+            rng, random_tree(rng, 6, 3), dividends=True, rates=True, lam=0.01, securities=2
+        )
+
+    def test_threshold_matches_check(self):
+        seen = set()
+        for model in self.markets():
+            for t in (0, 1):
+                for entry in ("trade", "mark"):
+                    rows = generators_for(model, t, entry)
+                    loss = pricing._least_loss(model, rows, lp.DEFAULT_TOL)
+                    assert loss.shape == (len(model.tree.nodes(t)),)
+                    assert np.all(loss >= 0)
+                    cut = 1.0 / loss[np.isfinite(loss) & (loss > 0)]
+                    for gamma in (*self.GRID, *(cut * (1 - 1e-6)), *(cut * (1 + 1e-6))):
+                        check = pricing._ngd(model, float(gamma), rows, lp.DEFAULT_TOL)
+                        beaten = np.flatnonzero(gamma * loss < 1.0)
+                        assert check.holds == (beaten.size == 0), (t, entry, gamma, loss)
+                        if check.witness is not None:
+                            assert check.witness.node.cell == beaten[0]
+                        seen.add((check.holds, entry))
+        assert seen == {(True, "trade"), (False, "trade"), (True, "mark"), (False, "mark")}
+
+    def test_tie_level_reads_threshold(self, count_calls):
+        # a level at 1/L of its lambda row, or just below it, takes its status
+        # from the threshold alone: no check runs, and no cell raises where
+        # the check's hedge LP is weakest
+        u, d, r, p_up, strike = PIVOT_BUDGET_MARKETS[0]
+
+        def build_model(lam):
+            return binary_tree_market(u, d, r, p_up, lam, horizon=3)
+
+        model = build_model(0.01)
+        loss = float(np.min(pricing._least_loss(model, generators_for(model, 0), lp.DEFAULT_TOL)))
+        tie = 1.0 / loss
+        for gamma, status in ((tie, STATUS_OK), (tie * (1.0 - 5e-8), STATUS_NGD)):
+            checks = count_calls(pricing, "_ngd")
+            cells = liquidity_surface(
+                build_model, lambda m: call_payoff(m, strike), [gamma], [0.01]
+            )
+            assert checks == []
+            assert cells[0].status == status
 
 
 class TestPrimalOracle:
