@@ -5,8 +5,7 @@ Commands: validate, price, bounds, ngd, arbitrage, dglr, forward, surface.
 Models and payoffs are JSON files; reports are CSV (default) or JSON with
 deterministic row ordering.  Infinite quote sentinels serialize as the
 strings "+inf"/"-inf".  Exit codes: 0 success, 2 validation failure, 64 usage
-error, 70 internal/LP failure.  The environment variable
-CONIC_PRICER_TOLERANCE overrides the global 1e-9 LP tolerance.
+error, 70 internal/LP failure.
 """
 
 from __future__ import annotations
@@ -15,14 +14,13 @@ import argparse
 import functools
 import json
 import math
-import os
 import sys
 from fractions import Fraction
 from typing import Optional
 
 import numpy as np
 
-from . import lp, pricing
+from . import pricing
 from .acceptability import dglr_eval
 from .cone import arbitrage_check
 from .errors import ComputationError, PricerError, ValidationError
@@ -42,6 +40,10 @@ EXIT_INTERNAL = 70
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, **kwargs):
+        # no prefix matching: surface would read --lam as --lambdas
+        super().__init__(allow_abbrev=False, **kwargs)
+
     def error(self, message):  # exit 64 instead of argparse's default 2
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
@@ -212,17 +214,17 @@ def _cmd_validate(args) -> int:
     return EXIT_OK
 
 
-def _cmd_price(args) -> int:
+def _cmd_good_deal(args) -> int:
+    """``price`` (spot) and ``forward`` good-deal quotes."""
     model = model_from_dict(_load_json(args.model), lam_override=args.lam)
     payoff = payoff_from_dict(model, _load_json(args.payoff))
-    quote = pricing.good_deal_prices(
-        model, payoff, args.time, args.gamma, tol=args.tol, entry=args.entry
-    )
+    prices = pricing.forward_prices if args.command == "forward" else pricing.good_deal_prices
+    quote = prices(model, payoff, args.time, args.gamma, entry=args.entry)
     out = _emit(
         args,
         ["node", "bid", "ask", "status"],
         _quote_rows(model, quote),
-        {"command": "price", "time": args.time, "gamma": args.gamma},
+        {"command": args.command, "time": args.time, "gamma": args.gamma},
     )
     sys.stdout.write(out)
     return EXIT_OK
@@ -231,14 +233,11 @@ def _cmd_price(args) -> int:
 def _cmd_bounds(args) -> int:
     model = model_from_dict(_load_json(args.model), lam_override=args.lam)
     payoff = payoff_from_dict(model, _load_json(args.payoff))
-    quote = pricing.noarb_bounds(model, payoff, args.time, tol=args.tol, entry=args.entry)
-    rows = [
-        [model.tree.node_label(e.node), e.bid, e.ask, e.status] for e in quote.entries
-    ]
+    quote = pricing.noarb_bounds(model, payoff, args.time, entry=args.entry)
     out = _emit(
         args,
         ["node", "lower", "upper", "status"],
-        rows,
+        _quote_rows(model, quote),
         {"command": "bounds", "time": args.time},
     )
     sys.stdout.write(out)
@@ -247,7 +246,7 @@ def _cmd_bounds(args) -> int:
 
 def _cmd_ngd(args) -> int:
     model = model_from_dict(_load_json(args.model), lam_override=args.lam)
-    res = pricing.ngd_check(model, args.time, args.gamma, tol=args.tol, entry=args.entry)
+    res = pricing.ngd_check(model, args.time, args.gamma, entry=args.entry)
     witness_node = ""
     witness_ratio = ""
     if res.witness is not None:
@@ -274,7 +273,7 @@ def _cmd_ngd(args) -> int:
 
 def _cmd_arbitrage(args) -> int:
     model = model_from_dict(_load_json(args.model), lam_override=args.lam)
-    witness = arbitrage_check(model, args.time, tol=args.tol)
+    witness = arbitrage_check(model, args.time)
     if witness is None:
         rows = [[args.time, "none", ""]]
     else:
@@ -299,22 +298,6 @@ def _cmd_dglr(args) -> int:
     return EXIT_OK
 
 
-def _cmd_forward(args) -> int:
-    model = model_from_dict(_load_json(args.model), lam_override=args.lam)
-    payoff = payoff_from_dict(model, _load_json(args.payoff))
-    quote = pricing.forward_prices(
-        model, payoff, args.time, args.gamma, tol=args.tol, entry=args.entry
-    )
-    out = _emit(
-        args,
-        ["node", "bid", "ask", "status"],
-        _quote_rows(model, quote),
-        {"command": "forward", "time": args.time, "gamma": args.gamma},
-    )
-    sys.stdout.write(out)
-    return EXIT_OK
-
-
 def _cmd_surface(args) -> int:
     model_data = _load_json(args.model)
     payoff_data = _load_json(args.payoff)
@@ -327,7 +310,6 @@ def _cmd_surface(args) -> int:
         lambdas,
         args.time,
         node=args.node,
-        tol=args.tol,
         entry=args.entry,
     )
     rows = [[c.gamma, c.lam, c.bid, c.ask, c.spread, c.status] for c in cells]
@@ -368,7 +350,7 @@ def _float_list(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"not a comma-separated float list: {text!r}")
 
 
-def _add_common(sub, payoff=True, gamma=False, entry=True, report=True):
+def _add_common(sub, payoff=True, gamma=False, lam=True, entry=True, report=True):
     """Register only the flags the command reads."""
     sub.add_argument("model", help="model JSON file")
     if payoff:
@@ -376,8 +358,9 @@ def _add_common(sub, payoff=True, gamma=False, entry=True, report=True):
     if gamma:
         sub.add_argument("--gamma", type=_positive_gamma, required=True,
                          help="acceptance level (> 0)")
-    sub.add_argument("--lam", type=float, default=None,
-                     help="override: rebuild every ask as bid*(1+lam)")
+    if lam:
+        sub.add_argument("--lam", type=float, default=None,
+                         help="override: rebuild every ask as bid*(1+lam)")
     if entry:
         sub.add_argument("--entry", choices=("trade", "mark"), default="trade",
                          help="valuation-date hedge entry pricing (see README)")
@@ -404,7 +387,7 @@ def build_parser() -> _Parser:
     _add_common(subs.add_parser("dglr", help="gain-loss ratio of a payoff"), entry=False)
     _add_common(subs.add_parser("forward", help="good-deal forward quotes"), gamma=True)
     surface = subs.add_parser("surface", help="bid-ask spread over a (gamma, lambda) grid")
-    _add_common(surface)
+    _add_common(surface, lam=False)  # each row's lambda comes from --lambdas
     surface.add_argument("--gammas", type=_float_list, required=True)
     surface.add_argument("--lambdas", type=_float_list, required=True)
     surface.add_argument("--node", type=int, default=0)
@@ -413,12 +396,12 @@ def build_parser() -> _Parser:
 
 _DISPATCH = {
     "validate": _cmd_validate,
-    "price": _cmd_price,
+    "price": _cmd_good_deal,
     "bounds": _cmd_bounds,
     "ngd": _cmd_ngd,
     "arbitrage": _cmd_arbitrage,
     "dglr": _cmd_dglr,
-    "forward": _cmd_forward,
+    "forward": _cmd_good_deal,
     "surface": _cmd_surface,
 }
 
@@ -433,11 +416,7 @@ def main(argv=None) -> int:
             parser.error("empty lambda list")
     except SystemExit as exc:  # argparse reports usage problems by exiting
         return int(exc.code or 0)
-    tol_env = os.environ.get("CONIC_PRICER_TOLERANCE")
     try:
-        args.tol = float(tol_env) if tol_env else lp.DEFAULT_TOL
-        if args.tol <= 0:
-            raise ValidationError("CONIC_PRICER_TOLERANCE must be positive")
         return _DISPATCH[args.command](args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

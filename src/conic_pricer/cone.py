@@ -196,9 +196,7 @@ def _node_hedges(model: MarketModel, rows: NodeRows, node: NodeRef):
     return pick[keep], paths, G[keep], H[keep]
 
 
-def arbitrage_check(
-    model: MarketModel, t: int, *, tol: float = lp.DEFAULT_TOL
-) -> Optional[ArbitrageWitness]:
+def arbitrage_check(model: MarketModel, t: int) -> Optional[ArbitrageWitness]:
     """Search for an arbitrage among hedges initiated at date t.
 
     Per date-t node, a feasibility LP looks for nonnegative weights on the
@@ -207,10 +205,10 @@ def arbitrage_check(
     than it holds.  Rows worth zero up to rounding count as worth zero (see
     ``_node_hedges``).
     """
-    return _arbitrage(model, generators_for(model, t), tol)
+    return _arbitrage(model, generators_for(model, t))
 
 
-def _arbitrage(model: MarketModel, rows: NodeRows, tol: float) -> Optional[ArbitrageWitness]:
+def _arbitrage(model: MarketModel, rows: NodeRows) -> Optional[ArbitrageWitness]:
     """:func:`arbitrage_check` over the trade rows ``rows`` of its date."""
     tree = model.tree
     p = tree.probabilities
@@ -222,7 +220,7 @@ def _arbitrage(model: MarketModel, rows: NodeRows, tol: float) -> Optional[Arbit
         a_ub = np.vstack([-G.T, -mass[None, :], -H.T])
         b_ub = np.concatenate([np.zeros(len(paths)), [-1.0], np.zeros(H.shape[1])])
         prog = lp.LinearProgram.build("min", np.ones(len(pick)), a_ub=a_ub, b_ub=b_ub)
-        sol = lp.solve(prog, tol=tol)
+        sol = lp.solve(prog)
         if sol.status == "optimal":
             weights = np.zeros(len(rows))
             weights[pick] = sol.x

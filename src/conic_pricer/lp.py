@@ -45,10 +45,12 @@ slack and the basic structural columns: at most (variables) x (variables).
 Every answer but ``unbounded`` is certified on the rows as supplied, or the
 solve raises :class:`~conic_pricer.errors.ComputationError`; a wrong status is
 never returned silently.  An optimum is certified by strong duality: primal
-feasibility, dual feasibility and the duality gap within the requested
-tolerance.  An ``infeasible`` answer is certified by the Farkas ray that
-phase 1's final reduced costs hold: y with y^T A >= 0, y >= 0 on the
-inequality rows and y^T b < 0, which no x >= 0 can meet.
+feasibility, dual feasibility and the duality gap within the tolerance.  An
+``infeasible`` answer is certified by the Farkas ray that phase 1's final
+reduced costs hold: y with y^T A >= 0, y >= 0 on the inequality rows and
+y^T b < 0, which no x >= 0 can meet.  The tolerance is fixed at
+``TOL = 1e-9``, for the pivot and ratio tests as for the certificates; no
+caller sets it.
 
 :func:`solve_ratio` takes the extremes of a ratio over a polyhedral cone: the
 ratio is scale-free, so they are those of its numerator on the slice where
@@ -64,7 +66,7 @@ import numpy as np
 
 from .errors import ComputationError, ValidationError
 
-DEFAULT_TOL = 1e-9
+TOL = 1e-9  # the one LP tolerance (see the module docstring)
 # Zero-step pivots in a row after which Bland's rule picks the entering column.
 _STALL_PIVOTS = 50
 
@@ -149,7 +151,7 @@ def _pivot(T, basis, nonbasic, row, k):
     basis[row], nonbasic[k] = nonbasic[k], basis[row]
 
 
-def _run_simplex(T, basis, nonbasic, limit, tol, max_iter):
+def _run_simplex(T, basis, nonbasic, limit, max_iter):
     """Steepest edge, Bland's rule after a stall (see the module docstring),
     on the condensed tableau T (last row = reduced costs of the nonbasic
     variables, last col = rhs); variables >= ``limit`` may not enter.
@@ -159,7 +161,7 @@ def _run_simplex(T, basis, nonbasic, limit, tol, max_iter):
     m = T.shape[0] - 1
     it = stalled = 0
     while True:
-        cand = ((T[-1, :-1] < -tol) & (nonbasic < limit)).nonzero()[0]
+        cand = ((T[-1, :-1] < -TOL) & (nonbasic < limit)).nonzero()[0]
         if not cand.size:
             return "optimal", it
         if stalled < _STALL_PIVOTS:
@@ -168,7 +170,7 @@ def _run_simplex(T, basis, nonbasic, limit, tol, max_iter):
             cand = cand[score == score.max()]
         k = cand[nonbasic[cand].argmin()]
         col = T[:m, k]
-        rows = (col > tol).nonzero()[0]
+        rows = (col > TOL).nonzero()[0]
         if not rows.size:
             return "unbounded", it
         ratios = T[rows, -1] / col[rows]
@@ -183,7 +185,7 @@ def _run_simplex(T, basis, nonbasic, limit, tol, max_iter):
             )
 
 
-def _run_dual(T, basis, nonbasic, limit, tol, max_iter):
+def _run_dual(T, basis, nonbasic, limit, max_iter):
     """Dual simplex on the condensed tableau T from a dual feasible basis:
     the most negative basic value leaves, ties to the smallest basic index;
     of the columns with a negative entry in its row, the one with the least
@@ -191,7 +193,7 @@ def _run_dual(T, basis, nonbasic, limit, tol, max_iter):
     ``limit`` may not enter.
 
     Returns ("optimal" | "infeasible" | "stalled", iterations): "optimal" once
-    every basic value is >= -tol, "infeasible" at a row that no column can
+    every basic value is >= -TOL, "infeasible" at a row that no column can
     lift, "stalled" past ``max_iter`` pivots.
     """
     m = T.shape[0] - 1
@@ -199,12 +201,12 @@ def _run_dual(T, basis, nonbasic, limit, tol, max_iter):
     while True:
         rhs = T[:m, -1]
         low = rhs.min() if m else 0.0
-        if low >= -tol:
+        if low >= -TOL:
             return "optimal", it
         rows = (rhs == low).nonzero()[0]
         row = rows[basis[rows].argmin()]
         a = T[row, :-1]
-        cand = ((a < -tol) & (nonbasic < limit)).nonzero()[0]
+        cand = ((a < -TOL) & (nonbasic < limit)).nonzero()[0]
         if not cand.size:
             return "infeasible", it
         ratios = T[-1, cand] / -a[cand]
@@ -308,7 +310,7 @@ def _slack_start(lp: LinearProgram) -> _Start:
     )
 
 
-def _phase1(lp: LinearProgram, tol: float):
+def _phase1(lp: LinearProgram):
     """Phase 1 on the rows of ``lp``: the certified ``infeasible`` answer, or
     a :class:`_Start` whose basis has every artificial driven out (rows left
     holding one are redundant and dropped)."""
@@ -322,14 +324,14 @@ def _phase1(lp: LinearProgram, tol: float):
         c1 = np.zeros(width)
         c1[n + m_ub:] = -1.0
         _set_objective(T, basis, nonbasic, c1)
-        status1, it1 = _run_simplex(T, basis, nonbasic, width, tol, start.max_iter)
-        if status1 != "optimal" or T[-1, -1] < -max(tol, 1e-9):
-            return _infeasible(lp, start, tol, it1)
+        status1, it1 = _run_simplex(T, basis, nonbasic, width, start.max_iter)
+        if status1 != "optimal" or T[-1, -1] < -TOL:
+            return _infeasible(lp, start, it1)
 
     # Drive remaining basic artificials out; drop redundant rows.
     drop_rows = []
     for i in np.flatnonzero(basis >= n + m_ub):
-        cand = np.flatnonzero((np.abs(T[i, :-1]) > tol) & (nonbasic < n + m_ub))
+        cand = np.flatnonzero((np.abs(T[i, :-1]) > TOL) & (nonbasic < n + m_ub))
         if cand.size:
             _pivot(T, basis, nonbasic, i, cand[np.argmin(nonbasic[cand])])
         else:
@@ -355,7 +357,7 @@ def _solution(lp: LinearProgram, start: _Start, y, **fields) -> LPSolution:
     return LPSolution(dual_ub=y[:k], dual_eq=y[m_ub:], dual_upper=upper, **fields)
 
 
-def _infeasible(lp: LinearProgram, start: _Start, tol: float, iterations: int) -> LPSolution:
+def _infeasible(lp: LinearProgram, start: _Start, iterations: int) -> LPSolution:
     """The ``infeasible`` answer at the end of phase 1, certified by its
     Farkas ray, or :class:`ComputationError`.
 
@@ -377,15 +379,15 @@ def _infeasible(lp: LinearProgram, start: _Start, tol: float, iterations: int) -
         1.0 + float(np.max(np.abs(y_ub_all), initial=0.0))
     )
     value = float(y @ b) / (1.0 + float(np.abs(y) @ np.abs(b)))
-    if not (dual_res <= tol and sign_res <= tol and value < -tol):  # NaN fails too
+    if not (dual_res <= TOL and sign_res <= TOL and value < -TOL):  # NaN fails too
         raise ComputationError(
             f"LP infeasibility certification failed ({_shape(lp)}): "
-            f"dual={dual_res:.3e} sign={sign_res:.3e} value={value:.3e} (tol {tol:.3e})"
+            f"dual={dual_res:.3e} sign={sign_res:.3e} value={value:.3e} (tol {TOL:.3e})"
         )
     return _solution(lp, start, y, status="infeasible", iterations=iterations)
 
 
-def _restart(lp: LinearProgram, rows: _Start, basis, tol: float) -> Optional[_Start]:
+def _restart(lp: LinearProgram, rows: _Start, basis) -> Optional[_Start]:
     """A feasible start of ``lp`` at ``basis``, a previous optimum's
     basis of rows of the same shape, or None, and phase 1 runs instead.
     ``rows`` is the slack start of ``lp``'s rows; it is left as it is.
@@ -420,22 +422,22 @@ def _restart(lp: LinearProgram, rows: _Start, basis, tol: float) -> Optional[_St
         return None
     basis = basis.copy()
     it = 0
-    if T[:m, -1].min(initial=0.0) < -tol:
+    if T[:m, -1].min(initial=0.0) < -TOL:
         c = np.zeros(rows.width)
         c[:n] = lp.c if lp.sense == "max" else -lp.c
         _set_objective(T, basis, nonbasic, c)
-        if np.any(T[-1, :-1][nonbasic < n + m_ub] < -tol):
+        if np.any(T[-1, :-1][nonbasic < n + m_ub] < -TOL):
             return None
         # a restart needing more pivots than there are rows is no cheaper
         # than phase 1, and the cap keeps the loop finite without a
         # cycling rule
-        status, it = _run_dual(T, basis, nonbasic, n + m_ub, tol, m)
+        status, it = _run_dual(T, basis, nonbasic, n + m_ub, m)
         if status != "optimal":
             return None
     return replace(rows, iterations=it, T=T, basis=basis, nonbasic=nonbasic)
 
 
-def _phase2(lp: LinearProgram, start: _Start, tol: float) -> LPSolution:
+def _phase2(lp: LinearProgram, start: _Start) -> LPSolution:
     """Phase 2 of ``lp`` from a copy of ``start``, certified by strong
     duality."""
     T, basis, nonbasic = start.T.copy(), start.basis.copy(), start.nonbasic.copy()
@@ -450,7 +452,7 @@ def _phase2(lp: LinearProgram, start: _Start, tol: float) -> LPSolution:
     c2 = np.zeros(width)
     c2[:n] = c_obj
     _set_objective(T, basis, nonbasic, c2)
-    status2, it2 = _run_simplex(T, basis, nonbasic, n + m_ub, tol, start.max_iter)
+    status2, it2 = _run_simplex(T, basis, nonbasic, n + m_ub, start.max_iter)
     iterations = start.iterations + it2
     if status2 == "unbounded":
         return LPSolution(status="unbounded", iterations=iterations)
@@ -518,10 +520,10 @@ def _phase2(lp: LinearProgram, start: _Start, tol: float) -> LPSolution:
         float(np.abs(b_ub) @ np.abs(y_ub_all)) if m_ub else 0.0
     ) + (float(np.abs(lp.b_eq) @ np.abs(y_eq)) if m_eq else 0.0)
     gap = abs(value_max - dual_value) / (1.0 + abs(value_max) + dual_mass)
-    if not (primal_res <= tol and dual_res <= tol and gap <= tol):  # NaN fails too
+    if not (primal_res <= TOL and dual_res <= TOL and gap <= TOL):  # NaN fails too
         raise ComputationError(
             f"LP certification failed ({_shape(lp)}): "
-            f"primal={primal_res:.3e} dual={dual_res:.3e} gap={gap:.3e} (tol {tol:.3e})"
+            f"primal={primal_res:.3e} dual={dual_res:.3e} gap={gap:.3e} (tol {TOL:.3e})"
         )
 
     return _solution(
@@ -531,17 +533,17 @@ def _phase2(lp: LinearProgram, start: _Start, tol: float) -> LPSolution:
     )
 
 
-def solve(lp: LinearProgram, *, tol: float = DEFAULT_TOL) -> LPSolution:
+def solve(lp: LinearProgram) -> LPSolution:
     """Solve the LP, certifying optimal answers by strong duality and
     infeasible ones by a Farkas ray."""
-    start = _phase1(lp, tol)
+    start = _phase1(lp)
     if isinstance(start, LPSolution):
         return start
-    return _phase2(lp, start, tol)
+    return _phase2(lp, start)
 
 
 def solve_ratio(
-    num, den, a_ub, *, tol: float = DEFAULT_TOL, warm: Optional[tuple] = None
+    num, den, a_ub, *, warm: Optional[tuple] = None
 ) -> tuple[LPSolution, LPSolution]:
     """Minimum and maximum of (num @ x) / (den @ x) over the points of the
     cone {x >= 0, a_ub @ x <= 0} with den @ x > 0, as ``(lo, hi)``.
@@ -564,12 +566,12 @@ def solve_ratio(
     cold = None
     out = []
     for k, side in enumerate((replace(prog, sense="min"), prog)):
-        start = _restart(side, rows, warm[k].basis, tol) if warm is not None else None
+        start = _restart(side, rows, warm[k].basis) if warm is not None else None
         if start is None:
             if cold is None:
-                cold = _phase1(prog, tol)
+                cold = _phase1(prog)
             if isinstance(cold, LPSolution):
                 return cold, cold
             start = cold
-        out.append(_phase2(side, start, tol))
+        out.append(_phase2(side, start))
     return out[0], out[1]

@@ -161,7 +161,7 @@ def _discounted_tail(model: MarketModel, cash_flow, t: int) -> np.ndarray:
     return tail_sum(as_values(cash_flow) * Binv, t + 1)
 
 
-def _node_quote(model: MarketModel, x, a_ub, node: NodeRef, tol: float, warm=None):
+def _node_quote(model: MarketModel, x, a_ub, node: NodeRef, warm=None):
     """Min and max of the node's conditional mean of ``x`` over the cone
     ``a_ub`` (u of the node's paths first) as a :class:`PriceEntry`, with the
     ``(lo, hi)`` solutions to restart the next quote of a cone of the same
@@ -172,14 +172,14 @@ def _node_quote(model: MarketModel, x, a_ub, node: NodeRef, tol: float, warm=Non
     num, den = np.zeros(a_ub.shape[1]), np.zeros(a_ub.shape[1])
     num[: len(paths)] = p[paths] * x[paths]
     den[: len(paths)] = p[paths]
-    lo, hi = lp.solve_ratio(num, den, a_ub, tol=tol, warm=warm)
+    lo, hi = lp.solve_ratio(num, den, a_ub, warm=warm)
     if hi.status == "infeasible":
         return PriceEntry(node, np.nan, np.nan, STATUS_INFEASIBLE), None
     return PriceEntry(node, lo.value, hi.value, STATUS_OK), (lo, hi)
 
 
 def _node_quotes(
-    model: MarketModel, cash_flow, rows: NodeRows, gamma: Optional[float], tol: float
+    model: MarketModel, cash_flow, rows: NodeRows, gamma: Optional[float]
 ) -> tuple[PriceEntry, ...]:
     """:func:`_node_quote` of each date-t node over its own cone, with the
     band at ``gamma`` unless that is None."""
@@ -190,18 +190,11 @@ def _node_quotes(
         a_ub = _node_cone(rows, node.cell, paths)
         if gamma is not None:
             a_ub = _with_band(a_ub, len(paths), gamma)
-        entries.append(_node_quote(model, x, a_ub, node, tol)[0])
+        entries.append(_node_quote(model, x, a_ub, node)[0])
     return tuple(entries)
 
 
-def noarb_bounds(
-    model: MarketModel,
-    cash_flow,
-    t: int,
-    *,
-    tol: float = lp.DEFAULT_TOL,
-    entry: str = "trade",
-) -> PriceQuote:
+def noarb_bounds(model: MarketModel, cash_flow, t: int, *, entry: str = "trade") -> PriceQuote:
     """Lower/upper bounds of the conditional discounted tail over the closure
     of the risk-neutral density polytope, per date-t node.
 
@@ -212,7 +205,7 @@ def noarb_bounds(
     arbitrage.
     """
     rows = generators_for(model, t)
-    if _arbitrage(model, rows, tol) is not None:
+    if _arbitrage(model, rows) is not None:
         entries = tuple(
             PriceEntry(node, np.nan, np.nan, STATUS_ARBITRAGE)
             for node in model.tree.nodes(t)
@@ -220,7 +213,7 @@ def noarb_bounds(
         return PriceQuote(time=t, gamma=None, entries=entries)
     if entry != "trade":
         rows = generators_for(model, t, entry)
-    return PriceQuote(time=t, gamma=None, entries=_node_quotes(model, cash_flow, rows, None, tol))
+    return PriceQuote(time=t, gamma=None, entries=_node_quotes(model, cash_flow, rows, None))
 
 
 def good_deal_certificate(
@@ -276,7 +269,7 @@ def _hedge_loss_rows(G: np.ndarray, H: np.ndarray) -> np.ndarray:
     ])
 
 
-def _good_deal_weights(model: MarketModel, rows: NodeRows, gamma: float, tol: float):
+def _good_deal_weights(model: MarketModel, rows: NodeRows, gamma: float):
     """Weights on ``rows`` of a hedge beating ``gamma`` at the first date-t
     node that has one, or None: per node, the least total weight y >= 0 whose
     flow X = G^T y carries on no more than it holds and has
@@ -293,7 +286,7 @@ def _good_deal_weights(model: MarketModel, rows: NodeRows, gamma: float, tol: fl
         prog = lp.LinearProgram.build(
             "min", np.concatenate([np.ones(k), np.zeros(m)]), a_ub=a_ub, b_ub=b_ub
         )
-        sol = lp.solve(prog, tol=tol)
+        sol = lp.solve(prog)
         if sol.status == "optimal":
             weights = np.zeros(len(rows))
             weights[pick] = sol.x[:k]
@@ -301,7 +294,7 @@ def _good_deal_weights(model: MarketModel, rows: NodeRows, gamma: float, tol: fl
     return None
 
 
-def _least_loss(model: MarketModel, rows: NodeRows, tol: float) -> np.ndarray:
+def _least_loss(model: MarketModel, rows: NodeRows) -> np.ndarray:
     """Per date-t node, the least expected loss L of a hedge on ``rows`` per
     unit of its expected gain: the minimum of E[z] over weights w >= 0 and a
     loss bound z >= max(-X, 0) of the flow X = G^T w, with E[X] = 1 and the
@@ -327,31 +320,24 @@ def _least_loss(model: MarketModel, rows: NodeRows, tol: float) -> np.ndarray:
             b_ub=np.zeros(len(a_ub)), a_eq=[np.concatenate([G @ q, np.zeros(len(q))])],
             b_eq=[1.0],
         )
-        sol = lp.solve(prog, tol=tol)
+        sol = lp.solve(prog)
         losses.append(max(sol.value, 0.0) if sol.status == "optimal" else np.inf)
     return np.array(losses)
 
 
-def _ngd(model: MarketModel, gamma: float, rows: NodeRows, tol: float) -> NgdResult:
+def _ngd(model: MarketModel, gamma: float, rows: NodeRows) -> NgdResult:
     """The no-good-deal check: violated when some date-t node has a hedge
     beating ``gamma``, with that hedge as the witness."""
     DensityBand(gamma)
     t = rows.start
-    weights = _good_deal_weights(model, rows, gamma, tol)
+    weights = _good_deal_weights(model, rows, gamma)
     if weights is None:
         return NgdResult(holds=True, gamma=gamma, time=t)
     witness = good_deal_certificate(model, rows, weights, gamma)
     return NgdResult(holds=False, gamma=gamma, time=t, witness=witness)
 
 
-def ngd_check(
-    model: MarketModel,
-    t: int,
-    gamma: float,
-    *,
-    tol: float = lp.DEFAULT_TOL,
-    entry: str = "trade",
-) -> NgdResult:
+def ngd_check(model: MarketModel, t: int, gamma: float, *, entry: str = "trade") -> NgdResult:
     """Whether a density satisfies every cone row, the band and the
     normalization (band feasibility forces strict positivity).
 
@@ -359,40 +345,26 @@ def ngd_check(
     ratio beats gamma; the check looks for one node by node, and the hedge it
     finds is the witness.
     """
-    return _ngd(model, gamma, generators_for(model, t, entry), tol)
+    return _ngd(model, gamma, generators_for(model, t, entry))
 
 
 def good_deal_prices(
-    model: MarketModel,
-    cash_flow,
-    t: int,
-    gamma: float,
-    *,
-    tol: float = lp.DEFAULT_TOL,
-    entry: str = "trade",
+    model: MarketModel, cash_flow, t: int, gamma: float, *, entry: str = "trade"
 ) -> PriceQuote:
     """Bid/ask of the discounted tail over band-restricted risk-neutral
     densities; sentinel +inf/-inf quotes when no such density exists."""
     rows = generators_for(model, t, entry)
-    check = _ngd(model, gamma, rows, tol)
+    check = _ngd(model, gamma, rows)
     if not check.holds:
         entries = tuple(
             PriceEntry(node, np.inf, -np.inf, STATUS_NGD) for node in model.tree.nodes(t)
         )
         return PriceQuote(time=t, gamma=gamma, entries=entries, witness=check.witness)
-    return PriceQuote(
-        time=t, gamma=gamma, entries=_node_quotes(model, cash_flow, rows, gamma, tol)
-    )
+    return PriceQuote(time=t, gamma=gamma, entries=_node_quotes(model, cash_flow, rows, gamma))
 
 
 def forward_prices(
-    model: MarketModel,
-    cash_flow,
-    t: int,
-    gamma: float,
-    *,
-    tol: float = lp.DEFAULT_TOL,
-    entry: str = "trade",
+    model: MarketModel, cash_flow, t: int, gamma: float, *, entry: str = "trade"
 ) -> PriceQuote:
     """Forward (pay-at-horizon) quotes: the spot quote scaled by the terminal
     savings account, which requires a deterministic rate process."""
@@ -401,7 +373,7 @@ def forward_prices(
         raise ValidationError("forward prices require deterministic rates")
     B, _ = model.discounts()
     scale = float(B[0, model.tree.horizon])
-    spot = good_deal_prices(model, cash_flow, t, gamma, tol=tol, entry=entry)
+    spot = good_deal_prices(model, cash_flow, t, gamma, entry=entry)
     entries = tuple(
         PriceEntry(e.node, scale * e.bid, scale * e.ask, e.status)
         for e in spot.entries
@@ -427,7 +399,6 @@ def liquidity_surface(
     t: int = 0,
     *,
     node: int = 0,
-    tol: float = lp.DEFAULT_TOL,
     entry: str = "trade",
 ) -> list[SurfaceCell]:
     """Good-deal bid/ask/spread on a (gamma, lambda) grid, in the order of
@@ -472,13 +443,13 @@ def liquidity_surface(
         x = _discounted_tail(model, payoff, t)
         paths = list(model.tree.node_paths(at))
         cone = _node_cone(rows, node, paths)
-        loss = float(np.min(_least_loss(model, rows, tol)))
+        loss = float(np.min(_least_loss(model, rows)))
         warm = None
         row = [None] * len(gammas)
         for i in ascending:
             gamma = gammas[i]
             if gamma * loss >= 1.0:
-                e, warm = _node_quote(model, x, _with_band(cone, len(paths), gamma), at, tol, warm)
+                e, warm = _node_quote(model, x, _with_band(cone, len(paths), gamma), at, warm)
             else:
                 e = PriceEntry(at, np.inf, -np.inf, STATUS_NGD)
             spread = e.ask - e.bid if e.status == STATUS_OK else np.nan

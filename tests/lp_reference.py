@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from conic_pricer.errors import ComputationError, ValidationError
-from conic_pricer.lp import DEFAULT_TOL, LinearProgram, LPSolution, _phase1, _phase2, solve
+from conic_pricer.lp import TOL, LinearProgram, LPSolution, _phase1, _phase2, solve
 
 STALL_PIVOTS = 50
 
@@ -227,7 +227,6 @@ def solve_ratio(
     a_eq=None,
     b_eq=None,
     upper=None,
-    tol: float = DEFAULT_TOL,
 ) -> tuple[RatioSolution, RatioSolution]:
     """Minimum and maximum of (num @ x + num0) / (den @ x + den0) over the LP
     feasible set, as ``(lo, hi)``.
@@ -277,23 +276,23 @@ def solve_ratio(
         a_eq=np.vstack(rows_eq),
         b_eq=np.concatenate(rhs_eq),
     )
-    start = _phase1(prog, tol)
+    start = _phase1(prog)
     if isinstance(start, LPSolution):
         bare = LinearProgram.build("max", np.zeros(n), a_ub, b_ub, a_eq, b_eq, upper)
-        bare = solve(bare, tol=tol)
+        bare = solve(bare)
         if bare.status == "infeasible":
             empty = RatioSolution(np.nan, None, np.nan, bare, status="infeasible")
             return empty, empty
         raise ComputationError("fractional program not solvable: denominator degenerate")
-    hi = _dehomogenize(_phase2(prog, start, tol), n, tol)
-    lo = _dehomogenize(_phase2(replace(prog, sense="min"), start, tol), n, tol)
+    hi = _dehomogenize(_phase2(prog, start), n)
+    lo = _dehomogenize(_phase2(replace(prog, sense="min"), start), n)
     return lo, hi
 
 
-def _dehomogenize(sol: LPSolution, n: int, tol: float) -> RatioSolution:
+def _dehomogenize(sol: LPSolution, n: int) -> RatioSolution:
     if sol.status != "optimal":
         raise ComputationError(f"fractional program not solvable: LP status {sol.status}")
     s = float(sol.x[n])
-    if s <= tol:
+    if s <= TOL:
         raise ComputationError("denominator degenerate: zero scale at optimum")
     return RatioSolution(value=float(sol.value), x=sol.x[:n] / s, scale=s, lp_solution=sol)

@@ -1,5 +1,7 @@
+import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -13,6 +15,7 @@ from conic_pricer.cli import (
     EXIT_OK,
     EXIT_USAGE,
     EXIT_VALIDATION,
+    build_parser,
     main,
     model_from_dict,
     model_to_dict,
@@ -210,9 +213,13 @@ class TestNgdAndArbitrage:
         code, out, _ = run(capsys, "arbitrage", MODEL)
         assert out.strip().splitlines()[1].startswith("0,none")
 
-    def test_entry_flag_not_read(self, capsys):
-        for argv in (["arbitrage", MODEL], ["dglr", MODEL, PAYOFF]):
-            code, _, err = run(capsys, *argv, "--entry", "mark")
+    def test_flag_not_read(self, capsys):
+        # the surface takes each row's lambda from --lambdas, never --lam
+        surface = ["surface", MODEL, PAYOFF, "--gammas", "0.5,8", "--lambdas", "0,0.01"]
+        for argv in (["arbitrage", MODEL, "--entry", "mark"],
+                     ["dglr", MODEL, PAYOFF, "--entry", "mark"],
+                     surface + ["--lam", "0.5"]):
+            code, _, err = run(capsys, *argv)
             assert code == EXIT_USAGE, argv
             assert "unrecognized arguments" in err
 
@@ -384,14 +391,6 @@ class TestRoundTripAndDeterminism:
         assert row[1] == "1.25"
         assert row[2] == "1.39"
 
-    def test_tolerance_env_override(self, capsys, monkeypatch):
-        monkeypatch.setenv("CONIC_PRICER_TOLERANCE", "1e-7")
-        code, out, _ = run(capsys, "bounds", MODEL, PAYOFF)
-        assert code == EXIT_OK
-        monkeypatch.setenv("CONIC_PRICER_TOLERANCE", "-1")
-        code, _, _ = run(capsys, "bounds", MODEL, PAYOFF)
-        assert code == EXIT_VALIDATION
-
 
 class TestPayoffLoader:
     def test_unknown_type_rejected(self, base_model_dict):
@@ -409,3 +408,43 @@ class TestPayoffLoader:
         bad[0, 1] = 1.0
         with pytest.raises(ValidationError):
             payoff_from_dict(model, {"type": "explicit", "cashflow": bad.tolist()})
+
+
+class TestReadmeSynopsis:
+    REPORT_FLAGS = {"--format": False, "--precision": False}  # all but validate
+
+    @staticmethod
+    def synopsis():
+        """README's CLI synopsis: per command, its positional files and its
+        flags, each mapped to whether it is required (written unbracketed)."""
+        with open(os.path.join(os.path.dirname(__file__), "..", "README.md")) as fh:
+            text = fh.read()
+        block = text.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+        lines = []
+        for line in block.splitlines():
+            if line.startswith(" "):  # a wrapped line continues its command
+                lines[-1] += line
+            else:
+                lines.append(line)
+        out = {}
+        for line in lines:
+            prog, command, *rest = line.split()
+            assert prog == "conic-pricer", line
+            files = [tok.split(".")[0].lower() for tok in rest if tok.endswith(".json")]
+            flags = {m[1]: not m[0] for m in re.findall(r"(\[?)(--[a-z]+)", line)}
+            out[command] = files, flags
+        return out
+
+    def test_synopsis_lists_every_flag_each_command_reads(self):
+        subs = next(a for a in build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+        listed = self.synopsis()
+        assert sorted(listed) == sorted(subs)
+        for command, sub in subs.items():
+            files = [a.dest for a in sub._actions if not a.option_strings]
+            flags = {a.option_strings[0]: a.required
+                     for a in sub._actions if a.option_strings and a.dest != "help"}
+            want_files, want_flags = listed[command]
+            if command != "validate":
+                want_flags = {**want_flags, **self.REPORT_FLAGS}
+            assert (files, flags) == (want_files, want_flags), command

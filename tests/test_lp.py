@@ -330,10 +330,10 @@ def _stop_phase(monkeypatch, phase):
     phase 1 lets every variable enter, phase 2 bars the artificials."""
     real = lp._run_simplex
 
-    def run(T, basis, nonbasic, limit, tol, max_iter):
+    def run(T, basis, nonbasic, limit, max_iter):
         if (limit == nonbasic.size + basis.size) == (phase == 1):
             return "optimal", 0
-        return real(T, basis, nonbasic, limit, tol, max_iter)
+        return real(T, basis, nonbasic, limit, max_iter)
 
     monkeypatch.setattr(lp, "_run_simplex", run)
 
@@ -524,8 +524,8 @@ class TestWarmRestart:
             outcomes.append((start is None, duals[-1] if len(duals) > runs else None))
             return start
 
-        def dual(T, basis, nonbasic, limit, tol, max_iter):
-            status, it = real_dual(T, basis, nonbasic, limit, tol, 1)
+        def dual(T, basis, nonbasic, limit, max_iter):
+            status, it = real_dual(T, basis, nonbasic, limit, 1)
             duals.append(status)
             return status, it
 
