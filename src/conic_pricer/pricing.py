@@ -19,20 +19,24 @@ node's mass is one.  This is exact: a density of the whole tree restricts to
 a point of each node's cone, and once every node's cone reaches its slice,
 rescaling each node's point to a common m (to any common scale without the
 band) glues them into one density of the whole tree with every node's ratio
-unchanged.  The no-good-deal check establishes that before any good-deal
-quote; a node that its no-arbitrage cone cannot charge (possible under
-``entry="mark"``) gets the status ``infeasible``.  With the band, m is
-bounded away from zero on the slice, so densities are strictly positive and
-no epsilon is needed.  Pure no-arbitrage bounds range over the closure
-(u >= 0) of the equivalent risk-neutral set, whose suprema/infima coincide
-with those over the open set whenever an equivalent risk-neutral measure
-exists - which is pre-checked by the arbitrage search.
+unchanged.  So the quote LPs establish it themselves: when every node's band
+LP is feasible, no good deal holds.  A node that its no-arbitrage cone cannot
+charge (possible under ``entry="mark"``) gets the status ``infeasible``.
+With the band, m is bounded away from zero on the slice, so densities are
+strictly positive and no epsilon is needed.  Pure no-arbitrage bounds range
+over the closure (u >= 0) of the equivalent risk-neutral set, whose
+suprema/infima coincide with those over the open set whenever an equivalent
+risk-neutral measure exists.  The bound LPs prove that node by node when the
+sum of a node's two optima charges every path of the node (Jouini & Kallal,
+JET 1995); only where they cannot does the arbitrage search run.
 
 The no-good-deal check is the dual of the same per-node decomposition: by LP
 duality a node's band cone misses its slice exactly when the node has a
 hedge (a nonnegative combination of its cone rows) whose gain-loss ratio
-beats the level.  The check looks for that hedge with one small LP per node;
-its weights are the witness, reported with the hedge's trading strategy.
+beats the level.  A band LP that reads ``infeasible`` carries such a hedge
+in its Farkas ray, as the ray's multipliers of the node's cone rows.  The
+check looks for the hedge with one small LP per node.  Either hedge's
+weights are the witness, reported with the hedge's trading strategy.
 
 Across levels the check has one threshold per node.  A hedge's gain-loss
 ratio is its expected gain over its expected loss, so a node has a hedge
@@ -40,8 +44,10 @@ beating gamma exactly when gamma L < 1, where L is the node's least expected
 loss per unit of expected gain and 1/L its best ratio (Cherny & Madan, RFS
 2009).  The liquidity surface finds L by one LP per node and lambda row, free
 of the level, and reads every level's status from it, a level at exactly 1/L
-included.  Single-level quotes keep the check, whose least-weight hedge is
-the witness they report.
+included.  :func:`ngd_check` keeps the check, whose least-weight hedge is the
+witness it reports; :func:`good_deal_prices` reports the ray's hedge, and
+runs the check only when that hedge fails its certificate or a band LP
+fails.
 
 ``entry="mark"`` switches the valuation-date legs of hedges initiated exactly
 at the pricing date to liquidation-side prices (entry spread refunded).  This
@@ -60,7 +66,7 @@ import numpy as np
 from . import lp
 from .acceptability import DensityBand, dglr_eval
 from .cone import NodeRows, _arbitrage, _node_hedges, generators_for, hedge_strategy
-from .errors import ValidationError
+from .errors import ComputationError, ValidationError
 from .lattice import NodeRef, as_values, tail_sum
 from .market import CashFlow, MarketModel, TradingStrategy
 
@@ -164,9 +170,10 @@ def _discounted_tail(model: MarketModel, cash_flow, t: int) -> np.ndarray:
 def _node_quote(model: MarketModel, x, a_ub, node: NodeRef, warm=None):
     """Min and max of the node's conditional mean of ``x`` over the cone
     ``a_ub`` (u of the node's paths first) as a :class:`PriceEntry`, with the
-    ``(lo, hi)`` solutions to restart the next quote of a cone of the same
-    shape from (None when the cone cannot charge the node, which gets
-    ``STATUS_INFEASIBLE``)."""
+    ``(lo, hi)`` solutions, which the next quote of a cone of the same shape
+    can restart from.  A node the cone cannot charge gets
+    ``STATUS_INFEASIBLE``; both its solutions are then the one Farkas ray,
+    which has no basis to restart from."""
     p = model.probabilities
     paths = list(model.tree.node_paths(node))
     num, den = np.zeros(a_ub.shape[1]), np.zeros(a_ub.shape[1])
@@ -174,46 +181,76 @@ def _node_quote(model: MarketModel, x, a_ub, node: NodeRef, warm=None):
     den[: len(paths)] = p[paths]
     lo, hi = lp.solve_ratio(num, den, a_ub, warm=warm)
     if hi.status == "infeasible":
-        return PriceEntry(node, np.nan, np.nan, STATUS_INFEASIBLE), None
+        return PriceEntry(node, np.nan, np.nan, STATUS_INFEASIBLE), (lo, hi)
     return PriceEntry(node, lo.value, hi.value, STATUS_OK), (lo, hi)
 
 
-def _node_quotes(
-    model: MarketModel, cash_flow, rows: NodeRows, gamma: Optional[float]
-) -> tuple[PriceEntry, ...]:
+def _node_quotes(model: MarketModel, cash_flow, rows: NodeRows, gamma: Optional[float]):
     """:func:`_node_quote` of each date-t node over its own cone, with the
-    band at ``gamma`` unless that is None."""
+    band at ``gamma`` unless that is None, in node order; a node is priced
+    only when the caller asks for it."""
     x = _discounted_tail(model, cash_flow, rows.start)
-    entries = []
     for node in model.tree.nodes(rows.start):
         paths = list(model.tree.node_paths(node))
         a_ub = _node_cone(rows, node.cell, paths)
         if gamma is not None:
             a_ub = _with_band(a_ub, len(paths), gamma)
-        entries.append(_node_quote(model, x, a_ub, node)[0])
-    return tuple(entries)
+        yield _node_quote(model, x, a_ub, node)
+
+
+def _charges_every_path(model: MarketModel, e: PriceEntry, solutions) -> bool:
+    """Whether a node's bound pair proves that its cone holds an equivalent
+    density: the sum of the two optima, itself a point of the cone, puts
+    more than ``lp.TOL`` times its largest density on each of the node's
+    paths.  Such a density prices every hedge of the node at most zero and
+    charges every path, so by Farkas the node has no arbitrage."""
+    if e.status != STATUS_OK:
+        return False
+    lo, hi = solutions
+    u = (lo.x + hi.x)[: len(model.tree.node_paths(e.node))]
+    return bool(u.min() > lp.TOL * u.max())
+
+
+def _arbitrage_quote(model: MarketModel, rows: NodeRows, entry: str) -> Optional[PriceQuote]:
+    """The all-``arbitrage`` quote of date ``rows.start`` when its trade rows
+    (``rows`` themselves under ``entry="trade"``) hold an arbitrage, else
+    None."""
+    trade = rows if entry == "trade" else generators_for(model, rows.start)
+    if _arbitrage(model, trade) is None:
+        return None
+    entries = tuple(
+        PriceEntry(node, np.nan, np.nan, STATUS_ARBITRAGE) for node in model.tree.nodes(rows.start)
+    )
+    return PriceQuote(time=rows.start, gamma=None, entries=entries)
 
 
 def noarb_bounds(model: MarketModel, cash_flow, t: int, *, entry: str = "trade") -> PriceQuote:
     """Lower/upper bounds of the conditional discounted tail over the closure
     of the risk-neutral density polytope, per date-t node.
 
+    The bound LPs run first.  When every node's pair proves an equivalent
+    density of its cone (see :func:`_charges_every_path`), the market is free
+    of arbitrage at date t and the bounds are returned as they are; the
+    ``mark`` cone lies inside the ``trade`` cone, so its proof clears the
+    trade rows too.  Otherwise the arbitrage search runs over the trade rows,
+    and an arbitrage turns every node's status into ``STATUS_ARBITRAGE``.
+
     A node that no density of the cone charges (possible under
-    ``entry="mark"``) gets ``STATUS_INFEASIBLE`` and NaN bounds.  A node whose
-    bound LP fails raises :class:`ComputationError`: the arbitrage search has
-    already cleared the market, so the failure is the solver's, not an
-    arbitrage.
+    ``entry="mark"``) gets ``STATUS_INFEASIBLE`` and NaN bounds.  A bound LP
+    that fails raises :class:`ComputationError` once the arbitrage search has
+    cleared the market: the failure is the solver's, not an arbitrage.
     """
-    rows = generators_for(model, t)
-    if _arbitrage(model, rows) is not None:
-        entries = tuple(
-            PriceEntry(node, np.nan, np.nan, STATUS_ARBITRAGE)
-            for node in model.tree.nodes(t)
-        )
-        return PriceQuote(time=t, gamma=None, entries=entries)
-    if entry != "trade":
-        rows = generators_for(model, t, entry)
-    return PriceQuote(time=t, gamma=None, entries=_node_quotes(model, cash_flow, rows, None))
+    rows = generators_for(model, t, entry)
+    try:
+        quotes = list(_node_quotes(model, cash_flow, rows, None))
+    except ComputationError:
+        if (found := _arbitrage_quote(model, rows, entry)) is not None:
+            return found
+        raise
+    if not all(_charges_every_path(model, e, sols) for e, sols in quotes):
+        if (found := _arbitrage_quote(model, rows, entry)) is not None:
+            return found
+    return PriceQuote(time=t, gamma=None, entries=tuple(e for e, _ in quotes))
 
 
 def good_deal_certificate(
@@ -325,15 +362,31 @@ def _least_loss(model: MarketModel, rows: NodeRows) -> np.ndarray:
     return np.array(losses)
 
 
+def _ray_weights(rows: NodeRows, node: NodeRef, ray: lp.LPSolution) -> np.ndarray:
+    """Weights on ``rows`` from the Farkas ray of ``node``'s band LP: its
+    multipliers of the node's cone rows, which come first there."""
+    pick = rows.owner == node.cell
+    weights = np.zeros(len(rows))
+    weights[pick] = ray.dual_ub[: np.count_nonzero(pick)]
+    return weights
+
+
 def _ngd(model: MarketModel, gamma: float, rows: NodeRows) -> NgdResult:
     """The no-good-deal check: violated when some date-t node has a hedge
-    beating ``gamma``, with that hedge as the witness."""
+    beating ``gamma``, with that hedge as the witness.  A hedge that its
+    certificate rejects raises :class:`ComputationError`: a violation is
+    never reported without a witness."""
     DensityBand(gamma)
     t = rows.start
     weights = _good_deal_weights(model, rows, gamma)
     if weights is None:
         return NgdResult(holds=True, gamma=gamma, time=t)
     witness = good_deal_certificate(model, rows, weights, gamma)
+    if witness is None:
+        raise ComputationError(
+            f"no-good-deal hedge at gamma={gamma:g}, t={t} fails its certificate: "
+            "no witness beats the level"
+        )
     return NgdResult(holds=False, gamma=gamma, time=t, witness=witness)
 
 
@@ -343,7 +396,8 @@ def ngd_check(model: MarketModel, t: int, gamma: float, *, entry: str = "trade")
 
     That fails exactly when some date-t node has a hedge whose gain-loss
     ratio beats gamma; the check looks for one node by node, and the hedge it
-    finds is the witness.
+    finds is the witness.  A hedge that fails its certificate raises
+    :class:`ComputationError` instead of a violation without a witness.
     """
     return _ngd(model, gamma, generators_for(model, t, entry))
 
@@ -352,15 +406,38 @@ def good_deal_prices(
     model: MarketModel, cash_flow, t: int, gamma: float, *, entry: str = "trade"
 ) -> PriceQuote:
     """Bid/ask of the discounted tail over band-restricted risk-neutral
-    densities; sentinel +inf/-inf quotes when no such density exists."""
+    densities; sentinel +inf/-inf quotes when no such density exists.
+
+    The band LPs run first, node by node.  When every node's band cone
+    reaches its slice, no good deal holds (see the module docstring) and the
+    quotes are returned.  At the first node whose band LP reads a certified
+    ``infeasible``, the cone-row weights of its Farkas ray are a hedge that
+    beats ``gamma``: :func:`good_deal_certificate` turns them into the
+    witness of the violation.  Only when that certificate misses, or a band
+    LP raises :class:`ComputationError`, does the no-good-deal check of
+    :func:`ngd_check` decide, with its own witness; a band LP failure in a
+    market where the check holds is raised.
+    """
     rows = generators_for(model, t, entry)
-    check = _ngd(model, gamma, rows)
-    if not check.holds:
-        entries = tuple(
-            PriceEntry(node, np.inf, -np.inf, STATUS_NGD) for node in model.tree.nodes(t)
-        )
-        return PriceQuote(time=t, gamma=gamma, entries=entries, witness=check.witness)
-    return PriceQuote(time=t, gamma=gamma, entries=_node_quotes(model, cash_flow, rows, gamma))
+    DensityBand(gamma)
+    quotes, entries, check = _node_quotes(model, cash_flow, rows, gamma), [], None
+    while check is None or check.holds:
+        try:
+            e, (_, hi) = next(quotes)
+        except StopIteration:
+            return PriceQuote(time=t, gamma=gamma, entries=tuple(entries))
+        except ComputationError:
+            if check is not None or (check := _ngd(model, gamma, rows)).holds:
+                raise
+            break
+        if e.status == STATUS_INFEASIBLE and check is None:
+            witness = good_deal_certificate(model, rows, _ray_weights(rows, e.node, hi), gamma)
+            check = _ngd(model, gamma, rows) if witness is None else NgdResult(
+                holds=False, gamma=gamma, time=t, witness=witness
+            )
+        entries.append(e)
+    entries = tuple(PriceEntry(node, np.inf, -np.inf, STATUS_NGD) for node in model.tree.nodes(t))
+    return PriceQuote(time=t, gamma=gamma, entries=entries, witness=check.witness)
 
 
 def forward_prices(

@@ -13,15 +13,19 @@ package computes another way:
 * discounted wealth by the explicit self-financing sum (setup cost,
   liquidation value, cumulative purchases/sales, discounted dividends),
   against the date-by-date recursion of ``wealth_process``: the two agree
-  for self-financing strategies, and only for those.
+  for self-financing strategies, and only for those;
+* no-arbitrage bounds and good-deal prices in check-first order (the
+  arbitrage search or the no-good-deal check, then the node quotes), against
+  the quote-first order of ``noarb_bounds`` and ``good_deal_prices``.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from conic_pricer import lp
+from conic_pricer import lp, pricing
 from conic_pricer.acceptability import DensityBand, band_ratio_extreme, dglr_eval
+from conic_pricer.cone import arbitrage_check, generators_for
 from conic_pricer.errors import ComputationError, ValidationError
 from conic_pricer.lattice import as_values, tail_sum
 from conic_pricer.market import (
@@ -271,6 +275,35 @@ def primal_price_oracle(model, cash_flow, t, gamma):
         bid = -_least_acceptable_cash(-x[idx], G, q, gamma)
         out.append(OracleInterval(bid=bid, ask=ask))
     return out
+
+
+# ---------------------------------------------------------------------------
+# check-first quotes
+
+
+def check_first_bounds(model, cash_flow, t, *, entry="trade"):
+    """``noarb_bounds`` as the arbitrage search, then the bound LPs."""
+    if arbitrage_check(model, t) is not None:
+        entries = tuple(
+            pricing.PriceEntry(node, np.nan, np.nan, pricing.STATUS_ARBITRAGE)
+            for node in model.tree.nodes(t)
+        )
+        return pricing.PriceQuote(time=t, gamma=None, entries=entries)
+    quotes = pricing._node_quotes(model, cash_flow, generators_for(model, t, entry), None)
+    return pricing.PriceQuote(time=t, gamma=None, entries=tuple(e for e, _ in quotes))
+
+
+def check_first_good_deal_prices(model, cash_flow, t, gamma, *, entry="trade"):
+    """``good_deal_prices`` as the no-good-deal check, then the band LPs."""
+    check = pricing.ngd_check(model, t, gamma, entry=entry)
+    if not check.holds:
+        entries = tuple(
+            pricing.PriceEntry(node, np.inf, -np.inf, pricing.STATUS_NGD)
+            for node in model.tree.nodes(t)
+        )
+        return pricing.PriceQuote(time=t, gamma=gamma, entries=entries, witness=check.witness)
+    quotes = pricing._node_quotes(model, cash_flow, generators_for(model, t, entry), gamma)
+    return pricing.PriceQuote(time=t, gamma=gamma, entries=tuple(e for e, _ in quotes))
 
 
 # ---------------------------------------------------------------------------

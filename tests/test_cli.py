@@ -209,6 +209,14 @@ class TestNgdAndArbitrage:
         code, out, _ = run(capsys, "ngd", MODEL, "--gamma", "8")
         assert "holds" in out
 
+    def test_ngd_violation_without_witness_exits_internal(self, capsys):
+        # the hedge LP's weights at 1e12 fail their certificate: an error,
+        # never a "violated" row with an empty witness
+        code, out, err = run(capsys, "ngd", MODEL, "--gamma", "1e12")
+        assert code == EXIT_INTERNAL
+        assert "violated" not in out
+        assert "fails its certificate" in err
+
     def test_arbitrage_clean(self, capsys):
         code, out, _ = run(capsys, "arbitrage", MODEL)
         assert out.strip().splitlines()[1].startswith("0,none")

@@ -310,14 +310,24 @@ class TestOneEnumerationPerQuote:
         return flow
 
     def test_noarb_bounds(self, calls, flow):
-        # the arbitrage search and the polytope share the trade rows; the
-        # mark convention at t >= 1 builds its own rows for the polytope
+        # the bound LPs prove this market free of arbitrage, so each call
+        # builds only the rows of its convention
         model = two_period_model(lam=0.01)
-        for t, entry, builds in ((0, "trade", [0]), (1, "trade", [1]), (1, "mark", [1, 1])):
+        for t, entry, builds in ((0, "trade", [0]), (1, "trade", [1]), (1, "mark", [1])):
             calls.clear()
             quote = pricing.noarb_bounds(model, flow, t, entry=entry)
             assert quote.status() == pricing.STATUS_OK
             assert calls == builds
+        # a node the mark cone cannot charge sends the market to the
+        # arbitrage search, which builds the trade rows as well
+        bids = TABLE_BIDS.copy()
+        bids[:3, 2] = [80.3, 80.5, 80.6]
+        tree = two_period_tree()
+        model = MarketModel(tree, 0.0, [apply_transaction_costs(bids, 0.01, tree=tree)])
+        calls.clear()
+        quote = pricing.noarb_bounds(model, flow, 1, entry="mark")
+        assert quote.status() == pricing.STATUS_INFEASIBLE
+        assert calls == [1, 1]
 
     def test_ngd_check_and_good_deal_prices(self, calls, flow):
         model = two_period_model(lam=0.01)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import random
 
 import numpy as np
 import pytest
@@ -47,7 +48,12 @@ from conftest import (
     random_tree,
     two_period_model,
 )
-from oracles import primal_price_oracle, wealth_closed_form
+from oracles import (
+    check_first_bounds,
+    check_first_good_deal_prices,
+    primal_price_oracle,
+    wealth_closed_form,
+)
 
 T2_TABLE = {
     # lam -> (lower, upper) published reference bounds at the root
@@ -111,8 +117,8 @@ class TestNoArbBounds:
         assert quote.entry(0).status == STATUS_ARBITRAGE
 
     def test_solver_failure_is_not_arbitrage(self, monkeypatch):
-        # the arbitrage search clears the market; a failing bound LP after it
-        # is the solver's failure and must surface as one
+        # a failing bound LP sends the market to the arbitrage search; once
+        # that clears it, the failure is the solver's and must surface as one
         def failing(*args, **kwargs):
             raise ComputationError("LP certification failed: injected")
 
@@ -121,6 +127,32 @@ class TestNoArbBounds:
         assert arbitrage_check(model, 0) is None
         with pytest.raises(ComputationError, match="injected"):
             noarb_bounds(model, call_payoff(model), 0)
+
+    def test_arbitrage_read_when_bound_lps_fail(self, monkeypatch):
+        # the market of test_arbitrage_status: the arbitrage search, not the
+        # failing bound LP, decides its status
+        def failing(*args, **kwargs):
+            raise ComputationError("LP certification failed: injected")
+
+        tree = EventTree(1, [0.5, 0.5], [[(0, 1)], [(0,), (1,)]])
+        bids = np.array([[50.0, 60.0], [50.0, 55.0]])
+        model = MarketModel(tree, 0.0, [apply_transaction_costs(bids, 0.0, tree=tree)])
+        monkeypatch.setattr(lp, "solve_ratio", failing)
+        for entry in ("trade", "mark"):
+            quote = noarb_bounds(model, call_payoff(model), 0, entry=entry)
+            assert quote.entry(0).status == STATUS_ARBITRAGE
+
+    @pytest.mark.parametrize("lam", [0.0, 0.01])
+    def test_bound_lps_prove_no_arbitrage(self, lam, count_calls):
+        # on a horizon-4 binary market every node's bid and ask optima sum to
+        # a density that charges each of its paths, so the arbitrage search
+        # (an lp.solve per node) never runs
+        model = binary_tree_market(1.1, 0.92, 0.01, 0.4, lam)
+        solves = count_calls(lp, "solve")
+        for t in (0, 1, 2):
+            for entry in ("trade", "mark"):
+                assert noarb_bounds(model, call_payoff(model, 100.0), t, entry=entry).status() == STATUS_OK
+        assert solves == []
 
 
     def test_node_the_mark_cone_cannot_charge_is_infeasible(self):
@@ -318,6 +350,17 @@ class TestNgdCheck:
                 checked += 1
         assert checked >= 10
 
+    def test_violation_without_witness_raises(self):
+        # no good deal holds on the frictionless fixture at 8 and at 1e6; at
+        # 1e12 the hedge LP's weights fail their certificate, which is an
+        # error, not a violation without a witness
+        model = two_period_model()
+        assert ngd_check(model, 0, 1e6).holds
+        with pytest.raises(ComputationError, match="fails its certificate"):
+            ngd_check(model, 0, 1e12)
+        with pytest.raises(ComputationError, match="fails its certificate"):
+            good_deal_prices(model, asian_call(model, 0, 65.0), 0, 1e12)
+
     def test_implies_no_arbitrage(self, rng):
         hits = 0
         for _ in range(40):
@@ -347,6 +390,61 @@ class TestGoodDealPrices:
         assert e.status == STATUS_NGD
         assert np.isposinf(e.bid) and np.isneginf(e.ask)
         assert quote.witness is not None
+
+    @pytest.mark.parametrize("gamma, status", [(8.0, STATUS_OK), (0.05, STATUS_NGD)])
+    def test_band_lps_decide_without_hedge_search(self, gamma, status, count_calls):
+        # every band LP feasible: no good deal holds; a band LP infeasible:
+        # its Farkas ray is the witness.  Either way no hedge LP runs.
+        model = two_period_model(lam=0.01)
+        searches = count_calls(pricing, "_good_deal_weights")
+        for t in (0, 1):
+            quote = good_deal_prices(model, asian_call(model, 0, 65.0), t, gamma)
+            assert quote.status() == status
+            if status == STATUS_NGD:
+                w = quote.witness
+                flow = np.zeros((5, 3))
+                flow[:, -1] = w.cash_flow
+                assert dglr_eval(model.tree, flow, t)[model.tree.node_paths(w.node)[0]] > gamma
+        assert searches == []
+
+    def test_band_lp_failure_falls_back_to_check(self, count_calls):
+        # the benchmark's surface market 0 at lambda 0.005, just below its
+        # ceiling 1/L: the band LP's Farkas ray fails its check, and the
+        # no-good-deal check answers with its own witness instead
+        u, d, r, p_up, strike = PIVOT_BUDGET_MARKETS[0]
+        model = binary_tree_market(u, d, r, p_up, 0.005, horizon=3)
+        payoff = call_payoff(model, strike)
+        rows = generators_for(model, 0)
+        gamma = (1.0 - 1e-6) / float(np.min(pricing._least_loss(model, rows)))
+        with pytest.raises(ComputationError, match="infeasibility certification failed"):
+            list(pricing._node_quotes(model, payoff, rows, gamma))
+        searches = count_calls(pricing, "_good_deal_weights")
+        quote = good_deal_prices(model, payoff, 0, gamma)
+        assert len(searches) == 1
+        assert quote.status() == STATUS_NGD
+        check = ngd_check(model, 0, gamma)
+        assert quote.witness.dglr == check.witness.dglr > gamma
+        assert np.array_equal(quote.witness.cash_flow, check.witness.cash_flow)
+
+    def test_ray_certificate_miss_falls_back_to_check(self, monkeypatch, count_calls):
+        # a ray whose hedge the certificate rejects leaves the status to the
+        # no-good-deal check, whose hedge becomes the witness
+        real, calls = pricing.good_deal_certificate, []
+
+        def miss_first(*args):
+            calls.append(None)
+            return None if len(calls) == 1 else real(*args)
+
+        model = two_period_model()
+        payoff = asian_call(model, 0, 65.0)
+        monkeypatch.setattr(pricing, "good_deal_certificate", miss_first)
+        searches = count_calls(pricing, "_good_deal_weights")
+        quote = good_deal_prices(model, payoff, 0, 0.05)
+        assert len(calls) == 2 and len(searches) == 1
+        assert quote.status() == STATUS_NGD
+        monkeypatch.undo()
+        check = ngd_check(model, 0, 0.05)
+        assert np.array_equal(quote.witness.cash_flow, check.witness.cash_flow)
 
     def test_vertex_oracle_agreement_on_incomplete_binomial(self):
         # trinomial one-period market, frictionless: brute-force over the
@@ -1056,3 +1154,112 @@ class TestNodeFormMatchesEnumeration:
                         for e, w in zip(got, want, strict=True):
                             assert self.close(e.bid, w[0]) and self.close(e.ask, w[1])
         assert {STATUS_OK, STATUS_INFEASIBLE, True, False} <= statuses
+
+
+def benchmark_tree_market(k):
+    """The benchmark's tree market k (horizon 4) from its design generator,
+    with its call payoff and level."""
+    design = random.Random(f"design/tree/{k}")
+    u, d = design.uniform(1.04, 1.12), design.uniform(0.90, 0.97)
+    r, p_up = design.choice((0.0, 0.01, 0.02)), design.uniform(0.35, 0.65)
+    strike = 100.0 * design.uniform(0.9, 1.1)
+    model = binary_tree_market(u, d, r, p_up, (0.0, 0.005, 0.01, 0.02)[k % 4])
+    return model, call_payoff(model, strike), (0.5, 1.0, 2.0, 4.0, 8.0)[k % 5]
+
+
+class TestQuotesFirstMatchCheckFirst:
+    """``noarb_bounds`` and ``good_deal_prices`` price first and run the
+    arbitrage search or the no-good-deal check only when the quotes cannot
+    decide; the check-first order of ``oracles`` must give the same statuses
+    and the same bids and asks bit for bit, and every violation a witness that
+    ``dglr_eval`` confirms."""
+
+    @staticmethod
+    def markets():
+        # dividends, stochastic rates, one to three securities; one market in
+        # three swaps a security for randomly priced one, mostly an arbitrage
+        rng = np.random.default_rng(2024)
+        for k in range(100):
+            tree = random_tree(rng, int(rng.integers(3, 7)), int(rng.integers(2, 4)))
+            model = arbitrage_free_market(
+                rng, tree, dividends=k % 2 == 1, rates=k % 4 >= 2,
+                lam=0.0 if k % 5 == 0 else None, securities=int(rng.integers(1, 4)),
+            )
+            if k % 3 == 2:
+                bad = random_market(rng, tree, dividends=True).securities[0]
+                secs = [*model.securities[:-1], dataclasses.replace(bad, name="bad")]
+                model = MarketModel(tree, model.rates, secs)
+            yield model, random_cashflow(rng, tree)
+
+    @staticmethod
+    def answer(call):
+        try:
+            return call()
+        except ComputationError as exc:
+            return str(exc)
+
+    def compare(self, model, quote, reference):
+        """The status of ``quote``, after checking it against ``reference``."""
+        if isinstance(quote, str):
+            assert quote == reference
+            return "raised"
+        if isinstance(reference, str):
+            return "answered"  # the skipped search is what raised
+        for e, r in zip(quote.entries, reference.entries, strict=True):
+            assert e.status == r.status
+            assert np.array_equal([e.bid, e.ask], [r.bid, r.ask], equal_nan=True)
+        if quote.status() == STATUS_NGD:
+            w = quote.witness
+            flow = np.zeros((model.tree.n_paths, model.tree.horizon + 1))
+            flow[:, -1] = w.cash_flow
+            ratio = dglr_eval(model.tree, flow, quote.time)[model.tree.node_paths(w.node)[0]]
+            assert ratio == pytest.approx(w.dglr) and ratio > quote.gamma
+        return quote.status()
+
+    def test_random_markets(self, count_calls):
+        seen = set()
+        searches = count_calls(pricing, "_arbitrage")
+        checks = count_calls(pricing, "_ngd")
+        requests = fallbacks = 0
+
+        def quote_first(call):
+            # the searches the quote-first order falls back to
+            nonlocal requests, fallbacks
+            before = len(searches) + len(checks)
+            quote = self.answer(call)
+            requests += 1
+            fallbacks += len(searches) + len(checks) > before
+            return quote
+
+        for model, flow in self.markets():
+            for t in range(model.tree.horizon):
+                for entry in ("trade", "mark"):
+                    quote = quote_first(lambda: noarb_bounds(model, flow, t, entry=entry))
+                    ref = self.answer(lambda: check_first_bounds(model, flow, t, entry=entry))
+                    seen.add(("bounds", self.compare(model, quote, ref)))
+                    for gamma in (0.5, 4.0):
+                        quote = quote_first(
+                            lambda: good_deal_prices(model, flow, t, gamma, entry=entry)
+                        )
+                        ref = self.answer(
+                            lambda: check_first_good_deal_prices(model, flow, t, gamma, entry=entry)
+                        )
+                        seen.add(("good deal", self.compare(model, quote, ref)))
+        assert {("bounds", s) for s in (STATUS_OK, STATUS_ARBITRAGE, STATUS_INFEASIBLE)} <= seen
+        assert {("good deal", s) for s in (STATUS_OK, STATUS_NGD, STATUS_INFEASIBLE)} <= seen
+        # both orders were compared where the quotes decide and where they
+        # fall back
+        assert 0 < fallbacks < requests / 2
+
+    def test_benchmark_tree_markets(self, count_calls):
+        solves = count_calls(lp, "solve")
+        for k in range(48):
+            model, flow, gamma = benchmark_tree_market(k)
+            for t in (0, 1):
+                assert self.compare(
+                    model, noarb_bounds(model, flow, t), check_first_bounds(model, flow, t)
+                ) == STATUS_OK
+            self.compare(
+                model, good_deal_prices(model, flow, 0, gamma),
+                check_first_good_deal_prices(model, flow, 0, gamma),
+            )
