@@ -46,10 +46,6 @@ class DensityBand:
     def m_min(self) -> float:
         return 1.0 / (1.0 + self.gamma)
 
-    @property
-    def m_max(self) -> float:
-        return 1.0
-
     def contains(self, density, probabilities, *, tol: float = 1e-9) -> bool:
         eta = np.asarray(density, dtype=float)
         p = np.asarray(probabilities, dtype=float)

@@ -122,20 +122,7 @@ class EventTree:
                         f"partition at t={t + 1} does not refine partition at t={t}"
                     )
 
-    @classmethod
-    def from_observables(
-        cls,
-        observables: Sequence[np.ndarray],
-        probabilities,
-        paths: Optional[Sequence[str]] = None,
-    ) -> "EventTree":
-        parts = derive_filtration(observables)
-        return cls(len(parts) - 1, probabilities, parts, paths)
-
     # -- node navigation -----------------------------------------------------
-
-    def cells(self, t: int) -> Partition:
-        return self.partitions[t]
 
     def node_paths(self, node: NodeRef) -> Cell:
         return self.partitions[node.time][node.cell]

@@ -34,20 +34,20 @@ The no-good-deal check is the dual of the same per-node decomposition: by LP
 duality a node's band cone misses its slice exactly when the node has a
 hedge (a nonnegative combination of its cone rows) whose gain-loss ratio
 beats the level.  A band LP that reads ``infeasible`` carries such a hedge
-in its Farkas ray, as the ray's multipliers of the node's cone rows.  The
-check looks for the hedge with one small LP per node.  Either hedge's
-weights are the witness, reported with the hedge's trading strategy.
+in its Farkas ray, as the ray's multipliers of the node's cone rows.
 
-Across levels the check has one threshold per node.  A hedge's gain-loss
-ratio is its expected gain over its expected loss, so a node has a hedge
-beating gamma exactly when gamma L < 1, where L is the node's least expected
-loss per unit of expected gain and 1/L its best ratio (Cherny & Madan, RFS
-2009).  The liquidity surface finds L by one LP per node and lambda row, free
-of the level, and reads every level's status from it, a level at exactly 1/L
-included.  :func:`ngd_check` keeps the check, whose least-weight hedge is the
-witness it reports; :func:`good_deal_prices` reports the ray's hedge, and
-runs the check only when that hedge fails its certificate or a band LP
-fails.
+A hedge's gain-loss ratio is its expected gain over its expected loss, so a
+node has a hedge beating gamma exactly when gamma L < 1, where L is the
+node's least expected loss per unit of expected gain and 1/L its best ratio
+(Cherny & Madan, RFS 2009).  L comes from one LP per node, free of the level
+(:func:`_node_least_loss`), and one tie rule reads every level's status from
+it (:func:`_beats`): L is certified only to ``lp.TOL``, so a level within
+that distance of 1/L reads as 1/L, which no hedge beats.
+:func:`ngd_check` and :func:`liquidity_surface` both decide this way; the
+check's witness is the first beaten node's best-ratio hedge.
+:func:`good_deal_prices` reports the ray's hedge, and runs the check only
+when that hedge fails its certificate or a band LP fails.  Either hedge's
+weights are the witness, reported with the hedge's trading strategy.
 
 ``entry="mark"`` switches the valuation-date legs of hedges initiated exactly
 at the pricing date to liquidation-side prices (entry spread refunded).  This
@@ -295,71 +295,52 @@ def good_deal_certificate(
     return GoodDealWitness(node, hedge_strategy(model, rows, scaled), paid[:, -1], ratio)
 
 
-def _hedge_loss_rows(G: np.ndarray, H: np.ndarray) -> np.ndarray:
-    """Rows a_ub <= 0 over a node's hedge weights w and the loss bound z of
-    its paths: z >= -G^T w, and H^T w >= 0 (the hedge carries on no more
-    than it holds)."""
-    m = G.shape[1]
-    return np.vstack([
-        np.hstack([-G.T, -np.eye(m)]),
-        np.hstack([-H.T, np.zeros((H.shape[1], m))]),
-    ])
+def _node_least_loss(model: MarketModel, rows: NodeRows, node: NodeRef):
+    """The date-t ``node``'s least expected loss L of a hedge on ``rows`` per
+    unit of its expected gain, with the weights on ``rows`` of a hedge that
+    attains it (None where L is +inf).
 
-
-def _good_deal_weights(model: MarketModel, rows: NodeRows, gamma: float):
-    """Weights on ``rows`` of a hedge beating ``gamma`` at the first date-t
-    node that has one, or None: per node, the least total weight y >= 0 whose
-    flow X = G^T y carries on no more than it holds and has
-    E[X] - gamma E[z] >= 1 for a loss bound z >= max(-X, 0)."""
-    p = model.probabilities
-    for node in model.tree.nodes(rows.start):
-        pick, paths, G, H = _node_hedges(model, rows, node)
-        if not pick.size:
-            continue
-        q = p[paths]
-        k, m = len(pick), len(paths)
-        a_ub = np.vstack([_hedge_loss_rows(G, H), np.concatenate([-(G @ q), gamma * q])])
-        b_ub = np.concatenate([np.zeros(m + H.shape[1]), [-1.0]])
-        prog = lp.LinearProgram.build(
-            "min", np.concatenate([np.ones(k), np.zeros(m)]), a_ub=a_ub, b_ub=b_ub
-        )
-        sol = lp.solve(prog)
-        if sol.status == "optimal":
-            weights = np.zeros(len(rows))
-            weights[pick] = sol.x[:k]
-            return weights
-    return None
-
-
-def _least_loss(model: MarketModel, rows: NodeRows) -> np.ndarray:
-    """Per date-t node, the least expected loss L of a hedge on ``rows`` per
-    unit of its expected gain: the minimum of E[z] over weights w >= 0 and a
-    loss bound z >= max(-X, 0) of the flow X = G^T w, with E[X] = 1 and the
-    hedge carrying on no more than it holds.
-
-    The node's best gain-loss ratio is 1/L, so a hedge there beats gamma
-    exactly when gamma L < 1.  L is +inf when no hedge gains (the LP is
+    The LP minimizes E[z] over weights w >= 0 and a loss bound
+    z >= max(-X, 0) of the flow X = G^T w, with E[X] = 1 and H^T w >= 0 (the
+    hedge carries on no more than it holds).  The node's best gain-loss ratio
+    is 1/L, reached by that hedge.  L is +inf when no hedge gains (the LP is
     infeasible) or the node has no rows, and 0 for a lossless hedge (a
     rounding residue below 0 reads 0).  The objective is bounded below by 0,
     so the LP is never unbounded.
     """
-    p = model.probabilities
-    losses = []
-    for node in model.tree.nodes(rows.start):
-        pick, paths, G, H = _node_hedges(model, rows, node)
-        if not pick.size:
-            losses.append(np.inf)
-            continue
-        q = p[paths]
-        a_ub = _hedge_loss_rows(G, H)
-        prog = lp.LinearProgram.build(
-            "min", np.concatenate([np.zeros(len(pick)), q]), a_ub=a_ub,
-            b_ub=np.zeros(len(a_ub)), a_eq=[np.concatenate([G @ q, np.zeros(len(q))])],
-            b_eq=[1.0],
-        )
-        sol = lp.solve(prog)
-        losses.append(max(sol.value, 0.0) if sol.status == "optimal" else np.inf)
-    return np.array(losses)
+    pick, paths, G, H = _node_hedges(model, rows, node)
+    if not pick.size:
+        return np.inf, None
+    q = model.probabilities[paths]
+    m = len(paths)
+    a_ub = np.vstack([
+        np.hstack([-G.T, -np.eye(m)]),
+        np.hstack([-H.T, np.zeros((H.shape[1], m))]),
+    ])
+    prog = lp.LinearProgram.build(
+        "min", np.concatenate([np.zeros(len(pick)), q]), a_ub=a_ub,
+        b_ub=np.zeros(len(a_ub)), a_eq=[np.concatenate([G @ q, np.zeros(m)])], b_eq=[1.0],
+    )
+    sol = lp.solve(prog)
+    if sol.status != "optimal":
+        return np.inf, None
+    weights = np.zeros(len(rows))
+    weights[pick] = sol.x[: len(pick)]
+    return max(sol.value, 0.0), weights
+
+
+def _least_loss(model: MarketModel, rows: NodeRows) -> np.ndarray:
+    """:func:`_node_least_loss`'s L of each date-t node, in node order."""
+    nodes = model.tree.nodes(rows.start)
+    return np.array([_node_least_loss(model, rows, node)[0] for node in nodes])
+
+
+def _beats(gamma: float, loss: float) -> bool:
+    """Whether a node of least loss per unit of gain ``loss`` has a hedge
+    beating ``gamma``: gamma L < 1 - ``lp.TOL``.  L is certified only to
+    ``lp.TOL``, so a level within that distance of the node's best ratio 1/L
+    reads as 1/L itself, which no hedge beats."""
+    return gamma * loss < 1.0 - lp.TOL
 
 
 def _ray_weights(rows: NodeRows, node: NodeRef, ray: lp.LPSolution) -> np.ndarray:
@@ -372,22 +353,25 @@ def _ray_weights(rows: NodeRows, node: NodeRef, ray: lp.LPSolution) -> np.ndarra
 
 
 def _ngd(model: MarketModel, gamma: float, rows: NodeRows) -> NgdResult:
-    """The no-good-deal check: violated when some date-t node has a hedge
-    beating ``gamma``, with that hedge as the witness.  A hedge that its
-    certificate rejects raises :class:`ComputationError`: a violation is
-    never reported without a witness."""
+    """The no-good-deal check: violated at the first date-t node whose least
+    loss per unit of gain :func:`_beats` ``gamma``, with that node's
+    best-ratio hedge as the witness.  A hedge that its certificate rejects
+    raises :class:`ComputationError`: a violation is never reported without
+    a witness."""
     DensityBand(gamma)
     t = rows.start
-    weights = _good_deal_weights(model, rows, gamma)
-    if weights is None:
-        return NgdResult(holds=True, gamma=gamma, time=t)
-    witness = good_deal_certificate(model, rows, weights, gamma)
-    if witness is None:
-        raise ComputationError(
-            f"no-good-deal hedge at gamma={gamma:g}, t={t} fails its certificate: "
-            "no witness beats the level"
-        )
-    return NgdResult(holds=False, gamma=gamma, time=t, witness=witness)
+    for node in model.tree.nodes(t):
+        loss, weights = _node_least_loss(model, rows, node)
+        if not _beats(gamma, loss):
+            continue
+        witness = good_deal_certificate(model, rows, weights, gamma)
+        if witness is None:
+            raise ComputationError(
+                f"no-good-deal hedge at gamma={gamma:g}, t={t} fails its certificate: "
+                "no witness beats the level"
+            )
+        return NgdResult(holds=False, gamma=gamma, time=t, witness=witness)
+    return NgdResult(holds=True, gamma=gamma, time=t)
 
 
 def ngd_check(model: MarketModel, t: int, gamma: float, *, entry: str = "trade") -> NgdResult:
@@ -395,8 +379,11 @@ def ngd_check(model: MarketModel, t: int, gamma: float, *, entry: str = "trade")
     normalization (band feasibility forces strict positivity).
 
     That fails exactly when some date-t node has a hedge whose gain-loss
-    ratio beats gamma; the check looks for one node by node, and the hedge it
-    finds is the witness.  A hedge that fails its certificate raises
+    ratio beats gamma, i.e. when gamma L < 1 for the node's least loss per
+    unit of gain L.  The check solves L node by node and stops at the first
+    node where gamma L < 1 - ``lp.TOL``: a level within ``lp.TOL`` of the
+    ceiling 1/L reads as the ceiling, which holds.  That node's best-ratio
+    hedge is the witness; one that fails its certificate raises
     :class:`ComputationError` instead of a violation without a witness.
     """
     return _ngd(model, gamma, generators_for(model, t, entry))
@@ -484,12 +471,12 @@ def liquidity_surface(
     The model, the payoff and the cone rows are built once per
     transaction-cost coefficient, then each level is repriced at the
     requested date-t node.  The no-good-deal status of every level of such a
-    row comes from one threshold: each date-t node's least loss per unit of
-    gain L (see :func:`_least_loss`), one LP per node and row.  A level gamma
-    is violated exactly when gamma L < 1 at some node, i.e. when the node's
-    best gain-loss ratio 1/L beats it; a level at exactly 1/L is not beaten
-    and is priced.  No level runs the check itself, and violated cells carry
-    no witness.
+    row comes from the check's own LP, solved once per row: each date-t
+    node's least loss per unit of gain L (see :func:`_least_loss`).  A level
+    gamma is violated exactly when gamma L < 1 - ``lp.TOL`` at some node, the
+    tie rule of :func:`ngd_check`, so a level within ``lp.TOL`` of a node's
+    best gain-loss ratio 1/L reads as 1/L and is priced.  No level runs the
+    check itself, and violated cells carry no witness.
 
     The threshold covers every date-t node, but only the requested node is
     quoted: the per-node programs are independent.  Its cone is built once
@@ -525,7 +512,7 @@ def liquidity_surface(
         row = [None] * len(gammas)
         for i in ascending:
             gamma = gammas[i]
-            if gamma * loss >= 1.0:
+            if not _beats(gamma, loss):
                 e, warm = _node_quote(model, x, _with_band(cone, len(paths), gamma), at, warm)
             else:
                 e = PriceEntry(at, np.inf, -np.inf, STATUS_NGD)

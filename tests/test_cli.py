@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import conic_pricer
-from conic_pricer import lp
+from conic_pricer import lp, pricing
 from conic_pricer.cli import (
     EXIT_INTERNAL,
     EXIT_OK,
@@ -209,10 +209,11 @@ class TestNgdAndArbitrage:
         code, out, _ = run(capsys, "ngd", MODEL, "--gamma", "8")
         assert "holds" in out
 
-    def test_ngd_violation_without_witness_exits_internal(self, capsys):
-        # the hedge LP's weights at 1e12 fail their certificate: an error,
-        # never a "violated" row with an empty witness
-        code, out, err = run(capsys, "ngd", MODEL, "--gamma", "1e12")
+    def test_ngd_violation_without_witness_exits_internal(self, capsys, monkeypatch):
+        # a hedge that fails its certificate is an error, never a "violated"
+        # row with an empty witness
+        monkeypatch.setattr(pricing, "good_deal_certificate", lambda *args: None)
+        code, out, err = run(capsys, "ngd", MODEL, "--gamma", "0.25")
         assert code == EXIT_INTERNAL
         assert "violated" not in out
         assert "fails its certificate" in err

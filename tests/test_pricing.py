@@ -208,6 +208,32 @@ class TestNoArbBounds:
         quote = noarb_bounds(model, flow, 1)
         assert [e.status for e in quote.entries] == [STATUS_OK] * 3
 
+    @pytest.mark.xfail(
+        raises=ComputationError, strict=True,
+        reason="a bound LP stops at a basis with primal residual 1.3e-3 on "
+        "rows holding entries as small as 1.9e-15 (ROADMAP item 3)",
+    )
+    def test_three_dividend_securities_market_prices(self):
+        # market 87 of the quote-first cross-check's generator (seed 0): 5
+        # paths, horizon 3, three dividend-paying securities under stochastic
+        # rates, free of arbitrage; t=1 and t=2 price, t=0 raises
+        rng = np.random.default_rng(0)
+        for k in range(88):
+            tree = random_tree(rng, rng.integers(3, 8), rng.integers(2, 4))
+            securities = rng.integers(1, 4)
+            model = arbitrage_free_market(
+                rng, tree, dividends=k % 2 == 1, rates=(k // 2) % 2 == 1,
+                lam=0.0 if k % 5 == 0 else None, securities=securities,
+            )
+            if k % 3 == 2:
+                bad = random_market(rng, tree, dividends=True).securities[0]
+                model = MarketModel(tree, model.rates, [*model.securities[:-1], bad])
+            flow = random_cashflow(rng, tree)
+        assert arbitrage_check(model, 0) is None
+        for t in (1, 2):
+            assert noarb_bounds(model, flow, t).status() == STATUS_OK
+        assert noarb_bounds(model, flow, 0).status() == STATUS_OK
+
 
 class TestNgdCheck:
     def test_reference_measure_in_band(self):
@@ -291,8 +317,8 @@ class TestNgdCheck:
         assert checked >= 10
 
     def test_witness_from_the_node_program(self, rng):
-        # the per-node hedge LP finds weights exactly when the band polytope
-        # of all date-t nodes together is empty
+        # the per-node least-loss LPs find a node beating the level exactly
+        # when the band polytope of all date-t nodes together is empty
         checked = 0
         for _ in range(20):
             tree = random_tree(rng, int(rng.integers(3, 7)), int(rng.integers(1, 4)))
@@ -303,11 +329,10 @@ class TestNgdCheck:
                     band = node_form_polytope(model, rows, gamma)
                     prog = lp.LinearProgram.build("max", np.zeros(band["a_ub"].shape[1]), **band)
                     empty = lp.solve(prog).status != "optimal"
-                    weights = pricing._good_deal_weights(model, rows, gamma)
-                    assert (weights is not None) == empty
-                    if weights is not None:
-                        w = good_deal_certificate(model, rows, weights, gamma)
-                        assert w is not None and w.dglr > gamma
+                    check = pricing._ngd(model, gamma, rows)
+                    assert check.holds != empty
+                    if not check.holds:
+                        assert check.witness.dglr > gamma
                         checked += 1
         assert checked >= 10
 
@@ -350,16 +375,23 @@ class TestNgdCheck:
                 checked += 1
         assert checked >= 10
 
-    def test_violation_without_witness_raises(self):
-        # no good deal holds on the frictionless fixture at 8 and at 1e6; at
-        # 1e12 the hedge LP's weights fail their certificate, which is an
-        # error, not a violation without a witness
+    def test_violation_without_witness_raises(self, monkeypatch):
+        # no good deal holds on the frictionless fixture at 8, 1e6 and 1e12
+        # (at 1e12 the band LP itself fails its certification, an error of its
+        # own); at 0.05 it fails, and a hedge that its certificate rejects is
+        # an error, not a violation without a witness
         model = two_period_model()
-        assert ngd_check(model, 0, 1e6).holds
+        payoff = asian_call(model, 0, 65.0)
+        for gamma in (8.0, 1e6, 1e12):
+            assert ngd_check(model, 0, gamma).holds
+        assert good_deal_prices(model, payoff, 0, 1e6).status() == STATUS_OK
+        with pytest.raises(ComputationError, match="LP certification failed"):
+            good_deal_prices(model, payoff, 0, 1e12)
+        monkeypatch.setattr(pricing, "good_deal_certificate", lambda *args: None)
         with pytest.raises(ComputationError, match="fails its certificate"):
-            ngd_check(model, 0, 1e12)
+            ngd_check(model, 0, 0.05)
         with pytest.raises(ComputationError, match="fails its certificate"):
-            good_deal_prices(model, asian_call(model, 0, 65.0), 0, 1e12)
+            good_deal_prices(model, payoff, 0, 0.05)
 
     def test_implies_no_arbitrage(self, rng):
         hits = 0
@@ -394,9 +426,10 @@ class TestGoodDealPrices:
     @pytest.mark.parametrize("gamma, status", [(8.0, STATUS_OK), (0.05, STATUS_NGD)])
     def test_band_lps_decide_without_hedge_search(self, gamma, status, count_calls):
         # every band LP feasible: no good deal holds; a band LP infeasible:
-        # its Farkas ray is the witness.  Either way no hedge LP runs.
+        # its Farkas ray is the witness.  Either way the check's least-loss
+        # LP never runs.
         model = two_period_model(lam=0.01)
-        searches = count_calls(pricing, "_good_deal_weights")
+        searches = count_calls(pricing, "_node_least_loss")
         for t in (0, 1):
             quote = good_deal_prices(model, asian_call(model, 0, 65.0), t, gamma)
             assert quote.status() == status
@@ -418,7 +451,7 @@ class TestGoodDealPrices:
         gamma = (1.0 - 1e-6) / float(np.min(pricing._least_loss(model, rows)))
         with pytest.raises(ComputationError, match="infeasibility certification failed"):
             list(pricing._node_quotes(model, payoff, rows, gamma))
-        searches = count_calls(pricing, "_good_deal_weights")
+        searches = count_calls(pricing, "_node_least_loss")
         quote = good_deal_prices(model, payoff, 0, gamma)
         assert len(searches) == 1
         assert quote.status() == STATUS_NGD
@@ -438,7 +471,7 @@ class TestGoodDealPrices:
         model = two_period_model()
         payoff = asian_call(model, 0, 65.0)
         monkeypatch.setattr(pricing, "good_deal_certificate", miss_first)
-        searches = count_calls(pricing, "_good_deal_weights")
+        searches = count_calls(pricing, "_node_least_loss")
         quote = good_deal_prices(model, payoff, 0, 0.05)
         assert len(calls) == 2 and len(searches) == 1
         assert quote.status() == STATUS_NGD
@@ -930,7 +963,6 @@ class TestLiquiditySurface:
         pivots = count_calls(lp, "_pivot")
         starts = count_calls(lp, "_phase1")
         solves = count_calls(lp, "solve")
-        searches = count_calls(pricing, "_good_deal_weights")
         for u, d, r, p_up, strike in PIVOT_BUDGET_MARKETS:
             liquidity_surface(
                 lambda lam: binary_tree_market(u, d, r, p_up, lam, horizon=3),
@@ -941,7 +973,6 @@ class TestLiquiditySurface:
         assert len(pivots) <= 500
         assert len(starts) <= 19
         assert len(solves) == 8
-        assert searches == []
 
 
 class TestLeastLoss:
@@ -983,8 +1014,7 @@ class TestLeastLoss:
 
     def test_tie_level_reads_threshold(self, count_calls):
         # a level at 1/L of its lambda row, or just below it, takes its status
-        # from the threshold alone: no check runs, and no cell raises where
-        # the check's hedge LP is weakest
+        # from the threshold alone: no check runs
         u, d, r, p_up, strike = PIVOT_BUDGET_MARKETS[0]
 
         def build_model(lam):
@@ -1001,21 +1031,48 @@ class TestLeastLoss:
             assert checks == []
             assert cells[0].status == status
 
-    @pytest.mark.xfail(
-        raises=AssertionError, strict=True,
-        reason="at an exact tie the least-loss LP rounds L to 2 - 1.2e-14, "
-        "below the tie, while the hedge search finds no hedge (ROADMAP item 5)",
-    )
+    @pytest.mark.parametrize("market, lam, below", [
+        (0, 0.0, 1e-8),
+        (0, 0.01, 1e-8),
+        (1, 0.01, 1e-7),
+        pytest.param(1, 0.01, 1e-8, marks=pytest.mark.xfail(
+            raises=ComputationError, strict=True,
+            reason="the best-ratio hedge beats the level by 1e-8 per unit of "
+            "gain, under the certificate's margin once scaled to a largest "
+            "row weight of one",
+        )),
+    ])
+    def test_check_just_below_ceiling(self, market, lam, below):
+        # the benchmark's surface markets at a level a relative ``below``
+        # under the ceiling 1/L: the check reads violated with a witness that
+        # dglr_eval confirms
+        u, d, r, p_up, _ = PIVOT_BUDGET_MARKETS[market]
+        model = binary_tree_market(u, d, r, p_up, lam, horizon=3)
+        loss = float(np.min(pricing._least_loss(model, generators_for(model, 0))))
+        gamma = (1.0 - below) / loss
+        check = ngd_check(model, 0, gamma)
+        assert not check.holds
+        flow = np.zeros((model.tree.n_paths, model.tree.horizon + 1))
+        flow[:, -1] = check.witness.cash_flow
+        ratio = dglr_eval(model.tree, flow, 0)[0]
+        assert ratio == pytest.approx(check.witness.dglr) and ratio > gamma
+
     def test_exact_tie_agrees_with_check(self):
-        # every date-3 node's best gain-loss ratio is exactly 0.5
+        # every date-3 node's best gain-loss ratio is exactly 0.5, which the
+        # least-loss LP rounds to within lp.TOL on either side: the tie reads
+        # as the ceiling itself, priced by the surface, the check and the
+        # quotes alike
         def build_model(lam):
             return binary_tree_market(1.1, 0.92, 0.01, 0.4, lam, horizon=4)
 
         model = build_model(0.0)
         payoff = call_payoff(model, 100.0)
-        holds = ngd_check(model, 3, 0.5).holds
+        loss = pricing._least_loss(model, generators_for(model, 3))
+        assert np.all(np.abs(0.5 * loss - 1.0) < lp.TOL)
+        assert ngd_check(model, 3, 0.5).holds
+        assert good_deal_prices(model, payoff, 3, 0.5).status() == STATUS_OK
         cell, = liquidity_surface(build_model, lambda m: payoff, [0.5], [0.0], 3)
-        assert cell.status == (STATUS_OK if holds else STATUS_NGD)
+        assert cell.status == STATUS_OK
 
 
 class TestPrimalOracle:
