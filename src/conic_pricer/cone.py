@@ -30,9 +30,10 @@ is a strategy, and sum_rows y * (u-coefficients) / p is its discounted
 terminal cash flow, up to the spreads it saves by netting.  Every row belongs
 to the subtree of one date-t node.
 
-Arbitrage detection solves, per date-t node, the same matrix transposed: a
-combination whose flow is pathwise nonnegative on the node with at least one
-unit of probability mass is an arbitrage.
+Arbitrage detection reads, per date-t node, the least expected loss L of a
+hedge per unit of its expected gain (:func:`_node_least_loss`, the LP of the
+no-good-deal check): a hedge that gains and never loses has L = 0, and L is
+certified to ``lp.TOL``, so arbitrage <=> some node has L <= ``lp.TOL``.
 """
 
 from __future__ import annotations
@@ -171,6 +172,10 @@ def hedge_strategy(model: MarketModel, rows: NodeRows, weights) -> TradingStrate
 
 @dataclass(frozen=True)
 class ArbitrageWitness:
+    """A hedge of expected gain one at ``node`` with expected loss at most
+    ``lp.TOL``, hence a flow of at least -``lp.TOL``/p_i on each path i of
+    the node (zero off it), and the strategy whose wealth dominates it."""
+
     node: NodeRef
     strategy: TradingStrategy
     cash_flow: np.ndarray  # per-path discounted total of the combined rows
@@ -196,14 +201,46 @@ def _node_hedges(model: MarketModel, rows: NodeRows, node: NodeRef):
     return pick[keep], paths, G[keep], H[keep]
 
 
-def arbitrage_check(model: MarketModel, t: int) -> Optional[ArbitrageWitness]:
-    """Search for an arbitrage among hedges initiated at date t.
+def _node_least_loss(model: MarketModel, rows: NodeRows, node: NodeRef):
+    """The date-t ``node``'s least expected loss L of a hedge on ``rows`` per
+    unit of its expected gain, with the weights on ``rows`` of a hedge that
+    attains it (None where L is +inf).
 
-    Per date-t node, a feasibility LP looks for nonnegative weights on the
-    node's rows whose combined flow is pathwise nonnegative on the node,
-    carries at least one unit of probability mass and carries on no more
-    than it holds.  Rows worth zero up to rounding count as worth zero (see
-    ``_node_hedges``).
+    The LP minimizes E[z] over weights w >= 0 and a loss bound
+    z >= max(-X, 0) of the flow X = G^T w, with E[X] = 1 and H^T w >= 0 (the
+    hedge carries on no more than it holds).  The node's best gain-loss ratio
+    is 1/L, reached by that hedge.  L is +inf when no hedge gains (the LP is
+    infeasible) or the node has no rows, and 0 for a lossless hedge (a
+    rounding residue below 0 reads 0).  The objective is bounded below by 0,
+    so the LP is never unbounded.
+    """
+    pick, paths, G, H = _node_hedges(model, rows, node)
+    if not pick.size:
+        return np.inf, None
+    q = model.probabilities[paths]
+    m = len(paths)
+    a_ub = np.vstack([
+        np.hstack([-G.T, -np.eye(m)]),
+        np.hstack([-H.T, np.zeros((H.shape[1], m))]),
+    ])
+    prog = lp.LinearProgram.build(
+        "min", np.concatenate([np.zeros(len(pick)), q]), a_ub=a_ub,
+        b_ub=np.zeros(len(a_ub)), a_eq=[np.concatenate([G @ q, np.zeros(m)])], b_eq=[1.0],
+    )
+    sol = lp.solve(prog)
+    if sol.status != "optimal":
+        return np.inf, None
+    weights = np.zeros(len(rows))
+    weights[pick] = sol.x[: len(pick)]
+    return max(sol.value, 0.0), weights
+
+
+def arbitrage_check(model: MarketModel, t: int) -> Optional[ArbitrageWitness]:
+    """The witness of the first date-t node with an arbitrage, or None.
+
+    Arbitrage <=> some node has least loss per unit of gain L <= ``lp.TOL``
+    (:func:`_node_least_loss`); that node's least-loss hedge is the witness.
+    Rows worth zero up to rounding count as worth zero (see ``_node_hedges``).
     """
     return _arbitrage(model, generators_for(model, t))
 
@@ -211,20 +248,11 @@ def arbitrage_check(model: MarketModel, t: int) -> Optional[ArbitrageWitness]:
 def _arbitrage(model: MarketModel, rows: NodeRows) -> Optional[ArbitrageWitness]:
     """:func:`arbitrage_check` over the trade rows ``rows`` of its date."""
     tree = model.tree
-    p = tree.probabilities
     for node in tree.nodes(rows.start):
-        pick, paths, G, H = _node_hedges(model, rows, node)
-        if not pick.size:
-            continue
-        mass = G @ p[paths]
-        a_ub = np.vstack([-G.T, -mass[None, :], -H.T])
-        b_ub = np.concatenate([np.zeros(len(paths)), [-1.0], np.zeros(H.shape[1])])
-        prog = lp.LinearProgram.build("min", np.ones(len(pick)), a_ub=a_ub, b_ub=b_ub)
-        sol = lp.solve(prog)
-        if sol.status == "optimal":
-            weights = np.zeros(len(rows))
-            weights[pick] = sol.x
+        loss, weights = _node_least_loss(model, rows, node)
+        if loss <= lp.TOL:
+            pick, paths, G, _ = _node_hedges(model, rows, node)
             flow = np.zeros(tree.n_paths)
-            flow[paths] = sol.x @ G
+            flow[paths] = weights[pick] @ G
             return ArbitrageWitness(node, hedge_strategy(model, rows, weights), flow)
     return None

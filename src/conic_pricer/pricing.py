@@ -40,9 +40,9 @@ A hedge's gain-loss ratio is its expected gain over its expected loss, so a
 node has a hedge beating gamma exactly when gamma L < 1, where L is the
 node's least expected loss per unit of expected gain and 1/L its best ratio
 (Cherny & Madan, RFS 2009).  L comes from one LP per node, free of the level
-(:func:`_node_least_loss`), and one tie rule reads every level's status from
-it (:func:`_beats`): L is certified only to ``lp.TOL``, so a level within
-that distance of 1/L reads as 1/L, which no hedge beats.
+(:func:`conic_pricer.cone._node_least_loss`), and one tie rule reads every
+level's status from it (:func:`_beats`): L is certified only to ``lp.TOL``,
+so a level within that distance of 1/L reads as 1/L, which no hedge beats.
 :func:`ngd_check` and :func:`liquidity_surface` both decide this way; the
 check's witness is the first beaten node's best-ratio hedge.
 :func:`good_deal_prices` reports the ray's hedge, and runs the check only
@@ -65,7 +65,7 @@ import numpy as np
 
 from . import lp
 from .acceptability import DensityBand, dglr_eval
-from .cone import NodeRows, _arbitrage, _node_hedges, generators_for, hedge_strategy
+from .cone import NodeRows, _arbitrage, _node_least_loss, generators_for, hedge_strategy
 from .errors import ComputationError, ValidationError
 from .lattice import NodeRef, as_values, tail_sum
 from .market import CashFlow, MarketModel, TradingStrategy
@@ -232,8 +232,9 @@ def noarb_bounds(model: MarketModel, cash_flow, t: int, *, entry: str = "trade")
     density of its cone (see :func:`_charges_every_path`), the market is free
     of arbitrage at date t and the bounds are returned as they are; the
     ``mark`` cone lies inside the ``trade`` cone, so its proof clears the
-    trade rows too.  Otherwise the arbitrage search runs over the trade rows,
-    and an arbitrage turns every node's status into ``STATUS_ARBITRAGE``.
+    trade rows too.  Otherwise the arbitrage search runs over the trade rows
+    (arbitrage <=> some date-t node has least loss per unit of gain
+    L <= ``lp.TOL``), and an arbitrage makes every status ``STATUS_ARBITRAGE``.
 
     A node that no density of the cone charges (possible under
     ``entry="mark"``) gets ``STATUS_INFEASIBLE`` and NaN bounds.  A bound LP
@@ -262,11 +263,11 @@ def good_deal_certificate(
     The weights combine into a hedge per date-t node, scaled to a largest row
     weight of one there: the flow a_u^T w / p on the node's paths.  The node
     whose hedge has the best gain-loss ratio is kept when its gain exceeds
-    gamma times its loss by more than 1e-9 * max(1, largest row value on the
-    node), so that a combination of rows worth zero up to rounding is no
-    witness, and :func:`conic_pricer.acceptability.dglr_eval` confirms that
-    the ratio beats ``gamma``.  The witness carries the node, the hedge's
-    trading strategy, its per-path discounted total and the ratio.
+    1e-9 * max(1, largest row value on the node), so that rows worth zero up
+    to rounding are no witness, gamma times its loss is below its gain (ties
+    are for :func:`_beats`), and :func:`conic_pricer.acceptability.dglr_eval`
+    confirms that the ratio beats ``gamma``.  The witness carries the node,
+    the hedge's trading strategy, its per-path discounted total and the ratio.
     """
     tree, t = model.tree, rows.start
     p = model.probabilities
@@ -282,7 +283,7 @@ def good_deal_certificate(
         gain, loss = p[idx] @ flow, p[idx] @ np.maximum(-flow, 0.0)
         size = max(1.0, float(np.max(np.abs(rows.a_u[owned][:, idx] / p[idx]))))
         ratio = gain / loss if loss > 0 else np.inf
-        if gain - gamma * loss > 1e-9 * size and (best is None or ratio > best[1]):
+        if gain > 1e-9 * size and gamma * loss < gain and (best is None or ratio > best[1]):
             best = (node, ratio, scaled, idx, flow)
     if best is None:
         return None
@@ -293,40 +294,6 @@ def good_deal_certificate(
     if not ratio > gamma:
         return None
     return GoodDealWitness(node, hedge_strategy(model, rows, scaled), paid[:, -1], ratio)
-
-
-def _node_least_loss(model: MarketModel, rows: NodeRows, node: NodeRef):
-    """The date-t ``node``'s least expected loss L of a hedge on ``rows`` per
-    unit of its expected gain, with the weights on ``rows`` of a hedge that
-    attains it (None where L is +inf).
-
-    The LP minimizes E[z] over weights w >= 0 and a loss bound
-    z >= max(-X, 0) of the flow X = G^T w, with E[X] = 1 and H^T w >= 0 (the
-    hedge carries on no more than it holds).  The node's best gain-loss ratio
-    is 1/L, reached by that hedge.  L is +inf when no hedge gains (the LP is
-    infeasible) or the node has no rows, and 0 for a lossless hedge (a
-    rounding residue below 0 reads 0).  The objective is bounded below by 0,
-    so the LP is never unbounded.
-    """
-    pick, paths, G, H = _node_hedges(model, rows, node)
-    if not pick.size:
-        return np.inf, None
-    q = model.probabilities[paths]
-    m = len(paths)
-    a_ub = np.vstack([
-        np.hstack([-G.T, -np.eye(m)]),
-        np.hstack([-H.T, np.zeros((H.shape[1], m))]),
-    ])
-    prog = lp.LinearProgram.build(
-        "min", np.concatenate([np.zeros(len(pick)), q]), a_ub=a_ub,
-        b_ub=np.zeros(len(a_ub)), a_eq=[np.concatenate([G @ q, np.zeros(m)])], b_eq=[1.0],
-    )
-    sol = lp.solve(prog)
-    if sol.status != "optimal":
-        return np.inf, None
-    weights = np.zeros(len(rows))
-    weights[pick] = sol.x[: len(pick)]
-    return max(sol.value, 0.0), weights
 
 
 def _least_loss(model: MarketModel, rows: NodeRows) -> np.ndarray:

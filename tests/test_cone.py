@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conic_pricer import cone, pricing
+from conic_pricer import cone, lp, pricing
 from conic_pricer.cone import arbitrage_check, generators_for, hedge_strategy
 from conic_pricer.errors import ValidationError
 from conic_pricer.lattice import EventTree, NodeRef
@@ -25,6 +25,7 @@ from conftest import (
     arbitrage_free_market,
     binary_tree_market,
     binomial_model,
+    random_cashflow,
     random_market,
     random_tree,
     two_period_model,
@@ -202,6 +203,24 @@ class TestGeneratorsFor:
         assert np.allclose(diff, spread)
 
 
+def ftap_markets(seed, count=80):
+    """Random markets on 3-7 paths over horizon 2 or 3, with dividends and
+    stochastic rates in turn: one in three is randomly priced, mostly with an
+    arbitrage, and the rest are free of arbitrage by construction, with one
+    to three securities, some of them frictionless."""
+    rng = np.random.default_rng(seed)
+    for k in range(count):
+        tree = random_tree(rng, int(rng.integers(3, 8)), int(rng.integers(2, 4)))
+        flags = dict(dividends=bool(k % 2), rates=bool((k // 2) % 2))
+        if k % 3 == 0:
+            yield random_market(rng, tree, **flags)
+        else:
+            yield arbitrage_free_market(
+                rng, tree, lam=0.0 if k % 5 == 0 else None,
+                securities=int(rng.integers(1, 4)), **flags,
+            )
+
+
 class TestArbitrageCheck:
     def test_two_period_market_is_clean(self):
         assert arbitrage_check(two_period_model(), 0) is None
@@ -285,6 +304,44 @@ class TestArbitrageCheck:
                 wealth = wealth_closed_form(model, witness.strategy)[:, tree.horizon]
                 assert np.all(wealth >= witness.cash_flow - 1e-9)
         assert found >= 10 and clean >= 10
+
+    def test_arbitrage_is_a_node_without_loss(self):
+        # the first fundamental theorem in engine terms: a date-t node has an
+        # arbitrage exactly when its least expected loss per unit of gain L
+        # is zero (to lp.TOL), and the witness is that node's lossless hedge
+        found = clean = 0
+        for seed in (2024, 0):
+            for k, model in enumerate(ftap_markets(seed)):
+                tree = model.tree
+                p = tree.probabilities
+                for t in range(tree.horizon):
+                    loss = pricing._least_loss(model, generators_for(model, t))
+                    witness = arbitrage_check(model, t)
+                    assert (witness is not None) == (loss.min() <= lp.TOL), (seed, k, t)
+                    if witness is None:
+                        clean += 1
+                        continue
+                    found += 1
+                    assert witness.node.cell == np.flatnonzero(loss <= lp.TOL)[0]
+                    paths = list(tree.node_paths(witness.node))
+                    assert np.all(witness.cash_flow >= -1e-9)
+                    assert abs(witness.cash_flow[paths] @ p[paths] - 1.0) <= 1e-9
+                    wealth = wealth_closed_form(model, witness.strategy)[:, tree.horizon]
+                    assert np.all(wealth >= witness.cash_flow - 1e-9)
+        assert found >= 100 and clean >= 200
+
+    def test_least_loss_decides_where_feasibility_lp_fails(self):
+        # the last market of the seed-2024 draw: a feasibility LP over the
+        # transposed rows (min total weight for a nonnegative flow of unit
+        # mass) fails its infeasibility certificate here, with dual residue
+        # 0.75; every node's least loss is above zero
+        *_, model = ftap_markets(2024)
+        tree = model.tree
+        assert (tree.n_paths, tree.horizon, model.n_securities) == (6, 3, 3)
+        assert np.all(pricing._least_loss(model, generators_for(model, 0)) > lp.TOL)
+        assert arbitrage_check(model, 0) is None
+        flow = random_cashflow(np.random.default_rng(79), tree)
+        assert pricing.noarb_bounds(model, flow, 0).status() == pricing.STATUS_OK
 
 
 class TestOneEnumerationPerQuote:
