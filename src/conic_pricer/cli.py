@@ -68,13 +68,29 @@ def _load_json(path: str) -> dict:
         raise ValidationError(f"{path}: parse error at line {exc.lineno}: {exc.msg}")
 
 
+def _file_loader(kind: str):
+    """A loader that reports a ``kind`` file with a missing field or an
+    unreadable value as a :class:`ValidationError` (exit 2)."""
+    def wrap(load):
+        @functools.wraps(load)
+        def checked(*args, **kwargs):
+            try:
+                return load(*args, **kwargs)
+            except ValidationError:
+                raise
+            except KeyError as exc:
+                raise ValidationError(f"{kind} file missing field {exc}") from None
+            except (AttributeError, TypeError, ValueError, ZeroDivisionError) as exc:
+                raise ValidationError(f"malformed {kind} file: {exc}") from None
+        return checked
+    return wrap
+
+
+@_file_loader("model")
 def model_from_dict(data: dict, *, lam_override: Optional[float] = None) -> MarketModel:
-    try:
-        horizon = int(data["horizon"])
-        probs = [_parse_number(v) for v in data["probabilities"]]
-        securities_cfg = data["securities"]
-    except KeyError as exc:
-        raise ValidationError(f"model file missing field {exc}")
+    horizon = int(data["horizon"])
+    probs = [_parse_number(v) for v in data["probabilities"]]
+    securities_cfg = data["securities"]
     n = len(probs)
     paths = data.get("paths") or [f"w{i + 1}" for i in range(n)]
 
@@ -132,6 +148,7 @@ def model_to_dict(model: MarketModel) -> dict:
     }
 
 
+@_file_loader("payoff")
 def payoff_from_dict(model: MarketModel, data: dict) -> CashFlow:
     kind = data.get("type", "explicit" if "cashflow" in data else None)
     if kind == "asian_call":

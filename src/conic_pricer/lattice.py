@@ -64,8 +64,6 @@ class EventTree:
         probabilities,
         partitions: Sequence[Sequence[Iterable[int]]],
         paths: Optional[Sequence[str]] = None,
-        *,
-        prob_tol: float = 1e-12,
     ):
         if horizon < 1:
             raise ValidationError(f"horizon must be >= 1, got {horizon}")
@@ -80,7 +78,7 @@ class EventTree:
                 f"probabilities must be strictly positive (path index {bad})"
             )
         total = float(self.probabilities.sum())
-        if abs(total - 1.0) > prob_tol:
+        if abs(total - 1.0) > 1e-12:
             raise ValidationError(f"probabilities sum to {total!r}, not 1")
         if paths is None:
             paths = [f"w{i + 1}" for i in range(self.n_paths)]
@@ -202,10 +200,8 @@ class AdaptedProcess:
     values: np.ndarray
 
     @classmethod
-    def ingest(
-        cls, tree: EventTree, values, *, tol: float = 0.0, name: str = "process"
-    ) -> "AdaptedProcess":
-        return cls(ensure_adapted(tree, values, tol=tol, name=name))
+    def ingest(cls, tree: EventTree, values) -> "AdaptedProcess":
+        return cls(ensure_adapted(tree, values))
 
 
 def as_values(process) -> np.ndarray:

@@ -29,7 +29,7 @@ Every optimum keeps its final basis, numbered as phase 1 numbers the
 variables, and :func:`solve_ratio` can restart each extreme from a previous
 pair's basis on rows of the same shape whose data changed (the liquidity
 surface's band widening from one level to the next).  The basis is
-refactored on the new scaled rows by one dense solve against every column,
+refactored on the new rows by one dense solve against every column,
 [A | I] for the ratio program.  A basis left infeasible there but still dual
 feasible goes to the dual simplex: the most negative basic value leaves, ties
 to the smallest basic index, and the column with the least rc/|a| enters,
@@ -38,9 +38,11 @@ from phase 1.  A basis that is singular, infeasible and not dual feasible, or
 whose dual simplex finds no feasible point or runs past one pivot per row, is
 dropped for the cold phase 1, which gives the cold answer bit for bit.
 
-Dual recovery solves B^T y = c_B over the pristine rows.  A basic slack forces
-its row's dual to zero, so the system keeps only the rows without a basic
-slack and the basic structural columns: at most (variables) x (variables).
+Every LP is solved on its rows as supplied, a row negated where its
+right-hand side is negative.  The optimum and its duals are both read from the
+final basis B, not from the tableau, which drifts over many pivots: B x_B = b
+and B^T y = c_B over the rows without a basic slack (a basic slack's row has
+dual zero) and the basic structural columns, at most (variables)^2 entries.
 
 Every answer but ``unbounded`` is certified on the rows as supplied, or the
 solve raises :class:`~conic_pricer.errors.ComputationError`; a wrong status is
@@ -228,8 +230,8 @@ def _set_objective(T, basis, nonbasic, c):
 
 @dataclass
 class _Start:
-    """A basis of an LP's rows with the scaled data that phase 2 and the dual
-    recovery read: at the end of phase 1 a feasible one.  Phase 1 reads
+    """A basis of an LP's rows with the sign-normalized data that phase 2
+    reads: at the end of phase 1 a feasible one.  Phase 1 reads
     neither the objective nor the sense, so one start serves both senses."""
 
     iterations: int
@@ -240,16 +242,15 @@ class _Start:
     nonbasic: np.ndarray
     alive: np.ndarray  # rows kept (redundant equalities dropped)
     own: np.ndarray  # the slack or artificial each row's basis started from
-    A: np.ndarray  # rows scaled and sign-normalized
+    A: np.ndarray  # rows sign-normalized
     sigma: np.ndarray
-    row_scale: np.ndarray
     a_ub: np.ndarray  # with the finite upper bounds appended as rows
     b_ub: np.ndarray
     ub_vars: np.ndarray
 
 
 def _slack_start(lp: LinearProgram) -> _Start:
-    """The rows of ``lp`` scaled and sign-normalized, with the basis phase 1
+    """The rows of ``lp`` sign-normalized, with the basis phase 1
     starts from: each row's slack, or its artificial where the slack cannot
     start it."""
     n = lp.c.shape[0]
@@ -272,12 +273,6 @@ def _slack_start(lp: LinearProgram) -> _Start:
     A = np.vstack([a_ub, lp.a_eq]) if m else np.zeros((0, n))
     b = np.concatenate([b_ub, lp.b_eq]) if m else np.zeros(0)
 
-    # Row equilibration keeps mixed-magnitude rows (e.g. wide density bands)
-    # well conditioned; duals are rescaled back in phase 2.
-    scale = np.max(np.abs(A), axis=1) if n else np.zeros(m)
-    row_scale = np.where(scale > 0, scale, 1.0)
-    A = A / row_scale[:, None]
-    b = b / row_scale
     sigma = np.where(b < 0, -1.0, 1.0)
     A = A * sigma[:, None]
     b = b * sigma
@@ -306,7 +301,7 @@ def _slack_start(lp: LinearProgram) -> _Start:
     return _Start(
         iterations=0, max_iter=500 + 80 * (m + width), width=width, T=T, basis=basis,
         nonbasic=nonbasic, alive=np.ones(m, dtype=bool), own=own, A=A,
-        sigma=sigma, row_scale=row_scale, a_ub=a_ub, b_ub=b_ub, ub_vars=ub_vars,
+        sigma=sigma, a_ub=a_ub, b_ub=b_ub, ub_vars=ub_vars,
     )
 
 
@@ -357,6 +352,16 @@ def _solution(lp: LinearProgram, start: _Start, y, **fields) -> LPSolution:
     return LPSolution(dual_ub=y[:k], dual_eq=y[m_ub:], dual_upper=upper, **fields)
 
 
+def _dual_residual(c, rows, y, m_ub: int) -> float:
+    """How far multipliers ``y`` of ``rows`` (the first ``m_ub`` of them
+    inequalities) are from dual feasibility, y^T rows >= c and y >= 0 on the
+    inequalities, each relative to the magnitudes entering it."""
+    reduced = (c - y @ rows) / (1.0 + np.abs(c) + np.abs(y) @ np.abs(rows))
+    y_ub = y[:m_ub]
+    sign = float(np.max(-y_ub, initial=0.0)) / (1.0 + float(np.max(np.abs(y_ub), initial=0.0)))
+    return max(float(np.max(reduced, initial=0.0)), sign)
+
+
 def _infeasible(lp: LinearProgram, start: _Start, iterations: int) -> LPSolution:
     """The ``infeasible`` answer at the end of phase 1, certified by its
     Farkas ray, or :class:`ComputationError`.
@@ -365,24 +370,20 @@ def _infeasible(lp: LinearProgram, start: _Start, iterations: int) -> LPSolution
     reduced cost of row i's own slack is y_i, that of its own artificial
     y_i + 1, and a basic variable's is zero.  Mapped to the rows as supplied,
     y must meet y^T A >= 0, y >= 0 on the inequality rows and y^T b < 0, each
-    relative to the magnitudes entering it as in :func:`_phase2`.
+    relative to the magnitudes entering it (see :func:`_dual_residual`).
     """
     n, m_ub = lp.c.shape[0], start.a_ub.shape[0]
     rc = np.zeros(start.width)
     rc[start.nonbasic] = start.T[-1, :-1]
-    y = start.sigma * (rc[start.own] - (start.own >= n + m_ub)) / start.row_scale
+    y = start.sigma * (rc[start.own] - (start.own >= n + m_ub))
     rows = np.vstack([start.a_ub, lp.a_eq])
     b = np.concatenate([start.b_ub, lp.b_eq])
-    y_ub_all = y[:m_ub]
-    dual_res = float(np.max(-(y @ rows) / (1.0 + np.abs(y) @ np.abs(rows)), initial=0.0))
-    sign_res = float(np.max(-y_ub_all, initial=0.0)) / (
-        1.0 + float(np.max(np.abs(y_ub_all), initial=0.0))
-    )
+    dual_res = _dual_residual(np.zeros(n), rows, y, m_ub)
     value = float(y @ b) / (1.0 + float(np.abs(y) @ np.abs(b)))
-    if not (dual_res <= TOL and sign_res <= TOL and value < -TOL):  # NaN fails too
+    if not (dual_res <= TOL and value < -TOL):  # NaN fails too
         raise ComputationError(
             f"LP infeasibility certification failed ({_shape(lp)}): "
-            f"dual={dual_res:.3e} sign={sign_res:.3e} value={value:.3e} (tol {TOL:.3e})"
+            f"dual={dual_res:.3e} value={value:.3e} (tol {TOL:.3e})"
         )
     return _solution(lp, start, y, status="infeasible", iterations=iterations)
 
@@ -392,7 +393,7 @@ def _restart(lp: LinearProgram, rows: _Start, basis) -> Optional[_Start]:
     basis of rows of the same shape, or None, and phase 1 runs instead.
     ``rows`` is the slack start of ``lp``'s rows; it is left as it is.
 
-    The basis is refactored on the new scaled rows by one dense solve over
+    The basis is refactored on the new rows by one dense solve over
     every column, [A | I] with a surplus row's slack signed -1.  Where a basic
     value is negative and every reduced cost of ``lp``'s objective is
     nonnegative, the dual simplex pivots to a feasible basis.  None when the
@@ -437,6 +438,18 @@ def _restart(lp: LinearProgram, rows: _Start, basis) -> Optional[_Start]:
     return replace(rows, iterations=it, T=T, basis=basis, nonbasic=nonbasic)
 
 
+def _basis_solve(mat, rhs):
+    """mat^-1 rhs, with two steps of iterative refinement against
+    conditioning; least squares where ``mat`` is singular."""
+    try:
+        z = np.linalg.solve(mat, rhs)
+        for _ in range(2):
+            z = z + np.linalg.solve(mat, rhs - mat @ z)
+    except np.linalg.LinAlgError:
+        z, *_ = np.linalg.lstsq(mat, rhs, rcond=None)
+    return z
+
+
 def _phase2(lp: LinearProgram, start: _Start) -> LPSolution:
     """Phase 2 of ``lp`` from a copy of ``start``, certified by strong
     duality."""
@@ -457,69 +470,32 @@ def _phase2(lp: LinearProgram, start: _Start) -> LPSolution:
     if status2 == "unbounded":
         return LPSolution(status="unbounded", iterations=iterations)
 
-    x_full = np.zeros(width)
-    x_full[basis] = T[:-1, -1]
-    x = x_full[:n].copy()
-    value_max = float(T[-1, -1])
-
-    # Row duals, recomputed fresh from the final basis (the maintained
-    # objective row can drift over many pivots): y solves B^T y = c_B over the
-    # pristine scaled rows.  A basic slack's column is +-e_i, so it forces
-    # y_i = 0 and the system shrinks to the rows without a basic slack and the
-    # basic structural columns.  Dropped redundant rows carry dual zero.
+    # The optimum and its duals from the final basis (see the module
+    # docstring); dropped redundant rows carry dual zero.
+    rows_all, b_all = np.vstack([a_ub, lp.a_eq]), np.concatenate([b_ub, lp.b_eq])
+    x = np.zeros(n)
     y_norm = np.zeros(m)
     rows = alive.copy()
     rows[basis[(basis >= n) & (basis < n + m_ub)] - n] = False
     struct = basis[basis < n]
     if rows.any():
         basis_mat = A[np.ix_(rows, struct)]
-        cb = c2[struct]
-        try:
-            y_rows = np.linalg.solve(basis_mat.T, cb)
-            for _ in range(2):  # iterative refinement against conditioning
-                resid = cb - basis_mat.T @ y_rows
-                y_rows = y_rows + np.linalg.solve(basis_mat.T, resid)
-        except np.linalg.LinAlgError:
-            y_rows, *_ = np.linalg.lstsq(basis_mat.T, cb, rcond=None)
-        y_norm[rows] = y_rows
+        x[struct] = _basis_solve(basis_mat, start.sigma[rows] * b_all[rows])
+        y_norm[rows] = _basis_solve(basis_mat.T, c2[struct])
+    value_max = float(c_obj @ x)
     # duals of the rows as supplied (all-<= + eq), max sense
-    y = start.sigma * y_norm / start.row_scale
-    y_ub_all, y_eq = y[:m_ub], y[m_ub:]
+    y = start.sigma * y_norm
 
-    # Certification in max space; residuals are relative to the magnitudes
-    # entering each row/column so badly scaled data certify honestly.
-    primal_res = float(np.max(-x)) if n else 0.0
-    if m_ub:
-        ax_abs = np.abs(a_ub) @ np.abs(x)
-        primal_res = max(
-            primal_res,
-            float(np.max((a_ub @ x - b_ub) / (1.0 + np.abs(b_ub) + ax_abs))),
-        )
-    if m_eq:
-        aeqx_abs = np.abs(lp.a_eq) @ np.abs(x)
-        primal_res = max(
-            primal_res,
-            float(np.max(np.abs(lp.a_eq @ x - lp.b_eq) / (1.0 + np.abs(lp.b_eq) + aeqx_abs))),
-        )
-    reduced = c_obj.copy()
-    reduced_scale = 1.0 + np.abs(c_obj)
-    if m_ub:
-        reduced -= a_ub.T @ y_ub_all
-        reduced_scale += np.abs(a_ub.T) @ np.abs(y_ub_all)
-    if m_eq:
-        reduced -= lp.a_eq.T @ y_eq
-        reduced_scale += np.abs(lp.a_eq.T) @ np.abs(y_eq)
-    dual_res = float(np.max(reduced / reduced_scale)) if n else 0.0
-    if m_ub:
-        dual_res = max(dual_res, float(np.max(-y_ub_all)) / (1.0 + float(np.max(np.abs(y_ub_all)))))
-    dual_res = max(dual_res, 0.0)
-    dual_value = float(b_ub @ y_ub_all if m_ub else 0.0) + float(
-        lp.b_eq @ y_eq if m_eq else 0.0
-    )
-    dual_mass = (
-        float(np.abs(b_ub) @ np.abs(y_ub_all)) if m_ub else 0.0
-    ) + (float(np.abs(lp.b_eq) @ np.abs(y_eq)) if m_eq else 0.0)
-    gap = abs(value_max - dual_value) / (1.0 + abs(value_max) + dual_mass)
+    # Certification in max space on the rows as supplied; residuals are
+    # relative to the magnitudes entering each row/column so badly scaled
+    # data certify honestly.
+    resid = rows_all @ x - b_all
+    resid[m_ub:] = np.abs(resid[m_ub:])
+    resid /= 1.0 + np.abs(b_all) + np.abs(rows_all) @ np.abs(x)
+    primal_res = float(np.max(np.concatenate([-x, resid]), initial=0.0))
+    dual_res = _dual_residual(c_obj, rows_all, y, m_ub)
+    dual_value = float(b_all @ y)
+    gap = abs(value_max - dual_value) / (1.0 + abs(value_max) + float(np.abs(b_all) @ np.abs(y)))
     if not (primal_res <= TOL and dual_res <= TOL and gap <= TOL):  # NaN fails too
         raise ComputationError(
             f"LP certification failed ({_shape(lp)}): "

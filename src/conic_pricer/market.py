@@ -66,8 +66,8 @@ class CashFlow:
     values: np.ndarray
 
     @classmethod
-    def ingest(cls, tree: EventTree, values, *, tol: float = 0.0) -> "CashFlow":
-        return cls(ensure_adapted(tree, values, tol=tol, name="cash flow"))
+    def ingest(cls, tree: EventTree, values) -> "CashFlow":
+        return cls(ensure_adapted(tree, values, name="cash flow"))
 
 
 def apply_transaction_costs(

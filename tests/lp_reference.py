@@ -6,9 +6,10 @@ a Python loop over rows in each pivot.  It prices with the same
 rule as ``lp``: the eligible column with the largest rc^2 / (1 + |column|^2)
 enters, by the same numpy reduction over the same entries, and after
 ``STALL_PIVOTS`` zero-step pivots in a row Bland's rule picks until a pivot
-moves.  It stops at the primal answer (status, value, x, iterations);
-``lp.solve`` must reproduce all four bit for bit, because both kernels make
-the same float operations on every entry that a pivot choice reads.
+moves.  It stops at the primal answer (status, value, x, iterations), the
+float optimum read from the final basis as ``lp`` reads it; ``lp.solve`` must
+reproduce all four bit for bit, because both kernels make the same float
+operations on every entry that a pivot choice or that read touches.
 
 It also holds the general linear-fractional solver ``solve_ratio``: the
 Charnes-Cooper transform over ``lp``'s phases, with constant terms, bounds
@@ -106,11 +107,6 @@ def reference_solve(lp, *, tol=1e-9, exact=False):
     A = np.vstack([a_ub, lp.a_eq]) if m else np.zeros((0, n))
     b = np.concatenate([b_ub, lp.b_eq]) if m else np.zeros(0)
 
-    for i in range(m):
-        s = float(np.max(np.abs(A[i]))) if n else 0.0
-        if s > 0:
-            A[i] = A[i] / s
-            b[i] = b[i] / s
     sigma = np.ones(m)
     slack = np.zeros((m, m_ub))
     for i in range(m_ub):
@@ -196,11 +192,32 @@ def reference_solve(lp, *, tol=1e-9, exact=False):
     if status2 == "unbounded":
         return "unbounded", np.nan, None, it1 + it2
 
-    x_full = np.zeros(width, dtype=object if exact else float)
-    for i in range(T.shape[0] - 1):
-        x_full[basis[i]] = T[i, -1]
-    x = np.array([float(v) for v in x_full[:n]])
-    return "optimal", sense_mult * float(T[-1, -1]), x, it1 + it2
+    if exact:
+        x_full = np.zeros(width, dtype=object)
+        for i in range(T.shape[0] - 1):
+            x_full[basis[i]] = T[i, -1]
+        x = np.array([float(v) for v in x_full[:n]])
+        return "optimal", sense_mult * float(T[-1, -1]), x, it1 + it2
+
+    # the float optimum is read from the final basis: B x_B = b over the kept
+    # rows without a basic slack and the basic structural columns
+    rows = np.ones(m, dtype=bool)
+    rows[drop_rows] = False
+    for bi in basis:
+        if n <= bi < n + m_ub:
+            rows[bi - n] = False
+    struct = np.array([bi for bi in basis if bi < n], dtype=int)
+    x = np.zeros(n)
+    if rows.any():
+        B, rhs = A[np.ix_(rows, struct)], b[rows]
+        try:
+            z = np.linalg.solve(B, rhs)
+            for _ in range(2):
+                z = z + np.linalg.solve(B, rhs - B @ z)
+        except np.linalg.LinAlgError:
+            z, *_ = np.linalg.lstsq(B, rhs, rcond=None)
+        x[struct] = z
+    return "optimal", sense_mult * float(c_obj @ x), x, it1 + it2
 
 
 # ---------------------------------------------------------------------------

@@ -401,6 +401,37 @@ class TestRoundTripAndDeterminism:
         assert row[2] == "1.39"
 
 
+def _ragged_bid(model):
+    model["securities"][0]["bid"][1] = model["securities"][0]["bid"][1][:2]
+
+
+MALFORMED = {
+    "security without bid": (lambda m: m["securities"][0].pop("bid"), None),
+    "horizon not a number": (lambda m: m.update(horizon="two"), None),
+    "probability not a fraction": (lambda m: m["probabilities"].__setitem__(1, "x/3"), None),
+    "asian call without strike": (None, lambda p: p.pop("strike")),
+    "security not an object": (lambda m: m["securities"].__setitem__(0, 1), None),
+    "ragged bid rows": (_ragged_bid, None),
+}
+
+
+@pytest.mark.parametrize("model_edit, payoff_edit", MALFORMED.values(), ids=list(MALFORMED))
+def test_malformed_file_exits_2_with_one_line(
+    capsys, tmp_path, base_model_dict, model_edit, payoff_edit
+):
+    with open(PAYOFF) as fh:
+        payoff = json.load(fh)
+    for edit, data in ((model_edit, base_model_dict), (payoff_edit, payoff)):
+        if edit is not None:
+            edit(data)
+    model_path = write_json(tmp_path, "model.json", base_model_dict)
+    payoff_path = write_json(tmp_path, "payoff.json", payoff)
+    code, out, err = run(capsys, "bounds", model_path, payoff_path)
+    assert code == EXIT_VALIDATION
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 class TestPayoffLoader:
     def test_unknown_type_rejected(self, base_model_dict):
         model = model_from_dict(base_model_dict)

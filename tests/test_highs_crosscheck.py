@@ -3,6 +3,8 @@
 scipy is not a dependency of the package; without it these tests skip.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from conic_pricer.pricing import (  # noqa: E402
     STATUS_OK,
     _node_cone,
     _with_band,
+    good_deal_prices,
     liquidity_surface,
     noarb_bounds,
 )
@@ -22,6 +25,7 @@ from conic_pricer.pricing import (  # noqa: E402
 from cone_reference import reference_generator_matrix  # noqa: E402
 from conftest import arbitrage_free_market, random_cashflow, random_tree  # noqa: E402
 from test_lp import SHAPES  # noqa: E402
+import test_pricing  # noqa: E402
 
 HIGHS_STATUS = {0: "optimal", 2: "infeasible", 3: "unbounded"}
 
@@ -123,15 +127,18 @@ def test_row_slack_leaves_bounds_unchanged(sweeps):
             assert agrees(e, lo, hi)
 
 
-def highs_good_deal_cell(model, flow, t, cell, gamma):
+def highs_good_deal_cell(model, flow, t, cell, gamma, entry="trade"):
     """Min and max of the date-t node's conditional discounted tail over its
-    band-restricted cone, the node LP the engine builds, solved by HiGHS."""
+    cone, band-restricted unless ``gamma`` is None: the node LP the engine
+    builds, solved by HiGHS."""
     tree = model.tree
     p = tree.probabilities
     _, Binv = model.discounts()
     x = (flow * Binv)[:, t + 1:].sum(axis=1)
     idx = list(tree.partitions[t][cell])
-    a_ub = _with_band(_node_cone(generators_for(model, t), cell, idx), len(idx), gamma)
+    a_ub = _node_cone(generators_for(model, t, entry), cell, idx)
+    if gamma is not None:
+        a_ub = _with_band(a_ub, len(idx), gamma)
     num, den = np.zeros(a_ub.shape[1]), np.zeros(a_ub.shape[1])
     num[: len(idx)] = p[idx] * x[idx]
     den[: len(idx)] = p[idx]
@@ -141,6 +148,27 @@ def highs_good_deal_cell(model, flow, t, cell, gamma):
         assert status == "optimal"
         out.append(value)
     return out
+
+
+@pytest.mark.parametrize("seed, k, t, cell, entry, gamma", [
+    (2024, 0, 1, 1, "trade", None),
+    (2024, 0, 2, 1, "trade", 0.5),
+    (0, 4, 1, 1, "mark", 4.0),
+])
+def test_nodes_with_near_zero_rows_match_highs(seed, k, t, cell, entry, gamma):
+    # nodes of the quote-first cross-check's markets whose LPs hold rows of
+    # pure rounding residue (entries near 1e-15): scaled up to size 1, such
+    # a row made the kernel read `infeasible`; on the rows as supplied each
+    # node prices, as HiGHS does (6.8170568340458 at the first)
+    markets = test_pricing.TestQuotesFirstMatchCheckFirst.markets(seed)
+    model, flow = next(itertools.islice(markets, k, None))
+    if gamma is None:
+        quote = noarb_bounds(model, flow, t, entry=entry)
+    else:
+        quote = good_deal_prices(model, flow, t, gamma, entry=entry)
+    e = quote.entries[cell]
+    assert e.status == STATUS_OK
+    assert agrees(e, *highs_good_deal_cell(model, flow, t, cell, gamma, entry))
 
 
 @pytest.mark.parametrize("horizon", [2, 3])
