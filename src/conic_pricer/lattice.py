@@ -5,6 +5,11 @@ sequence of partitions of the path indices, one partition per date; cells of
 the partition at date t are the "nodes" observable at t.  Processes are stored
 as (n_paths, horizon + 1) matrices and are *adapted* when they are constant on
 every cell of the date-t partition in column t.
+
+A natural filtration is derived date by date, each date's cells splitting the
+previous date's cells by that date's observed values.  The tree keeps, per
+path and date, the index of its cell and the cell's head (its smallest path
+index), so adaptedness is one comparison of each value with its head's.
 """
 
 from __future__ import annotations
@@ -34,6 +39,11 @@ def derive_filtration(observables: Sequence[np.ndarray]) -> list[Partition]:
     Two paths share a date-t cell exactly when every observable agrees on them
     at all dates 0..t.  Cells are ordered by their smallest path index, which
     makes the cell indexing deterministic.
+
+    The partitions are built date by date: the date-t cells split each
+    date-(t-1) cell by the observables' values at t alone, keyed on the
+    path's previous cell and those values.  Paths are visited in index
+    order, so each cell is first met at its smallest path index.
     """
     mats = [np.asarray(o, dtype=float) for o in observables]
     if not mats:
@@ -44,19 +54,26 @@ def derive_filtration(observables: Sequence[np.ndarray]) -> list[Partition]:
             raise ValidationError(
                 f"observables disagree on shape: {m.shape} vs {(n, width)}"
             )
+    stacked = np.stack(mats, axis=-1)  # (path, date, observable)
     partitions: list[Partition] = []
+    parent = [0] * n  # each path's cell at the previous date
     for t in range(width):
         groups: dict[tuple, list[int]] = {}
-        for i in range(n):
-            key = tuple(tuple(m[i, : t + 1]) for m in mats)
-            groups.setdefault(key, []).append(i)
-        cells = sorted((tuple(v) for v in groups.values()), key=lambda c: c[0])
-        partitions.append(tuple(cells))
+        for i, (cell, values) in enumerate(zip(parent, stacked[:, t].tolist())):
+            groups.setdefault((cell, *values), []).append(i)
+        cells = tuple(tuple(v) for v in groups.values())
+        for k, cell in enumerate(cells):
+            for i in cell:
+                parent[i] = k
+        partitions.append(cells)
     return partitions
 
 
 class EventTree:
-    """Path space with probabilities and a refining partition sequence."""
+    """Path space with probabilities and a refining partition sequence.
+
+    Each partition's cells are sorted tuples of path indices, ordered by
+    their smallest path index, the cell's head."""
 
     def __init__(
         self,
@@ -90,35 +107,38 @@ class EventTree:
             raise ValidationError(
                 f"expected {self.horizon + 1} partitions, got {len(partitions)}"
             )
+        # the cell index and cell head (smallest path index of the cell) of
+        # each path at each date, filled in as the cells are normalized
+        n = self.n_paths
+        self._cell_of = np.empty((self.horizon + 1, n), dtype=int)
+        self._head = np.empty((n, self.horizon + 1), dtype=int)
         norm: list[Partition] = []
         for t, part in enumerate(partitions):
-            cells = tuple(tuple(sorted(int(i) for i in cell)) for cell in part)
+            cells = tuple(tuple(sorted(map(int, cell))) for cell in part)
             if any(len(c) == 0 for c in cells):
                 raise ValidationError(f"empty cell in partition at t={t}")
             flat = [i for c in cells for i in c]
-            if sorted(flat) != list(range(self.n_paths)):
+            if sorted(flat) != list(range(n)):
                 raise ValidationError(
                     f"partition at t={t} does not cover the paths exactly once"
                 )
-            norm.append(tuple(sorted(cells, key=lambda c: c[0])))
+            cells = tuple(sorted(cells, key=lambda c: c[0]))
+            norm.append(cells)
+            sizes = [len(c) for c in cells]
+            paths = [i for c in cells for i in c]
+            self._cell_of[t, paths] = np.repeat(np.arange(len(cells)), sizes)
+            self._head[paths, t] = np.repeat([c[0] for c in cells], sizes)
         if len(norm[0]) != 1:
             raise ValidationError("partition at t=0 must be the single full cell")
         self.partitions: tuple[Partition, ...] = tuple(norm)
 
-        # cell index of each path at each date, plus refinement check
-        self._cell_of = []
-        for t, part in enumerate(self.partitions):
-            idx = np.empty(self.n_paths, dtype=int)
-            for k, cell in enumerate(part):
-                idx[list(cell)] = k
-            self._cell_of.append(idx)
+        # a date-(t+1) cell refines date t when each of its paths shares its
+        # head's date-t cell
         for t in range(self.horizon):
-            for cell in self.partitions[t + 1]:
-                parents = {self._cell_of[t][i] for i in cell}
-                if len(parents) != 1:
-                    raise ValidationError(
-                        f"partition at t={t + 1} does not refine partition at t={t}"
-                    )
+            if np.any(self._cell_of[t] != self._cell_of[t][self._head[:, t + 1]]):
+                raise ValidationError(
+                    f"partition at t={t + 1} does not refine partition at t={t}"
+                )
 
     # -- node navigation -----------------------------------------------------
 
@@ -136,8 +156,19 @@ class EventTree:
         self, values: np.ndarray, tol: float = 0.0
     ) -> Optional[tuple[int, Cell]]:
         """The first (t, cell), by date and then cell, whose values in column
-        t of ``values`` differ by more than ``tol`` (max - min > tol), or None."""
-        for t in range(values.shape[1]):
+        t of ``values`` differ by more than ``tol`` (max - min > tol), or None.
+
+        One array comparison against each path's cell head clears the
+        common case: every value equal to its head's, or closer to it than
+        tol / 2, which keeps every cell's spread below tol.  Only otherwise
+        are the cells' spreads scanned date by date, to name the first
+        offending cell."""
+        width = values.shape[1]
+        heads = values[self._head[:, :width], np.arange(width)]
+        off = float(np.abs(values - heads).max(initial=0.0))  # NaN leaves it to the scan
+        if tol >= 0 and (off == 0 or off < 0.5 * tol):
+            return None
+        for t in range(width):
             idx, n_cells = self._cell_of[t], len(self.partitions[t])
             hi, lo = np.full(n_cells, -np.inf), np.full(n_cells, np.inf)
             np.maximum.at(hi, idx, values[:, t])

@@ -26,9 +26,14 @@ from it; :func:`solve_ratio` runs phase 2 twice, once per sense, from copies
 of one phase 1.
 
 Every optimum keeps its final basis, numbered as phase 1 numbers the
-variables, and :func:`solve_ratio` can restart each extreme from a previous
-pair's basis on rows of the same shape whose data changed (the liquidity
-surface's band widening from one level to the next).  The basis is
+variables, and :func:`solve_ratio` can start each extreme from a previous
+pair's optimum on rows of the same shape whose data changed (the liquidity
+surface's band widening from one level to the next).  The previous optimum
+is carried first: its x and duals are put to the strong-duality test below
+on the new rows, and when they pass they are the answer, residuals
+recomputed, with no refactor and no pivot.  A wider band only loosens the
+rows, so x stays feasible, and duals that are zero on every changed row stay
+dual feasible.  Otherwise the extreme restarts from the previous basis,
 refactored on the new rows by one dense solve against every column,
 [A | I] for the ratio program.  A basis left infeasible there but still dual
 feasible goes to the dual simplex: the most negative basic value leaves, ties
@@ -249,23 +254,25 @@ class _Start:
     ub_vars: np.ndarray
 
 
+def _folded(lp: LinearProgram):
+    """``lp``'s inequality rows with its finite variable upper bounds folded
+    in as extra <= rows: (a_ub, b_ub, the bounded variables)."""
+    ub_vars = (
+        np.flatnonzero(np.isfinite(lp.upper)) if lp.upper is not None
+        else np.zeros(0, dtype=int)
+    )
+    if not ub_vars.size:
+        return lp.a_ub, lp.b_ub, ub_vars
+    a_ub = np.vstack([lp.a_ub, np.eye(lp.c.shape[0])[ub_vars]])
+    return a_ub, np.concatenate([lp.b_ub, lp.upper[ub_vars]]), ub_vars
+
+
 def _slack_start(lp: LinearProgram) -> _Start:
     """The rows of ``lp`` sign-normalized, with the basis phase 1
     starts from: each row's slack, or its artificial where the slack cannot
     start it."""
     n = lp.c.shape[0]
-
-    # Fold finite variable upper bounds in as extra <= rows.
-    ub_vars = (
-        np.flatnonzero(np.isfinite(lp.upper)) if lp.upper is not None
-        else np.zeros(0, dtype=int)
-    )
-    if ub_vars.size:
-        a_ub = np.vstack([lp.a_ub, np.eye(n)[ub_vars]])
-        b_ub = np.concatenate([lp.b_ub, lp.upper[ub_vars]])
-    else:
-        a_ub, b_ub = lp.a_ub, lp.b_ub
-
+    a_ub, b_ub, ub_vars = _folded(lp)
     m_ub, m_eq = a_ub.shape[0], lp.a_eq.shape[0]
     m = m_ub + m_eq
 
@@ -450,6 +457,23 @@ def _basis_solve(mat, rhs):
     return z
 
 
+def _certificate(c_obj, rows, b, m_ub: int, x, y):
+    """Strong duality of x and max-sense multipliers y on ``rows`` (the
+    first ``m_ub`` of them <=, the rest equalities) with right-hand side b:
+    (c_obj x, primal residual, dual residual, gap).  Each residual is
+    relative to the magnitudes entering its row or column, so badly scaled
+    data certify honestly."""
+    value_max = float(c_obj @ x)
+    resid = rows @ x - b
+    resid[m_ub:] = np.abs(resid[m_ub:])
+    resid /= 1.0 + np.abs(b) + np.abs(rows) @ np.abs(x)
+    primal_res = float(np.max(np.concatenate([-x, resid]), initial=0.0))
+    dual_res = _dual_residual(c_obj, rows, y, m_ub)
+    dual_value = float(b @ y)
+    gap = abs(value_max - dual_value) / (1.0 + abs(value_max) + float(np.abs(b) @ np.abs(y)))
+    return value_max, primal_res, dual_res, gap
+
+
 def _phase2(lp: LinearProgram, start: _Start) -> LPSolution:
     """Phase 2 of ``lp`` from a copy of ``start``, certified by strong
     duality."""
@@ -482,20 +506,9 @@ def _phase2(lp: LinearProgram, start: _Start) -> LPSolution:
         basis_mat = A[np.ix_(rows, struct)]
         x[struct] = _basis_solve(basis_mat, start.sigma[rows] * b_all[rows])
         y_norm[rows] = _basis_solve(basis_mat.T, c2[struct])
-    value_max = float(c_obj @ x)
     # duals of the rows as supplied (all-<= + eq), max sense
     y = start.sigma * y_norm
-
-    # Certification in max space on the rows as supplied; residuals are
-    # relative to the magnitudes entering each row/column so badly scaled
-    # data certify honestly.
-    resid = rows_all @ x - b_all
-    resid[m_ub:] = np.abs(resid[m_ub:])
-    resid /= 1.0 + np.abs(b_all) + np.abs(rows_all) @ np.abs(x)
-    primal_res = float(np.max(np.concatenate([-x, resid]), initial=0.0))
-    dual_res = _dual_residual(c_obj, rows_all, y, m_ub)
-    dual_value = float(b_all @ y)
-    gap = abs(value_max - dual_value) / (1.0 + abs(value_max) + float(np.abs(b_all) @ np.abs(y)))
+    value_max, primal_res, dual_res, gap = _certificate(c_obj, rows_all, b_all, m_ub, x, y)
     if not (primal_res <= TOL and dual_res <= TOL and gap <= TOL):  # NaN fails too
         raise ComputationError(
             f"LP certification failed ({_shape(lp)}): "
@@ -506,6 +519,30 @@ def _phase2(lp: LinearProgram, start: _Start) -> LPSolution:
         lp, start, sense_mult * y, status="optimal", value=sense_mult * value_max, x=x,
         gap=gap, primal_residual=primal_res, dual_residual=dual_res,
         iterations=iterations, basis=basis,
+    )
+
+
+def _carry(lp: LinearProgram, prev: LPSolution) -> Optional[LPSolution]:
+    """``prev``, an optimum of rows of the same shape whose data changed,
+    as the optimum of ``lp`` when its x and duals pass :func:`_phase2`'s
+    strong-duality test on ``lp``'s rows as supplied; else None.  The answer
+    keeps ``prev``'s basis, for the next restart, and its residuals are
+    recomputed on the new rows."""
+    if (prev.status != "optimal" or prev.x.shape != lp.c.shape
+            or prev.dual_ub.shape != lp.b_ub.shape or prev.dual_eq.shape != lp.b_eq.shape):
+        return None
+    a_ub, b_ub, ub_vars = _folded(lp)
+    sense_mult = 1.0 if lp.sense == "max" else -1.0
+    y = sense_mult * np.concatenate([prev.dual_ub, prev.dual_upper[ub_vars], prev.dual_eq])
+    value_max, primal_res, dual_res, gap = _certificate(
+        sense_mult * lp.c, np.vstack([a_ub, lp.a_eq]), np.concatenate([b_ub, lp.b_eq]),
+        a_ub.shape[0], prev.x, y,
+    )
+    if not (primal_res <= TOL and dual_res <= TOL and gap <= TOL):
+        return None
+    return replace(
+        prev, value=sense_mult * value_max, gap=gap, primal_residual=primal_res,
+        dual_residual=dual_res, iterations=0,
     )
 
 
@@ -530,19 +567,28 @@ def solve_ratio(
     sense; certification stays per extreme.  Both read ``infeasible``, with
     one Farkas ray, when the cone does not reach the slice.
 
-    ``warm``, a previous ``(lo, hi)`` of a cone of the same shape, restarts
-    each extreme from that extreme's final basis (see ``_restart``); an
-    extreme that cannot restart takes the shared phase 1 as without it.
+    ``warm``, a previous ``(lo, hi)`` of a cone of the same shape, starts
+    each extreme from that extreme's answer: its optimum when it certifies on
+    the new rows (see ``_carry``), else a restart from its final basis (see
+    ``_restart``).  An extreme that cannot restart takes the shared phase 1
+    as without ``warm``.
     """
     a_ub = np.atleast_2d(np.asarray(a_ub, dtype=float))
     prog = LinearProgram.build(
         "max", num, a_ub=a_ub, b_ub=np.zeros(a_ub.shape[0]), a_eq=[den], b_eq=[1.0]
     )
-    rows = _slack_start(prog) if warm is not None else None
-    cold = None
+    rows = cold = None
     out = []
     for k, side in enumerate((replace(prog, sense="min"), prog)):
-        start = _restart(side, rows, warm[k].basis) if warm is not None else None
+        start = None
+        if warm is not None:
+            carried = _carry(side, warm[k])
+            if carried is not None:
+                out.append(carried)
+                continue
+            if rows is None:
+                rows = _slack_start(prog)
+            start = _restart(side, rows, warm[k].basis)
         if start is None:
             if cold is None:
                 cold = _phase1(prog)

@@ -173,7 +173,13 @@ def _node_quote(model: MarketModel, x, a_ub, node: NodeRef, warm=None):
     ``(lo, hi)`` solutions, which the next quote of a cone of the same shape
     can restart from.  A node the cone cannot charge gets
     ``STATUS_INFEASIBLE``; both its solutions are then the one Farkas ray,
-    which has no basis to restart from."""
+    which has no basis to restart from.
+
+    The min and max are separate certified optima, each off by its own
+    rounding, so where they agree the min can come out above the max.  A
+    crossing of at most ``lp.TOL`` * max(1, |bid|, |ask|) is reported as
+    their midpoint on both sides; a wider one cannot come from two certified
+    optima and raises :class:`ComputationError`."""
     p = model.probabilities
     paths = list(model.tree.node_paths(node))
     num, den = np.zeros(a_ub.shape[1]), np.zeros(a_ub.shape[1])
@@ -182,7 +188,15 @@ def _node_quote(model: MarketModel, x, a_ub, node: NodeRef, warm=None):
     lo, hi = lp.solve_ratio(num, den, a_ub, warm=warm)
     if hi.status == "infeasible":
         return PriceEntry(node, np.nan, np.nan, STATUS_INFEASIBLE), (lo, hi)
-    return PriceEntry(node, lo.value, hi.value, STATUS_OK), (lo, hi)
+    bid, ask = lo.value, hi.value
+    if bid > ask:
+        if bid - ask > lp.TOL * max(1.0, abs(bid), abs(ask)):
+            raise ComputationError(
+                f"node {node.time}:{node.cell} bid {bid!r} exceeds ask {ask!r} "
+                f"by more than the tolerance {lp.TOL:.0e}"
+            )
+        bid = ask = 0.5 * (bid + ask)
+    return PriceEntry(node, bid, ask, STATUS_OK), (lo, hi)
 
 
 def _node_quotes(model: MarketModel, cash_flow, rows: NodeRows, gamma: Optional[float]):
@@ -450,10 +464,13 @@ def liquidity_surface(
     per row without the band, and each level appends its band.  The levels
     are priced in ascending order.  The first priced level of a row is solved
     from phase 1, exactly as :func:`good_deal_prices` solves it; each later
-    one restarts the node's min and max LPs from the previous priced level's
-    optimal bases (see :func:`conic_pricer.lp.solve_ratio`).  A wider band
-    leaves those bases optimal or a few dual simplex pivots away; the quotes
-    agree with a cold solve to rounding, not bit for bit.
+    one starts the node's min and max LPs from the previous priced level's
+    answers (see :func:`conic_pricer.lp.solve_ratio`).  An extreme whose
+    previous optimum still certifies at the wider band, because the band
+    does not bind it, is carried without a solve; any other restarts from
+    the previous optimal basis, which a wider band leaves optimal or a few
+    dual simplex pivots away.  The quotes agree with a cold solve to
+    rounding, not bit for bit.
     """
     if not gammas or not lambdas:
         raise ValidationError("surface needs nonempty gamma and lambda lists")

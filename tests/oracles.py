@@ -16,7 +16,11 @@ package computes another way:
   for self-financing strategies, and only for those;
 * no-arbitrage bounds and good-deal prices in check-first order (the
   arbitrage search or the no-good-deal check, then the node quotes), against
-  the quote-first order of ``noarb_bounds`` and ``good_deal_prices``.
+  the quote-first order of ``noarb_bounds`` and ``good_deal_prices``;
+* the natural filtration from each path's whole observed history at every
+  date, against the date-by-date refinement of ``derive_filtration``, and
+  every cell's spread scanned date by date, against the comparison with each
+  path's cell head in ``EventTree.unmeasurable_cell``.
 """
 
 from dataclasses import dataclass, field
@@ -354,3 +358,38 @@ def _closed_form_sum(model: MarketModel, phi: TradingStrategy) -> np.ndarray:
             )
         out[:, t] = V0 + liq - buys + divs
     return out
+
+
+# ---------------------------------------------------------------------------
+# filtrations
+
+
+def history_filtration(observables):
+    """The natural filtration of ``observables`` keyed on each path's whole
+    history: two paths share a date-t cell exactly when every observable
+    agrees on them at all dates 0..t; cells ordered by smallest path."""
+    mats = [np.asarray(o, dtype=float) for o in observables]
+    n, width = mats[0].shape
+    partitions = []
+    for t in range(width):
+        groups = {}
+        for i in range(n):
+            key = tuple(tuple(m[i, : t + 1]) for m in mats)
+            groups.setdefault(key, []).append(i)
+        partitions.append(tuple(sorted((tuple(v) for v in groups.values()), key=lambda c: c[0])))
+    return partitions
+
+
+def scanned_unmeasurable_cell(tree, values, tol=0.0):
+    """The first (t, cell), by date and then cell, whose values in column t
+    of ``values`` spread by more than ``tol`` (max - min > tol), or None,
+    from every cell's max and min at every date."""
+    for t in range(values.shape[1]):
+        idx, n_cells = tree.cell_index(t), len(tree.partitions[t])
+        hi, lo = np.full(n_cells, -np.inf), np.full(n_cells, np.inf)
+        np.maximum.at(hi, idx, values[:, t])
+        np.minimum.at(lo, idx, values[:, t])
+        over = np.flatnonzero(hi - lo > tol)
+        if over.size:
+            return t, tree.partitions[t][over[0]]
+    return None

@@ -15,6 +15,7 @@ from conic_pricer.lattice import (
 )
 
 from conftest import TABLE_BIDS, TABLE_PROBS, random_tree, two_period_tree
+from oracles import history_filtration, scanned_unmeasurable_cell
 
 
 class TestDeriveFiltration:
@@ -43,6 +44,41 @@ class TestDeriveFiltration:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValidationError):
             derive_filtration([np.zeros((2, 3)), np.zeros((3, 3))])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 10_000))
+def test_refined_filtration_matches_history(seed):
+    # few distinct values (-0.0 equal to 0.0), so paths that part can agree
+    # again later; several observables and a rate process padded as the CLI
+    # pads it.  The date-by-date refinement gives the history-keyed
+    # partitions, cells in the same order, and the head comparison names the
+    # same first unmeasurable cell as the full scan
+    rng = np.random.default_rng(seed)
+    n, width = int(rng.integers(1, 9)), int(rng.integers(2, 5))
+    levels = np.array([0.0, -0.0, 1.0, 2.5])[: int(rng.integers(2, 5))]
+    observables = [
+        levels[rng.integers(0, len(levels), size=(n, width))]
+        for _ in range(int(rng.integers(1, 4)))
+    ]
+    rates = 0.01 * levels[rng.integers(0, len(levels), size=(n, width - 1))]
+    observables.append(np.hstack([rates, rates[:, -1:]]))
+    for obs in observables:  # one date-0 cell
+        obs[:, 0] = obs[0, 0]
+    parts = derive_filtration(observables)
+    assert parts == history_filtration(observables)
+    tree = EventTree(width - 1, np.full(n, 1.0 / n), parts)
+    assert list(tree.partitions) == parts
+
+    adapted = np.zeros((n, width))
+    for t in range(width):
+        adapted[:, t] = rng.choice(levels, size=len(parts[t]))[tree.cell_index(t)]
+    noise = np.array([-0.0, 1e-13, 1e-12, 0.25, 0.5, 0.75])
+    hit = rng.random((n, width)) < 0.2
+    values = np.where(hit, adapted + noise[rng.integers(0, len(noise), size=(n, width))], adapted)
+    for vals in (adapted, values, values[:, :-1]):
+        for tol in (0.0, 1e-12, 0.5):
+            assert tree.unmeasurable_cell(vals, tol) == scanned_unmeasurable_cell(tree, vals, tol)
 
 
 class TestEventTree:

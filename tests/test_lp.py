@@ -508,20 +508,92 @@ class TestWarmRestart:
         assert duals  # some restarts needed the dual simplex
         assert warm_solves > cold_solves / 2
 
+    @staticmethod
+    def _record_extremes(monkeypatch):
+        """A list that gains, per extreme of a warm ``solve_ratio`` call, the
+        events from its carry attempt on: first whether ``_carry`` carried
+        it, then one "restart" or "pivot" per call of those.  Clear it
+        before each call to read."""
+        extremes = []
+
+        def recording(name):
+            real = getattr(lp, name)
+
+            def wrapped(*args):
+                if name != "_carry" and extremes:
+                    extremes[-1].append(name.lstrip("_"))
+                out = real(*args)
+                if name == "_carry":
+                    extremes.append([out is not None])
+                return out
+
+            monkeypatch.setattr(lp, name, wrapped)
+
+        for name in ("_carry", "_restart", "_pivot"):
+            recording(name)
+        return extremes
+
+    def test_carried_extreme_is_the_cold_optimum(self, monkeypatch):
+        # an extreme whose previous optimum certifies on the wider band is
+        # returned as it is: the cold optimum to 1e-12 relative, with its
+        # residuals recomputed on the new rows, and no restart or pivot
+        extremes = self._record_extremes(monkeypatch)
+        carried = 0
+        for num, den, a, k in _seeded_cones(5, 40):
+            pair = None
+            for gamma in LEVELS:
+                a_ub = _with_band(a, k, gamma)
+                cold = solve_ratio(num, den, a_ub)
+                extremes.clear()
+                got = solve_ratio(num, den, a_ub, warm=pair)
+                for g, c, events in zip(got, cold, extremes):
+                    if events[0]:
+                        carried += 1
+                        assert events == [True]
+                        assert g.status == c.status == "optimal"
+                        assert g.value == pytest.approx(c.value, rel=1e-12, abs=0)
+                        assert max(g.gap, g.primal_residual, g.dual_residual) <= lp.TOL
+                        assert g.iterations == 0
+                pair = got if got[1].status == "optimal" else None
+        assert carried
+
+    def test_binding_band_is_restarted(self, monkeypatch):
+        # a previous optimum with a nonzero dual on a band row that the wider
+        # level changes is never carried: widening that row breaks its dual
+        # feasibility, so the extreme restarts from its basis
+        extremes = self._record_extremes(monkeypatch)
+        binding = 0
+        for num, den, a, k in _seeded_cones(5, 40):
+            pair = previous = None
+            for gamma in LEVELS:
+                a_ub = _with_band(a, k, gamma)
+                extremes.clear()
+                got = solve_ratio(num, den, a_ub, warm=pair)
+                if pair is not None:
+                    changed = np.any(a_ub != previous, axis=1)
+                    assert changed.any()
+                    for prev, events in zip(pair, extremes):
+                        if np.any(prev.dual_ub[changed] != 0):
+                            binding += 1
+                            assert events[:2] == [False, "restart"]
+                pair, previous = (got, a_ub) if got[1].status == "optimal" else (None, None)
+        assert binding
+
     def test_refused_basis_gives_the_cold_result(self, monkeypatch):
         # a basis the restart refuses leaves its extreme to the shared phase
         # 1, and so to the cold answer bit for bit: a singular one (one
         # variable repeated); an optimal basis from the level below, its own
         # extreme's or the other one's, where it is infeasible on the new rows
         # and not dual feasible there, or where its dual simplex runs past
-        # its pivot cap, cut to one pivot here
-        outcomes, duals = [], []  # per restart: (refused, dual simplex status)
+        # its pivot cap, cut to one pivot here.  An extreme whose previous
+        # optimum certifies on the new rows is carried and reaches no restart.
+        outcomes, duals = {}, []  # per restarted sense: (refused, dual simplex status)
         real_restart, real_dual = lp._restart, lp._run_dual
 
-        def restart(*args):
+        def restart(side, rows, basis):
             runs = len(duals)
-            start = real_restart(*args)
-            outcomes.append((start is None, duals[-1] if len(duals) > runs else None))
+            start = real_restart(side, rows, basis)
+            outcomes[side.sense] = (start is None, duals[-1] if len(duals) > runs else None)
             return start
 
         def dual(T, basis, nonbasic, limit, max_iter):
@@ -532,6 +604,7 @@ class TestWarmRestart:
         monkeypatch.setattr(lp, "_restart", restart)
         monkeypatch.setattr(lp, "_run_dual", dual)
         refusals = {None: 0, "stalled": 0}
+        singular_runs = 0
         for num, den, a, k in _seeded_cones(6, 30):
             pair = None
             for gamma in LEVELS:
@@ -543,19 +616,27 @@ class TestWarmRestart:
                 for warm in (pair, pair[::-1]) if pair is not None else ():
                     outcomes.clear()
                     got = solve_ratio(num, den, a_ub, warm=warm)
-                    for g, c, (refused, status) in zip(got, cold, outcomes):
+                    for g, c, sense in zip(got, cold, ("min", "max")):
+                        refused, status = outcomes.get(sense, (False, None))
                         if refused:
                             assert _same(g, c)
                             refusals[status] += 1
                         else:
                             assert _close(g, c, num)
-                singular = dataclasses.replace(cold[0], basis=np.zeros_like(cold[0].basis))
-                outcomes.clear()
-                got = solve_ratio(num, den, a_ub, warm=(singular, singular))
-                assert outcomes == [(True, None)] * 2
-                assert all(_same(g, c) for g, c in zip(got, cold))
+                # the singular basis comes with the optimum of the level
+                # below where the band binds at both extremes (a nonzero
+                # dual on a band row that widens), so neither is carried
+                if pair is not None and all(np.any(s.dual_ub[-k:] != 0) for s in pair):
+                    singular = tuple(
+                        dataclasses.replace(s, basis=np.zeros_like(s.basis)) for s in pair
+                    )
+                    outcomes.clear()
+                    got = solve_ratio(num, den, a_ub, warm=singular)
+                    assert outcomes == {"min": (True, None), "max": (True, None)}
+                    assert all(_same(g, c) for g, c in zip(got, cold))
+                    singular_runs += 1
                 pair = cold
-        assert all(refusals.values())
+        assert all(refusals.values()) and singular_runs
 
     def test_unreachable_slice_reads_infeasible(self, monkeypatch):
         # a descending band: from a level whose band reaches the slice to one

@@ -188,16 +188,45 @@ class TestNoArbBounds:
         )
         return model, random_cashflow(rng, tree)
 
-    @pytest.mark.xfail(
-        raises=AssertionError, strict=True,
-        reason="every node prices, but on the frictionless market bid exceeds "
-        "ask by rounding at nodes 1 and 2 (6.7e-16 and 1.1e-14; ROADMAP item 7)",
-    )
     def test_frictionless_two_security_market_prices_every_node(self):
+        # without costs each node's bounds meet; at nodes 1 and 2 the two
+        # optima cross by rounding (6.7e-16 and 1.1e-14), read as their
+        # midpoint
         model, flow = self.two_security_market(0.0)
         quote = noarb_bounds(model, flow, 1)
         assert [e.status for e in quote.entries] == [STATUS_OK] * 3
         assert all(e.bid <= e.ask for e in quote.entries)
+
+    @pytest.mark.parametrize("bid, ask, quoted", [
+        (4.0 + 3e-9, 4.0, 4.0 + 1.5e-9),  # within lp.TOL * 4, beyond lp.TOL
+        (1e-10, -1e-10, 0.0),  # within lp.TOL, below size 1
+        (2.0, 2.0 + 1e-12, None),  # no crossing: the optima as they are
+    ])
+    def test_rounding_crossing_reads_midpoint(self, monkeypatch, bid, ask, quoted):
+        # every quote passes through _node_quote: a min optimum above the max
+        # by at most lp.TOL * max(1, |bid|, |ask|) is both sides' midpoint
+        model = two_period_model()
+        monkeypatch.setattr(lp, "solve_ratio", lambda *args, **kwargs: (
+            lp.LPSolution("optimal", value=bid), lp.LPSolution("optimal", value=ask)
+        ))
+        x = np.ones(model.tree.n_paths)
+        e, _ = pricing._node_quote(model, x, np.zeros((1, 5)), model.tree.nodes(0)[0])
+        assert e.status == STATUS_OK
+        if quoted is None:
+            assert (e.bid, e.ask) == (bid, ask)
+        else:
+            assert e.bid == e.ask == pytest.approx(quoted, rel=1e-15, abs=1e-25)
+
+    def test_wide_crossing_raises(self, monkeypatch):
+        # a crossing beyond the tolerance cannot come from two certified
+        # optima: noarb_bounds' arbitrage search clears the market, and the
+        # failure is raised
+        model = two_period_model()
+        monkeypatch.setattr(lp, "solve_ratio", lambda *args, **kwargs: (
+            lp.LPSolution("optimal", value=2.0 + 5e-9), lp.LPSolution("optimal", value=2.0)
+        ))
+        with pytest.raises(ComputationError, match="exceeds ask"):
+            noarb_bounds(model, call_payoff(model), 0)
 
     @pytest.mark.xfail(
         raises=ComputationError, strict=True,
@@ -955,10 +984,14 @@ class TestLiquiditySurface:
         # from the previous one's bases, 451 with every level's status read
         # from one least-loss LP per row (phase 1 runs 26 -> 17: 8 least-loss
         # LPs, 8 first quotes and one basis the restart refused; no hedge
-        # search)
+        # search).  An extreme whose previous optimum certifies at the wider
+        # band is carried without a restart: phase 2 runs 72 -> 44 and
+        # restarts 48 -> 20, with the pivots about unchanged
         pivots = count_calls(lp, "_pivot")
         starts = count_calls(lp, "_phase1")
         solves = count_calls(lp, "solve")
+        finishes = count_calls(lp, "_phase2")
+        restarts = count_calls(lp, "_restart")
         for u, d, r, p_up, strike in PIVOT_BUDGET_MARKETS:
             liquidity_surface(
                 lambda lam: binary_tree_market(u, d, r, p_up, lam, horizon=3),
@@ -969,6 +1002,8 @@ class TestLiquiditySurface:
         assert len(pivots) <= 500
         assert len(starts) <= 19
         assert len(solves) == 8
+        assert len(finishes) == 44
+        assert len(restarts) == 20
 
 
 class TestLeastLoss:
