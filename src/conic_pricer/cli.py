@@ -236,7 +236,7 @@ def _cmd_good_deal(args) -> int:
     model = model_from_dict(_load_json(args.model), lam_override=args.lam)
     payoff = payoff_from_dict(model, _load_json(args.payoff))
     prices = pricing.forward_prices if args.command == "forward" else pricing.good_deal_prices
-    quote = prices(model, payoff, args.time, args.gamma, entry=args.entry)
+    quote = prices(model, payoff, args.time, args.gamma)
     out = _emit(
         args,
         ["node", "bid", "ask", "status"],
@@ -263,7 +263,7 @@ def _cmd_bounds(args) -> int:
 
 def _cmd_ngd(args) -> int:
     model = model_from_dict(_load_json(args.model), lam_override=args.lam)
-    res = pricing.ngd_check(model, args.time, args.gamma, entry=args.entry)
+    res = pricing.ngd_check(model, args.time, args.gamma)
     witness_node = ""
     witness_ratio = ""
     if res.witness is not None:
@@ -327,7 +327,6 @@ def _cmd_surface(args) -> int:
         lambdas,
         args.time,
         node=args.node,
-        entry=args.entry,
     )
     rows = [[c.gamma, c.lam, c.bid, c.ask, c.spread, c.status] for c in cells]
     out = _emit(
@@ -367,7 +366,7 @@ def _float_list(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"not a comma-separated float list: {text!r}")
 
 
-def _add_common(sub, payoff=True, gamma=False, lam=True, entry=True, report=True):
+def _add_common(sub, payoff=True, gamma=False, lam=True, report=True):
     """Register only the flags the command reads."""
     sub.add_argument("model", help="model JSON file")
     if payoff:
@@ -378,9 +377,6 @@ def _add_common(sub, payoff=True, gamma=False, lam=True, entry=True, report=True
     if lam:
         sub.add_argument("--lam", type=float, default=None,
                          help="override: rebuild every ask as bid*(1+lam)")
-    if entry:
-        sub.add_argument("--entry", choices=("trade", "mark"), default="trade",
-                         help="valuation-date hedge entry pricing (see README)")
     if report:
         sub.add_argument("--time", "-t", type=int, default=0, help="valuation date")
         sub.add_argument("--format", "-f", choices=("csv", "json"), default="csv")
@@ -394,14 +390,16 @@ def build_parser() -> _Parser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     _add_common(subs.add_parser("validate", help="check a model file"),
-                payoff=False, entry=False, report=False)
+                payoff=False, report=False)
     _add_common(subs.add_parser("price", help="good-deal bid/ask"), gamma=True)
-    _add_common(subs.add_parser("bounds", help="no-arbitrage bounds"))
+    bounds = subs.add_parser("bounds", help="no-arbitrage bounds")
+    _add_common(bounds)
+    bounds.add_argument("--entry", choices=("trade", "mark"), default="trade",
+                        help="valuation-date hedge entry pricing (see README)")
     _add_common(subs.add_parser("ngd", help="no-good-deal feasibility"),
                 payoff=False, gamma=True)
-    _add_common(subs.add_parser("arbitrage", help="arbitrage search"),
-                payoff=False, entry=False)
-    _add_common(subs.add_parser("dglr", help="gain-loss ratio of a payoff"), entry=False)
+    _add_common(subs.add_parser("arbitrage", help="arbitrage search"), payoff=False)
+    _add_common(subs.add_parser("dglr", help="gain-loss ratio of a payoff"))
     _add_common(subs.add_parser("forward", help="good-deal forward quotes"), gamma=True)
     surface = subs.add_parser("surface", help="bid-ask spread over a (gamma, lambda) grid")
     _add_common(surface, lam=False)  # each row's lambda comes from --lambdas

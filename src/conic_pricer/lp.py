@@ -446,15 +446,11 @@ def _restart(lp: LinearProgram, rows: _Start, basis) -> Optional[_Start]:
 
 
 def _basis_solve(mat, rhs):
-    """mat^-1 rhs, with two steps of iterative refinement against
-    conditioning; least squares where ``mat`` is singular."""
+    """mat^-1 rhs; least squares where ``mat`` is singular."""
     try:
-        z = np.linalg.solve(mat, rhs)
-        for _ in range(2):
-            z = z + np.linalg.solve(mat, rhs - mat @ z)
+        return np.linalg.solve(mat, rhs)
     except np.linalg.LinAlgError:
-        z, *_ = np.linalg.lstsq(mat, rhs, rcond=None)
-    return z
+        return np.linalg.lstsq(mat, rhs, rcond=None)[0]
 
 
 def _certificate(c_obj, rows, b, m_ub: int, x, y):

@@ -21,12 +21,12 @@ rescaling each node's point to a common m (to any common scale without the
 band) glues them into one density of the whole tree with every node's ratio
 unchanged.  So the quote LPs establish it themselves: when every node's band
 LP is feasible, no good deal holds.  A node that its no-arbitrage cone cannot
-charge (possible under ``entry="mark"``) gets the status ``infeasible``.
-With the band, m is bounded away from zero on the slice, so densities are
-strictly positive and no epsilon is needed.  Pure no-arbitrage bounds range
-over the closure (u >= 0) of the equivalent risk-neutral set, whose
-suprema/infima coincide with those over the open set whenever an equivalent
-risk-neutral measure exists.  The bound LPs prove that node by node when the
+charge (possible only in bounds under ``entry="mark"``, below) gets the
+status ``infeasible``.  With the band, m is bounded away from zero on the
+slice, so densities are strictly positive and no epsilon is needed.  Pure
+no-arbitrage bounds range over the closure (u >= 0) of the equivalent
+risk-neutral set, whose suprema/infima coincide with those over the open set
+whenever an equivalent risk-neutral measure exists.  The bound LPs prove that node by node when the
 sum of a node's two optima charges every path of the node (Jouini & Kallal,
 JET 1995); only where they cannot does the arbitrage search run.
 
@@ -49,11 +49,14 @@ check's witness is the first beaten node's best-ratio hedge.
 when that hedge fails its certificate or a band LP fails.  Either hedge's
 weights are the witness, reported with the hedge's trading strategy.
 
-``entry="mark"`` switches the valuation-date legs of hedges initiated exactly
-at the pricing date to liquidation-side prices (entry spread refunded).  This
-is not the transaction-priced cone (the default) but reproduces published
-reference tables for intermediate-date bounds; see the README.  Its cone can
-charge no node at all, even in a market free of arbitrage.
+Only :func:`noarb_bounds` takes ``entry="mark"``, which switches the
+valuation-date legs of hedges initiated exactly at the pricing date to
+liquidation-side prices (entry spread refunded).  That is a bounds
+convention, not a trade: it reproduces published reference tables for
+intermediate-date bounds (see the README), and its cone can charge no node
+at all, even in a market free of arbitrage.  The good-deal, no-good-deal,
+forward and surface programs always run over the transaction-priced cone,
+so every witness is a hedge whose trading strategy delivers its cash flow.
 """
 
 from __future__ import annotations
@@ -355,7 +358,7 @@ def _ngd(model: MarketModel, gamma: float, rows: NodeRows) -> NgdResult:
     return NgdResult(holds=True, gamma=gamma, time=t)
 
 
-def ngd_check(model: MarketModel, t: int, gamma: float, *, entry: str = "trade") -> NgdResult:
+def ngd_check(model: MarketModel, t: int, gamma: float) -> NgdResult:
     """Whether a density satisfies every cone row, the band and the
     normalization (band feasibility forces strict positivity).
 
@@ -367,12 +370,10 @@ def ngd_check(model: MarketModel, t: int, gamma: float, *, entry: str = "trade")
     hedge is the witness; one that fails its certificate raises
     :class:`ComputationError` instead of a violation without a witness.
     """
-    return _ngd(model, gamma, generators_for(model, t, entry))
+    return _ngd(model, gamma, generators_for(model, t))
 
 
-def good_deal_prices(
-    model: MarketModel, cash_flow, t: int, gamma: float, *, entry: str = "trade"
-) -> PriceQuote:
+def good_deal_prices(model: MarketModel, cash_flow, t: int, gamma: float) -> PriceQuote:
     """Bid/ask of the discounted tail over band-restricted risk-neutral
     densities; sentinel +inf/-inf quotes when no such density exists.
 
@@ -386,7 +387,7 @@ def good_deal_prices(
     :func:`ngd_check` decide, with its own witness; a band LP failure in a
     market where the check holds is raised.
     """
-    rows = generators_for(model, t, entry)
+    rows = generators_for(model, t)
     DensityBand(gamma)
     quotes, entries, check = _node_quotes(model, cash_flow, rows, gamma), [], None
     while check is None or check.holds:
@@ -408,9 +409,7 @@ def good_deal_prices(
     return PriceQuote(time=t, gamma=gamma, entries=entries, witness=check.witness)
 
 
-def forward_prices(
-    model: MarketModel, cash_flow, t: int, gamma: float, *, entry: str = "trade"
-) -> PriceQuote:
+def forward_prices(model: MarketModel, cash_flow, t: int, gamma: float) -> PriceQuote:
     """Forward (pay-at-horizon) quotes: the spot quote scaled by the terminal
     savings account, which requires a deterministic rate process."""
     r = model.rates
@@ -418,7 +417,7 @@ def forward_prices(
         raise ValidationError("forward prices require deterministic rates")
     B, _ = model.discounts()
     scale = float(B[0, model.tree.horizon])
-    spot = good_deal_prices(model, cash_flow, t, gamma, entry=entry)
+    spot = good_deal_prices(model, cash_flow, t, gamma)
     entries = tuple(
         PriceEntry(e.node, scale * e.bid, scale * e.ask, e.status)
         for e in spot.entries
@@ -444,7 +443,6 @@ def liquidity_surface(
     t: int = 0,
     *,
     node: int = 0,
-    entry: str = "trade",
 ) -> list[SurfaceCell]:
     """Good-deal bid/ask/spread on a (gamma, lambda) grid, in the order of
     ``lambdas`` and, within each, of ``gammas``.
@@ -486,7 +484,7 @@ def liquidity_surface(
         count = len(model.tree.nodes(t))
         if not 0 <= node < count:
             raise ValidationError(f"node {node} outside 0..{count - 1} at t={t}")
-        rows = generators_for(model, t, entry)
+        rows = generators_for(model, t)
         at = model.tree.nodes(t)[node]
         x = _discounted_tail(model, payoff, t)
         paths = list(model.tree.node_paths(at))

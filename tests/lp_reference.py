@@ -211,12 +211,9 @@ def reference_solve(lp, *, tol=1e-9, exact=False):
     if rows.any():
         B, rhs = A[np.ix_(rows, struct)], b[rows]
         try:
-            z = np.linalg.solve(B, rhs)
-            for _ in range(2):
-                z = z + np.linalg.solve(B, rhs - B @ z)
+            x[struct] = np.linalg.solve(B, rhs)
         except np.linalg.LinAlgError:
-            z, *_ = np.linalg.lstsq(B, rhs, rcond=None)
-        x[struct] = z
+            x[struct] = np.linalg.lstsq(B, rhs, rcond=None)[0]
     return "optimal", sense_mult * float(c_obj @ x), x, it1 + it2
 
 

@@ -297,16 +297,16 @@ def check_first_bounds(model, cash_flow, t, *, entry="trade"):
     return pricing.PriceQuote(time=t, gamma=None, entries=tuple(e for e, _ in quotes))
 
 
-def check_first_good_deal_prices(model, cash_flow, t, gamma, *, entry="trade"):
+def check_first_good_deal_prices(model, cash_flow, t, gamma):
     """``good_deal_prices`` as the no-good-deal check, then the band LPs."""
-    check = pricing.ngd_check(model, t, gamma, entry=entry)
+    check = pricing.ngd_check(model, t, gamma)
     if not check.holds:
         entries = tuple(
             pricing.PriceEntry(node, np.inf, -np.inf, pricing.STATUS_NGD)
             for node in model.tree.nodes(t)
         )
         return pricing.PriceQuote(time=t, gamma=gamma, entries=entries, witness=check.witness)
-    quotes = pricing._node_quotes(model, cash_flow, generators_for(model, t, entry), gamma)
+    quotes = pricing._node_quotes(model, cash_flow, generators_for(model, t), gamma)
     return pricing.PriceQuote(time=t, gamma=gamma, entries=tuple(e for e, _ in quotes))
 
 

@@ -223,10 +223,15 @@ class TestNgdAndArbitrage:
         assert out.strip().splitlines()[1].startswith("0,none")
 
     def test_flag_not_read(self, capsys):
-        # the surface takes each row's lambda from --lambdas, never --lam
+        # the surface takes each row's lambda from --lambdas, never --lam;
+        # the mark entry convention is for bounds alone
         surface = ["surface", MODEL, PAYOFF, "--gammas", "0.5,8", "--lambdas", "0,0.01"]
         for argv in (["arbitrage", MODEL, "--entry", "mark"],
                      ["dglr", MODEL, PAYOFF, "--entry", "mark"],
+                     ["price", MODEL, PAYOFF, "--gamma", "5", "--entry", "mark"],
+                     ["forward", MODEL, PAYOFF, "--gamma", "5", "--entry", "mark"],
+                     ["ngd", MODEL, "--gamma", "5", "--entry", "mark"],
+                     surface + ["--entry", "mark"],
                      surface + ["--lam", "0.5"]):
             code, _, err = run(capsys, *argv)
             assert code == EXIT_USAGE, argv

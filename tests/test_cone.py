@@ -392,7 +392,7 @@ class TestOneEnumerationPerQuote:
             for price in (
                 lambda: pricing.ngd_check(model, 0, gamma),
                 lambda: pricing.good_deal_prices(model, flow, 0, gamma),
-                lambda: pricing.good_deal_prices(model, flow, 1, gamma, entry="mark"),
+                lambda: pricing.good_deal_prices(model, flow, 1, gamma),
             ):
                 calls.clear()
                 price()

@@ -106,15 +106,15 @@ def sweeps():
     return out
 
 
-def agrees(e, lo, hi):
+def agrees(bid, ask, lo, hi):
     scale = 1.0 + abs(lo) + abs(hi)
-    return abs(e.bid - lo) <= 1e-7 * scale and abs(e.ask - hi) <= 1e-7 * scale
+    return abs(bid - lo) <= 1e-7 * scale and abs(ask - hi) <= 1e-7 * scale
 
 
 @pytest.mark.parametrize("horizon", [2, 3])
 def test_noarb_bounds_match_highs(horizon, sweeps):
     for _, _, _, e, lo, hi in sweeps[horizon]:
-        assert agrees(e, lo, hi)
+        assert agrees(e.bid, e.ask, lo, hi)
 
 
 def test_row_slack_leaves_bounds_unchanged(sweeps):
@@ -124,13 +124,13 @@ def test_row_slack_leaves_bounds_unchanged(sweeps):
     # against 6.556 at one horizon-3 node).  The node-form rows need no slack.
     for rows in sweeps.values():
         for _, _, _, e, lo, hi in rows:
-            assert agrees(e, lo, hi)
+            assert agrees(e.bid, e.ask, lo, hi)
 
 
-def highs_good_deal_cell(model, flow, t, cell, gamma, entry="trade"):
-    """Min and max of the date-t node's conditional discounted tail over its
-    cone, band-restricted unless ``gamma`` is None: the node LP the engine
-    builds, solved by HiGHS."""
+def node_ratio_lp(model, flow, t, cell, gamma, entry="trade"):
+    """(num, den, a_ub) of the date-t node's conditional discounted tail over
+    its cone, band-restricted unless ``gamma`` is None: the node LP the
+    engine builds."""
     tree = model.tree
     p = tree.probabilities
     _, Binv = model.discounts()
@@ -142,6 +142,12 @@ def highs_good_deal_cell(model, flow, t, cell, gamma, entry="trade"):
     num, den = np.zeros(a_ub.shape[1]), np.zeros(a_ub.shape[1])
     num[: len(idx)] = p[idx] * x[idx]
     den[: len(idx)] = p[idx]
+    return num, den, a_ub
+
+
+def highs_good_deal_cell(model, flow, t, cell, gamma, entry="trade"):
+    """Min and max of :func:`node_ratio_lp`, solved by HiGHS."""
+    num, den, a_ub = node_ratio_lp(model, flow, t, cell, gamma, entry)
     out = []
     for sense in ("min", "max"):
         status, value = highs(num, sense, a_ub, np.zeros(len(a_ub)), [den], [1.0])
@@ -159,16 +165,23 @@ def test_nodes_with_near_zero_rows_match_highs(seed, k, t, cell, entry, gamma):
     # nodes of the quote-first cross-check's markets whose LPs hold rows of
     # pure rounding residue (entries near 1e-15): scaled up to size 1, such
     # a row made the kernel read `infeasible`; on the rows as supplied each
-    # node prices, as HiGHS does (6.8170568340458 at the first)
+    # node prices, as HiGHS does (6.8170568340458 at the first).  Good-deal
+    # quotes are only ever built over the trade rows, so the mark-entry band
+    # LP goes to the kernel directly
     markets = test_pricing.TestQuotesFirstMatchCheckFirst.markets(seed)
     model, flow = next(itertools.islice(markets, k, None))
-    if gamma is None:
-        quote = noarb_bounds(model, flow, t, entry=entry)
+    if entry == "mark":
+        lo, hi = lp.solve_ratio(*node_ratio_lp(model, flow, t, cell, gamma, entry))
+        assert lo.status == hi.status == "optimal"
+        got = lo.value, hi.value
     else:
-        quote = good_deal_prices(model, flow, t, gamma, entry=entry)
-    e = quote.entries[cell]
-    assert e.status == STATUS_OK
-    assert agrees(e, *highs_good_deal_cell(model, flow, t, cell, gamma, entry))
+        quote = noarb_bounds(model, flow, t) if gamma is None else good_deal_prices(
+            model, flow, t, gamma
+        )
+        e = quote.entries[cell]
+        assert e.status == STATUS_OK
+        got = e.bid, e.ask
+    assert agrees(*got, *highs_good_deal_cell(model, flow, t, cell, gamma, entry))
 
 
 @pytest.mark.parametrize("horizon", [2, 3])
@@ -199,5 +212,5 @@ def test_warm_surface_cells_match_highs(horizon, count_calls):
                     if c.status == STATUS_OK:
                         priced += 1
                         lo, hi = highs_good_deal_cell(build(c.lam), flow, t, cell, c.gamma)
-                        assert agrees(c, lo, hi)
+                        assert agrees(c.bid, c.ask, lo, hi)
     assert priced and restarts

@@ -327,20 +327,48 @@ class TestNgdCheck:
             held = w.strategy.holdings[1, 1:, 0]
             assert held[0] > 0 and held[1] > 0  # long both
 
-    def test_witness_strategy_dominates_its_cash_flow(self, rng):
-        checked = 0
+    def test_witness_strategy_dominates_its_cash_flow(self, rng, count_calls):
+        # at every date, by both routes to a witness: the check's best-ratio
+        # hedge and the hedge in a band LP's Farkas ray (a good_deal_prices
+        # witness found without the check).  On the witness node the
+        # strategy's terminal wealth covers the reported cash flow, so it
+        # pays at least the reported ratio.  Last, the fixture's up node at
+        # t=1 with 1% costs: the hedge beating 4 there has ratio 4.516,
+        # which its strategy pays exactly
+        markets = []
         for _ in range(20):
             tree = random_tree(rng, int(rng.integers(3, 7)), int(rng.integers(1, 4)))
             model = arbitrage_free_market(rng, tree, dividends=True, rates=True)
-            res = ngd_check(model, 0, 0.05)
-            if res.holds:
-                continue
-            w = res.witness
-            assert w is not None and w.dglr > 0.05
-            wealth = wealth_closed_form(model, w.strategy)[:, tree.horizon]
-            assert np.all(wealth >= w.cash_flow - 1e-9)
-            checked += 1
-        assert checked >= 10
+            markets.append((model, random_cashflow(rng, tree), range(tree.horizon), (0.05, 0.5)))
+        fixture = two_period_model(lam=0.01)
+        markets.append((fixture, asian_call(fixture, 0, 65.0), [1], [4.0]))
+        checks = count_calls(pricing, "_ngd")
+        checked, dates, ratios = {"check": 0, "ray": 0}, set(), []
+        for model, flow, times, gammas in markets:
+            tree = model.tree
+            for t, gamma in itertools.product(times, gammas):
+                before = len(checks)
+                quote = good_deal_prices(model, flow, t, gamma)
+                ray = len(checks) == before
+                for route, w in (("ray" if ray else "check", quote.witness),
+                                 ("check", ngd_check(model, t, gamma).witness)):
+                    if w is None:
+                        continue
+                    assert w.dglr > gamma
+                    idx = list(tree.node_paths(w.node))
+                    paid = np.zeros((tree.n_paths, tree.horizon + 1))
+                    paid[:, -1] = wealth_closed_form(model, w.strategy)[:, -1]
+                    assert np.all(paid[idx, -1] >= w.cash_flow[idx] - 1e-9)
+                    ratio = dglr_eval(tree, paid, t)[idx[0]]
+                    assert ratio >= w.dglr * (1 - 1e-9)
+                    checked[route] += 1
+                    dates.add(t)
+                    ratios.append((w.node, w.dglr, ratio))
+        assert min(checked.values()) >= 10 and dates == {0, 1, 2}
+        for node, dglr, ratio in ratios[-2:]:  # the fixture's, by both routes
+            assert node.time == 1 and node.cell == 0
+            assert dglr == pytest.approx(4.516055, abs=1e-6)
+            assert ratio == pytest.approx(dglr, rel=1e-12)
 
     def test_witness_from_the_node_program(self, rng):
         # the per-node least-loss LPs find a node beating the level exactly
@@ -866,8 +894,8 @@ class TestLiquiditySurface:
 
     @staticmethod
     def _count_cells_like_good_deal_prices(build_model, build_payoff, gammas, lambdas, surfaces):
-        """Check that each cell of ``surfaces`` ((t, node, entry) -> cells)
-        answers as good_deal_prices does, and count the restarted ones.
+        """Check that each cell of ``surfaces`` ((t, node) -> cells) answers
+        as good_deal_prices does, and count the restarted ones.
 
         A violated cell and the first priced cell of a lambda row (in
         ascending level order) are the same solves and match bit for bit; a
@@ -875,7 +903,7 @@ class TestLiquiditySurface:
         end at the same optimum by another path."""
         ascending = sorted(range(len(gammas)), key=gammas.__getitem__)
         warm = 0
-        for (t, node, entry), cells in surfaces.items():
+        for (t, node), cells in surfaces.items():
             grid = [(lam, gamma) for lam in lambdas for gamma in gammas]
             assert [(c.lam, c.gamma) for c in cells] == grid
             for j, lam in enumerate(lambdas):
@@ -884,7 +912,7 @@ class TestLiquiditySurface:
                 priced = False
                 for i in ascending:
                     c = cells[j * len(gammas) + i]
-                    e = good_deal_prices(model, payoff, t, c.gamma, entry=entry).entry(node)
+                    e = good_deal_prices(model, payoff, t, c.gamma).entry(node)
                     assert c.status == e.status
                     if c.status == STATUS_OK and priced:
                         warm += 1
@@ -915,7 +943,7 @@ class TestLiquiditySurface:
         thresholds = count_calls(pricing, "_least_loss")
         solves = count_calls(lp, "solve")
         surfaces = {
-            (t, node, "trade"): liquidity_surface(
+            (t, node): liquidity_surface(
                 build_model, build_payoff, gammas, lambdas, t, node=node
             )
             for t, node in ((0, 0), (1, 1))
@@ -931,7 +959,7 @@ class TestLiquiditySurface:
 
     def test_sweep_equals_per_cell_quotes_on_two_securities(self):
         # two dividend-paying securities under stochastic rates, every node at
-        # t=1, under both entry conventions
+        # t=1
         rng = np.random.default_rng(7)
         tree = random_tree(rng, 6, 3)
         flow = random_cashflow(rng, tree)
@@ -945,17 +973,14 @@ class TestLiquiditySurface:
             )
 
         surfaces = {
-            (1, node, entry): liquidity_surface(
-                build_model, lambda model: flow, gammas, lambdas, 1, node=node, entry=entry
+            (1, node): liquidity_surface(
+                build_model, lambda model: flow, gammas, lambdas, 1, node=node
             )
             for node in range(len(tree.nodes(1)))
-            for entry in ("trade", "mark")
         }
         assert len(surfaces) > 2
-        statuses = {
-            (entry, c.status) for (_, _, entry), cells in surfaces.items() for c in cells
-        }
-        assert {("trade", STATUS_OK), ("trade", STATUS_NGD), ("mark", STATUS_OK)} <= statuses
+        statuses = {c.status for cells in surfaces.values() for c in cells}
+        assert {STATUS_OK, STATUS_NGD} <= statuses
         warm = self._count_cells_like_good_deal_prices(
             build_model, lambda model: flow, gammas, lambdas, surfaces
         )
@@ -1228,16 +1253,16 @@ class TestNodeFormMatchesEnumeration:
                         assert (e.status == STATUS_INFEASIBLE) == (w is None)
                         if w is not None:
                             assert self.close(e.bid, w[0]) and self.close(e.ask, w[1])
-                    for gamma in (0.5, 2.0, 8.0):
-                        holds = ngd_check(model, t, gamma, entry=entry).holds
-                        assert holds == enumerated_ngd(model, t, gamma, entry)
-                        statuses.add(holds)
-                        if not holds:
-                            continue
-                        got = good_deal_prices(model, flow, t, gamma, entry=entry).entries
-                        want = enumerated_quotes(model, flow, t, entry, gamma)
-                        for e, w in zip(got, want, strict=True):
-                            assert self.close(e.bid, w[0]) and self.close(e.ask, w[1])
+                for gamma in (0.5, 2.0, 8.0):
+                    holds = ngd_check(model, t, gamma).holds
+                    assert holds == enumerated_ngd(model, t, gamma)
+                    statuses.add(holds)
+                    if not holds:
+                        continue
+                    got = good_deal_prices(model, flow, t, gamma).entries
+                    want = enumerated_quotes(model, flow, t, gamma=gamma)
+                    for e, w in zip(got, want, strict=True):
+                        assert self.close(e.bid, w[0]) and self.close(e.ask, w[1])
         assert {STATUS_OK, STATUS_INFEASIBLE, True, False} <= statuses
 
 
@@ -1322,14 +1347,10 @@ class TestQuotesFirstMatchCheckFirst:
                     quote = quote_first(lambda: noarb_bounds(model, flow, t, entry=entry))
                     ref = self.answer(lambda: check_first_bounds(model, flow, t, entry=entry))
                     seen.add(("bounds", self.compare(model, quote, ref)))
-                    for gamma in (0.5, 4.0):
-                        quote = quote_first(
-                            lambda: good_deal_prices(model, flow, t, gamma, entry=entry)
-                        )
-                        ref = self.answer(
-                            lambda: check_first_good_deal_prices(model, flow, t, gamma, entry=entry)
-                        )
-                        seen.add(("good deal", self.compare(model, quote, ref)))
+                for gamma in (0.5, 4.0):
+                    quote = quote_first(lambda: good_deal_prices(model, flow, t, gamma))
+                    ref = self.answer(lambda: check_first_good_deal_prices(model, flow, t, gamma))
+                    seen.add(("good deal", self.compare(model, quote, ref)))
         assert {("bounds", s) for s in (STATUS_OK, STATUS_ARBITRAGE, STATUS_INFEASIBLE)} <= seen
         assert {("good deal", s) for s in (STATUS_OK, STATUS_NGD)} <= seen
         # both orders were compared where the quotes decide and where they
@@ -1346,8 +1367,8 @@ class TestQuotesFirstMatchCheckFirst:
         for k, (model, flow) in enumerate(self.markets(seed)):
             for t in range(model.tree.horizon):
                 quotes = [noarb_bounds(model, flow, t)]
-                for entry, gamma in itertools.product(("trade", "mark"), (0.05, 0.5, 4.0)):
-                    quotes.append(good_deal_prices(model, flow, t, gamma, entry=entry))
+                for gamma in (0.05, 0.5, 4.0):
+                    quotes.append(good_deal_prices(model, flow, t, gamma))
                 for q in quotes:
                     assert STATUS_INFEASIBLE not in [e.status for e in q.entries], (k, t, q)
 
