@@ -2,10 +2,14 @@
 
 Commands: validate, price, bounds, ngd, arbitrage, dglr, forward, surface.
 
-Models and payoffs are JSON files; reports are CSV (default) or JSON with
-deterministic row ordering.  Infinite quote sentinels serialize as the
-strings "+inf"/"-inf".  Exit codes: 0 success, 2 validation failure, 64 usage
-error, 70 internal/LP failure.
+Models and payoffs are JSON files.  Each command returns its report as a
+table - a header, rows of raw values and metadata - and :func:`main` alone
+loads the files, prints the table as CSV (default) or JSON with
+deterministic row ordering, and maps every error to its exit code.  JSON rows
+carry numbers as numbers; infinite quote sentinels serialize as the strings
+"+inf"/"-inf".  Exit codes: 0 success, 2 validation failure (one ``error:``
+line), 64 usage error, 70 internal/LP failure (one ``internal error:``
+line).
 """
 
 from __future__ import annotations
@@ -23,12 +27,13 @@ import numpy as np
 from . import pricing
 from .acceptability import dglr_eval
 from .cone import arbitrage_check
-from .errors import ComputationError, PricerError, ValidationError
+from .errors import ComputationError, ValidationError
 from .lattice import EventTree, derive_filtration
 from .market import (
     CashFlow,
     MarketModel,
     Security,
+    _rate_matrix,
     asian_call,
     cds_dividends,
 )
@@ -92,14 +97,7 @@ def model_from_dict(data: dict, *, lam_override: Optional[float] = None) -> Mark
     probs = [_parse_number(v) for v in data["probabilities"]]
     securities_cfg = data["securities"]
     n = len(probs)
-    paths = data.get("paths") or [f"w{i + 1}" for i in range(n)]
-
-    rates_raw = data.get("rates", 0.0)
-    rates = np.asarray(rates_raw, dtype=float)
-    if rates.ndim == 0:
-        rates = np.full((n, horizon), float(rates))
-    elif rates.ndim == 1:
-        rates = np.tile(rates, (n, 1))
+    rates = _rate_matrix(data.get("rates", 0.0), n, horizon)
 
     securities = []
     observables = []
@@ -125,7 +123,7 @@ def model_from_dict(data: dict, *, lam_override: Optional[float] = None) -> Mark
     padded_rates = np.hstack([rates, rates[:, -1:]]) if rates.size else np.zeros((n, 1))
     observables.append(padded_rates)
     partitions = derive_filtration(observables)
-    tree = EventTree(horizon, probs, partitions, paths)
+    tree = EventTree(horizon, probs, partitions, data.get("paths"))
     return MarketModel(tree, rates, securities)
 
 
@@ -202,7 +200,7 @@ def _emit(args, header: list[str], rows: list[list], meta: dict) -> str:
 
 
 def _coerce_json(value, precision: int):
-    if isinstance(value, str):
+    if isinstance(value, (str, int)):
         return value
     v = float(value) + 0.0
     if math.isinf(v) or math.isnan(v):
@@ -218,125 +216,72 @@ def _quote_rows(model: MarketModel, quote: pricing.PriceQuote):
 
 
 # ---------------------------------------------------------------------------
-# commands
+# commands: each returns its report as (header, rows, meta); main loads
+# the model and payoff files it reads
 
 
-def _cmd_validate(args) -> int:
-    try:
-        model_from_dict(_load_json(args.model), lam_override=args.lam)
-    except ValidationError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_VALIDATION
-    print("ok")
-    return EXIT_OK
+def _cmd_validate(args, model, payoff):
+    return ["ok"], [], {}
 
 
-def _cmd_good_deal(args) -> int:
+def _cmd_good_deal(args, model, payoff):
     """``price`` (spot) and ``forward`` good-deal quotes."""
-    model = model_from_dict(_load_json(args.model), lam_override=args.lam)
-    payoff = payoff_from_dict(model, _load_json(args.payoff))
     prices = pricing.forward_prices if args.command == "forward" else pricing.good_deal_prices
     quote = prices(model, payoff, args.time, args.gamma)
-    out = _emit(
-        args,
-        ["node", "bid", "ask", "status"],
-        _quote_rows(model, quote),
-        {"command": args.command, "time": args.time, "gamma": args.gamma},
-    )
-    sys.stdout.write(out)
-    return EXIT_OK
+    meta = {"command": args.command, "time": args.time, "gamma": args.gamma}
+    return ["node", "bid", "ask", "status"], _quote_rows(model, quote), meta
 
 
-def _cmd_bounds(args) -> int:
-    model = model_from_dict(_load_json(args.model), lam_override=args.lam)
-    payoff = payoff_from_dict(model, _load_json(args.payoff))
+def _cmd_bounds(args, model, payoff):
     quote = pricing.noarb_bounds(model, payoff, args.time, entry=args.entry)
-    out = _emit(
-        args,
-        ["node", "lower", "upper", "status"],
-        _quote_rows(model, quote),
-        {"command": "bounds", "time": args.time},
-    )
-    sys.stdout.write(out)
-    return EXIT_OK
+    meta = {"command": "bounds", "time": args.time}
+    return ["node", "lower", "upper", "status"], _quote_rows(model, quote), meta
 
 
-def _cmd_ngd(args) -> int:
-    model = model_from_dict(_load_json(args.model), lam_override=args.lam)
+def _cmd_ngd(args, model, payoff):
     res = pricing.ngd_check(model, args.time, args.gamma)
     witness_node = ""
     witness_ratio = ""
     if res.witness is not None:
         witness_node = model.tree.node_label(res.witness.node)
-        witness_ratio = _fmt(res.witness.dglr, args.precision)
-    rows = [
-        [
-            args.time,
-            args.gamma,
-            "holds" if res.holds else "violated",
-            witness_node,
-            witness_ratio,
-        ]
-    ]
-    out = _emit(
-        args,
-        ["time", "gamma", "status", "witness_node", "witness_dglr"],
-        rows,
-        {"command": "ngd"},
-    )
-    sys.stdout.write(out)
-    return EXIT_OK
+        witness_ratio = res.witness.dglr
+    status = "holds" if res.holds else "violated"
+    header = ["time", "gamma", "status", "witness_node", "witness_dglr"]
+    rows = [[args.time, args.gamma, status, witness_node, witness_ratio]]
+    return header, rows, {"command": "ngd"}
 
 
-def _cmd_arbitrage(args) -> int:
-    model = model_from_dict(_load_json(args.model), lam_override=args.lam)
+def _cmd_arbitrage(args, model, payoff):
     witness = arbitrage_check(model, args.time)
     if witness is None:
-        rows = [[args.time, "none", ""]]
+        row = [args.time, "none", ""]
     else:
-        rows = [[args.time, "arbitrage", model.tree.node_label(witness.node)]]
-    out = _emit(
-        args, ["time", "status", "witness_node"], rows, {"command": "arbitrage"}
-    )
-    sys.stdout.write(out)
-    return EXIT_OK
+        row = [args.time, "arbitrage", model.tree.node_label(witness.node)]
+    return ["time", "status", "witness_node"], [row], {"command": "arbitrage"}
 
 
-def _cmd_dglr(args) -> int:
-    model = model_from_dict(_load_json(args.model), lam_override=args.lam)
-    payoff = payoff_from_dict(model, _load_json(args.payoff))
+def _cmd_dglr(args, model, payoff):
     values = dglr_eval(model.tree, payoff, args.time)
     rows = []
     for node in model.tree.nodes(args.time):
         i = model.tree.node_paths(node)[0]
         rows.append([model.tree.node_label(node), values[i]])
-    out = _emit(args, ["node", "value"], rows, {"command": "dglr", "time": args.time})
-    sys.stdout.write(out)
-    return EXIT_OK
+    return ["node", "value"], rows, {"command": "dglr", "time": args.time}
 
 
-def _cmd_surface(args) -> int:
-    model_data = _load_json(args.model)
-    payoff_data = _load_json(args.payoff)
-    gammas = args.gammas
-    lambdas = args.lambdas
+def _cmd_surface(args, model_data, payoff_data):
+    """Takes the files' data, not a model: one model is built per lambda."""
     cells = pricing.liquidity_surface(
         lambda lam: model_from_dict(model_data, lam_override=lam),
         lambda model: payoff_from_dict(model, payoff_data),
-        gammas,
-        lambdas,
+        args.gammas,
+        args.lambdas,
         args.time,
         node=args.node,
     )
     rows = [[c.gamma, c.lam, c.bid, c.ask, c.spread, c.status] for c in cells]
-    out = _emit(
-        args,
-        ["gamma", "lambda", "bid", "ask", "spread", "status"],
-        rows,
-        {"command": "surface", "time": args.time},
-    )
-    sys.stdout.write(out)
-    return EXIT_OK
+    header = ["gamma", "lambda", "bid", "ask", "spread", "status"]
+    return header, rows, {"command": "surface", "time": args.time}
 
 
 # ---------------------------------------------------------------------------
@@ -361,13 +306,17 @@ def _precision(text: str) -> int:
 
 def _float_list(text: str) -> list[float]:
     try:
-        return [float(tok) for tok in text.split(",") if tok.strip() != ""]
+        values = [float(tok) for tok in text.split(",") if tok.strip() != ""]
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a comma-separated float list: {text!r}")
+    if not values:
+        raise argparse.ArgumentTypeError("empty list")
+    return values
 
 
-def _add_common(sub, payoff=True, gamma=False, lam=True, report=True):
-    """Register only the flags the command reads."""
+def _add_common(sub, run, payoff=True, gamma=False, lam=True, report=True):
+    """Register only the flags the command reads, and the command ``run``."""
+    sub.set_defaults(run=run)
     sub.add_argument("model", help="model JSON file")
     if payoff:
         sub.add_argument("payoff", help="payoff JSON file")
@@ -382,6 +331,8 @@ def _add_common(sub, payoff=True, gamma=False, lam=True, report=True):
         sub.add_argument("--format", "-f", choices=("csv", "json"), default="csv")
         sub.add_argument("--precision", type=_precision, default=6,
                          help="significant digits in reports")
+    else:  # validate's one-word report prints as CSV
+        sub.set_defaults(format="csv", precision=6)
 
 
 @functools.cache  # parsing leaves the parser unchanged, so one serves every call
@@ -389,59 +340,51 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="conic-pricer", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True)
 
-    _add_common(subs.add_parser("validate", help="check a model file"),
+    _add_common(subs.add_parser("validate", help="check a model file"), _cmd_validate,
                 payoff=False, report=False)
-    _add_common(subs.add_parser("price", help="good-deal bid/ask"), gamma=True)
+    _add_common(subs.add_parser("price", help="good-deal bid/ask"), _cmd_good_deal,
+                gamma=True)
     bounds = subs.add_parser("bounds", help="no-arbitrage bounds")
-    _add_common(bounds)
+    _add_common(bounds, _cmd_bounds)
     bounds.add_argument("--entry", choices=("trade", "mark"), default="trade",
                         help="valuation-date hedge entry pricing (see README)")
-    _add_common(subs.add_parser("ngd", help="no-good-deal feasibility"),
+    _add_common(subs.add_parser("ngd", help="no-good-deal feasibility"), _cmd_ngd,
                 payoff=False, gamma=True)
-    _add_common(subs.add_parser("arbitrage", help="arbitrage search"), payoff=False)
-    _add_common(subs.add_parser("dglr", help="gain-loss ratio of a payoff"))
-    _add_common(subs.add_parser("forward", help="good-deal forward quotes"), gamma=True)
+    _add_common(subs.add_parser("arbitrage", help="arbitrage search"), _cmd_arbitrage,
+                payoff=False)
+    _add_common(subs.add_parser("dglr", help="gain-loss ratio of a payoff"), _cmd_dglr)
+    _add_common(subs.add_parser("forward", help="good-deal forward quotes"),
+                _cmd_good_deal, gamma=True)
     surface = subs.add_parser("surface", help="bid-ask spread over a (gamma, lambda) grid")
-    _add_common(surface, lam=False)  # each row's lambda comes from --lambdas
+    _add_common(surface, _cmd_surface, lam=False)  # each row's lambda comes from --lambdas
     surface.add_argument("--gammas", type=_float_list, required=True)
     surface.add_argument("--lambdas", type=_float_list, required=True)
     surface.add_argument("--node", type=int, default=0)
     return parser
 
 
-_DISPATCH = {
-    "validate": _cmd_validate,
-    "price": _cmd_good_deal,
-    "bounds": _cmd_bounds,
-    "ngd": _cmd_ngd,
-    "arbitrage": _cmd_arbitrage,
-    "dglr": _cmd_dglr,
-    "forward": _cmd_good_deal,
-    "surface": _cmd_surface,
-}
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        if getattr(args, "gammas", None) is not None and not args.gammas:
-            parser.error("empty gamma list")
-        if getattr(args, "lambdas", None) is not None and not args.lambdas:
-            parser.error("empty lambda list")
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse reports usage problems by exiting
         return int(exc.code or 0)
     try:
-        return _DISPATCH[args.command](args)
+        if args.command == "surface":  # builds its own model at each lambda
+            table = args.run(args, _load_json(args.model), _load_json(args.payoff))
+        else:
+            model = model_from_dict(_load_json(args.model), lam_override=args.lam)
+            payoff = None
+            if "payoff" in args:
+                payoff = payoff_from_dict(model, _load_json(args.payoff))
+            table = args.run(args, model, payoff)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except ComputationError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except PricerError as exc:  # pragma: no cover
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
+    sys.stdout.write(_emit(args, *table))
+    return EXIT_OK
 
 
 if __name__ == "__main__":  # pragma: no cover

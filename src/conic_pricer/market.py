@@ -93,21 +93,27 @@ def apply_transaction_costs(
     )
 
 
+def _rate_matrix(rates, n: int, T: int) -> np.ndarray:
+    """``rates`` as an (n paths, T dates) matrix: a scalar is every path's
+    rate at every date, a T-vector every path's schedule."""
+    r = np.asarray(rates, dtype=float)
+    if r.ndim == 0:
+        return np.full((n, T), float(r))
+    if r.ndim == 1:
+        if r.shape[0] != T:
+            raise ValidationError(f"rate vector must have {T} entries")
+        r = np.tile(r, (n, 1))
+    if r.shape != (n, T):
+        raise ValidationError(f"rates must have shape {(n, T)}, got {r.shape}")
+    return r
+
+
 class MarketModel:
     """Validated market: tree, rate process, securities."""
 
     def __init__(self, tree: EventTree, rates, securities: Sequence[Security]):
         self.tree = tree
-        n, T = tree.n_paths, tree.horizon
-        r = np.asarray(rates, dtype=float)
-        if r.ndim == 0:
-            r = np.full((n, T), float(r))
-        elif r.ndim == 1:
-            if r.shape[0] != T:
-                raise ValidationError(f"rate vector must have {T} entries")
-            r = np.tile(r, (n, 1))
-        if r.shape != (n, T):
-            raise ValidationError(f"rates must have shape {(n, T)}, got {r.shape}")
+        r = _rate_matrix(rates, tree.n_paths, tree.horizon)
         if np.any(r < 0):
             raise ValidationError("rates must be nonnegative")
         bad = tree.unmeasurable_cell(r)

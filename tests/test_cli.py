@@ -195,6 +195,17 @@ class TestBounds:
         assert code == EXIT_INTERNAL
         assert "arbitrage" not in out
         assert "injected" in err
+        # every command that solves an LP, failing in either solver
+        monkeypatch.setattr(lp, "solve", failing)
+        for argv in (["price", MODEL, PAYOFF, "--gamma", "8"],
+                     ["forward", MODEL, PAYOFF, "--gamma", "8"],
+                     ["bounds", MODEL, PAYOFF, "--time", "1"],
+                     ["ngd", MODEL, "--gamma", "0.25"],
+                     ["arbitrage", MODEL],
+                     ["surface", MODEL, PAYOFF, "--gammas", "0.25,8", "--lambdas", "0"]):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (EXIT_INTERNAL, ""), argv
+            assert err.startswith("internal error: ") and "injected" in err, argv
 
 
 class TestNgdAndArbitrage:
@@ -204,6 +215,14 @@ class TestNgdAndArbitrage:
         assert row[2] == "violated"
         assert row[3] == "0:0"
         assert float(row[4]) > 0.25
+
+    def test_ngd_json_numbers_stay_numbers(self, capsys):
+        code, out, _ = run(capsys, "ngd", MODEL, "--gamma", "0.25", "--format", "json")
+        row = json.loads(out)["rows"][0]
+        assert row["witness_dglr"] == 6.27273 and isinstance(row["witness_dglr"], float)
+        assert row["time"] == 0 and isinstance(row["time"], int)
+        code, out, _ = run(capsys, "ngd", MODEL, "--gamma", "8", "--format", "json")
+        assert json.loads(out)["rows"][0]["witness_dglr"] == ""
 
     def test_ngd_holds(self, capsys):
         code, out, _ = run(capsys, "ngd", MODEL, "--gamma", "8")
@@ -410,19 +429,30 @@ def _ragged_bid(model):
     model["securities"][0]["bid"][1] = model["securities"][0]["bid"][1][:2]
 
 
+# recipe: (model edit, payoff edit, what the error line names)
 MALFORMED = {
-    "security without bid": (lambda m: m["securities"][0].pop("bid"), None),
-    "horizon not a number": (lambda m: m.update(horizon="two"), None),
-    "probability not a fraction": (lambda m: m["probabilities"].__setitem__(1, "x/3"), None),
-    "asian call without strike": (None, lambda p: p.pop("strike")),
-    "security not an object": (lambda m: m["securities"].__setitem__(0, 1), None),
-    "ragged bid rows": (_ragged_bid, None),
+    "security without bid": (lambda m: m["securities"][0].pop("bid"), None, "model file"),
+    "horizon not a number": (lambda m: m.update(horizon="two"), None, "model file"),
+    "probability not a fraction": (
+        lambda m: m["probabilities"].__setitem__(1, "x/3"), None, "model file"
+    ),
+    "asian call without strike": (None, lambda p: p.pop("strike"), "payoff file"),
+    "security not an object": (
+        lambda m: m["securities"].__setitem__(0, 1), None, "model file"
+    ),
+    "ragged bid rows": (_ragged_bid, None, "model file"),
+    # rates the fixture's two dates cannot take
+    **{
+        f"rates {rates}": (lambda m, rates=rates: m.update(rates=rates), None, "rate")
+        for rates in ([0.01], [0.01, 0.02, 0.03], [[0.01, 0.0]], [])
+    },
 }
 
 
-@pytest.mark.parametrize("model_edit, payoff_edit", MALFORMED.values(), ids=list(MALFORMED))
+@pytest.mark.parametrize("model_edit, payoff_edit, named", MALFORMED.values(),
+                         ids=list(MALFORMED))
 def test_malformed_file_exits_2_with_one_line(
-    capsys, tmp_path, base_model_dict, model_edit, payoff_edit
+    capsys, tmp_path, base_model_dict, model_edit, payoff_edit, named
 ):
     with open(PAYOFF) as fh:
         payoff = json.load(fh)
@@ -435,6 +465,22 @@ def test_malformed_file_exits_2_with_one_line(
     assert code == EXIT_VALIDATION
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert named in err
+
+
+def test_missing_model_file_exits_2_on_every_command(capsys, tmp_path):
+    missing = str(tmp_path / "missing.json")
+    for argv in (["validate", missing],
+                 ["price", missing, PAYOFF, "--gamma", "8"],
+                 ["bounds", missing, PAYOFF],
+                 ["ngd", missing, "--gamma", "8"],
+                 ["arbitrage", missing],
+                 ["dglr", missing, PAYOFF],
+                 ["forward", missing, PAYOFF, "--gamma", "8"],
+                 ["surface", missing, PAYOFF, "--gammas", "8", "--lambdas", "0"]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (EXIT_VALIDATION, ""), argv
+        assert err == f"error: no such file: {missing}\n", argv
 
 
 class TestPayoffLoader:

@@ -1127,6 +1127,33 @@ class TestLeastLoss:
         cell, = liquidity_surface(build_model, lambda m: payoff, [0.5], [0.0], 3)
         assert cell.status == STATUS_OK
 
+    @pytest.mark.xfail(
+        raises=AssertionError, strict=True,
+        reason="inside _beats' tie band the check holds while the band LPs "
+        "read infeasible: good_deal_prices reports ngd-violated and the "
+        "surface an infeasible cell with NaN quotes (ROADMAP item 8)",
+    )
+    def test_tie_band_programs_agree(self):
+        # the benchmark's surface markets at a level a relative ``below``
+        # under the ceiling 1/L, which _beats reads as the ceiling itself
+        for market, lam, below in ((0, 0.02, 1e-9), (0, 0.005, 3e-10), (1, 0.01, 1e-10)):
+            u, d, r, p_up, strike = PIVOT_BUDGET_MARKETS[market]
+
+            def build_model(lam):
+                return binary_tree_market(u, d, r, p_up, lam, horizon=3)
+
+            model = build_model(lam)
+            loss = float(np.min(pricing._least_loss(model, generators_for(model, 0))))
+            gamma = (1.0 - below) / loss
+            holds = ngd_check(model, 0, gamma).holds
+            quote = good_deal_prices(model, call_payoff(model, strike), 0, gamma)
+            cell, = liquidity_surface(
+                build_model, lambda m: call_payoff(m, strike), [gamma], [lam]
+            )
+            case = (market, lam, below, holds, quote.status(), cell.status)
+            assert cell.status != STATUS_INFEASIBLE, case
+            assert (quote.status() == STATUS_OK) == holds == (cell.status == STATUS_OK), case
+
 
 class TestPrimalOracle:
     def test_zero_contract(self):
