@@ -3,10 +3,8 @@ proportional transaction costs and dividend-paying securities."""
 
 from .errors import ComputationError, PricerError, ValidationError
 from .lattice import (
-    AdaptedProcess,
     EventTree,
     NodeRef,
-    conditional_expectation,
     derive_filtration,
     ensure_adapted,
     tail_sum,
@@ -20,9 +18,7 @@ from .market import (
     asian_call,
     cds_dividends,
     discount_factors,
-    is_self_financing,
     make_self_financing,
-    wealth_process,
 )
 from .cone import (
     ArbitrageWitness,
@@ -31,11 +27,7 @@ from .cone import (
     generators_for,
     hedge_strategy,
 )
-from .acceptability import (
-    DensityBand,
-    dglr_eval,
-    rho_gamma,
-)
+from .acceptability import DensityBand, dglr_eval
 from .pricing import (
     NgdResult,
     PriceQuote,

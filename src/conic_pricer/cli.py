@@ -34,6 +34,7 @@ from .market import (
     MarketModel,
     Security,
     _rate_matrix,
+    apply_transaction_costs,
     asian_call,
     cds_dividends,
 )
@@ -106,9 +107,7 @@ def model_from_dict(data: dict, *, lam_override: Optional[float] = None) -> Mark
         bid = np.asarray(entry["bid"], dtype=float)
         lam = lam_override if lam_override is not None else entry.get("lambda")
         if lam is not None:
-            ask = bid * (1.0 + float(lam))
-            if float(lam) < 0:
-                raise ValidationError("transaction cost coefficient must be >= 0")
+            ask = apply_transaction_costs(bid, float(lam), name=name).ask
         elif "ask" in entry:
             ask = np.asarray(entry["ask"], dtype=float)
         else:

@@ -145,9 +145,6 @@ class EventTree:
     def node_paths(self, node: NodeRef) -> Cell:
         return self.partitions[node.time][node.cell]
 
-    def node_of(self, t: int, path_index: int) -> NodeRef:
-        return NodeRef(t, int(self._cell_of[t][path_index]))
-
     def cell_index(self, t: int) -> np.ndarray:
         """Cell index per path at date t."""
         return self._cell_of[t]
@@ -177,14 +174,6 @@ class EventTree:
             if over.size:
                 return t, self.partitions[t][over[0]]
         return None
-
-    def children(self, node: NodeRef) -> list[NodeRef]:
-        if node.time >= self.horizon:
-            return []
-        kids = sorted(
-            {int(self._cell_of[node.time + 1][i]) for i in self.node_paths(node)}
-        )
-        return [NodeRef(node.time + 1, k) for k in kids]
 
     def nodes(self, t: int) -> list[NodeRef]:
         return [NodeRef(t, k) for k in range(len(self.partitions[t]))]
@@ -224,46 +213,9 @@ def ensure_adapted(
     return arr
 
 
-@dataclass(frozen=True)
-class AdaptedProcess:
-    """A validated adapted process; ``values[i, t]`` is the value on path i at t."""
-
-    values: np.ndarray
-
-    @classmethod
-    def ingest(cls, tree: EventTree, values) -> "AdaptedProcess":
-        return cls(ensure_adapted(tree, values))
-
-
 def as_values(process) -> np.ndarray:
-    """Accept an AdaptedProcess/CashFlow or a raw matrix."""
+    """Accept a CashFlow or a raw matrix."""
     return np.asarray(getattr(process, "values", process), dtype=float)
-
-
-def conditional_expectation(
-    tree: EventTree, x, t: int, weights=None
-) -> np.ndarray:
-    """Per-cell weighted average of ``x``, repeated across each date-t cell.
-
-    With ``weights`` omitted the tree probabilities are used, which gives the
-    ordinary conditional expectation given the date-t information.
-    """
-    xv = np.asarray(x, dtype=float)
-    w = tree.probabilities if weights is None else np.asarray(weights, dtype=float)
-    if xv.shape != (tree.n_paths,) or w.shape != (tree.n_paths,):
-        raise ValidationError("conditional_expectation expects per-path vectors")
-    if np.any(w < 0):
-        raise ValidationError("weights must be nonnegative")
-    out = np.empty(tree.n_paths)
-    for cell in tree.partitions[t]:
-        idx = list(cell)
-        tw = float(w[idx].sum())
-        if tw <= 0.0:
-            raise ValidationError(
-                f"conditioning on null event: zero total weight on cell {cell} at t={t}"
-            )
-        out[idx] = float(np.dot(w[idx], xv[idx])) / tw
-    return out
 
 
 def tail_sum(cash_flow, start: int) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Market data model and trading-strategy accounting.
+"""Market data model, self-financing strategies and contract builders.
 
 A market consists of a savings account driven by a nonnegative adapted rate
 process and a list of securities, each quoted with separate bid and ask
@@ -8,14 +8,11 @@ standing consistency requirement is ``ask >= bid`` for prices and
 buys at the ask, is credited the ask dividend stream and liquidates at the
 bid, and symmetrically for shorts.
 
-Wealth bookkeeping:
-
-* ``wealth_process`` values a predictable strategy date by date - the setup
-  cost at date 0 (purchases at ask, sales at bid), then the pre-rebalance
-  liquidation value plus the dividend credit at every later date.
-* ``is_self_financing`` checks the rebalance identity at every intermediate
-  date: the bank-account change plus the signed cost of the position change
-  must equal the dividends received.
+A predictable strategy holds security legs and a savings-account slot;
+``make_self_financing`` completes security legs with the savings position
+that absorbs every purchase, sale and dividend, so the strategy is
+self-financing by construction.  Every witness's hedge is built this way
+(:func:`conic_pricer.cone.hedge_strategy`).
 """
 
 from __future__ import annotations
@@ -33,11 +30,8 @@ __all__ = [
     "MarketModel",
     "CashFlow",
     "TradingStrategy",
-    "SelfFinancingCheck",
     "discount_factors",
     "apply_transaction_costs",
-    "wealth_process",
-    "is_self_financing",
     "make_self_financing",
     "asian_call",
     "cds_dividends",
@@ -203,90 +197,19 @@ class TradingStrategy:
                     )
         return self
 
-    @classmethod
-    def zero(cls, tree: EventTree, n_securities: int) -> "TradingStrategy":
-        return cls(np.zeros((tree.horizon + 1, n_securities + 1, tree.n_paths)))
-
 
 def _split(values: np.ndarray, pos_price: np.ndarray, neg_price: np.ndarray):
     """values >= 0 priced with pos_price, values < 0 with neg_price."""
     return np.where(values >= 0, values * pos_price, values * neg_price)
 
 
-def wealth_process(model: MarketModel, phi: TradingStrategy) -> np.ndarray:
-    """Date-by-date wealth of a predictable strategy (undiscounted)."""
-    tree = model.tree
-    phi.validate(tree)
-    h = phi.holdings
-    n, T = tree.n_paths, tree.horizon
-    B, _ = model.discounts()
-    V = np.zeros((n, T + 1))
-    setup = h[1][0].copy()
-    for j, sec in enumerate(model.securities):
-        setup += _split(h[1][1 + j], sec.ask[:, 0], sec.bid[:, 0])
-    V[:, 0] = setup
-    for t in range(1, T + 1):
-        v = h[t][0] * B[:, t]
-        for j, sec in enumerate(model.securities):
-            d_ask = sec.div_ask[:, t] - sec.div_ask[:, t - 1]
-            d_bid = sec.div_bid[:, t] - sec.div_bid[:, t - 1]
-            v += _split(h[t][1 + j], sec.bid[:, t] + d_ask, sec.ask[:, t] + d_bid)
-        V[:, t] = v
-    return V
-
-
-@dataclass(frozen=True)
-class SelfFinancingCheck:
-    ok: bool
-    time: Optional[int] = None
-    path: Optional[int] = None
-    residual: float = 0.0
-
-    def __bool__(self):
-        return self.ok
-
-
-def is_self_financing(
-    model: MarketModel, phi: TradingStrategy, *, tol: float = 1e-9
-) -> SelfFinancingCheck:
-    """Check the rebalance identity at every date 1..horizon-1.
-
-    The first violating (date, path) and its residual are reported.
-    """
-    tree = model.tree
-    phi.validate(tree)
-    h = phi.holdings
-    B, _ = model.discounts()
-    for t in range(1, tree.horizon):
-        lhs = B[:, t] * (h[t + 1][0] - h[t][0])
-        rhs = np.zeros(tree.n_paths)
-        for j, sec in enumerate(model.securities):
-            d = h[t + 1][1 + j] - h[t][1 + j]
-            lhs += _split(d, sec.ask[:, t], sec.bid[:, t])
-            d_ask = sec.div_ask[:, t] - sec.div_ask[:, t - 1]
-            d_bid = sec.div_bid[:, t] - sec.div_bid[:, t - 1]
-            rhs += _split(h[t][1 + j], d_ask, d_bid)
-        resid = lhs - rhs
-        bad = np.abs(resid) > tol
-        if np.any(bad):
-            i = int(np.argmax(np.abs(resid)))
-            return SelfFinancingCheck(False, time=t, path=i, residual=float(resid[i]))
-    return SelfFinancingCheck(True)
-
-
-def make_self_financing(
-    model: MarketModel,
-    legs: np.ndarray,
-    *,
-    bank0: Optional[float] = None,
-) -> TradingStrategy:
+def make_self_financing(model: MarketModel, legs: np.ndarray) -> TradingStrategy:
     """Complete predictable security legs to a self-financing strategy.
 
     ``legs`` has shape (horizon+1, n_securities, n_paths) with ``legs[0] = 0``.
     The savings-account slot absorbs every purchase, sale and dividend, making
-    the rebalance identity exact at every date by construction.  ``bank0``
-    sets the initial savings position; by default it is chosen so that the
-    date-0 setup cost is zero.
+    the rebalance identity exact at every date by construction.  The initial
+    savings position makes the date-0 setup cost zero.
     """
     tree = model.tree
     n, T, S = tree.n_paths, tree.horizon, model.n_securities
@@ -299,7 +222,7 @@ def make_self_financing(
     cost0 = np.zeros(n)
     for j, sec in enumerate(model.securities):
         cost0 += _split(legs[1, j], sec.ask[:, 0], sec.bid[:, 0])
-    h[1, 0] = (-cost0) if bank0 is None else bank0
+    h[1, 0] = -cost0
     for t in range(1, T):
         receipts = np.zeros(n)
         rebal = np.zeros(n)

@@ -454,8 +454,11 @@ def liquidity_surface(
     node's least loss per unit of gain L (see :func:`_least_loss`).  A level
     gamma is violated exactly when gamma L < 1 - ``lp.TOL`` at some node, the
     tie rule of :func:`ngd_check`, so a level within ``lp.TOL`` of a node's
-    best gain-loss ratio 1/L reads as 1/L and is priced.  No level runs the
-    check itself, and violated cells carry no witness.
+    best gain-loss ratio 1/L reads as 1/L and is priced.  The requested node
+    v is priced at the level the rule reads: gamma when gamma L_v >= 1, and
+    inside the tie band its ceiling 1/L_v, whose band cone reaches the slice
+    where the band at gamma may not.  No level runs the check itself, and
+    violated cells carry no witness.
 
     The threshold covers every date-t node, but only the requested node is
     quoted: the per-node programs are independent.  Its cone is built once
@@ -489,13 +492,15 @@ def liquidity_surface(
         x = _discounted_tail(model, payoff, t)
         paths = list(model.tree.node_paths(at))
         cone = _node_cone(rows, node, paths)
-        loss = float(np.min(_least_loss(model, rows)))
+        losses = _least_loss(model, rows)
+        loss, own = float(np.min(losses)), float(losses[node])
         warm = None
         row = [None] * len(gammas)
         for i in ascending:
             gamma = gammas[i]
             if not _beats(gamma, loss):
-                e, warm = _node_quote(model, x, _with_band(cone, len(paths), gamma), at, warm)
+                level = gamma if gamma * own >= 1.0 else 1.0 / own
+                e, warm = _node_quote(model, x, _with_band(cone, len(paths), level), at, warm)
             else:
                 e = PriceEntry(at, np.inf, -np.inf, STATUS_NGD)
             spread = e.ask - e.bid if e.status == STATUS_OK else np.nan

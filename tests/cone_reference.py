@@ -9,6 +9,8 @@ horizon 4, 919,658 at horizon 5), so the engine uses the Snell-envelope rows
 of ``conic_pricer.cone.generators_for`` instead; these tests hold those rows
 to this family.  Values are computed one generator and one path at a time,
 summing the entry leg, the exit leg and the dividend legs in date order.
+The tree navigation this needs and the engine does not (a path's node, a
+node's children) is written here on ``EventTree.cell_index``.
 """
 
 from dataclasses import dataclass
@@ -46,13 +48,27 @@ class ConeGenerator:
         return self.profile.root
 
 
+def node_of(tree, t, path_index):
+    """The date-t node holding path ``path_index``."""
+    return NodeRef(t, int(tree.cell_index(t)[path_index]))
+
+
+def children(tree, node):
+    """The date-(t+1) nodes inside ``node``, in cell order; none at the
+    horizon."""
+    if node.time >= tree.horizon:
+        return []
+    kids = np.unique(tree.cell_index(node.time + 1)[list(tree.node_paths(node))])
+    return [NodeRef(node.time + 1, int(k)) for k in kids]
+
+
 def _covers(tree, node):
     """Antichain exact covers of ``node``'s paths by nodes at dates >= node.time;
     the node itself first, deeper covers in child order."""
     options = [(node,)]
     if node.time < tree.horizon:
         combos = [()]
-        for opts in (_covers(tree, kid) for kid in tree.children(node)):
+        for opts in (_covers(tree, kid) for kid in children(tree, node)):
             combos = [done + extra for done in combos for extra in opts]
         options.extend(combos)
     return options
@@ -63,7 +79,7 @@ def stopping_profiles(tree, root):
     if root.time > tree.horizon - 1:
         raise ValidationError(f"round trips must start no later than t={tree.horizon - 1}")
     combos = [()]
-    for opts in (_covers(tree, kid) for kid in tree.children(root)):
+    for opts in (_covers(tree, kid) for kid in children(tree, root)):
         combos = [done + extra for done in combos for extra in opts]
     return [StoppingProfile(root, sells) for sells in combos]
 
@@ -145,7 +161,7 @@ def node_rows_of(model, rows, gen):
             w[r] = 1.0
         elif (
             rows.carry[r]
-            and tree.node_of(gen.root.time, i) == gen.root
+            and node_of(tree, gen.root.time, i) == gen.root
             and gen.root.time < node.time < sell_date[i]
         ):
             w[r] = 1.0
@@ -172,7 +188,7 @@ def best_single_ratio(model, t):
 
 
 def _owner(tree, t, g):
-    return tree.node_of(t, tree.node_paths(g.root)[0])
+    return node_of(tree, t, tree.node_paths(g.root)[0])
 
 
 def enumerated_arbitrage(model, t):

@@ -9,6 +9,7 @@ from conic_pricer.lattice import EventTree
 from conic_pricer.market import (
     MarketModel,
     Security,
+    TradingStrategy,
     apply_transaction_costs,
     make_self_financing,
 )
@@ -174,10 +175,20 @@ def random_legs(rng, tree, n_securities=1, scale=2.0):
     return legs
 
 
-def random_self_financing(rng, model, bank0=None):
-    legs = random_legs(rng, model.tree, model.n_securities)
-    b0 = float(rng.normal(0.0, 5.0)) if bank0 is None else bank0
-    return make_self_financing(model, legs, bank0=b0)
+def random_self_financing(rng, model):
+    """A self-financing strategy over random legs, its bank position shifted
+    by a random amount at every date: cash held throughout still finances
+    itself."""
+    phi = make_self_financing(model, random_legs(rng, model.tree, model.n_securities))
+    phi.holdings[1:, 0] += rng.normal(0.0, 5.0)
+    return phi
+
+
+def zero_strategy(model):
+    """The strategy that holds nothing."""
+    return TradingStrategy(
+        np.zeros((model.tree.horizon + 1, model.n_securities + 1, model.tree.n_paths))
+    )
 
 
 def lp_vertex_oracle(c, a_ub, b_ub, upper, sense="max"):

@@ -1,15 +1,30 @@
 """Independent reference computations that the tests hold the engine to.
 
-None of these are on the engine's path; each recomputes a quantity the
-package computes another way:
+None of these are on the engine's path.  Each recomputes a quantity that the
+package, or another reference here, computes another way:
 
-* band extremes by vertex enumeration and by the Charnes-Cooper LP, against
-  the threshold scan of ``band_ratio_extreme`` / ``rho_gamma``;
+* conditional expectation given the date-t information, as the per-cell
+  weighted average in ``conditional_expectation``, against which the gain
+  and loss legs of ``dglr_eval`` are checked;
+* the band risk measure ``rho_gamma``: minus the worst band-weighted
+  conditional expectation per node, whose level sets recover the gain-loss
+  ratio (rho_gamma <= 0 exactly when the ratio is at least gamma).  Per-node
+  band optimization is linear-fractional.  Along any coordinate of the band
+  weight L the ratio is monotone, so an optimal L loads gamma on a
+  value-threshold set of the flow, and the sorted threshold scan of
+  ``band_ratio_extreme`` finds the exact optimum.  The same extremes come by
+  vertex enumeration and by the Charnes-Cooper LP;
 * the acceptability index by bisecting rho in the level, against the closed
   form of ``dglr_eval``;
 * the ratio/threshold-density correspondence, per node;
 * hedged-acceptability prices from the primal side (least cash plus conic
   hedge that is acceptable), against the dual density-polytope quotes;
+* a strategy's wealth date by date in ``wealth_process`` (the setup cost at
+  date 0, purchases at ask and sales at bid, then the pre-rebalance
+  liquidation value plus the dividend credit at every later date), and the
+  rebalance identity at every intermediate date in ``is_self_financing`` (the
+  bank-account change plus the signed cost of the position change equals the
+  dividends received), which ``make_self_financing`` meets by construction;
 * discounted wealth by the explicit self-financing sum (setup cost,
   liquidation value, cumulative purchases/sales, discounted dividends),
   against the date-by-date recursion of ``wealth_process``: the two agree
@@ -24,21 +39,16 @@ package computes another way:
 """
 
 from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
 from conic_pricer import lp, pricing
-from conic_pricer.acceptability import DensityBand, band_ratio_extreme, dglr_eval
+from conic_pricer.acceptability import DensityBand, dglr_eval
 from conic_pricer.cone import arbitrage_check, generators_for
 from conic_pricer.errors import ComputationError, ValidationError
 from conic_pricer.lattice import as_values, tail_sum
-from conic_pricer.market import (
-    MarketModel,
-    TradingStrategy,
-    _split,
-    is_self_financing,
-    wealth_process,
-)
+from conic_pricer.market import MarketModel, TradingStrategy, _split
 
 from cone_reference import reference_generator_matrix
 from lp_reference import solve_ratio
@@ -48,6 +58,71 @@ INDEX_GAMMA_LOW = 1e-12
 INDEX_GAMMA_HIGH = 1e9
 INDEX_TOL = 1e-6
 CORRESPONDENCE_TOL = 1e-9
+
+
+# ---------------------------------------------------------------------------
+# conditional expectation
+
+
+def conditional_expectation(tree, x, t: int, weights=None) -> np.ndarray:
+    """Per-cell weighted average of ``x``, repeated across each date-t cell.
+
+    With ``weights`` omitted the tree probabilities are used, which gives the
+    ordinary conditional expectation given the date-t information.
+    """
+    xv = np.asarray(x, dtype=float)
+    w = tree.probabilities if weights is None else np.asarray(weights, dtype=float)
+    if xv.shape != (tree.n_paths,) or w.shape != (tree.n_paths,):
+        raise ValidationError("conditional_expectation expects per-path vectors")
+    if np.any(w < 0):
+        raise ValidationError("weights must be nonnegative")
+    out = np.empty(tree.n_paths)
+    for cell in tree.partitions[t]:
+        idx = list(cell)
+        tw = float(w[idx].sum())
+        if tw <= 0.0:
+            raise ValidationError(
+                f"conditioning on null event: zero total weight on cell {cell} at t={t}"
+            )
+        out[idx] = float(np.dot(w[idx], xv[idx])) / tw
+    return out
+
+
+# ---------------------------------------------------------------------------
+# band risk measure
+
+
+def band_ratio_extreme(x, weights, gamma: float, *, minimize: bool = True) -> float:
+    """Worst (or best) band-weighted average of ``x`` on one node: the extreme
+    of sum(w*(1+L)*x)/sum(w*(1+L)) over 0 <= L <= gamma.
+
+    Optimal L loads gamma on a value-threshold set of x, so scanning prefixes
+    of the sorted order visits an optimal vertex.
+    """
+    DensityBand(gamma)
+    x = np.asarray(x, dtype=float)
+    w = np.asarray(weights, dtype=float)
+    order = np.argsort(x) if minimize else np.argsort(-x)
+    xs, ws = x[order], w[order]
+    base_num, base_den = float(w @ x), float(w.sum())
+    nums = base_num + gamma * np.concatenate([[0.0], np.cumsum(ws * xs)])
+    dens = base_den + gamma * np.concatenate([[0.0], np.cumsum(ws)])
+    vals = nums / dens
+    return float(np.min(vals) if minimize else np.max(vals))
+
+
+def rho_gamma(tree, cash_flow, t: int, gamma: float, *, start: Optional[int] = None) -> np.ndarray:
+    """Risk of the cumulative flow from ``start`` (default: t) onward.
+
+    Per node this is minus the minimum band-weighted conditional expectation.
+    """
+    x = tail_sum(as_values(cash_flow), t if start is None else start)
+    p = tree.probabilities
+    out = np.empty(tree.n_paths)
+    for cell in tree.partitions[t]:
+        idx = list(cell)
+        out[idx] = -band_ratio_extreme(x[idx], p[idx], gamma)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -312,6 +387,67 @@ def check_first_good_deal_prices(model, cash_flow, t, gamma):
 
 # ---------------------------------------------------------------------------
 # accounting
+
+
+def wealth_process(model: MarketModel, phi: TradingStrategy) -> np.ndarray:
+    """Date-by-date wealth of a predictable strategy (undiscounted)."""
+    tree = model.tree
+    phi.validate(tree)
+    h = phi.holdings
+    n, T = tree.n_paths, tree.horizon
+    B, _ = model.discounts()
+    V = np.zeros((n, T + 1))
+    setup = h[1][0].copy()
+    for j, sec in enumerate(model.securities):
+        setup += _split(h[1][1 + j], sec.ask[:, 0], sec.bid[:, 0])
+    V[:, 0] = setup
+    for t in range(1, T + 1):
+        v = h[t][0] * B[:, t]
+        for j, sec in enumerate(model.securities):
+            d_ask = sec.div_ask[:, t] - sec.div_ask[:, t - 1]
+            d_bid = sec.div_bid[:, t] - sec.div_bid[:, t - 1]
+            v += _split(h[t][1 + j], sec.bid[:, t] + d_ask, sec.ask[:, t] + d_bid)
+        V[:, t] = v
+    return V
+
+
+@dataclass(frozen=True)
+class SelfFinancingCheck:
+    ok: bool
+    time: Optional[int] = None
+    path: Optional[int] = None
+    residual: float = 0.0
+
+    def __bool__(self):
+        return self.ok
+
+
+def is_self_financing(
+    model: MarketModel, phi: TradingStrategy, *, tol: float = 1e-9
+) -> SelfFinancingCheck:
+    """Check the rebalance identity at every date 1..horizon-1.
+
+    The first violating (date, path) and its residual are reported.
+    """
+    tree = model.tree
+    phi.validate(tree)
+    h = phi.holdings
+    B, _ = model.discounts()
+    for t in range(1, tree.horizon):
+        lhs = B[:, t] * (h[t + 1][0] - h[t][0])
+        rhs = np.zeros(tree.n_paths)
+        for j, sec in enumerate(model.securities):
+            d = h[t + 1][1 + j] - h[t][1 + j]
+            lhs += _split(d, sec.ask[:, t], sec.bid[:, t])
+            d_ask = sec.div_ask[:, t] - sec.div_ask[:, t - 1]
+            d_bid = sec.div_bid[:, t] - sec.div_bid[:, t - 1]
+            rhs += _split(h[t][1 + j], d_ask, d_bid)
+        resid = lhs - rhs
+        bad = np.abs(resid) > tol
+        if np.any(bad):
+            i = int(np.argmax(np.abs(resid)))
+            return SelfFinancingCheck(False, time=t, path=i, residual=float(resid[i]))
+    return SelfFinancingCheck(True)
 
 
 def wealth_closed_form(

@@ -3,12 +3,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conic_pricer.acceptability import DensityBand, band_ratio_extreme, dglr_eval, rho_gamma
+from conic_pricer.acceptability import DensityBand, dglr_eval
 from conic_pricer.errors import ValidationError
-from conic_pricer.lattice import EventTree
+from conic_pricer.lattice import EventTree, tail_sum
 
 from conftest import random_cashflow, random_tree, two_period_tree
-from oracles import band_extreme_vertices, correspondence_check, index_level, rho_reference
+from oracles import (
+    band_extreme_vertices,
+    band_ratio_extreme,
+    conditional_expectation,
+    correspondence_check,
+    index_level,
+    rho_gamma,
+    rho_reference,
+)
 
 
 def two_state(probs=(0.5, 0.5)):
@@ -27,15 +35,8 @@ class TestDensityBand:
             DensityBand(0.0)
         with pytest.raises(ValidationError):
             DensityBand(-1.0)
-        assert DensityBand(0.5).m_min == pytest.approx(1 / 1.5)
-
-    def test_membership(self):
-        band = DensityBand(1.0)
-        p = np.array([0.5, 0.5])
-        assert band.contains([1.0, 1.0], p)
-        assert band.contains([2 / 3, 4 / 3], p)
-        assert not band.contains([0.4, 1.6], p)  # ratio 4 > 1 + gamma
-        assert not band.contains([1.0, 2.0], p)  # not normalized
+        with pytest.raises(ValidationError):
+            DensityBand(np.inf)
 
 
 class TestDglrEval:
@@ -71,6 +72,24 @@ class TestDglrEval:
         dn = (0.25 * 1 - 0.275 * 1) / (0.275 * 1)
         assert out[0] == pytest.approx(up)
         assert out[3] == pytest.approx(max(dn, 0.0))
+
+    def test_legs_are_conditional_means(self, rng):
+        # where the remaining flow has positive mean and a loss leg, the
+        # ratio is E[X | F_t] / E[X^- | F_t] on every node
+        seen = 0
+        for _ in range(20):
+            tree = random_tree(rng, 9, 3)
+            d = random_cashflow(rng, tree)
+            t = int(rng.integers(0, tree.horizon + 1))
+            x = tail_sum(d, t)
+            gain = conditional_expectation(tree, x, t)
+            loss = conditional_expectation(tree, np.maximum(-x, 0.0), t)
+            out = dglr_eval(tree, d, t)
+            live = (gain > 0.0) & (loss > 0.0)
+            assert np.allclose(out[live], gain[live] / loss[live], rtol=1e-12, atol=0.0)
+            assert np.all(out[(gain <= 0.0) & (loss > 0.0)] == 0.0)
+            seen += int(live.sum())
+        assert seen > 0
 
 
 class TestRhoGamma:

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from conic_pricer import lp
-from conic_pricer.acceptability import dglr_eval, rho_gamma
+from conic_pricer.acceptability import dglr_eval
 from conic_pricer.cli import main
 from conic_pricer.cone import arbitrage_check
 from conic_pricer.fixtures import fixture_path
@@ -24,8 +24,6 @@ from conic_pricer.market import (
     TradingStrategy,
     apply_transaction_costs,
     asian_call,
-    is_self_financing,
-    wealth_process,
 )
 from conic_pricer.pricing import (
     STATUS_OK,
@@ -50,8 +48,11 @@ from oracles import (
     band_extreme_vertices,
     correspondence_check,
     index_level,
+    is_self_financing,
     primal_price_oracle,
+    rho_gamma,
     wealth_closed_form,
+    wealth_process,
 )
 
 MODEL_FILE = fixture_path("two_period_stock.json")

@@ -441,6 +441,9 @@ MALFORMED = {
         lambda m: m["securities"].__setitem__(0, 1), None, "model file"
     ),
     "ragged bid rows": (_ragged_bid, None, "model file"),
+    "negative lambda": (
+        lambda m: m["securities"][0].update({"lambda": -0.01}), None, "transaction cost"
+    ),
     # rates the fixture's two dates cannot take
     **{
         f"rates {rates}": (lambda m, rates=rates: m.update(rates=rates), None, "rate")

@@ -14,6 +14,7 @@ from conic_pricer.market import (
 )
 
 from cone_reference import (
+    children,
     enumerated_arbitrage,
     generator_strategy,
     node_rows_of,
@@ -267,7 +268,7 @@ class TestArbitrageCheck:
         for seed in range(40):
             rng = np.random.default_rng(seed)
             tree = random_tree(rng, int(rng.integers(3, 7)), 3)
-            if all(len(tree.children(v)) > 1 for s in range(3) for v in tree.nodes(s)):
+            if all(len(children(tree, v)) > 1 for s in range(3) for v in tree.nodes(s)):
                 continue
             model = arbitrage_free_market(
                 rng, tree, dividends=bool(seed % 2), rates=bool(seed % 3), lam=0.0

@@ -1,0 +1,71 @@
+"""The package ships the engine and nothing else.
+
+Every top-level function and class of ``src/conic_pricer``, and every public
+method of a top-level class, must be referenced by name somewhere in the
+package outside its own definition.  ``__init__.py`` does not count: an
+export alone is not a use.  Reference code that only the tests call belongs
+in ``tests/`` (``oracles.py``, ``cone_reference.py``, ``lp_reference.py``).
+"""
+
+import ast
+import pathlib
+from collections import Counter
+
+import conic_pricer
+
+PACKAGE = pathlib.Path(conic_pricer.__file__).parent
+
+# definitions that are used without being named in the package, and why
+ALLOWED = {
+    "cli.model_to_dict": "the inverse of the model loader, for writing model files",
+    "cli._Parser.error": "argparse calls it on a usage error",
+}
+
+
+def _definitions(module):
+    for node in module.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    yield f"{node.name}.{item.name}", item
+
+
+def _names(node):
+    """How often each name and attribute name is referenced under ``node``."""
+    return Counter(
+        sub.id if isinstance(sub, ast.Name) else sub.attr
+        for sub in ast.walk(node)
+        if isinstance(sub, (ast.Name, ast.Attribute))
+    )
+
+
+def unreferenced():
+    """Qualified names of the definitions that nothing outside themselves
+    references."""
+    modules = {
+        path.stem: ast.parse(path.read_text())
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "__init__.py"
+    }
+    everywhere = sum((_names(module) for module in modules.values()), Counter())
+    out = []
+    for stem, module in modules.items():
+        for qual, node in _definitions(module):
+            name = qual.rsplit(".", 1)[-1]
+            if everywhere[name] == _names(node)[name]:
+                out.append(f"{stem}.{qual}")
+    return out
+
+
+def test_every_definition_is_used_by_the_engine():
+    unused = [name for name in unreferenced() if name not in ALLOWED]
+    assert unused == [], (
+        f"referenced nowhere else in the package: {unused}; "
+        "move reference code to tests/ or delete it"
+    )
+
+
+def test_every_allowance_is_still_needed():
+    assert set(ALLOWED) <= set(unreferenced())

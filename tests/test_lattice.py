@@ -5,17 +5,17 @@ from hypothesis import strategies as st
 
 from conic_pricer.errors import ValidationError
 from conic_pricer.lattice import (
-    AdaptedProcess,
     EventTree,
     NodeRef,
-    conditional_expectation,
+    as_values,
     derive_filtration,
     ensure_adapted,
     tail_sum,
 )
 
+from cone_reference import children, node_of
 from conftest import TABLE_BIDS, TABLE_PROBS, random_tree, two_period_tree
-from oracles import history_filtration, scanned_unmeasurable_cell
+from oracles import conditional_expectation, history_filtration, scanned_unmeasurable_cell
 
 
 class TestDeriveFiltration:
@@ -105,9 +105,10 @@ class TestEventTree:
     def test_children_and_node_of(self):
         tree = two_period_tree()
         root = NodeRef(0, 0)
-        kids = tree.children(root)
+        kids = children(tree, root)
         assert kids == [NodeRef(1, 0), NodeRef(1, 1)]
-        assert tree.node_of(1, 4) == NodeRef(1, 1)
+        assert children(tree, NodeRef(2, 3)) == []
+        assert node_of(tree, 1, 4) == NodeRef(1, 1)
         assert tree.node_paths(NodeRef(1, 1)) == (3, 4)
 
 
@@ -138,8 +139,9 @@ class TestAdaptedness:
 
     def test_ingest_wrapper(self):
         tree = two_period_tree()
-        proc = AdaptedProcess.ingest(tree, TABLE_BIDS)
-        assert np.array_equal(proc.values, TABLE_BIDS)
+        out = ensure_adapted(tree, TABLE_BIDS)
+        assert np.array_equal(out, TABLE_BIDS)
+        assert np.array_equal(as_values(out), TABLE_BIDS)
 
 
 class TestConditionalExpectation:
@@ -202,7 +204,7 @@ def test_refinement_property(rng):
     tree = random_tree(rng, 8, 3)
     for t in range(tree.horizon):
         for cell in tree.partitions[t + 1]:
-            parents = {tree.node_of(t, i) for i in cell}
+            parents = {node_of(tree, t, i) for i in cell}
             assert len(parents) == 1
 
 

@@ -14,9 +14,7 @@ from conic_pricer.market import (
     asian_call,
     cds_dividends,
     discount_factors,
-    is_self_financing,
     make_self_financing,
-    wealth_process,
 )
 
 from conftest import (
@@ -26,8 +24,9 @@ from conftest import (
     random_tree,
     two_period_model,
     two_period_tree,
+    zero_strategy,
 )
-from oracles import _closed_form_sum, wealth_closed_form
+from oracles import _closed_form_sum, is_self_financing, wealth_closed_form, wealth_process
 
 
 def buy_then_liquidate(model):
@@ -135,7 +134,7 @@ class TestWealth:
 
     def test_zero_strategy(self):
         model = two_period_model()
-        phi = TradingStrategy.zero(model.tree, 1)
+        phi = zero_strategy(model)
         assert np.all(wealth_process(model, phi) == 0.0)
 
     def test_short_sale_with_costs(self):
@@ -172,7 +171,7 @@ class TestSelfFinancing:
 
     def test_zero_strategy_is_self_financing(self):
         model = two_period_model()
-        assert is_self_financing(model, TradingStrategy.zero(model.tree, 1)).ok
+        assert is_self_financing(model, zero_strategy(model)).ok
 
 
 class TestClosedForm:
@@ -185,7 +184,7 @@ class TestClosedForm:
 
     def test_zero_strategy(self):
         model = two_period_model()
-        V = wealth_closed_form(model, TradingStrategy.zero(model.tree, 1))
+        V = wealth_closed_form(model, zero_strategy(model))
         assert np.all(V == 0.0)
 
     def test_refuses_non_self_financing(self):

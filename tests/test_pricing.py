@@ -1127,16 +1127,40 @@ class TestLeastLoss:
         cell, = liquidity_surface(build_model, lambda m: payoff, [0.5], [0.0], 3)
         assert cell.status == STATUS_OK
 
+    # the benchmark's surface markets at a level a relative ``below`` under
+    # the ceiling 1/L, which _beats reads as the ceiling itself
+    TIE_BAND = ((0, 0.02, 1e-9), (0, 0.005, 3e-10), (1, 0.01, 1e-10))
+
+    def test_tie_band_surface_cell_is_priced_at_the_ceiling(self):
+        # the check holds, and the surface prices the date-0 node at the
+        # level the tie rule reads, 1/L: the quotes of a cold solve there
+        for market, lam, below in self.TIE_BAND:
+            u, d, r, p_up, strike = PIVOT_BUDGET_MARKETS[market]
+
+            def build_model(lam):
+                return binary_tree_market(u, d, r, p_up, lam, horizon=3)
+
+            model = build_model(lam)
+            loss = float(np.min(pricing._least_loss(model, generators_for(model, 0))))
+            gamma = (1.0 - below) / loss
+            assert ngd_check(model, 0, gamma).holds
+            cell, = liquidity_surface(
+                build_model, lambda m: call_payoff(m, strike), [gamma], [lam]
+            )
+            ceiling = good_deal_prices(model, call_payoff(model, strike), 0, 1.0 / loss).entry(0)
+            assert (cell.status, cell.bid, cell.ask) == (STATUS_OK, ceiling.bid, ceiling.ask), (
+                market, lam, below, cell
+            )
+
     @pytest.mark.xfail(
         raises=AssertionError, strict=True,
-        reason="inside _beats' tie band the check holds while the band LPs "
-        "read infeasible: good_deal_prices reports ngd-violated and the "
-        "surface an infeasible cell with NaN quotes (ROADMAP item 8)",
+        reason="inside _beats' tie band the check holds and the surface "
+        "prices at the ceiling 1/L, but good_deal_prices still runs its band "
+        "LP at gamma, which reads infeasible, and reports ngd-violated "
+        "(ROADMAP item 9)",
     )
     def test_tie_band_programs_agree(self):
-        # the benchmark's surface markets at a level a relative ``below``
-        # under the ceiling 1/L, which _beats reads as the ceiling itself
-        for market, lam, below in ((0, 0.02, 1e-9), (0, 0.005, 3e-10), (1, 0.01, 1e-10)):
+        for market, lam, below in self.TIE_BAND:
             u, d, r, p_up, strike = PIVOT_BUDGET_MARKETS[market]
 
             def build_model(lam):
