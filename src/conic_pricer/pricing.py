@@ -19,35 +19,37 @@ node's mass is one.  This is exact: a density of the whole tree restricts to
 a point of each node's cone, and once every node's cone reaches its slice,
 rescaling each node's point to a common m (to any common scale without the
 band) glues them into one density of the whole tree with every node's ratio
-unchanged.  So the quote LPs establish it themselves: when every node's band
-LP is feasible, no good deal holds.  A node that its no-arbitrage cone cannot
-charge (possible only in bounds under ``entry="mark"``, below) gets the
-status ``infeasible``.  With the band, m is bounded away from zero on the
-slice, so densities are strictly positive and no epsilon is needed.  Pure
-no-arbitrage bounds range over the closure (u >= 0) of the equivalent
-risk-neutral set, whose suprema/infima coincide with those over the open set
-whenever an equivalent risk-neutral measure exists.  The bound LPs prove that node by node when the
-sum of a node's two optima charges every path of the node (Jouini & Kallal,
-JET 1995); only where they cannot does the arbitrage search run.
+unchanged.  So no good deal holds exactly when every node's band LP is
+feasible.  A node that its no-arbitrage cone cannot charge (possible only
+in bounds under ``entry="mark"``, below) gets the status ``infeasible``.
+With the band, m is bounded away from zero on the slice, so densities are
+strictly positive and no epsilon is needed.  Pure no-arbitrage bounds range
+over the closure (u >= 0) of the equivalent risk-neutral set, whose
+suprema/infima coincide with those over the open set whenever an equivalent
+risk-neutral measure exists.  The bound LPs prove that node by node when
+the sum of a node's two optima charges every path of the node (Jouini &
+Kallal, JET 1995); only where they cannot does the arbitrage search run.
 
 The no-good-deal check is the dual of the same per-node decomposition: by LP
 duality a node's band cone misses its slice exactly when the node has a
 hedge (a nonnegative combination of its cone rows) whose gain-loss ratio
-beats the level.  A band LP that reads ``infeasible`` carries such a hedge
-in its Farkas ray, as the ray's multipliers of the node's cone rows.
+beats the level.
 
 A hedge's gain-loss ratio is its expected gain over its expected loss, so a
 node has a hedge beating gamma exactly when gamma L < 1, where L is the
 node's least expected loss per unit of expected gain and 1/L its best ratio
 (Cherny & Madan, RFS 2009).  L comes from one LP per node, free of the level
 (:func:`conic_pricer.cone._node_least_loss`), and one tie rule reads every
-level's status from it (:func:`_beats`): L is certified only to ``lp.TOL``,
-so a level within that distance of 1/L reads as 1/L, which no hedge beats.
-:func:`ngd_check` and :func:`liquidity_surface` both decide this way; the
-check's witness is the first beaten node's best-ratio hedge.
-:func:`good_deal_prices` reports the ray's hedge, and runs the check only
-when that hedge fails its certificate or a band LP fails.  Either hedge's
-weights are the witness, reported with the hedge's trading strategy.
+level's verdict from it (:func:`_beats`): L is certified only to
+``lp.TOL``, so a level within that distance of 1/L reads as 1/L, which no
+hedge beats.  :func:`ngd_check`, :func:`good_deal_prices`,
+:func:`forward_prices` and :func:`liquidity_surface` all take this one
+verdict from L, and no band LP decides it.  There is one witness route: the
+first beaten node's best-ratio hedge, through
+:func:`good_deal_certificate`, reported with the hedge's trading strategy.
+When the verdict holds, each node is priced at the level the rule reads:
+gamma, or inside the tie band (1 - ``lp.TOL`` <= gamma L_v < 1) its ceiling
+1/L_v, whose band cone reaches the slice where the band at gamma may not.
 
 Only :func:`noarb_bounds` takes ``entry="mark"``, which switches the
 valuation-date legs of hedges initiated exactly at the pricing date to
@@ -202,17 +204,15 @@ def _node_quote(model: MarketModel, x, a_ub, node: NodeRef, warm=None):
     return PriceEntry(node, bid, ask, STATUS_OK), (lo, hi)
 
 
-def _node_quotes(model: MarketModel, cash_flow, rows: NodeRows, gamma: Optional[float]):
-    """:func:`_node_quote` of each date-t node over its own cone, with the
-    band at ``gamma`` unless that is None, in node order; a node is priced
-    only when the caller asks for it."""
+def _node_quotes(model: MarketModel, cash_flow, rows: NodeRows) -> list:
+    """:func:`_node_quote` of each date-t node over its own cone, in node
+    order."""
     x = _discounted_tail(model, cash_flow, rows.start)
+    quotes = []
     for node in model.tree.nodes(rows.start):
         paths = list(model.tree.node_paths(node))
-        a_ub = _node_cone(rows, node.cell, paths)
-        if gamma is not None:
-            a_ub = _with_band(a_ub, len(paths), gamma)
-        yield _node_quote(model, x, a_ub, node)
+        quotes.append(_node_quote(model, x, _node_cone(rows, node.cell, paths), node))
+    return quotes
 
 
 def _charges_every_path(model: MarketModel, e: PriceEntry, solutions) -> bool:
@@ -260,7 +260,7 @@ def noarb_bounds(model: MarketModel, cash_flow, t: int, *, entry: str = "trade")
     """
     rows = generators_for(model, t, entry)
     try:
-        quotes = list(_node_quotes(model, cash_flow, rows, None))
+        quotes = _node_quotes(model, cash_flow, rows)
     except ComputationError:
         if (found := _arbitrage_quote(model, rows, entry)) is not None:
             return found
@@ -327,25 +327,19 @@ def _beats(gamma: float, loss: float) -> bool:
     return gamma * loss < 1.0 - lp.TOL
 
 
-def _ray_weights(rows: NodeRows, node: NodeRef, ray: lp.LPSolution) -> np.ndarray:
-    """Weights on ``rows`` from the Farkas ray of ``node``'s band LP: its
-    multipliers of the node's cone rows, which come first there."""
-    pick = rows.owner == node.cell
-    weights = np.zeros(len(rows))
-    weights[pick] = ray.dual_ub[: np.count_nonzero(pick)]
-    return weights
-
-
-def _ngd(model: MarketModel, gamma: float, rows: NodeRows) -> NgdResult:
+def _ngd(model: MarketModel, gamma: float, rows: NodeRows):
     """The no-good-deal check: violated at the first date-t node whose least
     loss per unit of gain :func:`_beats` ``gamma``, with that node's
-    best-ratio hedge as the witness.  A hedge that its certificate rejects
-    raises :class:`ComputationError`: a violation is never reported without
-    a witness."""
+    best-ratio hedge as the witness.  Returns the :class:`NgdResult` and the
+    L of each node solved, in node order: every date-t node's when the check
+    holds.  A hedge that its certificate rejects raises
+    :class:`ComputationError`: a violation is never reported without a
+    witness."""
     DensityBand(gamma)
-    t = rows.start
+    t, losses = rows.start, []
     for node in model.tree.nodes(t):
         loss, weights = _node_least_loss(model, rows, node)
+        losses.append(loss)
         if not _beats(gamma, loss):
             continue
         witness = good_deal_certificate(model, rows, weights, gamma)
@@ -354,64 +348,68 @@ def _ngd(model: MarketModel, gamma: float, rows: NodeRows) -> NgdResult:
                 f"no-good-deal hedge at gamma={gamma:g}, t={t} fails its certificate: "
                 "no witness beats the level"
             )
-        return NgdResult(holds=False, gamma=gamma, time=t, witness=witness)
-    return NgdResult(holds=True, gamma=gamma, time=t)
+        return NgdResult(holds=False, gamma=gamma, time=t, witness=witness), losses
+    return NgdResult(holds=True, gamma=gamma, time=t), losses
+
+
+def _band_quote(model: MarketModel, x, cone, node: NodeRef, gamma: float, loss: float, warm=None):
+    """:func:`_node_quote` of ``node``, of least loss per unit of gain
+    ``loss``, over its ``cone`` with the band at the level the tie rule reads
+    where the check holds at ``gamma``: gamma when gamma L >= 1, else the
+    ceiling 1/L.  Its band cone reaches the slice there, so a band LP that
+    reads ``infeasible`` raises :class:`ComputationError`."""
+    level = gamma if gamma * loss >= 1.0 else 1.0 / loss
+    n = len(model.tree.node_paths(node))
+    e, warm = _node_quote(model, x, _with_band(cone, n, level), node, warm)
+    if e.status == STATUS_INFEASIBLE:
+        raise ComputationError(
+            f"node {node.time}:{node.cell} band LP at gamma={level!r} reads infeasible "
+            "where the no-good-deal check holds"
+        )
+    return e, warm
 
 
 def ngd_check(model: MarketModel, t: int, gamma: float) -> NgdResult:
     """Whether a density satisfies every cone row, the band and the
-    normalization (band feasibility forces strict positivity).
-
-    That fails exactly when some date-t node has a hedge whose gain-loss
-    ratio beats gamma, i.e. when gamma L < 1 for the node's least loss per
-    unit of gain L.  The check solves L node by node and stops at the first
-    node where gamma L < 1 - ``lp.TOL``: a level within ``lp.TOL`` of the
-    ceiling 1/L reads as the ceiling, which holds.  That node's best-ratio
-    hedge is the witness; one that fails its certificate raises
-    :class:`ComputationError` instead of a violation without a witness.
-    """
-    return _ngd(model, gamma, generators_for(model, t))
+    normalization (band feasibility forces strict positivity): the verdict
+    from L (see the module docstring), read node by node up to the first
+    node that :func:`_beats` gamma, whose best-ratio hedge is the witness."""
+    return _ngd(model, gamma, generators_for(model, t))[0]
 
 
 def good_deal_prices(model: MarketModel, cash_flow, t: int, gamma: float) -> PriceQuote:
     """Bid/ask of the discounted tail over band-restricted risk-neutral
     densities; sentinel +inf/-inf quotes when no such density exists.
 
-    The band LPs run first, node by node.  When every node's band cone
-    reaches its slice, no good deal holds (see the module docstring) and the
-    quotes are returned.  At the first node whose band LP reads a certified
-    ``infeasible``, the cone-row weights of its Farkas ray are a hedge that
-    beats ``gamma``: :func:`good_deal_certificate` turns them into the
-    witness of the violation.  Only when that certificate misses, or a band
-    LP raises :class:`ComputationError`, does the no-good-deal check of
-    :func:`ngd_check` decide, with its own witness; a band LP failure in a
-    market where the check holds is raised.
+    One verdict, from L: the no-good-deal check of :func:`ngd_check` runs
+    first and solves each date-t node's least loss per unit of gain L once.
+    A violated level runs no band LP and carries the check's witness, the
+    first beaten node's best-ratio hedge.  A holding level prices each node
+    at the level the tie rule reads (see :func:`_band_quote`): gamma, or
+    inside the tie band the node's ceiling 1/L_v.  A band LP that fails, or
+    reads ``infeasible``, there raises :class:`ComputationError`.
     """
     rows = generators_for(model, t)
-    DensityBand(gamma)
-    quotes, entries, check = _node_quotes(model, cash_flow, rows, gamma), [], None
-    while check is None or check.holds:
-        try:
-            e, (_, hi) = next(quotes)
-        except StopIteration:
-            return PriceQuote(time=t, gamma=gamma, entries=tuple(entries))
-        except ComputationError:
-            if check is not None or (check := _ngd(model, gamma, rows)).holds:
-                raise
-            break
-        if e.status == STATUS_INFEASIBLE and check is None:
-            witness = good_deal_certificate(model, rows, _ray_weights(rows, e.node, hi), gamma)
-            check = _ngd(model, gamma, rows) if witness is None else NgdResult(
-                holds=False, gamma=gamma, time=t, witness=witness
-            )
-        entries.append(e)
-    entries = tuple(PriceEntry(node, np.inf, -np.inf, STATUS_NGD) for node in model.tree.nodes(t))
-    return PriceQuote(time=t, gamma=gamma, entries=entries, witness=check.witness)
+    check, losses = _ngd(model, gamma, rows)
+    nodes = model.tree.nodes(t)
+    if not check.holds:
+        entries = tuple(PriceEntry(node, np.inf, -np.inf, STATUS_NGD) for node in nodes)
+        return PriceQuote(time=t, gamma=gamma, entries=entries, witness=check.witness)
+    x = _discounted_tail(model, cash_flow, t)
+    entries = tuple(
+        _band_quote(model, x, _node_cone(rows, node.cell, list(model.tree.node_paths(node))),
+                    node, gamma, loss)[0]
+        for node, loss in zip(nodes, losses)
+    )
+    return PriceQuote(time=t, gamma=gamma, entries=entries)
 
 
 def forward_prices(model: MarketModel, cash_flow, t: int, gamma: float) -> PriceQuote:
-    """Forward (pay-at-horizon) quotes: the spot quote scaled by the terminal
-    savings account, which requires a deterministic rate process."""
+    """Forward (pay-at-horizon) quotes: the spot quote of
+    :func:`good_deal_prices` scaled by the terminal savings account, which
+    requires a deterministic rate process.  So the verdict is the one from L,
+    the witness is the check's, and a tie-band node is priced at its ceiling
+    1/L_v, as there."""
     r = model.rates
     if np.any(np.abs(r - r[0:1, :]) > 1e-12):
         raise ValidationError("forward prices require deterministic rates")
@@ -455,10 +453,10 @@ def liquidity_surface(
     gamma is violated exactly when gamma L < 1 - ``lp.TOL`` at some node, the
     tie rule of :func:`ngd_check`, so a level within ``lp.TOL`` of a node's
     best gain-loss ratio 1/L reads as 1/L and is priced.  The requested node
-    v is priced at the level the rule reads: gamma when gamma L_v >= 1, and
-    inside the tie band its ceiling 1/L_v, whose band cone reaches the slice
-    where the band at gamma may not.  No level runs the check itself, and
-    violated cells carry no witness.
+    v is priced as :func:`good_deal_prices` prices it (see
+    :func:`_band_quote`): at gamma when gamma L_v >= 1, and inside the tie
+    band at its ceiling 1/L_v.  No level runs the check itself, and violated
+    cells carry no witness.
 
     The threshold covers every date-t node, but only the requested node is
     quoted: the per-node programs are independent.  Its cone is built once
@@ -499,8 +497,7 @@ def liquidity_surface(
         for i in ascending:
             gamma = gammas[i]
             if not _beats(gamma, loss):
-                level = gamma if gamma * own >= 1.0 else 1.0 / own
-                e, warm = _node_quote(model, x, _with_band(cone, len(paths), level), at, warm)
+                e, warm = _band_quote(model, x, cone, at, gamma, own, warm)
             else:
                 e = PriceEntry(at, np.inf, -np.inf, STATUS_NGD)
             spread = e.ask - e.bid if e.status == STATUS_OK else np.nan

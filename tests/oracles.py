@@ -368,12 +368,13 @@ def check_first_bounds(model, cash_flow, t, *, entry="trade"):
             for node in model.tree.nodes(t)
         )
         return pricing.PriceQuote(time=t, gamma=None, entries=entries)
-    quotes = pricing._node_quotes(model, cash_flow, generators_for(model, t, entry), None)
+    quotes = pricing._node_quotes(model, cash_flow, generators_for(model, t, entry))
     return pricing.PriceQuote(time=t, gamma=None, entries=tuple(e for e, _ in quotes))
 
 
 def check_first_good_deal_prices(model, cash_flow, t, gamma):
-    """``good_deal_prices`` as the no-good-deal check, then the band LPs."""
+    """``good_deal_prices`` as the no-good-deal check, then each node's band
+    LP at ``gamma`` itself."""
     check = pricing.ngd_check(model, t, gamma)
     if not check.holds:
         entries = tuple(
@@ -381,8 +382,12 @@ def check_first_good_deal_prices(model, cash_flow, t, gamma):
             for node in model.tree.nodes(t)
         )
         return pricing.PriceQuote(time=t, gamma=gamma, entries=entries, witness=check.witness)
-    quotes = pricing._node_quotes(model, cash_flow, generators_for(model, t), gamma)
-    return pricing.PriceQuote(time=t, gamma=gamma, entries=tuple(e for e, _ in quotes))
+    rows, x, entries = generators_for(model, t), pricing._discounted_tail(model, cash_flow, t), []
+    for node in model.tree.nodes(t):
+        paths = list(model.tree.node_paths(node))
+        a_ub = pricing._with_band(pricing._node_cone(rows, node.cell, paths), len(paths), gamma)
+        entries.append(pricing._node_quote(model, x, a_ub, node)[0])
+    return pricing.PriceQuote(time=t, gamma=gamma, entries=tuple(entries))
 
 
 # ---------------------------------------------------------------------------

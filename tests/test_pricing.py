@@ -327,11 +327,10 @@ class TestNgdCheck:
             held = w.strategy.holdings[1, 1:, 0]
             assert held[0] > 0 and held[1] > 0  # long both
 
-    def test_witness_strategy_dominates_its_cash_flow(self, rng, count_calls):
-        # at every date, by both routes to a witness: the check's best-ratio
-        # hedge and the hedge in a band LP's Farkas ray (a good_deal_prices
-        # witness found without the check).  On the witness node the
-        # strategy's terminal wealth covers the reported cash flow, so it
+    def test_witness_strategy_dominates_its_cash_flow(self, rng):
+        # at every date, on the one witness route: the check's best-ratio
+        # hedge, which good_deal_prices reports too.  On the witness node
+        # the strategy's terminal wealth covers the reported cash flow, so it
         # pays at least the reported ratio.  Last, the fixture's up node at
         # t=1 with 1% costs: the hedge beating 4 there has ratio 4.516,
         # which its strategy pays exactly
@@ -342,33 +341,30 @@ class TestNgdCheck:
             markets.append((model, random_cashflow(rng, tree), range(tree.horizon), (0.05, 0.5)))
         fixture = two_period_model(lam=0.01)
         markets.append((fixture, asian_call(fixture, 0, 65.0), [1], [4.0]))
-        checks = count_calls(pricing, "_ngd")
-        checked, dates, ratios = {"check": 0, "ray": 0}, set(), []
+        dates, ratios = set(), []
         for model, flow, times, gammas in markets:
             tree = model.tree
             for t, gamma in itertools.product(times, gammas):
-                before = len(checks)
-                quote = good_deal_prices(model, flow, t, gamma)
-                ray = len(checks) == before
-                for route, w in (("ray" if ray else "check", quote.witness),
-                                 ("check", ngd_check(model, t, gamma).witness)):
-                    if w is None:
-                        continue
-                    assert w.dglr > gamma
-                    idx = list(tree.node_paths(w.node))
-                    paid = np.zeros((tree.n_paths, tree.horizon + 1))
-                    paid[:, -1] = wealth_closed_form(model, w.strategy)[:, -1]
-                    assert np.all(paid[idx, -1] >= w.cash_flow[idx] - 1e-9)
-                    ratio = dglr_eval(tree, paid, t)[idx[0]]
-                    assert ratio >= w.dglr * (1 - 1e-9)
-                    checked[route] += 1
-                    dates.add(t)
-                    ratios.append((w.node, w.dglr, ratio))
-        assert min(checked.values()) >= 10 and dates == {0, 1, 2}
-        for node, dglr, ratio in ratios[-2:]:  # the fixture's, by both routes
-            assert node.time == 1 and node.cell == 0
-            assert dglr == pytest.approx(4.516055, abs=1e-6)
-            assert ratio == pytest.approx(dglr, rel=1e-12)
+                w = good_deal_prices(model, flow, t, gamma).witness
+                check = ngd_check(model, t, gamma).witness
+                assert (w is None) == (check is None)
+                if w is None:
+                    continue
+                assert w.node == check.node and w.dglr == check.dglr > gamma
+                assert np.array_equal(w.cash_flow, check.cash_flow)
+                idx = list(tree.node_paths(w.node))
+                paid = np.zeros((tree.n_paths, tree.horizon + 1))
+                paid[:, -1] = wealth_closed_form(model, w.strategy)[:, -1]
+                assert np.all(paid[idx, -1] >= w.cash_flow[idx] - 1e-9)
+                ratio = dglr_eval(tree, paid, t)[idx[0]]
+                assert ratio >= w.dglr * (1 - 1e-9)
+                dates.add(t)
+                ratios.append((w.node, w.dglr, ratio))
+        assert len(ratios) >= 10 and dates == {0, 1, 2}
+        node, dglr, ratio = ratios[-1]  # the fixture's
+        assert node.time == 1 and node.cell == 0
+        assert dglr == pytest.approx(4.516055, abs=1e-6)
+        assert ratio == pytest.approx(dglr, rel=1e-12)
 
     def test_witness_from_the_node_program(self, rng):
         # the per-node least-loss LPs find a node beating the level exactly
@@ -383,7 +379,7 @@ class TestNgdCheck:
                     band = node_form_polytope(model, rows, gamma)
                     prog = lp.LinearProgram.build("max", np.zeros(band["a_ub"].shape[1]), **band)
                     empty = lp.solve(prog).status != "optimal"
-                    check = pricing._ngd(model, gamma, rows)
+                    check, _ = pricing._ngd(model, gamma, rows)
                     assert check.holds != empty
                     if not check.holds:
                         assert check.witness.dglr > gamma
@@ -480,21 +476,44 @@ class TestGoodDealPrices:
         assert quote.witness is not None
 
     @pytest.mark.parametrize("gamma, status", [(8.0, STATUS_OK), (0.05, STATUS_NGD)])
-    def test_band_lps_decide_without_hedge_search(self, gamma, status, count_calls):
-        # every band LP feasible: no good deal holds; a band LP infeasible:
-        # its Farkas ray is the witness.  Either way the check's least-loss
-        # LP never runs.
+    def test_verdict_before_band_lps(self, gamma, status, count_calls):
+        # the verdict comes from L: a violated level runs no band LP and
+        # carries the check's witness; a holding level solves one L per
+        # date-t node and then one band LP pair per node
         model = two_period_model(lam=0.01)
         searches = count_calls(pricing, "_node_least_loss")
+        ratios = count_calls(lp, "solve_ratio")
         for t in (0, 1):
+            searches.clear()
+            ratios.clear()
             quote = good_deal_prices(model, asian_call(model, 0, 65.0), t, gamma)
             assert quote.status() == status
+            nodes = len(model.tree.nodes(t))
             if status == STATUS_NGD:
+                assert ratios == [] and 1 <= len(searches) <= nodes
                 w = quote.witness
                 flow = np.zeros((5, 3))
                 flow[:, -1] = w.cash_flow
                 assert dglr_eval(model.tree, flow, t)[model.tree.node_paths(w.node)[0]] > gamma
-        assert searches == []
+            else:
+                assert len(searches) == len(ratios) == nodes
+
+    def test_violated_horizon_8_ladder_runs_no_band_lp(self, count_calls):
+        # the benchmark's ladder market 8 at t=0, gamma=8: the node's ceiling
+        # 1/L is about 26.99, so the level is violated.  Its band LP is never
+        # built, and the witness is the node's best-ratio hedge
+        model = binary_tree_market(
+            1.0518419562876573, 0.9539507146165618, 0.02, 0.5181521759298708, 0.01, horizon=8
+        )
+        ratios = count_calls(lp, "solve_ratio")
+        quote = good_deal_prices(model, call_payoff(model, 96.20889592020883), 0, 8.0)
+        assert quote.status() == STATUS_NGD
+        assert ratios == []
+        w = quote.witness
+        assert w.dglr == pytest.approx(26.98821, abs=1e-5)
+        flow = np.zeros((model.tree.n_paths, model.tree.horizon + 1))
+        flow[:, -1] = w.cash_flow
+        assert dglr_eval(model.tree, flow, 0)[0] == pytest.approx(w.dglr, rel=1e-12)
 
     def test_band_lp_failure_falls_back_to_check(self, monkeypatch, count_calls):
         # the benchmark's surface market 0 at lambda 0.005, just below its
@@ -518,25 +537,27 @@ class TestGoodDealPrices:
         assert quote.witness.dglr == check.witness.dglr > gamma
         assert np.array_equal(quote.witness.cash_flow, check.witness.cash_flow)
 
-    def test_ray_certificate_miss_falls_back_to_check(self, monkeypatch, count_calls):
-        # a ray whose hedge the certificate rejects leaves the status to the
-        # no-good-deal check, whose hedge becomes the witness
-        real, calls = pricing.good_deal_certificate, []
-
-        def miss_first(*args):
-            calls.append(None)
-            return None if len(calls) == 1 else real(*args)
-
-        model = two_period_model()
+    def test_band_lp_that_misses_where_check_holds_raises(self, monkeypatch):
+        # the fixture at 8, where the check holds: a band LP that fails, or
+        # that reads infeasible, is the solver's error, never a verdict
+        model = two_period_model(lam=0.01)
         payoff = asian_call(model, 0, 65.0)
-        monkeypatch.setattr(pricing, "good_deal_certificate", miss_first)
-        searches = count_calls(pricing, "_node_least_loss")
-        quote = good_deal_prices(model, payoff, 0, 0.05)
-        assert len(calls) == 2 and len(searches) == 1
-        assert quote.status() == STATUS_NGD
+        assert ngd_check(model, 0, 8.0).holds
+
+        def failing(*args, **kwargs):
+            raise ComputationError("LP certification failed")
+
+        monkeypatch.setattr(lp, "solve_ratio", failing)
+        with pytest.raises(ComputationError, match="certification failed"):
+            good_deal_prices(model, payoff, 0, 8.0)
         monkeypatch.undo()
-        check = ngd_check(model, 0, 0.05)
-        assert np.array_equal(quote.witness.cash_flow, check.witness.cash_flow)
+
+        def missing(model, x, a_ub, node, warm=None):
+            return pricing.PriceEntry(node, np.nan, np.nan, STATUS_INFEASIBLE), (None, None)
+
+        monkeypatch.setattr(pricing, "_node_quote", missing)
+        with pytest.raises(ComputationError, match="reads infeasible"):
+            good_deal_prices(model, payoff, 0, 8.0)
 
     def test_vertex_oracle_agreement_on_incomplete_binomial(self):
         # trinomial one-period market, frictionless: brute-force over the
@@ -1060,7 +1081,7 @@ class TestLeastLoss:
                     assert np.all(loss >= 0)
                     cut = 1.0 / loss[np.isfinite(loss) & (loss > 0)]
                     for gamma in (*self.GRID, *(cut * (1 - 1e-6)), *(cut * (1 + 1e-6))):
-                        check = pricing._ngd(model, float(gamma), rows)
+                        check, _ = pricing._ngd(model, float(gamma), rows)
                         beaten = np.flatnonzero(gamma * loss < 1.0)
                         assert check.holds == (beaten.size == 0), (t, entry, gamma, loss)
                         if check.witness is not None:
@@ -1129,7 +1150,11 @@ class TestLeastLoss:
 
     # the benchmark's surface markets at a level a relative ``below`` under
     # the ceiling 1/L, which _beats reads as the ceiling itself
-    TIE_BAND = ((0, 0.02, 1e-9), (0, 0.005, 3e-10), (1, 0.01, 1e-10))
+    TIE_BAND = tuple(
+        (market, lam, below)
+        for market, lam in ((0, 0.02), (0, 0.005), (1, 0.01))
+        for below in (9e-10, 7e-10, 5e-10, 3e-10, 2e-10, 1e-10, 3e-11)
+    )
 
     def test_tie_band_surface_cell_is_priced_at_the_ceiling(self):
         # the check holds, and the surface prices the date-0 node at the
@@ -1152,14 +1177,9 @@ class TestLeastLoss:
                 market, lam, below, cell
             )
 
-    @pytest.mark.xfail(
-        raises=AssertionError, strict=True,
-        reason="inside _beats' tie band the check holds and the surface "
-        "prices at the ceiling 1/L, but good_deal_prices still runs its band "
-        "LP at gamma, which reads infeasible, and reports ngd-violated "
-        "(ROADMAP item 9)",
-    )
     def test_tie_band_programs_agree(self):
+        # one verdict from L: the check holds, and the quotes and the
+        # one-level surface price the date-0 node alike, bit for bit
         for market, lam, below in self.TIE_BAND:
             u, d, r, p_up, strike = PIVOT_BUDGET_MARKETS[market]
 
@@ -1169,14 +1189,14 @@ class TestLeastLoss:
             model = build_model(lam)
             loss = float(np.min(pricing._least_loss(model, generators_for(model, 0))))
             gamma = (1.0 - below) / loss
-            holds = ngd_check(model, 0, gamma).holds
-            quote = good_deal_prices(model, call_payoff(model, strike), 0, gamma)
+            assert ngd_check(model, 0, gamma).holds
+            e = good_deal_prices(model, call_payoff(model, strike), 0, gamma).entry(0)
             cell, = liquidity_surface(
                 build_model, lambda m: call_payoff(m, strike), [gamma], [lam]
             )
-            case = (market, lam, below, holds, quote.status(), cell.status)
-            assert cell.status != STATUS_INFEASIBLE, case
-            assert (quote.status() == STATUS_OK) == holds == (cell.status == STATUS_OK), case
+            case = (market, lam, below, e, cell)
+            assert e.status == cell.status == STATUS_OK, case
+            assert (e.bid, e.ask) == (cell.bid, cell.ask), case
 
 
 class TestPrimalOracle:
@@ -1329,11 +1349,11 @@ def benchmark_tree_market(k):
 
 
 class TestQuotesFirstMatchCheckFirst:
-    """``noarb_bounds`` and ``good_deal_prices`` price first and run the
-    arbitrage search or the no-good-deal check only when the quotes cannot
-    decide; the check-first order of ``oracles`` must give the same statuses
-    and the same bids and asks bit for bit, and every violation a witness that
-    ``dglr_eval`` confirms."""
+    """``noarb_bounds`` prices first and runs the arbitrage search only when
+    the bound LPs cannot decide, while ``good_deal_prices`` reads its verdict
+    from L and then runs each node's band LP.  The check-first order of
+    ``oracles`` must give the same statuses and the same bids and asks bit
+    for bit, and every violation a witness that ``dglr_eval`` confirms."""
 
     @staticmethod
     def markets(seed=2024):
@@ -1380,16 +1400,15 @@ class TestQuotesFirstMatchCheckFirst:
     def test_random_markets(self, count_calls):
         seen = set()
         searches = count_calls(pricing, "_arbitrage")
-        checks = count_calls(pricing, "_ngd")
         requests = fallbacks = 0
 
         def quote_first(call):
-            # the searches the quote-first order falls back to
+            # the arbitrage searches the bounds fall back to
             nonlocal requests, fallbacks
-            before = len(searches) + len(checks)
+            before = len(searches)
             quote = self.answer(call)
             requests += 1
-            fallbacks += len(searches) + len(checks) > before
+            fallbacks += len(searches) > before
             return quote
 
         for model, flow in self.markets():
@@ -1399,14 +1418,14 @@ class TestQuotesFirstMatchCheckFirst:
                     ref = self.answer(lambda: check_first_bounds(model, flow, t, entry=entry))
                     seen.add(("bounds", self.compare(model, quote, ref)))
                 for gamma in (0.5, 4.0):
-                    quote = quote_first(lambda: good_deal_prices(model, flow, t, gamma))
+                    quote = self.answer(lambda: good_deal_prices(model, flow, t, gamma))
                     ref = self.answer(lambda: check_first_good_deal_prices(model, flow, t, gamma))
                     seen.add(("good deal", self.compare(model, quote, ref)))
         assert {("bounds", s) for s in (STATUS_OK, STATUS_ARBITRAGE, STATUS_INFEASIBLE)} <= seen
         assert {("good deal", s) for s in (STATUS_OK, STATUS_NGD)} <= seen
-        # both orders were compared where the quotes decide and where they
-        # fall back
-        assert 0 < fallbacks < requests / 2
+        # both orders of the bounds were compared where the bound LPs decide
+        # and where they fall back
+        assert 0 < fallbacks < requests
 
     @pytest.mark.parametrize("seed", [2024, 0])
     def test_trade_cone_charges_every_node(self, seed):
