@@ -105,49 +105,52 @@ def generators_for(model: MarketModel, t: int, entry: str = "trade") -> NodeRows
     _, Binv = model.discounts()
     counts = [len(tree.partitions[s]) for s in range(T + 1)]
     heads = [np.array([c[0] for c in tree.partitions[s]]) for s in range(T + 1)]
-    base, width = {}, 0
-    for s in range(t + 1, T):
-        for j in range(S):
-            base[s, j] = width
-            width += 2 * counts[s]
-    col_owner = np.array([c for s in range(t + 1, T)
-                          for c in np.tile(tree.cell_index(t)[heads[s]], 2 * S)], dtype=int)
+    owners = {s: tree.cell_index(t)[heads[s]] for s in range(t, T)}
     prices = [(sec.bid * Binv, sec.ask * Binv) for sec in model.securities]
-    blocks = {False: [], True: []}  # open rows, carry-on rows: (a_u, a_v, meta)
+    # (date, security, kind) of each block of rows, in row order; kinds 0/1
+    # open long/short, 2/3 carry on long/short
+    blocks = np.array([(s, j, kind) for carry in (True, False) for s in range(t + carry, T)
+                       for j in range(S) for kind in ((2, 3) if carry else (0, 1))])
+    size = np.array([counts[s] for s in blocks[:, 0]])
+    first = dict(zip(map(tuple, blocks.tolist()), (np.cumsum(size) - size).tolist()))
+    date, security, kind = blocks.T
+    owner = np.concatenate([owners[s] for s in date])
+    # The carry-on blocks line up with the envelope columns: block (s, j, 2)
+    # with the V of (s, j), block (s, j, 3) with its W.  So a carry-on row's
+    # own excess, taken out at -1, is on the diagonal.
+    width = int(size[kind >= 2].sum())
+    a_u = np.empty((len(owner), tree.n_paths))
+    a_v = np.zeros((len(owner), width))
+    np.fill_diagonal(a_v, -1.0)
     for s in range(t, T):
-        k, k_next = counts[s], counts[s + 1]
+        k = counts[s]
         cells = tree.cell_index(s)
         weight = (np.arange(k)[:, None] == cells[None, :]) * p  # p on each node's paths
-        parent = cells[heads[s + 1]]
-        hold = (parent[None, :] == np.arange(k)[:, None]).astype(float)
-        owner = tree.cell_index(t)[heads[s]]
+        hold = cells[heads[s + 1]][None, :] == np.arange(k)[:, None]  # [node, child of it]
         mark = entry == "mark" and s == t >= 1
         for j, sec in enumerate(model.securities):
             bid, ask = prices[j]
             long_exit = bid[:, s + 1] + (sec.div_ask[:, s + 1] - sec.div_ask[:, s]) * Binv[:, s + 1]
             short_exit = ask[:, s + 1] + (sec.div_bid[:, s + 1] - sec.div_bid[:, s]) * Binv[:, s + 1]
-            kinds = [
-                (1, long_exit - (bid[:, s] if mark else ask[:, s]), 0),
-                (-1, (ask[:, s] if mark else bid[:, s]) - short_exit, k_next),
+            values = [
+                long_exit - (bid[:, s] if mark else ask[:, s]),
+                (ask[:, s] if mark else bid[:, s]) - short_exit,
             ]
             if s > t:
-                kinds += [(1, long_exit - bid[:, s], 0), (-1, ask[:, s] - short_exit, k_next)]
-            for n_kind, (side, value, shift) in enumerate(kinds):
-                block = np.zeros((k, width))
-                if s + 1 < T:
-                    at = base[s + 1, j] + shift
-                    block[:, at : at + k_next] = hold
-                if n_kind >= 2:
-                    at = base[s, j] + (0 if side > 0 else k)
-                    block[:, at : at + k] -= np.eye(k)
-                info = [np.full(k, s), np.arange(k), np.full(k, j), np.full(k, side),
-                        np.full(k, n_kind >= 2), owner]
-                blocks[n_kind >= 2].append((weight * value, block, np.array(info)))
-    a_u, a_v, meta = zip(*blocks[True], *blocks[False])
-    date, cell, security, side, carry, owner = np.hstack(meta)
-    return NodeRows(start=t, a_u=np.vstack(a_u), a_v=np.vstack(a_v), date=date, cell=cell,
-                    security=security, side=side, carry=carry == 1, owner=owner,
-                    col_owner=col_owner)
+                values += [long_exit - bid[:, s], ask[:, s] - short_exit]
+            for n_kind, value in enumerate(values):
+                r = first[s, j, n_kind]
+                np.multiply(weight, value, out=a_u[r : r + k])
+                if s + 1 < T:  # held into the children's V (long) or W (short),
+                    # whose columns start where their carry-on rows do
+                    at = first[s + 1, j, 2 + n_kind % 2]
+                    a_v[r : r + k, at : at + counts[s + 1]] = hold
+    return NodeRows(
+        start=t, a_u=a_u, a_v=a_v, date=np.repeat(date, size),
+        cell=np.concatenate([np.arange(k) for k in size]),
+        security=np.repeat(security, size), side=np.repeat(1 - 2 * (kind % 2), size),
+        carry=np.repeat(kind >= 2, size), owner=owner, col_owner=owner[:width],
+    )
 
 
 def hedge_strategy(model: MarketModel, rows: NodeRows, weights) -> TradingStrategy:

@@ -6,20 +6,28 @@ costs.  The full tableau's basic columns are exact unit vectors (piv/piv is
 1.0 and x - x*1.0 is 0.0), so leaving them out loses nothing; the leaving
 variable's column is rebuilt in the entering column's slot with the same float
 operations a full pivot would make.  Every entry a pivot choice reads is
-therefore the full tableau's, bit for bit, and the pivot sequence is the same.
-A pivot is one numpy rank-1 update.  The pricing LPs have more rows (two per
-node, security and side of the hedging cone, plus the band) than variables
-(paths and envelope excesses), so this shrinks a pivot from
-rows x (rows + variables) cells to rows x variables.
+therefore the full tableau's, bit for bit (up to the sign of a zero), and the
+pivot sequence is the same.  A pivot is one numpy rank-1 update that subtracts
+the full outer product from every row.  Where a full pivot skips a row whose
+factor is zero, the update subtracts exact zeros there, which changes no value
+(a -0.0 may read +0.0).  Skipping those rows with a ``where=`` mask cost more
+than the arithmetic it saved: it was half of each pivot on the benchmark's
+horizon-4 tree programs (25 against 13 us on a 60 x 45 tableau, on 2 vCPU),
+and removing it cut those requests by about 8%.  The pricing LPs have more
+rows (two per node, security and side of the hedging cone, plus the band) than
+variables (paths and envelope excesses), so the condensed tableau shrinks a
+pivot from rows x (rows + variables) cells to rows x variables.
 
 Pricing is exact steepest edge (Forrest & Goldfarb, Math. Prog. 1992): the
 eligible column with the largest rc^2 / (1 + |column|^2) enters, the norm
 taken fresh over the column's constraint rows at each pivot.  The tableau
 stores every nonbasic column, so this is one reduction per pivot.  Ties go to
 the smallest variable index; the ratio test takes the smallest ratio, ties to
-the smallest basic index.  The pricing LPs are highly degenerate, so after
-``_STALL_PIVOTS`` zero-step pivots in a row Bland's rule picks the entering
-column until a pivot moves the right-hand side; that keeps the loop finite.
+the smallest basic index.  A lone eligible column enters, and a lone
+minimizing row leaves, without scoring or tie-breaking.  The pricing LPs are
+highly degenerate, so after ``_STALL_PIVOTS`` zero-step pivots in a row
+Bland's rule picks the entering column until a pivot moves the right-hand
+side; that keeps the loop finite.
 
 Phase 1 reads only the rows, so :func:`solve` runs it once and phase 2 starts
 from it; :func:`solve_ratio` runs phase 2 twice, once per sense, from copies
@@ -143,17 +151,18 @@ def _pivot(T, basis, nonbasic, row, k):
     The leaving variable's full-tableau column is the unit vector e_row; it
     takes over slot ``k`` with the entries a full pivot would give it, 1/piv
     in the pivot row and 0 - factor/piv elsewhere, computed by the same float
-    operations.
+    operations.  Every row takes the full outer product: a row whose factor
+    is zero subtracts exact zeros and keeps its values (a -0.0 may come back
+    +0.0), as a full pivot that skips it would.  A ``where=`` mask that
+    skipped those rows cost more than the arithmetic it saved: half of each
+    pivot on the horizon-4 tree programs (see the module docstring).
     """
     col = T[:, k].copy()
-    prow = T[row].copy()
-    prow[k] = 1
-    prow /= col[row]
+    T[row, k] = 1
+    prow = T[row] / col[row]
     col[row] = 0
-    # Rows whose factor is zero are left untouched, as a full pivot skips them.
-    hit = (col != 0)[:, None]
-    np.copyto(T[:, k : k + 1], 0, where=hit)
-    np.subtract(T, np.multiply.outer(col, prow), out=T, where=hit)
+    T[:, k] = 0
+    T -= np.multiply.outer(col, prow)
     T[row] = prow
     basis[row], nonbasic[k] = nonbasic[k], basis[row]
 
@@ -167,15 +176,17 @@ def _run_simplex(T, basis, nonbasic, limit, max_iter):
     """
     m = T.shape[0] - 1
     it = stalled = 0
+    allowed = nonbasic < limit  # changes only in the slot a pivot fills
     while True:
-        cand = ((T[-1, :-1] < -TOL) & (nonbasic < limit)).nonzero()[0]
+        cand = ((T[-1, :-1] < -TOL) & allowed).nonzero()[0]
         if not cand.size:
             return "optimal", it
-        if stalled < _STALL_PIVOTS:
-            sub, rc = T[:m, cand], T[-1, cand]
-            score = rc * rc / (1 + (sub * sub).sum(axis=0))
+        if stalled < _STALL_PIVOTS and cand.size > 1:
+            sq = T[:, cand]  # squared in place: the constraint rows, then rc
+            sq *= sq
+            score = sq[-1] / (1 + sq[:m].sum(axis=0))
             cand = cand[score == score.max()]
-        k = cand[nonbasic[cand].argmin()]
+        k = cand[nonbasic[cand].argmin()] if cand.size > 1 else cand[0]
         col = T[:m, k]
         rows = (col > TOL).nonzero()[0]
         if not rows.size:
@@ -183,7 +194,9 @@ def _run_simplex(T, basis, nonbasic, limit, max_iter):
         ratios = T[rows, -1] / col[rows]
         step = ratios.min()
         ties = rows[ratios == step]
-        _pivot(T, basis, nonbasic, ties[basis[ties].argmin()], k)
+        row = ties[basis[ties].argmin()] if ties.size > 1 else ties[0]
+        _pivot(T, basis, nonbasic, row, k)
+        allowed[k] = nonbasic[k] < limit
         stalled = 0 if step > 0 else stalled + 1
         it += 1
         if it > max_iter:
@@ -227,17 +240,22 @@ def _run_dual(T, basis, nonbasic, limit, max_iter):
 def _set_objective(T, basis, nonbasic, c):
     """Reduced-cost row of objective ``c`` (indexed by variable) for the basis,
     accumulated over the basic rows in row order."""
-    T[-1, :-1] = -c[nonbasic]
-    T[-1, -1] = 0
-    for i in np.flatnonzero(c[basis]):
-        T[-1] = T[-1] + c[basis[i]] * T[i]
+    rows = np.flatnonzero(c[basis])
+    terms = np.empty((rows.size + 1, T.shape[1]))
+    terms[0, :-1] = -c[nonbasic]
+    terms[0, -1] = 0
+    np.multiply(c[basis[rows], None], T[rows], out=terms[1:])
+    # numpy reduces axis 0 of a row-major array of two or more columns row
+    # after row, in the order of a loop over the rows
+    np.add.reduce(terms, axis=0, out=T[-1])
 
 
 @dataclass
 class _Start:
     """A basis of an LP's rows with the sign-normalized data that phase 2
     reads: at the end of phase 1 a feasible one.  Phase 1 reads
-    neither the objective nor the sense, so one start serves both senses."""
+    neither the objective nor the sense, so one start serves both senses.
+    It also holds the rows as supplied, which every certificate reads."""
 
     iterations: int
     max_iter: int
@@ -249,8 +267,11 @@ class _Start:
     own: np.ndarray  # the slack or artificial each row's basis started from
     A: np.ndarray  # rows sign-normalized
     sigma: np.ndarray
-    a_ub: np.ndarray  # with the finite upper bounds appended as rows
-    b_ub: np.ndarray
+    # the rows as supplied, all-<= (finite upper bounds appended) then eq
+    rows: np.ndarray
+    b: np.ndarray
+    abs_rows: np.ndarray
+    m_ub: int
     ub_vars: np.ndarray
 
 
@@ -277,12 +298,11 @@ def _slack_start(lp: LinearProgram) -> _Start:
     m = m_ub + m_eq
 
     # Normalized rows A x (+ slack) (+ artificial) = b with b >= 0.
-    A = np.vstack([a_ub, lp.a_eq]) if m else np.zeros((0, n))
+    rows = np.vstack([a_ub, lp.a_eq]) if m else np.zeros((0, n))
     b = np.concatenate([b_ub, lp.b_eq]) if m else np.zeros(0)
 
     sigma = np.where(b < 0, -1.0, 1.0)
-    A = A * sigma[:, None]
-    b = b * sigma
+    A = rows * sigma[:, None]
 
     # Variables: n structural, then slack n + i of each <= row i, then the
     # artificials.  Artificials exist only where the slack cannot start the
@@ -303,12 +323,12 @@ def _slack_start(lp: LinearProgram) -> _Start:
     T = np.zeros((m + 1, nonbasic.size + 1))
     T[:m, :n] = A
     T[surplus, n + np.arange(surplus.size)] = -1.0
-    T[:m, -1] = b
+    T[:m, -1] = b * sigma
 
     return _Start(
         iterations=0, max_iter=500 + 80 * (m + width), width=width, T=T, basis=basis,
         nonbasic=nonbasic, alive=np.ones(m, dtype=bool), own=own, A=A,
-        sigma=sigma, a_ub=a_ub, b_ub=b_ub, ub_vars=ub_vars,
+        sigma=sigma, rows=rows, b=b, abs_rows=np.abs(rows), m_ub=m_ub, ub_vars=ub_vars,
     )
 
 
@@ -318,7 +338,7 @@ def _phase1(lp: LinearProgram):
     holding one are redundant and dropped)."""
     start = _slack_start(lp)
     T, basis, nonbasic = start.T, start.basis, start.nonbasic
-    n, m_ub, width = lp.c.shape[0], start.a_ub.shape[0], start.width
+    n, m_ub, width = lp.c.shape[0], start.m_ub, start.width
 
     it1 = 0
     if width > n + m_ub:
@@ -353,18 +373,18 @@ def _shape(lp: LinearProgram) -> str:
 def _solution(lp: LinearProgram, start: _Start, y, **fields) -> LPSolution:
     """``fields`` with the multipliers ``y`` of ``start``'s rows, split into
     those of ``lp.a_ub``, of ``lp.a_eq`` and of the folded upper bounds."""
-    m_ub, k = start.a_ub.shape[0], lp.a_ub.shape[0]
+    m_ub, k = start.m_ub, lp.a_ub.shape[0]
     upper = np.zeros(lp.c.shape[0])
     upper[start.ub_vars] = y[k:m_ub]
     return LPSolution(dual_ub=y[:k], dual_eq=y[m_ub:], dual_upper=upper, **fields)
 
 
-def _dual_residual(c, rows, y, m_ub: int) -> float:
-    """How far multipliers ``y`` of ``rows`` (the first ``m_ub`` of them
-    inequalities) are from dual feasibility, y^T rows >= c and y >= 0 on the
-    inequalities, each relative to the magnitudes entering it."""
-    reduced = (c - y @ rows) / (1.0 + np.abs(c) + np.abs(y) @ np.abs(rows))
-    y_ub = y[:m_ub]
+def _dual_residual(c, start: _Start, y) -> float:
+    """How far multipliers ``y`` of ``start``'s rows (the first ``m_ub`` of
+    them inequalities) are from dual feasibility, y^T rows >= c and y >= 0 on
+    the inequalities, each relative to the magnitudes entering it."""
+    reduced = (c - y @ start.rows) / (1.0 + np.abs(c) + np.abs(y) @ start.abs_rows)
+    y_ub = y[:start.m_ub]
     sign = float(np.max(-y_ub, initial=0.0)) / (1.0 + float(np.max(np.abs(y_ub), initial=0.0)))
     return max(float(np.max(reduced, initial=0.0)), sign)
 
@@ -379,13 +399,11 @@ def _infeasible(lp: LinearProgram, start: _Start, iterations: int) -> LPSolution
     y must meet y^T A >= 0, y >= 0 on the inequality rows and y^T b < 0, each
     relative to the magnitudes entering it (see :func:`_dual_residual`).
     """
-    n, m_ub = lp.c.shape[0], start.a_ub.shape[0]
+    n, b = lp.c.shape[0], start.b
     rc = np.zeros(start.width)
     rc[start.nonbasic] = start.T[-1, :-1]
-    y = start.sigma * (rc[start.own] - (start.own >= n + m_ub))
-    rows = np.vstack([start.a_ub, lp.a_eq])
-    b = np.concatenate([start.b_ub, lp.b_eq])
-    dual_res = _dual_residual(np.zeros(n), rows, y, m_ub)
+    y = start.sigma * (rc[start.own] - (start.own >= n + start.m_ub))
+    dual_res = _dual_residual(np.zeros(n), start, y)
     value = float(y @ b) / (1.0 + float(np.abs(y) @ np.abs(b)))
     if not (dual_res <= TOL and value < -TOL):  # NaN fails too
         raise ComputationError(
@@ -408,7 +426,7 @@ def _restart(lp: LinearProgram, rows: _Start, basis) -> Optional[_Start]:
     dual feasible, or when the dual simplex finds no feasible point or needs
     more pivots than there are rows.
     """
-    n, m_ub, m = lp.c.shape[0], rows.a_ub.shape[0], rows.A.shape[0]
+    n, m_ub, m = lp.c.shape[0], rows.m_ub, rows.A.shape[0]
     if basis is None or basis.size != m or np.any(basis >= n + m_ub):
         return None
     cols = np.zeros((m, rows.width))
@@ -453,18 +471,19 @@ def _basis_solve(mat, rhs):
         return np.linalg.lstsq(mat, rhs, rcond=None)[0]
 
 
-def _certificate(c_obj, rows, b, m_ub: int, x, y):
-    """Strong duality of x and max-sense multipliers y on ``rows`` (the
-    first ``m_ub`` of them <=, the rest equalities) with right-hand side b:
+def _certificate(c_obj, start: _Start, x, y):
+    """Strong duality of x and max-sense multipliers y on ``start``'s rows
+    as supplied (the first ``m_ub`` of them <=, the rest equalities):
     (c_obj x, primal residual, dual residual, gap).  Each residual is
     relative to the magnitudes entering its row or column, so badly scaled
     data certify honestly."""
+    b = start.b
     value_max = float(c_obj @ x)
-    resid = rows @ x - b
-    resid[m_ub:] = np.abs(resid[m_ub:])
-    resid /= 1.0 + np.abs(b) + np.abs(rows) @ np.abs(x)
+    resid = start.rows @ x - b
+    resid[start.m_ub:] = np.abs(resid[start.m_ub:])
+    resid /= 1.0 + np.abs(b) + start.abs_rows @ np.abs(x)
     primal_res = float(np.max(np.concatenate([-x, resid]), initial=0.0))
-    dual_res = _dual_residual(c_obj, rows, y, m_ub)
+    dual_res = _dual_residual(c_obj, start, y)
     dual_value = float(b @ y)
     gap = abs(value_max - dual_value) / (1.0 + abs(value_max) + float(np.abs(b) @ np.abs(y)))
     return value_max, primal_res, dual_res, gap
@@ -474,10 +493,8 @@ def _phase2(lp: LinearProgram, start: _Start) -> LPSolution:
     """Phase 2 of ``lp`` from a copy of ``start``, certified by strong
     duality."""
     T, basis, nonbasic = start.T.copy(), start.basis.copy(), start.nonbasic.copy()
-    alive, A, a_ub, b_ub = start.alive, start.A, start.a_ub, start.b_ub
-    n = lp.c.shape[0]
-    m_ub, m_eq = a_ub.shape[0], lp.a_eq.shape[0]
-    m, width = m_ub + m_eq, start.width
+    alive, A, m_ub = start.alive, start.A, start.m_ub
+    n, m, width = lp.c.shape[0], A.shape[0], start.width
     sense_mult = 1.0 if lp.sense == "max" else -1.0
     c_obj = sense_mult * lp.c
 
@@ -492,7 +509,6 @@ def _phase2(lp: LinearProgram, start: _Start) -> LPSolution:
 
     # The optimum and its duals from the final basis (see the module
     # docstring); dropped redundant rows carry dual zero.
-    rows_all, b_all = np.vstack([a_ub, lp.a_eq]), np.concatenate([b_ub, lp.b_eq])
     x = np.zeros(n)
     y_norm = np.zeros(m)
     rows = alive.copy()
@@ -500,11 +516,11 @@ def _phase2(lp: LinearProgram, start: _Start) -> LPSolution:
     struct = basis[basis < n]
     if rows.any():
         basis_mat = A[np.ix_(rows, struct)]
-        x[struct] = _basis_solve(basis_mat, start.sigma[rows] * b_all[rows])
+        x[struct] = _basis_solve(basis_mat, start.sigma[rows] * start.b[rows])
         y_norm[rows] = _basis_solve(basis_mat.T, c2[struct])
     # duals of the rows as supplied (all-<= + eq), max sense
     y = start.sigma * y_norm
-    value_max, primal_res, dual_res, gap = _certificate(c_obj, rows_all, b_all, m_ub, x, y)
+    value_max, primal_res, dual_res, gap = _certificate(c_obj, start, x, y)
     if not (primal_res <= TOL and dual_res <= TOL and gap <= TOL):  # NaN fails too
         raise ComputationError(
             f"LP certification failed ({_shape(lp)}): "
@@ -518,22 +534,21 @@ def _phase2(lp: LinearProgram, start: _Start) -> LPSolution:
     )
 
 
-def _carry(lp: LinearProgram, prev: LPSolution) -> Optional[LPSolution]:
+def _carry(lp: LinearProgram, rows: _Start, prev: LPSolution) -> Optional[LPSolution]:
     """``prev``, an optimum of rows of the same shape whose data changed,
     as the optimum of ``lp`` when its x and duals pass :func:`_phase2`'s
-    strong-duality test on ``lp``'s rows as supplied; else None.  The answer
-    keeps ``prev``'s basis, for the next restart, and its residuals are
-    recomputed on the new rows."""
+    strong-duality test on ``lp``'s rows as supplied, those of ``rows`` (the
+    slack start of ``lp``'s rows); else None.  The answer keeps ``prev``'s
+    basis, for the next restart, and its residuals are recomputed on the new
+    rows."""
     if (prev.status != "optimal" or prev.x.shape != lp.c.shape
             or prev.dual_ub.shape != lp.b_ub.shape or prev.dual_eq.shape != lp.b_eq.shape):
         return None
-    a_ub, b_ub, ub_vars = _folded(lp)
     sense_mult = 1.0 if lp.sense == "max" else -1.0
-    y = sense_mult * np.concatenate([prev.dual_ub, prev.dual_upper[ub_vars], prev.dual_eq])
-    value_max, primal_res, dual_res, gap = _certificate(
-        sense_mult * lp.c, np.vstack([a_ub, lp.a_eq]), np.concatenate([b_ub, lp.b_eq]),
-        a_ub.shape[0], prev.x, y,
+    y = sense_mult * np.concatenate(
+        [prev.dual_ub, prev.dual_upper[rows.ub_vars], prev.dual_eq]
     )
+    value_max, primal_res, dual_res, gap = _certificate(sense_mult * lp.c, rows, prev.x, y)
     if not (primal_res <= TOL and dual_res <= TOL and gap <= TOL):
         return None
     return replace(
@@ -578,12 +593,12 @@ def solve_ratio(
     for k, side in enumerate((replace(prog, sense="min"), prog)):
         start = None
         if warm is not None:
-            carried = _carry(side, warm[k])
+            if rows is None:
+                rows = _slack_start(prog)
+            carried = _carry(side, rows, warm[k])
             if carried is not None:
                 out.append(carried)
                 continue
-            if rows is None:
-                rows = _slack_start(prog)
             start = _restart(side, rows, warm[k].basis)
         if start is None:
             if cold is None:

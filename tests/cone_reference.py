@@ -11,6 +11,8 @@ to this family.  Values are computed one generator and one path at a time,
 summing the entry leg, the exit leg and the dividend legs in date order.
 The tree navigation this needs and the engine does not (a path's node, a
 node's children) is written here on ``EventTree.cell_index``.
+``block_rows`` builds the node-form rows block by block from fresh arrays:
+the reference the engine's in-place builder must equal entry for entry.
 """
 
 from dataclasses import dataclass
@@ -19,6 +21,7 @@ import numpy as np
 
 from conic_pricer import lp
 from conic_pricer.acceptability import DensityBand
+from conic_pricer.cone import NodeRows
 from conic_pricer.errors import ValidationError
 from conic_pricer.lattice import NodeRef, as_values, tail_sum
 from conic_pricer.market import make_self_financing
@@ -310,3 +313,68 @@ def node_form_polytope(model, rows, gamma=None):
     ])
     a_eq = np.concatenate([model.probabilities, np.zeros(k + 1)])[None, :]
     return {"a_ub": a_ub, "b_ub": np.zeros(a_ub.shape[0]), "a_eq": a_eq, "b_eq": np.ones(1)}
+
+
+# ---------------------------------------------------------------------------
+# the node-form rows built block by block
+
+
+def block_rows(model, t, entry="trade"):
+    """The rows of ``conic_pricer.cone.generators_for`` with each (date,
+    security, kind) block built from fresh arrays and the blocks stacked at
+    the end, the carry-on blocks first.  The engine writes the same rows in
+    place; it must equal this entry for entry and in the same order, because
+    row order sets the pivot paths."""
+    tree = model.tree
+    T, S = tree.horizon, model.n_securities
+    if not 0 <= t <= T - 1:
+        raise ValidationError(f"start date {t} outside 0..{T - 1}")
+    if entry not in ("trade", "mark"):
+        raise ValidationError(f"entry must be 'trade' or 'mark', got {entry!r}")
+    p = tree.probabilities
+    _, Binv = model.discounts()
+    counts = [len(tree.partitions[s]) for s in range(T + 1)]
+    heads = [np.array([c[0] for c in tree.partitions[s]]) for s in range(T + 1)]
+    base, width = {}, 0
+    for s in range(t + 1, T):
+        for j in range(S):
+            base[s, j] = width
+            width += 2 * counts[s]
+    col_owner = np.array([c for s in range(t + 1, T)
+                          for c in np.tile(tree.cell_index(t)[heads[s]], 2 * S)], dtype=int)
+    prices = [(sec.bid * Binv, sec.ask * Binv) for sec in model.securities]
+    blocks = {False: [], True: []}  # open rows, carry-on rows: (a_u, a_v, meta)
+    for s in range(t, T):
+        k, k_next = counts[s], counts[s + 1]
+        cells = tree.cell_index(s)
+        weight = (np.arange(k)[:, None] == cells[None, :]) * p  # p on each node's paths
+        parent = cells[heads[s + 1]]
+        hold = (parent[None, :] == np.arange(k)[:, None]).astype(float)
+        owner = tree.cell_index(t)[heads[s]]
+        mark = entry == "mark" and s == t >= 1
+        for j, sec in enumerate(model.securities):
+            bid, ask = prices[j]
+            long_exit = bid[:, s + 1] + (sec.div_ask[:, s + 1] - sec.div_ask[:, s]) * Binv[:, s + 1]
+            short_exit = ask[:, s + 1] + (sec.div_bid[:, s + 1] - sec.div_bid[:, s]) * Binv[:, s + 1]
+            kinds = [
+                (1, long_exit - (bid[:, s] if mark else ask[:, s]), 0),
+                (-1, (ask[:, s] if mark else bid[:, s]) - short_exit, k_next),
+            ]
+            if s > t:
+                kinds += [(1, long_exit - bid[:, s], 0), (-1, ask[:, s] - short_exit, k_next)]
+            for n_kind, (side, value, shift) in enumerate(kinds):
+                block = np.zeros((k, width))
+                if s + 1 < T:
+                    at = base[s + 1, j] + shift
+                    block[:, at : at + k_next] = hold
+                if n_kind >= 2:
+                    at = base[s, j] + (0 if side > 0 else k)
+                    block[:, at : at + k] -= np.eye(k)
+                info = [np.full(k, s), np.arange(k), np.full(k, j), np.full(k, side),
+                        np.full(k, n_kind >= 2), owner]
+                blocks[n_kind >= 2].append((weight * value, block, np.array(info)))
+    a_u, a_v, meta = zip(*blocks[True], *blocks[False])
+    date, cell, security, side, carry, owner = np.hstack(meta)
+    return NodeRows(start=t, a_u=np.vstack(a_u), a_v=np.vstack(a_v), date=date, cell=cell,
+                    security=security, side=side, carry=carry == 1, owner=owner,
+                    col_owner=col_owner)

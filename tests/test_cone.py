@@ -14,6 +14,7 @@ from conic_pricer.market import (
 )
 
 from cone_reference import (
+    block_rows,
     children,
     enumerated_arbitrage,
     generator_strategy,
@@ -136,6 +137,29 @@ class TestGeneratorsFor:
         spread = (sec.ask[:, 1] - sec.bid[:, 1]) * model.probabilities
         assert np.allclose(mark.a_u - trade.a_u, spread * on_node, rtol=0, atol=1e-12)
         assert np.array_equal(generators_for(model, 0, "mark").a_u, generators_for(model, 0).a_u)
+
+    def test_rows_written_in_place_equal_the_block_builder(self):
+        # exactly, field by field and in the same order: row order sets the
+        # pivot paths of every program built on the rows
+        rng = np.random.default_rng(20261019)
+        models = []
+        for _ in range(12):
+            tree = random_tree(rng, int(rng.integers(3, 9)), int(rng.integers(1, 4)))
+            models += [
+                arbitrage_free_market(rng, tree, dividends=True, rates=True, lam=lam, securities=2)
+                for lam in (0.0, 0.01)
+            ]
+        models.append(binary_tree_market(1.1, 0.9, 0.01, 0.5, 0.01, 6))
+        for model in models:
+            for t in range(model.tree.horizon):
+                for entry in ("trade", "mark"):
+                    got, ref = generators_for(model, t, entry), block_rows(model, t, entry)
+                    assert got.start == ref.start == t
+                    for field in dataclasses.fields(got):
+                        a, b = getattr(got, field.name), getattr(ref, field.name)
+                        if field.name != "start":
+                            assert a.dtype.kind == b.dtype.kind, field.name
+                            assert np.array_equal(a, b), field.name
 
     def test_entry_and_start_are_validated(self):
         model = two_period_model()

@@ -11,6 +11,7 @@ from conic_pricer.lp import LinearProgram, solve, solve_ratio
 from conic_pricer.pricing import _with_band
 
 from conftest import lp_vertex_oracle
+from lp_reference import _pivot as full_pivot
 from lp_reference import reference_solve
 from lp_reference import solve_ratio as charnes_cooper
 
@@ -244,6 +245,45 @@ class TestCondensedKernel:
             sol = solve(prog)
             assert sol.status == "infeasible"
             assert _is_farkas_ray(sol, prog)
+
+    def test_pivot_leaves_zero_factor_rows_and_matches_full_update(self):
+        # the condensed pivot subtracts the full outer product from every
+        # row: a row whose entering-column entry is an exact zero keeps its
+        # values (a -0.0 may read +0.0), and the pivot row and the entering
+        # slot, which now holds the leaving variable's column, are those of
+        # the full-tableau update on the columns both tableaux hold
+        rng = np.random.default_rng(20261019)
+        zero_rows = 0
+        for _ in range(40):
+            m, n = int(rng.integers(2, 12)), int(rng.integers(1, 10))
+            T = rng.normal(size=(m + 1, n + 1))
+            T[rng.random(T.shape) < 0.3] = 0.0
+            k = int(rng.integers(n))
+            row = int(rng.integers(m))
+            zeros = rng.random(m + 1) < 0.4
+            zeros[row] = False
+            T[zeros, k] = -0.0 if rng.random() < 0.5 else 0.0
+            T[row, k] = rng.uniform(0.5, 2.0) * rng.choice([-1.0, 1.0])
+            nonbasic = rng.permutation(m + n)[:n]
+            basis = np.setdiff1d(np.arange(m + n), nonbasic)
+            full = np.zeros((m + 1, m + n + 1))
+            full[:, nonbasic] = T[:, :-1]
+            full[np.arange(m), basis] = 1.0
+            full[:, -1] = T[:, -1]
+            entering, leaving = nonbasic[k], basis[row]
+            before = T.copy()
+            full_pivot(full, list(basis), row, entering)
+            lp._pivot(T, basis, nonbasic, row, k)
+            assert nonbasic[k] == leaving and basis[row] == entering
+            zero_rows += int(zeros.sum())
+            assert np.array_equal(T[zeros, :k], before[zeros, :k])
+            assert np.array_equal(T[zeros, k + 1:], before[zeros, k + 1:])
+            assert np.array_equal(T[zeros, k], np.zeros(int(zeros.sum())))
+            held = np.append(nonbasic, m + n)
+            assert T[row].tobytes() == full[row, held].tobytes()
+            assert np.array_equal(T[:, k], full[:, leaving])
+            assert np.array_equal(T, full[:, held])
+        assert zero_rows
 
 
 def _stalling_cone():
