@@ -204,10 +204,13 @@ def _node_hedges(model: MarketModel, rows: NodeRows, node: NodeRef):
     return pick[keep], paths, G[keep], H[keep]
 
 
-def _node_least_loss(model: MarketModel, rows: NodeRows, node: NodeRef):
+def _node_least_loss(model: MarketModel, rows: NodeRows, node: NodeRef, warm=None):
     """The date-t ``node``'s least expected loss L of a hedge on ``rows`` per
     unit of its expected gain, with the weights on ``rows`` of a hedge that
-    attains it (None where L is +inf).
+    attains it (None where L is +inf) and the LP's solution (None where the
+    node has no rows), which the same node's LP at a neighbouring
+    transaction cost can restart from as ``warm`` (see
+    :func:`conic_pricer.lp.solve`).
 
     The LP minimizes E[z] over weights w >= 0 and a loss bound
     z >= max(-X, 0) of the flow X = G^T w, with E[X] = 1 and H^T w >= 0 (the
@@ -219,7 +222,7 @@ def _node_least_loss(model: MarketModel, rows: NodeRows, node: NodeRef):
     """
     pick, paths, G, H = _node_hedges(model, rows, node)
     if not pick.size:
-        return np.inf, None
+        return np.inf, None, None
     q = model.probabilities[paths]
     m = len(paths)
     a_ub = np.vstack([
@@ -230,12 +233,12 @@ def _node_least_loss(model: MarketModel, rows: NodeRows, node: NodeRef):
         "min", np.concatenate([np.zeros(len(pick)), q]), a_ub=a_ub,
         b_ub=np.zeros(len(a_ub)), a_eq=[np.concatenate([G @ q, np.zeros(m)])], b_eq=[1.0],
     )
-    sol = lp.solve(prog)
+    sol = lp.solve(prog, warm=warm)
     if sol.status != "optimal":
-        return np.inf, None
+        return np.inf, None, sol
     weights = np.zeros(len(rows))
     weights[pick] = sol.x[: len(pick)]
-    return max(sol.value, 0.0), weights
+    return max(sol.value, 0.0), weights, sol
 
 
 def arbitrage_check(model: MarketModel, t: int) -> Optional[ArbitrageWitness]:
@@ -252,7 +255,7 @@ def _arbitrage(model: MarketModel, rows: NodeRows) -> Optional[ArbitrageWitness]
     """:func:`arbitrage_check` over the trade rows ``rows`` of its date."""
     tree = model.tree
     for node in tree.nodes(rows.start):
-        loss, weights = _node_least_loss(model, rows, node)
+        loss, weights, _ = _node_least_loss(model, rows, node)
         if loss <= lp.TOL:
             pick, paths, G, _ = _node_hedges(model, rows, node)
             flow = np.zeros(tree.n_paths)

@@ -31,24 +31,40 @@ side; that keeps the loop finite.
 
 Phase 1 reads only the rows, so :func:`solve` runs it once and phase 2 starts
 from it; :func:`solve_ratio` runs phase 2 twice, once per sense, from copies
-of one phase 1.
+of one phase 1.  The rows are read once per program, into the slack start
+that phase 1, every restart and every certificate share
+(:func:`_slack_start`); they are copied sign-normalized only where a
+right-hand side is negative.
 
 Every optimum keeps its final basis, numbered as phase 1 numbers the
-variables, and :func:`solve_ratio` can start each extreme from a previous
-pair's optimum on rows of the same shape whose data changed (the liquidity
-surface's band widening from one level to the next).  The previous optimum
-is carried first: its x and duals are put to the strong-duality test below
-on the new rows, and when they pass they are the answer, residuals
-recomputed, with no refactor and no pivot.  A wider band only loosens the
-rows, so x stays feasible, and duals that are zero on every changed row stay
-dual feasible.  Otherwise the extreme restarts from the previous basis,
-refactored on the new rows by one dense solve against every column,
-[A | I] for the ratio program.  A basis left infeasible there but still dual
-feasible goes to the dual simplex: the most negative basic value leaves, ties
-to the smallest basic index, and the column with the least rc/|a| enters,
-ties to the smallest variable index.  Phase 2 and certification then run as
-from phase 1.  A basis that is singular, infeasible and not dual feasible, or
-whose dual simplex finds no feasible point or runs past one pivot per row, is
+variables, and a solve can start from an optimum of rows of the same shape
+whose data changed.  :func:`solve` takes one as ``warm`` (the least-loss LP
+of the liquidity surface's next transaction cost); :func:`solve_ratio` takes
+a previous pair, one per extreme (the surface's band widening from one level
+to the next).  A ratio extreme's previous optimum is carried first: its x and
+duals are put to the strong-duality test below on the new rows, and when they
+pass they are the answer, residuals recomputed, with no refactor and no
+pivot.  A wider band only loosens the rows, so x stays feasible, and duals
+that are zero on every changed row stay dual feasible.  Otherwise the solve
+restarts from the previous basis, refactored on the new rows by one dense
+solve against every column, [A | I] for the ratio program.
+
+The surface's band program is built once per transaction cost
+(:class:`_Slice`), and a level step rewrites one column of it in place: the
+band scalar's, which is positive at every band density and so basic in every
+optimum.  An optimum solved there keeps its final tableau, and a restart
+from it updates that tableau by one rank-one correction for the changed
+column (Sherman-Morrison, see :func:`_update`) instead of the dense
+refactor, which remains for a correction whose pivot is below ``TOL``.
+
+A restarted basis left infeasible goes to the dual simplex: the most
+negative basic value leaves, ties to the smallest basic index, and the
+column with the least rc/|a| enters, ties to the smallest variable index.
+Where the basis is not dual feasible either, each negative reduced cost of a
+column that may enter is first raised to zero, which shifts that column's
+cost.  Phase 2, on a fresh objective row of the true costs, and
+certification then run as from phase 1.  A basis that is singular, or whose
+dual simplex finds no feasible point or runs past one pivot per row, is
 dropped for the cold phase 1, which gives the cold answer bit for bit.
 
 Every LP is solved on its rows as supplied, a row negated where its
@@ -74,7 +90,7 @@ the denominator is one, a plain LP.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -82,6 +98,8 @@ import numpy as np
 from .errors import ComputationError, ValidationError
 
 TOL = 1e-9  # the one LP tolerance (see the module docstring)
+# the bare reductions behind np.max and np.min, without their wrappers
+_most, _least = np.maximum.reduce, np.minimum.reduce
 # Zero-step pivots in a row after which Bland's rule picks the entering column.
 _STALL_PIVOTS = 50
 
@@ -143,6 +161,9 @@ class LPSolution:
     # final basis of an optimum, one variable per row kept, numbered as
     # phase 1 numbers the variables: what solve_ratio restarts from
     basis: Optional[np.ndarray] = None
+    # final condensed tableau of an optimum of a _Slice with a rewritable
+    # column, which a restart after a rewrite updates (see _update)
+    kept: Optional["_Kept"] = field(default=None, repr=False, compare=False)
 
 
 def _pivot(T, basis, nonbasic, row, k):
@@ -251,28 +272,52 @@ def _set_objective(T, basis, nonbasic, c):
 
 
 @dataclass
-class _Start:
-    """A basis of an LP's rows with the sign-normalized data that phase 2
-    reads: at the end of phase 1 a feasible one.  Phase 1 reads
-    neither the objective nor the sense, so one start serves both senses.
-    It also holds the rows as supplied, which every certificate reads."""
+class _Rows:
+    """An LP's rows as the kernel reads them (its slack start), built once
+    by :func:`_slack_start` and left as they are by every solve on them (a
+    :class:`_Slice` rewrites one column between solves): the rows as
+    supplied, which every certificate reads, their sign-normalized form,
+    which phase 1, phase 2 and every restart read, and the variable each
+    row's phase-1 basis starts from."""
 
-    iterations: int
     max_iter: int
     width: int
+    own: np.ndarray  # the slack or artificial each row's basis starts from
+    A: np.ndarray  # rows sign-normalized: ``supplied`` itself where no rhs is negative
+    sigma: np.ndarray
+    # the rows as supplied, all-<= (finite upper bounds appended) then eq
+    supplied: np.ndarray
+    b: np.ndarray
+    abs_supplied: np.ndarray
+    m_ub: int
+    ub_vars: np.ndarray
+
+
+@dataclass
+class _Start:
+    """A basis of ``rows`` with its condensed tableau: at the end of phase
+    1 a feasible one.  Phase 1 reads neither the objective nor the sense, so
+    one start serves both senses."""
+
+    rows: _Rows
     T: np.ndarray
     basis: np.ndarray
     nonbasic: np.ndarray
     alive: np.ndarray  # rows kept (redundant equalities dropped)
-    own: np.ndarray  # the slack or artificial each row's basis started from
-    A: np.ndarray  # rows sign-normalized
-    sigma: np.ndarray
-    # the rows as supplied, all-<= (finite upper bounds appended) then eq
-    rows: np.ndarray
-    b: np.ndarray
-    abs_rows: np.ndarray
-    m_ub: int
-    ub_vars: np.ndarray
+    iterations: int = 0
+
+
+@dataclass
+class _Kept:
+    """An optimum's final condensed tableau (with its ``nonbasic``), kept
+    with the rows it was factored on (``rows``, which a :class:`_Slice`
+    rewrites in place) and the rewritable column of their sign-normalized
+    form as it was then (``column``)."""
+
+    rows: _Rows
+    T: np.ndarray
+    nonbasic: np.ndarray
+    column: np.ndarray
 
 
 def _folded(lp: LinearProgram):
@@ -288,10 +333,10 @@ def _folded(lp: LinearProgram):
     return a_ub, np.concatenate([lp.b_ub, lp.upper[ub_vars]]), ub_vars
 
 
-def _slack_start(lp: LinearProgram) -> _Start:
-    """The rows of ``lp`` sign-normalized, with the basis phase 1
-    starts from: each row's slack, or its artificial where the slack cannot
-    start it."""
+def _slack_start(lp: LinearProgram) -> _Rows:
+    """The rows of ``lp`` sign-normalized, with the variable each row's
+    basis starts from in phase 1: its slack, or its artificial where the
+    slack cannot start it."""
     n = lp.c.shape[0]
     a_ub, b_ub, ub_vars = _folded(lp)
     m_ub, m_eq = a_ub.shape[0], lp.a_eq.shape[0]
@@ -301,44 +346,45 @@ def _slack_start(lp: LinearProgram) -> _Start:
     rows = np.vstack([a_ub, lp.a_eq]) if m else np.zeros((0, n))
     b = np.concatenate([b_ub, lp.b_eq]) if m else np.zeros(0)
 
-    sigma = np.where(b < 0, -1.0, 1.0)
-    A = rows * sigma[:, None]
+    flip = b < 0
+    sigma = np.where(flip, -1.0, 1.0)
+    A = rows * sigma[:, None] if flip.any() else rows
 
     # Variables: n structural, then slack n + i of each <= row i, then the
     # artificials.  Artificials exist only where the slack cannot start the
     # basis: equality rows and sign-flipped inequality rows (surplus form).
     # This keeps phase 1 small and far less degenerate.
-    needs_art = (np.arange(m) >= m_ub) | (sigma < 0)
-    art_rows = np.flatnonzero(needs_art)
-    surplus = art_rows[art_rows < m_ub]
+    art_rows = np.flatnonzero((np.arange(m) >= m_ub) | flip)
     width = n + m_ub + art_rows.size
     own = n + np.arange(m)  # the variable each row's basis starts from
     own[art_rows] = n + m_ub + np.arange(art_rows.size)
-    basis = own.copy()
+
+    return _Rows(
+        max_iter=500 + 80 * (m + width), width=width, own=own, A=A, sigma=sigma,
+        supplied=rows, b=b, abs_supplied=np.abs(rows), m_ub=m_ub, ub_vars=ub_vars,
+    )
+
+
+def _phase1(lp: LinearProgram, rows: Optional[_Rows] = None):
+    """Phase 1 on the rows of ``lp`` (``rows``, built by
+    :func:`_slack_start` when not given): the certified ``infeasible``
+    answer, or a :class:`_Start` whose basis has every artificial driven out
+    (rows left holding one are redundant and dropped)."""
+    rows = _slack_start(lp) if rows is None else rows
+    n, m_ub, width = lp.c.shape[0], rows.m_ub, rows.width
+    m = rows.A.shape[0]
 
     # Condensed tableau: one column per nonbasic variable (``nonbasic[k]``
     # is the variable of column k) plus the rhs; the basic columns of the
     # full tableau are unit vectors and are not stored.
+    surplus = np.flatnonzero(rows.sigma[:m_ub] < 0)
     nonbasic = np.concatenate([np.arange(n), n + surplus])
     T = np.zeros((m + 1, nonbasic.size + 1))
-    T[:m, :n] = A
+    T[:m, :n] = rows.A
     T[surplus, n + np.arange(surplus.size)] = -1.0
-    T[:m, -1] = b * sigma
-
-    return _Start(
-        iterations=0, max_iter=500 + 80 * (m + width), width=width, T=T, basis=basis,
-        nonbasic=nonbasic, alive=np.ones(m, dtype=bool), own=own, A=A,
-        sigma=sigma, rows=rows, b=b, abs_rows=np.abs(rows), m_ub=m_ub, ub_vars=ub_vars,
-    )
-
-
-def _phase1(lp: LinearProgram):
-    """Phase 1 on the rows of ``lp``: the certified ``infeasible`` answer, or
-    a :class:`_Start` whose basis has every artificial driven out (rows left
-    holding one are redundant and dropped)."""
-    start = _slack_start(lp)
-    T, basis, nonbasic = start.T, start.basis, start.nonbasic
-    n, m_ub, width = lp.c.shape[0], start.m_ub, start.width
+    T[:m, -1] = rows.b * rows.sigma
+    basis = rows.own.copy()
+    start = _Start(rows, T, basis, nonbasic, np.ones(m, dtype=bool))
 
     it1 = 0
     if width > n + m_ub:
@@ -346,7 +392,7 @@ def _phase1(lp: LinearProgram):
         c1 = np.zeros(width)
         c1[n + m_ub:] = -1.0
         _set_objective(T, basis, nonbasic, c1)
-        status1, it1 = _run_simplex(T, basis, nonbasic, width, start.max_iter)
+        status1, it1 = _run_simplex(T, basis, nonbasic, width, rows.max_iter)
         if status1 != "optimal" or T[-1, -1] < -TOL:
             return _infeasible(lp, start, it1)
 
@@ -358,8 +404,8 @@ def _phase1(lp: LinearProgram):
             _pivot(T, basis, nonbasic, i, cand[np.argmin(nonbasic[cand])])
         else:
             drop_rows.append(i)
-    start.alive[drop_rows] = False
     if drop_rows:
+        start.alive[drop_rows] = False
         start.T = np.vstack([T[:-1][start.alive], T[-1:]])
         start.basis = basis[start.alive]
     start.iterations = it1
@@ -370,23 +416,28 @@ def _shape(lp: LinearProgram) -> str:
     return f"{lp.a_ub.shape[0] + lp.a_eq.shape[0]} rows x {lp.c.shape[0]} columns"
 
 
-def _solution(lp: LinearProgram, start: _Start, y, **fields) -> LPSolution:
-    """``fields`` with the multipliers ``y`` of ``start``'s rows, split into
-    those of ``lp.a_ub``, of ``lp.a_eq`` and of the folded upper bounds."""
-    m_ub, k = start.m_ub, lp.a_ub.shape[0]
+def _solution(lp: LinearProgram, rows: _Rows, y, **fields) -> LPSolution:
+    """``fields`` with the multipliers ``y`` of ``rows``, split into those
+    of ``lp.a_ub``, of ``lp.a_eq`` and of the folded upper bounds."""
+    m_ub, k = rows.m_ub, lp.a_ub.shape[0]
     upper = np.zeros(lp.c.shape[0])
-    upper[start.ub_vars] = y[k:m_ub]
+    upper[rows.ub_vars] = y[k:m_ub]
     return LPSolution(dual_ub=y[:k], dual_eq=y[m_ub:], dual_upper=upper, **fields)
 
 
-def _dual_residual(c, start: _Start, y) -> float:
-    """How far multipliers ``y`` of ``start``'s rows (the first ``m_ub`` of
-    them inequalities) are from dual feasibility, y^T rows >= c and y >= 0 on
-    the inequalities, each relative to the magnitudes entering it."""
-    reduced = (c - y @ start.rows) / (1.0 + np.abs(c) + np.abs(y) @ start.abs_rows)
-    y_ub = y[:start.m_ub]
-    sign = float(np.max(-y_ub, initial=0.0)) / (1.0 + float(np.max(np.abs(y_ub), initial=0.0)))
-    return max(float(np.max(reduced, initial=0.0)), sign)
+def _dual_residual(c, rows: _Rows, y) -> float:
+    """How far multipliers ``y`` of ``rows`` as supplied (the first ``m_ub``
+    of them inequalities) are from dual feasibility, y^T rows >= c and y >= 0
+    on the inequalities, each relative to the magnitudes entering it."""
+    reduced = y @ rows.supplied
+    np.subtract(c, reduced, out=reduced)
+    scale = np.abs(c)
+    scale += 1.0
+    scale += np.abs(y) @ rows.abs_supplied
+    reduced /= scale
+    y_ub = y[:rows.m_ub]
+    sign = -float(_least(y_ub, initial=0.0)) / (1.0 + float(_most(np.abs(y_ub), initial=0.0)))
+    return max(float(_most(reduced, initial=0.0)), sign)
 
 
 def _infeasible(lp: LinearProgram, start: _Start, iterations: int) -> LPSolution:
@@ -399,33 +450,38 @@ def _infeasible(lp: LinearProgram, start: _Start, iterations: int) -> LPSolution
     y must meet y^T A >= 0, y >= 0 on the inequality rows and y^T b < 0, each
     relative to the magnitudes entering it (see :func:`_dual_residual`).
     """
-    n, b = lp.c.shape[0], start.b
-    rc = np.zeros(start.width)
+    n, rows = lp.c.shape[0], start.rows
+    b = rows.b
+    rc = np.zeros(rows.width)
     rc[start.nonbasic] = start.T[-1, :-1]
-    y = start.sigma * (rc[start.own] - (start.own >= n + start.m_ub))
-    dual_res = _dual_residual(np.zeros(n), start, y)
+    y = rows.sigma * (rc[rows.own] - (rows.own >= n + rows.m_ub))
+    dual_res = _dual_residual(np.zeros(n), rows, y)
     value = float(y @ b) / (1.0 + float(np.abs(y) @ np.abs(b)))
     if not (dual_res <= TOL and value < -TOL):  # NaN fails too
         raise ComputationError(
             f"LP infeasibility certification failed ({_shape(lp)}): "
             f"dual={dual_res:.3e} value={value:.3e} (tol {TOL:.3e})"
         )
-    return _solution(lp, start, y, status="infeasible", iterations=iterations)
+    return _solution(lp, rows, y, status="infeasible", iterations=iterations)
 
 
-def _restart(lp: LinearProgram, rows: _Start, basis) -> Optional[_Start]:
+def _restart(lp: LinearProgram, rows: _Rows, basis) -> Optional[_Start]:
     """A feasible start of ``lp`` at ``basis``, a previous optimum's
     basis of rows of the same shape, or None, and phase 1 runs instead.
-    ``rows`` is the slack start of ``lp``'s rows; it is left as it is.
-
-    The basis is refactored on the new rows by one dense solve over
-    every column, [A | I] with a surplus row's slack signed -1.  Where a basic
-    value is negative and every reduced cost of ``lp``'s objective is
-    nonnegative, the dual simplex pivots to a feasible basis.  None when the
-    basis does not fit the rows or is singular, when it is infeasible and not
-    dual feasible, or when the dual simplex finds no feasible point or needs
-    more pivots than there are rows.
+    ``rows`` are ``lp``'s rows (see :func:`_slack_start`).  The basis is
+    refactored on the new rows (see :func:`_refactor`) and
+    resumed by :func:`_resume`; None where either refuses it.
     """
+    factored = _refactor(lp, rows, basis)
+    return None if factored is None else _resume(lp, rows, *factored)
+
+
+def _refactor(lp: LinearProgram, rows: _Rows, basis):
+    """The condensed tableau of ``basis`` on ``rows``, ``lp``'s rows,
+    objective row zero, by one dense solve over every column,
+    [A | I] with a surplus row's slack signed -1: ``(T, basis, nonbasic)``,
+    every nonbasic variable in index order; None when the basis does not fit
+    the rows or is singular."""
     n, m_ub, m = lp.c.shape[0], rows.m_ub, rows.A.shape[0]
     if basis is None or basis.size != m or np.any(basis >= n + m_ub):
         return None
@@ -440,27 +496,83 @@ def _restart(lp: LinearProgram, rows: _Start, basis) -> Optional[_Start]:
     T = np.zeros((m + 1, nonbasic.size + 1))
     try:
         T[:m] = np.linalg.solve(
-            cols[:, basis], np.column_stack([cols[:, nonbasic], rows.T[:m, -1]])
+            cols[:, basis], np.column_stack([cols[:, nonbasic], rows.b * rows.sigma])
         )
     except np.linalg.LinAlgError:
         return None
     if not np.all(np.isfinite(T)):
         return None
-    basis = basis.copy()
+    return T, basis.copy(), nonbasic
+
+
+def _update(rows: _Rows, kept: _Kept, basis, j: int) -> Optional[np.ndarray]:
+    """The condensed tableau of ``basis`` on ``rows``, from ``kept``, its
+    tableau on the same rows before their column ``j`` was rewritten, by one
+    rank-one correction; None where a redundant row was dropped, j is not
+    basic, or the correction's pivot 1 + d_r is below ``TOL``, and the dense
+    refactor of :func:`_restart` runs instead.
+
+    With j basic in row r, the new basis matrix is B + delta e_r^T, delta
+    the column's change, so by Sherman-Morrison each column's new entries
+    are its old ones less d times its row-r entry over 1 + d_r, with
+    d = B^-1 delta: row r is divided by 1 + d_r, and every other row i
+    subtracts d_i times the new row r, as a pivot does.  delta sits on rows
+    whose own slack or artificial has the unit column e_i, so d sums those
+    variables' tableau columns, or unit vectors where they are basic,
+    weighted by delta.  The objective row is left stale for the caller to
+    set.
+    """
+    at = np.flatnonzero(basis == j)
+    if basis.size != rows.A.shape[0] or at.size != 1:
+        return None
+    r, m = at[0], basis.size
+    T, nonbasic = kept.T, kept.nonbasic
+    delta = rows.A[:, j] - kept.column
+    moved = np.flatnonzero(delta)
+    # where each variable sits: its column k >= 0, or -2 - s if basic in row s
+    slot = np.empty(rows.width, dtype=int)
+    slot[nonbasic] = np.arange(nonbasic.size)
+    slot[basis] = -2 - np.arange(m)
+    k = slot[rows.own[moved]]
+    column = k >= 0
+    d = np.zeros(m + 1)
+    d[:m] = T[:m, k[column]] @ delta[moved[column]]
+    d[-2 - k[~column]] += delta[moved[~column]]
+    pivot = 1.0 + d[r]
+    if not pivot >= TOL:
+        return None
+    prow = T[r] / pivot
+    d[r] = 0.0
+    out = T - np.multiply.outer(d, prow)
+    out[r] = prow
+    return out
+
+
+def _resume(lp: LinearProgram, rows: _Rows, T, basis, nonbasic) -> Optional[_Start]:
+    """The feasible start of ``lp`` at ``basis``, whose condensed tableau on
+    ``rows``, ``lp``'s rows, is ``T``, objective row aside; or None.  Where
+    a basic value is negative, the dual simplex pivots to a feasible basis
+    on the reduced costs of ``lp``'s objective, each negative one of a
+    column that may enter first raised to zero: that shifts the column's
+    cost and makes the basis dual feasible, and phase 2 prices the true
+    objective again (cost shifting; Maros, *Computational Techniques of the
+    Simplex Method*, 2003).  None when the dual simplex finds no feasible
+    point or needs more pivots than there are rows."""
+    n, m_ub, m = lp.c.shape[0], rows.m_ub, basis.size
     it = 0
     if T[:m, -1].min(initial=0.0) < -TOL:
         c = np.zeros(rows.width)
         c[:n] = lp.c if lp.sense == "max" else -lp.c
         _set_objective(T, basis, nonbasic, c)
-        if np.any(T[-1, :-1][nonbasic < n + m_ub] < -TOL):
-            return None
+        rc = T[-1, :-1]
+        np.maximum(rc, 0.0, out=rc, where=nonbasic < n + m_ub)
         # a restart needing more pivots than there are rows is no cheaper
         # than phase 1, and the cap keeps the loop finite without a
         # cycling rule
         status, it = _run_dual(T, basis, nonbasic, n + m_ub, m)
         if status != "optimal":
             return None
-    return replace(rows, iterations=it, T=T, basis=basis, nonbasic=nonbasic)
+    return _Start(rows, T, basis, nonbasic, np.ones(m, dtype=bool), it)
 
 
 def _basis_solve(mat, rhs):
@@ -471,30 +583,38 @@ def _basis_solve(mat, rhs):
         return np.linalg.lstsq(mat, rhs, rcond=None)[0]
 
 
-def _certificate(c_obj, start: _Start, x, y):
-    """Strong duality of x and max-sense multipliers y on ``start``'s rows
-    as supplied (the first ``m_ub`` of them <=, the rest equalities):
+def _certificate(c_obj, rows: _Rows, x, y):
+    """Strong duality of x and max-sense multipliers y on ``rows`` as
+    supplied (the first ``m_ub`` of them <=, the rest equalities):
     (c_obj x, primal residual, dual residual, gap).  Each residual is
     relative to the magnitudes entering its row or column, so badly scaled
     data certify honestly."""
-    b = start.b
+    b = rows.b
+    abs_b = np.abs(b)
     value_max = float(c_obj @ x)
-    resid = start.rows @ x - b
-    resid[start.m_ub:] = np.abs(resid[start.m_ub:])
-    resid /= 1.0 + np.abs(b) + start.abs_rows @ np.abs(x)
-    primal_res = float(np.max(np.concatenate([-x, resid]), initial=0.0))
-    dual_res = _dual_residual(c_obj, start, y)
+    resid = rows.supplied @ x
+    resid -= b
+    eq = resid[rows.m_ub:]
+    np.abs(eq, out=eq)
+    scale = abs_b + 1.0
+    scale += rows.abs_supplied @ np.abs(x)
+    resid /= scale
+    # the largest of -x, the residuals and 0 (a NaN anywhere reads NaN)
+    primal_res = float(_most(resid, initial=-_least(x, initial=0.0)))
+    dual_res = _dual_residual(c_obj, rows, y)
     dual_value = float(b @ y)
-    gap = abs(value_max - dual_value) / (1.0 + abs(value_max) + float(np.abs(b) @ np.abs(y)))
+    gap = abs(value_max - dual_value) / (1.0 + abs(value_max) + float(abs_b @ np.abs(y)))
     return value_max, primal_res, dual_res, gap
 
 
-def _phase2(lp: LinearProgram, start: _Start) -> LPSolution:
+def _phase2(lp: LinearProgram, start: _Start, column: Optional[int] = None) -> LPSolution:
     """Phase 2 of ``lp`` from a copy of ``start``, certified by strong
-    duality."""
+    duality.  With ``column`` given, an optimum keeps its final tableau and
+    that column of the rows as they are now (see :class:`_Slice`)."""
     T, basis, nonbasic = start.T.copy(), start.basis.copy(), start.nonbasic.copy()
-    alive, A, m_ub = start.alive, start.A, start.m_ub
-    n, m, width = lp.c.shape[0], A.shape[0], start.width
+    rows, alive = start.rows, start.alive
+    A, m_ub = rows.A, rows.m_ub
+    n, m, width = lp.c.shape[0], A.shape[0], rows.width
     sense_mult = 1.0 if lp.sense == "max" else -1.0
     c_obj = sense_mult * lp.c
 
@@ -502,7 +622,7 @@ def _phase2(lp: LinearProgram, start: _Start) -> LPSolution:
     c2 = np.zeros(width)
     c2[:n] = c_obj
     _set_objective(T, basis, nonbasic, c2)
-    status2, it2 = _run_simplex(T, basis, nonbasic, n + m_ub, start.max_iter)
+    status2, it2 = _run_simplex(T, basis, nonbasic, n + m_ub, rows.max_iter)
     iterations = start.iterations + it2
     if status2 == "unbounded":
         return LPSolution(status="unbounded", iterations=iterations)
@@ -511,38 +631,44 @@ def _phase2(lp: LinearProgram, start: _Start) -> LPSolution:
     # docstring); dropped redundant rows carry dual zero.
     x = np.zeros(n)
     y_norm = np.zeros(m)
-    rows = alive.copy()
-    rows[basis[(basis >= n) & (basis < n + m_ub)] - n] = False
+    tight = alive.copy()
+    tight[basis[(basis >= n) & (basis < n + m_ub)] - n] = False
     struct = basis[basis < n]
-    if rows.any():
-        basis_mat = A[np.ix_(rows, struct)]
-        x[struct] = _basis_solve(basis_mat, start.sigma[rows] * start.b[rows])
-        y_norm[rows] = _basis_solve(basis_mat.T, c2[struct])
+    if tight.any():
+        live = np.flatnonzero(tight)
+        basis_mat = A[live[:, None], struct]
+        x[struct] = _basis_solve(basis_mat, rows.sigma[live] * rows.b[live])
+        y_norm[live] = _basis_solve(basis_mat.T, c2[struct])
     # duals of the rows as supplied (all-<= + eq), max sense
-    y = start.sigma * y_norm
-    value_max, primal_res, dual_res, gap = _certificate(c_obj, start, x, y)
+    y = rows.sigma * y_norm
+    value_max, primal_res, dual_res, gap = _certificate(c_obj, rows, x, y)
     if not (primal_res <= TOL and dual_res <= TOL and gap <= TOL):  # NaN fails too
         raise ComputationError(
             f"LP certification failed ({_shape(lp)}): "
             f"primal={primal_res:.3e} dual={dual_res:.3e} gap={gap:.3e} (tol {TOL:.3e})"
         )
 
+    kept = None if column is None else _Kept(rows, T, nonbasic, A[:, column].copy())
     return _solution(
-        lp, start, sense_mult * y, status="optimal", value=sense_mult * value_max, x=x,
+        lp, rows, sense_mult * y, status="optimal", value=sense_mult * value_max, x=x,
         gap=gap, primal_residual=primal_res, dual_residual=dual_res,
-        iterations=iterations, basis=basis,
+        iterations=iterations, basis=basis, kept=kept,
     )
 
 
-def _carry(lp: LinearProgram, rows: _Start, prev: LPSolution) -> Optional[LPSolution]:
+def _fits(lp: LinearProgram, prev: LPSolution) -> bool:
+    """Whether ``prev`` is an optimum of a program of ``lp``'s shape."""
+    return (prev.status == "optimal" and prev.x.shape == lp.c.shape
+            and prev.dual_ub.shape == lp.b_ub.shape and prev.dual_eq.shape == lp.b_eq.shape)
+
+
+def _carry(lp: LinearProgram, rows: _Rows, prev: LPSolution) -> Optional[LPSolution]:
     """``prev``, an optimum of rows of the same shape whose data changed,
     as the optimum of ``lp`` when its x and duals pass :func:`_phase2`'s
-    strong-duality test on ``lp``'s rows as supplied, those of ``rows`` (the
-    slack start of ``lp``'s rows); else None.  The answer keeps ``prev``'s
-    basis, for the next restart, and its residuals are recomputed on the new
-    rows."""
-    if (prev.status != "optimal" or prev.x.shape != lp.c.shape
-            or prev.dual_ub.shape != lp.b_ub.shape or prev.dual_eq.shape != lp.b_eq.shape):
+    strong-duality test on ``rows``, ``lp``'s rows as supplied; else None.
+    The answer keeps ``prev``'s basis and tableau, for the next restart, and
+    its residuals are recomputed on the new rows."""
+    if not _fits(lp, prev):
         return None
     sense_mult = 1.0 if lp.sense == "max" else -1.0
     y = sense_mult * np.concatenate(
@@ -557,13 +683,97 @@ def _carry(lp: LinearProgram, rows: _Start, prev: LPSolution) -> Optional[LPSolu
     )
 
 
-def solve(lp: LinearProgram) -> LPSolution:
+def solve(lp: LinearProgram, *, warm: Optional[LPSolution] = None) -> LPSolution:
     """Solve the LP, certifying optimal answers by strong duality and
-    infeasible ones by a Farkas ray."""
-    start = _phase1(lp)
-    if isinstance(start, LPSolution):
-        return start
+    infeasible ones by a Farkas ray.
+
+    ``warm``, an optimum of a program of the same shape whose data changed
+    (the least-loss LP of a neighbouring transaction cost), starts the solve
+    from its final basis, refactored on the new rows (see ``_restart``).
+    Such data change in every row, so its optimum is not carried.  A warm
+    solution of another shape, one that is not optimal, or a basis the
+    restart refuses leaves the solve to phase 1, which gives the cold answer
+    bit for bit.
+    """
+    rows = _slack_start(lp)
+    start = _restart(lp, rows, warm.basis) if warm is not None and _fits(lp, warm) else None
+    if start is None:
+        start = _phase1(lp, rows)
+        if isinstance(start, LPSolution):
+            return start
     return _phase2(lp, start)
+
+
+class _Slice:
+    """The program of :func:`solve_ratio`: num @ x over the cone
+    {x >= 0, a_ub @ x <= 0} cut by the slice den @ x = 1, with its slack
+    start, built once (``a_ub`` as given, not copied) and solved any number
+    of times.
+
+    With ``column`` given, that column of ``a_ub`` may be rewritten in place
+    between solves (:meth:`rewrite`), and every optimum keeps its final
+    tableau.  A restart from such an optimum after a rewrite updates that
+    tableau by one rank-one correction (:func:`_update`) where
+    :func:`_restart` would refactor it.
+    """
+
+    def __init__(self, num, den, a_ub, column: Optional[int] = None):
+        a_ub = np.atleast_2d(np.asarray(a_ub, dtype=float))
+        num, den = np.asarray(num, dtype=float), np.asarray(den, dtype=float)
+        m, n = a_ub.shape
+        if num.shape != (n,) or den.shape != (n,):
+            raise ValidationError("inconsistent LP dimensions")
+        if not (np.isfinite(a_ub).all() and np.isfinite(num).all() and np.isfinite(den).all()):
+            raise ValidationError("non-finite coefficients in the ratio program")
+        self.prog = LinearProgram("max", num, a_ub, np.zeros(m), den[None], np.ones(1))
+        self.sides = (replace(self.prog, sense="min"), self.prog)
+        self.rows = _slack_start(self.prog)
+        self.column = column
+
+    def rewrite(self, i, value: float) -> None:
+        """Set entries ``i`` of the rewritable column of ``a_ub`` to
+        ``value``, in the program and in its rows (whose A is the rows as
+        supplied: no right-hand side is negative)."""
+        j = self.column
+        self.prog.a_ub[i, j] = value
+        self.rows.supplied[i, j] = value
+        self.rows.abs_supplied[i, j] = abs(value)
+
+    def solve(self, warm: Optional[tuple] = None) -> tuple[LPSolution, LPSolution]:
+        """``(lo, hi)`` as :func:`solve_ratio` gives them, ``warm`` as
+        there."""
+        rows, cold, out = self.rows, None, []
+        for k, side in enumerate(self.sides):
+            start = None
+            if warm is not None:
+                # an optimum kept on another slice's rows solved a program
+                # whose data all differ (the surface's row before): its x
+                # does not solve these rows, so no carry is tried
+                kept = warm[k].kept
+                if kept is None or kept.rows is rows:
+                    carried = _carry(side, rows, warm[k])
+                    if carried is not None:
+                        out.append(carried)
+                        continue
+                start = self._restart(side, warm[k])
+            if start is None:
+                if cold is None:
+                    cold = _phase1(self.prog, rows)
+                if isinstance(cold, LPSolution):
+                    return cold, cold
+                start = cold
+            out.append(_phase2(side, start, self.column))
+        return out[0], out[1]
+
+    def _restart(self, side: LinearProgram, prev: LPSolution) -> Optional[_Start]:
+        """A start of ``side`` from ``prev``: its kept tableau updated where
+        it was factored on these rows, else :func:`_restart`'s refactor."""
+        kept = prev.kept
+        if kept is not None and kept.rows is self.rows:
+            T = _update(self.rows, kept, prev.basis, self.column)
+            if T is not None:
+                return _resume(side, self.rows, T, prev.basis.copy(), kept.nonbasic.copy())
+        return _restart(side, self.rows, prev.basis)
 
 
 def solve_ratio(
@@ -584,27 +794,4 @@ def solve_ratio(
     ``_restart``).  An extreme that cannot restart takes the shared phase 1
     as without ``warm``.
     """
-    a_ub = np.atleast_2d(np.asarray(a_ub, dtype=float))
-    prog = LinearProgram.build(
-        "max", num, a_ub=a_ub, b_ub=np.zeros(a_ub.shape[0]), a_eq=[den], b_eq=[1.0]
-    )
-    rows = cold = None
-    out = []
-    for k, side in enumerate((replace(prog, sense="min"), prog)):
-        start = None
-        if warm is not None:
-            if rows is None:
-                rows = _slack_start(prog)
-            carried = _carry(side, rows, warm[k])
-            if carried is not None:
-                out.append(carried)
-                continue
-            start = _restart(side, rows, warm[k].basis)
-        if start is None:
-            if cold is None:
-                cold = _phase1(prog)
-            if isinstance(cold, LPSolution):
-                return cold, cold
-            start = cold
-        out.append(_phase2(side, start))
-    return out[0], out[1]
+    return _Slice(num, den, a_ub).solve(warm)

@@ -72,8 +72,8 @@ def apply_transaction_costs(
     ask = bid * (1 + lam); the mid price is then bid * (1 + lam / 2).
     Dividends are zero; use :func:`dataclasses.replace` to attach streams.
     """
-    if lam < 0:
-        raise ValidationError(f"transaction cost coefficient must be >= 0, got {lam}")
+    if not (np.isfinite(lam) and lam >= 0):  # NaN fails too
+        raise ValidationError(f"transaction cost coefficient must be finite and >= 0, got {lam}")
     bid_arr = np.asarray(as_values(bid), dtype=float)
     if tree is not None:
         bid_arr = ensure_adapted(tree, bid_arr, name=f"{name} bid")

@@ -172,27 +172,28 @@ def _discounted_tail(model: MarketModel, cash_flow, t: int) -> np.ndarray:
     return tail_sum(as_values(cash_flow) * Binv, t + 1)
 
 
-def _node_quote(model: MarketModel, x, a_ub, node: NodeRef, warm=None):
-    """Min and max of the node's conditional mean of ``x`` over the cone
-    ``a_ub`` (u of the node's paths first) as a :class:`PriceEntry`, with the
-    ``(lo, hi)`` solutions, which the next quote of a cone of the same shape
-    can restart from.  A node the cone cannot charge gets
-    ``STATUS_INFEASIBLE``; both its solutions are then the one Farkas ray,
-    which has no basis to restart from.
+def _ratio_terms(model: MarketModel, x, node: NodeRef, width: int):
+    """The numerator and denominator of ``node``'s conditional mean of ``x``
+    over a cone of ``width`` columns, u of the node's paths first."""
+    p = model.probabilities
+    paths = list(model.tree.node_paths(node))
+    num, den = np.zeros(width), np.zeros(width)
+    num[: len(paths)] = p[paths] * x[paths]
+    den[: len(paths)] = p[paths]
+    return num, den
+
+
+def _entry(node: NodeRef, lo, hi) -> PriceEntry:
+    """The :class:`PriceEntry` of ``node`` from its min and max solutions.
+    A node the cone cannot charge gets ``STATUS_INFEASIBLE``.
 
     The min and max are separate certified optima, each off by its own
     rounding, so where they agree the min can come out above the max.  A
     crossing of at most ``lp.TOL`` * max(1, |bid|, |ask|) is reported as
     their midpoint on both sides; a wider one cannot come from two certified
     optima and raises :class:`ComputationError`."""
-    p = model.probabilities
-    paths = list(model.tree.node_paths(node))
-    num, den = np.zeros(a_ub.shape[1]), np.zeros(a_ub.shape[1])
-    num[: len(paths)] = p[paths] * x[paths]
-    den[: len(paths)] = p[paths]
-    lo, hi = lp.solve_ratio(num, den, a_ub, warm=warm)
     if hi.status == "infeasible":
-        return PriceEntry(node, np.nan, np.nan, STATUS_INFEASIBLE), (lo, hi)
+        return PriceEntry(node, np.nan, np.nan, STATUS_INFEASIBLE)
     bid, ask = lo.value, hi.value
     if bid > ask:
         if bid - ask > lp.TOL * max(1.0, abs(bid), abs(ask)):
@@ -201,7 +202,17 @@ def _node_quote(model: MarketModel, x, a_ub, node: NodeRef, warm=None):
                 f"by more than the tolerance {lp.TOL:.0e}"
             )
         bid = ask = 0.5 * (bid + ask)
-    return PriceEntry(node, bid, ask, STATUS_OK), (lo, hi)
+    return PriceEntry(node, bid, ask, STATUS_OK)
+
+
+def _node_quote(model: MarketModel, x, a_ub, node: NodeRef):
+    """Min and max of the node's conditional mean of ``x`` over the cone
+    ``a_ub`` (u of the node's paths first) as a :class:`PriceEntry` (see
+    :func:`_entry`), with the ``(lo, hi)`` solutions.  Both solutions of a
+    node the cone cannot charge are the one Farkas ray."""
+    num, den = _ratio_terms(model, x, node, a_ub.shape[1])
+    lo, hi = lp.solve_ratio(num, den, a_ub)
+    return _entry(node, lo, hi), (lo, hi)
 
 
 def _node_quotes(model: MarketModel, cash_flow, rows: NodeRows) -> list:
@@ -313,10 +324,17 @@ def good_deal_certificate(
     return GoodDealWitness(node, hedge_strategy(model, rows, scaled), paid[:, -1], ratio)
 
 
-def _least_loss(model: MarketModel, rows: NodeRows) -> np.ndarray:
-    """:func:`_node_least_loss`'s L of each date-t node, in node order."""
+def _least_loss(model: MarketModel, rows: NodeRows, warm=None):
+    """:func:`_node_least_loss`'s L of each date-t node, in node order, with
+    each node's LP solution.  ``warm``, those solutions at a neighbouring
+    transaction cost, restarts each node's LP from its own (see
+    :func:`conic_pricer.lp.solve`)."""
     nodes = model.tree.nodes(rows.start)
-    return np.array([_node_least_loss(model, rows, node)[0] for node in nodes])
+    solved = [
+        _node_least_loss(model, rows, node, w)
+        for node, w in zip(nodes, warm or [None] * len(nodes))
+    ]
+    return np.array([loss for loss, _, _ in solved]), [sol for _, _, sol in solved]
 
 
 def _beats(gamma: float, loss: float) -> bool:
@@ -338,7 +356,7 @@ def _ngd(model: MarketModel, gamma: float, rows: NodeRows):
     DensityBand(gamma)
     t, losses = rows.start, []
     for node in model.tree.nodes(t):
-        loss, weights = _node_least_loss(model, rows, node)
+        loss, weights, _ = _node_least_loss(model, rows, node)
         losses.append(loss)
         if not _beats(gamma, loss):
             continue
@@ -352,21 +370,57 @@ def _ngd(model: MarketModel, gamma: float, rows: NodeRows):
     return NgdResult(holds=True, gamma=gamma, time=t), losses
 
 
-def _band_quote(model: MarketModel, x, cone, node: NodeRef, gamma: float, loss: float, warm=None):
-    """:func:`_node_quote` of ``node``, of least loss per unit of gain
-    ``loss``, over its ``cone`` with the band at the level the tie rule reads
-    where the check holds at ``gamma``: gamma when gamma L >= 1, else the
-    ceiling 1/L.  Its band cone reaches the slice there, so a band LP that
-    reads ``infeasible`` raises :class:`ComputationError`."""
-    level = gamma if gamma * loss >= 1.0 else 1.0 / loss
-    n = len(model.tree.node_paths(node))
-    e, warm = _node_quote(model, x, _with_band(cone, n, level), node, warm)
+def _band_level(gamma: float, loss: float) -> float:
+    """The level the tie rule prices a node of least loss per unit of gain
+    ``loss`` at, where the check holds at ``gamma``: gamma when gamma L >= 1,
+    else the ceiling 1/L."""
+    return gamma if gamma * loss >= 1.0 else 1.0 / loss
+
+
+def _banded(e: PriceEntry, level: float) -> PriceEntry:
+    """``e``, a band quote at ``level``, where the check holds: its band cone
+    reaches the slice there, so one that reads ``infeasible`` raises
+    :class:`ComputationError`."""
     if e.status == STATUS_INFEASIBLE:
         raise ComputationError(
-            f"node {node.time}:{node.cell} band LP at gamma={level!r} reads infeasible "
+            f"node {e.node.time}:{e.node.cell} band LP at gamma={level!r} reads infeasible "
             "where the no-good-deal check holds"
         )
-    return e, warm
+    return e
+
+
+def _band_quote(model: MarketModel, x, cone, node: NodeRef, gamma: float, loss: float):
+    """:func:`_node_quote` of ``node``, of least loss per unit of gain
+    ``loss``, over its ``cone`` with the band at :func:`_band_level`, solved
+    cold (see :func:`_banded`)."""
+    level = _band_level(gamma, loss)
+    n = len(model.tree.node_paths(node))
+    return _banded(_node_quote(model, x, _with_band(cone, n, level), node)[0], level)
+
+
+class _BandRow:
+    """:func:`_band_quote`'s program of ``node`` over its ``cone`` for one
+    transaction cost, built once (the rows of :func:`_with_band`, the
+    program and its slack start); each level rewrites only the band scalar's
+    column, -(1 + level) on the node's n upper band rows, in place (see
+    :class:`conic_pricer.lp._Slice`)."""
+
+    def __init__(self, model: MarketModel, x, cone, node: NodeRef):
+        n = len(model.tree.node_paths(node))
+        self.node = node
+        self.upper = np.arange(len(cone) + n, len(cone) + 2 * n)
+        num, den = _ratio_terms(model, x, node, cone.shape[1] + 1)
+        self.slice = lp._Slice(num, den, _with_band(cone, n, 0.0), column=cone.shape[1])
+
+    def quote(self, gamma: float, loss: float, warm=None):
+        """The node's band quote at ``gamma`` with its ``(lo, hi)``
+        solutions: from phase 1 without ``warm``, else restarted from it, a
+        previous ``(lo, hi)`` of this program or of the node's program at
+        another transaction cost."""
+        level = _band_level(gamma, loss)
+        self.slice.rewrite(self.upper, -(1.0 + level))
+        lo, hi = self.slice.solve(warm)
+        return _banded(_entry(self.node, lo, hi), level), (lo, hi)
 
 
 def ngd_check(model: MarketModel, t: int, gamma: float) -> NgdResult:
@@ -398,7 +452,7 @@ def good_deal_prices(model: MarketModel, cash_flow, t: int, gamma: float) -> Pri
     x = _discounted_tail(model, cash_flow, t)
     entries = tuple(
         _band_quote(model, x, _node_cone(rows, node.cell, list(model.tree.node_paths(node))),
-                    node, gamma, loss)[0]
+                    node, gamma, loss)
         for node, loss in zip(nodes, losses)
     )
     return PriceQuote(time=t, gamma=gamma, entries=entries)
@@ -446,9 +500,9 @@ def liquidity_surface(
     ``lambdas`` and, within each, of ``gammas``.
 
     The model, the payoff and the cone rows are built once per
-    transaction-cost coefficient, then each level is repriced at the
-    requested date-t node.  The no-good-deal status of every level of such a
-    row comes from the check's own LP, solved once per row: each date-t
+    transaction-cost coefficient (a row), then each level is repriced at the
+    requested date-t node.  The no-good-deal status of every level of a row
+    comes from the check's own LP, solved once per row and node: each date-t
     node's least loss per unit of gain L (see :func:`_least_loss`).  A level
     gamma is violated exactly when gamma L < 1 - ``lp.TOL`` at some node, the
     tie rule of :func:`ngd_check`, so a level within ``lp.TOL`` of a node's
@@ -458,18 +512,27 @@ def liquidity_surface(
     band at its ceiling 1/L_v.  No level runs the check itself, and violated
     cells carry no witness.
 
-    The threshold covers every date-t node, but only the requested node is
-    quoted: the per-node programs are independent.  Its cone is built once
-    per row without the band, and each level appends its band.  The levels
-    are priced in ascending order.  The first priced level of a row is solved
-    from phase 1, exactly as :func:`good_deal_prices` solves it; each later
-    one starts the node's min and max LPs from the previous priced level's
-    answers (see :func:`conic_pricer.lp.solve_ratio`).  An extreme whose
+    The rows form one warm sweep, in the order of ``lambdas``.  Each row
+    after the first restarts every node's least-loss LP from the node's
+    optimum in the row before (see :func:`conic_pricer.lp.solve`); L is
+    certified to ``lp.TOL`` either way, and every verdict reads it through
+    the same tie rule.  The threshold covers every date-t node, but only the
+    requested node is quoted: the per-node programs are independent.  Its
+    band program is built once per row, at the row's first priced level
+    (:class:`_BandRow`); each later level of the row rewrites only the band
+    scalar's column in place.  The levels are priced in ascending order.
+    The first priced level of the first row that prices is solved from
+    phase 1, exactly as :func:`good_deal_prices` solves it; that cell and
+    every violated cell match :func:`good_deal_prices` bit for bit.
+    The first priced level of a later row restarts the node's min and max
+    LPs from the first priced answers of the row before, refactored on the
+    new rows.  Each later level of a row starts them from the previous
+    level's answers (see :class:`conic_pricer.lp._Slice`): an extreme whose
     previous optimum still certifies at the wider band, because the band
-    does not bind it, is carried without a solve; any other restarts from
-    the previous optimal basis, which a wider band leaves optimal or a few
-    dual simplex pivots away.  The quotes agree with a cold solve to
-    rounding, not bit for bit.
+    does not bind it, is carried without a solve; any other updates the
+    previous optimum's tableau by the one column that changed, which a wider
+    band leaves optimal or a few dual simplex pivots away.  Restarted quotes
+    agree with a cold solve to rounding, not bit for bit.
     """
     if not gammas or not lambdas:
         raise ValidationError("surface needs nonempty gamma and lambda lists")
@@ -477,6 +540,7 @@ def liquidity_surface(
         DensityBand(gamma)
     ascending = sorted(range(len(gammas)), key=gammas.__getitem__)
     cells = []
+    least = first = None  # the previous row's least-loss solutions and first quote
     for lam in lambdas:
         model = model_builder(lam)
         payoff = payoff_builder(model)
@@ -487,19 +551,21 @@ def liquidity_surface(
             raise ValidationError(f"node {node} outside 0..{count - 1} at t={t}")
         rows = generators_for(model, t)
         at = model.tree.nodes(t)[node]
-        x = _discounted_tail(model, payoff, t)
-        paths = list(model.tree.node_paths(at))
-        cone = _node_cone(rows, node, paths)
-        losses = _least_loss(model, rows)
+        losses, least = _least_loss(model, rows, least)
         loss, own = float(np.min(losses)), float(losses[node])
-        warm = None
+        band = None
         row = [None] * len(gammas)
         for i in ascending:
             gamma = gammas[i]
-            if not _beats(gamma, loss):
-                e, warm = _band_quote(model, x, cone, at, gamma, own, warm)
-            else:
+            if _beats(gamma, loss):
                 e = PriceEntry(at, np.inf, -np.inf, STATUS_NGD)
+            elif band is None:
+                cone = _node_cone(rows, node, list(model.tree.node_paths(at)))
+                band = _BandRow(model, _discounted_tail(model, payoff, t), cone, at)
+                e, warm = band.quote(gamma, own, first)
+                first = warm
+            else:
+                e, warm = band.quote(gamma, own, warm)
             spread = e.ask - e.bid if e.status == STATUS_OK else np.nan
             row[i] = SurfaceCell(gamma, lam, e.bid, e.ask, spread, e.status)
         cells.extend(row)

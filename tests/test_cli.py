@@ -257,6 +257,20 @@ class TestNgdAndArbitrage:
             assert "unrecognized arguments" in err
 
 
+class TestNonFiniteLambda:
+    @pytest.mark.parametrize("argv, lam", [
+        (["bounds", MODEL, PAYOFF, "--lam", "nan"], "nan"),
+        (["bounds", MODEL, PAYOFF, "--lam", "inf"], "inf"),
+        (["surface", MODEL, PAYOFF, "--gammas", "8", "--lambdas", "nan"], "nan"),
+        (["surface", MODEL, PAYOFF, "--gammas", "8", "--lambdas", "0,inf"], "inf"),
+    ])
+    def test_exits_2_with_one_line(self, capsys, argv, lam):
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_VALIDATION
+        assert out == ""
+        assert err == f"error: transaction cost coefficient must be finite and >= 0, got {lam}\n"
+
+
 class TestDglr:
     def test_hedge_flow_value(self, capsys, tmp_path):
         payoff = write_json(

@@ -340,7 +340,7 @@ class TestArbitrageCheck:
                 tree = model.tree
                 p = tree.probabilities
                 for t in range(tree.horizon):
-                    loss = pricing._least_loss(model, generators_for(model, t))
+                    loss = pricing._least_loss(model, generators_for(model, t))[0]
                     witness = arbitrage_check(model, t)
                     assert (witness is not None) == (loss.min() <= lp.TOL), (seed, k, t)
                     if witness is None:
@@ -363,7 +363,7 @@ class TestArbitrageCheck:
         *_, model = ftap_markets(2024)
         tree = model.tree
         assert (tree.n_paths, tree.horizon, model.n_securities) == (6, 3, 3)
-        assert np.all(pricing._least_loss(model, generators_for(model, 0)) > lp.TOL)
+        assert np.all(pricing._least_loss(model, generators_for(model, 0))[0] > lp.TOL)
         assert arbitrage_check(model, 0) is None
         flow = random_cashflow(np.random.default_rng(79), tree)
         assert pricing.noarb_bounds(model, flow, 0).status() == pricing.STATUS_OK

@@ -622,11 +622,12 @@ class TestWarmRestart:
     def test_refused_basis_gives_the_cold_result(self, monkeypatch):
         # a basis the restart refuses leaves its extreme to the shared phase
         # 1, and so to the cold answer bit for bit: a singular one (one
-        # variable repeated); an optimal basis from the level below, its own
-        # extreme's or the other one's, where it is infeasible on the new rows
-        # and not dual feasible there, or where its dual simplex runs past
-        # its pivot cap, cut to one pivot here.  An extreme whose previous
-        # optimum certifies on the new rows is carried and reaches no restart.
+        # variable repeated), and an optimal basis from the level below, its
+        # own extreme's or the other one's, infeasible on the new rows, where
+        # its dual simplex runs past its pivot cap, cut to one pivot here.
+        # A basis infeasible there is not refused for being dual infeasible:
+        # its costs are shifted.  An extreme whose previous optimum certifies
+        # on the new rows is carried and reaches no restart.
         outcomes, duals = {}, []  # per restarted sense: (refused, dual simplex status)
         real_restart, real_dual = lp._restart, lp._run_dual
 
@@ -643,7 +644,7 @@ class TestWarmRestart:
 
         monkeypatch.setattr(lp, "_restart", restart)
         monkeypatch.setattr(lp, "_run_dual", dual)
-        refusals = {None: 0, "stalled": 0}
+        refusals = {}
         singular_runs = 0
         for num, den, a, k in _seeded_cones(6, 30):
             pair = None
@@ -660,7 +661,7 @@ class TestWarmRestart:
                         refused, status = outcomes.get(sense, (False, None))
                         if refused:
                             assert _same(g, c)
-                            refusals[status] += 1
+                            refusals[status] = refusals.get(status, 0) + 1
                         else:
                             assert _close(g, c, num)
                 # the singular basis comes with the optimum of the level
@@ -676,7 +677,7 @@ class TestWarmRestart:
                     assert all(_same(g, c) for g, c in zip(got, cold))
                     singular_runs += 1
                 pair = cold
-        assert all(refusals.values()) and singular_runs
+        assert list(refusals) == ["stalled"] and singular_runs
 
     def test_unreachable_slice_reads_infeasible(self, monkeypatch):
         # a descending band: from a level whose band reaches the slice to one
@@ -708,3 +709,99 @@ class TestWarmRestart:
                     break
                 pair = got
         assert seen and "infeasible" in statuses
+
+
+def _band_sweep(seed, count):
+    """Per seeded cone, its band program stepped through ``LEVELS``: at each
+    level after the first, ``(band, upper, pair, gamma)``, where ``band`` is
+    the cone's slice program with the band scalar's column rewritable,
+    ``upper`` its upper band rows and ``pair`` the previous level's
+    ``(lo, hi)``.  The caller rewrites ``band`` to ``gamma``; the sweep then
+    solves it from ``pair``."""
+    for num, den, a, k in _seeded_cones(seed, count):
+        band = lp._Slice(num, den, _with_band(a, k, LEVELS[0]), column=a.shape[1])
+        upper = np.arange(len(a) + k, len(a) + 2 * k)
+        pair = band.solve()
+        for gamma in LEVELS[1:]:
+            if pair[1].status != "optimal":
+                break
+            yield band, upper, pair, gamma
+            pair = band.solve(pair)
+
+
+class TestTableauUpdate:
+    """A level step rewrites the band scalar's column of a slice program in
+    place, and a restart updates the previous optimum's kept tableau."""
+
+    def test_update_equals_dense_refactor(self):
+        # the band scalar is positive, hence basic, at every band density, so
+        # the rank-one correction applies; from the dense refactor of a
+        # previous optimum's basis on the rows before a level step, each
+        # entry of the updated tableau (objective row aside) is the dense
+        # refactor's on the rows after it to 1e-12 of the entry's size (a
+        # tableau kept from pivots carries their rounding on top)
+        checked = 0
+        for band, upper, pair, gamma in _band_sweep(5, 40):
+            before = band.rows.A[:, band.column].copy()
+            kept = [lp._refactor(side, band.rows, sol.basis)
+                    for side, sol in zip(band.sides, pair)]
+            band.rewrite(upper, -(1.0 + gamma))
+            for side, sol, factored in zip(band.sides, pair, kept):
+                if factored is None:  # a redundant row was dropped
+                    continue
+                T, basis, nonbasic = factored
+                got = lp._update(band.rows, lp._Kept(band.rows, T, nonbasic, before), basis,
+                                 band.column)
+                want, _, same = lp._refactor(side, band.rows, basis)
+                assert np.array_equal(same, nonbasic)
+                m = basis.size
+                size = np.maximum(1.0, np.abs(want[:m]))
+                assert np.all(np.abs(got[:m] - want[:m]) <= 1e-12 * size)
+                checked += 1
+        assert checked > 100
+
+    def test_sweep_restarts_by_update(self, count_calls):
+        # every restart within the sweep updates its tableau, and each level
+        # answers as a cold solve of its rows does, to 1e-12
+        updates, refactors = count_calls(lp, "_update"), count_calls(lp, "_refactor")
+        restarted = 0
+        for band, upper, pair, gamma in _band_sweep(5, 40):
+            band.rewrite(upper, -(1.0 + gamma))
+            before = len(updates)
+            got = band.solve(pair)
+            restarted += len(updates) > before
+            cold = solve_ratio(band.prog.c, band.prog.a_eq[0], band.prog.a_ub)
+            for g, c in zip(got, cold):
+                assert g.status == c.status
+                if c.status == "optimal":
+                    assert _close(g, c, band.prog.c)
+                    assert max(g.gap, g.primal_residual, g.dual_residual) <= lp.TOL
+        assert restarted and not refactors
+
+    def test_tiny_pivot_takes_the_dense_refactor(self, count_calls):
+        # a correction whose pivot 1 + d_r is below TOL is not made: here the
+        # column as kept is set so that its change cancels the band scalar's
+        # column, 1 + d_r = 0 up to rounding, and the restart refactors the
+        # basis densely instead, to the start a dense refactor gives
+        refactors = count_calls(lp, "_refactor")
+        tried = 0
+        for band, upper, pair, gamma in _band_sweep(6, 30):
+            band.rewrite(upper, -(1.0 + gamma))
+            for side, sol in zip(band.sides, pair):
+                if sol.basis.size != len(band.rows.A):
+                    continue
+                column = band.rows.A[:, band.column]
+                cancel = dataclasses.replace(
+                    sol, kept=dataclasses.replace(sol.kept, column=column + sol.kept.column)
+                )
+                assert lp._update(band.rows, cancel.kept, cancel.basis, band.column) is None
+                before = len(refactors)
+                start = band._restart(side, cancel)
+                assert len(refactors) == before + 1
+                want = lp._restart(side, band.rows, sol.basis)
+                assert (start is None) == (want is None)
+                if start is not None:
+                    assert np.array_equal(start.T, want.T)
+                    assert np.array_equal(start.basis, want.basis)
+                tried += 1
+        assert tried

@@ -81,6 +81,15 @@ class TestTransactionCosts:
         with pytest.raises(ValidationError):
             apply_transaction_costs(TABLE_BIDS, -0.1)
 
+    @pytest.mark.parametrize("lam", [np.nan, np.inf, -np.inf])
+    def test_non_finite_lambda_rejected(self, lam):
+        # NaN passed a lam < 0 test and split every cell of the rebuilt
+        # tree; inf made every ask non-finite
+        with pytest.raises(ValidationError, match=(
+            rf"^transaction cost coefficient must be finite and >= 0, got {lam}$"
+        )):
+            apply_transaction_costs(TABLE_BIDS, lam)
+
     @settings(max_examples=50, deadline=None, derandomize=True)
     @given(lam=st.floats(0.0, 0.5))
     def test_mid_between_bid_and_ask(self, lam):

@@ -523,7 +523,7 @@ class TestGoodDealPrices:
         model = binary_tree_market(u, d, r, p_up, 0.005, horizon=3)
         payoff = call_payoff(model, strike)
         rows = generators_for(model, 0)
-        gamma = (1.0 - 1e-6) / float(np.min(pricing._least_loss(model, rows)))
+        gamma = (1.0 - 1e-6) / float(np.min(pricing._least_loss(model, rows)[0]))
 
         def failing(*args, **kwargs):
             raise ComputationError("LP infeasibility certification failed")
@@ -895,10 +895,10 @@ class TestLiquiditySurface:
         def failing(*args, **kwargs):
             raise ComputationError("priced before the node was checked")
 
-        # each lambda row solves its least-loss threshold and each cell quotes
-        # its node
-        for name in ("_least_loss", "_node_quote"):
-            monkeypatch.setattr(pricing, name, failing)
+        # each lambda row solves its least-loss threshold and each priced
+        # cell quotes its node on the row's band program
+        monkeypatch.setattr(pricing, "_least_loss", failing)
+        monkeypatch.setattr(pricing._BandRow, "quote", failing)
         build_model, build_payoff = self._builders()
         for t, node, message in ((1, 2, "node 2 outside 0..1"), (2, 0, "start date 2")):
             with pytest.raises(ValidationError, match=message):
@@ -918,19 +918,20 @@ class TestLiquiditySurface:
         """Check that each cell of ``surfaces`` ((t, node) -> cells) answers
         as good_deal_prices does, and count the restarted ones.
 
-        A violated cell and the first priced cell of a lambda row (in
-        ascending level order) are the same solves and match bit for bit; a
-        later priced cell restarts from the previous one's bases, whose pivots
-        end at the same optimum by another path."""
+        A violated cell and the first priced cell of the first lambda row
+        that prices (in ascending level order) are the same solves and match
+        bit for bit; every other priced cell restarts, from the previous
+        level's answers or, first in a later row, from the row before's, and
+        its pivots end at the same optimum by another path."""
         ascending = sorted(range(len(gammas)), key=gammas.__getitem__)
         warm = 0
         for (t, node), cells in surfaces.items():
             grid = [(lam, gamma) for lam in lambdas for gamma in gammas]
             assert [(c.lam, c.gamma) for c in cells] == grid
+            priced = False
             for j, lam in enumerate(lambdas):
                 model = build_model(lam)
                 payoff = build_payoff(model)
-                priced = False
                 for i in ascending:
                     c = cells[j * len(gammas) + i]
                     e = good_deal_prices(model, payoff, t, c.gamma).entry(node)
@@ -1011,7 +1012,7 @@ class TestLiquiditySurface:
         # at t=1 the binary tree has two nodes; the surface quotes only the
         # requested one, while the least-loss threshold still covers both
         u, d, r, p_up, strike = PIVOT_BUDGET_MARKETS[1]
-        ratios = count_calls(lp, "solve_ratio")
+        ratios = count_calls(lp._Slice, "solve")
         cells = liquidity_surface(
             lambda lam: binary_tree_market(u, d, r, p_up, lam, horizon=3),
             lambda model: call_payoff(model, strike),
@@ -1020,6 +1021,33 @@ class TestLiquiditySurface:
         priced = sum(c.status != STATUS_NGD for c in cells)
         assert 0 < priced < len(cells)
         assert len(ratios) == priced
+
+    def test_band_program_is_rewritten_in_place(self):
+        # one band program per lambda row: each level rewrites the band
+        # scalar's column, and the program and its slack start then hold
+        # _with_band's rows at the level the tie rule reads, element for
+        # element, and quote as _band_quote's cold solve does
+        u, d, r, p_up, strike = PIVOT_BUDGET_MARKETS[0]
+        model = binary_tree_market(u, d, r, p_up, 0.01, horizon=3)
+        rows = generators_for(model, 1)
+        x = pricing._discounted_tail(model, call_payoff(model, strike), 1)
+        losses = pricing._least_loss(model, rows)[0]
+        for node, loss in zip(model.tree.nodes(1), losses):
+            paths = list(model.tree.node_paths(node))
+            cone = pricing._node_cone(rows, node.cell, paths)
+            band = pricing._BandRow(model, x, cone, node)
+            prog, start = band.slice.prog, band.slice.rows
+            a_ub, stacked, warm = prog.a_ub, start.supplied, None
+            for gamma in (0.25, 0.5, 1.0, 2.0, 4.0, 8.0):
+                e, warm = band.quote(gamma, loss, warm)
+                want = pricing._with_band(cone, len(paths), pricing._band_level(gamma, loss))
+                assert prog.a_ub is a_ub and start.supplied is stacked and start.A is stacked
+                assert np.array_equal(a_ub, want)
+                assert np.array_equal(stacked, np.vstack([want, prog.a_eq]))
+                assert np.array_equal(start.abs_supplied, np.abs(stacked))
+                cold = pricing._band_quote(model, x, cone, node, gamma, loss)
+                assert e.bid == pytest.approx(cold.bid, rel=1e-12, abs=0)
+                assert e.ask == pytest.approx(cold.ask, rel=1e-12, abs=0)
 
     def test_pivot_budget(self, count_calls):
         # two horizon-3 binary surfaces (the benchmark's surface markets 0 and
@@ -1032,12 +1060,21 @@ class TestLiquiditySurface:
         # LPs, 8 first quotes and one basis the restart refused; no hedge
         # search).  An extreme whose previous optimum certifies at the wider
         # band is carried without a restart: phase 2 runs 72 -> 44 and
-        # restarts 48 -> 20, with the pivots about unchanged
+        # restarts 48 -> 20, with the pivots about unchanged.  414 -> 252
+        # with each lambda row after the first restarted from the row
+        # before: its least-loss LPs (6 of 8 solves) and its first priced
+        # quote, so phase 1 runs 17 -> 4 (2 least-loss LPs and 2 first
+        # quotes; a restarted basis that is not dual feasible has its costs
+        # shifted instead of being refused, which saved 4 more), and a level
+        # step updates the previous optimum's tableau instead of refactoring
+        # it: the 20 restarts within a row are updates, and the 18 dense
+        # refactors are the 6 least-loss and 12 quote restarts across rows
         pivots = count_calls(lp, "_pivot")
         starts = count_calls(lp, "_phase1")
         solves = count_calls(lp, "solve")
         finishes = count_calls(lp, "_phase2")
         restarts = count_calls(lp, "_restart")
+        updates = count_calls(lp, "_update")
         for u, d, r, p_up, strike in PIVOT_BUDGET_MARKETS:
             liquidity_surface(
                 lambda lam: binary_tree_market(u, d, r, p_up, lam, horizon=3),
@@ -1046,10 +1083,11 @@ class TestLiquiditySurface:
                 [0.0, 0.005, 0.01, 0.02],
             )
         assert len(pivots) <= 500
-        assert len(starts) <= 19
+        assert len(starts) == 4
         assert len(solves) == 8
         assert len(finishes) == 44
-        assert len(restarts) == 20
+        assert len(restarts) == 18
+        assert len(updates) == 20
 
 
 class TestLeastLoss:
@@ -1076,7 +1114,7 @@ class TestLeastLoss:
             for t in (0, 1):
                 for entry in ("trade", "mark"):
                     rows = generators_for(model, t, entry)
-                    loss = pricing._least_loss(model, rows)
+                    loss = pricing._least_loss(model, rows)[0]
                     assert loss.shape == (len(model.tree.nodes(t)),)
                     assert np.all(loss >= 0)
                     cut = 1.0 / loss[np.isfinite(loss) & (loss > 0)]
@@ -1089,6 +1127,50 @@ class TestLeastLoss:
                         seen.add((check.holds, entry))
         assert seen == {(True, "trade"), (False, "trade"), (True, "mark"), (False, "mark")}
 
+    def test_warm_least_loss_is_the_cold_optimum(self, monkeypatch, count_calls):
+        # each node's least-loss LP restarted from its optimum at the
+        # neighbouring transaction cost: the cold L to 1e-12 relative and
+        # certified; a warm solution of another shape, or one that is not
+        # optimal, leaves the LP to phase 1 and the cold answer bit for bit
+        programs, real = {}, lp.solve
+        u, d, r, p_up, _ = PIVOT_BUDGET_MARKETS[1]
+        lambdas = (0.0, 0.005, 0.01, 0.02)
+        for t in (0, 1):
+            for lam in lambdas:
+                model = binary_tree_market(u, d, r, p_up, lam, horizon=3)
+                found = programs[t, lam] = []
+                monkeypatch.setattr(
+                    lp, "solve", lambda prog, **kw: found.append(prog) or real(prog)
+                )
+                pricing._least_loss(model, generators_for(model, t))
+        monkeypatch.undo()
+        cold = {key: [lp.solve(prog) for prog in progs] for key, progs in programs.items()}
+        starts = count_calls(lp, "_phase1")
+        restarted = unfit = 0
+        for t in (0, 1):
+            for before, lam in zip(lambdas, lambdas[1:]):
+                for prog, want, prev in zip(programs[t, lam], cold[t, lam], cold[t, before]):
+                    ran = len(starts)
+                    got = lp.solve(prog, warm=prev)
+                    assert got.status == want.status
+                    if want.status == "optimal":
+                        assert got.value == pytest.approx(want.value, rel=1e-12, abs=0)
+                        assert max(got.gap, got.primal_residual, got.dual_residual) <= lp.TOL
+                        restarted += len(starts) == ran
+                    unfit_warm = (cold[1 - t, before][0],
+                                  dataclasses.replace(prev, status="infeasible"))
+                    for other in unfit_warm:
+                        assert other.status != "optimal" or other.x.shape != prog.c.shape
+                        again = lp.solve(prog, warm=other)
+                        assert again.status == want.status
+                        assert (np.float64(again.value).tobytes()
+                                == np.float64(want.value).tobytes())
+                        assert again.dual_eq.tobytes() == want.dual_eq.tobytes()
+                        assert again.iterations == want.iterations
+                        unfit += 1
+        assert restarted >= 6 and unfit == 2 * sum(len(cold[t, lam]) for t in (0, 1)
+                                                   for lam in lambdas[1:])
+
     def test_tie_level_reads_threshold(self, count_calls):
         # a level at 1/L of its lambda row, or just below it, takes its status
         # from the threshold alone: no check runs
@@ -1098,7 +1180,7 @@ class TestLeastLoss:
             return binary_tree_market(u, d, r, p_up, lam, horizon=3)
 
         model = build_model(0.01)
-        loss = float(np.min(pricing._least_loss(model, generators_for(model, 0))))
+        loss = float(np.min(pricing._least_loss(model, generators_for(model, 0))[0]))
         tie = 1.0 / loss
         for gamma, status in ((tie, STATUS_OK), (tie * (1.0 - 5e-8), STATUS_NGD)):
             checks = count_calls(pricing, "_ngd")
@@ -1119,7 +1201,7 @@ class TestLeastLoss:
         # dglr_eval confirms
         u, d, r, p_up, _ = PIVOT_BUDGET_MARKETS[market]
         model = binary_tree_market(u, d, r, p_up, lam, horizon=3)
-        loss = float(np.min(pricing._least_loss(model, generators_for(model, 0))))
+        loss = float(np.min(pricing._least_loss(model, generators_for(model, 0))[0]))
         gamma = (1.0 - below) / loss
         check = ngd_check(model, 0, gamma)
         assert check.holds == (not pricing._beats(gamma, loss))
@@ -1141,7 +1223,7 @@ class TestLeastLoss:
 
         model = build_model(0.0)
         payoff = call_payoff(model, 100.0)
-        loss = pricing._least_loss(model, generators_for(model, 3))
+        loss = pricing._least_loss(model, generators_for(model, 3))[0]
         assert np.all(np.abs(0.5 * loss - 1.0) < lp.TOL)
         assert ngd_check(model, 3, 0.5).holds
         assert good_deal_prices(model, payoff, 3, 0.5).status() == STATUS_OK
@@ -1166,7 +1248,7 @@ class TestLeastLoss:
                 return binary_tree_market(u, d, r, p_up, lam, horizon=3)
 
             model = build_model(lam)
-            loss = float(np.min(pricing._least_loss(model, generators_for(model, 0))))
+            loss = float(np.min(pricing._least_loss(model, generators_for(model, 0))[0]))
             gamma = (1.0 - below) / loss
             assert ngd_check(model, 0, gamma).holds
             cell, = liquidity_surface(
@@ -1187,7 +1269,7 @@ class TestLeastLoss:
                 return binary_tree_market(u, d, r, p_up, lam, horizon=3)
 
             model = build_model(lam)
-            loss = float(np.min(pricing._least_loss(model, generators_for(model, 0))))
+            loss = float(np.min(pricing._least_loss(model, generators_for(model, 0))[0]))
             gamma = (1.0 - below) / loss
             assert ngd_check(model, 0, gamma).holds
             e = good_deal_prices(model, call_payoff(model, strike), 0, gamma).entry(0)
