@@ -9,7 +9,10 @@ deterministic row ordering, and maps every error to its exit code.  JSON rows
 carry numbers as numbers; infinite quote sentinels serialize as the strings
 "+inf"/"-inf".  Exit codes: 0 success, 2 validation failure (one ``error:``
 line), 64 usage error, 70 internal/LP failure (one ``internal error:``
-line).
+line).  Numeric flags but ``--precision`` parse as plain numbers and the
+engine checks their values: an acceptance level out of range, from
+``--gamma`` or ``--gammas``, is a validation failure by the one rule of
+:class:`~conic_pricer.acceptability.DensityBand`.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from . import pricing
 from .acceptability import dglr_eval
 from .cone import arbitrage_check
 from .errors import ComputationError, ValidationError
-from .lattice import EventTree, derive_filtration
+from .lattice import EventTree, derive_filtration, finite
 from .market import (
     CashFlow,
     MarketModel,
@@ -116,8 +119,9 @@ def model_from_dict(data: dict, *, lam_override: Optional[float] = None) -> Mark
             )
         div_ask = np.asarray(entry.get("dividends_ask") or np.zeros_like(bid), float)
         div_bid = np.asarray(entry.get("dividends_bid") or np.zeros_like(bid), float)
-        securities.append(Security(name, bid, ask, div_ask, div_bid))
-        observables.extend([bid, ask, div_ask, div_bid])
+        sec = Security(name, bid, ask, div_ask, div_bid)
+        observables.extend(finite(arr, label) for label, arr in sec.processes())
+        securities.append(sec)
 
     padded_rates = np.hstack([rates, rates[:, -1:]]) if rates.size else np.zeros((n, 1))
     observables.append(padded_rates)
@@ -287,16 +291,6 @@ def _cmd_surface(args, model_data, payoff_data):
 # argument plumbing
 
 
-def _positive_gamma(text: str) -> float:
-    try:
-        v = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}")
-    if not v > 0:
-        raise argparse.ArgumentTypeError(f"acceptance level must be > 0, got {text}")
-    return v
-
-
 def _precision(text: str) -> int:
     if not text.isdigit():
         raise argparse.ArgumentTypeError(f"precision must be an integer >= 0, got {text!r}")
@@ -320,7 +314,7 @@ def _add_common(sub, run, payoff=True, gamma=False, lam=True, report=True):
     if payoff:
         sub.add_argument("payoff", help="payoff JSON file")
     if gamma:
-        sub.add_argument("--gamma", type=_positive_gamma, required=True,
+        sub.add_argument("--gamma", type=float, required=True,
                          help="acceptance level (> 0)")
     if lam:
         sub.add_argument("--lam", type=float, default=None,

@@ -10,6 +10,8 @@ A natural filtration is derived date by date, each date's cells splitting the
 previous date's cells by that date's observed values.  The tree keeps, per
 path and date, the index of its cell and the cell's head (its smallest path
 index), so adaptedness is one comparison of each value with its head's.
+Measurability is exact, with no tolerance: the filtration is derived from
+the same values by equality, so a process it is derived from is adapted.
 """
 
 from __future__ import annotations
@@ -85,7 +87,7 @@ class EventTree:
         if horizon < 1:
             raise ValidationError(f"horizon must be >= 1, got {horizon}")
         self.horizon = int(horizon)
-        self.probabilities = np.asarray(probabilities, dtype=float)
+        self.probabilities = finite(probabilities, "probabilities")
         if self.probabilities.ndim != 1:
             raise ValidationError("probabilities must be a flat vector")
         self.n_paths = self.probabilities.shape[0]
@@ -149,31 +151,21 @@ class EventTree:
         """Cell index per path at date t."""
         return self._cell_of[t]
 
-    def unmeasurable_cell(
-        self, values: np.ndarray, tol: float = 0.0
-    ) -> Optional[tuple[int, Cell]]:
+    def unmeasurable_cell(self, values: np.ndarray) -> Optional[tuple[int, Cell]]:
         """The first (t, cell), by date and then cell, whose values in column
-        t of ``values`` differ by more than ``tol`` (max - min > tol), or None.
+        t of ``values`` are not all equal, or None.  ``values`` must be
+        finite (a NaN equals nothing, not even itself).
 
-        One array comparison against each path's cell head clears the
-        common case: every value equal to its head's, or closer to it than
-        tol / 2, which keeps every cell's spread below tol.  Only otherwise
-        are the cells' spreads scanned date by date, to name the first
-        offending cell."""
+        One comparison of each value with its path's cell head's names it:
+        the first date with a value off its head's, and of that date's cells
+        holding one the first."""
         width = values.shape[1]
-        heads = values[self._head[:, :width], np.arange(width)]
-        off = float(np.abs(values - heads).max(initial=0.0))  # NaN leaves it to the scan
-        if tol >= 0 and (off == 0 or off < 0.5 * tol):
+        off = values != values[self._head[:, :width], np.arange(width)]
+        dates = np.flatnonzero(off.any(axis=0))
+        if not dates.size:
             return None
-        for t in range(width):
-            idx, n_cells = self._cell_of[t], len(self.partitions[t])
-            hi, lo = np.full(n_cells, -np.inf), np.full(n_cells, np.inf)
-            np.maximum.at(hi, idx, values[:, t])
-            np.minimum.at(lo, idx, values[:, t])
-            over = np.flatnonzero(hi - lo > tol)
-            if over.size:
-                return t, self.partitions[t][over[0]]
-        return None
+        t = int(dates[0])
+        return t, self.partitions[t][self._cell_of[t][off[:, t]].min()]
 
     def nodes(self, t: int) -> list[NodeRef]:
         return [NodeRef(t, k) for k in range(len(self.partitions[t]))]
@@ -188,22 +180,25 @@ class EventTree:
         )
 
 
-def ensure_adapted(
-    tree: EventTree, values, *, tol: float = 0.0, name: str = "process"
-) -> np.ndarray:
-    """Validate an (n_paths, horizon+1) matrix as an adapted process.
+def finite(values, name: str) -> np.ndarray:
+    """``values`` as a float array, or :class:`ValidationError` naming
+    ``name`` where an entry is NaN or infinite: the one finiteness rule of
+    every input process."""
+    arr = np.asarray(values, dtype=float)
+    if not np.isfinite(arr).all():
+        raise ValidationError(f"{name} contains non-finite entries")
+    return arr
 
-    Measurability demands exact equality within each cell; pass a small
-    ``tol`` (e.g. 1e-12) to accept noisy inputs.
-    """
+
+def ensure_adapted(tree: EventTree, values, *, name: str = "process") -> np.ndarray:
+    """Validate an (n_paths, horizon+1) matrix as an adapted process: finite,
+    and exactly equal within each cell."""
     arr = np.asarray(values, dtype=float)
     if arr.shape != (tree.n_paths, tree.horizon + 1):
         raise ValidationError(
             f"{name} has shape {arr.shape}, expected {(tree.n_paths, tree.horizon + 1)}"
         )
-    if not np.all(np.isfinite(arr)):
-        raise ValidationError(f"{name} contains non-finite entries")
-    bad = tree.unmeasurable_cell(arr, tol)
+    bad = tree.unmeasurable_cell(finite(arr, name))
     if bad is not None:
         t, cell = bad
         raise ValidationError(

@@ -39,15 +39,17 @@ right-hand side is negative.
 Every optimum keeps its final basis, numbered as phase 1 numbers the
 variables, and a solve can start from an optimum of rows of the same shape
 whose data changed.  :func:`solve` takes one as ``warm`` (the least-loss LP
-of the liquidity surface's next transaction cost); :func:`solve_ratio` takes
-a previous pair, one per extreme (the surface's band widening from one level
-to the next).  A ratio extreme's previous optimum is carried first: its x and
-duals are put to the strong-duality test below on the new rows, and when they
-pass they are the answer, residuals recomputed, with no refactor and no
-pivot.  A wider band only loosens the rows, so x stays feasible, and duals
-that are zero on every changed row stay dual feasible.  Otherwise the solve
-restarts from the previous basis, refactored on the new rows by one dense
-solve against every column, [A | I] for the ratio program.
+of the liquidity surface's next transaction cost); :meth:`_Slice.solve`
+takes a previous pair, one per extreme (the surface's band program at the
+row before, or at the level before).  An extreme's optimum solved on the
+same slice before its column was rewritten (the band widening from one level
+to the next) is carried first: its x and duals are put to the strong-duality
+test below on the new rows, and when they pass they are the answer,
+residuals recomputed, with no refactor and no pivot.  A wider band only
+loosens the rows, so x stays feasible, and duals that are zero on every
+changed row stay dual feasible.  Otherwise the solve restarts from the
+previous basis, refactored on the new rows by one dense solve against every
+column, [A | I] for the ratio program.
 
 The surface's band program is built once per transaction cost
 (:class:`_Slice`), and a level step rewrites one column of it in place: the
@@ -159,7 +161,7 @@ class LPSolution:
     dual_residual: float = np.nan
     iterations: int = 0
     # final basis of an optimum, one variable per row kept, numbered as
-    # phase 1 numbers the variables: what solve_ratio restarts from
+    # phase 1 numbers the variables: what a restart starts from
     basis: Optional[np.ndarray] = None
     # final condensed tableau of an optimum of a _Slice with a rewritable
     # column, which a restart after a rewrite updates (see _update)
@@ -663,13 +665,11 @@ def _fits(lp: LinearProgram, prev: LPSolution) -> bool:
 
 
 def _carry(lp: LinearProgram, rows: _Rows, prev: LPSolution) -> Optional[LPSolution]:
-    """``prev``, an optimum of rows of the same shape whose data changed,
-    as the optimum of ``lp`` when its x and duals pass :func:`_phase2`'s
-    strong-duality test on ``rows``, ``lp``'s rows as supplied; else None.
-    The answer keeps ``prev``'s basis and tableau, for the next restart, and
-    its residuals are recomputed on the new rows."""
-    if not _fits(lp, prev):
-        return None
+    """``prev``, an optimum of ``rows`` before a :class:`_Slice` rewrote
+    them, as the optimum of ``lp`` when its x and duals pass
+    :func:`_phase2`'s strong-duality test on ``rows``, ``lp``'s rows as
+    supplied; else None.  The answer keeps ``prev``'s basis and tableau, for
+    the next restart, and its residuals are recomputed on the new rows."""
     sense_mult = 1.0 if lp.sense == "max" else -1.0
     y = sense_mult * np.concatenate(
         [prev.dual_ub, prev.dual_upper[rows.ub_vars], prev.dual_eq]
@@ -712,9 +712,10 @@ class _Slice:
 
     With ``column`` given, that column of ``a_ub`` may be rewritten in place
     between solves (:meth:`rewrite`), and every optimum keeps its final
-    tableau.  A restart from such an optimum after a rewrite updates that
-    tableau by one rank-one correction (:func:`_update`) where
-    :func:`_restart` would refactor it.
+    tableau.  Only such an optimum is tried as the answer after a rewrite
+    (:func:`_carry`), and a restart from it updates that tableau by one
+    rank-one correction (:func:`_update`) where :func:`_restart` would
+    refactor it.
     """
 
     def __init__(self, num, den, a_ub, column: Optional[int] = None):
@@ -740,8 +741,15 @@ class _Slice:
         self.rows.abs_supplied[i, j] = abs(value)
 
     def solve(self, warm: Optional[tuple] = None) -> tuple[LPSolution, LPSolution]:
-        """``(lo, hi)`` as :func:`solve_ratio` gives them, ``warm`` as
-        there."""
+        """``(lo, hi)`` as :func:`solve_ratio` gives them.
+
+        ``warm``, a previous ``(lo, hi)`` of a program of the same shape,
+        starts each extreme from that extreme's answer: its optimum when it
+        was solved on these rows and certifies on them as rewritten (see
+        ``_carry``), else a restart from its final basis (:meth:`_restart`).
+        An extreme that cannot restart takes the shared phase 1 as without
+        ``warm``.
+        """
         rows, cold, out = self.rows, None, []
         for k, side in enumerate(self.sides):
             start = None
@@ -750,7 +758,7 @@ class _Slice:
                 # whose data all differ (the surface's row before): its x
                 # does not solve these rows, so no carry is tried
                 kept = warm[k].kept
-                if kept is None or kept.rows is rows:
+                if kept is not None and kept.rows is rows:
                     carried = _carry(side, rows, warm[k])
                     if carried is not None:
                         out.append(carried)
@@ -776,9 +784,7 @@ class _Slice:
         return _restart(side, self.rows, prev.basis)
 
 
-def solve_ratio(
-    num, den, a_ub, *, warm: Optional[tuple] = None
-) -> tuple[LPSolution, LPSolution]:
+def solve_ratio(num, den, a_ub) -> tuple[LPSolution, LPSolution]:
     """Minimum and maximum of (num @ x) / (den @ x) over the points of the
     cone {x >= 0, a_ub @ x <= 0} with den @ x > 0, as ``(lo, hi)``.
 
@@ -786,12 +792,7 @@ def solve_ratio(
     num @ x on the slice den @ x = 1.  Both senses start phase 2 from one
     phase 1 of the slice, so each is bit for bit what ``solve`` gives for its
     sense; certification stays per extreme.  Both read ``infeasible``, with
-    one Farkas ray, when the cone does not reach the slice.
-
-    ``warm``, a previous ``(lo, hi)`` of a cone of the same shape, starts
-    each extreme from that extreme's answer: its optimum when it certifies on
-    the new rows (see ``_carry``), else a restart from its final basis (see
-    ``_restart``).  An extreme that cannot restart takes the shared phase 1
-    as without ``warm``.
+    one Farkas ray, when the cone does not reach the slice.  A restart from
+    a previous ``(lo, hi)`` goes through :meth:`_Slice.solve`.
     """
-    return _Slice(num, den, a_ub).solve(warm)
+    return _Slice(num, den, a_ub).solve()

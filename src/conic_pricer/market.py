@@ -1,9 +1,11 @@
 """Market data model, self-financing strategies and contract builders.
 
-A market consists of a savings account driven by a nonnegative adapted rate
-process and a list of securities, each quoted with separate bid and ask
-ex-dividend prices and separate cumulative bid/ask dividend streams.  The
-standing consistency requirement is ``ask >= bid`` for prices and
+A market consists of a savings account driven by a finite nonnegative
+adapted rate process and a list of securities, each quoted with separate bid
+and ask ex-dividend prices and separate cumulative bid/ask dividend streams;
+:class:`MarketModel` checks each as a finite adapted process
+(:func:`conic_pricer.lattice.ensure_adapted`).  The standing consistency
+requirement is ``ask >= bid`` for prices and
 ``delta(div_ask) <= delta(div_bid)`` for dividend increments: a long position
 buys at the ask, is credited the ask dividend stream and liquidates at the
 bid, and symmetrically for shorts.
@@ -23,7 +25,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .lattice import EventTree, as_values, ensure_adapted
+from .lattice import EventTree, as_values, ensure_adapted, finite
 
 __all__ = [
     "Security",
@@ -52,6 +54,15 @@ class Security:
     def mid(self) -> np.ndarray:
         return 0.5 * (self.ask + self.bid)
 
+    def processes(self):
+        """(name, matrix) of each of its four price processes."""
+        return (
+            (f"{self.name} bid prices", self.bid),
+            (f"{self.name} ask prices", self.ask),
+            (f"{self.name} cumulative ask dividends", self.div_ask),
+            (f"{self.name} cumulative bid dividends", self.div_bid),
+        )
+
 
 @dataclass(frozen=True)
 class CashFlow:
@@ -64,19 +75,16 @@ class CashFlow:
         return cls(ensure_adapted(tree, values, name="cash flow"))
 
 
-def apply_transaction_costs(
-    bid, lam: float, *, name: str = "security", tree: Optional[EventTree] = None
-) -> Security:
+def apply_transaction_costs(bid, lam: float, *, name: str = "security") -> Security:
     """Build a security from bid prices and a proportional cost coefficient.
 
     ask = bid * (1 + lam); the mid price is then bid * (1 + lam / 2).
     Dividends are zero; use :func:`dataclasses.replace` to attach streams.
+    The market built on the security checks its processes.
     """
     if not (np.isfinite(lam) and lam >= 0):  # NaN fails too
         raise ValidationError(f"transaction cost coefficient must be finite and >= 0, got {lam}")
-    bid_arr = np.asarray(as_values(bid), dtype=float)
-    if tree is not None:
-        bid_arr = ensure_adapted(tree, bid_arr, name=f"{name} bid")
+    bid_arr = as_values(bid)
     zeros = np.zeros_like(bid_arr)
     return Security(
         name=name,
@@ -88,17 +96,20 @@ def apply_transaction_costs(
 
 
 def _rate_matrix(rates, n: int, T: int) -> np.ndarray:
-    """``rates`` as an (n paths, T dates) matrix: a scalar is every path's
-    rate at every date, a T-vector every path's schedule."""
+    """``rates`` as an (n paths, T dates) matrix of finite nonnegative
+    rates: a scalar is every path's rate at every date, a T-vector every
+    path's schedule."""
     r = np.asarray(rates, dtype=float)
     if r.ndim == 0:
-        return np.full((n, T), float(r))
-    if r.ndim == 1:
+        r = np.full((n, T), float(r))
+    elif r.ndim == 1:
         if r.shape[0] != T:
             raise ValidationError(f"rate vector must have {T} entries")
         r = np.tile(r, (n, 1))
     if r.shape != (n, T):
         raise ValidationError(f"rates must have shape {(n, T)}, got {r.shape}")
+    if not np.all(np.isfinite(r) & (r >= 0)):
+        raise ValidationError("rates must be finite and nonnegative")
     return r
 
 
@@ -108,8 +119,6 @@ class MarketModel:
     def __init__(self, tree: EventTree, rates, securities: Sequence[Security]):
         self.tree = tree
         r = _rate_matrix(rates, tree.n_paths, tree.horizon)
-        if np.any(r < 0):
-            raise ValidationError("rates must be nonnegative")
         bad = tree.unmeasurable_cell(r)
         if bad is not None:
             raise ValidationError(f"rates not adapted at t={bad[0]}, cell {bad[1]}")
@@ -119,13 +128,8 @@ class MarketModel:
             raise ValidationError("a market needs at least one security")
         self.securities = tuple(securities)
         for sec in self.securities:
-            for label, arr in (
-                ("bid prices", sec.bid),
-                ("ask prices", sec.ask),
-                ("cumulative ask dividends", sec.div_ask),
-                ("cumulative bid dividends", sec.div_bid),
-            ):
-                ensure_adapted(tree, arr, name=f"{sec.name} {label}")
+            for name, arr in sec.processes():
+                ensure_adapted(tree, arr, name=name)
             if np.any(sec.div_ask[:, 0] != 0) or np.any(sec.div_bid[:, 0] != 0):
                 raise ValidationError(
                     f"{sec.name}: cumulative dividends must start at 0"
@@ -254,16 +258,19 @@ def asian_call(
     else:
         raise ValidationError(f"averaging must be bid|ask|mid, got {averaging!r}")
     n, T = model.tree.n_paths, model.tree.horizon
-    payoff = np.maximum(prices.mean(axis=1) - float(strike), 0.0)
+    payoff = np.maximum(prices.mean(axis=1) - float(finite(strike, "strike")), 0.0)
     D = np.zeros((n, T + 1))
     D[:, T] = payoff
     return CashFlow(D)
 
 
 def _resolve_security(model: MarketModel, security) -> Security:
+    """A :class:`Security`, or the market's security of that name or of that
+    index from 0 (an int, not a bool); anything else is unknown."""
     if isinstance(security, Security):
         return security
-    if isinstance(security, int):
+    n = model.n_securities
+    if isinstance(security, int) and not isinstance(security, bool) and 0 <= security < n:
         return model.securities[security]
     for sec in model.securities:
         if sec.name == security:

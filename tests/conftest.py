@@ -38,14 +38,14 @@ def two_period_tree() -> EventTree:
 
 def two_period_model(lam: float = 0.0) -> MarketModel:
     tree = two_period_tree()
-    return MarketModel(tree, 0.0, [apply_transaction_costs(TABLE_BIDS, lam, name="stock", tree=tree)])
+    return MarketModel(tree, 0.0, [apply_transaction_costs(TABLE_BIDS, lam, name="stock")])
 
 
 def binomial_model(probs=(0.25, 0.75), bid_up=80.0, bid_dn=40.0, spot=50.0, lam=0.0, rate=0.0):
     """One-period two-state market."""
     tree = EventTree(1, probs, [[(0, 1)], [(0,), (1,)]])
     bids = np.array([[spot, bid_up], [spot, bid_dn]])
-    return MarketModel(tree, rate, [apply_transaction_costs(bids, lam, name="stock", tree=tree)])
+    return MarketModel(tree, rate, [apply_transaction_costs(bids, lam, name="stock")])
 
 
 def binary_tree_market(u, d, r, p_up, lam, horizon=4) -> MarketModel:
@@ -62,7 +62,7 @@ def binary_tree_market(u, d, r, p_up, lam, horizon=4) -> MarketModel:
     parts = [[tuple(range(k * (n >> t), (k + 1) * (n >> t))) for k in range(2**t)]
              for t in range(horizon + 1)]
     tree = EventTree(horizon, probs, parts)
-    return MarketModel(tree, r, [apply_transaction_costs(bids, lam, tree=tree)])
+    return MarketModel(tree, r, [apply_transaction_costs(bids, lam)])
 
 
 def random_tree(rng, n_paths: int, horizon: int) -> EventTree:

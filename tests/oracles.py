@@ -521,16 +521,16 @@ def history_filtration(observables):
     return partitions
 
 
-def scanned_unmeasurable_cell(tree, values, tol=0.0):
+def scanned_unmeasurable_cell(tree, values):
     """The first (t, cell), by date and then cell, whose values in column t
-    of ``values`` spread by more than ``tol`` (max - min > tol), or None,
-    from every cell's max and min at every date."""
+    of ``values`` spread (max > min), or None, from every cell's max and min
+    at every date."""
     for t in range(values.shape[1]):
         idx, n_cells = tree.cell_index(t), len(tree.partitions[t])
         hi, lo = np.full(n_cells, -np.inf), np.full(n_cells, np.inf)
         np.maximum.at(hi, idx, values[:, t])
         np.minimum.at(lo, idx, values[:, t])
-        over = np.flatnonzero(hi - lo > tol)
+        over = np.flatnonzero(hi > lo)
         if over.size:
             return t, tree.partitions[t][over[0]]
     return None

@@ -312,7 +312,7 @@ def _one_period_instance(rng):
     leaves = spot * np.exp(rng.normal(0.0, 0.12, size=n))
     bids = np.column_stack([np.full(n, spot), leaves])
     lam = float(rng.uniform(0.001, 0.01))
-    model = MarketModel(tree, 0.0, [apply_transaction_costs(bids, lam, tree=tree)])
+    model = MarketModel(tree, 0.0, [apply_transaction_costs(bids, lam)])
     d = np.zeros((n, 2))
     d[:, 1] = np.maximum(leaves - spot, 0.0) / 4.0 + rng.uniform(0, 1, size=n)
     return model, CashFlow(d)
@@ -547,7 +547,7 @@ def test_c08_structural_price_properties(capsys):
     # vanishing friction between the level-band and the closure at 1e6
     tree = EventTree(1, [0.3, 0.4, 0.3], [[(0, 1, 2)], [(0,), (1,), (2,)]])
     bids = np.array([[100.0, 110.0], [100.0, 100.0], [100.0, 90.0]])
-    model_t = MarketModel(tree, 0.0, [apply_transaction_costs(bids, 0.0, tree=tree)])
+    model_t = MarketModel(tree, 0.0, [apply_transaction_costs(bids, 0.0)])
     d = np.zeros((3, 2))
     d[:, 1] = np.maximum(bids[:, 1] - 105.0, 0.0) / 10.0
     nb_t = noarb_bounds(model_t, d, 0).entry(0)
@@ -587,7 +587,7 @@ def test_c09_forward_relation(capsys):
     worst = 0.0
     for rate, scale in ((0.1, 1.21), (0.0, 1.0)):
         bids = base * (1.0 + rate) ** np.arange(3)
-        model = MarketModel(tree, rate, [apply_transaction_costs(bids, 0.0, tree=tree)])
+        model = MarketModel(tree, rate, [apply_transaction_costs(bids, 0.0)])
         d = np.zeros((4, 3))
         d[:, 2] = np.maximum(bids[:, 2] - 100.0, 0.0)
         gamma = 5.0

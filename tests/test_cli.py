@@ -121,8 +121,13 @@ class TestPrice:
         assert payload["rows"][0]["ask"] == "-inf"
 
     def test_nonpositive_gamma_is_usage_error(self, capsys):
-        code, _, err = run(capsys, "price", MODEL, PAYOFF, "--gamma", "0")
-        assert code == EXIT_USAGE
+        # --gamma parses as a plain float; a level outside (0, inf) is a
+        # validation failure by the density band's one rule, as in --gammas
+        for command in (["price", MODEL, PAYOFF], ["forward", MODEL, PAYOFF], ["ngd", MODEL]):
+            for gamma in ("0", "-1", "nan", "inf"):
+                code, out, err = run(capsys, *command, "--gamma", gamma)
+                assert (code, out) == (EXIT_VALIDATION, ""), (command, gamma)
+                assert err == f"error: acceptance level must be in (0, inf), got {float(gamma)}\n"
 
     def test_binomial_collapse_via_cli(self, capsys, tmp_path):
         model = write_json(
@@ -458,10 +463,24 @@ MALFORMED = {
     "negative lambda": (
         lambda m: m["securities"][0].update({"lambda": -0.01}), None, "transaction cost"
     ),
-    # rates the fixture's two dates cannot take
+    # rates the fixture's two dates cannot take, and rates no date can
     **{
-        f"rates {rates}": (lambda m, rates=rates: m.update(rates=rates), None, "rate")
-        for rates in ([0.01], [0.01, 0.02, 0.03], [[0.01, 0.0]], [])
+        f"rates {json.dumps(rates)}": (lambda m, rates=rates: m.update(rates=rates), None, "rate")
+        for rates in ([0.01], [0.01, 0.02, 0.03], [[0.01, 0.0]], [], np.inf, [0.01, np.nan])
+    },
+    "NaN probability": (
+        lambda m: m["probabilities"].__setitem__(0, np.nan), None, "probabilities"
+    ),
+    "asian call strike NaN": (None, lambda p: p.update(strike=np.nan), "strike"),
+    # at date 0, where a NaN, equal to nothing, would split the one cell
+    "NaN bid": (
+        lambda m: m["securities"][0]["bid"][1].__setitem__(0, np.nan), None, "stock bid prices"
+    ),
+    # asian call security indices the one-security fixture does not have
+    **{
+        f"security {json.dumps(index)}": (None, lambda p, i=index: p.update(security=i),
+                                          "security")
+        for index in (5, -1, True)
     },
 }
 

@@ -256,7 +256,7 @@ class TestArbitrageCheck:
         bids = TABLE_BIDS.copy()
         bids[3:, 1] = 55.0  # every date-1 bid now exceeds the date-0 ask
         bids[3:, 2] = [60.0, 56.0]
-        model = MarketModel(tree, 0.0, [apply_transaction_costs(bids, 0.0, tree=tree)])
+        model = MarketModel(tree, 0.0, [apply_transaction_costs(bids, 0.0)])
         witness = arbitrage_check(model, 0)
         assert witness is not None
         assert witness.node == NodeRef(0, 0)
@@ -266,9 +266,9 @@ class TestArbitrageCheck:
     def test_constant_prices_are_clean(self):
         tree = two_period_tree()
         flat = np.full((5, 3), 25.0)
-        model = MarketModel(tree, 0.0, [apply_transaction_costs(flat, 0.0, tree=tree)])
+        model = MarketModel(tree, 0.0, [apply_transaction_costs(flat, 0.0)])
         assert arbitrage_check(model, 0) is None
-        model = MarketModel(tree, 0.0, [apply_transaction_costs(flat, 0.02, tree=tree)])
+        model = MarketModel(tree, 0.0, [apply_transaction_costs(flat, 0.02)])
         assert arbitrage_check(model, 0) is None
 
     def test_witness_restricted_to_one_node(self):
@@ -276,7 +276,7 @@ class TestArbitrageCheck:
         tree = two_period_tree()
         bids = TABLE_BIDS.copy()
         bids[3:, 2] = [70.0, 50.0]  # both leaves above the down-node price 40
-        model = MarketModel(tree, 0.0, [apply_transaction_costs(bids, 0.0, tree=tree)])
+        model = MarketModel(tree, 0.0, [apply_transaction_costs(bids, 0.0)])
         witness = arbitrage_check(model, 1)
         assert witness is not None
         assert witness.node == NodeRef(1, 1)
@@ -405,7 +405,7 @@ class TestOneEnumerationPerQuote:
         bids = TABLE_BIDS.copy()
         bids[:3, 2] = [80.3, 80.5, 80.6]
         tree = two_period_tree()
-        model = MarketModel(tree, 0.0, [apply_transaction_costs(bids, 0.01, tree=tree)])
+        model = MarketModel(tree, 0.0, [apply_transaction_costs(bids, 0.01)])
         calls.clear()
         quote = pricing.noarb_bounds(model, flow, 1, entry="mark")
         assert quote.status() == pricing.STATUS_INFEASIBLE

@@ -2,9 +2,12 @@
 
 Every top-level function and class of ``src/conic_pricer``, and every public
 method of a top-level class, must be referenced by name somewhere in the
-package outside its own definition.  ``__init__.py`` does not count: an
-export alone is not a use.  Reference code that only the tests call belongs
-in ``tests/`` (``oracles.py``, ``cone_reference.py``, ``lp_reference.py``).
+package outside its own definition.  Every keyword-only parameter of a
+function there must be passed by name by some call in the package: a setting
+that only the tests set is not an engine setting.  ``__init__.py`` does not
+count: an export alone is not a use.  Reference code that only the tests
+call belongs in ``tests/`` (``oracles.py``, ``cone_reference.py``,
+``lp_reference.py``).
 """
 
 import ast
@@ -41,14 +44,18 @@ def _names(node):
     )
 
 
-def unreferenced():
-    """Qualified names of the definitions that nothing outside themselves
-    references."""
-    modules = {
+def _modules():
+    return {
         path.stem: ast.parse(path.read_text())
         for path in sorted(PACKAGE.glob("*.py"))
         if path.name != "__init__.py"
     }
+
+
+def unreferenced():
+    """Qualified names of the definitions that nothing outside themselves
+    references."""
+    modules = _modules()
     everywhere = sum((_names(module) for module in modules.values()), Counter())
     out = []
     for stem, module in modules.items():
@@ -59,11 +66,36 @@ def unreferenced():
     return out
 
 
+def unpassed_settings():
+    """``function.parameter`` of each keyword-only parameter that no call in
+    the package passes by name to a function of that name."""
+    nodes = [node for module in _modules().values() for node in ast.walk(module)]
+    passed = {
+        (getattr(node.func, "id", getattr(node.func, "attr", None)), keyword.arg)
+        for node in nodes if isinstance(node, ast.Call)
+        for keyword in node.keywords
+    }
+    return [
+        f"{node.name}.{arg.arg}"
+        for node in nodes if isinstance(node, ast.FunctionDef)
+        for arg in node.args.kwonlyargs
+        if (node.name, arg.arg) not in passed
+    ]
+
+
 def test_every_definition_is_used_by_the_engine():
     unused = [name for name in unreferenced() if name not in ALLOWED]
     assert unused == [], (
         f"referenced nowhere else in the package: {unused}; "
         "move reference code to tests/ or delete it"
+    )
+
+
+def test_every_setting_is_passed_by_the_engine():
+    unpassed = unpassed_settings()
+    assert unpassed == [], (
+        f"keyword-only parameters no call in the package passes: {unpassed}; "
+        "drop the setting or give it an engine caller"
     )
 
 

@@ -77,8 +77,7 @@ def test_refined_filtration_matches_history(seed):
     hit = rng.random((n, width)) < 0.2
     values = np.where(hit, adapted + noise[rng.integers(0, len(noise), size=(n, width))], adapted)
     for vals in (adapted, values, values[:, :-1]):
-        for tol in (0.0, 1e-12, 0.5):
-            assert tree.unmeasurable_cell(vals, tol) == scanned_unmeasurable_cell(tree, vals, tol)
+        assert tree.unmeasurable_cell(vals) == scanned_unmeasurable_cell(tree, vals)
 
 
 class TestEventTree:
@@ -119,9 +118,11 @@ class TestAdaptedness:
         vals[0, 1] += 1e-13  # breaks exact equality inside the date-1 cell
         with pytest.raises(ValidationError, match="not measurable"):
             ensure_adapted(tree, vals)
-        # documented tolerance flag accepts the same noise
-        out = ensure_adapted(tree, vals, tol=1e-12)
-        assert out.shape == (5, 3)
+        # no tolerance: a spread of one ulp is a spread, as the full scan reads it
+        vals[0, 1] = np.nextafter(TABLE_BIDS[0, 1], np.inf)
+        assert tree.unmeasurable_cell(vals) == scanned_unmeasurable_cell(tree, vals) == (
+            1, (0, 1, 2)
+        )
 
     def test_message_names_first_cell_over_tolerance(self):
         tree = two_period_tree()
@@ -134,8 +135,7 @@ class TestAdaptedness:
             "stock bid is not measurable at t=1: values differ inside cell "
             "(0, 1, 2) ([80.0, 80.0000000000001, 80.0])"
         )
-        # a spread equal to the tolerance is accepted
-        ensure_adapted(tree, vals, tol=max(vals[1, 1] - vals[0, 1], vals[4, 1] - vals[3, 1]))
+        assert tree.unmeasurable_cell(vals) == scanned_unmeasurable_cell(tree, vals)
 
     def test_ingest_wrapper(self):
         tree = two_period_tree()

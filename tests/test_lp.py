@@ -514,6 +514,14 @@ def _close(got, want, num):
     return abs(got.value - want.value) <= 1e-12 * (np.abs(num) @ np.abs(want.x))
 
 
+def _band_program(num, den, a, k):
+    """A seeded cone's band program as the surface's band row holds it: one
+    slice whose band scalar's column is rewritable, and its upper band rows,
+    which that column's rewrite sets to -(1 + level)."""
+    band = lp._Slice(num, den, _with_band(a, k, LEVELS[0]), column=a.shape[1])
+    return band, np.arange(len(a) + k, len(a) + 2 * k)
+
+
 def _same(got, want):
     return (got.status == want.status
             and np.float64(got.value).tobytes() == np.float64(want.value).tobytes()
@@ -523,11 +531,13 @@ def _same(got, want):
 
 
 class TestWarmRestart:
-    """``solve_ratio`` restarted from a previous ``(lo, hi)`` pair."""
+    """A slice program solved from a previous ``(lo, hi)`` pair."""
 
     def test_ascending_band_matches_cold(self, count_calls):
-        # each level restarts from the previous level's optimal bases, as the
-        # liquidity surface sweeps a lambda row
+        # each level restarts from the previous level's optimal bases on a
+        # slice of its own, as the first priced level of a liquidity surface
+        # row restarts from the row before: no optimum of another slice is
+        # carried, each basis is refactored on the new rows
         duals, phase1 = count_calls(lp, "_run_dual"), count_calls(lp, "_phase1")
         warm_solves = cold_solves = 0
         for num, den, a, k in _seeded_cones(5, 40):
@@ -536,7 +546,7 @@ class TestWarmRestart:
                 a_ub = _with_band(a, k, gamma)
                 cold = solve_ratio(num, den, a_ub)
                 before = len(phase1)
-                got = solve_ratio(num, den, a_ub, warm=pair)
+                got = lp._Slice(num, den, a_ub).solve(pair)
                 cold_solves += 1
                 warm_solves += len(phase1) == before
                 for g, c in zip(got, cold):
@@ -550,10 +560,10 @@ class TestWarmRestart:
 
     @staticmethod
     def _record_extremes(monkeypatch):
-        """A list that gains, per extreme of a warm ``solve_ratio`` call, the
-        events from its carry attempt on: first whether ``_carry`` carried
-        it, then one "restart" or "pivot" per call of those.  Clear it
-        before each call to read."""
+        """A list that gains, per extreme of a warm ``_Slice.solve`` call,
+        the events from its carry attempt on: first whether ``_carry``
+        carried it, then one "update", "restart" or "pivot" per call of
+        those.  Clear it before each call to read."""
         extremes = []
 
         def recording(name):
@@ -569,23 +579,25 @@ class TestWarmRestart:
 
             monkeypatch.setattr(lp, name, wrapped)
 
-        for name in ("_carry", "_restart", "_pivot"):
+        for name in ("_carry", "_update", "_restart", "_pivot"):
             recording(name)
         return extremes
 
     def test_carried_extreme_is_the_cold_optimum(self, monkeypatch):
-        # an extreme whose previous optimum certifies on the wider band is
-        # returned as it is: the cold optimum to 1e-12 relative, with its
-        # residuals recomputed on the new rows, and no restart or pivot
+        # on one band program rewritten level by level, an extreme whose
+        # previous optimum certifies on the wider band is returned as it is:
+        # the cold optimum to 1e-12 relative, with its residuals recomputed
+        # on the new rows, and no restart or pivot
         extremes = self._record_extremes(monkeypatch)
         carried = 0
         for num, den, a, k in _seeded_cones(5, 40):
+            band, upper = _band_program(num, den, a, k)
             pair = None
             for gamma in LEVELS:
-                a_ub = _with_band(a, k, gamma)
-                cold = solve_ratio(num, den, a_ub)
+                band.rewrite(upper, -(1.0 + gamma))
+                cold = solve_ratio(num, den, _with_band(a, k, gamma))
                 extremes.clear()
-                got = solve_ratio(num, den, a_ub, warm=pair)
+                got = band.solve(pair)
                 for g, c, events in zip(got, cold, extremes):
                     if events[0]:
                         carried += 1
@@ -600,22 +612,25 @@ class TestWarmRestart:
     def test_binding_band_is_restarted(self, monkeypatch):
         # a previous optimum with a nonzero dual on a band row that the wider
         # level changes is never carried: widening that row breaks its dual
-        # feasibility, so the extreme restarts from its basis
+        # feasibility, so the extreme restarts from its basis, its kept
+        # tableau updated for the rewritten column
         extremes = self._record_extremes(monkeypatch)
         binding = 0
         for num, den, a, k in _seeded_cones(5, 40):
+            band, upper = _band_program(num, den, a, k)
             pair = previous = None
             for gamma in LEVELS:
                 a_ub = _with_band(a, k, gamma)
+                band.rewrite(upper, -(1.0 + gamma))
                 extremes.clear()
-                got = solve_ratio(num, den, a_ub, warm=pair)
+                got = band.solve(pair)
                 if pair is not None:
                     changed = np.any(a_ub != previous, axis=1)
                     assert changed.any()
                     for prev, events in zip(pair, extremes):
                         if np.any(prev.dual_ub[changed] != 0):
                             binding += 1
-                            assert events[:2] == [False, "restart"]
+                            assert events[:2] == [False, "update"]
                 pair, previous = (got, a_ub) if got[1].status == "optimal" else (None, None)
         assert binding
 
@@ -626,8 +641,8 @@ class TestWarmRestart:
         # own extreme's or the other one's, infeasible on the new rows, where
         # its dual simplex runs past its pivot cap, cut to one pivot here.
         # A basis infeasible there is not refused for being dual infeasible:
-        # its costs are shifted.  An extreme whose previous optimum certifies
-        # on the new rows is carried and reaches no restart.
+        # its costs are shifted.  On a slice of its own no optimum is carried,
+        # so every extreme reaches the restart.
         outcomes, duals = {}, []  # per restarted sense: (refused, dual simplex status)
         real_restart, real_dual = lp._restart, lp._run_dual
 
@@ -656,23 +671,21 @@ class TestWarmRestart:
                     continue
                 for warm in (pair, pair[::-1]) if pair is not None else ():
                     outcomes.clear()
-                    got = solve_ratio(num, den, a_ub, warm=warm)
+                    got = lp._Slice(num, den, a_ub).solve(warm)
                     for g, c, sense in zip(got, cold, ("min", "max")):
-                        refused, status = outcomes.get(sense, (False, None))
+                        refused, status = outcomes[sense]
                         if refused:
                             assert _same(g, c)
                             refusals[status] = refusals.get(status, 0) + 1
                         else:
                             assert _close(g, c, num)
-                # the singular basis comes with the optimum of the level
-                # below where the band binds at both extremes (a nonzero
-                # dual on a band row that widens), so neither is carried
-                if pair is not None and all(np.any(s.dual_ub[-k:] != 0) for s in pair):
+                # the singular basis comes with the optimum of the level below
+                if pair is not None:
                     singular = tuple(
                         dataclasses.replace(s, basis=np.zeros_like(s.basis)) for s in pair
                     )
                     outcomes.clear()
-                    got = solve_ratio(num, den, a_ub, warm=singular)
+                    got = lp._Slice(num, den, a_ub).solve(singular)
                     assert outcomes == {"min": (True, None), "max": (True, None)}
                     assert all(_same(g, c) for g, c in zip(got, cold))
                     singular_runs += 1
@@ -697,7 +710,7 @@ class TestWarmRestart:
             for gamma in LEVELS[::-1]:
                 a_ub = _with_band(a, k, gamma)
                 cold = solve_ratio(num, den, a_ub)
-                got = solve_ratio(num, den, a_ub, warm=pair)
+                got = lp._Slice(num, den, a_ub).solve(pair)
                 assert [g.status for g in got] == [c.status for c in cold]
                 if cold[1].status == "infeasible":
                     seen += pair is not None
@@ -719,8 +732,7 @@ def _band_sweep(seed, count):
     ``(lo, hi)``.  The caller rewrites ``band`` to ``gamma``; the sweep then
     solves it from ``pair``."""
     for num, den, a, k in _seeded_cones(seed, count):
-        band = lp._Slice(num, den, _with_band(a, k, LEVELS[0]), column=a.shape[1])
-        upper = np.arange(len(a) + k, len(a) + 2 * k)
+        band, upper = _band_program(num, den, a, k)
         pair = band.solve()
         for gamma in LEVELS[1:]:
             if pair[1].status != "optimal":

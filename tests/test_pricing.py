@@ -72,7 +72,7 @@ def mark_empty_model():
     tree = EventTree(2, TABLE_PROBS, TABLE_PARTS)
     bids = TABLE_BIDS.copy()
     bids[:3, 2] = [80.3, 80.5, 80.6]
-    return MarketModel(tree, 0.0, [apply_transaction_costs(bids, 0.01, tree=tree)])
+    return MarketModel(tree, 0.0, [apply_transaction_costs(bids, 0.01)])
 
 
 def call_payoff(model, strike=60.0):
@@ -112,7 +112,7 @@ class TestNoArbBounds:
     def test_arbitrage_status(self):
         tree = EventTree(1, [0.5, 0.5], [[(0, 1)], [(0,), (1,)]])
         bids = np.array([[50.0, 60.0], [50.0, 55.0]])  # dominates the ask
-        model = MarketModel(tree, 0.0, [apply_transaction_costs(bids, 0.0, tree=tree)])
+        model = MarketModel(tree, 0.0, [apply_transaction_costs(bids, 0.0)])
         assert arbitrage_check(model, 0) is not None
         quote = noarb_bounds(model, call_payoff(model), 0)
         assert quote.entry(0).status == STATUS_ARBITRAGE
@@ -137,7 +137,7 @@ class TestNoArbBounds:
 
         tree = EventTree(1, [0.5, 0.5], [[(0, 1)], [(0,), (1,)]])
         bids = np.array([[50.0, 60.0], [50.0, 55.0]])
-        model = MarketModel(tree, 0.0, [apply_transaction_costs(bids, 0.0, tree=tree)])
+        model = MarketModel(tree, 0.0, [apply_transaction_costs(bids, 0.0)])
         monkeypatch.setattr(lp, "solve_ratio", failing)
         for entry in ("trade", "mark"):
             quote = noarb_bounds(model, call_payoff(model), 0, entry=entry)
@@ -171,8 +171,7 @@ class TestNoArbBounds:
         model = mark_empty_model()
         bids = model.securities[0].bid.copy()
         bids[3:, 2] = [40.1, 40.2]  # the down node's children too
-        model = MarketModel(model.tree, 0.0,
-                            [apply_transaction_costs(bids, 0.01, tree=model.tree)])
+        model = MarketModel(model.tree, 0.0, [apply_transaction_costs(bids, 0.01)])
         quote = noarb_bounds(model, asian_call(model, 0, 65.0), 1, entry="mark")
         assert [e.status for e in quote.entries] == [STATUS_INFEASIBLE] * 2
         assert quote.status() == STATUS_INFEASIBLE
@@ -308,9 +307,9 @@ class TestNgdCheck:
         tree = EventTree(1, [1 / 3] * 3, [[(0, 1, 2)], [(0,), (1,), (2,)]])
         secs = [
             apply_transaction_costs(np.array([[0.9, 3.0], [0.9, 0.0], [0.9, 0.0]]), 0.0,
-                                    name="a", tree=tree),
+                                    name="a"),
             apply_transaction_costs(np.array([[0.9, 0.0], [0.9, 3.0], [0.9, 0.0]]), 0.0,
-                                    name="b", tree=tree),
+                                    name="b"),
         ]
         model = MarketModel(tree, 0.0, secs)
         assert best_single_ratio(model, 0) == pytest.approx(1 / 6)
@@ -564,7 +563,7 @@ class TestGoodDealPrices:
         # polytope's vertices must match the LP
         tree = EventTree(1, [0.3, 0.4, 0.3], [[(0, 1, 2)], [(0,), (1,), (2,)]])
         bids = np.array([[100.0, 110.0], [100.0, 100.0], [100.0, 90.0]])
-        model = MarketModel(tree, 0.0, [apply_transaction_costs(bids, 0.0, tree=tree)])
+        model = MarketModel(tree, 0.0, [apply_transaction_costs(bids, 0.0)])
         payoff = call_payoff(model, 105.0)
         gamma = 2.0
         assert ngd_check(model, 0, gamma).holds
@@ -672,7 +671,7 @@ class TestGoodDealPrices:
         # the whole closure already at moderate widths
         tree = EventTree(1, [0.3, 0.4, 0.3], [[(0, 1, 2)], [(0,), (1,), (2,)]])
         bids = np.array([[100.0, 110.0], [100.0, 100.0], [100.0, 90.0]])
-        model = MarketModel(tree, 0.0, [apply_transaction_costs(bids, 0.0, tree=tree)])
+        model = MarketModel(tree, 0.0, [apply_transaction_costs(bids, 0.0)])
         d = np.zeros((3, 2))
         d[:, 1] = np.maximum(bids[:, 1] - 105.0, 0.0) / 10.0
         nb = noarb_bounds(model, d, 0).entry(0)
@@ -772,7 +771,7 @@ class TestForwardPrices:
                 [100.0, 95.0, 90.25],
             ]
         )
-        model = MarketModel(tree, 0.1, [apply_transaction_costs(bids, 0.0, tree=tree)])
+        model = MarketModel(tree, 0.1, [apply_transaction_costs(bids, 0.0)])
         d = np.zeros((4, 3))
         d[:, 2] = np.maximum(bids[:, 2] - 100.0, 0.0)
         assert ngd_check(model, 0, 5.0).holds
@@ -795,7 +794,7 @@ class TestForwardPrices:
         bids = np.array([[50, 80, 90], [50, 80, 70], [50, 40, 50], [50, 40, 30]], float)
         rates = np.zeros((4, 2))
         rates[:2, 1] = 0.1
-        model = MarketModel(tree, rates, [apply_transaction_costs(bids, 0.0, tree=tree)])
+        model = MarketModel(tree, rates, [apply_transaction_costs(bids, 0.0)])
         with pytest.raises(ValidationError, match="deterministic"):
             forward_prices(model, np.zeros((4, 3)), 0, 1.0)
 
@@ -820,7 +819,7 @@ class TestLiquiditySurface:
                  [(0,), (1,), (2,), (3,), (4,)]],
             )
             return MarketModel(tree, 0.0,
-                               [apply_transaction_costs(tree_bids, lam, name="stock", tree=tree)])
+                               [apply_transaction_costs(tree_bids, lam, name="stock")])
 
         def build_payoff(model):
             return asian_call(model, 0, 65.0, "mid")
@@ -1298,7 +1297,7 @@ class TestPrimalOracle:
     def test_matches_dual_prices_on_incomplete_market(self):
         tree = EventTree(1, [0.3, 0.4, 0.3], [[(0, 1, 2)], [(0,), (1,), (2,)]])
         bids = np.array([[100.0, 110.0], [100.0, 100.0], [100.0, 90.0]])
-        model = MarketModel(tree, 0.0, [apply_transaction_costs(bids, 0.005, tree=tree)])
+        model = MarketModel(tree, 0.0, [apply_transaction_costs(bids, 0.005)])
         d = np.zeros((3, 2))
         d[:, 1] = np.maximum(bids[:, 1] - 103.0, 0.0)
         gamma = best_single_ratio(model, 0) + 0.5
