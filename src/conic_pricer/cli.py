@@ -31,7 +31,7 @@ from . import pricing
 from .acceptability import dglr_eval
 from .cone import arbitrage_check
 from .errors import ComputationError, ValidationError
-from .lattice import EventTree, derive_filtration, finite
+from .lattice import EventTree, derive_filtration, finite, integer
 from .market import (
     CashFlow,
     MarketModel,
@@ -97,7 +97,7 @@ def _file_loader(kind: str):
 
 @_file_loader("model")
 def model_from_dict(data: dict, *, lam_override: Optional[float] = None) -> MarketModel:
-    horizon = int(data["horizon"])
+    horizon = integer(data["horizon"], "horizon")
     probs = [_parse_number(v) for v in data["probabilities"]]
     securities_cfg = data["securities"]
     n = len(probs)
@@ -110,7 +110,7 @@ def model_from_dict(data: dict, *, lam_override: Optional[float] = None) -> Mark
         bid = np.asarray(entry["bid"], dtype=float)
         lam = lam_override if lam_override is not None else entry.get("lambda")
         if lam is not None:
-            ask = apply_transaction_costs(bid, float(lam), name=name).ask
+            ask = apply_transaction_costs(bid, lam, name=name).ask
         elif "ask" in entry:
             ask = np.asarray(entry["ask"], dtype=float)
         else:

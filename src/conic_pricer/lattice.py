@@ -84,9 +84,9 @@ class EventTree:
         partitions: Sequence[Sequence[Iterable[int]]],
         paths: Optional[Sequence[str]] = None,
     ):
-        if horizon < 1:
+        self.horizon = integer(horizon, "horizon")
+        if self.horizon < 1:
             raise ValidationError(f"horizon must be >= 1, got {horizon}")
-        self.horizon = int(horizon)
         self.probabilities = finite(probabilities, "probabilities")
         if self.probabilities.ndim != 1:
             raise ValidationError("probabilities must be a flat vector")
@@ -188,6 +188,16 @@ def finite(values, name: str) -> np.ndarray:
     if not np.isfinite(arr).all():
         raise ValidationError(f"{name} contains non-finite entries")
     return arr
+
+
+def integer(value, name: str) -> int:
+    """``value`` as an int, or :class:`ValidationError` naming ``name`` where
+    it is a bool or a number of non-integral value (2.9, NaN): the one
+    integer rule of every input horizon and date."""
+    number = float(value)
+    if isinstance(value, (bool, np.bool_)) or not number.is_integer():
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    return int(number)
 
 
 def ensure_adapted(tree: EventTree, values, *, name: str = "process") -> np.ndarray:

@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .lattice import EventTree, as_values, ensure_adapted, finite
+from .lattice import EventTree, as_values, ensure_adapted, finite, integer
 
 __all__ = [
     "Security",
@@ -82,6 +82,8 @@ def apply_transaction_costs(bid, lam: float, *, name: str = "security") -> Secur
     Dividends are zero; use :func:`dataclasses.replace` to attach streams.
     The market built on the security checks its processes.
     """
+    if isinstance(lam, bool) or not isinstance(lam, (int, float, np.number)):
+        raise ValidationError(f"transaction cost coefficient must be a number, got {lam!r}")
     if not (np.isfinite(lam) and lam >= 0):  # NaN fails too
         raise ValidationError(f"transaction cost coefficient must be finite and >= 0, got {lam}")
     bid_arr = as_values(bid)
@@ -128,6 +130,8 @@ class MarketModel:
             raise ValidationError("a market needs at least one security")
         self.securities = tuple(securities)
         for sec in self.securities:
+            if [s.name for s in self.securities].count(sec.name) > 1:
+                raise ValidationError(f"security name {sec.name!r} is used twice")
             for name, arr in sec.processes():
                 ensure_adapted(tree, arr, name=name)
             if np.any(sec.div_ask[:, 0] != 0) or np.any(sec.div_bid[:, 0] != 0):
@@ -304,7 +308,7 @@ def cds_dividends(
         if v is None:
             tau_eff.append(T + 1_000_000)
         else:
-            v = int(v)
+            v = integer(v, f"default time on path {tree.paths[i]}")
             if not 1 <= v <= T:
                 raise ValidationError(
                     f"default time on path {tree.paths[i]} must lie in 1..{T} or be null"

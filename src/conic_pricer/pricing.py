@@ -50,6 +50,10 @@ first beaten node's best-ratio hedge, through
 When the verdict holds, each node is priced at the level the rule reads:
 gamma, or inside the tie band (1 - ``lp.TOL`` <= gamma L_v < 1) its ceiling
 1/L_v, whose band cone reaches the slice where the band at gamma may not.
+Every band quote, of :func:`good_deal_prices`, :func:`forward_prices` and
+:func:`liquidity_surface` alike, is one node's :class:`_BandRow`, the one
+builder of a band program; the bounds alone solve through
+:func:`conic_pricer.lp.solve_ratio`.
 
 Only :func:`noarb_bounds` takes ``entry="mark"``, which switches the
 valuation-date legs of hedges initiated exactly at the pricing date to
@@ -205,24 +209,18 @@ def _entry(node: NodeRef, lo, hi) -> PriceEntry:
     return PriceEntry(node, bid, ask, STATUS_OK)
 
 
-def _node_quote(model: MarketModel, x, a_ub, node: NodeRef):
-    """Min and max of the node's conditional mean of ``x`` over the cone
-    ``a_ub`` (u of the node's paths first) as a :class:`PriceEntry` (see
-    :func:`_entry`), with the ``(lo, hi)`` solutions.  Both solutions of a
-    node the cone cannot charge are the one Farkas ray."""
-    num, den = _ratio_terms(model, x, node, a_ub.shape[1])
-    lo, hi = lp.solve_ratio(num, den, a_ub)
-    return _entry(node, lo, hi), (lo, hi)
-
-
 def _node_quotes(model: MarketModel, cash_flow, rows: NodeRows) -> list:
-    """:func:`_node_quote` of each date-t node over its own cone, in node
-    order."""
+    """The min and max of each date-t node's conditional mean of the
+    discounted tail over its own cone (:func:`_node_cone`), in node order:
+    the node's :class:`PriceEntry` (see :func:`_entry`) with the ``(lo, hi)``
+    solutions.  Both solutions of a node the cone cannot charge are the one
+    Farkas ray."""
     x = _discounted_tail(model, cash_flow, rows.start)
     quotes = []
     for node in model.tree.nodes(rows.start):
-        paths = list(model.tree.node_paths(node))
-        quotes.append(_node_quote(model, x, _node_cone(rows, node.cell, paths), node))
+        cone = _node_cone(rows, node.cell, list(model.tree.node_paths(node)))
+        lo, hi = lp.solve_ratio(*_ratio_terms(model, x, node, cone.shape[1]), cone)
+        quotes.append((_entry(node, lo, hi), (lo, hi)))
     return quotes
 
 
@@ -377,50 +375,39 @@ def _band_level(gamma: float, loss: float) -> float:
     return gamma if gamma * loss >= 1.0 else 1.0 / loss
 
 
-def _banded(e: PriceEntry, level: float) -> PriceEntry:
-    """``e``, a band quote at ``level``, where the check holds: its band cone
-    reaches the slice there, so one that reads ``infeasible`` raises
-    :class:`ComputationError`."""
-    if e.status == STATUS_INFEASIBLE:
-        raise ComputationError(
-            f"node {e.node.time}:{e.node.cell} band LP at gamma={level!r} reads infeasible "
-            "where the no-good-deal check holds"
-        )
-    return e
-
-
-def _band_quote(model: MarketModel, x, cone, node: NodeRef, gamma: float, loss: float):
-    """:func:`_node_quote` of ``node``, of least loss per unit of gain
-    ``loss``, over its ``cone`` with the band at :func:`_band_level`, solved
-    cold (see :func:`_banded`)."""
-    level = _band_level(gamma, loss)
-    n = len(model.tree.node_paths(node))
-    return _banded(_node_quote(model, x, _with_band(cone, n, level), node)[0], level)
-
-
 class _BandRow:
-    """:func:`_band_quote`'s program of ``node`` over its ``cone`` for one
-    transaction cost, built once (the rows of :func:`_with_band`, the
-    program and its slack start); each level rewrites only the band scalar's
-    column, -(1 + level) on the node's n upper band rows, in place (see
-    :class:`conic_pricer.lp._Slice`)."""
+    """The band program of date-t ``node`` pricing ``x``: the node's cone of
+    ``rows`` (:func:`_node_cone`) cut by the band of :func:`_with_band`,
+    built once with its slack start.  Each quote rewrites only the band
+    scalar's column, -(1 + level) on the node's n upper band rows, in place
+    (see :class:`conic_pricer.lp._Slice`)."""
 
-    def __init__(self, model: MarketModel, x, cone, node: NodeRef):
-        n = len(model.tree.node_paths(node))
+    def __init__(self, model: MarketModel, x, rows: NodeRows, node: NodeRef):
+        paths = list(model.tree.node_paths(node))
+        n, cone = len(paths), _node_cone(rows, node.cell, paths)
         self.node = node
         self.upper = np.arange(len(cone) + n, len(cone) + 2 * n)
         num, den = _ratio_terms(model, x, node, cone.shape[1] + 1)
         self.slice = lp._Slice(num, den, _with_band(cone, n, 0.0), column=cone.shape[1])
 
     def quote(self, gamma: float, loss: float, warm=None):
-        """The node's band quote at ``gamma`` with its ``(lo, hi)``
-        solutions: from phase 1 without ``warm``, else restarted from it, a
-        previous ``(lo, hi)`` of this program or of the node's program at
-        another transaction cost."""
+        """The node's quote, of least loss per unit of gain ``loss``, with
+        the band at :func:`_band_level`, and its ``(lo, hi)`` solutions:
+        from phase 1 without ``warm`` (bit for bit what
+        :func:`conic_pricer.lp.solve_ratio` gives on the program), else
+        restarted from it, a previous ``(lo, hi)`` of this program or of the
+        node's program at another transaction cost.  The check holds at the
+        level, so its band cone reaches the slice there: a quote that reads
+        ``infeasible`` raises :class:`ComputationError`."""
         level = _band_level(gamma, loss)
         self.slice.rewrite(self.upper, -(1.0 + level))
         lo, hi = self.slice.solve(warm)
-        return _banded(_entry(self.node, lo, hi), level), (lo, hi)
+        if hi.status == "infeasible":
+            raise ComputationError(
+                f"node {self.node.time}:{self.node.cell} band LP at gamma={level!r} reads "
+                "infeasible where the no-good-deal check holds"
+            )
+        return _entry(self.node, lo, hi), (lo, hi)
 
 
 def ngd_check(model: MarketModel, t: int, gamma: float) -> NgdResult:
@@ -439,9 +426,10 @@ def good_deal_prices(model: MarketModel, cash_flow, t: int, gamma: float) -> Pri
     first and solves each date-t node's least loss per unit of gain L once.
     A violated level runs no band LP and carries the check's witness, the
     first beaten node's best-ratio hedge.  A holding level prices each node
-    at the level the tie rule reads (see :func:`_band_quote`): gamma, or
-    inside the tie band the node's ceiling 1/L_v.  A band LP that fails, or
-    reads ``infeasible``, there raises :class:`ComputationError`.
+    on its own :class:`_BandRow`, solved from phase 1, at the level the tie
+    rule reads: gamma, or inside the tie band the node's ceiling 1/L_v.  A
+    band LP that fails, or reads ``infeasible``, there raises
+    :class:`ComputationError`.
     """
     rows = generators_for(model, t)
     check, losses = _ngd(model, gamma, rows)
@@ -451,9 +439,7 @@ def good_deal_prices(model: MarketModel, cash_flow, t: int, gamma: float) -> Pri
         return PriceQuote(time=t, gamma=gamma, entries=entries, witness=check.witness)
     x = _discounted_tail(model, cash_flow, t)
     entries = tuple(
-        _band_quote(model, x, _node_cone(rows, node.cell, list(model.tree.node_paths(node))),
-                    node, gamma, loss)
-        for node, loss in zip(nodes, losses)
+        _BandRow(model, x, rows, node).quote(gamma, loss)[0] for node, loss in zip(nodes, losses)
     )
     return PriceQuote(time=t, gamma=gamma, entries=entries)
 
@@ -507,9 +493,9 @@ def liquidity_surface(
     gamma is violated exactly when gamma L < 1 - ``lp.TOL`` at some node, the
     tie rule of :func:`ngd_check`, so a level within ``lp.TOL`` of a node's
     best gain-loss ratio 1/L reads as 1/L and is priced.  The requested node
-    v is priced as :func:`good_deal_prices` prices it (see
-    :func:`_band_quote`): at gamma when gamma L_v >= 1, and inside the tie
-    band at its ceiling 1/L_v.  No level runs the check itself, and violated
+    v is priced on the program :func:`good_deal_prices` prices it on, its
+    :class:`_BandRow`: at gamma when gamma L_v >= 1, and inside the tie band
+    at its ceiling 1/L_v.  No level runs the check itself, and violated
     cells carry no witness.
 
     The rows form one warm sweep, in the order of ``lambdas``.  Each row
@@ -518,12 +504,12 @@ def liquidity_surface(
     certified to ``lp.TOL`` either way, and every verdict reads it through
     the same tie rule.  The threshold covers every date-t node, but only the
     requested node is quoted: the per-node programs are independent.  Its
-    band program is built once per row, at the row's first priced level
-    (:class:`_BandRow`); each later level of the row rewrites only the band
-    scalar's column in place.  The levels are priced in ascending order.
-    The first priced level of the first row that prices is solved from
-    phase 1, exactly as :func:`good_deal_prices` solves it; that cell and
-    every violated cell match :func:`good_deal_prices` bit for bit.
+    band program is built once per row, at the row's first priced level;
+    each later level of the row rewrites only the band scalar's column in
+    place.  The levels are priced in ascending order.  The first priced
+    level of the first row that prices is solved from phase 1, the one
+    solve :func:`good_deal_prices` makes on the same program, so that cell
+    and every violated cell match :func:`good_deal_prices` bit for bit.
     The first priced level of a later row restarts the node's min and max
     LPs from the first priced answers of the row before, refactored on the
     new rows.  Each later level of a row starts them from the previous
@@ -544,12 +530,10 @@ def liquidity_surface(
     for lam in lambdas:
         model = model_builder(lam)
         payoff = payoff_builder(model)
-        if not 0 <= t < model.tree.horizon:
-            raise ValidationError(f"start date {t} outside 0..{model.tree.horizon - 1}")
+        rows = generators_for(model, t)
         count = len(model.tree.nodes(t))
         if not 0 <= node < count:
             raise ValidationError(f"node {node} outside 0..{count - 1} at t={t}")
-        rows = generators_for(model, t)
         at = model.tree.nodes(t)[node]
         losses, least = _least_loss(model, rows, least)
         loss, own = float(np.min(losses)), float(losses[node])
@@ -560,8 +544,7 @@ def liquidity_surface(
             if _beats(gamma, loss):
                 e = PriceEntry(at, np.inf, -np.inf, STATUS_NGD)
             elif band is None:
-                cone = _node_cone(rows, node, list(model.tree.node_paths(at)))
-                band = _BandRow(model, _discounted_tail(model, payoff, t), cone, at)
+                band = _BandRow(model, _discounted_tail(model, payoff, t), rows, at)
                 e, warm = band.quote(gamma, own, first)
                 first = warm
             else:

@@ -31,7 +31,9 @@ package, or another reference here, computes another way:
   for self-financing strategies, and only for those;
 * no-arbitrage bounds and good-deal prices in check-first order (the
   arbitrage search or the no-good-deal check, then the node quotes), against
-  the quote-first order of ``noarb_bounds`` and ``good_deal_prices``;
+  the quote-first order of ``noarb_bounds`` and ``good_deal_prices``; the
+  good-deal node quotes come from a fresh band program per node and level
+  (``cold_band_quote``), against the engine's ``_BandRow``;
 * the natural filtration from each path's whole observed history at every
   date, against the date-by-date refinement of ``derive_filtration``, and
   every cell's spread scanned date by date, against the comparison with each
@@ -382,12 +384,19 @@ def check_first_good_deal_prices(model, cash_flow, t, gamma):
             for node in model.tree.nodes(t)
         )
         return pricing.PriceQuote(time=t, gamma=gamma, entries=entries, witness=check.witness)
-    rows, x, entries = generators_for(model, t), pricing._discounted_tail(model, cash_flow, t), []
-    for node in model.tree.nodes(t):
-        paths = list(model.tree.node_paths(node))
-        a_ub = pricing._with_band(pricing._node_cone(rows, node.cell, paths), len(paths), gamma)
-        entries.append(pricing._node_quote(model, x, a_ub, node)[0])
-    return pricing.PriceQuote(time=t, gamma=gamma, entries=tuple(entries))
+    rows, x = generators_for(model, t), pricing._discounted_tail(model, cash_flow, t)
+    entries = tuple(cold_band_quote(model, x, rows, node, gamma) for node in model.tree.nodes(t))
+    return pricing.PriceQuote(time=t, gamma=gamma, entries=entries)
+
+
+def cold_band_quote(model, x, rows, node, level):
+    """``node``'s quote of ``x`` at band ``level`` from a program built for
+    it alone: the node's cone of ``rows``, ``_with_band``'s rows at the
+    level, and one ``lp.solve_ratio``."""
+    paths = list(model.tree.node_paths(node))
+    a_ub = pricing._with_band(pricing._node_cone(rows, node.cell, paths), len(paths), level)
+    num, den = pricing._ratio_terms(model, x, node, a_ub.shape[1])
+    return pricing._entry(node, *lp.solve_ratio(num, den, a_ub))
 
 
 # ---------------------------------------------------------------------------

@@ -452,6 +452,29 @@ def _ragged_bid(model):
 MALFORMED = {
     "security without bid": (lambda m: m["securities"][0].pop("bid"), None, "model file"),
     "horizon not a number": (lambda m: m.update(horizon="two"), None, "model file"),
+    # a horizon, a default time and a cost coefficient are read as given,
+    # never truncated or taken from a bool
+    **{
+        f"horizon {json.dumps(horizon)}": (lambda m, h=horizon: m.update(horizon=h), None,
+                                           "horizon must be an integer")
+        for horizon in (2.9, True)
+    },
+    **{
+        f"lambda {json.dumps(lam)}": (
+            lambda m, lam=lam: m["securities"][0].update({"lambda": lam}), None,
+            "transaction cost coefficient must be a number"
+        )
+        for lam in (True, "0.01")
+    },
+    **{
+        f"cds default time {json.dumps(tau)}": (None, lambda p, tau=tau: p.update(
+            type="cds", tau=[tau] * 5, delta=0.6, kappa_ask=0.01, kappa_bid=0.01
+        ), "default time on path w1 must be an integer") for tau in (1.9, True)
+    },
+    "repeated security name": (
+        lambda m: m["securities"].append(dict(m["securities"][0])), None,
+        "security name 'stock' is used twice"
+    ),
     "probability not a fraction": (
         lambda m: m["probabilities"].__setitem__(1, "x/3"), None, "model file"
     ),

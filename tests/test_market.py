@@ -131,6 +131,15 @@ class TestModelValidation:
             MarketModel(tree, rates, [apply_transaction_costs(TABLE_BIDS, 0.0)])
         assert str(exc.value) == "rates not adapted at t=1, cell (3, 4)"
 
+    def test_repeated_security_name_rejected(self):
+        # a payoff names its underlying: a second "stock" would leave the
+        # name to pick the first of the two
+        tree = two_period_tree()
+        first = apply_transaction_costs(TABLE_BIDS, 0.0, name="stock")
+        second = apply_transaction_costs(2.0 * TABLE_BIDS, 0.0, name="stock")
+        with pytest.raises(ValidationError, match="^security name 'stock' is used twice$"):
+            MarketModel(tree, 0.0, [first, second])
+
 
 class TestWealth:
     def test_buy_then_liquidate_values(self):
@@ -323,6 +332,12 @@ class TestCdsDividends:
         # of them is not observable
         with pytest.raises(ValidationError, match="stopping time"):
             cds_dividends(tree, [1, None, None, None, None], 0.6, 0.1, 0.1)
+
+    @pytest.mark.parametrize("tau", [1.9, True])
+    def test_default_time_must_be_an_integer(self, tau):
+        # 1.9 truncated to date 1 and True read as 1
+        with pytest.raises(ValidationError, match="default time on path w1 must be an integer"):
+            cds_dividends(two_period_tree(), [tau] * 5, 0.6, 0.1, 0.1)
 
     def test_adapted_default_accepted_and_model_valid(self):
         tree = two_period_tree()

@@ -52,6 +52,7 @@ from conftest import (
 from oracles import (
     check_first_bounds,
     check_first_good_deal_prices,
+    cold_band_quote,
     primal_price_oracle,
     wealth_closed_form,
 )
@@ -202,14 +203,15 @@ class TestNoArbBounds:
         (2.0, 2.0 + 1e-12, None),  # no crossing: the optima as they are
     ])
     def test_rounding_crossing_reads_midpoint(self, monkeypatch, bid, ask, quoted):
-        # every quote passes through _node_quote: a min optimum above the max
-        # by at most lp.TOL * max(1, |bid|, |ask|) is both sides' midpoint
+        # every quote passes through _entry: a min optimum above the max by
+        # at most lp.TOL * max(1, |bid|, |ask|) is both sides' midpoint; the
+        # patched optima charge every path, so no arbitrage search runs
         model = two_period_model()
-        monkeypatch.setattr(lp, "solve_ratio", lambda *args, **kwargs: (
-            lp.LPSolution("optimal", value=bid), lp.LPSolution("optimal", value=ask)
+        monkeypatch.setattr(lp, "solve_ratio", lambda num, den, a_ub: (
+            lp.LPSolution("optimal", value=bid, x=np.ones(a_ub.shape[1])),
+            lp.LPSolution("optimal", value=ask, x=np.ones(a_ub.shape[1])),
         ))
-        x = np.ones(model.tree.n_paths)
-        e, _ = pricing._node_quote(model, x, np.zeros((1, 5)), model.tree.nodes(0)[0])
+        e = noarb_bounds(model, call_payoff(model), 0).entry(0)
         assert e.status == STATUS_OK
         if quoted is None:
             assert (e.bid, e.ask) == (bid, ask)
@@ -252,6 +254,7 @@ class TestNoArbBounds:
             )
             if k % 3 == 2:
                 bad = random_market(rng, tree, dividends=True).securities[0]
+                bad = dataclasses.replace(bad, name="bad")
                 model = MarketModel(tree, model.rates, [*model.securities[:-1], bad])
             flow = random_cashflow(rng, tree)
         assert arbitrage_check(model, 0) is None
@@ -481,7 +484,7 @@ class TestGoodDealPrices:
         # date-t node and then one band LP pair per node
         model = two_period_model(lam=0.01)
         searches = count_calls(pricing, "_node_least_loss")
-        ratios = count_calls(lp, "solve_ratio")
+        ratios = count_calls(lp._Slice, "solve")
         for t in (0, 1):
             searches.clear()
             ratios.clear()
@@ -497,6 +500,21 @@ class TestGoodDealPrices:
             else:
                 assert len(searches) == len(ratios) == nodes
 
+    def test_band_quotes_are_band_rows(self, count_calls):
+        # one builder of a band program: a holding level quotes each date-t
+        # node on its own _BandRow, spot and forward, and only the bounds
+        # solve through lp.solve_ratio
+        model = two_period_model(lam=0.01)
+        payoff = asian_call(model, 0, 65.0)
+        ratios = count_calls(lp, "solve_ratio")
+        bands = count_calls(pricing, "_BandRow")
+        for t in (0, 1):
+            for prices in (good_deal_prices, forward_prices):
+                bands.clear()
+                assert prices(model, payoff, t, 8.0).status() == STATUS_OK
+                assert len(bands) == len(model.tree.nodes(t))
+        assert ratios == []
+
     def test_violated_horizon_8_ladder_runs_no_band_lp(self, count_calls):
         # the benchmark's ladder market 8 at t=0, gamma=8: the node's ceiling
         # 1/L is about 26.99, so the level is violated.  Its band LP is never
@@ -504,7 +522,7 @@ class TestGoodDealPrices:
         model = binary_tree_market(
             1.0518419562876573, 0.9539507146165618, 0.02, 0.5181521759298708, 0.01, horizon=8
         )
-        ratios = count_calls(lp, "solve_ratio")
+        ratios = count_calls(lp._Slice, "solve")
         quote = good_deal_prices(model, call_payoff(model, 96.20889592020883), 0, 8.0)
         assert quote.status() == STATUS_NGD
         assert ratios == []
@@ -527,7 +545,7 @@ class TestGoodDealPrices:
         def failing(*args, **kwargs):
             raise ComputationError("LP infeasibility certification failed")
 
-        monkeypatch.setattr(lp, "solve_ratio", failing)
+        monkeypatch.setattr(lp._Slice, "solve", failing)
         searches = count_calls(pricing, "_node_least_loss")
         quote = good_deal_prices(model, payoff, 0, gamma)
         assert len(searches) == 1
@@ -546,15 +564,15 @@ class TestGoodDealPrices:
         def failing(*args, **kwargs):
             raise ComputationError("LP certification failed")
 
-        monkeypatch.setattr(lp, "solve_ratio", failing)
+        monkeypatch.setattr(lp._Slice, "solve", failing)
         with pytest.raises(ComputationError, match="certification failed"):
             good_deal_prices(model, payoff, 0, 8.0)
         monkeypatch.undo()
 
-        def missing(model, x, a_ub, node, warm=None):
-            return pricing.PriceEntry(node, np.nan, np.nan, STATUS_INFEASIBLE), (None, None)
+        def missing(self, warm=None):
+            return lp.LPSolution("infeasible"), lp.LPSolution("infeasible")
 
-        monkeypatch.setattr(pricing, "_node_quote", missing)
+        monkeypatch.setattr(lp._Slice, "solve", missing)
         with pytest.raises(ComputationError, match="reads infeasible"):
             good_deal_prices(model, payoff, 0, 8.0)
 
@@ -1025,7 +1043,7 @@ class TestLiquiditySurface:
         # one band program per lambda row: each level rewrites the band
         # scalar's column, and the program and its slack start then hold
         # _with_band's rows at the level the tie rule reads, element for
-        # element, and quote as _band_quote's cold solve does
+        # element, and quote as a program built for that level alone does
         u, d, r, p_up, strike = PIVOT_BUDGET_MARKETS[0]
         model = binary_tree_market(u, d, r, p_up, 0.01, horizon=3)
         rows = generators_for(model, 1)
@@ -1034,7 +1052,7 @@ class TestLiquiditySurface:
         for node, loss in zip(model.tree.nodes(1), losses):
             paths = list(model.tree.node_paths(node))
             cone = pricing._node_cone(rows, node.cell, paths)
-            band = pricing._BandRow(model, x, cone, node)
+            band = pricing._BandRow(model, x, rows, node)
             prog, start = band.slice.prog, band.slice.rows
             a_ub, stacked, warm = prog.a_ub, start.supplied, None
             for gamma in (0.25, 0.5, 1.0, 2.0, 4.0, 8.0):
@@ -1044,7 +1062,7 @@ class TestLiquiditySurface:
                 assert np.array_equal(a_ub, want)
                 assert np.array_equal(stacked, np.vstack([want, prog.a_eq]))
                 assert np.array_equal(start.abs_supplied, np.abs(stacked))
-                cold = pricing._band_quote(model, x, cone, node, gamma, loss)
+                cold = cold_band_quote(model, x, rows, node, pricing._band_level(gamma, loss))
                 assert e.bid == pytest.approx(cold.bid, rel=1e-12, abs=0)
                 assert e.ask == pytest.approx(cold.ask, rel=1e-12, abs=0)
 
