@@ -61,9 +61,13 @@ class _Parser(argparse.ArgumentParser):
 # loading
 
 
-def _parse_number(v):
+def _parse_number(v, name: str) -> float:
+    """A JSON number, or a string holding one or a fraction ("1/3"); a bool
+    is not a number."""
     if isinstance(v, str):
         return float(Fraction(v))
+    if isinstance(v, bool):
+        raise ValidationError(f"{name} must be a number, got {v!r}")
     return float(v)
 
 
@@ -98,7 +102,7 @@ def _file_loader(kind: str):
 @_file_loader("model")
 def model_from_dict(data: dict, *, lam_override: Optional[float] = None) -> MarketModel:
     horizon = integer(data["horizon"], "horizon")
-    probs = [_parse_number(v) for v in data["probabilities"]]
+    probs = [_parse_number(v, "probability") for v in data["probabilities"]]
     securities_cfg = data["securities"]
     n = len(probs)
     rates = _rate_matrix(data.get("rates", 0.0), n, horizon)
@@ -109,6 +113,10 @@ def model_from_dict(data: dict, *, lam_override: Optional[float] = None) -> Mark
         name = entry.get("name", f"security{len(securities)}")
         bid = np.asarray(entry["bid"], dtype=float)
         lam = lam_override if lam_override is not None else entry.get("lambda")
+        if lam_override is None and lam is not None and entry.get("ask") is not None:
+            raise ValidationError(
+                f"security {name}: provide an ask matrix or a lambda shorthand, not both"
+            )
         if lam is not None:
             ask = apply_transaction_costs(bid, lam, name=name).ask
         elif "ask" in entry:
@@ -156,16 +164,16 @@ def payoff_from_dict(model: MarketModel, data: dict) -> CashFlow:
         return asian_call(
             model,
             data.get("security", 0),
-            _parse_number(data["strike"]),
+            _parse_number(data["strike"], "strike"),
             data.get("averaging", "mid"),
         )
     if kind == "cds":
         div_ask, _ = cds_dividends(
             model.tree,
             data["tau"],
-            _parse_number(data["delta"]),
-            _parse_number(data["kappa_ask"]),
-            _parse_number(data["kappa_bid"]),
+            _parse_number(data["delta"], "delta"),
+            _parse_number(data["kappa_ask"], "kappa_ask"),
+            _parse_number(data["kappa_bid"], "kappa_bid"),
         )
         return CashFlow.ingest(model.tree, np.diff(div_ask, prepend=0.0, axis=1))
     if kind == "explicit":

@@ -192,12 +192,12 @@ def finite(values, name: str) -> np.ndarray:
 
 def integer(value, name: str) -> int:
     """``value`` as an int, or :class:`ValidationError` naming ``name`` where
-    it is a bool or a number of non-integral value (2.9, NaN): the one
-    integer rule of every input horizon and date."""
-    number = float(value)
-    if isinstance(value, (bool, np.bool_)) or not number.is_integer():
+    it is not a number (a bool, a string) or a number of non-integral value
+    (2.9, NaN): the one integer rule of every input horizon and date."""
+    number = not isinstance(value, bool) and isinstance(value, (int, float, np.number))
+    if not (number and float(value).is_integer()):
         raise ValidationError(f"{name} must be an integer, got {value!r}")
-    return int(number)
+    return int(value)
 
 
 def ensure_adapted(tree: EventTree, values, *, name: str = "process") -> np.ndarray:

@@ -176,9 +176,7 @@ def _pivot(T, basis, nonbasic, row, k):
     in the pivot row and 0 - factor/piv elsewhere, computed by the same float
     operations.  Every row takes the full outer product: a row whose factor
     is zero subtracts exact zeros and keeps its values (a -0.0 may come back
-    +0.0), as a full pivot that skips it would.  A ``where=`` mask that
-    skipped those rows cost more than the arithmetic it saved: half of each
-    pivot on the horizon-4 tree programs (see the module docstring).
+    +0.0), as a full pivot that skips it would.
     """
     col = T[:, k].copy()
     T[row, k] = 1
@@ -719,14 +717,7 @@ class _Slice:
     """
 
     def __init__(self, num, den, a_ub, column: Optional[int] = None):
-        a_ub = np.atleast_2d(np.asarray(a_ub, dtype=float))
-        num, den = np.asarray(num, dtype=float), np.asarray(den, dtype=float)
-        m, n = a_ub.shape
-        if num.shape != (n,) or den.shape != (n,):
-            raise ValidationError("inconsistent LP dimensions")
-        if not (np.isfinite(a_ub).all() and np.isfinite(num).all() and np.isfinite(den).all()):
-            raise ValidationError("non-finite coefficients in the ratio program")
-        self.prog = LinearProgram("max", num, a_ub, np.zeros(m), den[None], np.ones(1))
+        self.prog = LinearProgram.build("max", num, a_ub, np.zeros(len(a_ub)), den, np.ones(1))
         self.sides = (replace(self.prog, sense="min"), self.prog)
         self.rows = _slack_start(self.prog)
         self.column = column

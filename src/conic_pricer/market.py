@@ -15,6 +15,12 @@ A predictable strategy holds security legs and a savings-account slot;
 that absorbs every purchase, sale and dividend, so the strategy is
 self-financing by construction.  Every witness's hedge is built this way
 (:func:`conic_pricer.cone.hedge_strategy`).
+
+Adapted prices, predictable holdings and a CDS default time that is a
+stopping time are one measurability rule of the tree,
+:meth:`~conic_pricer.lattice.EventTree.unmeasurable_cell`: holdings over
+(t-1, t] are a process at date t-1, and the default indicator 1{tau <= t} a
+process at date t.
 """
 
 from __future__ import annotations
@@ -100,8 +106,11 @@ def apply_transaction_costs(bid, lam: float, *, name: str = "security") -> Secur
 def _rate_matrix(rates, n: int, T: int) -> np.ndarray:
     """``rates`` as an (n paths, T dates) matrix of finite nonnegative
     rates: a scalar is every path's rate at every date, a T-vector every
-    path's schedule."""
-    r = np.asarray(rates, dtype=float)
+    path's schedule.  Bools and strings are not rates."""
+    r = np.asarray(rates)
+    if r.dtype.kind not in "iuf":
+        raise ValidationError(f"rates must be numbers, got {rates!r}")
+    r = np.asarray(r, dtype=float)
     if r.ndim == 0:
         r = np.full((n, T), float(r))
     elif r.ndim == 1:
@@ -196,13 +205,13 @@ class TradingStrategy:
             )
         if np.any(h[0] != 0):
             raise ValidationError("holdings at t=0 must be zero by convention")
-        for t in range(1, tree.horizon + 1):
-            for cell in tree.partitions[t - 1]:
-                block = h[t][:, list(cell)]
-                if np.max(block, axis=1).tolist() != np.min(block, axis=1).tolist():
-                    raise ValidationError(
-                        f"holdings at t={t} are not predictable on cell {cell}"
-                    )
+        # each slot's holdings over (t-1, t] read as a process at t-1
+        bad = [tree.unmeasurable_cell(h[1:, j].T) for j in range(h.shape[1])]
+        bad = min(filter(None, bad), default=None)
+        if bad is not None:
+            raise ValidationError(
+                f"holdings at t={bad[0] + 1} are not predictable on cell {bad[1]}"
+            )
         return self
 
 
@@ -314,22 +323,13 @@ def cds_dividends(
                     f"default time on path {tree.paths[i]} must lie in 1..{T} or be null"
                 )
             tau_eff.append(v)
-    for t in range(T + 1):
-        for cell in tree.partitions[t]:
-            flags = {tau_eff[i] <= t for i in cell}
-            if len(flags) > 1:
-                raise ValidationError(
-                    f"tau is not a stopping time: default-by-{t} differs inside cell {cell}"
-                )
-
-    def build(kappa: float) -> np.ndarray:
-        A = np.zeros((n, T + 1))
-        for i in range(n):
-            fees = 0
-            for t in range(1, T + 1):
-                if t < tau_eff[i]:
-                    fees += 1
-                A[i, t] = (delta if tau_eff[i] <= t else 0.0) - kappa * fees
-        return A
-
-    return build(kappa_ask), build(kappa_bid)
+    tau_eff = np.array(tau_eff)[:, None]
+    t = np.arange(T + 1)
+    defaulted = tau_eff <= t
+    bad = tree.unmeasurable_cell(defaulted)
+    if bad is not None:
+        raise ValidationError(
+            f"tau is not a stopping time: default-by-{bad[0]} differs inside cell {bad[1]}"
+        )
+    protection, fees = np.where(defaulted, delta, 0.0), np.minimum(t, tau_eff - 1)
+    return protection - kappa_ask * fees, protection - kappa_bid * fees

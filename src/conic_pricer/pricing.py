@@ -124,13 +124,6 @@ class PriceQuote:
     entries: tuple[PriceEntry, ...]
     witness: Optional["GoodDealWitness"] = None
 
-    def entry(self, cell: int = 0) -> PriceEntry:
-        return self.entries[cell]
-
-    def status(self) -> str:
-        bad = [e.status for e in self.entries if e.status != STATUS_OK]
-        return bad[0] if bad else STATUS_OK
-
 
 @dataclass(frozen=True)
 class GoodDealWitness:

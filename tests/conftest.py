@@ -13,6 +13,7 @@ from conic_pricer.market import (
     apply_transaction_costs,
     make_self_financing,
 )
+from conic_pricer.pricing import STATUS_OK
 
 TABLE_BIDS = np.array(
     [
@@ -63,6 +64,12 @@ def binary_tree_market(u, d, r, p_up, lam, horizon=4) -> MarketModel:
              for t in range(horizon + 1)]
     tree = EventTree(horizon, probs, parts)
     return MarketModel(tree, r, [apply_transaction_costs(bids, lam)])
+
+
+def quote_status(quote) -> str:
+    """The first status other than ``ok`` among a quote's entries, else ``ok``."""
+    bad = [e.status for e in quote.entries if e.status != STATUS_OK]
+    return bad[0] if bad else STATUS_OK
 
 
 def random_tree(rng, n_paths: int, horizon: int) -> EventTree:

@@ -144,7 +144,7 @@ def test_c02_noarb_bounds_with_costs(capsys):
         payoff = fixture_payoff(model)
         per_entry = {}
         for entry in ("trade", "mark"):
-            e = noarb_bounds(model, payoff, t, entry=entry).entry(0)
+            e = noarb_bounds(model, payoff, t, entry=entry).entries[0]
             per_entry[entry] = (e.ask, e.bid)
         ref_hi, ref_lo = table[lam]
         best = min(
@@ -184,7 +184,7 @@ def test_c03_good_deal_grid_with_certificates(capsys):
         for t, table in ((0, TABLE_T0), (1, TABLE_T1)):
             for gi, gamma in enumerate(GAMMA_GRID):
                 quote = good_deal_prices(model, payoff, t, gamma)
-                e = quote.entry(0)
+                e = quote.entries[0]
                 ref_ask, ref_bid = table[lam][gi]
                 if e.status == STATUS_OK:
                     cell_ok = (
@@ -332,7 +332,7 @@ def test_c05_primal_dual_duality(capsys):
         gamma = top + float(rng.uniform(0.25, 1.0))
         if not ngd_check(model, 0, gamma).holds:
             continue
-        dual = good_deal_prices(model, payoff, 0, gamma).entry(0)
+        dual = good_deal_prices(model, payoff, 0, gamma).entries[0]
         oracle = primal_price_oracle(model, payoff, 0, gamma)[0]
         worst = max(worst, abs(oracle.ask - dual.ask), abs(oracle.bid - dual.bid))
         done += 1
@@ -510,10 +510,10 @@ def test_c08_structural_price_properties(capsys):
     # sandwich + monotonicity in the level on the fixture
     model = two_period_model(lam=0.01)
     payoff = fixture_payoff(model)
-    nb = noarb_bounds(model, payoff, 0).entry(0)
+    nb = noarb_bounds(model, payoff, 0).entries[0]
     prev_ask, prev_bid = -np.inf, np.inf
     for gamma in (7.0, 9.0, 12.0, 20.0):
-        e = good_deal_prices(model, payoff, 0, gamma).entry(0)
+        e = good_deal_prices(model, payoff, 0, gamma).entries[0]
         ok &= e.status == STATUS_OK
         ok &= nb.bid - 1e-9 <= e.bid <= e.ask <= nb.ask + 1e-9
         ok &= e.ask >= prev_ask - 1e-9 and e.bid <= prev_bid + 1e-9
@@ -537,8 +537,8 @@ def test_c08_structural_price_properties(capsys):
             continue
         d = random_cashflow(rng, tree)
         d[:, 0] = 0.0
-        a = good_deal_prices(model_r, d, 0, gamma).entry(0)
-        b = good_deal_prices(model_r, -d, 0, gamma).entry(0)
+        a = good_deal_prices(model_r, d, 0, gamma).entries[0]
+        b = good_deal_prices(model_r, -d, 0, gamma).entries[0]
         worst_sym = max(worst_sym, abs(a.ask + b.bid), abs(a.bid + b.ask))
         done += 1
     ok &= worst_sym <= 1e-9
@@ -550,8 +550,8 @@ def test_c08_structural_price_properties(capsys):
     model_t = MarketModel(tree, 0.0, [apply_transaction_costs(bids, 0.0)])
     d = np.zeros((3, 2))
     d[:, 1] = np.maximum(bids[:, 1] - 105.0, 0.0) / 10.0
-    nb_t = noarb_bounds(model_t, d, 0).entry(0)
-    big = good_deal_prices(model_t, d, 0, 1e6).entry(0)
+    nb_t = noarb_bounds(model_t, d, 0).entries[0]
+    big = good_deal_prices(model_t, d, 0, 1e6).entries[0]
     gap = max(abs(big.bid - nb_t.bid), abs(big.ask - nb_t.ask))
     ok &= gap <= 1e-6
     notes.append(f"large-level gap {gap:.1e}")
@@ -561,7 +561,7 @@ def test_c08_structural_price_properties(capsys):
     d = np.zeros((2, 2))
     d[:, 1] = [20.0, 0.0]
     for gamma in (1e-4, 0.5, 3.0, 1e3):
-        e = good_deal_prices(model_b, d, 0, gamma).entry(0)
+        e = good_deal_prices(model_b, d, 0, gamma).entries[0]
         ok &= abs(e.bid - 5.0) <= 1e-9 and abs(e.ask - 5.0) <= 1e-9
     notes.append("complete-market collapse ok")
 
@@ -592,8 +592,8 @@ def test_c09_forward_relation(capsys):
         d[:, 2] = np.maximum(bids[:, 2] - 100.0, 0.0)
         gamma = 5.0
         assert ngd_check(model, 0, gamma).holds
-        spot = good_deal_prices(model, d, 0, gamma).entry(0)
-        fwd = forward_prices(model, d, 0, gamma).entry(0)
+        spot = good_deal_prices(model, d, 0, gamma).entries[0]
+        fwd = forward_prices(model, d, 0, gamma).entries[0]
         worst = max(worst, abs(fwd.bid - scale * spot.bid), abs(fwd.ask - scale * spot.ask))
     with capsys.disabled():
         ok = verdict("09 forward relation", worst <= 1e-9, f"worst {worst:.1e}")

@@ -165,6 +165,16 @@ class TestBounds:
         assert float(row[1]) == pytest.approx(1.232643, abs=1e-5)
         assert float(row[2]) == pytest.approx(1.552353, abs=1e-5)
 
+    def test_lambda_override_replaces_a_given_ask(self, capsys, tmp_path, base_model_dict):
+        # --lam rebuilds every ask, so a security giving both an ask and a
+        # lambda, which the file alone may not, prices as the fixture does
+        sec = base_model_dict["securities"][0]
+        sec["ask"] = [[2 * b for b in row] for row in sec["bid"]]
+        model = write_json(tmp_path, "model.json", base_model_dict)
+        both = run(capsys, "bounds", model, PAYOFF, "--lam", "0.01")
+        assert both[0] == EXIT_OK
+        assert both == run(capsys, "bounds", MODEL, PAYOFF, "--lam", "0.01")
+
     def test_intermediate_date_mark_entry(self, capsys):
         code, out, _ = run(
             capsys, "bounds", MODEL, PAYOFF,
@@ -451,14 +461,32 @@ def _ragged_bid(model):
 # recipe: (model edit, payoff edit, what the error line names)
 MALFORMED = {
     "security without bid": (lambda m: m["securities"][0].pop("bid"), None, "model file"),
-    "horizon not a number": (lambda m: m.update(horizon="two"), None, "model file"),
+    "horizon not a number": (lambda m: m.update(horizon="two"), None,
+                             "horizon must be an integer"),
     # a horizon, a default time and a cost coefficient are read as given,
-    # never truncated or taken from a bool
+    # never truncated, parsed from a string or taken from a bool
     **{
         f"horizon {json.dumps(horizon)}": (lambda m, h=horizon: m.update(horizon=h), None,
                                            "horizon must be an integer")
-        for horizon in (2.9, True)
+        for horizon in (2.9, True, "2")
     },
+    "rates true": (lambda m: m.update(rates=True), None, "rates must be numbers"),
+    "probability true": (
+        lambda m: m["probabilities"].__setitem__(0, True), None, "probability must be a number"
+    ),
+    "asian call strike true": (None, lambda p: p.update(strike=True), "strike must be a number"),
+    **{
+        f"cds {field} true": (None, lambda p, field=field: p.update(
+            {"type": "cds", "tau": [None] * 5, "delta": 0.6, "kappa_ask": 0.01,
+             "kappa_bid": 0.01, field: True}
+        ), f"{field} must be a number") for field in ("delta", "kappa_ask", "kappa_bid")
+    },
+    # README: an ask matrix or a lambda shorthand, not both
+    "ask with lambda": (
+        lambda m: m["securities"][0].update(
+            ask=[[2 * b for b in row] for row in m["securities"][0]["bid"]]
+        ), None, "security stock: provide an ask matrix or a lambda shorthand, not both"
+    ),
     **{
         f"lambda {json.dumps(lam)}": (
             lambda m, lam=lam: m["securities"][0].update({"lambda": lam}), None,

@@ -1,13 +1,15 @@
 """The package ships the engine and nothing else.
 
-Every top-level function and class of ``src/conic_pricer``, and every public
-method of a top-level class, must be referenced by name somewhere in the
-package outside its own definition.  Every keyword-only parameter of a
-function there must be passed by name by some call in the package: a setting
-that only the tests set is not an engine setting.  ``__init__.py`` does not
-count: an export alone is not a use.  Reference code that only the tests
-call belongs in ``tests/`` (``oracles.py``, ``cone_reference.py``,
-``lp_reference.py``).
+Every top-level function and class of ``src/conic_pricer``, and every
+``@property`` of a top-level class, must be referenced by name somewhere in
+the package outside its own definition; every other public method of a
+top-level class must be called there (``x.name(...)``), since a name that
+is only read may be another object's attribute of the same name.  Every
+keyword-only parameter of a function there must be passed by name by some
+call in the package: a setting that only the tests set is not an engine
+setting.  ``__init__.py`` does not count: an export alone is not a use.
+Reference code that only the tests call belongs in ``tests/``
+(``oracles.py``, ``cone_reference.py``, ``lp_reference.py``).
 """
 
 import ast
@@ -44,6 +46,22 @@ def _names(node):
     )
 
 
+def _method_calls(node):
+    """How often each attribute is called (``x.name(...)``) under ``node``."""
+    return Counter(
+        sub.func.attr
+        for sub in ast.walk(node)
+        if isinstance(sub, ast.Call) and isinstance(sub.func, ast.Attribute)
+    )
+
+
+def _is_method(qual, node):
+    """A method of a class that is not a ``@property``."""
+    return "." in qual and not any(
+        getattr(d, "id", None) == "property" for d in node.decorator_list
+    )
+
+
 def _modules():
     return {
         path.stem: ast.parse(path.read_text())
@@ -54,14 +72,18 @@ def _modules():
 
 def unreferenced():
     """Qualified names of the definitions that nothing outside themselves
-    references."""
+    references (a method other than a property: calls)."""
     modules = _modules()
-    everywhere = sum((_names(module) for module in modules.values()), Counter())
+    names = sum((_names(module) for module in modules.values()), Counter())
+    calls = sum((_method_calls(module) for module in modules.values()), Counter())
     out = []
     for stem, module in modules.items():
         for qual, node in _definitions(module):
             name = qual.rsplit(".", 1)[-1]
-            if everywhere[name] == _names(node)[name]:
+            count, everywhere = (
+                (_method_calls, calls) if _is_method(qual, node) else (_names, names)
+            )
+            if everywhere[name] == count(node)[name]:
                 out.append(f"{stem}.{qual}")
     return out
 

@@ -23,7 +23,12 @@ from conic_pricer.pricing import (  # noqa: E402
 )
 
 from cone_reference import reference_generator_matrix  # noqa: E402
-from conftest import arbitrage_free_market, random_cashflow, random_tree  # noqa: E402
+from conftest import (  # noqa: E402
+    arbitrage_free_market,
+    quote_status,
+    random_cashflow,
+    random_tree,
+)
 from test_lp import SHAPES  # noqa: E402
 import test_pricing  # noqa: E402
 
@@ -100,7 +105,7 @@ def sweeps():
             flow = random_cashflow(rng, tree)
             for t in range(horizon):
                 quote = noarb_bounds(model, flow, t)
-                assert quote.status() == STATUS_OK
+                assert quote_status(quote) == STATUS_OK
                 for e in quote.entries:
                     rows.append((model, flow, t, e, *highs_node_bounds(model, flow, t, e.node)))
     return out

@@ -410,6 +410,30 @@ class TestSolveRatio:
     (constant terms, bounds, a vanishing denominator) run on the
     Charnes-Cooper reference that the whole-tree oracles use."""
 
+    # the band m <= u <= 2m over (u1, u2, m), as in the cone test below
+    BAND = {
+        "num": [0.5, -0.5, 0.0],
+        "den": [0.5, 0.5, 0.0],
+        "a_ub": [[-1.0, 0.0, 1.0], [0.0, -1.0, 1.0], [1.0, 0.0, -2.0], [0.0, 1.0, -2.0]],
+    }
+
+    @pytest.mark.parametrize("name", ["num", "den", "a_ub"])
+    def test_nan_data_raise(self, name):
+        data = {key: np.array(value) for key, value in self.BAND.items()}
+        data[name].flat[1] = np.nan
+        with pytest.raises(ValidationError, match="non-finite coefficients"):
+            solve_ratio(**data)
+
+    def test_inconsistent_shapes_raise(self):
+        with pytest.raises(ValidationError, match="inconsistent LP dimensions"):
+            solve_ratio(self.BAND["num"], self.BAND["den"][:2], self.BAND["a_ub"])
+
+    def test_slice_rewrites_the_rows_it_was_given(self):
+        a_ub = np.array(self.BAND["a_ub"])
+        band = lp._Slice(self.BAND["num"], self.BAND["den"], a_ub, column=2)
+        band.rewrite([0, 1], 3.0)
+        assert band.prog.a_ub is a_ub and list(a_ub[:, 2]) == [3.0, 3.0, -2.0, -2.0]
+
     def test_monotone_ratio_on_interval(self):
         # (2x + 1)/(x + 1) over x in [0, 1]: 1 at x = 0, 1.5 at x = 1
         lo, hi = charnes_cooper([2.0], [1.0], num0=1.0, den0=1.0, upper=[1.0])

@@ -308,7 +308,97 @@ class TestAsianCall:
             asian_call(model, 0, 65.0, "median")
 
 
+def first_unpredictable(tree, h):
+    """The (date, cell) where some slot of ``h`` first differs inside a cell
+    of the partition before it, cell by cell, or None."""
+    for t in range(1, tree.horizon + 1):
+        for cell in tree.partitions[t - 1]:
+            block = h[t][:, list(cell)]
+            if np.any(block.max(axis=1) != block.min(axis=1)):
+                return t, cell
+    return None
+
+
+class TestPredictability:
+    def test_earliest_date_across_slots_is_named(self):
+        tree = two_period_tree()
+        h = np.zeros((3, 2, 5))
+        h[2, 0, 4] = 1.0  # the savings slot breaks at t=2 on (3, 4)
+        h[1, 1, 0] = 1.0  # the security slot at t=1 on the root
+        with pytest.raises(ValidationError) as err:
+            TradingStrategy(h).validate(tree)
+        assert str(err.value) == "holdings at t=1 are not predictable on cell (0, 1, 2, 3, 4)"
+
+    def test_first_cell_of_the_date_across_slots_is_named(self):
+        tree = two_period_tree()
+        h = np.zeros((3, 2, 5))
+        h[2, 0, 4] = 1.0  # the savings slot breaks on (3, 4)
+        h[2, 1, 2] = 1.0  # the security slot on (0, 1, 2)
+        with pytest.raises(ValidationError) as err:
+            TradingStrategy(h).validate(tree)
+        assert str(err.value) == "holdings at t=2 are not predictable on cell (0, 1, 2)"
+
+    def test_names_the_first_cell_of_a_cell_by_cell_scan(self, rng):
+        for _ in range(200):
+            tree = random_tree(rng, int(rng.integers(2, 9)), int(rng.integers(1, 4)))
+            model = random_market(rng, tree)
+            h = random_self_financing(rng, model).holdings.copy()
+            for _ in range(int(rng.integers(0, 4))):
+                t = int(rng.integers(1, tree.horizon + 1))
+                h[t, int(rng.integers(0, 2)), int(rng.integers(0, tree.n_paths))] += 1.0
+            want = first_unpredictable(tree, h)
+            if want is None:
+                TradingStrategy(h).validate(tree)
+                continue
+            with pytest.raises(ValidationError) as err:
+                TradingStrategy(h).validate(tree)
+            assert str(err.value) == f"holdings at t={want[0]} are not predictable on cell {want[1]}"
+
+
+def random_stopping_time(rng, tree):
+    """Default dates (None: no default) that each date's cells decide whole."""
+    tau = [None] * tree.n_paths
+    for t in range(1, tree.horizon + 1):
+        for cell in tree.partitions[t]:
+            if tau[cell[0]] is None and rng.random() < 0.3:
+                for i in cell:
+                    tau[i] = t
+    return tau
+
+
+def cds_reference(tree, tau, delta, kappa):
+    """The cumulative stream path by path: fees counted date by date."""
+    T = tree.horizon
+    A = np.zeros((tree.n_paths, T + 1))
+    for i, v in enumerate(tau):
+        v = T + 1 if v is None else v
+        fees = 0
+        for t in range(1, T + 1):
+            if t < v:
+                fees += 1
+            A[i, t] = (delta if v <= t else 0.0) - kappa * fees
+    return A
+
+
 class TestCdsDividends:
+    def test_streams_equal_the_path_by_path_reference(self, rng):
+        for _ in range(200):
+            tree = random_tree(rng, int(rng.integers(2, 9)), int(rng.integers(1, 5)))
+            tau = random_stopping_time(rng, tree)
+            delta, kappa_ask, kappa_bid = rng.uniform(0.0, 1.0), *rng.uniform(-0.2, 0.2, 2)
+            a_ask, a_bid = cds_dividends(tree, tau, delta, kappa_ask, kappa_bid)
+            assert a_ask.tobytes() == cds_reference(tree, tau, delta, kappa_ask).tobytes()
+            assert a_bid.tobytes() == cds_reference(tree, tau, delta, kappa_bid).tobytes()
+
+    def test_first_date_and_cell_of_a_non_stopping_time_are_named(self):
+        tree = two_period_tree()
+        # default-by-1 differs inside both date-1 cells, (0, 1, 2) first
+        with pytest.raises(ValidationError) as err:
+            cds_dividends(tree, [None, 1, None, 1, None], 0.6, 0.1, 0.1)
+        assert str(err.value) == (
+            "tau is not a stopping time: default-by-1 differs inside cell (0, 1, 2)"
+        )
+
     def test_default_at_final_date(self):
         tree = two_period_tree()
         a_ask, a_bid = cds_dividends(tree, [2, 2, 2, 2, 2], 0.6, 0.1, 0.1)

@@ -44,6 +44,7 @@ from conftest import (
     arbitrage_free_market,
     binary_tree_market,
     binomial_model,
+    quote_status,
     random_cashflow,
     random_market,
     random_tree,
@@ -87,7 +88,7 @@ class TestNoArbBounds:
     def test_frictionless_two_period_root(self):
         model = two_period_model()
         quote = noarb_bounds(model, asian_call(model, 0, 65.0), 0)
-        e = quote.entry(0)
+        e = quote.entries[0]
         assert e.status == STATUS_OK
         assert e.bid == pytest.approx(1.25, abs=1e-9)
         assert e.ask == pytest.approx(12.5 / 9.0, abs=1e-9)
@@ -97,16 +98,16 @@ class TestNoArbBounds:
     def test_frictionless_two_period_up_node(self):
         model = two_period_model()
         quote = noarb_bounds(model, asian_call(model, 0, 65.0), 1)
-        up = quote.entry(0)
+        up = quote.entries[0]
         assert up.bid == pytest.approx(5.0, abs=1e-9)
         assert up.ask == pytest.approx(50.0 / 9.0, abs=1e-9)
-        down = quote.entry(1)
+        down = quote.entries[1]
         assert down.bid == down.ask == pytest.approx(0.0, abs=1e-12)
 
     def test_complete_binomial_collapses(self):
         model = binomial_model()
         quote = noarb_bounds(model, call_payoff(model), 0)
-        e = quote.entry(0)
+        e = quote.entries[0]
         assert e.bid == pytest.approx(5.0, abs=1e-9)
         assert e.ask == pytest.approx(5.0, abs=1e-9)
 
@@ -116,7 +117,7 @@ class TestNoArbBounds:
         model = MarketModel(tree, 0.0, [apply_transaction_costs(bids, 0.0)])
         assert arbitrage_check(model, 0) is not None
         quote = noarb_bounds(model, call_payoff(model), 0)
-        assert quote.entry(0).status == STATUS_ARBITRAGE
+        assert quote.entries[0].status == STATUS_ARBITRAGE
 
     def test_solver_failure_is_not_arbitrage(self, monkeypatch):
         # a failing bound LP sends the market to the arbitrage search; once
@@ -142,7 +143,7 @@ class TestNoArbBounds:
         monkeypatch.setattr(lp, "solve_ratio", failing)
         for entry in ("trade", "mark"):
             quote = noarb_bounds(model, call_payoff(model), 0, entry=entry)
-            assert quote.entry(0).status == STATUS_ARBITRAGE
+            assert quote.entries[0].status == STATUS_ARBITRAGE
 
     @pytest.mark.parametrize("lam", [0.0, 0.01])
     def test_bound_lps_prove_no_arbitrage(self, lam, count_calls):
@@ -153,7 +154,8 @@ class TestNoArbBounds:
         solves = count_calls(lp, "solve")
         for t in (0, 1, 2):
             for entry in ("trade", "mark"):
-                assert noarb_bounds(model, call_payoff(model, 100.0), t, entry=entry).status() == STATUS_OK
+                quote = noarb_bounds(model, call_payoff(model, 100.0), t, entry=entry)
+                assert quote_status(quote) == STATUS_OK
         assert solves == []
 
 
@@ -161,7 +163,7 @@ class TestNoArbBounds:
         model = mark_empty_model()
         payoff = asian_call(model, 0, 65.0)
         assert arbitrage_check(model, 1) is None
-        assert noarb_bounds(model, payoff, 1).status() == STATUS_OK
+        assert quote_status(noarb_bounds(model, payoff, 1)) == STATUS_OK
         up, down = noarb_bounds(model, payoff, 1, entry="mark").entries
         assert up.status == STATUS_INFEASIBLE
         assert np.isnan(up.bid) and np.isnan(up.ask)
@@ -175,7 +177,7 @@ class TestNoArbBounds:
         model = MarketModel(model.tree, 0.0, [apply_transaction_costs(bids, 0.01)])
         quote = noarb_bounds(model, asian_call(model, 0, 65.0), 1, entry="mark")
         assert [e.status for e in quote.entries] == [STATUS_INFEASIBLE] * 2
-        assert quote.status() == STATUS_INFEASIBLE
+        assert quote_status(quote) == STATUS_INFEASIBLE
 
     @staticmethod
     def two_security_market(lam):
@@ -211,7 +213,7 @@ class TestNoArbBounds:
             lp.LPSolution("optimal", value=bid, x=np.ones(a_ub.shape[1])),
             lp.LPSolution("optimal", value=ask, x=np.ones(a_ub.shape[1])),
         ))
-        e = noarb_bounds(model, call_payoff(model), 0).entry(0)
+        e = noarb_bounds(model, call_payoff(model), 0).entries[0]
         assert e.status == STATUS_OK
         if quoted is None:
             assert (e.bid, e.ask) == (bid, ask)
@@ -259,8 +261,8 @@ class TestNoArbBounds:
             flow = random_cashflow(rng, tree)
         assert arbitrage_check(model, 0) is None
         for t in (1, 2):
-            assert noarb_bounds(model, flow, t).status() == STATUS_OK
-        assert noarb_bounds(model, flow, 0).status() == STATUS_OK
+            assert quote_status(noarb_bounds(model, flow, t)) == STATUS_OK
+        assert quote_status(noarb_bounds(model, flow, 0)) == STATUS_OK
 
 
 class TestNgdCheck:
@@ -436,9 +438,9 @@ class TestNgdCheck:
         payoff = asian_call(model, 0, 65.0)
         for gamma in (8.0, 1e6, 1e12):
             assert ngd_check(model, 0, gamma).holds
-        bounds = noarb_bounds(model, payoff, 0).entry(0)
+        bounds = noarb_bounds(model, payoff, 0).entries[0]
         for gamma in (1e6, 1e12):
-            e = good_deal_prices(model, payoff, 0, gamma).entry(0)
+            e = good_deal_prices(model, payoff, 0, gamma).entries[0]
             assert e.status == STATUS_OK
             assert bounds.bid <= e.bid <= e.ask <= bounds.ask
         monkeypatch.setattr(pricing, "good_deal_certificate", lambda *args: None)
@@ -464,7 +466,7 @@ class TestGoodDealPrices:
         model = binomial_model(probs=(0.25, 0.75))
         for gamma in (1e-4, 0.3, 2.0, 50.0):
             quote = good_deal_prices(model, call_payoff(model), 0, gamma)
-            e = quote.entry(0)
+            e = quote.entries[0]
             assert e.status == STATUS_OK
             assert e.bid == pytest.approx(5.0, abs=1e-9)
             assert e.ask == pytest.approx(5.0, abs=1e-9)
@@ -472,7 +474,7 @@ class TestGoodDealPrices:
     def test_sentinel_quotes_when_violated(self):
         model = two_period_model()
         quote = good_deal_prices(model, asian_call(model, 0, 65.0), 0, 0.05)
-        e = quote.entry(0)
+        e = quote.entries[0]
         assert e.status == STATUS_NGD
         assert np.isposinf(e.bid) and np.isneginf(e.ask)
         assert quote.witness is not None
@@ -489,7 +491,7 @@ class TestGoodDealPrices:
             searches.clear()
             ratios.clear()
             quote = good_deal_prices(model, asian_call(model, 0, 65.0), t, gamma)
-            assert quote.status() == status
+            assert quote_status(quote) == status
             nodes = len(model.tree.nodes(t))
             if status == STATUS_NGD:
                 assert ratios == [] and 1 <= len(searches) <= nodes
@@ -511,7 +513,7 @@ class TestGoodDealPrices:
         for t in (0, 1):
             for prices in (good_deal_prices, forward_prices):
                 bands.clear()
-                assert prices(model, payoff, t, 8.0).status() == STATUS_OK
+                assert quote_status(prices(model, payoff, t, 8.0)) == STATUS_OK
                 assert len(bands) == len(model.tree.nodes(t))
         assert ratios == []
 
@@ -524,7 +526,7 @@ class TestGoodDealPrices:
         )
         ratios = count_calls(lp._Slice, "solve")
         quote = good_deal_prices(model, call_payoff(model, 96.20889592020883), 0, 8.0)
-        assert quote.status() == STATUS_NGD
+        assert quote_status(quote) == STATUS_NGD
         assert ratios == []
         w = quote.witness
         assert w.dglr == pytest.approx(26.98821, abs=1e-5)
@@ -549,7 +551,7 @@ class TestGoodDealPrices:
         searches = count_calls(pricing, "_node_least_loss")
         quote = good_deal_prices(model, payoff, 0, gamma)
         assert len(searches) == 1
-        assert quote.status() == STATUS_NGD
+        assert quote_status(quote) == STATUS_NGD
         check = ngd_check(model, 0, gamma)
         assert quote.witness.dglr == check.witness.dglr > gamma
         assert np.array_equal(quote.witness.cash_flow, check.witness.cash_flow)
@@ -594,7 +596,7 @@ class TestGoodDealPrices:
         for q1 in (9.0 / 22.0, 1.0 / 6.0):
             u = np.array([q1, 1 - 2 * q1, q1]) / p
             assert u.max() / u.min() == pytest.approx(1.0 + gamma, abs=1e-12)
-        e = quote.entry(0)
+        e = quote.entries[0]
         assert e.ask == pytest.approx(5.0 * 9.0 / 22.0, abs=1e-9)
         assert e.bid == pytest.approx(5.0 / 6.0, abs=1e-9)
 
@@ -672,13 +674,13 @@ class TestGoodDealPrices:
     def test_sandwich_and_gamma_monotonicity(self):
         model = two_period_model(lam=0.01)
         payoff = asian_call(model, 0, 65.0)
-        nb = noarb_bounds(model, payoff, 0).entry(0)
+        nb = noarb_bounds(model, payoff, 0).entries[0]
         prev_bid, prev_ask = np.inf, -np.inf
         for gamma in (2.0, 3.0, 5.0, 8.0, 15.0):
             res = ngd_check(model, 0, gamma)
             if not res.holds:
                 continue
-            e = good_deal_prices(model, payoff, 0, gamma).entry(0)
+            e = good_deal_prices(model, payoff, 0, gamma).entries[0]
             assert nb.bid - 1e-9 <= e.bid <= e.ask <= nb.ask + 1e-9
             assert e.ask >= prev_ask - 1e-9
             assert e.bid <= prev_bid + 1e-9
@@ -692,8 +694,8 @@ class TestGoodDealPrices:
         model = MarketModel(tree, 0.0, [apply_transaction_costs(bids, 0.0)])
         d = np.zeros((3, 2))
         d[:, 1] = np.maximum(bids[:, 1] - 105.0, 0.0) / 10.0
-        nb = noarb_bounds(model, d, 0).entry(0)
-        e = good_deal_prices(model, d, 0, 1e6).entry(0)
+        nb = noarb_bounds(model, d, 0).entries[0]
+        e = good_deal_prices(model, d, 0, 1e6).entries[0]
         assert abs(e.bid - nb.bid) <= 1e-6
         assert abs(e.ask - nb.ask) <= 1e-6
 
@@ -723,7 +725,7 @@ class TestFrictionlessBinaryMarkets:
         payoff = call_payoff(model, strike)
         for gamma in gammas:
             assert ratio <= 1.0 + gamma
-            e = good_deal_prices(model, payoff, 0, gamma).entry(0)
+            e = good_deal_prices(model, payoff, 0, gamma).entries[0]
             assert e.status == STATUS_OK, gamma
             assert e.bid == pytest.approx(value, abs=1e-8)
             assert e.ask == pytest.approx(value, abs=1e-8)
@@ -768,8 +770,8 @@ class TestForwardPrices:
     def test_zero_rate_equals_spot(self):
         model = binomial_model(probs=(0.25, 0.75))
         payoff = call_payoff(model)
-        spot = good_deal_prices(model, payoff, 0, 1.0).entry(0)
-        fwd = forward_prices(model, payoff, 0, 1.0).entry(0)
+        spot = good_deal_prices(model, payoff, 0, 1.0).entries[0]
+        fwd = forward_prices(model, payoff, 0, 1.0).entries[0]
         assert fwd.bid == pytest.approx(spot.bid, abs=1e-12)
         assert fwd.ask == pytest.approx(spot.ask, abs=1e-12)
 
@@ -793,15 +795,15 @@ class TestForwardPrices:
         d = np.zeros((4, 3))
         d[:, 2] = np.maximum(bids[:, 2] - 100.0, 0.0)
         assert ngd_check(model, 0, 5.0).holds
-        spot = good_deal_prices(model, d, 0, 5.0).entry(0)
-        fwd = forward_prices(model, d, 0, 5.0).entry(0)
+        spot = good_deal_prices(model, d, 0, 5.0).entries[0]
+        fwd = forward_prices(model, d, 0, 5.0).entries[0]
         assert fwd.bid == pytest.approx(1.21 * spot.bid, abs=1e-9)
         assert fwd.ask == pytest.approx(1.21 * spot.ask, abs=1e-9)
 
     def test_sentinels_propagate_through_scaling(self):
         model = two_period_model()
         quote = forward_prices(model, asian_call(model, 0, 65.0), 0, 0.05)
-        e = quote.entry(0)
+        e = quote.entries[0]
         assert e.status == STATUS_NGD
         assert np.isposinf(e.bid) and np.isneginf(e.ask)
 
@@ -850,7 +852,7 @@ class TestLiquiditySurface:
         assert len(cells) == 1
         c = cells[0]
         model = build_model(0.0)
-        e = good_deal_prices(model, build_payoff(model), 0, 8.0).entry(0)
+        e = good_deal_prices(model, build_payoff(model), 0, 8.0).entries[0]
         assert c.bid == pytest.approx(e.bid) and c.ask == pytest.approx(e.ask)
         assert c.spread == pytest.approx(e.ask - e.bid)
 
@@ -951,7 +953,7 @@ class TestLiquiditySurface:
                 payoff = build_payoff(model)
                 for i in ascending:
                     c = cells[j * len(gammas) + i]
-                    e = good_deal_prices(model, payoff, t, c.gamma).entry(node)
+                    e = good_deal_prices(model, payoff, t, c.gamma).entries[node]
                     assert c.status == e.status
                     if c.status == STATUS_OK and priced:
                         warm += 1
@@ -1243,7 +1245,7 @@ class TestLeastLoss:
         loss = pricing._least_loss(model, generators_for(model, 3))[0]
         assert np.all(np.abs(0.5 * loss - 1.0) < lp.TOL)
         assert ngd_check(model, 3, 0.5).holds
-        assert good_deal_prices(model, payoff, 3, 0.5).status() == STATUS_OK
+        assert quote_status(good_deal_prices(model, payoff, 3, 0.5)) == STATUS_OK
         cell, = liquidity_surface(build_model, lambda m: payoff, [0.5], [0.0], 3)
         assert cell.status == STATUS_OK
 
@@ -1271,7 +1273,7 @@ class TestLeastLoss:
             cell, = liquidity_surface(
                 build_model, lambda m: call_payoff(m, strike), [gamma], [lam]
             )
-            ceiling = good_deal_prices(model, call_payoff(model, strike), 0, 1.0 / loss).entry(0)
+            ceiling = good_deal_prices(model, call_payoff(model, strike), 0, 1.0 / loss).entries[0]
             assert (cell.status, cell.bid, cell.ask) == (STATUS_OK, ceiling.bid, ceiling.ask), (
                 market, lam, below, cell
             )
@@ -1289,7 +1291,7 @@ class TestLeastLoss:
             loss = float(np.min(pricing._least_loss(model, generators_for(model, 0))[0]))
             gamma = (1.0 - below) / loss
             assert ngd_check(model, 0, gamma).holds
-            e = good_deal_prices(model, call_payoff(model, strike), 0, gamma).entry(0)
+            e = good_deal_prices(model, call_payoff(model, strike), 0, gamma).entries[0]
             cell, = liquidity_surface(
                 build_model, lambda m: call_payoff(m, strike), [gamma], [lam]
             )
@@ -1320,7 +1322,7 @@ class TestPrimalOracle:
         d[:, 1] = np.maximum(bids[:, 1] - 103.0, 0.0)
         gamma = best_single_ratio(model, 0) + 0.5
         assert ngd_check(model, 0, gamma).holds
-        dual = good_deal_prices(model, d, 0, gamma).entry(0)
+        dual = good_deal_prices(model, d, 0, gamma).entries[0]
         oracle = primal_price_oracle(model, d, 0, gamma)[0]
         assert oracle.ask == pytest.approx(dual.ask, abs=1e-3)
         assert oracle.bid == pytest.approx(dual.bid, abs=1e-3)
@@ -1334,7 +1336,7 @@ class TestPrimalOracle:
                 for t in (0, 1):
                     dual = good_deal_prices(model, payoff, t, gamma)
                     oracle = primal_price_oracle(model, payoff, t, gamma)
-                    assert dual.status() == STATUS_OK
+                    assert quote_status(dual) == STATUS_OK
                     for e, o in zip(dual.entries, oracle, strict=True):
                         assert o.ask == pytest.approx(e.ask, abs=1e-9)
                         assert o.bid == pytest.approx(e.bid, abs=1e-9)
@@ -1350,10 +1352,10 @@ class TestTableReproduction:
     def test_frictionless_columns_match(self):
         model = two_period_model()
         payoff = asian_call(model, 0, 65.0)
-        e0 = noarb_bounds(model, payoff, 0).entry(0)
+        e0 = noarb_bounds(model, payoff, 0).entries[0]
         assert abs(e0.bid - T2_TABLE[0.0][0]) <= 1e-3
         assert abs(e0.ask - T2_TABLE[0.0][1]) <= 1e-3
-        e1 = noarb_bounds(model, payoff, 1).entry(0)
+        e1 = noarb_bounds(model, payoff, 1).entries[0]
         assert abs(e1.bid - 5.00014) <= 1e-3
         assert abs(e1.ask - 5.55541) <= 1e-3
 
@@ -1364,7 +1366,7 @@ class TestTableReproduction:
         for lam, (lo, hi) in expected.items():
             model = two_period_model(lam=lam)
             payoff = asian_call(model, 0, 65.0)
-            e = noarb_bounds(model, payoff, 1, entry="mark").entry(0)
+            e = noarb_bounds(model, payoff, 1, entry="mark").entries[0]
             assert abs(e.bid - lo) <= 1e-3
             assert abs(e.ask - hi) <= 1e-3
 
@@ -1373,16 +1375,16 @@ class TestTableReproduction:
         # larger than the liquidation-marked one
         model = two_period_model(lam=0.005)
         payoff = asian_call(model, 0, 65.0)
-        trade = noarb_bounds(model, payoff, 1).entry(0)
-        mark = noarb_bounds(model, payoff, 1, entry="mark").entry(0)
+        trade = noarb_bounds(model, payoff, 1).entries[0]
+        mark = noarb_bounds(model, payoff, 1, entry="mark").entries[0]
         assert trade.bid < mark.bid - 1e-6
         assert trade.ask > mark.ask + 1e-6
 
     def test_entry_conventions_coincide_at_initial_date(self):
         model = two_period_model(lam=0.01)
         payoff = asian_call(model, 0, 65.0)
-        trade = noarb_bounds(model, payoff, 0).entry(0)
-        mark = noarb_bounds(model, payoff, 0, entry="mark").entry(0)
+        trade = noarb_bounds(model, payoff, 0).entries[0]
+        mark = noarb_bounds(model, payoff, 0, entry="mark").entries[0]
         assert trade.bid == pytest.approx(mark.bid, abs=1e-12)
         assert trade.ask == pytest.approx(mark.ask, abs=1e-12)
 
@@ -1488,13 +1490,13 @@ class TestQuotesFirstMatchCheckFirst:
         for e, r in zip(quote.entries, reference.entries, strict=True):
             assert e.status == r.status
             assert np.array_equal([e.bid, e.ask], [r.bid, r.ask], equal_nan=True)
-        if quote.status() == STATUS_NGD:
+        if quote_status(quote) == STATUS_NGD:
             w = quote.witness
             flow = np.zeros((model.tree.n_paths, model.tree.horizon + 1))
             flow[:, -1] = w.cash_flow
             ratio = dglr_eval(model.tree, flow, quote.time)[model.tree.node_paths(w.node)[0]]
             assert ratio == pytest.approx(w.dglr) and ratio > quote.gamma
-        return quote.status()
+        return quote_status(quote)
 
     def test_random_markets(self, count_calls):
         seen = set()
