@@ -31,7 +31,14 @@ from . import pricing
 from .acceptability import dglr_eval
 from .cone import arbitrage_check
 from .errors import ComputationError, ValidationError
-from .lattice import EventTree, derive_filtration, finite, integer
+from .lattice import (
+    EventTree,
+    derive_filtration,
+    integer,
+    path_labels,
+    unadapted,
+    unadapted_error,
+)
 from .market import (
     CashFlow,
     MarketModel,
@@ -65,10 +72,30 @@ def _parse_number(v, name: str) -> float:
     """A JSON number, or a string holding one or a fraction ("1/3"); a bool
     is not a number."""
     if isinstance(v, str):
+        num, slash, den = v.partition("/")
+        if slash and num.isdecimal() and den.isdecimal() and int(den):
+            return int(num) / int(den)  # correctly rounded, as float(Fraction(v))
         return float(Fraction(v))
     if isinstance(v, bool):
         raise ValidationError(f"{name} must be a number, got {v!r}")
     return float(v)
+
+
+def _numbers(value, field: str):
+    """``value``, a JSON number or a list (of lists) of them, unchanged; a
+    bool in it, which numpy reads as 1 or 0, is refused naming ``field``."""
+    flat = value if isinstance(value, list) else [value]
+    while flat and isinstance(flat[0], list):
+        flat = [v for row in flat for v in (row if isinstance(row, list) else (row,))]
+    for v in flat:
+        if isinstance(v, bool):
+            raise ValidationError(f"{field} must be numbers, got {v!r}")
+    return value
+
+
+def _matrix(value, field: str) -> np.ndarray:
+    """A JSON matrix of numbers as a float array (see :func:`_numbers`)."""
+    return np.asarray(_numbers(value, field), dtype=float)
 
 
 def _load_json(path: str) -> dict:
@@ -105,13 +132,12 @@ def model_from_dict(data: dict, *, lam_override: Optional[float] = None) -> Mark
     probs = [_parse_number(v, "probability") for v in data["probabilities"]]
     securities_cfg = data["securities"]
     n = len(probs)
-    rates = _rate_matrix(data.get("rates", 0.0), n, horizon)
+    rates = _rate_matrix(_numbers(data.get("rates", 0.0), "rates"), n, horizon)
 
     securities = []
-    observables = []
     for entry in securities_cfg:
         name = entry.get("name", f"security{len(securities)}")
-        bid = np.asarray(entry["bid"], dtype=float)
+        bid = _matrix(entry["bid"], f"security {name}: bid")
         lam = lam_override if lam_override is not None else entry.get("lambda")
         if lam_override is None and lam is not None and entry.get("ask") is not None:
             raise ValidationError(
@@ -120,22 +146,46 @@ def model_from_dict(data: dict, *, lam_override: Optional[float] = None) -> Mark
         if lam is not None:
             ask = apply_transaction_costs(bid, lam, name=name).ask
         elif "ask" in entry:
-            ask = np.asarray(entry["ask"], dtype=float)
+            ask = _matrix(entry["ask"], f"security {name}: ask")
         else:
             raise ValidationError(
                 f"security {name}: provide an ask matrix or a lambda shorthand"
             )
-        div_ask = np.asarray(entry.get("dividends_ask") or np.zeros_like(bid), float)
-        div_bid = np.asarray(entry.get("dividends_bid") or np.zeros_like(bid), float)
-        sec = Security(name, bid, ask, div_ask, div_bid)
-        observables.extend(finite(arr, label) for label, arr in sec.processes())
-        securities.append(sec)
+        div_ask, div_bid = (
+            _matrix(entry[field], f"security {name}: {field}") if entry.get(field)
+            else np.zeros_like(bid)
+            for field in ("dividends_ask", "dividends_bid")
+        )
+        securities.append(Security(name, bid, ask, div_ask, div_bid))
 
-    padded_rates = np.hstack([rates, rates[:, -1:]]) if rates.size else np.zeros((n, 1))
-    observables.append(padded_rates)
+    # every process, in load order, then the rates padded to the horizon
+    named = [p for sec in securities for p in sec.processes()]
+    named.append(("rates", np.hstack([rates, rates[:, -1:]]) if rates.size else np.zeros((n, 1))))
+    observables = [values for _, values in named]
     partitions = derive_filtration(observables)
+    if len(partitions[0]) != 1:
+        raise _split_root(named, data.get("paths"))
     tree = EventTree(horizon, probs, partitions, data.get("paths"))
     return MarketModel(tree, rates, securities)
+
+
+def _split_root(named, paths) -> ValidationError:
+    """The error of (name, matrix) processes whose date-0 values split the
+    filtration's root: the first, in order, that is not finite, or whose
+    date-0 value is not the same on every path, with a path where it
+    differs from the first path's."""
+    stack = np.array([values for _, values in named])
+    n = stack.shape[1]
+    k, off = unadapted(stack, np.zeros((n, 1), dtype=int))
+    name = named[k][0]
+    if off is None:
+        return unadapted_error(name, stack[k], None)
+    i = int(np.flatnonzero(off[:, 0])[0])
+    labels = path_labels(paths, n)
+    return ValidationError(
+        f"{name} must be the same on every path at t=0: {float(stack[k, 0, 0])} on path "
+        f"{labels[0]}, {float(stack[k, i, 0])} on path {labels[i]}"
+    )
 
 
 def model_to_dict(model: MarketModel) -> dict:
@@ -177,7 +227,7 @@ def payoff_from_dict(model: MarketModel, data: dict) -> CashFlow:
         )
         return CashFlow.ingest(model.tree, np.diff(div_ask, prepend=0.0, axis=1))
     if kind == "explicit":
-        return CashFlow.ingest(model.tree, np.asarray(data["cashflow"], dtype=float))
+        return CashFlow.ingest(model.tree, _matrix(data["cashflow"], "cashflow"))
     raise ValidationError(f"unknown payoff type {data.get('type')!r}")
 
 

@@ -103,53 +103,56 @@ def generators_for(model: MarketModel, t: int, entry: str = "trade") -> NodeRows
         raise ValidationError(f"entry must be 'trade' or 'mark', got {entry!r}")
     p = tree.probabilities
     _, Binv = model.discounts()
-    counts = [len(tree.partitions[s]) for s in range(T + 1)]
-    heads = [np.array([c[0] for c in tree.partitions[s]]) for s in range(T + 1)]
-    owners = {s: tree.cell_index(t)[heads[s]] for s in range(t, T)}
-    prices = [(sec.bid * Binv, sec.ask * Binv) for sec in model.securities]
-    # (date, security, kind) of each block of rows, in row order; kinds 0/1
-    # open long/short, 2/3 carry on long/short
-    blocks = np.array([(s, j, kind) for carry in (True, False) for s in range(t + carry, T)
-                       for j in range(S) for kind in ((2, 3) if carry else (0, 1))])
-    size = np.array([counts[s] for s in blocks[:, 0]])
-    first = dict(zip(map(tuple, blocks.tolist()), (np.cumsum(size) - size).tolist()))
-    date, security, kind = blocks.T
-    owner = np.concatenate([owners[s] for s in date])
-    # The carry-on blocks line up with the envelope columns: block (s, j, 2)
-    # with the V of (s, j), block (s, j, 3) with its W.  So a carry-on row's
+    counts = [len(part) for part in tree.partitions]
+    cells = np.array([tree.cell_index(s) for s in range(T)])  # (date, path)
+    mark = entry == "mark" and t >= 1
+    # Per block of rows, in row order (the carry-on blocks, then the open
+    # ones; each by date, then security, long before short): its date,
+    # security, kind (0/1 open long/short, 2/3 carry on long/short), the
+    # kind whose value it takes (a date-t open row under "mark" is valued as
+    # a carry-on row, entering at the exit price), the series (date,
+    # security, side) its rows carry on, and its first row.
+    table, size, first = [], [], 0
+    for carry in (True, False):
+        for s in range(t + carry, T):
+            for j in range(S):
+                for kind in (2, 3) if carry else (0, 1):
+                    valued = kind + 2 if mark and s == t and kind < 2 else kind
+                    table.append((s, j, kind, valued, (s * S + j) * 2 + kind % 2, first))
+                    size.append(counts[s])
+                    first += counts[s]
+    width = sum(size[: 2 * S * (T - 1 - t)])  # the carry-on rows
+    date, security, kind, valued, series, start = np.repeat(np.array(table).T, size, axis=1)
+    cell = np.arange(first) - start
+    mine = cells[date] == cell[:, None]  # [row, path]: the path is on the row's node
+    head = mine.argmax(axis=1)  # the node's smallest path
+
+    # Per security (and path and date s < T): the entry legs at s, bid and
+    # ask, and the exit legs over (s, s+1], long out at the bid plus the ask
+    # dividend increment, short at the ask plus the bid dividend increment,
+    # all discounted; each kind's value is exit less entry.
+    quotes = np.array([(sec.bid, sec.ask, sec.div_ask, sec.div_bid) for sec in model.securities])
+    legs = quotes[:, :2] * Binv
+    exits = legs[..., 1:] + (quotes[:, 2:, :, 1:] - quotes[:, 2:, :, :-1]) * Binv[:, 1:]
+    entries = legs[..., :-1]
+    values = np.empty((S, 4, tree.n_paths, T))  # (security, kind, path, date)
+    np.subtract(exits[:, :1], entries[:, ::-1], out=values[:, 0::2])  # long out less ask, bid
+    np.subtract(entries, exits[:, 1:], out=values[:, 1::2])  # bid, ask less short out
+    a_u = mine * p * values[security, valued, :, date]
+
+    # A row holds its units into the children's V (long) or W (short), whose
+    # columns are the children's carry-on rows: the row's series at the next
+    # date, on the nodes whose parent is the row's node.  A carry-on row's
     # own excess, taken out at -1, is on the diagonal.
-    width = int(size[kind >= 2].sum())
-    a_u = np.empty((len(owner), tree.n_paths))
-    a_v = np.zeros((len(owner), width))
+    n = tree.n_paths
+    held = (series + 2 * S) * n + cell
+    carried = series[:width] * n + cells[date[:width] - 1, head[:width]]
+    a_v = (held[:, None] == carried).astype(float)
     np.fill_diagonal(a_v, -1.0)
-    for s in range(t, T):
-        k = counts[s]
-        cells = tree.cell_index(s)
-        weight = (np.arange(k)[:, None] == cells[None, :]) * p  # p on each node's paths
-        hold = cells[heads[s + 1]][None, :] == np.arange(k)[:, None]  # [node, child of it]
-        mark = entry == "mark" and s == t >= 1
-        for j, sec in enumerate(model.securities):
-            bid, ask = prices[j]
-            long_exit = bid[:, s + 1] + (sec.div_ask[:, s + 1] - sec.div_ask[:, s]) * Binv[:, s + 1]
-            short_exit = ask[:, s + 1] + (sec.div_bid[:, s + 1] - sec.div_bid[:, s]) * Binv[:, s + 1]
-            values = [
-                long_exit - (bid[:, s] if mark else ask[:, s]),
-                (ask[:, s] if mark else bid[:, s]) - short_exit,
-            ]
-            if s > t:
-                values += [long_exit - bid[:, s], ask[:, s] - short_exit]
-            for n_kind, value in enumerate(values):
-                r = first[s, j, n_kind]
-                np.multiply(weight, value, out=a_u[r : r + k])
-                if s + 1 < T:  # held into the children's V (long) or W (short),
-                    # whose columns start where their carry-on rows do
-                    at = first[s + 1, j, 2 + n_kind % 2]
-                    a_v[r : r + k, at : at + counts[s + 1]] = hold
+    owner = cells[t, head]
     return NodeRows(
-        start=t, a_u=a_u, a_v=a_v, date=np.repeat(date, size),
-        cell=np.concatenate([np.arange(k) for k in size]),
-        security=np.repeat(security, size), side=np.repeat(1 - 2 * (kind % 2), size),
-        carry=np.repeat(kind >= 2, size), owner=owner, col_owner=owner[:width],
+        start=t, a_u=a_u, a_v=a_v, date=date, cell=cell, security=security,
+        side=1 - 2 * (kind % 2), carry=kind >= 2, owner=owner, col_owner=owner[:width],
     )
 
 
@@ -195,12 +198,12 @@ def _node_hedges(model: MarketModel, rows: NodeRows, node: NodeRef):
     """
     p = model.probabilities
     paths = np.asarray(model.tree.node_paths(node))
-    pick = np.flatnonzero(rows.owner == node.cell)
-    G = rows.a_u[np.ix_(pick, paths)] / p[paths]
-    H = rows.a_v[np.ix_(pick, np.flatnonzero(rows.col_owner == node.cell))]
-    size = np.max(np.abs(G), axis=1, initial=0.0)
-    G[size <= 1e-12 * max(1.0, float(np.max(size, initial=0.0)))] = 0.0
-    keep = np.any(G != 0.0, axis=1) | np.any(H != 0.0, axis=1)
+    pick = (rows.owner == node.cell).nonzero()[0]
+    G = rows.a_u.take(pick, 0).take(paths, 1) / p.take(paths)
+    H = rows.a_v.take(pick, 0).compress(rows.col_owner == node.cell, 1)
+    size = np.abs(G).max(axis=1, initial=0.0)
+    G[size <= 1e-12 * max(1.0, float(size.max(initial=0.0)))] = 0.0
+    keep = (G != 0.0).any(axis=1) | (H != 0.0).any(axis=1)
     return pick[keep], paths, G[keep], H[keep]
 
 

@@ -56,12 +56,12 @@ def derive_filtration(observables: Sequence[np.ndarray]) -> list[Partition]:
             raise ValidationError(
                 f"observables disagree on shape: {m.shape} vs {(n, width)}"
             )
-    stacked = np.stack(mats, axis=-1)  # (path, date, observable)
+    history = np.stack(mats, axis=-1).transpose(1, 0, 2).tolist()  # [date][path][observable]
     partitions: list[Partition] = []
     parent = [0] * n  # each path's cell at the previous date
     for t in range(width):
         groups: dict[tuple, list[int]] = {}
-        for i, (cell, values) in enumerate(zip(parent, stacked[:, t].tolist())):
+        for i, (cell, values) in enumerate(zip(parent, history[t])):
             groups.setdefault((cell, *values), []).append(i)
         cells = tuple(tuple(v) for v in groups.values())
         for k, cell in enumerate(cells):
@@ -91,7 +91,7 @@ class EventTree:
         if self.probabilities.ndim != 1:
             raise ValidationError("probabilities must be a flat vector")
         self.n_paths = self.probabilities.shape[0]
-        if np.any(self.probabilities <= 0.0):
+        if (self.probabilities <= 0.0).any():
             bad = int(np.argmin(self.probabilities))
             raise ValidationError(
                 f"probabilities must be strictly positive (path index {bad})"
@@ -99,48 +99,54 @@ class EventTree:
         total = float(self.probabilities.sum())
         if abs(total - 1.0) > 1e-12:
             raise ValidationError(f"probabilities sum to {total!r}, not 1")
-        if paths is None:
-            paths = [f"w{i + 1}" for i in range(self.n_paths)]
-        if len(paths) != self.n_paths:
-            raise ValidationError("paths and probabilities disagree on length")
-        self.paths = tuple(str(p) for p in paths)
+        self.paths = path_labels(paths, self.n_paths)
 
         if len(partitions) != self.horizon + 1:
             raise ValidationError(
                 f"expected {self.horizon + 1} partitions, got {len(partitions)}"
             )
-        # the cell index and cell head (smallest path index of the cell) of
-        # each path at each date, filled in as the cells are normalized
-        n = self.n_paths
-        self._cell_of = np.empty((self.horizon + 1, n), dtype=int)
-        self._head = np.empty((n, self.horizon + 1), dtype=int)
+        # One pass over the cells, date by date: each cell sorted, the cells
+        # sorted by head (an empty cell first), and the paths, cell indices
+        # and heads they list, in that order.
+        n, width = self.n_paths, self.horizon + 1
+        everyone = list(range(n))
         norm: list[Partition] = []
+        paths, cell_ids, heads = [], [], []
         for t, part in enumerate(partitions):
-            cells = tuple(tuple(sorted(map(int, cell))) for cell in part)
-            if any(len(c) == 0 for c in cells):
+            cells = sorted(tuple(sorted(map(int, cell))) for cell in part)
+            if cells and not cells[0]:
                 raise ValidationError(f"empty cell in partition at t={t}")
             flat = [i for c in cells for i in c]
-            if sorted(flat) != list(range(n)):
+            if sorted(flat) != everyone:
                 raise ValidationError(
                     f"partition at t={t} does not cover the paths exactly once"
                 )
-            cells = tuple(sorted(cells, key=lambda c: c[0]))
-            norm.append(cells)
-            sizes = [len(c) for c in cells]
-            paths = [i for c in cells for i in c]
-            self._cell_of[t, paths] = np.repeat(np.arange(len(cells)), sizes)
-            self._head[paths, t] = np.repeat([c[0] for c in cells], sizes)
+            norm.append(tuple(cells))
+            paths.append(flat)
+            for k, c in enumerate(cells):
+                cell_ids += [k] * len(c)
+                heads += c[:1] * len(c)
         if len(norm[0]) != 1:
             raise ValidationError("partition at t=0 must be the single full cell")
         self.partitions: tuple[Partition, ...] = tuple(norm)
 
+        # the cell index and cell head (smallest path index of the cell) of
+        # each path at each date
+        dates, paths = np.arange(width)[:, None], np.array(paths)
+        listed = np.array([cell_ids, heads]).reshape(2, width, n)
+        self._cell_of = np.empty((width, n), dtype=int)
+        self._cell_of[dates, paths] = listed[0]
+        self._head = np.empty((n, width), dtype=int)
+        self._head[paths, dates] = listed[1]
         # a date-(t+1) cell refines date t when each of its paths shares its
         # head's date-t cell
-        for t in range(self.horizon):
-            if np.any(self._cell_of[t] != self._cell_of[t][self._head[:, t + 1]]):
-                raise ValidationError(
-                    f"partition at t={t + 1} does not refine partition at t={t}"
-                )
+        before = self._cell_of[:-1]
+        split = before != before[dates[:-1], self._head[:, 1:].T]
+        if split.any():
+            t = int(np.flatnonzero(split.any(axis=1))[0])
+            raise ValidationError(
+                f"partition at t={t + 1} does not refine partition at t={t}"
+            )
 
     # -- node navigation -----------------------------------------------------
 
@@ -160,7 +166,23 @@ class EventTree:
         the first date with a value off its head's, and of that date's cells
         holding one the first."""
         width = values.shape[1]
-        off = values != values[self._head[:, :width], np.arange(width)]
+        return self._first_cell(values != values[self._head[:, :width], np.arange(width)])
+
+    def first_unadapted(self, stack: np.ndarray):
+        """The first process of ``stack`` (process, path, date) that is not
+        an adapted process of the tree, by :func:`unadapted`'s one pass:
+        ``(k, None)`` where process k has a non-finite entry, ``(k, (t,
+        cell))`` where it is finite and (t, cell) is its first cell, as
+        :meth:`unmeasurable_cell` orders them, whose values differ; None
+        when every process is adapted."""
+        bad = unadapted(stack, self._head)
+        if bad is None or bad[1] is None:
+            return bad
+        return bad[0], self._first_cell(bad[1])
+
+    def _first_cell(self, off: np.ndarray) -> Optional[tuple[int, Cell]]:
+        """The first (t, cell), by date and then cell, holding a value that
+        ``off`` (path, date) marks, or None."""
         dates = np.flatnonzero(off.any(axis=0))
         if not dates.size:
             return None
@@ -182,8 +204,9 @@ class EventTree:
 
 def finite(values, name: str) -> np.ndarray:
     """``values`` as a float array, or :class:`ValidationError` naming
-    ``name`` where an entry is NaN or infinite: the one finiteness rule of
-    every input process."""
+    ``name`` where an entry is NaN or infinite: the finiteness rule of an
+    input that is not a process (probabilities, a strike); processes are
+    checked by :func:`unadapted`."""
     arr = np.asarray(values, dtype=float)
     if not np.isfinite(arr).all():
         raise ValidationError(f"{name} contains non-finite entries")
@@ -200,22 +223,65 @@ def integer(value, name: str) -> int:
     return int(value)
 
 
+def unadapted(stack: np.ndarray, head: np.ndarray):
+    """The first process of ``stack`` (process, path, date) that is not
+    adapted, decided for every process by one pass over the stack:
+    ``(k, None)`` where process k has a NaN or infinite entry, ``(k, off)``
+    where it is finite but a value at one of the first ``head.shape[1]``
+    dates differs from its cell head's, path ``head[i, t]``, with ``off``
+    the (path, date) mask of those values; None when every process passes.
+    This is the one adaptedness rule of every input process: finite, and
+    exactly equal within each cell."""
+    width = head.shape[1]
+    cols = stack[:, :, :width]
+    off = cols != cols[:, head, np.arange(width)]
+    finite = np.isfinite(stack)
+    if finite.all() and not off.any():
+        return None
+    k = int(np.argmax(off.any(axis=(1, 2)) | ~finite.all(axis=(1, 2))))
+    return (k, None) if not finite[k].all() else (k, off[k])
+
+
+def adapted_stack(tree: EventTree, processes):
+    """The (name, matrix) ``processes``, each of shape (n_paths, horizon+1),
+    as one (process, path, date) float stack, with the first of them that
+    is not adapted (see :meth:`EventTree.first_unadapted`) or None."""
+    want = (tree.n_paths, tree.horizon + 1)
+    for name, values in processes:
+        if np.shape(values) != want:
+            raise ValidationError(f"{name} has shape {np.shape(values)}, expected {want}")
+    stack = np.array([values for _, values in processes], dtype=float)
+    return stack, tree.first_unadapted(stack)
+
+
+def unadapted_error(name: str, values: np.ndarray, at) -> ValidationError:
+    """The error naming process ``name`` of matrix ``values``: non-finite
+    where ``at`` is None, else not measurable on the (t, cell) ``at``."""
+    if at is None:
+        return ValidationError(f"{name} contains non-finite entries")
+    t, cell = at
+    return ValidationError(
+        f"{name} is not measurable at t={t}: values differ inside "
+        f"cell {cell} ({values[list(cell), t].tolist()})"
+    )
+
+
 def ensure_adapted(tree: EventTree, values, *, name: str = "process") -> np.ndarray:
     """Validate an (n_paths, horizon+1) matrix as an adapted process: finite,
     and exactly equal within each cell."""
-    arr = np.asarray(values, dtype=float)
-    if arr.shape != (tree.n_paths, tree.horizon + 1):
-        raise ValidationError(
-            f"{name} has shape {arr.shape}, expected {(tree.n_paths, tree.horizon + 1)}"
-        )
-    bad = tree.unmeasurable_cell(finite(arr, name))
+    stack, bad = adapted_stack(tree, [(name, values)])
     if bad is not None:
-        t, cell = bad
-        raise ValidationError(
-            f"{name} is not measurable at t={t}: values differ inside "
-            f"cell {cell} ({arr[list(cell), t].tolist()})"
-        )
-    return arr
+        raise unadapted_error(name, stack[0], bad[1])
+    return stack[0]
+
+
+def path_labels(paths: Optional[Sequence], n: int) -> tuple[str, ...]:
+    """The labels of n paths: ``paths`` as strings, w1..wn when None."""
+    if paths is None:
+        return tuple(f"w{i + 1}" for i in range(n))
+    if len(paths) != n:
+        raise ValidationError("paths and probabilities disagree on length")
+    return tuple(str(p) for p in paths)
 
 
 def as_values(process) -> np.ndarray:

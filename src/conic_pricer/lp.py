@@ -131,10 +131,11 @@ class LinearProgram:
         b_eq = np.zeros(0) if b_eq is None else np.atleast_1d(np.asarray(b_eq, float))
         if a_ub.shape != (b_ub.shape[0], n) or a_eq.shape != (b_eq.shape[0], n):
             raise ValidationError("inconsistent LP dimensions")
-        for name, arr in (("c", c), ("a_ub", a_ub), ("b_ub", b_ub),
-                          ("a_eq", a_eq), ("b_eq", b_eq)):
-            if not np.all(np.isfinite(arr)):
-                raise ValidationError(f"non-finite coefficients in {name}")
+        named = (("c", c), ("a_ub", a_ub), ("b_ub", b_ub), ("a_eq", a_eq), ("b_eq", b_eq))
+        # one pass over every coefficient; the first non-finite array is named
+        if not np.isfinite(np.concatenate([arr for _, arr in named], axis=None)).all():
+            name = next(name for name, arr in named if not np.isfinite(arr).all())
+            raise ValidationError(f"non-finite coefficients in {name}")
         if upper is not None:
             upper = np.atleast_1d(np.asarray(upper, dtype=float))
             if upper.shape != (n,):
@@ -261,7 +262,7 @@ def _run_dual(T, basis, nonbasic, limit, max_iter):
 def _set_objective(T, basis, nonbasic, c):
     """Reduced-cost row of objective ``c`` (indexed by variable) for the basis,
     accumulated over the basic rows in row order."""
-    rows = np.flatnonzero(c[basis])
+    rows = c[basis].nonzero()[0]
     terms = np.empty((rows.size + 1, T.shape[1]))
     terms[0, :-1] = -c[nonbasic]
     terms[0, -1] = 0
@@ -289,6 +290,8 @@ class _Rows:
     supplied: np.ndarray
     b: np.ndarray
     abs_supplied: np.ndarray
+    abs_b: np.ndarray
+    b_scale: np.ndarray  # |b| + 1, each primal residual's scale before |rows| |x|
     m_ub: int
     ub_vars: np.ndarray
 
@@ -324,7 +327,7 @@ def _folded(lp: LinearProgram):
     """``lp``'s inequality rows with its finite variable upper bounds folded
     in as extra <= rows: (a_ub, b_ub, the bounded variables)."""
     ub_vars = (
-        np.flatnonzero(np.isfinite(lp.upper)) if lp.upper is not None
+        np.isfinite(lp.upper).nonzero()[0] if lp.upper is not None
         else np.zeros(0, dtype=int)
     )
     if not ub_vars.size:
@@ -339,29 +342,34 @@ def _slack_start(lp: LinearProgram) -> _Rows:
     slack cannot start it."""
     n = lp.c.shape[0]
     a_ub, b_ub, ub_vars = _folded(lp)
-    m_ub, m_eq = a_ub.shape[0], lp.a_eq.shape[0]
-    m = m_ub + m_eq
+    m_ub = a_ub.shape[0]
 
     # Normalized rows A x (+ slack) (+ artificial) = b with b >= 0.
-    rows = np.vstack([a_ub, lp.a_eq]) if m else np.zeros((0, n))
-    b = np.concatenate([b_ub, lp.b_eq]) if m else np.zeros(0)
-
-    flip = b < 0
-    sigma = np.where(flip, -1.0, 1.0)
-    A = rows * sigma[:, None] if flip.any() else rows
+    rows = np.concatenate((a_ub, lp.a_eq))
+    b = np.concatenate((b_ub, lp.b_eq))
+    m = b.shape[0]
 
     # Variables: n structural, then slack n + i of each <= row i, then the
     # artificials.  Artificials exist only where the slack cannot start the
     # basis: equality rows and sign-flipped inequality rows (surplus form).
-    # This keeps phase 1 small and far less degenerate.
-    art_rows = np.flatnonzero((np.arange(m) >= m_ub) | flip)
-    width = n + m_ub + art_rows.size
+    # This keeps phase 1 small and far less degenerate.  With no row
+    # flipped, row i's basis starts from variable n + i either way.
     own = n + np.arange(m)  # the variable each row's basis starts from
-    own[art_rows] = n + m_ub + np.arange(art_rows.size)
+    flip = b < 0
+    if flip.any():
+        sigma = np.where(flip, -1.0, 1.0)
+        A = rows * sigma[:, None]
+        art_rows = ((np.arange(m) >= m_ub) | flip).nonzero()[0]
+        own[art_rows] = n + m_ub + np.arange(art_rows.size)
+        width = n + m_ub + art_rows.size
+    else:
+        sigma, A, width = np.ones(m), rows, n + m
+    abs_b = np.abs(b)
 
     return _Rows(
         max_iter=500 + 80 * (m + width), width=width, own=own, A=A, sigma=sigma,
-        supplied=rows, b=b, abs_supplied=np.abs(rows), m_ub=m_ub, ub_vars=ub_vars,
+        supplied=rows, b=b, abs_supplied=np.abs(rows), abs_b=abs_b, b_scale=abs_b + 1.0,
+        m_ub=m_ub, ub_vars=ub_vars,
     )
 
 
@@ -377,7 +385,7 @@ def _phase1(lp: LinearProgram, rows: Optional[_Rows] = None):
     # Condensed tableau: one column per nonbasic variable (``nonbasic[k]``
     # is the variable of column k) plus the rhs; the basic columns of the
     # full tableau are unit vectors and are not stored.
-    surplus = np.flatnonzero(rows.sigma[:m_ub] < 0)
+    surplus = (rows.sigma[:m_ub] < 0).nonzero()[0]
     nonbasic = np.concatenate([np.arange(n), n + surplus])
     T = np.zeros((m + 1, nonbasic.size + 1))
     T[:m, :n] = rows.A
@@ -398,8 +406,8 @@ def _phase1(lp: LinearProgram, rows: Optional[_Rows] = None):
 
     # Drive remaining basic artificials out; drop redundant rows.
     drop_rows = []
-    for i in np.flatnonzero(basis >= n + m_ub):
-        cand = np.flatnonzero((np.abs(T[i, :-1]) > TOL) & (nonbasic < n + m_ub))
+    for i in (basis >= n + m_ub).nonzero()[0]:
+        cand = ((np.abs(T[i, :-1]) > TOL) & (nonbasic < n + m_ub)).nonzero()[0]
         if cand.size:
             _pivot(T, basis, nonbasic, i, cand[np.argmin(nonbasic[cand])])
         else:
@@ -425,18 +433,19 @@ def _solution(lp: LinearProgram, rows: _Rows, y, **fields) -> LPSolution:
     return LPSolution(dual_ub=y[:k], dual_eq=y[m_ub:], dual_upper=upper, **fields)
 
 
-def _dual_residual(c, rows: _Rows, y) -> float:
+def _dual_residual(c, rows: _Rows, y, abs_y) -> float:
     """How far multipliers ``y`` of ``rows`` as supplied (the first ``m_ub``
     of them inequalities) are from dual feasibility, y^T rows >= c and y >= 0
-    on the inequalities, each relative to the magnitudes entering it."""
+    on the inequalities, each relative to the magnitudes entering it;
+    ``abs_y`` is |y|."""
     reduced = y @ rows.supplied
     np.subtract(c, reduced, out=reduced)
     scale = np.abs(c)
     scale += 1.0
-    scale += np.abs(y) @ rows.abs_supplied
+    scale += abs_y @ rows.abs_supplied
     reduced /= scale
-    y_ub = y[:rows.m_ub]
-    sign = -float(_least(y_ub, initial=0.0)) / (1.0 + float(_most(np.abs(y_ub), initial=0.0)))
+    m_ub = rows.m_ub
+    sign = -float(_least(y[:m_ub], initial=0.0)) / (1.0 + float(_most(abs_y[:m_ub], initial=0.0)))
     return max(float(_most(reduced, initial=0.0)), sign)
 
 
@@ -455,8 +464,9 @@ def _infeasible(lp: LinearProgram, start: _Start, iterations: int) -> LPSolution
     rc = np.zeros(rows.width)
     rc[start.nonbasic] = start.T[-1, :-1]
     y = rows.sigma * (rc[rows.own] - (rows.own >= n + rows.m_ub))
-    dual_res = _dual_residual(np.zeros(n), rows, y)
-    value = float(y @ b) / (1.0 + float(np.abs(y) @ np.abs(b)))
+    abs_y = np.abs(y)
+    dual_res = _dual_residual(np.zeros(n), rows, y, abs_y)
+    value = float(y @ b) / (1.0 + float(abs_y @ rows.abs_b))
     if not (dual_res <= TOL and value < -TOL):  # NaN fails too
         raise ComputationError(
             f"LP infeasibility certification failed ({_shape(lp)}): "
@@ -483,16 +493,16 @@ def _refactor(lp: LinearProgram, rows: _Rows, basis):
     every nonbasic variable in index order; None when the basis does not fit
     the rows or is singular."""
     n, m_ub, m = lp.c.shape[0], rows.m_ub, rows.A.shape[0]
-    if basis is None or basis.size != m or np.any(basis >= n + m_ub):
+    if basis is None or basis.size != m or (basis >= n + m_ub).any():
         return None
     cols = np.zeros((m, rows.width))
     cols[:, :n] = rows.A
     cols[np.arange(m), rows.own] = 1.0
-    surplus = np.flatnonzero(rows.sigma[:m_ub] < 0)
+    surplus = (rows.sigma[:m_ub] < 0).nonzero()[0]
     cols[surplus, n + surplus] = -1.0
     free = np.ones(rows.width, dtype=bool)
     free[basis] = False
-    nonbasic = np.flatnonzero(free)
+    nonbasic = free.nonzero()[0]
     T = np.zeros((m + 1, nonbasic.size + 1))
     try:
         T[:m] = np.linalg.solve(
@@ -500,7 +510,7 @@ def _refactor(lp: LinearProgram, rows: _Rows, basis):
         )
     except np.linalg.LinAlgError:
         return None
-    if not np.all(np.isfinite(T)):
+    if not np.isfinite(T).all():
         return None
     return T, basis.copy(), nonbasic
 
@@ -522,13 +532,13 @@ def _update(rows: _Rows, kept: _Kept, basis, j: int) -> Optional[np.ndarray]:
     weighted by delta.  The objective row is left stale for the caller to
     set.
     """
-    at = np.flatnonzero(basis == j)
+    at = (basis == j).nonzero()[0]
     if basis.size != rows.A.shape[0] or at.size != 1:
         return None
     r, m = at[0], basis.size
     T, nonbasic = kept.T, kept.nonbasic
     delta = rows.A[:, j] - kept.column
-    moved = np.flatnonzero(delta)
+    moved = delta.nonzero()[0]
     # where each variable sits: its column k >= 0, or -2 - s if basic in row s
     slot = np.empty(rows.width, dtype=int)
     slot[nonbasic] = np.arange(nonbasic.size)
@@ -583,27 +593,46 @@ def _basis_solve(mat, rhs):
         return np.linalg.lstsq(mat, rhs, rcond=None)[0]
 
 
+def _basis_pair(mat, rhs, cost):
+    """(mat^-1 rhs, mat^-T cost) by one batched solve over [mat, mat^T],
+    which LAPACK factors one by one as two solves would; where either is
+    singular, each by :func:`_basis_solve`."""
+    both = np.empty((2,) + mat.shape)
+    both[0] = mat
+    both[1] = mat.T
+    try:
+        out = np.linalg.solve(both, np.array((rhs, cost))[:, :, None])
+    except np.linalg.LinAlgError:
+        return _basis_solve(mat, rhs), _basis_solve(mat.T, cost)
+    return out[0, :, 0], out[1, :, 0]
+
+
 def _certificate(c_obj, rows: _Rows, x, y):
     """Strong duality of x and max-sense multipliers y on ``rows`` as
     supplied (the first ``m_ub`` of them <=, the rest equalities):
     (c_obj x, primal residual, dual residual, gap).  Each residual is
     relative to the magnitudes entering its row or column, so badly scaled
     data certify honestly."""
-    b = rows.b
-    abs_b = np.abs(b)
+    abs_y = np.abs(y)
+    dual_res = _dual_residual(c_obj, rows, y, abs_y)
+    return _primal_and_gap(c_obj, rows, x, y, abs_y, dual_res)
+
+
+def _primal_and_gap(c_obj, rows: _Rows, x, y, abs_y, dual_res):
+    """:func:`_certificate` of x and y (|y| ``abs_y``) on ``rows`` once
+    their dual residual ``dual_res`` is known."""
     value_max = float(c_obj @ x)
     resid = rows.supplied @ x
-    resid -= b
+    resid -= rows.b
     eq = resid[rows.m_ub:]
     np.abs(eq, out=eq)
-    scale = abs_b + 1.0
-    scale += rows.abs_supplied @ np.abs(x)
+    scale = rows.abs_supplied @ np.abs(x)
+    scale += rows.b_scale
     resid /= scale
     # the largest of -x, the residuals and 0 (a NaN anywhere reads NaN)
     primal_res = float(_most(resid, initial=-_least(x, initial=0.0)))
-    dual_res = _dual_residual(c_obj, rows, y)
-    dual_value = float(b @ y)
-    gap = abs(value_max - dual_value) / (1.0 + abs(value_max) + float(abs_b @ np.abs(y)))
+    dual_value = float(rows.b @ y)
+    gap = abs(value_max - dual_value) / (1.0 + abs(value_max) + float(rows.abs_b @ abs_y))
     return value_max, primal_res, dual_res, gap
 
 
@@ -635,10 +664,10 @@ def _phase2(lp: LinearProgram, start: _Start, column: Optional[int] = None) -> L
     tight[basis[(basis >= n) & (basis < n + m_ub)] - n] = False
     struct = basis[basis < n]
     if tight.any():
-        live = np.flatnonzero(tight)
-        basis_mat = A[live[:, None], struct]
-        x[struct] = _basis_solve(basis_mat, rows.sigma[live] * rows.b[live])
-        y_norm[live] = _basis_solve(basis_mat.T, c2[struct])
+        live = tight.nonzero()[0]
+        x[struct], y_norm[live] = _basis_pair(
+            A[live[:, None], struct], rows.sigma[live] * rows.b[live], c2[struct]
+        )
     # duals of the rows as supplied (all-<= + eq), max sense
     y = rows.sigma * y_norm
     value_max, primal_res, dual_res, gap = _certificate(c_obj, rows, x, y)
@@ -672,8 +701,14 @@ def _carry(lp: LinearProgram, rows: _Rows, prev: LPSolution) -> Optional[LPSolut
     y = sense_mult * np.concatenate(
         [prev.dual_ub, prev.dual_upper[rows.ub_vars], prev.dual_eq]
     )
-    value_max, primal_res, dual_res, gap = _certificate(sense_mult * lp.c, rows, prev.x, y)
-    if not (primal_res <= TOL and dual_res <= TOL and gap <= TOL):
+    # the certificate's own tests, the dual residual first: a carry that
+    # fails fails there, on the rewritten column, and stops
+    c_obj, abs_y = sense_mult * lp.c, np.abs(y)
+    dual_res = _dual_residual(c_obj, rows, y, abs_y)
+    if not dual_res <= TOL:
+        return None
+    value_max, primal_res, _, gap = _primal_and_gap(c_obj, rows, prev.x, y, abs_y, dual_res)
+    if not (primal_res <= TOL and gap <= TOL):
         return None
     return replace(
         prev, value=sense_mult * value_max, gap=gap, primal_residual=primal_res,

@@ -31,7 +31,15 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .lattice import EventTree, as_values, ensure_adapted, finite, integer
+from .lattice import (
+    EventTree,
+    adapted_stack,
+    as_values,
+    ensure_adapted,
+    finite,
+    integer,
+    unadapted_error,
+)
 
 __all__ = [
     "Security",
@@ -116,10 +124,10 @@ def _rate_matrix(rates, n: int, T: int) -> np.ndarray:
     elif r.ndim == 1:
         if r.shape[0] != T:
             raise ValidationError(f"rate vector must have {T} entries")
-        r = np.tile(r, (n, 1))
+        r = r[None].repeat(n, axis=0)
     if r.shape != (n, T):
         raise ValidationError(f"rates must have shape {(n, T)}, got {r.shape}")
-    if not np.all(np.isfinite(r) & (r >= 0)):
+    if not (np.isfinite(r) & (r >= 0)).all():
         raise ValidationError("rates must be finite and nonnegative")
     return r
 
@@ -130,37 +138,50 @@ class MarketModel:
     def __init__(self, tree: EventTree, rates, securities: Sequence[Security]):
         self.tree = tree
         r = _rate_matrix(rates, tree.n_paths, tree.horizon)
-        bad = tree.unmeasurable_cell(r)
-        if bad is not None:
-            raise ValidationError(f"rates not adapted at t={bad[0]}, cell {bad[1]}")
         self.rates = r
-
         if not securities:
             raise ValidationError("a market needs at least one security")
         self.securities = tuple(securities)
-        for sec in self.securities:
-            if [s.name for s in self.securities].count(sec.name) > 1:
-                raise ValidationError(f"security name {sec.name!r} is used twice")
-            for name, arr in sec.processes():
-                ensure_adapted(tree, arr, name=name)
-            if np.any(sec.div_ask[:, 0] != 0) or np.any(sec.div_bid[:, 0] != 0):
-                raise ValidationError(
-                    f"{sec.name}: cumulative dividends must start at 0"
-                )
-            gap = sec.ask - sec.bid
-            if np.any(gap < 0):
-                i, t = np.argwhere(gap < 0)[0]
-                raise ValidationError(
-                    f"Assumption A violated at path {tree.paths[i]}, t={t}: "
-                    f"ask {sec.ask[i, t]} < bid {sec.bid[i, t]} for {sec.name}"
-                )
-            d_gap = np.diff(sec.div_bid, axis=1) - np.diff(sec.div_ask, axis=1)
-            if np.any(d_gap < -1e-15):
-                i, t = np.argwhere(d_gap < -1e-15)[0]
-                raise ValidationError(
-                    f"Assumption A violated at path {tree.paths[i]}, t={t + 1}: "
-                    f"ask dividend increment exceeds bid increment for {sec.name}"
-                )
+        names = [sec.name for sec in self.securities]
+        for name in names:
+            if names.count(name) > 1:
+                raise ValidationError(f"security name {name!r} is used twice")
+        # one stacked pass over the rates (padded to the horizon with their
+        # last column, adapted where the rates are) and every price process
+        processes = [p for sec in self.securities for p in sec.processes()]
+        stack, bad = adapted_stack(
+            tree, [("rates", np.concatenate((r, r[:, -1:]), axis=1))] + processes
+        )
+        if bad is not None:
+            k, at = bad
+            if k == 0:  # finite by _rate_matrix
+                raise ValidationError(f"rates not adapted at t={at[0]}, cell {at[1]}")
+            raise unadapted_error(processes[k - 1][0], stack[k], at)
+        # (security, process, path, date): bid, ask, then the cumulative ask
+        # and bid dividends
+        quotes = stack[1:].reshape(len(names), 4, tree.n_paths, tree.horizon + 1)
+        divs = quotes[:, 2:]
+        unstarted = (divs[:, :, :, 0] != 0).any(axis=(1, 2))
+        if unstarted.any():
+            raise ValidationError(
+                f"{names[unstarted.argmax()]}: cumulative dividends must start at 0"
+            )
+        crossed = quotes[:, 1] < quotes[:, 0]
+        if crossed.any():
+            j, i, t = np.argwhere(crossed)[0]
+            sec = self.securities[j]
+            raise ValidationError(
+                f"Assumption A violated at path {tree.paths[i]}, t={t}: "
+                f"ask {sec.ask[i, t]} < bid {sec.bid[i, t]} for {sec.name}"
+            )
+        steps = divs[..., 1:] - divs[..., :-1]
+        d_gap = steps[:, 1] - steps[:, 0]
+        if (d_gap < -1e-15).any():
+            j, i, t = np.argwhere(d_gap < -1e-15)[0]
+            raise ValidationError(
+                f"Assumption A violated at path {tree.paths[i]}, t={t + 1}: "
+                f"ask dividend increment exceeds bid increment for {names[j]}"
+            )
         self._discounts = discount_factors(self)
 
     @property
@@ -183,10 +204,8 @@ def discount_factors(model: MarketModel):
     accrues over (s, s+1].  The unit initial value makes the date-0 setup cost
     and the explicit wealth sum consistent.
     """
-    n, T = model.tree.n_paths, model.tree.horizon
-    B = np.ones((n, T + 1))
-    for t in range(1, T + 1):
-        B[:, t] = B[:, t - 1] * (1.0 + model.rates[:, t - 1])
+    B = np.ones((model.tree.n_paths, model.tree.horizon + 1))
+    np.cumprod(1.0 + model.rates, axis=1, out=B[:, 1:])
     return B, 1.0 / B
 
 

@@ -148,8 +148,11 @@ def _node_cone(rows: NodeRows, cell: int, paths: list):
     """The no-arbitrage cone of date-t node ``cell`` on ``paths``: its rows of
     ``rows`` over its own columns, u of its paths and then its envelope
     excesses."""
-    pick = rows.owner == cell
-    return np.hstack([rows.a_u[np.ix_(pick, paths)], rows.a_v[np.ix_(pick, rows.col_owner == cell)]])
+    pick = (rows.owner == cell).nonzero()[0]
+    return np.concatenate((
+        rows.a_u.take(pick, 0).take(paths, 1),
+        rows.a_v.take(pick, 0).compress(rows.col_owner == cell, 1),
+    ), axis=1)
 
 
 def _with_band(a: np.ndarray, n: int, gamma: float):
