@@ -173,10 +173,13 @@ def _split_root(named, paths) -> ValidationError:
     """The error of (name, matrix) processes whose date-0 values split the
     filtration's root: the first, in order, that is not finite, or whose
     date-0 value is not the same on every path, with a path where it
-    differs from the first path's."""
+    differs from the first path's, by :func:`unadapted`."""
     stack = np.array([values for _, values in named])
-    n = stack.shape[1]
-    k, off = unadapted(stack, np.zeros((n, 1), dtype=int))
+    _, n, width = stack.shape
+    # the filtration of one date-0 cell and one path per cell after it
+    head = np.arange(n)[:, None].repeat(width, axis=1)
+    head[:, 0] = 0
+    k, off = unadapted(stack, head)
     name = named[k][0]
     if off is None:
         return unadapted_error(name, stack[k], None)

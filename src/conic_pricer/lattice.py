@@ -56,7 +56,7 @@ def derive_filtration(observables: Sequence[np.ndarray]) -> list[Partition]:
             raise ValidationError(
                 f"observables disagree on shape: {m.shape} vs {(n, width)}"
             )
-    history = np.stack(mats, axis=-1).transpose(1, 0, 2).tolist()  # [date][path][observable]
+    history = np.array(mats).transpose(2, 1, 0).tolist()  # [date][path][observable]
     partitions: list[Partition] = []
     parent = [0] * n  # each path's cell at the previous date
     for t in range(width):
@@ -225,21 +225,20 @@ def integer(value, name: str) -> int:
 
 def unadapted(stack: np.ndarray, head: np.ndarray):
     """The first process of ``stack`` (process, path, date) that is not
-    adapted, decided for every process by one pass over the stack:
-    ``(k, None)`` where process k has a NaN or infinite entry, ``(k, off)``
-    where it is finite but a value at one of the first ``head.shape[1]``
-    dates differs from its cell head's, path ``head[i, t]``, with ``off``
-    the (path, date) mask of those values; None when every process passes.
-    This is the one adaptedness rule of every input process: finite, and
-    exactly equal within each cell."""
-    width = head.shape[1]
-    cols = stack[:, :, :width]
-    off = cols != cols[:, head, np.arange(width)]
-    finite = np.isfinite(stack)
-    if finite.all() and not off.any():
+    adapted, decided for every process by one pass over the stack: each
+    value less its cell head's, path ``head[i, t]``'s, is exactly zero where
+    both are finite and equal (x - y is 0 only when x == y) and NaN where
+    either is not finite.  Returns ``(k, None)`` where process k, the first
+    with a nonzero difference, has a NaN or infinite entry, else ``(k,
+    off)`` with ``off`` the (path, date) mask of its values off their
+    heads'; None when every process passes.  This is the one adaptedness
+    rule of every input process: finite, and exactly equal within each
+    cell."""
+    off = stack - stack[:, head, np.arange(head.shape[1])]
+    if not off.any():
         return None
-    k = int(np.argmax(off.any(axis=(1, 2)) | ~finite.all(axis=(1, 2))))
-    return (k, None) if not finite[k].all() else (k, off[k])
+    k = int(off.any(axis=(1, 2)).argmax())
+    return (k, None) if not np.isfinite(stack[k]).all() else (k, off[k] != 0)
 
 
 def adapted_stack(tree: EventTree, processes):

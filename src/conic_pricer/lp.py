@@ -289,6 +289,7 @@ class _Rows:
     # the rows as supplied, all-<= (finite upper bounds appended) then eq
     supplied: np.ndarray
     b: np.ndarray
+    rhs: np.ndarray  # b sign-normalized, b * sigma >= 0
     abs_supplied: np.ndarray
     abs_b: np.ndarray
     b_scale: np.ndarray  # |b| + 1, each primal residual's scale before |rows| |x|
@@ -368,8 +369,8 @@ def _slack_start(lp: LinearProgram) -> _Rows:
 
     return _Rows(
         max_iter=500 + 80 * (m + width), width=width, own=own, A=A, sigma=sigma,
-        supplied=rows, b=b, abs_supplied=np.abs(rows), abs_b=abs_b, b_scale=abs_b + 1.0,
-        m_ub=m_ub, ub_vars=ub_vars,
+        supplied=rows, b=b, rhs=b * sigma, abs_supplied=np.abs(rows), abs_b=abs_b,
+        b_scale=abs_b + 1.0, m_ub=m_ub, ub_vars=ub_vars,
     )
 
 
@@ -390,7 +391,7 @@ def _phase1(lp: LinearProgram, rows: Optional[_Rows] = None):
     T = np.zeros((m + 1, nonbasic.size + 1))
     T[:m, :n] = rows.A
     T[surplus, n + np.arange(surplus.size)] = -1.0
-    T[:m, -1] = rows.b * rows.sigma
+    T[:m, -1] = rows.rhs
     basis = rows.own.copy()
     start = _Start(rows, T, basis, nonbasic, np.ones(m, dtype=bool))
 
@@ -506,7 +507,7 @@ def _refactor(lp: LinearProgram, rows: _Rows, basis):
     T = np.zeros((m + 1, nonbasic.size + 1))
     try:
         T[:m] = np.linalg.solve(
-            cols[:, basis], np.column_stack([cols[:, nonbasic], rows.b * rows.sigma])
+            cols[:, basis], np.column_stack([cols[:, nonbasic], rows.rhs])
         )
     except np.linalg.LinAlgError:
         return None
@@ -663,10 +664,10 @@ def _phase2(lp: LinearProgram, start: _Start, column: Optional[int] = None) -> L
     tight = alive.copy()
     tight[basis[(basis >= n) & (basis < n + m_ub)] - n] = False
     struct = basis[basis < n]
-    if tight.any():
-        live = tight.nonzero()[0]
+    live = tight.nonzero()[0]
+    if live.size:
         x[struct], y_norm[live] = _basis_pair(
-            A[live[:, None], struct], rows.sigma[live] * rows.b[live], c2[struct]
+            A[live[:, None], struct], rows.rhs[live], c2[struct]
         )
     # duals of the rows as supplied (all-<= + eq), max sense
     y = rows.sigma * y_norm

@@ -161,11 +161,9 @@ class MarketModel:
         # and bid dividends
         quotes = stack[1:].reshape(len(names), 4, tree.n_paths, tree.horizon + 1)
         divs = quotes[:, 2:]
-        unstarted = (divs[:, :, :, 0] != 0).any(axis=(1, 2))
-        if unstarted.any():
-            raise ValidationError(
-                f"{names[unstarted.argmax()]}: cumulative dividends must start at 0"
-            )
+        if divs[..., 0].any():
+            j = int(divs[..., 0].any(axis=(1, 2)).argmax())
+            raise ValidationError(f"{names[j]}: cumulative dividends must start at 0")
         crossed = quotes[:, 1] < quotes[:, 0]
         if crossed.any():
             j, i, t = np.argwhere(crossed)[0]

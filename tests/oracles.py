@@ -37,7 +37,10 @@ package, or another reference here, computes another way:
 * the natural filtration from each path's whole observed history at every
   date, against the date-by-date refinement of ``derive_filtration``, and
   every cell's spread scanned date by date, against the comparison with each
-  path's cell head in ``EventTree.unmeasurable_cell``.
+  path's cell head in ``EventTree.unmeasurable_cell``;
+* a market's input checks one process at a time and an event tree's
+  partition checks one date at a time, against the one stacked pass of
+  ``MarketModel`` and the one pass over the cells of ``EventTree``.
 """
 
 from dataclasses import dataclass, field
@@ -543,3 +546,72 @@ def scanned_unmeasurable_cell(tree, values):
         if over.size:
             return t, tree.partitions[t][over[0]]
     return None
+
+
+# ---------------------------------------------------------------------------
+# input checks one process and one date at a time
+
+
+def reference_market_error(tree, rates, securities) -> Optional[str]:
+    """The message of the first check a market of (n, T) ``rates`` and
+    ``securities`` fails, or None, checking one process at a time: the
+    rates, then per security its name, each of its four processes (shape,
+    finite, every cell's spread scanned), its dividends' start and
+    Assumption A."""
+    n, T = tree.n_paths, tree.horizon
+    r = np.asarray(rates, dtype=float)
+    if not np.all(np.isfinite(r) & (r >= 0)):
+        return "rates must be finite and nonnegative"
+    bad = scanned_unmeasurable_cell(tree, r)
+    if bad is not None:
+        return f"rates not adapted at t={bad[0]}, cell {bad[1]}"
+    names = [sec.name for sec in securities]
+    for sec in securities:
+        if names.count(sec.name) > 1:
+            return f"security name {sec.name!r} is used twice"
+        for name, arr in sec.processes():
+            if arr.shape != (n, T + 1):
+                return f"{name} has shape {arr.shape}, expected {(n, T + 1)}"
+            if not np.all(np.isfinite(arr)):
+                return f"{name} contains non-finite entries"
+            bad = scanned_unmeasurable_cell(tree, arr)
+            if bad is not None:
+                t, cell = bad
+                return (f"{name} is not measurable at t={t}: values differ inside "
+                        f"cell {cell} ({arr[list(cell), t].tolist()})")
+        if np.any(sec.div_ask[:, 0] != 0) or np.any(sec.div_bid[:, 0] != 0):
+            return f"{sec.name}: cumulative dividends must start at 0"
+        for t in range(T + 1):
+            for i in range(n):
+                if sec.ask[i, t] - sec.bid[i, t] < 0:
+                    return (f"Assumption A violated at path {tree.paths[i]}, t={t}: "
+                            f"ask {sec.ask[i, t]} < bid {sec.bid[i, t]} for {sec.name}")
+        for t in range(1, T + 1):
+            for i in range(n):
+                d_bid = sec.div_bid[i, t] - sec.div_bid[i, t - 1]
+                d_ask = sec.div_ask[i, t] - sec.div_ask[i, t - 1]
+                if d_bid - d_ask < -1e-15:
+                    return (f"Assumption A violated at path {tree.paths[i]}, t={t}: "
+                            f"ask dividend increment exceeds bid increment for {sec.name}")
+    return None
+
+
+def reference_tree_partitions(partitions, n: int):
+    """The partitions of an n-path event tree checked one date at a time:
+    ``(message, None)`` for the first partition check they fail, else
+    ``(None, cells)`` with every date's cells sorted and ordered by head."""
+    norm = []
+    for t, part in enumerate(partitions):
+        cells = [tuple(sorted(int(i) for i in cell)) for cell in part]
+        if any(len(c) == 0 for c in cells):
+            return f"empty cell in partition at t={t}", None
+        if sorted(i for c in cells for i in c) != list(range(n)):
+            return f"partition at t={t} does not cover the paths exactly once", None
+        norm.append(tuple(sorted(cells, key=lambda c: c[0])))
+    if len(norm[0]) != 1:
+        return "partition at t=0 must be the single full cell", None
+    for t in range(len(norm) - 1):
+        for child in norm[t + 1]:
+            if not any(set(child) <= set(cell) for cell in norm[t]):
+                return f"partition at t={t + 1} does not refine partition at t={t}", None
+    return None, norm

@@ -527,6 +527,29 @@ MALFORMED = {
     "NaN bid": (
         lambda m: m["securities"][0]["bid"][1].__setitem__(0, np.nan), None, "stock bid prices"
     ),
+    # numpy reads a bool inside a list of numbers as 1 or 0
+    "rates [true, 0.0]": (lambda m: m.update(rates=[True, 0.0]), None,
+                          "rates must be numbers, got True"),
+    "bid true": (lambda m: m["securities"][0]["bid"][0].__setitem__(1, True), None,
+                 "security stock: bid must be numbers, got True"),
+    "ask true": (lambda m: m["securities"][0].update(
+        {"lambda": None, "ask": [[50, 80, 90], [50, 80, 70], [50, 80, 60], [50, 40, 60],
+                                 [50, 40, True]]}
+    ), None, "security stock: ask must be numbers, got True"),
+    **{
+        f"{field} false": (lambda m, field=field: m["securities"][0].update(
+            {field: [[0, 0, 0]] * 4 + [[0, 0, False]]}
+        ), None, f"security stock: {field} must be numbers, got False")
+        for field in ("dividends_ask", "dividends_bid")
+    },
+    "cashflow true": (None, lambda p: p.update(
+        {"type": "explicit", "cashflow": [[0, 0, 0]] * 4 + [[0, True, 0]]}
+    ), "cashflow must be numbers, got True"),
+    # a date-0 price that differs across paths names its process and a path
+    "date-0 bid differs": (
+        lambda m: m["securities"][0]["bid"][0].__setitem__(0, 51), None,
+        "stock bid prices must be the same on every path at t=0"
+    ),
     # asian call security indices the one-security fixture does not have
     **{
         f"security {json.dumps(index)}": (None, lambda p, i=index: p.update(security=i),
@@ -553,6 +576,46 @@ def test_malformed_file_exits_2_with_one_line(
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert named in err
+
+
+class TestDateZero:
+    """A date-0 value that differs across paths is named by its process, in
+    load order (each security's four processes, then the rates), and by a
+    path where it differs from the first path's."""
+
+    @staticmethod
+    def message(capsys, tmp_path, data):
+        code, out, err = run(capsys, "validate", write_json(tmp_path, "model.json", data))
+        assert (code, out) == (EXIT_VALIDATION, "")
+        return err
+
+    def test_bid_names_process_and_path(self, capsys, tmp_path, base_model_dict):
+        base_model_dict["securities"][0]["bid"][2][0] = 49.5
+        assert self.message(capsys, tmp_path, base_model_dict) == (
+            "error: stock bid prices must be the same on every path at t=0: "
+            "50.0 on path w1, 49.5 on path w3\n"
+        )
+
+    def test_prices_before_rates(self, capsys, tmp_path, base_model_dict):
+        base_model_dict["rates"] = [[0.0, 0.0]] * 3 + [[0.01, 0.0]] * 2
+        assert self.message(capsys, tmp_path, base_model_dict) == (
+            "error: rates must be the same on every path at t=0: "
+            "0.0 on path w1, 0.01 on path w4\n"
+        )
+        base_model_dict["securities"][0].update(
+            {"lambda": None, "ask": [[50, 80, 90]] * 3 + [[52, 40, 60], [52, 40, 30]]}
+        )
+        assert self.message(capsys, tmp_path, base_model_dict) == (
+            "error: stock ask prices must be the same on every path at t=0: "
+            "50.0 on path w1, 52.0 on path w4\n"
+        )
+
+    def test_nan_keeps_its_message(self, capsys, tmp_path, base_model_dict):
+        base_model_dict["securities"][0]["bid"][3][2] = float("nan")
+        base_model_dict["rates"] = [[0.0, 0.0]] * 4 + [[0.01, 0.0]]
+        assert self.message(capsys, tmp_path, base_model_dict) == (
+            "error: stock bid prices contains non-finite entries\n"
+        )
 
 
 def test_missing_model_file_exits_2_on_every_command(capsys, tmp_path):

@@ -15,7 +15,12 @@ from conic_pricer.lattice import (
 
 from cone_reference import children, node_of
 from conftest import TABLE_BIDS, TABLE_PROBS, random_tree, two_period_tree
-from oracles import conditional_expectation, history_filtration, scanned_unmeasurable_cell
+from oracles import (
+    conditional_expectation,
+    history_filtration,
+    reference_tree_partitions,
+    scanned_unmeasurable_cell,
+)
 
 
 class TestDeriveFiltration:
@@ -224,3 +229,72 @@ class TestTailSum:
     def test_out_of_range(self):
         with pytest.raises(ValidationError):
             tail_sum(np.zeros((2, 3)), 3)
+
+
+def _corrupted_partitions(rng, tree, corruption: str):
+    """``tree``'s partitions, cells and their paths shuffled, with one
+    ``corruption``: an empty cell, a path in two cells, a path moved to a
+    cell of another parent (no refinement), or a split root; None where the
+    tree has no place for it."""
+    parts = [[list(c) for c in part] for part in tree.partitions]
+    T, n = tree.horizon, tree.n_paths
+    if corruption == "empty cell":
+        parts[int(rng.integers(T + 1))].append([])
+    elif corruption == "double cover":
+        split = [t for t in range(T + 1) if len(parts[t]) > 1]
+        if not split:
+            return None
+        t = split[int(rng.integers(len(split)))]
+        k = int(rng.integers(len(parts[t])))
+        parts[t][k].append(next(i for i in range(n) if i not in parts[t][k]))
+    elif corruption == "no refinement":
+        # a path of a cell of two or more moved to a cell of another parent
+        moves = [(t, a, b) for t in range(1, T + 1) for a, ca in enumerate(parts[t])
+                 for b, cb in enumerate(parts[t]) if len(ca) > 1 and
+                 tree.cell_index(t - 1)[ca[0]] != tree.cell_index(t - 1)[cb[0]]]
+        if not moves:
+            return None
+        t, a, b = moves[int(rng.integers(len(moves)))]
+        parts[t][b].append(parts[t][a].pop(int(rng.integers(len(parts[t][a])))))
+    elif corruption == "split root":
+        cut = int(rng.integers(1, n))
+        parts[0] = [list(range(cut)), list(range(cut, n))]
+    for part in parts:
+        rng.shuffle(part)
+        for cell in part:
+            rng.shuffle(cell)
+    return parts
+
+
+class TestOnePassOverTheCells:
+    """EventTree's one pass over the cells gives the messages, cells and
+    cell indices of checking one date at a time."""
+
+    @pytest.mark.parametrize(
+        "corruption", [None, "empty cell", "double cover", "no refinement", "split root"]
+    )
+    def test_same_verdict_as_the_date_by_date_reference(self, corruption):
+        seen = 0
+        for seed in range(60):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(2, 10))
+            tree = random_tree(rng, n, int(rng.integers(1, 5)))
+            parts = _corrupted_partitions(rng, tree, corruption)
+            if parts is None:
+                continue
+            seen += 1
+            want, cells = reference_tree_partitions(parts, n)
+            assert (want is None) == (corruption is None), (seed, corruption)
+            if want is not None:
+                with pytest.raises(ValidationError) as exc:
+                    EventTree(tree.horizon, tree.probabilities, parts)
+                assert str(exc.value) == want, (seed, corruption)
+                continue
+            got = EventTree(tree.horizon, tree.probabilities, parts)
+            assert list(got.partitions) == cells
+            for t, part in enumerate(cells):
+                index = np.empty(n, dtype=int)
+                for k, cell in enumerate(part):
+                    index[list(cell)] = k
+                assert np.array_equal(got.cell_index(t), index)
+        assert seen >= 30

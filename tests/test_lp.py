@@ -841,3 +841,64 @@ class TestTableauUpdate:
                     assert np.array_equal(start.basis, want.basis)
                 tried += 1
         assert tried
+
+
+class TestReadOut:
+    """An optimum's x and duals come from one batched solve over [B, B^T],
+    and a LinearProgram's coefficients are checked in one pass."""
+
+    def test_batched_read_out_is_two_solves_bit_for_bit(self):
+        rng = np.random.default_rng(11)
+        for k in range(1, 61):
+            mat = rng.normal(size=(k, k))
+            rhs, cost = rng.normal(size=k), rng.normal(size=k)
+            x, y = lp._basis_pair(mat, rhs, cost)
+            assert x.tobytes() == np.linalg.solve(mat, rhs).tobytes()
+            assert y.tobytes() == np.linalg.solve(mat.T, cost).tobytes()
+
+    def test_singular_basis_falls_back_to_basis_solve(self, count_calls):
+        calls = count_calls(lp, "_basis_solve")
+        mat = np.array([[1.0, 2.0], [2.0, 4.0]])
+        rhs, cost = np.array([1.0, 2.0]), np.array([3.0, 6.0])
+        x, y = lp._basis_pair(mat, rhs, cost)
+        assert len(calls) == 2
+        assert np.array_equal(x, np.linalg.lstsq(mat, rhs, rcond=None)[0])
+        assert np.array_equal(y, np.linalg.lstsq(mat.T, cost, rcond=None)[0])
+
+    def test_build_names_the_first_non_finite_array(self):
+        names = ("c", "a_ub", "b_ub", "a_eq", "b_eq")
+        for first in range(len(names)):
+            data = {"c": np.ones(2), "a_ub": np.ones((1, 2)), "b_ub": np.ones(1),
+                    "a_eq": np.ones((1, 2)), "b_eq": np.ones(1)}
+            for name in names[first:]:  # this array and every later one
+                data[name].flat[-1] = [np.nan, np.inf, -np.inf][first % 3]
+            with pytest.raises(ValidationError) as exc:
+                LinearProgram.build("max", **data)
+            assert str(exc.value) == f"non-finite coefficients in {names[first]}"
+
+    def test_carry_stops_at_the_dual_test(self, count_calls):
+        # a carried optimum is put to the dual residual first: one that fails
+        # there is not tested further, and one that passes gets the
+        # certificate's residuals, bit for bit
+        tested = count_calls(lp, "_primal_and_gap")
+        passed = failed = 0
+        for band, upper, pair, gamma in _band_sweep(5, 40):
+            band.rewrite(upper, -(1.0 + gamma))
+            for side, sol in zip(band.sides, pair):
+                if sol.status != "optimal":
+                    continue
+                before = len(tested)
+                carried = lp._carry(side, band.rows, sol)
+                stopped = len(tested) == before
+                sense = 1.0 if side.sense == "max" else -1.0
+                y = sense * np.concatenate([sol.dual_ub, sol.dual_eq])
+                value, primal, dual, gap = lp._certificate(sense * side.c, band.rows, sol.x, y)
+                if dual > lp.TOL:
+                    assert carried is None and stopped
+                    failed += 1
+                elif carried is not None:
+                    assert (carried.gap, carried.primal_residual, carried.dual_residual) == (
+                        gap, primal, dual)
+                    assert carried.value == sense * value
+                    passed += 1
+        assert passed and failed

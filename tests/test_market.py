@@ -19,6 +19,7 @@ from conic_pricer.market import (
 
 from conftest import (
     TABLE_BIDS,
+    arbitrage_free_market,
     random_market,
     random_self_financing,
     random_tree,
@@ -26,7 +27,13 @@ from conftest import (
     two_period_tree,
     zero_strategy,
 )
-from oracles import _closed_form_sum, is_self_financing, wealth_closed_form, wealth_process
+from oracles import (
+    _closed_form_sum,
+    is_self_financing,
+    reference_market_error,
+    wealth_closed_form,
+    wealth_process,
+)
 
 
 def buy_then_liquidate(model):
@@ -447,3 +454,83 @@ class TestCashFlowIngest:
         vals[0, 1] = 1.0
         with pytest.raises(ValidationError):
             CashFlow.ingest(tree, vals)
+
+
+def _corrupted_market(seed: int, corruption: str):
+    """A random arbitrage-free market (dividends, rates, two or three
+    securities) on a random tree, with exactly one ``corruption``: a NaN, a
+    value that is not measurable (in the rates or a price process), ask
+    below bid across one cell, or an ask dividend increment above the bid
+    one across one cell.  Returns (tree, rates, securities)."""
+    rng = np.random.default_rng(seed)
+    tree = random_tree(rng, int(rng.integers(2, 9)), int(rng.integers(1, 4)))
+    model = arbitrage_free_market(
+        rng, tree, dividends=bool(rng.integers(2)), rates=bool(rng.integers(2)),
+        securities=int(rng.integers(2, 4)),
+    )
+    rates = model.rates.copy()
+    secs = [Security(s.name, s.bid.copy(), s.ask.copy(), s.div_ask.copy(), s.div_bid.copy())
+            for s in model.securities]
+    sec = secs[int(rng.integers(len(secs)))]
+    n, T = tree.n_paths, tree.horizon
+    processes = [sec.bid, sec.ask, sec.div_ask, sec.div_bid]
+    if corruption == "nan":
+        processes[int(rng.integers(4))][int(rng.integers(n)), int(rng.integers(T + 1))] = np.nan
+    elif corruption in ("unmeasurable", "unmeasurable rates"):
+        values, last = (rates, T - 1) if corruption == "unmeasurable rates" else (
+            processes[int(rng.integers(4))], T)
+        # a cell of two or more paths; date 0 has one
+        shared = [(t, c) for t in range(last + 1) for c in tree.partitions[t] if len(c) > 1]
+        t, cell = shared[int(rng.integers(len(shared)))]
+        values[cell[int(rng.integers(len(cell)))], t] += 0.01
+    elif corruption == "crossed":
+        t = int(rng.integers(T + 1))
+        cell = list(tree.partitions[t][int(rng.integers(len(tree.partitions[t])))])
+        sec.ask[cell, t] = sec.bid[cell, t] - 0.5
+    else:  # an ask dividend increment above the bid one, from date t on
+        t = int(rng.integers(1, T + 1))
+        cell = list(tree.partitions[t][int(rng.integers(len(tree.partitions[t])))])
+        sec.div_ask[cell, t:] += 1.0
+    return tree, rates, secs
+
+
+class TestOneStackedPass:
+    """MarketModel's one stacked pass names the same failure as checking
+    one process at a time."""
+
+    @pytest.mark.parametrize(
+        "corruption", ["nan", "unmeasurable", "unmeasurable rates", "crossed", "dividend order"]
+    )
+    def test_one_corruption_named_as_the_per_process_reference(self, corruption):
+        for seed in range(40):
+            tree, rates, secs = _corrupted_market(seed, corruption)
+            want = reference_market_error(tree, rates, secs)
+            assert want is not None, (seed, corruption)
+            with pytest.raises(ValidationError) as exc:
+                MarketModel(tree, rates, secs)
+            assert str(exc.value) == want, (seed, corruption)
+
+    def test_clean_markets_pass_both(self):
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            tree = random_tree(rng, int(rng.integers(2, 9)), int(rng.integers(1, 4)))
+            model = arbitrage_free_market(rng, tree, dividends=True, rates=True, securities=3)
+            assert reference_market_error(tree, model.rates, model.securities) is None
+
+    def test_discount_factors_match_the_date_by_date_product_bit_for_bit(self):
+        rng = np.random.default_rng(3)
+        for _ in range(50):
+            n, T = int(rng.integers(1, 9)), int(rng.integers(1, 7))
+            tree = random_tree(rng, n, T)
+            rates = rng.uniform(0.0, 0.2, size=(n, T))
+            for t in range(T):  # adapted: one rate per date-t cell
+                for cell in tree.partitions[t]:
+                    rates[list(cell), t] = rates[cell[0], t]
+            model = MarketModel(tree, rates, [Security("s", *np.ones((2, n, T + 1)),
+                                                       *np.zeros((2, n, T + 1)))])
+            B, Binv = discount_factors(model)
+            loop = np.ones((n, T + 1))
+            for t in range(1, T + 1):
+                loop[:, t] = loop[:, t - 1] * (1.0 + rates[:, t - 1])
+            assert B.tobytes() == loop.tobytes()
+            assert Binv.tobytes() == (1.0 / loop).tobytes()
