@@ -227,11 +227,14 @@ def _node_least_loss(model: MarketModel, rows: NodeRows, node: NodeRef, warm=Non
     if not pick.size:
         return np.inf, None, None
     q = model.probabilities[paths]
-    m = len(paths)
-    a_ub = np.vstack([
-        np.hstack([-G.T, -np.eye(m)]),
-        np.hstack([-H.T, np.zeros((H.shape[1], m))]),
-    ])
+    m, k = len(paths), len(pick)
+    # [-G^T, -I] over [-H^T, 0]
+    a_ub = np.zeros((m + H.shape[1], k + m))
+    np.negative(G.T, out=a_ub[:m, :k])
+    np.negative(H.T, out=a_ub[m:, :k])
+    eye = a_ub[:m, k:]
+    eye[:] = -0.0  # as the negated identity reads
+    np.fill_diagonal(eye, -1.0)
     prog = lp.LinearProgram.build(
         "min", np.concatenate([np.zeros(len(pick)), q]), a_ub=a_ub,
         b_ub=np.zeros(len(a_ub)), a_eq=[np.concatenate([G @ q, np.zeros(m)])], b_eq=[1.0],

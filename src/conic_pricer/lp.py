@@ -293,6 +293,7 @@ class _Rows:
     abs_supplied: np.ndarray
     abs_b: np.ndarray
     b_scale: np.ndarray  # |b| + 1, each primal residual's scale before |rows| |x|
+    c_scale: np.ndarray  # |c| + 1, each dual residual's scale before |y| |rows|
     m_ub: int
     ub_vars: np.ndarray
 
@@ -370,7 +371,7 @@ def _slack_start(lp: LinearProgram) -> _Rows:
     return _Rows(
         max_iter=500 + 80 * (m + width), width=width, own=own, A=A, sigma=sigma,
         supplied=rows, b=b, rhs=b * sigma, abs_supplied=np.abs(rows), abs_b=abs_b,
-        b_scale=abs_b + 1.0, m_ub=m_ub, ub_vars=ub_vars,
+        b_scale=abs_b + 1.0, c_scale=np.abs(lp.c) + 1.0, m_ub=m_ub, ub_vars=ub_vars,
     )
 
 
@@ -387,10 +388,11 @@ def _phase1(lp: LinearProgram, rows: Optional[_Rows] = None):
     # is the variable of column k) plus the rhs; the basic columns of the
     # full tableau are unit vectors and are not stored.
     surplus = (rows.sigma[:m_ub] < 0).nonzero()[0]
-    nonbasic = np.concatenate([np.arange(n), n + surplus])
+    nonbasic = np.concatenate([np.arange(n), n + surplus]) if surplus.size else np.arange(n)
     T = np.zeros((m + 1, nonbasic.size + 1))
     T[:m, :n] = rows.A
-    T[surplus, n + np.arange(surplus.size)] = -1.0
+    if surplus.size:
+        T[surplus, n + np.arange(surplus.size)] = -1.0
     T[:m, -1] = rows.rhs
     basis = rows.own.copy()
     start = _Start(rows, T, basis, nonbasic, np.ones(m, dtype=bool))
@@ -430,20 +432,20 @@ def _solution(lp: LinearProgram, rows: _Rows, y, **fields) -> LPSolution:
     of ``lp.a_ub``, of ``lp.a_eq`` and of the folded upper bounds."""
     m_ub, k = rows.m_ub, lp.a_ub.shape[0]
     upper = np.zeros(lp.c.shape[0])
-    upper[rows.ub_vars] = y[k:m_ub]
+    if k < m_ub:
+        upper[rows.ub_vars] = y[k:m_ub]
     return LPSolution(dual_ub=y[:k], dual_eq=y[m_ub:], dual_upper=upper, **fields)
 
 
-def _dual_residual(c, rows: _Rows, y, abs_y) -> float:
+def _dual_residual(c, c_scale, rows: _Rows, y, abs_y) -> float:
     """How far multipliers ``y`` of ``rows`` as supplied (the first ``m_ub``
     of them inequalities) are from dual feasibility, y^T rows >= c and y >= 0
     on the inequalities, each relative to the magnitudes entering it;
-    ``abs_y`` is |y|."""
+    ``c_scale`` is |c| + 1 and ``abs_y`` is |y|."""
     reduced = y @ rows.supplied
     np.subtract(c, reduced, out=reduced)
-    scale = np.abs(c)
-    scale += 1.0
-    scale += abs_y @ rows.abs_supplied
+    scale = abs_y @ rows.abs_supplied
+    scale += c_scale
     reduced /= scale
     m_ub = rows.m_ub
     sign = -float(_least(y[:m_ub], initial=0.0)) / (1.0 + float(_most(abs_y[:m_ub], initial=0.0)))
@@ -466,7 +468,7 @@ def _infeasible(lp: LinearProgram, start: _Start, iterations: int) -> LPSolution
     rc[start.nonbasic] = start.T[-1, :-1]
     y = rows.sigma * (rc[rows.own] - (rows.own >= n + rows.m_ub))
     abs_y = np.abs(y)
-    dual_res = _dual_residual(np.zeros(n), rows, y, abs_y)
+    dual_res = _dual_residual(np.zeros(n), np.ones(n), rows, y, abs_y)
     value = float(y @ b) / (1.0 + float(abs_y @ rows.abs_b))
     if not (dual_res <= TOL and value < -TOL):  # NaN fails too
         raise ComputationError(
@@ -615,7 +617,7 @@ def _certificate(c_obj, rows: _Rows, x, y):
     relative to the magnitudes entering its row or column, so badly scaled
     data certify honestly."""
     abs_y = np.abs(y)
-    dual_res = _dual_residual(c_obj, rows, y, abs_y)
+    dual_res = _dual_residual(c_obj, rows.c_scale, rows, y, abs_y)
     return _primal_and_gap(c_obj, rows, x, y, abs_y, dual_res)
 
 
@@ -705,7 +707,7 @@ def _carry(lp: LinearProgram, rows: _Rows, prev: LPSolution) -> Optional[LPSolut
     # the certificate's own tests, the dual residual first: a carry that
     # fails fails there, on the rewritten column, and stops
     c_obj, abs_y = sense_mult * lp.c, np.abs(y)
-    dual_res = _dual_residual(c_obj, rows, y, abs_y)
+    dual_res = _dual_residual(c_obj, rows.c_scale, rows, y, abs_y)
     if not dual_res <= TOL:
         return None
     value_max, primal_res, _, gap = _primal_and_gap(c_obj, rows, prev.x, y, abs_y, dual_res)

@@ -158,12 +158,16 @@ def _node_cone(rows: NodeRows, cell: int, paths: list):
 def _with_band(a: np.ndarray, n: int, gamma: float):
     """The node cone ``a`` (u of its n paths first) cut down by the band
     m <= u <= (1 + gamma) m over the node's own scalar m as a last column."""
-    eye, pad = np.eye(n), np.zeros((n, a.shape[1] - n))
-    return np.vstack([
-        np.hstack([a, np.zeros((len(a), 1))]),
-        np.hstack([-eye, pad, np.ones((n, 1))]),
-        np.hstack([eye, pad, np.full((n, 1), -(1.0 + gamma))]),
-    ])
+    rows, width = a.shape
+    out = np.zeros((rows + 2 * n, width + 1))
+    out[:rows, :width] = a
+    lower, upper = out[rows : rows + n], out[rows + n :]
+    lower[:, :n] = -0.0  # -I, as the negated identity reads
+    np.fill_diagonal(lower, -1.0)
+    np.fill_diagonal(upper, 1.0)
+    lower[:, -1] = 1.0
+    upper[:, -1] = -(1.0 + gamma)
+    return out
 
 
 def _discounted_tail(model: MarketModel, cash_flow, t: int) -> np.ndarray:
