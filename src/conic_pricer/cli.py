@@ -87,9 +87,9 @@ def _numbers(value, field: str):
     flat = value if isinstance(value, list) else [value]
     while flat and isinstance(flat[0], list):
         flat = [v for row in flat for v in (row if isinstance(row, list) else (row,))]
-    for v in flat:
-        if isinstance(v, bool):
-            raise ValidationError(f"{field} must be numbers, got {v!r}")
+    if bool in map(type, flat):
+        bad = next(v for v in flat if isinstance(v, bool))
+        raise ValidationError(f"{field} must be numbers, got {bad!r}")
     return value
 
 
@@ -160,7 +160,8 @@ def model_from_dict(data: dict, *, lam_override: Optional[float] = None) -> Mark
 
     # every process, in load order, then the rates padded to the horizon
     named = [p for sec in securities for p in sec.processes()]
-    named.append(("rates", np.hstack([rates, rates[:, -1:]]) if rates.size else np.zeros((n, 1))))
+    padded = np.concatenate((rates, rates[:, -1:]), axis=1) if rates.size else np.zeros((n, 1))
+    named.append(("rates", padded))
     observables = [values for _, values in named]
     partitions = derive_filtration(observables)
     if len(partitions[0]) != 1:

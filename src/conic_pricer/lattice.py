@@ -12,6 +12,16 @@ path and date, the index of its cell and the cell's head (its smallest path
 index), so adaptedness is one comparison of each value with its head's.
 Measurability is exact, with no tolerance: the filtration is derived from
 the same values by equality, so a process it is derived from is adapted.
+
+:class:`EventTree` builds both arrays in one pass over the cells, date by
+date: each cell is sorted, each date's cells are ordered by head, and the
+paths they list, with their cell indices and heads, fill a (date, path)
+table that two scatters turn into the arrays.  Refinement is then one
+comparison of every path's date-t cell with its date-(t+1) head's.  Input
+processes are checked the same way, all at once: :func:`unadapted` stacks
+them and subtracts each value's head's, which is exactly zero where both
+are finite and equal, so one pass decides finiteness and adaptedness for
+every process and names the first that fails.
 """
 
 from __future__ import annotations

@@ -44,8 +44,9 @@ takes a previous pair, one per extreme (the surface's band program at the
 row before, or at the level before).  An extreme's optimum solved on the
 same slice before its column was rewritten (the band widening from one level
 to the next) is carried first: its x and duals are put to the strong-duality
-test below on the new rows, and when they pass they are the answer,
-residuals recomputed, with no refactor and no pivot.  A wider band only
+test below on the new rows, the dual residual first (a carry that fails
+fails there, on the changed column, and stops), and when they pass they are
+the answer, residuals recomputed, with no refactor and no pivot.  A wider band only
 loosens the rows, so x stays feasible, and duals that are zero on every
 changed row stay dual feasible.  Otherwise the solve restarts from the
 previous basis, refactored on the new rows by one dense solve against every
@@ -74,6 +75,12 @@ right-hand side is negative.  The optimum and its duals are both read from the
 final basis B, not from the tableau, which drifts over many pivots: B x_B = b
 and B^T y = c_B over the rows without a basic slack (a basic slack's row has
 dual zero) and the basic structural columns, at most (variables)^2 entries.
+Both come from one batched ``np.linalg.solve`` over the stack [B, B^T]
+(:func:`_basis_pair`): LAPACK factors each matrix of a batch on its own, so
+x and y are those of two separate solves bit for bit, for half the calls.
+A singular B takes :func:`_basis_solve`'s least squares for each instead.
+The certificate's fixed scales, |b| + 1 and |c| + 1, are built once with
+the rows.
 
 Every answer but ``unbounded`` is certified on the rows as supplied, or the
 solve raises :class:`~conic_pricer.errors.ComputationError`; a wrong status is

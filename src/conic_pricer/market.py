@@ -2,13 +2,21 @@
 
 A market consists of a savings account driven by a finite nonnegative
 adapted rate process and a list of securities, each quoted with separate bid
-and ask ex-dividend prices and separate cumulative bid/ask dividend streams;
-:class:`MarketModel` checks each as a finite adapted process
-(:func:`conic_pricer.lattice.ensure_adapted`).  The standing consistency
-requirement is ``ask >= bid`` for prices and
+and ask ex-dividend prices and separate cumulative bid/ask dividend streams.
+The standing consistency requirement is ``ask >= bid`` for prices and
 ``delta(div_ask) <= delta(div_bid)`` for dividend increments: a long position
 buys at the ask, is credited the ask dividend stream and liquidates at the
 bid, and symmetrically for shorts.
+
+:class:`MarketModel` checks the rates and every security's four processes
+in one stacked validation pass (:func:`conic_pricer.lattice.adapted_stack`):
+one array of all of them, one subtraction of each value's cell head's, and
+finiteness and adaptedness are decided for every process at once.  Only
+when the pass fails does it name the first failing process, in order (the
+rates, then each security's bid, ask, ask and bid dividends), with its
+(date, cell), in the message a one-process check gives.  The dividends'
+start and Assumption A are then checked on the same stack, every security
+at once, first failing security named.
 
 A predictable strategy holds security legs and a savings-account slot;
 ``make_self_financing`` completes security legs with the savings position
