@@ -178,18 +178,6 @@ class EventTree:
         width = values.shape[1]
         return self._first_cell(values != values[self._head[:, :width], np.arange(width)])
 
-    def first_unadapted(self, stack: np.ndarray):
-        """The first process of ``stack`` (process, path, date) that is not
-        an adapted process of the tree, by :func:`unadapted`'s one pass:
-        ``(k, None)`` where process k has a non-finite entry, ``(k, (t,
-        cell))`` where it is finite and (t, cell) is its first cell, as
-        :meth:`unmeasurable_cell` orders them, whose values differ; None
-        when every process is adapted."""
-        bad = unadapted(stack, self._head)
-        if bad is None or bad[1] is None:
-            return bad
-        return bad[0], self._first_cell(bad[1])
-
     def _first_cell(self, off: np.ndarray) -> Optional[tuple[int, Cell]]:
         """The first (t, cell), by date and then cell, holding a value that
         ``off`` (path, date) marks, or None."""
@@ -254,13 +242,20 @@ def unadapted(stack: np.ndarray, head: np.ndarray):
 def adapted_stack(tree: EventTree, processes):
     """The (name, matrix) ``processes``, each of shape (n_paths, horizon+1),
     as one (process, path, date) float stack, with the first of them that
-    is not adapted (see :meth:`EventTree.first_unadapted`) or None."""
+    is not an adapted process of ``tree`` by :func:`unadapted`'s one pass:
+    ``(k, None)`` where process k has a non-finite entry, ``(k, (t,
+    cell))`` where it is finite and (t, cell) is its first cell, as
+    :meth:`EventTree.unmeasurable_cell` orders them, whose values differ;
+    None when every process is adapted."""
     want = (tree.n_paths, tree.horizon + 1)
     for name, values in processes:
         if np.shape(values) != want:
             raise ValidationError(f"{name} has shape {np.shape(values)}, expected {want}")
     stack = np.array([values for _, values in processes], dtype=float)
-    return stack, tree.first_unadapted(stack)
+    bad = unadapted(stack, tree._head)
+    if bad is not None and bad[1] is not None:
+        bad = bad[0], tree._first_cell(bad[1])
+    return stack, bad
 
 
 def unadapted_error(name: str, values: np.ndarray, at) -> ValidationError:

@@ -45,10 +45,10 @@ row before, or at the level before).  An extreme's optimum solved on the
 same slice before its column was rewritten (the band widening from one level
 to the next) is carried first: its x and duals are put to the strong-duality
 test below on the new rows, the dual residual first (a carry that fails
-fails there, on the changed column, and stops), and when they pass they are
-the answer, residuals recomputed, with no refactor and no pivot.  A wider band only
-loosens the rows, so x stays feasible, and duals that are zero on every
-changed row stay dual feasible.  Otherwise the solve restarts from the
+fails there, on the changed column, and stops), and when they pass they
+are the answer, residuals recomputed, with no refactor and no pivot.  A
+wider band only loosens the rows, so x stays feasible, and duals that are
+zero on every changed row stay dual feasible.  Otherwise the solve restarts from the
 previous basis, refactored on the new rows by one dense solve against every
 column, [A | I] for the ratio program.
 

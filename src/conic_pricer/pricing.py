@@ -179,11 +179,11 @@ def _discounted_tail(model: MarketModel, cash_flow, t: int) -> np.ndarray:
 def _ratio_terms(model: MarketModel, x, node: NodeRef, width: int):
     """The numerator and denominator of ``node``'s conditional mean of ``x``
     over a cone of ``width`` columns, u of the node's paths first."""
-    p = model.probabilities
-    paths = list(model.tree.node_paths(node))
+    paths = model.tree.node_paths(node)
+    q = model.probabilities.take(paths)
     num, den = np.zeros(width), np.zeros(width)
-    num[: len(paths)] = p[paths] * x[paths]
-    den[: len(paths)] = p[paths]
+    num[: len(paths)] = q * x.take(paths)
+    den[: len(paths)] = q
     return num, den
 
 

@@ -233,20 +233,25 @@ class TestTailSum:
 
 def _corrupted_partitions(rng, tree, corruption: str):
     """``tree``'s partitions, cells and their paths shuffled, with one
-    ``corruption``: an empty cell, a path in two cells, a path moved to a
-    cell of another parent (no refinement), or a split root; None where the
-    tree has no place for it."""
+    ``corruption``: an empty cell, a path in two cells, a path listed in
+    place of another, a path moved to a cell of another parent (no
+    refinement), or a split root; None where the tree has no place for
+    it."""
     parts = [[list(c) for c in part] for part in tree.partitions]
     T, n = tree.horizon, tree.n_paths
     if corruption == "empty cell":
         parts[int(rng.integers(T + 1))].append([])
-    elif corruption == "double cover":
+    elif corruption in ("double cover", "path in place of another"):
         split = [t for t in range(T + 1) if len(parts[t]) > 1]
         if not split:
             return None
         t = split[int(rng.integers(len(split)))]
         k = int(rng.integers(len(parts[t])))
-        parts[t][k].append(next(i for i in range(n) if i not in parts[t][k]))
+        other = next(i for i in range(n) if i not in parts[t][k])
+        if corruption == "double cover":
+            parts[t][k].append(other)
+        else:  # as many paths listed as there are, one twice and one not
+            parts[t][k][int(rng.integers(len(parts[t][k])))] = other
     elif corruption == "no refinement":
         # a path of a cell of two or more moved to a cell of another parent
         moves = [(t, a, b) for t in range(1, T + 1) for a, ca in enumerate(parts[t])
@@ -271,7 +276,9 @@ class TestOnePassOverTheCells:
     cell indices of checking one date at a time."""
 
     @pytest.mark.parametrize(
-        "corruption", [None, "empty cell", "double cover", "no refinement", "split root"]
+        "corruption",
+        [None, "empty cell", "double cover", "path in place of another", "no refinement",
+         "split root"],
     )
     def test_same_verdict_as_the_date_by_date_reference(self, corruption):
         seen = 0
