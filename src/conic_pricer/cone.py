@@ -233,7 +233,7 @@ def _node_least_loss(model: MarketModel, rows: NodeRows, node: NodeRef, warm=Non
     np.negative(G.T, out=a_ub[:m, :k])
     np.negative(H.T, out=a_ub[m:, :k])
     eye = a_ub[:m, k:]
-    eye[:] = -0.0  # as the negated identity reads
+    eye[:] = -0.0  # -I, signed zeros too: a pivot can carry their sign to the answer
     np.fill_diagonal(eye, -1.0)
     prog = lp.LinearProgram.build(
         "min", np.concatenate([np.zeros(len(pick)), q]), a_ub=a_ub,

@@ -162,7 +162,7 @@ def _with_band(a: np.ndarray, n: int, gamma: float):
     out = np.zeros((rows + 2 * n, width + 1))
     out[:rows, :width] = a
     lower, upper = out[rows : rows + n], out[rows + n :]
-    lower[:, :n] = -0.0  # -I, as the negated identity reads
+    lower[:, :n] = -0.0  # -I, signed zeros too: a pivot can carry their sign to the answer
     np.fill_diagonal(lower, -1.0)
     np.fill_diagonal(upper, 1.0)
     lower[:, -1] = 1.0
