@@ -18,10 +18,10 @@ date: each cell is sorted, each date's cells are ordered by head, and the
 paths they list, with their cell indices and heads, fill a (date, path)
 table that two scatters turn into the arrays.  Refinement is then one
 comparison of every path's date-t cell with its date-(t+1) head's.  Input
-processes are checked the same way, all at once: :func:`unadapted` stacks
-them and subtracts each value's head's, which is exactly zero where both
-are finite and equal, so one pass decides finiteness and adaptedness for
-every process and names the first that fails.
+processes are checked the same way, all at once: :func:`unadapted` compares
+every value of their stack with its head's and tests it for finiteness, so
+one pass decides finiteness and adaptedness for every process and names the
+first that fails.
 """
 
 from __future__ import annotations
@@ -224,19 +224,19 @@ def integer(value, name: str) -> int:
 def unadapted(stack: np.ndarray, head: np.ndarray):
     """The first process of ``stack`` (process, path, date) that is not
     adapted, decided for every process by one pass over the stack: each
-    value less its cell head's, path ``head[i, t]``'s, is exactly zero where
-    both are finite and equal (x - y is 0 only when x == y) and NaN where
-    either is not finite.  Returns ``(k, None)`` where process k, the first
-    with a nonzero difference, has a NaN or infinite entry, else ``(k,
-    off)`` with ``off`` the (path, date) mask of its values off their
-    heads'; None when every process passes.  This is the one adaptedness
-    rule of every input process: finite, and exactly equal within each
-    cell."""
-    off = stack - stack[:, head, np.arange(head.shape[1])]
-    if not off.any():
+    value is compared with its cell head's, path ``head[i, t]``'s (a NaN
+    equals nothing), and tested for finiteness.  Returns ``(k, None)``
+    where process k, the first that fails, has a NaN or infinite entry,
+    else ``(k, off)`` with ``off`` the (path, date) mask of its values off
+    their heads'; None when every process passes.  This is the one
+    adaptedness rule of every input process: finite, and exactly equal
+    within each cell."""
+    off = stack != stack[:, head, np.arange(head.shape[1])]
+    finite = np.isfinite(stack)
+    if finite.all() and not off.any():
         return None
-    k = int(off.any(axis=(1, 2)).argmax())
-    return (k, None) if not np.isfinite(stack[k]).all() else (k, off[k] != 0)
+    k = int((off.any(axis=(1, 2)) | ~finite.all(axis=(1, 2))).argmax())
+    return (k, None) if not finite[k].all() else (k, off[k])
 
 
 def adapted_stack(tree: EventTree, processes):

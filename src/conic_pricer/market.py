@@ -10,8 +10,9 @@ bid, and symmetrically for shorts.
 
 :class:`MarketModel` checks the rates and every security's four processes
 in one stacked validation pass (:func:`conic_pricer.lattice.adapted_stack`):
-one array of all of them, one subtraction of each value's cell head's, and
-finiteness and adaptedness are decided for every process at once.  Only
+one array of all of them, one comparison of each value with its cell
+head's and one finiteness test, so finiteness and adaptedness are decided
+for every process at once.  Only
 when the pass fails does it name the first failing process, in order (the
 rates, then each security's bid, ask, ask and bid dividends), with its
 (date, cell), in the message a one-process check gives.  The dividends'

@@ -142,6 +142,18 @@ class TestAdaptedness:
         )
         assert tree.unmeasurable_cell(vals) == scanned_unmeasurable_cell(tree, vals)
 
+    def test_infinite_and_huge_values_raise_only_the_validation_error(self):
+        # within one cell: inf twice, and two finite values whose difference
+        # overflows; pytest turns any numpy warning into an error
+        tree = two_period_tree()
+        vals = TABLE_BIDS.copy()
+        vals[[3, 4], 1] = np.inf
+        with pytest.raises(ValidationError, match="^x contains non-finite entries$"):
+            ensure_adapted(tree, vals, name="x")
+        vals[[3, 4], 1] = [1e308, -1e308]
+        with pytest.raises(ValidationError, match="^x is not measurable at t=1"):
+            ensure_adapted(tree, vals, name="x")
+
     def test_ingest_wrapper(self):
         tree = two_period_tree()
         out = ensure_adapted(tree, TABLE_BIDS)
