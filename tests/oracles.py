@@ -557,7 +557,7 @@ def reference_market_error(tree, rates, securities) -> Optional[str]:
     ``securities`` fails, or None, checking one process at a time: the
     rates, then per security its name, each of its four processes (shape,
     finite, every cell's spread scanned), its dividends' start and
-    Assumption A."""
+    Assumption A, path by path and each path's dates in order."""
     n, T = tree.n_paths, tree.horizon
     r = np.asarray(rates, dtype=float)
     if not np.all(np.isfinite(r) & (r >= 0)):
@@ -581,13 +581,13 @@ def reference_market_error(tree, rates, securities) -> Optional[str]:
                         f"cell {cell} ({arr[list(cell), t].tolist()})")
         if np.any(sec.div_ask[:, 0] != 0) or np.any(sec.div_bid[:, 0] != 0):
             return f"{sec.name}: cumulative dividends must start at 0"
-        for t in range(T + 1):
-            for i in range(n):
+        for i in range(n):
+            for t in range(T + 1):
                 if sec.ask[i, t] - sec.bid[i, t] < 0:
                     return (f"Assumption A violated at path {tree.paths[i]}, t={t}: "
                             f"ask {sec.ask[i, t]} < bid {sec.bid[i, t]} for {sec.name}")
-        for t in range(1, T + 1):
-            for i in range(n):
+        for i in range(n):
+            for t in range(1, T + 1):
                 d_bid = sec.div_bid[i, t] - sec.div_bid[i, t - 1]
                 d_ask = sec.div_ask[i, t] - sec.div_ask[i, t - 1]
                 if d_bid - d_ask < -1e-15:
