@@ -21,7 +21,7 @@ from .market import (
     make_self_financing,
 )
 from .cone import (
-    ArbitrageWitness,
+    GoodDealWitness,
     NodeRows,
     arbitrage_check,
     generators_for,

@@ -34,6 +34,8 @@ Arbitrage detection reads, per date-t node, the least expected loss L of a
 hedge per unit of its expected gain (:func:`_node_least_loss`, the LP of the
 no-good-deal check): a hedge that gains and never loses has L = 0, and L is
 certified to ``lp.TOL``, so arbitrage <=> some node has L <= ``lp.TOL``.
+Arbitrage and no good deal read one witness: the node's least-loss hedge,
+certified by :func:`good_deal_certificate` as a :class:`GoodDealWitness`.
 """
 
 from __future__ import annotations
@@ -44,15 +46,17 @@ from typing import Optional
 import numpy as np
 
 from . import lp
-from .errors import ValidationError
+from .acceptability import dglr_eval
+from .errors import ComputationError, ValidationError
 from .lattice import NodeRef
 from .market import MarketModel, TradingStrategy, make_self_financing
 
 __all__ = [
     "NodeRows",
-    "ArbitrageWitness",
+    "GoodDealWitness",
     "generators_for",
     "hedge_strategy",
+    "good_deal_certificate",
     "arbitrage_check",
 ]
 
@@ -166,25 +170,40 @@ def hedge_strategy(model: MarketModel, rows: NodeRows, weights) -> TradingStrate
     the weights carry on no more than they hold.
     """
     tree = model.tree
+    T, S, n = tree.horizon, model.n_securities, tree.n_paths
     w = np.asarray(weights, dtype=float) * rows.side
-    legs = np.zeros((tree.horizon + 1, model.n_securities, tree.n_paths))
-    for s in range(rows.start, tree.horizon):
-        for j in range(model.n_securities):
-            pick = (rows.date == s) & (rows.security == j)
-            per_node = np.bincount(rows.cell[pick], w[pick], len(tree.partitions[s]))
-            legs[s + 1, j] = per_node[tree.cell_index(s)]
+    # units held per (date, security, cell), then per path
+    key = (rows.date * S + rows.security) * n + rows.cell
+    per_node = np.bincount(key, w, T * S * n).reshape(T, S, n)
+    cells = np.array([tree.cell_index(s) for s in range(T)])
+    legs = np.zeros((T + 1, S, n))
+    legs[1:] = np.take_along_axis(per_node, cells[:, None, :], axis=2)
     return make_self_financing(model, legs)
 
 
 @dataclass(frozen=True)
-class ArbitrageWitness:
-    """A hedge of expected gain one at ``node`` with expected loss at most
-    ``lp.TOL``, hence a flow of at least -``lp.TOL``/p_i on each path i of
-    the node (zero off it), and the strategy whose wealth dominates it."""
+class GoodDealWitness:
+    """A date-t ``node``'s hedge on the cone rows at the least-loss LP's
+    scale, expected gain one: the rows' per-path discounted total as traded,
+    the strategy whose terminal wealth dominates it, and its gain-loss ratio
+    (:func:`conic_pricer.acceptability.dglr_eval`), at least about
+    1/``lp.TOL`` for an arbitrage."""
 
     node: NodeRef
     strategy: TradingStrategy
-    cash_flow: np.ndarray  # per-path discounted total of the combined rows
+    cash_flow: np.ndarray  # per-path discounted total, zero off the node
+    dglr: float
+
+
+def _node_cone(rows: NodeRows, cell: int, paths):
+    """The no-arbitrage cone of date-t node ``cell`` on ``paths``: its rows of
+    ``rows`` over its own columns, u of its paths and then its envelope
+    excesses."""
+    pick = (rows.owner == cell).nonzero()[0]
+    return np.concatenate((
+        rows.a_u.take(pick, 0).take(paths, 1),
+        rows.a_v.take(pick, 0).compress(rows.col_owner == cell, 1),
+    ), axis=1)
 
 
 def _node_hedges(model: MarketModel, rows: NodeRows, node: NodeRef):
@@ -196,11 +215,10 @@ def _node_hedges(model: MarketModel, rows: NodeRows, node: NodeRef):
     market, counts as worth exactly zero: huge weights on its float residue
     would otherwise fake a gain.  Rows left with no coefficient are dropped.
     """
-    p = model.probabilities
     paths = np.asarray(model.tree.node_paths(node))
     pick = (rows.owner == node.cell).nonzero()[0]
-    G = rows.a_u.take(pick, 0).take(paths, 1) / p.take(paths)
-    H = rows.a_v.take(pick, 0).compress(rows.col_owner == node.cell, 1)
+    cone = _node_cone(rows, node.cell, paths)
+    G, H = cone[:, : len(paths)] / model.probabilities.take(paths), cone[:, len(paths) :]
     size = np.abs(G).max(axis=1, initial=0.0)
     G[size <= 1e-12 * max(1.0, float(size.max(initial=0.0)))] = 0.0
     keep = (G != 0.0).any(axis=1) | (H != 0.0).any(axis=1)
@@ -247,24 +265,65 @@ def _node_least_loss(model: MarketModel, rows: NodeRows, node: NodeRef, warm=Non
     return max(sol.value, 0.0), weights, sol
 
 
-def arbitrage_check(model: MarketModel, t: int) -> Optional[ArbitrageWitness]:
+def _least_losses(model: MarketModel, rows: NodeRows, warm=None):
+    """Each date-``rows.start`` node in node order with its
+    :func:`_node_least_loss` (L, weights, solution), the node's LP restarted
+    from its entry of ``warm`` where given.  Lazily: a caller that stops at a
+    node solves no LP after it."""
+    nodes = model.tree.nodes(rows.start)
+    for node, start in zip(nodes, warm or [None] * len(nodes)):
+        yield (node, *_node_least_loss(model, rows, node, start))
+
+
+def good_deal_certificate(
+    model: MarketModel, rows: NodeRows, node: NodeRef, weights
+) -> Optional[GoodDealWitness]:
+    """The witness, at the weights' scale, of the hedge that nonnegative
+    ``weights`` on ``rows`` make at date-``rows.start`` ``node`` (weights off
+    the node are ignored), or None where its expected gain is not above
+    1e-9 * max(1, largest row value on the node) per unit of its largest row
+    weight: rows worth zero up to rounding are no witness.  The caller judges
+    the ratio."""
+    tree = model.tree
+    paths = np.asarray(tree.node_paths(node))
+    pick = (rows.owner == node.cell).nonzero()[0]
+    w = np.zeros(len(rows))
+    w[pick] = np.maximum(np.asarray(weights, dtype=float)[pick], 0.0)
+    q = model.probabilities.take(paths)
+    G = _node_cone(rows, node.cell, paths)[:, : len(paths)] / q
+    flow = w[pick] @ G
+    size = max(1.0, float(np.abs(G).max(initial=0.0)))
+    if not q @ flow > 1e-9 * size * w.max(initial=0.0):
+        return None
+    paid = np.zeros((tree.n_paths, tree.horizon + 1))
+    paid[paths, -1] = flow
+    ratio = float(dglr_eval(tree, paid, rows.start)[paths[0]])
+    return GoodDealWitness(node, hedge_strategy(model, rows, w), paid[:, -1], ratio)
+
+
+def arbitrage_check(model: MarketModel, t: int) -> Optional[GoodDealWitness]:
     """The witness of the first date-t node with an arbitrage, or None.
 
     Arbitrage <=> some node has least loss per unit of gain L <= ``lp.TOL``
-    (:func:`_node_least_loss`); that node's least-loss hedge is the witness.
-    Rows worth zero up to rounding count as worth zero (see ``_node_hedges``).
+    (:func:`_node_least_loss`); that node's least-loss hedge, through
+    :func:`good_deal_certificate`, is the witness.  Rows worth zero up to
+    rounding count as worth zero (see ``_node_hedges``).
     """
     return _arbitrage(model, generators_for(model, t))
 
 
-def _arbitrage(model: MarketModel, rows: NodeRows) -> Optional[ArbitrageWitness]:
-    """:func:`arbitrage_check` over the trade rows ``rows`` of its date."""
-    tree = model.tree
-    for node in tree.nodes(rows.start):
-        loss, weights, _ = _node_least_loss(model, rows, node)
+def _arbitrage(model: MarketModel, rows: NodeRows) -> Optional[GoodDealWitness]:
+    """:func:`arbitrage_check` over the trade rows ``rows`` of its date.  A
+    lossless hedge that its certificate rejects raises
+    :class:`ComputationError`: an arbitrage is never reported without a
+    witness."""
+    for node, loss, weights, _ in _least_losses(model, rows):
         if loss <= lp.TOL:
-            pick, paths, G, _ = _node_hedges(model, rows, node)
-            flow = np.zeros(tree.n_paths)
-            flow[paths] = weights[pick] @ G
-            return ArbitrageWitness(node, hedge_strategy(model, rows, weights), flow)
+            witness = good_deal_certificate(model, rows, node, weights)
+            if witness is None:
+                raise ComputationError(
+                    f"arbitrage at node {node.time}:{node.cell} fails its certificate: "
+                    "its hedge gains nothing"
+                )
+            return witness
     return None

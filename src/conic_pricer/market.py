@@ -243,7 +243,7 @@ class TradingStrategy:
 
 def _split(values: np.ndarray, pos_price: np.ndarray, neg_price: np.ndarray):
     """values >= 0 priced with pos_price, values < 0 with neg_price."""
-    return np.where(values >= 0, values * pos_price, values * neg_price)
+    return values * np.where(values >= 0, pos_price, neg_price)
 
 
 def make_self_financing(model: MarketModel, legs: np.ndarray) -> TradingStrategy:
@@ -260,22 +260,18 @@ def make_self_financing(model: MarketModel, legs: np.ndarray) -> TradingStrategy
     if legs.shape != (T + 1, S, n):
         raise ValidationError(f"legs must have shape {(T + 1, S, n)}, got {legs.shape}")
     B, _ = model.discounts()
+    # (date, security, path) arrays, dates 0..T-1; each date's purchases and
+    # sales at its prices (the setup at t=0), and from t=1 its dividends over
+    # (t-1, t] on the units held into it
+    quotes = [(sec.bid, sec.ask, sec.div_ask, sec.div_bid) for sec in model.securities]
+    bid, ask, div_ask, div_bid = np.array(quotes).transpose(1, 3, 0, 2)[:, :T]
+    rebal = _split(legs[1:] - legs[:-1], ask, bid).sum(axis=1, initial=0.0)
+    receipts = _split(legs[1:T], div_ask[1:] - div_ask[:-1], div_bid[1:] - div_bid[:-1])
     h = np.zeros((T + 1, S + 1, n))
     h[:, 1:, :] = legs
-    cost0 = np.zeros(n)
-    for j, sec in enumerate(model.securities):
-        cost0 += _split(legs[1, j], sec.ask[:, 0], sec.bid[:, 0])
-    h[1, 0] = -cost0
-    for t in range(1, T):
-        receipts = np.zeros(n)
-        rebal = np.zeros(n)
-        for j, sec in enumerate(model.securities):
-            d_ask = sec.div_ask[:, t] - sec.div_ask[:, t - 1]
-            d_bid = sec.div_bid[:, t] - sec.div_bid[:, t - 1]
-            receipts += _split(legs[t, j], d_ask, d_bid)
-            d = legs[t + 1, j] - legs[t, j]
-            rebal += _split(d, sec.ask[:, t], sec.bid[:, t])
-        h[t + 1, 0] = h[t, 0] + (receipts - rebal) / B[:, t]
+    h[1, 0] = -rebal[0]
+    h[2:, 0] = (receipts.sum(axis=1, initial=0.0) - rebal[1:]) / B[:, 1:T].T
+    np.cumsum(h[1:, 0], axis=0, out=h[1:, 0])
     return TradingStrategy(h).validate(tree)
 
 
@@ -333,6 +329,9 @@ def cds_dividends(
     (``kappa_ask`` on the ask stream, ``kappa_bid`` on the bid stream) at
     every date strictly before default.
     """
+    delta = float(finite(delta, "delta"))
+    kappa_ask = float(finite(kappa_ask, "kappa_ask"))
+    kappa_bid = float(finite(kappa_bid, "kappa_bid"))
     if delta < 0:
         raise ValidationError("loss-given-default must be >= 0")
     n, T = tree.n_paths, tree.horizon

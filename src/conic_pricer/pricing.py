@@ -45,8 +45,10 @@ level's verdict from it (:func:`_beats`): L is certified only to
 hedge beats.  :func:`ngd_check`, :func:`good_deal_prices`,
 :func:`forward_prices` and :func:`liquidity_surface` all take this one
 verdict from L, and no band LP decides it.  There is one witness route: the
-first beaten node's best-ratio hedge, through
-:func:`good_deal_certificate`, reported with the hedge's trading strategy.
+first beaten node's least-loss hedge with its trading strategy, certified
+by :func:`conic_pricer.cone.good_deal_certificate` (re-exported here; the
+arbitrage search certifies its lossless hedge through it too) and then
+judged against the level.
 When the verdict holds, each node is priced at the level the rule reads:
 gamma, or inside the tie band (1 - ``lp.TOL`` <= gamma L_v < 1) its ceiling
 1/L_v, whose band cone reaches the slice where the band at gamma may not.
@@ -73,11 +75,14 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import lp
-from .acceptability import DensityBand, dglr_eval
-from .cone import NodeRows, _arbitrage, _node_least_loss, generators_for, hedge_strategy
+from .acceptability import DensityBand
+from .cone import (
+    GoodDealWitness, NodeRows, _arbitrage, _least_losses, _node_cone, generators_for,
+    good_deal_certificate,
+)
 from .errors import ComputationError, ValidationError
 from .lattice import NodeRef, as_values, tail_sum
-from .market import CashFlow, MarketModel, TradingStrategy
+from .market import CashFlow, MarketModel
 
 __all__ = [
     "STATUS_OK",
@@ -122,15 +127,7 @@ class PriceQuote:
     time: int
     gamma: Optional[float]
     entries: tuple[PriceEntry, ...]
-    witness: Optional["GoodDealWitness"] = None
-
-
-@dataclass(frozen=True)
-class GoodDealWitness:
-    node: NodeRef
-    strategy: TradingStrategy
-    cash_flow: np.ndarray  # per-path discounted total, zero off the node
-    dglr: float
+    witness: Optional[GoodDealWitness] = None
 
 
 @dataclass(frozen=True)
@@ -142,17 +139,6 @@ class NgdResult:
 
     def __bool__(self):
         return self.holds
-
-
-def _node_cone(rows: NodeRows, cell: int, paths: list):
-    """The no-arbitrage cone of date-t node ``cell`` on ``paths``: its rows of
-    ``rows`` over its own columns, u of its paths and then its envelope
-    excesses."""
-    pick = (rows.owner == cell).nonzero()[0]
-    return np.concatenate((
-        rows.a_u.take(pick, 0).take(paths, 1),
-        rows.a_v.take(pick, 0).compress(rows.col_owner == cell, 1),
-    ), axis=1)
 
 
 def _with_band(a: np.ndarray, n: int, gamma: float):
@@ -280,59 +266,13 @@ def noarb_bounds(model: MarketModel, cash_flow, t: int, *, entry: str = "trade")
     return PriceQuote(time=t, gamma=None, entries=tuple(e for e, _ in quotes))
 
 
-def good_deal_certificate(
-    model: MarketModel, rows: NodeRows, weights, gamma: float
-) -> Optional[GoodDealWitness]:
-    """The hedge behind nonnegative ``weights`` on ``rows``, if it beats
-    ``gamma``.
-
-    The weights combine into a hedge per date-t node, scaled to a largest row
-    weight of one there: the flow a_u^T w / p on the node's paths.  The node
-    whose hedge has the best gain-loss ratio is kept when its gain exceeds
-    1e-9 * max(1, largest row value on the node), so that rows worth zero up
-    to rounding are no witness, gamma times its loss is below its gain (ties
-    are for :func:`_beats`), and :func:`conic_pricer.acceptability.dglr_eval`
-    confirms that the ratio beats ``gamma``.  The witness carries the node,
-    the hedge's trading strategy, its per-path discounted total and the ratio.
-    """
-    tree, t = model.tree, rows.start
-    p = model.probabilities
-    w = np.maximum(np.asarray(weights, dtype=float), 0.0)
-    best = None
-    for node in tree.nodes(t):
-        owned = rows.owner == node.cell
-        if not np.any(w[owned] > 0):
-            continue
-        idx = list(tree.node_paths(node))
-        scaled = np.where(owned, w / np.max(w[owned]), 0.0)
-        flow = scaled @ rows.a_u[:, idx] / p[idx]
-        gain, loss = p[idx] @ flow, p[idx] @ np.maximum(-flow, 0.0)
-        size = max(1.0, float(np.max(np.abs(rows.a_u[owned][:, idx] / p[idx]))))
-        ratio = gain / loss if loss > 0 else np.inf
-        if gain > 1e-9 * size and gamma * loss < gain and (best is None or ratio > best[1]):
-            best = (node, ratio, scaled, idx, flow)
-    if best is None:
-        return None
-    node, _, scaled, idx, flow = best
-    paid = np.zeros((tree.n_paths, tree.horizon + 1))
-    paid[idx, -1] = flow
-    ratio = float(dglr_eval(tree, paid, t)[idx[0]])
-    if not ratio > gamma:
-        return None
-    return GoodDealWitness(node, hedge_strategy(model, rows, scaled), paid[:, -1], ratio)
-
-
 def _least_loss(model: MarketModel, rows: NodeRows, warm=None):
-    """:func:`_node_least_loss`'s L of each date-t node, in node order, with
-    each node's LP solution.  ``warm``, those solutions at a neighbouring
-    transaction cost, restarts each node's LP from its own (see
-    :func:`conic_pricer.lp.solve`)."""
-    nodes = model.tree.nodes(rows.start)
-    solved = [
-        _node_least_loss(model, rows, node, w)
-        for node, w in zip(nodes, warm or [None] * len(nodes))
-    ]
-    return np.array([loss for loss, _, _ in solved]), [sol for _, _, sol in solved]
+    """The least loss L of each date-t node, in node order, with each node's
+    LP solution (:func:`conic_pricer.cone._least_losses`).  ``warm``, those
+    solutions at a neighbouring transaction cost, restarts each node's LP
+    from its own (see :func:`conic_pricer.lp.solve`)."""
+    solved = list(_least_losses(model, rows, warm))
+    return np.array([loss for _, loss, _, _ in solved]), [sol for *_, sol in solved]
 
 
 def _beats(gamma: float, loss: float) -> bool:
@@ -348,18 +288,17 @@ def _ngd(model: MarketModel, gamma: float, rows: NodeRows):
     loss per unit of gain :func:`_beats` ``gamma``, with that node's
     best-ratio hedge as the witness.  Returns the :class:`NgdResult` and the
     L of each node solved, in node order: every date-t node's when the check
-    holds.  A hedge that its certificate rejects raises
-    :class:`ComputationError`: a violation is never reported without a
-    witness."""
+    holds.  A hedge that its certificate rejects, or whose ratio does not
+    beat ``gamma``, raises :class:`ComputationError`: a violation is never
+    reported without a witness."""
     DensityBand(gamma)
     t, losses = rows.start, []
-    for node in model.tree.nodes(t):
-        loss, weights, _ = _node_least_loss(model, rows, node)
+    for node, loss, weights, _ in _least_losses(model, rows):
         losses.append(loss)
         if not _beats(gamma, loss):
             continue
-        witness = good_deal_certificate(model, rows, weights, gamma)
-        if witness is None:
+        witness = good_deal_certificate(model, rows, node, weights)
+        if witness is None or not witness.dglr > gamma:
             raise ComputationError(
                 f"no-good-deal hedge at gamma={gamma:g}, t={t} fails its certificate: "
                 "no witness beats the level"

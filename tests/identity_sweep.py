@@ -10,16 +10,23 @@ Writes one record per line for
 * every cell of the ``surface`` markets 0-95 (horizon 3, the benchmark's
   gamma x lambda grid at the root);
 * the fixture's CLI command set, each command's output at 17 significant
-  digits.
+  digits;
+* ``arbitrage_check`` at every date of randomly priced markets 0-47 (the
+  tests' ``random_market`` on 3-7 paths over horizon 2 or 3, with dividends
+  and stochastic rates in turn), most of which hold an arbitrage.
 
 Each request's record holds its status, bid and ask per node in float hex,
-the witness's ``dglr`` in float hex and a hash of its cash flow, and the
-number of simplex pivots the request made.  A refactor that claims to change
-no answer must leave the record byte for byte the same: run the sweep in
-both checkouts and diff them with ``--against``.  The markets come from
-``perfbench/workloads.py`` (imported, never changed); the engine is the one
-under ``src/`` of the checkout holding this script.  pytest does not collect
-this file.
+the witness's node, ``dglr`` and cash flow divided by its expected gain on
+its node, a record free of the witness's scale, in float hex, and the number
+of simplex pivots the request made.  A refactor that claims to change no
+answer must leave the record the same: run this script in both checkouts
+(copy it into the other one if its sweep records differently) and diff them
+with ``--against``.  Every line must match byte for byte, except that a
+witness's ``dglr`` and scaled flow may differ by 1e-12 relative (the flow
+relative to its largest entry), since rescaling a hedge rounds.  The
+markets come from ``perfbench/workloads.py`` (imported, never changed) and
+``tests/conftest.py``; the engine is the one under ``src/`` of the checkout
+holding this script.  pytest does not collect this file.
 """
 
 from __future__ import annotations
@@ -27,7 +34,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import difflib
-import hashlib
 import io
 import os
 import sys
@@ -41,11 +47,15 @@ sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 import numpy as np  # noqa: E402
 
 import workloads as W  # noqa: E402
+from conftest import random_market, random_tree  # noqa: E402
 from conic_pricer import cli, lp, pricing  # noqa: E402
+from conic_pricer.cone import arbitrage_check  # noqa: E402
 from conic_pricer.errors import ComputationError  # noqa: E402
 
 TREE_MARKETS = range(48)
 SURFACE_MARKETS = range(96)
+ARBITRAGE_MARKETS = range(48)
+WITNESS_RTOL = 1e-12
 
 
 class PivotCount:
@@ -70,22 +80,24 @@ def _hex(value) -> str:
     return float(value).hex()
 
 
-def _digest(values) -> str:
-    return hashlib.sha256(np.ascontiguousarray(values, dtype=float).tobytes()).hexdigest()[:16]
+def _witness(model, w) -> str:
+    """The witness's node, ratio and cash flow per unit of expected gain."""
+    paths = list(model.tree.node_paths(w.node))
+    flow = w.cash_flow / (model.probabilities[paths] @ w.cash_flow[paths])
+    return " ".join([f"witness {w.node.time}:{w.node.cell}", _hex(w.dglr), *map(_hex, flow)])
 
 
-def _quote(quote) -> list[str]:
+def _quote(model, quote) -> list[str]:
     out = [f"{e.node.time}:{e.node.cell} {e.status} {_hex(e.bid)} {_hex(e.ask)}"
            for e in quote.entries]
-    w = quote.witness
-    if w is not None:
-        out.append(f"witness {w.node.time}:{w.node.cell} {_hex(w.dglr)} {_digest(w.cash_flow)}")
+    if quote.witness is not None:
+        out.append(_witness(model, quote.witness))
     return out
 
 
-def _call(fn) -> list[str]:
+def _call(model, fn) -> list[str]:
     try:
-        return _quote(fn())
+        return _quote(model, fn())
     except ComputationError as exc:
         return [f"ComputationError {exc}"]
 
@@ -96,10 +108,10 @@ def tree_records(pivots: PivotCount):
         model = cli.model_from_dict(mkt.model_dict())
         payoff = cli.payoff_from_dict(model, mkt.payoff_dict())
         for t in (0, 1):
-            body = _call(lambda: pricing.noarb_bounds(model, payoff, t))
+            body = _call(model, lambda: pricing.noarb_bounds(model, payoff, t))
             yield f"tree {k} bounds t={t}", body, pivots.take()
             for gamma in W.GAMMAS_TREE:
-                body = _call(lambda: pricing.good_deal_prices(model, payoff, t, gamma))
+                body = _call(model, lambda: pricing.good_deal_prices(model, payoff, t, gamma))
                 yield f"tree {k} price t={t} gamma={gamma}", body, pivots.take()
 
 
@@ -129,14 +141,43 @@ def fixture_records(pivots: PivotCount):
         yield f"fixture {name}", body, pivots.take()
 
 
+def arbitrage_records(pivots: PivotCount):
+    for k in ARBITRAGE_MARKETS:
+        rng = np.random.default_rng(k)
+        tree = random_tree(rng, int(rng.integers(3, 8)), int(rng.integers(2, 4)))
+        model = random_market(rng, tree, dividends=bool(k % 2), rates=bool((k // 2) % 2))
+        for t in range(tree.horizon):
+            try:
+                w = arbitrage_check(model, t)
+                body = ["none"] if w is None else [_witness(model, w)]
+            except ComputationError as exc:
+                body = [f"ComputationError {exc}"]
+            yield f"arbitrage {k} t={t}", body, pivots.take()
+
+
 def sweep() -> list[str]:
     pivots = PivotCount()
     lines = []
-    for source in (tree_records, surface_records, fixture_records):
+    for source in (tree_records, surface_records, fixture_records, arbitrage_records):
         for name, body, count in source(pivots):
             lines.append(f"{name} pivots={count}")
             lines.extend("  " + line for line in body)
     return lines
+
+
+def _same(theirs: str, ours: str) -> bool:
+    """Equal lines, or witness records of one node whose ratios agree to
+    ``WITNESS_RTOL`` relative and whose scaled flows agree to ``WITNESS_RTOL``
+    times their largest entry."""
+    if theirs == ours:
+        return True
+    a, b = theirs.split(), ours.split()
+    if a[:2] != b[:2] or a[0] != "witness" or len(a) != len(b):
+        return False
+    x, y = (np.array([float.fromhex(v) for v in line[2:]]) for line in (a, b))
+    ratio = np.isclose(y[0], x[0], rtol=WITNESS_RTOL, atol=0.0)  # +inf only where +inf
+    flow = np.abs(x[1:] - y[1:]).max() <= WITNESS_RTOL * np.abs(x[1:]).max()
+    return bool(ratio and flow)
 
 
 def main(argv=None) -> int:
@@ -154,8 +195,11 @@ def main(argv=None) -> int:
     if args.against:
         with open(args.against, encoding="utf-8") as fh:
             theirs = fh.read().splitlines()
-        diff = list(difflib.unified_diff(theirs, lines, args.against, "this checkout",
-                                         lineterm="", n=1))
+        # a line that matches its counterpart within the witness tolerance
+        # shows as that counterpart, so the diff holds only real differences
+        shown = [a if _same(a, b) else b for a, b in zip(theirs, lines)]
+        diff = list(difflib.unified_diff(theirs, shown + lines[len(theirs):], args.against,
+                                         "this checkout", lineterm="", n=1))
         for line in diff[:200]:
             print(line)
         print(f"{len(lines)} records, {'identical' if not diff else 'DIFFERENT'}")

@@ -481,6 +481,14 @@ MALFORMED = {
              "kappa_bid": 0.01, field: True}
         ), f"{field} must be a number") for field in ("delta", "kappa_ask", "kappa_bid")
     },
+    # the CDS parameters are finite, as a strike is
+    **{
+        f"cds {field} {json.dumps(value)}": (None, lambda p, field=field, value=value: p.update(
+            {"type": "cds", "tau": [None] * 5, "delta": 0.6, "kappa_ask": 0.01,
+             "kappa_bid": 0.01, field: value}
+        ), f"{field} contains non-finite entries")
+        for field, value in (("delta", np.nan), ("kappa_ask", np.nan), ("kappa_bid", np.inf))
+    },
     # README: an ask matrix or a lambda shorthand, not both
     "ask with lambda": (
         lambda m: m["securities"][0].update(

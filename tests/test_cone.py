@@ -5,13 +5,14 @@ import pytest
 
 from conic_pricer import cone, lp, pricing
 from conic_pricer.cone import arbitrage_check, generators_for, hedge_strategy
-from conic_pricer.errors import ValidationError
+from conic_pricer.errors import ComputationError, ValidationError
 from conic_pricer.lattice import EventTree, NodeRef
 from conic_pricer.market import (
     MarketModel,
     apply_transaction_costs,
     make_self_financing,
 )
+from conic_pricer.pricing import ngd_check
 
 from cone_reference import (
     block_rows,
@@ -204,6 +205,28 @@ class TestGeneratorsFor:
             assert np.allclose(phi.holdings, chi.holdings, rtol=0, atol=1e-12)
             assert np.allclose(y @ rows.a_u / model.probabilities, w @ G, rtol=0, atol=1e-9)
 
+    def test_hedge_strategy_matches_the_loop_bit_for_bit(self, rng):
+        # the legs of random weights on the rows of two or three securities
+        # with dividends over stochastic rates, filled date by date and
+        # security by security
+        for _ in range(30):
+            tree = random_tree(rng, int(rng.integers(3, 8)), int(rng.integers(2, 4)))
+            model = arbitrage_free_market(
+                rng, tree, dividends=True, rates=True, securities=int(rng.integers(2, 4))
+            )
+            for t in range(tree.horizon):
+                rows = generators_for(model, t)
+                y = rng.uniform(0.0, 1.0, len(rows)) * (rng.random(len(rows)) < 0.5)
+                w = y * rows.side
+                legs = np.zeros((tree.horizon + 1, model.n_securities, tree.n_paths))
+                for s in range(t, tree.horizon):
+                    for j in range(model.n_securities):
+                        pick = (rows.date == s) & (rows.security == j)
+                        units = np.bincount(rows.cell[pick], w[pick], len(tree.partitions[s]))
+                        legs[s + 1, j] = units[tree.cell_index(s)]
+                want = make_self_financing(model, legs).holdings
+                assert np.array_equal(hedge_strategy(model, rows, y).holdings, want)
+
     def test_multi_step_strictness(self):
         # holding through the intermediate date beats rolling two one-step
         # trades by exactly the intermediate spread
@@ -252,7 +275,7 @@ class TestArbitrageCheck:
         assert arbitrage_check(two_period_model(), 0) is None
         assert arbitrage_check(two_period_model(lam=0.01), 0) is None
 
-    def test_dominated_price_is_caught(self):
+    def test_dominated_price_is_caught(self, monkeypatch):
         tree = two_period_tree()
         bids = TABLE_BIDS.copy()
         bids[3:, 1] = 55.0  # every date-1 bid now exceeds the date-0 ask
@@ -263,6 +286,11 @@ class TestArbitrageCheck:
         assert witness.node == NodeRef(0, 0)
         assert np.all(witness.cash_flow >= -1e-9)
         assert witness.cash_flow @ tree.probabilities > 0.1
+        # a lossless hedge that its certificate rejects is an error, not an
+        # arbitrage without a witness
+        monkeypatch.setattr(cone, "good_deal_certificate", lambda *args: None)
+        with pytest.raises(ComputationError, match="fails its certificate"):
+            arbitrage_check(model, 0)
 
     def test_constant_prices_are_clean(self):
         tree = two_period_tree()
@@ -355,6 +383,32 @@ class TestArbitrageCheck:
                     wealth = wealth_closed_form(model, witness.strategy)[:, tree.horizon]
                     assert np.all(wealth >= witness.cash_flow - 1e-9)
         assert found >= 100 and clean >= 200
+
+    def test_one_witness_reader(self, count_calls):
+        # an arbitrage at the root beats every level: the arbitrage search and
+        # the no-good-deal check certify the root's least-loss hedge through
+        # the one certificate, into one witness
+        reads = {module: count_calls(module, "good_deal_certificate") for module in (cone, pricing)}
+        found = 0
+        for model in ftap_markets(2024):
+            for calls in reads.values():
+                calls.clear()
+            witness = arbitrage_check(model, 0)
+            if witness is None:
+                continue
+            found += 1
+            assert (len(reads[cone]), len(reads[pricing])) == (1, 0)
+            for gamma in (0.5, 8.0):
+                reads[cone].clear()
+                check = ngd_check(model, 0, gamma).witness
+                assert (len(reads[cone]), len(reads[pricing])) == (0, 1)
+                reads[pricing].clear()
+                assert type(check) is type(witness) is cone.GoodDealWitness
+                assert check.node == witness.node == NodeRef(0, 0)
+                assert check.dglr == witness.dglr > gamma
+                assert np.array_equal(check.cash_flow, witness.cash_flow)
+                assert np.array_equal(check.strategy.holdings, witness.strategy.holdings)
+        assert found >= 10
 
     def test_least_loss_decides_where_feasibility_lp_fails(self):
         # the last market of the seed-2024 draw: a feasibility LP over the

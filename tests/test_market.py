@@ -20,6 +20,7 @@ from conic_pricer.market import (
 from conftest import (
     TABLE_BIDS,
     arbitrage_free_market,
+    random_legs,
     random_market,
     random_self_financing,
     random_tree,
@@ -34,6 +35,30 @@ from oracles import (
     wealth_closed_form,
     wealth_process,
 )
+
+
+def self_financing_loop(model, legs):
+    """The savings slot of ``make_self_financing`` date by date and security
+    by security: each date banks its dividends less its rebalancing cost."""
+    tree = model.tree
+    n, T, S = tree.n_paths, tree.horizon, model.n_securities
+    B, _ = discount_factors(model)
+    split = lambda v, pos, neg: np.where(v >= 0, v * pos, v * neg)  # noqa: E731
+    h = np.zeros((T + 1, S + 1, n))
+    h[:, 1:, :] = legs
+    cost0 = np.zeros(n)
+    for j, sec in enumerate(model.securities):
+        cost0 += split(legs[1, j], sec.ask[:, 0], sec.bid[:, 0])
+    h[1, 0] = -cost0
+    for t in range(1, T):
+        receipts, rebal = np.zeros(n), np.zeros(n)
+        for j, sec in enumerate(model.securities):
+            d_ask = sec.div_ask[:, t] - sec.div_ask[:, t - 1]
+            d_bid = sec.div_bid[:, t] - sec.div_bid[:, t - 1]
+            receipts += split(legs[t, j], d_ask, d_bid)
+            rebal += split(legs[t + 1, j] - legs[t, j], sec.ask[:, t], sec.bid[:, t])
+        h[t + 1, 0] = h[t, 0] + (receipts - rebal) / B[:, t]
+    return h
 
 
 def buy_then_liquidate(model):
@@ -197,6 +222,19 @@ class TestSelfFinancing:
     def test_zero_strategy_is_self_financing(self):
         model = two_period_model()
         assert is_self_financing(model, zero_strategy(model)).ok
+
+    def test_array_passes_match_the_loop_bit_for_bit(self, rng):
+        # two or three securities with dividends over stochastic rates; some
+        # securities are never held
+        for _ in range(40):
+            tree = random_tree(rng, int(rng.integers(3, 8)), int(rng.integers(1, 4)))
+            model = arbitrage_free_market(
+                rng, tree, dividends=True, rates=True, securities=int(rng.integers(2, 4))
+            )
+            legs = random_legs(rng, tree, model.n_securities)
+            legs[:, rng.random(model.n_securities) < 0.3] = 0.0
+            phi = make_self_financing(model, legs)
+            assert np.array_equal(phi.holdings, self_financing_loop(model, legs))
 
 
 class TestClosedForm:

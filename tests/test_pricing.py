@@ -6,11 +6,11 @@ import random
 import numpy as np
 import pytest
 
-from conic_pricer import lp, pricing
+from conic_pricer import cone, lp, pricing
 from conic_pricer.acceptability import dglr_eval
 from conic_pricer.cone import arbitrage_check, generators_for
 from conic_pricer.errors import ComputationError, ValidationError
-from conic_pricer.lattice import EventTree
+from conic_pricer.lattice import EventTree, NodeRef
 from conic_pricer.market import (
     CashFlow,
     MarketModel,
@@ -425,7 +425,8 @@ class TestNgdCheck:
                 assert np.max(values[r]) < 1e-12
                 weights = np.zeros(len(rows))
                 weights[r] = 1.0
-                assert good_deal_certificate(model, rows, weights, 1.0) is None, (seed, r)
+                node = NodeRef(0, int(rows.owner[r]))
+                assert good_deal_certificate(model, rows, node, weights) is None, (seed, r)
                 checked += 1
         assert checked >= 10
 
@@ -485,7 +486,7 @@ class TestGoodDealPrices:
         # carries the check's witness; a holding level solves one L per
         # date-t node and then one band LP pair per node
         model = two_period_model(lam=0.01)
-        searches = count_calls(pricing, "_node_least_loss")
+        searches = count_calls(cone, "_node_least_loss")
         ratios = count_calls(lp._Slice, "solve")
         for t in (0, 1):
             searches.clear()
@@ -548,7 +549,7 @@ class TestGoodDealPrices:
             raise ComputationError("LP infeasibility certification failed")
 
         monkeypatch.setattr(lp._Slice, "solve", failing)
-        searches = count_calls(pricing, "_node_least_loss")
+        searches = count_calls(cone, "_node_least_loss")
         quote = good_deal_prices(model, payoff, 0, gamma)
         assert len(searches) == 1
         assert quote_status(quote) == STATUS_NGD
