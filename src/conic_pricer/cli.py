@@ -13,6 +13,13 @@ line).  Numeric flags but ``--precision`` parse as plain numbers and the
 engine checks their values: an acceptance level out of range, from
 ``--gamma`` or ``--gammas``, is a validation failure by the one rule of
 :class:`~conic_pricer.acceptability.DensityBand`.
+
+The model loader checks each process's shape, (paths, horizon + 1), by its
+name, derives the natural filtration of every process with the single
+date-0 cell of a trivial F_0, and leaves every other check to
+:class:`~conic_pricer.market.MarketModel`, in the one load order: each
+security's bid, ask, ask and bid dividends, then the rates.  A date-0
+value that differs across paths is one more value that is not adapted.
 """
 
 from __future__ import annotations
@@ -31,14 +38,7 @@ from . import pricing
 from .acceptability import dglr_eval
 from .cone import arbitrage_check
 from .errors import ComputationError, ValidationError
-from .lattice import (
-    EventTree,
-    derive_filtration,
-    integer,
-    path_labels,
-    unadapted,
-    unadapted_error,
-)
+from .lattice import EventTree, check_shapes, derive_filtration, integer
 from .market import (
     CashFlow,
     MarketModel,
@@ -162,53 +162,13 @@ def model_from_dict(data: dict, *, lam_override: Optional[float] = None) -> Mark
     named = [p for sec in securities for p in sec.processes()]
     padded = np.concatenate((rates, rates[:, -1:]), axis=1) if rates.size else np.zeros((n, 1))
     named.append(("rates", padded))
-    observables = [values for _, values in named]
-    partitions = derive_filtration(observables)
-    if len(partitions[0]) != 1:
-        raise _split_root(named, data.get("paths"))
+    check_shapes(named, (n, horizon + 1))
+    partitions = derive_filtration([values for _, values in named])
+    # F_0 is trivial: a date-0 value that differs across paths is then an
+    # unadapted value, which MarketModel names as it names any other
+    partitions[0] = (tuple(range(n)),)
     tree = EventTree(horizon, probs, partitions, data.get("paths"))
     return MarketModel(tree, rates, securities)
-
-
-def _split_root(named, paths) -> ValidationError:
-    """The error of (name, matrix) processes whose date-0 values split the
-    filtration's root: the first, in order, that is not finite, or whose
-    date-0 value is not the same on every path, with a path where it
-    differs from the first path's, by :func:`unadapted`."""
-    stack = np.array([values for _, values in named])
-    _, n, width = stack.shape
-    # the filtration of one date-0 cell and one path per cell after it
-    head = np.arange(n)[:, None].repeat(width, axis=1)
-    head[:, 0] = 0
-    k, off = unadapted(stack, head)
-    name = named[k][0]
-    if off is None:
-        return unadapted_error(name, stack[k], None)
-    i = int(np.flatnonzero(off[:, 0])[0])
-    labels = path_labels(paths, n)
-    return ValidationError(
-        f"{name} must be the same on every path at t=0: {float(stack[k, 0, 0])} on path "
-        f"{labels[0]}, {float(stack[k, i, 0])} on path {labels[i]}"
-    )
-
-
-def model_to_dict(model: MarketModel) -> dict:
-    return {
-        "horizon": model.tree.horizon,
-        "paths": list(model.tree.paths),
-        "probabilities": model.tree.probabilities.tolist(),
-        "rates": model.rates.tolist(),
-        "securities": [
-            {
-                "name": sec.name,
-                "bid": sec.bid.tolist(),
-                "ask": sec.ask.tolist(),
-                "dividends_ask": sec.div_ask.tolist(),
-                "dividends_bid": sec.div_bid.tolist(),
-            }
-            for sec in model.securities
-        ],
-    }
 
 
 @_file_loader("payoff")

@@ -22,6 +22,13 @@ processes are checked the same way, all at once: :func:`unadapted` compares
 every value of their stack with its head's and tests it for finiteness, so
 one pass decides finiteness and adaptedness for every process and names the
 first that fails.
+
+Adaptedness, predictability and stopping times are one rule,
+:meth:`EventTree.unmeasurable_cell`, and a failure of any of them names the
+same two paths: the head of the first node, by date and then cell, whose
+values differ, and the first of its paths off the head's value, by label
+and with both values (``x is not measurable at t=0: 50.0 on path w1, 49.5
+on path w3``).  Path labels are distinct, so each names one path.
 """
 
 from __future__ import annotations
@@ -61,11 +68,7 @@ def derive_filtration(observables: Sequence[np.ndarray]) -> list[Partition]:
     if not mats:
         raise ValidationError("derive_filtration requires at least one observable")
     n, width = mats[0].shape
-    for m in mats:
-        if m.shape != (n, width):
-            raise ValidationError(
-                f"observables disagree on shape: {m.shape} vs {(n, width)}"
-            )
+    check_shapes([("observable", m) for m in mats], (n, width))
     history = np.array(mats).transpose(2, 1, 0).tolist()  # [date][path][observable]
     partitions: list[Partition] = []
     parent = [0] * n  # each path's cell at the previous date
@@ -167,25 +170,29 @@ class EventTree:
         """Cell index per path at date t."""
         return self._cell_of[t]
 
-    def unmeasurable_cell(self, values: np.ndarray) -> Optional[tuple[int, Cell]]:
-        """The first (t, cell), by date and then cell, whose values in column
-        t of ``values`` are not all equal, or None.  ``values`` must be
-        finite (a NaN equals nothing, not even itself).
+    def unmeasurable_cell(self, values: np.ndarray) -> Optional[tuple[int, int, int]]:
+        """``(t, head, i)`` for the first cell, by date and then cell, whose
+        values in column t of ``values`` are not all equal: its head and
+        its first path i off the head's value; None when there is none.
+        ``values`` must be finite (a NaN equals nothing, not even itself).
 
-        One comparison of each value with its path's cell head's names it:
-        the first date with a value off its head's, and of that date's cells
-        holding one the first."""
+        One comparison of each value with its path's cell head's names
+        them: the first date with a value off its head's, and of that
+        date's cells holding one the first."""
         width = values.shape[1]
         return self._first_cell(values != values[self._head[:, :width], np.arange(width)])
 
-    def _first_cell(self, off: np.ndarray) -> Optional[tuple[int, Cell]]:
-        """The first (t, cell), by date and then cell, holding a value that
-        ``off`` (path, date) marks, or None."""
+    def _first_cell(self, off: np.ndarray) -> Optional[tuple[int, int, int]]:
+        """``(t, head, i)`` for the first cell, by date and then cell,
+        holding a value that ``off`` (path, date) marks: its head and its
+        first marked path i; or None."""
         dates = np.flatnonzero(off.any(axis=0))
         if not dates.size:
             return None
         t = int(dates[0])
-        return t, self.partitions[t][self._cell_of[t][off[:, t]].min()]
+        marked = np.flatnonzero(off[:, t])
+        i = int(marked[self._cell_of[t][marked].argmin()])  # paths ascend: the cell's first
+        return t, int(self._head[i, t]), i
 
     def nodes(self, t: int) -> list[NodeRef]:
         return [NodeRef(t, k) for k in range(len(self.partitions[t]))]
@@ -239,18 +246,23 @@ def unadapted(stack: np.ndarray, head: np.ndarray):
     return (k, None) if not finite[k].all() else (k, off[k])
 
 
+def check_shapes(processes, shape: tuple[int, int]) -> None:
+    """Raise naming the first (name, matrix) of ``processes`` whose shape is
+    not ``shape``: the one shape rule of every input process."""
+    for name, values in processes:
+        if np.shape(values) != shape:
+            raise ValidationError(f"{name} has shape {np.shape(values)}, expected {shape}")
+
+
 def adapted_stack(tree: EventTree, processes):
     """The (name, matrix) ``processes``, each of shape (n_paths, horizon+1),
     as one (process, path, date) float stack, with the first of them that
     is not an adapted process of ``tree`` by :func:`unadapted`'s one pass:
-    ``(k, None)`` where process k has a non-finite entry, ``(k, (t,
-    cell))`` where it is finite and (t, cell) is its first cell, as
-    :meth:`EventTree.unmeasurable_cell` orders them, whose values differ;
-    None when every process is adapted."""
-    want = (tree.n_paths, tree.horizon + 1)
-    for name, values in processes:
-        if np.shape(values) != want:
-            raise ValidationError(f"{name} has shape {np.shape(values)}, expected {want}")
+    ``(k, None)`` where process k has a non-finite entry, ``(k, (t, head,
+    i))`` where it is finite and differs first, as
+    :meth:`EventTree.unmeasurable_cell` names it, at date t between paths
+    head and i; None when every process is adapted."""
+    check_shapes(processes, (tree.n_paths, tree.horizon + 1))
     stack = np.array([values for _, values in processes], dtype=float)
     bad = unadapted(stack, tree._head)
     if bad is not None and bad[1] is not None:
@@ -258,16 +270,21 @@ def adapted_stack(tree: EventTree, processes):
     return stack, bad
 
 
-def unadapted_error(name: str, values: np.ndarray, at) -> ValidationError:
+def two_paths(tree: EventTree, values: np.ndarray, at) -> str:
+    """The values in column t of ``values`` on the two paths of ``at`` =
+    ``(t, head, i)``, by label: ``50.0 on path w1, 49.5 on path w3``."""
+    t, head, i = at
+    return (f"{float(values[head, t])} on path {tree.paths[head]}, "
+            f"{float(values[i, t])} on path {tree.paths[i]}")
+
+
+def unadapted_error(tree: EventTree, name: str, values: np.ndarray, at) -> ValidationError:
     """The error naming process ``name`` of matrix ``values``: non-finite
-    where ``at`` is None, else not measurable on the (t, cell) ``at``."""
+    where ``at`` is None, else not measurable at the ``(t, head, i)`` of
+    :meth:`EventTree.unmeasurable_cell`."""
     if at is None:
         return ValidationError(f"{name} contains non-finite entries")
-    t, cell = at
-    return ValidationError(
-        f"{name} is not measurable at t={t}: values differ inside "
-        f"cell {cell} ({values[list(cell), t].tolist()})"
-    )
+    return ValidationError(f"{name} is not measurable at t={at[0]}: {two_paths(tree, values, at)}")
 
 
 def ensure_adapted(tree: EventTree, values, *, name: str = "process") -> np.ndarray:
@@ -275,17 +292,22 @@ def ensure_adapted(tree: EventTree, values, *, name: str = "process") -> np.ndar
     and exactly equal within each cell."""
     stack, bad = adapted_stack(tree, [(name, values)])
     if bad is not None:
-        raise unadapted_error(name, stack[0], bad[1])
+        raise unadapted_error(tree, name, stack[0], bad[1])
     return stack[0]
 
 
 def path_labels(paths: Optional[Sequence], n: int) -> tuple[str, ...]:
-    """The labels of n paths: ``paths`` as strings, w1..wn when None."""
+    """The labels of n paths: ``paths`` as strings, w1..wn when None; a
+    label given twice would name two paths, so it is refused."""
     if paths is None:
         return tuple(f"w{i + 1}" for i in range(n))
     if len(paths) != n:
         raise ValidationError("paths and probabilities disagree on length")
-    return tuple(str(p) for p in paths)
+    labels = tuple(str(p) for p in paths)
+    if len(set(labels)) < n:
+        repeat = next(p for k, p in enumerate(labels) if p in labels[:k])
+        raise ValidationError(f"path label {repeat!r} is used twice")
+    return labels
 
 
 def as_values(process) -> np.ndarray:

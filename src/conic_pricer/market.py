@@ -8,16 +8,15 @@ The standing consistency requirement is ``ask >= bid`` for prices and
 buys at the ask, is credited the ask dividend stream and liquidates at the
 bid, and symmetrically for shorts.
 
-:class:`MarketModel` checks the rates and every security's four processes
+:class:`MarketModel` checks every security's four processes and the rates
 in one stacked validation pass (:func:`conic_pricer.lattice.adapted_stack`):
 one array of all of them, one comparison of each value with its cell
 head's and one finiteness test, so finiteness and adaptedness are decided
-for every process at once.  Only
-when the pass fails does it name the first failing process, in order (the
-rates, then each security's bid, ask, ask and bid dividends), with its
-(date, cell), in the message a one-process check gives.  The dividends'
-start and Assumption A are then checked on the same stack, every security
-at once, first failing security named.
+for every process at once.  Only when the pass fails does it name the
+first failing process, in the loader's order (each security's bid, ask,
+ask and bid dividends, then the rates), in the message a one-process check
+gives.  The dividends' start and Assumption A are then checked on the
+same stack, every security at once, first failing security named.
 
 A predictable strategy holds security legs and a savings-account slot;
 ``make_self_financing`` completes security legs with the savings position
@@ -29,7 +28,9 @@ Adapted prices, predictable holdings and a CDS default time that is a
 stopping time are one measurability rule of the tree,
 :meth:`~conic_pricer.lattice.EventTree.unmeasurable_cell`: holdings over
 (t-1, t] are a process at date t-1, and the default indicator 1{tau <= t} a
-process at date t.
+process at date t.  Each failure names the rule's two paths of one node
+with their values (``holdings at t=2 are not predictable: 1.0 on path w1,
+0.0 on path w2``).
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ from .lattice import (
     ensure_adapted,
     finite,
     integer,
+    two_paths,
     unadapted_error,
 )
 
@@ -155,20 +157,17 @@ class MarketModel:
         for name in names:
             if names.count(name) > 1:
                 raise ValidationError(f"security name {name!r} is used twice")
-        # one stacked pass over the rates (padded to the horizon with their
-        # last column, adapted where the rates are) and every price process
+        # one stacked pass over every price process and the rates (padded to
+        # the horizon with their last column, adapted where the rates are)
         processes = [p for sec in self.securities for p in sec.processes()]
-        stack, bad = adapted_stack(
-            tree, [("rates", np.concatenate((r, r[:, -1:]), axis=1))] + processes
-        )
+        processes.append(("rates", np.concatenate((r, r[:, -1:]), axis=1)))
+        stack, bad = adapted_stack(tree, processes)
         if bad is not None:
             k, at = bad
-            if k == 0:  # finite by _rate_matrix
-                raise ValidationError(f"rates not adapted at t={at[0]}, cell {at[1]}")
-            raise unadapted_error(processes[k - 1][0], stack[k], at)
+            raise unadapted_error(tree, processes[k][0], stack[k], at)
         # (security, process, path, date): bid, ask, then the cumulative ask
         # and bid dividends
-        quotes = stack[1:].reshape(len(names), 4, tree.n_paths, tree.horizon + 1)
+        quotes = stack[:-1].reshape(len(names), 4, tree.n_paths, tree.horizon + 1)
         divs = quotes[:, 2:]
         if divs[..., 0].any():
             j = int(divs[..., 0].any(axis=(1, 2)).argmax())
@@ -231,12 +230,14 @@ class TradingStrategy:
             )
         if np.any(h[0] != 0):
             raise ValidationError("holdings at t=0 must be zero by convention")
-        # each slot's holdings over (t-1, t] read as a process at t-1
-        bad = [tree.unmeasurable_cell(h[1:, j].T) for j in range(h.shape[1])]
-        bad = min(filter(None, bad), default=None)
-        if bad is not None:
+        # each slot's holdings over (t-1, t] read as a process at t-1; the
+        # first date, cell and path across the slots
+        slots = [h[1:, j].T for j in range(h.shape[1])]
+        bad = [(at, j) for j, v in enumerate(slots) if (at := tree.unmeasurable_cell(v))]
+        if bad:
+            at, j = min(bad)
             raise ValidationError(
-                f"holdings at t={bad[0] + 1} are not predictable on cell {bad[1]}"
+                f"holdings at t={at[0] + 1} are not predictable: {two_paths(tree, slots[j], at)}"
             )
         return self
 
@@ -353,8 +354,11 @@ def cds_dividends(
     defaulted = tau_eff <= t
     bad = tree.unmeasurable_cell(defaulted)
     if bad is not None:
+        date, head, i = bad
+        yes, no = (head, i) if defaulted[head, date] else (i, head)
         raise ValidationError(
-            f"tau is not a stopping time: default-by-{bad[0]} differs inside cell {bad[1]}"
+            f"tau is not a stopping time: default by t={date} on path {tree.paths[yes]}, "
+            f"not on path {tree.paths[no]}"
         )
     protection, fees = np.where(defaulted, delta, 0.0), np.minimum(t, tau_eff - 1)
     return protection - kappa_ask * fees, protection - kappa_bid * fees

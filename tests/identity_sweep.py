@@ -13,7 +13,13 @@ Writes one record per line for
   digits;
 * ``arbitrage_check`` at every date of randomly priced markets 0-47 (the
   tests' ``random_market`` on 3-7 paths over horizon 2 or 3, with dividends
-  and stochastic rates in turn), most of which hold an arbitrage.
+  and stochastic rates in turn), most of which hold an arbitrage;
+* the ``error:`` line of a fixed panel of malformed edits to the shipped
+  fixture files: one per refusal of the loader that the README lists, and
+  one per kind of measurability failure (an unadapted explicit cash flow,
+  each price process and the rates at t=0, rates and a dividend stream at
+  t=1, a strategy that is not predictable, a default time that is not a
+  stopping time), the last four through the engine on the fixture's tree.
 
 Each request's record holds its status, bid and ask per node in float hex,
 the witness's node, ``dglr`` and cash flow divided by its expected gain on
@@ -33,8 +39,11 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import copy
+import dataclasses
 import difflib
 import io
+import json
 import os
 import sys
 
@@ -50,7 +59,9 @@ import workloads as W  # noqa: E402
 from conftest import random_market, random_tree  # noqa: E402
 from conic_pricer import cli, lp, pricing  # noqa: E402
 from conic_pricer.cone import arbitrage_check  # noqa: E402
-from conic_pricer.errors import ComputationError  # noqa: E402
+from conic_pricer.errors import ComputationError, ValidationError  # noqa: E402
+from conic_pricer.fixtures import fixture_path  # noqa: E402
+from conic_pricer.market import MarketModel, TradingStrategy  # noqa: E402
 
 TREE_MARKETS = range(48)
 SURFACE_MARKETS = range(96)
@@ -155,10 +166,97 @@ def arbitrage_records(pivots: PivotCount):
             yield f"arbitrage {k} t={t}", body, pivots.take()
 
 
+def _cds(**fields):
+    """An edit making the payoff a CDS of ``fields`` over the plain one."""
+    cds = {"type": "cds", "tau": [None] * 5, "delta": 0.6, "kappa_ask": 0.01,
+           "kappa_bid": 0.01}
+    return lambda m, p: (p.clear(), p.update(cds, **fields))
+
+
+def _security(**fields):
+    return lambda m, p: m["securities"][0].update(fields)
+
+
+def _date_zero(field):
+    """An edit giving every process as a matrix, the same market, with
+    ``field`` off the other paths' value at t=0 on path w4."""
+    def edit(m, p):
+        sec = m["securities"][0]
+        zeros = [[0.0] * 3 for _ in range(5)]
+        sec.update({"lambda": None, "ask": copy.deepcopy(sec["bid"]), "dividends_ask": zeros,
+                    "dividends_bid": copy.deepcopy(zeros)})
+        m["rates"] = [[0.0, 0.0] for _ in range(5)]
+        (m if field == "rates" else sec)[field][3][0] += 0.5
+    return edit
+
+
+def _market_at_1(field):
+    """Through the engine: the fixture's market with ``field`` (the rates or
+    the bid dividends) off its date-1 node on path w5."""
+    def edit(m, p):
+        model = cli.model_from_dict(m)
+        sec = model.securities[0]
+        rates, div_bid = model.rates.copy(), sec.div_bid.copy()
+        (rates if field == "rates" else div_bid)[4, 1] += 0.01
+        MarketModel(model.tree, rates, [dataclasses.replace(sec, div_bid=div_bid)])
+    return edit
+
+
+def _unpredictable(m, p):
+    """Through the engine: holdings over (1, 2] that date 1 does not know."""
+    h = np.zeros((3, 2, 5))
+    h[2, 1, 1] = 1.0
+    TradingStrategy(h).validate(cli.model_from_dict(m).tree)
+
+
+# (name, edit of the model and payoff data): each should be refused
+ERROR_PANEL = {
+    "horizon 2.9": lambda m, p: m.update(horizon=2.9),
+    "default time 1.9": _cds(tau=[1.9] * 5),
+    "lambda string": _security(**{"lambda": "0.01"}),
+    "probability true": lambda m, p: m["probabilities"].__setitem__(0, True),
+    "rates true": lambda m, p: m.update(rates=True),
+    "strike true": lambda m, p: p.update(strike=True),
+    "delta true": _cds(delta=True),
+    "ask with lambda": _security(ask=[[60] * 3] * 5),
+    "repeated security name": lambda m, p: m["securities"].append(m["securities"][0]),
+    "bool in bid": lambda m, p: m["securities"][0]["bid"][0].__setitem__(1, True),
+    "NaN bid": lambda m, p: m["securities"][0]["bid"][1].__setitem__(1, float("nan")),
+    "horizon 3": lambda m, p: m.update(horizon=3),
+    "repeated path label": lambda m, p: m.update(paths=["w1", "w1", "w3", "w4", "w5"]),
+    "unadapted cashflow": lambda m, p: (
+        p.clear(), p.update(type="explicit", cashflow=[[0, 1, 0]] + [[0, 0, 0]] * 4)
+    ),
+    **{f"date-0 {field}": _date_zero(field)
+       for field in ("bid", "ask", "dividends_ask", "dividends_bid", "rates")},
+    "rates at t=1": _market_at_1("rates"),
+    "bid dividends at t=1": _market_at_1("dividends"),
+    "unpredictable strategy": _unpredictable,
+    "default time not a stopping time": _cds(tau=[1, None, None, None, None]),
+}
+
+
+def error_records(pivots: PivotCount):
+    files = []
+    for name in ("two_period_stock.json", "asian_call_65.json"):
+        with open(fixture_path(name), encoding="utf-8") as fh:
+            files.append(json.load(fh))
+    for name, edit in ERROR_PANEL.items():
+        model_data, payoff_data = copy.deepcopy(files)
+        try:
+            edit(model_data, payoff_data)  # an engine call raises here
+            cli.payoff_from_dict(cli.model_from_dict(model_data), payoff_data)
+            body = ["ok"]
+        except ValidationError as exc:
+            body = [f"error: {exc}"]
+        yield f"error {name}", body, pivots.take()
+
+
 def sweep() -> list[str]:
     pivots = PivotCount()
     lines = []
-    for source in (tree_records, surface_records, fixture_records, arbitrage_records):
+    for source in (tree_records, surface_records, fixture_records, arbitrage_records,
+                   error_records):
         for name, body, count in source(pivots):
             lines.append(f"{name} pivots={count}")
             lines.extend("  " + line for line in body)

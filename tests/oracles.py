@@ -534,9 +534,10 @@ def history_filtration(observables):
 
 
 def scanned_unmeasurable_cell(tree, values):
-    """The first (t, cell), by date and then cell, whose values in column t
-    of ``values`` spread (max > min), or None, from every cell's max and min
-    at every date."""
+    """``(t, head, i)`` for the first cell, by date and then cell, whose
+    values in column t of ``values`` spread (max > min), from every cell's
+    max and min at every date: its first path and the first of its paths
+    whose value differs from that one's; None when no cell spreads."""
     for t in range(values.shape[1]):
         idx, n_cells = tree.cell_index(t), len(tree.partitions[t])
         hi, lo = np.full(n_cells, -np.inf), np.full(n_cells, np.inf)
@@ -544,7 +545,8 @@ def scanned_unmeasurable_cell(tree, values):
         np.minimum.at(lo, idx, values[:, t])
         over = np.flatnonzero(hi > lo)
         if over.size:
-            return t, tree.partitions[t][over[0]]
+            head, *rest = tree.partitions[t][over[0]]
+            return t, head, next(i for i in rest if values[i, t] != values[head, t])
     return None
 
 
@@ -552,23 +554,30 @@ def scanned_unmeasurable_cell(tree, values):
 # input checks one process and one date at a time
 
 
+def two_path_message(tree, name, values, at):
+    """``name is not measurable at t=..: a on path .., b on path ..`` for
+    the ``(t, head, i)`` of :func:`scanned_unmeasurable_cell`."""
+    t, head, i = at
+    return (f"{name} is not measurable at t={t}: {values[head, t]} on path "
+            f"{tree.paths[head]}, {values[i, t]} on path {tree.paths[i]}")
+
+
 def reference_market_error(tree, rates, securities) -> Optional[str]:
     """The message of the first check a market of (n, T) ``rates`` and
     ``securities`` fails, or None, checking one process at a time: the
-    rates, then per security its name, each of its four processes (shape,
-    finite, every cell's spread scanned), its dividends' start and
-    Assumption A, path by path and each path's dates in order."""
+    rates' values, the security names, each security's four processes
+    (shape, finite, every cell's spread scanned), the rates' measurability,
+    then per security its dividends' start and Assumption A, path by path
+    and each path's dates in order."""
     n, T = tree.n_paths, tree.horizon
     r = np.asarray(rates, dtype=float)
     if not np.all(np.isfinite(r) & (r >= 0)):
         return "rates must be finite and nonnegative"
-    bad = scanned_unmeasurable_cell(tree, r)
-    if bad is not None:
-        return f"rates not adapted at t={bad[0]}, cell {bad[1]}"
     names = [sec.name for sec in securities]
     for sec in securities:
         if names.count(sec.name) > 1:
             return f"security name {sec.name!r} is used twice"
+    for sec in securities:
         for name, arr in sec.processes():
             if arr.shape != (n, T + 1):
                 return f"{name} has shape {arr.shape}, expected {(n, T + 1)}"
@@ -576,9 +585,11 @@ def reference_market_error(tree, rates, securities) -> Optional[str]:
                 return f"{name} contains non-finite entries"
             bad = scanned_unmeasurable_cell(tree, arr)
             if bad is not None:
-                t, cell = bad
-                return (f"{name} is not measurable at t={t}: values differ inside "
-                        f"cell {cell} ({arr[list(cell), t].tolist()})")
+                return two_path_message(tree, name, arr, bad)
+    bad = scanned_unmeasurable_cell(tree, r)
+    if bad is not None:
+        return two_path_message(tree, "rates", r, bad)
+    for sec in securities:
         if np.any(sec.div_ask[:, 0] != 0) or np.any(sec.div_bid[:, 0] != 0):
             return f"{sec.name}: cumulative dividends must start at 0"
         for i in range(n):

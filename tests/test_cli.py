@@ -18,11 +18,13 @@ from conic_pricer.cli import (
     build_parser,
     main,
     model_from_dict,
-    model_to_dict,
     payoff_from_dict,
 )
-from conic_pricer.errors import ComputationError
+from conic_pricer.errors import ComputationError, ValidationError
 from conic_pricer.fixtures import fixture_path
+from conic_pricer.market import MarketModel, Security, TradingStrategy, cds_dividends
+
+from conftest import binary_tree_market, two_period_tree
 
 MODEL = fixture_path("two_period_stock.json")
 PAYOFF = fixture_path("asian_call_65.json")
@@ -395,6 +397,26 @@ class TestSurface:
         assert code == EXIT_USAGE
 
 
+def model_to_dict(model):
+    """A model file's data for ``model``: the inverse of the loader."""
+    return {
+        "horizon": model.tree.horizon,
+        "paths": list(model.tree.paths),
+        "probabilities": model.tree.probabilities.tolist(),
+        "rates": model.rates.tolist(),
+        "securities": [
+            {
+                "name": sec.name,
+                "bid": sec.bid.tolist(),
+                "ask": sec.ask.tolist(),
+                "dividends_ask": sec.div_ask.tolist(),
+                "dividends_bid": sec.div_bid.tolist(),
+            }
+            for sec in model.securities
+        ],
+    }
+
+
 class TestRoundTripAndDeterminism:
     def test_fixture_round_trip(self, base_model_dict):
         model = model_from_dict(base_model_dict)
@@ -556,7 +578,21 @@ MALFORMED = {
     # a date-0 price that differs across paths names its process and a path
     "date-0 bid differs": (
         lambda m: m["securities"][0]["bid"][0].__setitem__(0, 51), None,
-        "stock bid prices must be the same on every path at t=0"
+        "stock bid prices is not measurable at t=0: 51.0 on path w1, 50.0 on path w2"
+    ),
+    # a process of the wrong shape is named, with the shape it should have
+    "horizon 3": (lambda m: m.update(horizon=3), None,
+                  "stock bid prices has shape (5, 3), expected (5, 4)"),
+    "bid of 4 rows": (lambda m: m["securities"][0]["bid"].pop(), None,
+                      "stock bid prices has shape (4, 3), expected (5, 3)"),
+    "dividends_bid of 2 columns": (
+        lambda m: m["securities"][0].update(dividends_bid=[[0, 0]] * 5), None,
+        "stock cumulative bid dividends has shape (5, 2), expected (5, 3)"
+    ),
+    # labels name paths in every message
+    "repeated path label": (
+        lambda m: m.update(paths=["w1", "w1", "w3", "w4", "w5"]), None,
+        "path label 'w1' is used twice"
     ),
     # asian call security indices the one-security fixture does not have
     **{
@@ -587,8 +623,9 @@ def test_malformed_file_exits_2_with_one_line(
 
 
 class TestDateZero:
-    """A date-0 value that differs across paths is named by its process, in
-    load order (each security's four processes, then the rates), and by a
+    """A date-0 value that differs across paths is a value that is not
+    adapted to the trivial F_0: named by its process, in load order (each
+    security's four processes, then the rates), and by the first path and a
     path where it differs from the first path's."""
 
     @staticmethod
@@ -600,21 +637,21 @@ class TestDateZero:
     def test_bid_names_process_and_path(self, capsys, tmp_path, base_model_dict):
         base_model_dict["securities"][0]["bid"][2][0] = 49.5
         assert self.message(capsys, tmp_path, base_model_dict) == (
-            "error: stock bid prices must be the same on every path at t=0: "
+            "error: stock bid prices is not measurable at t=0: "
             "50.0 on path w1, 49.5 on path w3\n"
         )
 
     def test_prices_before_rates(self, capsys, tmp_path, base_model_dict):
         base_model_dict["rates"] = [[0.0, 0.0]] * 3 + [[0.01, 0.0]] * 2
         assert self.message(capsys, tmp_path, base_model_dict) == (
-            "error: rates must be the same on every path at t=0: "
+            "error: rates is not measurable at t=0: "
             "0.0 on path w1, 0.01 on path w4\n"
         )
         base_model_dict["securities"][0].update(
             {"lambda": None, "ask": [[50, 80, 90]] * 3 + [[52, 40, 60], [52, 40, 30]]}
         )
         assert self.message(capsys, tmp_path, base_model_dict) == (
-            "error: stock ask prices must be the same on every path at t=0: "
+            "error: stock ask prices is not measurable at t=0: "
             "50.0 on path w1, 52.0 on path w4\n"
         )
 
@@ -624,6 +661,104 @@ class TestDateZero:
         assert self.message(capsys, tmp_path, base_model_dict) == (
             "error: stock bid prices contains non-finite entries\n"
         )
+
+    def test_loader_and_market_name_the_same_process(self, capsys, tmp_path, base_model_dict):
+        # a bad date-0 bid and bad date-0 rates: both name the bid, which
+        # comes first in the one load order
+        base_model_dict["securities"][0]["bid"][2][0] = 49.5
+        base_model_dict["rates"] = [[0.0, 0.0]] * 3 + [[0.01, 0.0]] * 2
+        bid = np.array(base_model_dict["securities"][0]["bid"], dtype=float)
+        with pytest.raises(ValidationError) as exc:
+            MarketModel(two_period_tree(), np.array(base_model_dict["rates"]),
+                        [Security("stock", bid, bid, np.zeros((5, 3)), np.zeros((5, 3)))])
+        assert str(exc.value).startswith("stock bid prices is not measurable at t=0")
+        assert self.message(capsys, tmp_path, base_model_dict) == f"error: {exc.value}\n"
+
+
+# every kind of measurability failure on a 256-path tree, each as a function
+# of (capsys, tmp_path, model) returning the message, the date of the node it
+# names and the (path, date) values it quotes; the node holds path w10 and
+# its head w1 (date-t cells are blocks of 256 >> t paths)
+def _cli_message(capsys, tmp_path, data, payoff=None):
+    argv = ["validate", write_json(tmp_path, "model.json", data)]
+    if payoff is not None:
+        argv = ["bounds", argv[1], write_json(tmp_path, "payoff.json", payoff)]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (EXIT_VALIDATION, "") and err.startswith("error: ")
+    return err[len("error: "):]
+
+
+def _date_zero(field):
+    def edit(capsys, tmp_path, model):
+        data = model_to_dict(model)
+        values = data["securities"][0] if field != "rates" else data
+        values[field][9][0] += 0.5
+        return _cli_message(capsys, tmp_path, data), 0, np.array(values[field])
+    return edit
+
+
+def _cashflow(capsys, tmp_path, model):
+    flow = np.zeros((256, 9))
+    flow[9, 3] = 1.0
+    payoff = {"type": "explicit", "cashflow": flow.tolist()}
+    return _cli_message(capsys, tmp_path, model_to_dict(model), payoff), 3, flow
+
+
+def _market(field):
+    def edit(capsys, tmp_path, model):
+        rates, sec = model.rates.copy(), model.securities[0]
+        div_bid = np.zeros((256, 9))
+        values = rates if field == "rates" else div_bid
+        values[9, 3:] += 0.5
+        with pytest.raises(ValidationError) as exc:
+            MarketModel(model.tree, rates, [Security(sec.name, sec.bid, sec.ask,
+                                                     np.zeros_like(div_bid), div_bid)])
+        return str(exc.value), 3, values
+    return edit
+
+
+def _strategy(capsys, tmp_path, model):
+    h = np.zeros((9, 2, 256))
+    h[4, 1, 9] = 1.0  # held over (3, 4], not known at date 3
+    with pytest.raises(ValidationError) as exc:
+        TradingStrategy(h).validate(model.tree)
+    return str(exc.value), 3, h[1:, 1].T
+
+
+def _default_time(capsys, tmp_path, model):
+    tau = [None] * 256
+    tau[9] = 3
+    with pytest.raises(ValidationError) as exc:
+        cds_dividends(model.tree, tau, 0.6, 0.01, 0.01)
+    defaulted = np.zeros((256, 9), dtype=bool)
+    defaulted[9, 3:] = True
+    return str(exc.value), 3, defaulted
+
+
+FAILURE_KINDS = {
+    "cashflow": _cashflow,
+    **{f"date-0 {field}": _date_zero(field)
+       for field in ("bid", "ask", "dividends_ask", "dividends_bid", "rates")},
+    "rates at t=3": _market("rates"),
+    "bid dividends at t=3": _market("dividends"),
+    "strategy": _strategy,
+    "default time": _default_time,
+}
+
+
+@pytest.mark.parametrize("kind", FAILURE_KINDS.values(), ids=list(FAILURE_KINDS))
+def test_every_measurability_failure_names_two_paths_of_one_node(capsys, tmp_path, kind):
+    model = binary_tree_market(1.1, 0.9, 0.01, 0.5, 0.01, horizon=8)
+    message, t, values = kind(capsys, tmp_path, model)
+    assert "\n" not in message.rstrip("\n") and len(message) < 200, message
+    a, b = (int(k) - 1 for k in re.findall(r"on path w(\d+)", message))
+    assert model.tree.cell_index(t)[a] == model.tree.cell_index(t)[b] and {a, b} == {0, 9}
+    if values.dtype == bool:
+        assert values[a, t] and not values[b, t]
+        assert f"default by t={t} on path w{a + 1}, not on path w{b + 1}" in message
+    else:
+        assert values[a, t] != values[b, t]
+        assert f"{values[a, t]} on path w{a + 1}, {values[b, t]} on path w{b + 1}" in message
 
 
 def test_missing_model_file_exits_2_on_every_command(capsys, tmp_path):

@@ -22,7 +22,6 @@ PACKAGE = pathlib.Path(conic_pricer.__file__).parent
 
 # definitions that are used without being named in the package, and why
 ALLOWED = {
-    "cli.model_to_dict": "the inverse of the model loader, for writing model files",
     "cli._Parser.error": "argparse calls it on a usage error",
 }
 

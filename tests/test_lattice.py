@@ -106,6 +106,12 @@ class TestEventTree:
         with pytest.raises(ValidationError):
             EventTree(1, [0.5, 0.5], [[(0, 1)], [(0,)]])
 
+    def test_repeated_path_label_rejected(self):
+        # a label names one path in every message
+        with pytest.raises(ValidationError, match="^path label 'u' is used twice$"):
+            EventTree(1, [0.25, 0.25, 0.5], [[(0, 1, 2)], [(0,), (1,), (2,)]],
+                      paths=["u", "d", "u"])
+
     def test_children_and_node_of(self):
         tree = two_period_tree()
         root = NodeRef(0, 0)
@@ -125,20 +131,19 @@ class TestAdaptedness:
             ensure_adapted(tree, vals)
         # no tolerance: a spread of one ulp is a spread, as the full scan reads it
         vals[0, 1] = np.nextafter(TABLE_BIDS[0, 1], np.inf)
-        assert tree.unmeasurable_cell(vals) == scanned_unmeasurable_cell(tree, vals) == (
-            1, (0, 1, 2)
-        )
+        # the head, path w1, is the one off: w2 is the first path off its value
+        assert tree.unmeasurable_cell(vals) == scanned_unmeasurable_cell(tree, vals) == (1, 0, 1)
 
-    def test_message_names_first_cell_over_tolerance(self):
+    def test_message_names_two_paths_of_the_first_cell(self):
         tree = two_period_tree()
         vals = TABLE_BIDS.copy()
         vals[4, 1] += 1e-13  # second date-1 cell
-        vals[1, 1] += 1e-13  # first date-1 cell, reported first
+        vals[2, 1] += 1e-13  # first date-1 cell, reported first
+        vals[1, 1] += 1e-13  # its first path off its head's value
         with pytest.raises(ValidationError) as exc:
             ensure_adapted(tree, vals, name="stock bid")
         assert str(exc.value) == (
-            "stock bid is not measurable at t=1: values differ inside cell "
-            "(0, 1, 2) ([80.0, 80.0000000000001, 80.0])"
+            "stock bid is not measurable at t=1: 80.0 on path w1, 80.0000000000001 on path w2"
         )
         assert tree.unmeasurable_cell(vals) == scanned_unmeasurable_cell(tree, vals)
 

@@ -161,7 +161,7 @@ class TestModelValidation:
         rates[4, 1] = 0.01  # differs from path 3 inside date-1 cell (3, 4)
         with pytest.raises(ValidationError) as exc:
             MarketModel(tree, rates, [apply_transaction_costs(TABLE_BIDS, 0.0)])
-        assert str(exc.value) == "rates not adapted at t=1, cell (3, 4)"
+        assert str(exc.value) == "rates is not measurable at t=1: 0.0 on path w4, 0.01 on path w5"
 
     def test_repeated_security_name_rejected(self):
         # a payoff names its underlying: a second "stock" would leave the
@@ -354,13 +354,16 @@ class TestAsianCall:
 
 
 def first_unpredictable(tree, h):
-    """The (date, cell) where some slot of ``h`` first differs inside a cell
-    of the partition before it, cell by cell, or None."""
+    """The message naming the first date, cell, path and slot, in that
+    order, where a slot of ``h`` differs from the cell's first path inside
+    a cell of the partition before it, scanned cell by cell; or None."""
     for t in range(1, tree.horizon + 1):
-        for cell in tree.partitions[t - 1]:
-            block = h[t][:, list(cell)]
-            if np.any(block.max(axis=1) != block.min(axis=1)):
-                return t, cell
+        for head, *rest in tree.partitions[t - 1]:
+            for i in rest:
+                for slot in h[t]:
+                    if slot[i] != slot[head]:
+                        return (f"holdings at t={t} are not predictable: {slot[head]} on path "
+                                f"{tree.paths[head]}, {slot[i]} on path {tree.paths[i]}")
     return None
 
 
@@ -372,7 +375,9 @@ class TestPredictability:
         h[1, 1, 0] = 1.0  # the security slot at t=1 on the root
         with pytest.raises(ValidationError) as err:
             TradingStrategy(h).validate(tree)
-        assert str(err.value) == "holdings at t=1 are not predictable on cell (0, 1, 2, 3, 4)"
+        assert str(err.value) == (
+            "holdings at t=1 are not predictable: 1.0 on path w1, 0.0 on path w2"
+        )
 
     def test_first_cell_of_the_date_across_slots_is_named(self):
         tree = two_period_tree()
@@ -381,7 +386,9 @@ class TestPredictability:
         h[2, 1, 2] = 1.0  # the security slot on (0, 1, 2)
         with pytest.raises(ValidationError) as err:
             TradingStrategy(h).validate(tree)
-        assert str(err.value) == "holdings at t=2 are not predictable on cell (0, 1, 2)"
+        assert str(err.value) == (
+            "holdings at t=2 are not predictable: 0.0 on path w1, 1.0 on path w3"
+        )
 
     def test_names_the_first_cell_of_a_cell_by_cell_scan(self, rng):
         for _ in range(200):
@@ -397,7 +404,7 @@ class TestPredictability:
                 continue
             with pytest.raises(ValidationError) as err:
                 TradingStrategy(h).validate(tree)
-            assert str(err.value) == f"holdings at t={want[0]} are not predictable on cell {want[1]}"
+            assert str(err.value) == want
 
 
 def random_stopping_time(rng, tree):
@@ -437,11 +444,17 @@ class TestCdsDividends:
 
     def test_first_date_and_cell_of_a_non_stopping_time_are_named(self):
         tree = two_period_tree()
-        # default-by-1 differs inside both date-1 cells, (0, 1, 2) first
+        # default-by-1 differs inside both date-1 cells, (0, 1, 2) first;
+        # the path that defaulted is named first
         with pytest.raises(ValidationError) as err:
             cds_dividends(tree, [None, 1, None, 1, None], 0.6, 0.1, 0.1)
         assert str(err.value) == (
-            "tau is not a stopping time: default-by-1 differs inside cell (0, 1, 2)"
+            "tau is not a stopping time: default by t=1 on path w2, not on path w1"
+        )
+        with pytest.raises(ValidationError) as err:
+            cds_dividends(tree, [1, None, None, None, None], 0.6, 0.1, 0.1)
+        assert str(err.value) == (
+            "tau is not a stopping time: default by t=1 on path w1, not on path w2"
         )
 
     def test_default_at_final_date(self):
