@@ -38,7 +38,7 @@ from . import pricing
 from .acceptability import dglr_eval
 from .cone import arbitrage_check
 from .errors import ComputationError, ValidationError
-from .lattice import EventTree, check_shapes, derive_filtration, integer
+from .lattice import EventTree, check_horizon, check_shapes, derive_filtration
 from .market import (
     CashFlow,
     MarketModel,
@@ -128,7 +128,7 @@ def _file_loader(kind: str):
 
 @_file_loader("model")
 def model_from_dict(data: dict, *, lam_override: Optional[float] = None) -> MarketModel:
-    horizon = integer(data["horizon"], "horizon")
+    horizon = check_horizon(data["horizon"])
     probs = [_parse_number(v, "probability") for v in data["probabilities"]]
     securities_cfg = data["securities"]
     n = len(probs)

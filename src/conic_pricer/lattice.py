@@ -97,9 +97,7 @@ class EventTree:
         partitions: Sequence[Sequence[Iterable[int]]],
         paths: Optional[Sequence[str]] = None,
     ):
-        self.horizon = integer(horizon, "horizon")
-        if self.horizon < 1:
-            raise ValidationError(f"horizon must be >= 1, got {horizon}")
+        self.horizon = check_horizon(horizon)
         self.probabilities = finite(probabilities, "probabilities")
         if self.probabilities.ndim != 1:
             raise ValidationError("probabilities must be a flat vector")
@@ -228,6 +226,15 @@ def integer(value, name: str) -> int:
     return int(value)
 
 
+def check_horizon(value) -> int:
+    """``value`` as a horizon: an integer (see :func:`integer`) >= 1, the
+    one horizon rule of every tree and model file."""
+    horizon = integer(value, "horizon")
+    if horizon < 1:
+        raise ValidationError(f"horizon must be >= 1, got {horizon}")
+    return horizon
+
+
 def unadapted(stack: np.ndarray, head: np.ndarray):
     """The first process of ``stack`` (process, path, date) that is not
     adapted, decided for every process by one pass over the stack: each
@@ -246,7 +253,7 @@ def unadapted(stack: np.ndarray, head: np.ndarray):
     return (k, None) if not finite[k].all() else (k, off[k])
 
 
-def check_shapes(processes, shape: tuple[int, int]) -> None:
+def check_shapes(processes, shape: tuple[int, ...]) -> None:
     """Raise naming the first (name, matrix) of ``processes`` whose shape is
     not ``shape``: the one shape rule of every input process."""
     for name, values in processes:

@@ -100,7 +100,7 @@ the denominator is one, a plain LP.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import ClassVar, Optional
 
 import numpy as np
 
@@ -116,7 +116,7 @@ _STALL_PIVOTS = 50
 @dataclass
 class LinearProgram:
     """max/min  c @ x  subject to  a_ub @ x <= b_ub,  a_eq @ x == b_eq,
-    0 <= x <= upper (upper optional, may contain +inf)."""
+    x >= 0.  A variable's bound from above is one more row of ``a_ub``."""
 
     sense: str
     c: np.ndarray
@@ -124,10 +124,12 @@ class LinearProgram:
     b_ub: np.ndarray
     a_eq: np.ndarray
     b_eq: np.ndarray
-    upper: Optional[np.ndarray] = None
+    # no variable has an upper bound; read only by perfbench/tracing.py's
+    # tableau count, and removed together with that read
+    upper: ClassVar[None] = None
 
     @classmethod
-    def build(cls, sense, c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, upper=None):
+    def build(cls, sense, c, a_ub=None, b_ub=None, a_eq=None, b_eq=None):
         if sense not in ("max", "min"):
             raise ValidationError(f"sense must be 'max' or 'min', got {sense!r}")
         c = np.atleast_1d(np.asarray(c, dtype=float))
@@ -143,27 +145,20 @@ class LinearProgram:
         if not np.isfinite(np.concatenate([arr for _, arr in named], axis=None)).all():
             name = next(name for name, arr in named if not np.isfinite(arr).all())
             raise ValidationError(f"non-finite coefficients in {name}")
-        if upper is not None:
-            upper = np.atleast_1d(np.asarray(upper, dtype=float))
-            if upper.shape != (n,):
-                raise ValidationError("upper bounds must have one entry per variable")
-            if np.any(np.isnan(upper)) or np.any(upper < 0):
-                raise ValidationError("upper bounds must be nonnegative (inf allowed)")
-        return cls(sense, c, a_ub, b_ub, a_eq, b_eq, upper)
+        return cls(sense, c, a_ub, b_ub, a_eq, b_eq)
 
 
 @dataclass
 class LPSolution:
     """An LP's answer.  The duals of an ``infeasible`` one are its Farkas ray
-    over the rows as supplied: y^T A >= 0, y >= 0 on the inequality and
-    upper-bound rows, and y^T b < 0."""
+    over the rows as supplied: y^T A >= 0, y >= 0 on the inequality rows,
+    and y^T b < 0."""
 
     status: str  # "optimal" | "infeasible" | "unbounded"
     value: float = np.nan
     x: Optional[np.ndarray] = None
     dual_ub: Optional[np.ndarray] = None
     dual_eq: Optional[np.ndarray] = None
-    dual_upper: Optional[np.ndarray] = None
     gap: float = np.nan
     primal_residual: float = np.nan
     dual_residual: float = np.nan
@@ -293,8 +288,7 @@ class _Rows:
     own: np.ndarray  # the slack or artificial each row's basis starts from
     A: np.ndarray  # rows sign-normalized: ``supplied`` itself where no rhs is negative
     sigma: np.ndarray
-    # the rows as supplied, all-<= (finite upper bounds appended) then eq
-    supplied: np.ndarray
+    supplied: np.ndarray  # the rows as supplied, a_ub then a_eq
     b: np.ndarray
     rhs: np.ndarray  # b sign-normalized, b * sigma >= 0
     abs_supplied: np.ndarray
@@ -302,7 +296,6 @@ class _Rows:
     b_scale: np.ndarray  # |b| + 1, each primal residual's scale before |rows| |x|
     c_scale: np.ndarray  # |c| + 1, each dual residual's scale before |y| |rows|
     m_ub: int
-    ub_vars: np.ndarray
 
 
 @dataclass
@@ -332,30 +325,15 @@ class _Kept:
     column: np.ndarray
 
 
-def _folded(lp: LinearProgram):
-    """``lp``'s inequality rows with its finite variable upper bounds folded
-    in as extra <= rows: (a_ub, b_ub, the bounded variables)."""
-    ub_vars = (
-        np.isfinite(lp.upper).nonzero()[0] if lp.upper is not None
-        else np.zeros(0, dtype=int)
-    )
-    if not ub_vars.size:
-        return lp.a_ub, lp.b_ub, ub_vars
-    a_ub = np.vstack([lp.a_ub, np.eye(lp.c.shape[0])[ub_vars]])
-    return a_ub, np.concatenate([lp.b_ub, lp.upper[ub_vars]]), ub_vars
-
-
 def _slack_start(lp: LinearProgram) -> _Rows:
     """The rows of ``lp`` sign-normalized, with the variable each row's
     basis starts from in phase 1: its slack, or its artificial where the
     slack cannot start it."""
-    n = lp.c.shape[0]
-    a_ub, b_ub, ub_vars = _folded(lp)
-    m_ub = a_ub.shape[0]
+    n, m_ub = lp.c.shape[0], lp.a_ub.shape[0]
 
     # Normalized rows A x (+ slack) (+ artificial) = b with b >= 0.
-    rows = np.concatenate((a_ub, lp.a_eq))
-    b = np.concatenate((b_ub, lp.b_eq))
+    rows = np.concatenate((lp.a_ub, lp.a_eq))
+    b = np.concatenate((lp.b_ub, lp.b_eq))
     m = b.shape[0]
 
     # Variables: n structural, then slack n + i of each <= row i, then the
@@ -378,7 +356,7 @@ def _slack_start(lp: LinearProgram) -> _Rows:
     return _Rows(
         max_iter=500 + 80 * (m + width), width=width, own=own, A=A, sigma=sigma,
         supplied=rows, b=b, rhs=b * sigma, abs_supplied=np.abs(rows), abs_b=abs_b,
-        b_scale=abs_b + 1.0, c_scale=np.abs(lp.c) + 1.0, m_ub=m_ub, ub_vars=ub_vars,
+        b_scale=abs_b + 1.0, c_scale=np.abs(lp.c) + 1.0, m_ub=m_ub,
     )
 
 
@@ -434,14 +412,10 @@ def _shape(lp: LinearProgram) -> str:
     return f"{lp.a_ub.shape[0] + lp.a_eq.shape[0]} rows x {lp.c.shape[0]} columns"
 
 
-def _solution(lp: LinearProgram, rows: _Rows, y, **fields) -> LPSolution:
+def _solution(rows: _Rows, y, **fields) -> LPSolution:
     """``fields`` with the multipliers ``y`` of ``rows``, split into those
-    of ``lp.a_ub``, of ``lp.a_eq`` and of the folded upper bounds."""
-    m_ub, k = rows.m_ub, lp.a_ub.shape[0]
-    upper = np.zeros(lp.c.shape[0])
-    if k < m_ub:
-        upper[rows.ub_vars] = y[k:m_ub]
-    return LPSolution(dual_ub=y[:k], dual_eq=y[m_ub:], dual_upper=upper, **fields)
+    of the inequality rows and of the equalities."""
+    return LPSolution(dual_ub=y[:rows.m_ub], dual_eq=y[rows.m_ub:], **fields)
 
 
 def _dual_residual(c, c_scale, rows: _Rows, y, abs_y) -> float:
@@ -482,7 +456,7 @@ def _infeasible(lp: LinearProgram, start: _Start, iterations: int) -> LPSolution
             f"LP infeasibility certification failed ({_shape(lp)}): "
             f"dual={dual_res:.3e} value={value:.3e} (tol {TOL:.3e})"
         )
-    return _solution(lp, rows, y, status="infeasible", iterations=iterations)
+    return _solution(rows, y, status="infeasible", iterations=iterations)
 
 
 def _restart(lp: LinearProgram, rows: _Rows, basis) -> Optional[_Start]:
@@ -689,7 +663,7 @@ def _phase2(lp: LinearProgram, start: _Start, column: Optional[int] = None) -> L
 
     kept = None if column is None else _Kept(rows, T, nonbasic, A[:, column].copy())
     return _solution(
-        lp, rows, sense_mult * y, status="optimal", value=sense_mult * value_max, x=x,
+        rows, sense_mult * y, status="optimal", value=sense_mult * value_max, x=x,
         gap=gap, primal_residual=primal_res, dual_residual=dual_res,
         iterations=iterations, basis=basis, kept=kept,
     )
@@ -708,9 +682,7 @@ def _carry(lp: LinearProgram, rows: _Rows, prev: LPSolution) -> Optional[LPSolut
     supplied; else None.  The answer keeps ``prev``'s basis and tableau, for
     the next restart, and its residuals are recomputed on the new rows."""
     sense_mult = 1.0 if lp.sense == "max" else -1.0
-    y = sense_mult * np.concatenate(
-        [prev.dual_ub, prev.dual_upper[rows.ub_vars], prev.dual_eq]
-    )
+    y = sense_mult * np.concatenate([prev.dual_ub, prev.dual_eq])
     # the certificate's own tests, the dual residual first: a carry that
     # fails fails there, on the rewritten column, and stops
     c_obj, abs_y = sense_mult * lp.c, np.abs(y)

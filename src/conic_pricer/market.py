@@ -45,6 +45,7 @@ from .lattice import (
     EventTree,
     adapted_stack,
     as_values,
+    check_shapes,
     ensure_adapted,
     finite,
     integer,
@@ -133,11 +134,9 @@ def _rate_matrix(rates, n: int, T: int) -> np.ndarray:
     if r.ndim == 0:
         r = np.full((n, T), float(r))
     elif r.ndim == 1:
-        if r.shape[0] != T:
-            raise ValidationError(f"rate vector must have {T} entries")
+        check_shapes([("rates", r)], (T,))
         r = r[None].repeat(n, axis=0)
-    if r.shape != (n, T):
-        raise ValidationError(f"rates must have shape {(n, T)}, got {r.shape}")
+    check_shapes([("rates", r)], (n, T))
     if not (np.isfinite(r) & (r >= 0)).all():
         raise ValidationError("rates must be finite and nonnegative")
     return r

@@ -198,6 +198,18 @@ def zero_strategy(model):
     )
 
 
+def random_box_lp(rng):
+    """``(sense, c, a_ub, b_ub, upper)`` of a random LP over a box with
+    x = 0 feasible, for :func:`lp_vertex_oracle` to check."""
+    n = int(rng.integers(2, 5))
+    m = int(rng.integers(1, 5))
+    a_ub = rng.normal(size=(m, n))
+    b_ub = np.abs(rng.normal(size=m)) + 0.1
+    upper = rng.uniform(0.5, 3.0, size=n)
+    c = rng.normal(size=n)
+    return "max" if rng.random() < 0.5 else "min", c, a_ub, b_ub, upper
+
+
 def lp_vertex_oracle(c, a_ub, b_ub, upper, sense="max"):
     """Brute-force optimum over {a_ub x <= b_ub, 0 <= x <= upper} by
     enumerating all candidate vertices (n active constraints at a time)."""

@@ -14,6 +14,10 @@ Writes one record per line for
 * ``arbitrage_check`` at every date of randomly priced markets 0-47 (the
   tests' ``random_market`` on 3-7 paths over horizon 2 or 3, with dividends
   and stochastic rates in turn), most of which hold an arbitrage;
+* ``lp.solve`` on the programs of ``tests/test_lp.py`` and of acceptance
+  check c11 that bound variables from above, each bound a row appended by
+  ``lp_reference.with_bounds``, at the seeds those tests use: the status,
+  value, x and both duals in float hex and the iteration count;
 * the ``error:`` line of a fixed panel of malformed edits to the shipped
   fixture files: one per refusal of the loader that the README lists, and
   one per kind of measurability failure (an unadapted explicit cash flow,
@@ -56,12 +60,14 @@ sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 import numpy as np  # noqa: E402
 
 import workloads as W  # noqa: E402
-from conftest import random_market, random_tree  # noqa: E402
+import test_lp  # noqa: E402
+from conftest import random_box_lp, random_market, random_tree  # noqa: E402
 from conic_pricer import cli, lp, pricing  # noqa: E402
 from conic_pricer.cone import arbitrage_check  # noqa: E402
 from conic_pricer.errors import ComputationError, ValidationError  # noqa: E402
 from conic_pricer.fixtures import fixture_path  # noqa: E402
 from conic_pricer.market import MarketModel, TradingStrategy  # noqa: E402
+from lp_reference import with_bounds  # noqa: E402
 
 TREE_MARKETS = range(48)
 SURFACE_MARKETS = range(96)
@@ -166,6 +172,36 @@ def arbitrage_records(pivots: PivotCount):
             yield f"arbitrage {k} t={t}", body, pivots.take()
 
 
+def _box(rng):
+    sense, c, a_ub, b_ub, upper = random_box_lp(rng)
+    return lp.LinearProgram.build(sense, c, *with_bounds(upper, a_ub, b_ub))
+
+
+# (name, seed, count, program from a generator): the bounded programs
+BOUNDED_PANEL = (
+    ("one cap", None, 1, lambda rng: test_lp._one_cap()),
+    ("capped", 20260808, 60, test_lp._capped),
+    ("box", 20260808, 100, _box),
+    ("repeated", 20260808, 1, test_lp._repeated),
+    ("mixed", 20261018, 30, test_lp._mixed),
+    ("degenerate", 20261018, 30, test_lp._degenerate),
+    ("stalling cone", None, 1, lambda rng: test_lp._stalling_cone()),
+    ("c11", 1111, 100, _box),
+)
+
+
+def bounded_records(pivots: PivotCount):
+    for name, seed, count, make in BOUNDED_PANEL:
+        rng = np.random.default_rng(seed)
+        for k in range(count):
+            sol = lp.solve(make(rng))
+            body = [f"{sol.status} {_hex(sol.value)} iterations={sol.iterations}"]
+            for field in ("x", "dual_ub", "dual_eq"):
+                values = getattr(sol, field)
+                body.append(f"{field} {'None' if values is None else ' '.join(map(_hex, values))}")
+            yield f"bounded {name} {k}", body, pivots.take()
+
+
 def _cds(**fields):
     """An edit making the payoff a CDS of ``fields`` over the plain one."""
     cds = {"type": "cds", "tau": [None] * 5, "delta": 0.6, "kappa_ask": 0.01,
@@ -223,6 +259,10 @@ ERROR_PANEL = {
     "bool in bid": lambda m, p: m["securities"][0]["bid"][0].__setitem__(1, True),
     "NaN bid": lambda m, p: m["securities"][0]["bid"][1].__setitem__(1, float("nan")),
     "horizon 3": lambda m, p: m.update(horizon=3),
+    "horizon 0": lambda m, p: m.update(horizon=0),
+    "horizon -1": lambda m, p: m.update(horizon=-1),
+    "rates [[0.01, 0.0]]": lambda m, p: m.update(rates=[[0.01, 0.0]]),
+    "rates [0.01]": lambda m, p: m.update(rates=[0.01]),
     "repeated path label": lambda m, p: m.update(paths=["w1", "w1", "w3", "w4", "w5"]),
     "unadapted cashflow": lambda m, p: (
         p.clear(), p.update(type="explicit", cashflow=[[0, 1, 0]] + [[0, 0, 0]] * 4)
@@ -256,7 +296,7 @@ def sweep() -> list[str]:
     pivots = PivotCount()
     lines = []
     for source in (tree_records, surface_records, fixture_records, arbitrage_records,
-                   error_records):
+                   bounded_records, error_records):
         for name, body, count in source(pivots):
             lines.append(f"{name} pivots={count}")
             lines.extend("  " + line for line in body)

@@ -12,9 +12,12 @@ reproduce all four bit for bit, because both kernels make the same float
 operations on every entry that a pivot choice or that read touches.
 
 It also holds the general linear-fractional solver ``solve_ratio``: the
-Charnes-Cooper transform over ``lp``'s phases, with constant terms, bounds
-and equalities, which the whole-tree reference programs need.
+Charnes-Cooper transform over ``lp``'s phases, with constant terms and
+equalities, which the whole-tree reference programs need.
 ``lp.solve_ratio`` only takes ratios over a cone.
+
+``lp`` bounds no variable from above; :func:`with_bounds` appends such
+bounds to a program's inequality rows, as every test that needs them does.
 """
 
 from dataclasses import dataclass, field, replace
@@ -27,6 +30,18 @@ from conic_pricer.errors import ComputationError, ValidationError
 from conic_pricer.lp import TOL, LinearProgram, LPSolution, _phase1, _phase2, solve
 
 STALL_PIVOTS = 50
+
+
+def with_bounds(upper, a_ub=None, b_ub=None):
+    """The rows ``a_ub @ x <= b_ub`` with ``x_i <= upper_i`` appended for
+    each finite ``upper_i``, in variable order: ``(a_ub, b_ub)``, to pass
+    to ``LinearProgram.build`` or :func:`solve_ratio`."""
+    upper = np.atleast_1d(np.asarray(upper, dtype=float))
+    n = upper.shape[0]
+    a_ub = np.zeros((0, n)) if a_ub is None else np.atleast_2d(np.asarray(a_ub, float))
+    b_ub = np.zeros(0) if b_ub is None else np.atleast_1d(np.asarray(b_ub, float))
+    finite = np.isfinite(upper).nonzero()[0]
+    return np.vstack([a_ub, np.eye(n)[finite]]), np.concatenate([b_ub, upper[finite]])
 
 
 def _pivot(T, basis, row, col):
@@ -89,23 +104,11 @@ def reference_solve(lp, *, tol=1e-9, exact=False):
     sense_mult = 1.0 if lp.sense == "max" else -1.0
     c_obj = sense_mult * lp.c
 
-    ub_rows = []
-    ub_rhs = []
-    if lp.upper is not None:
-        for i, u in enumerate(lp.upper):
-            if np.isfinite(u):
-                row = np.zeros(n)
-                row[i] = 1.0
-                ub_rows.append(row)
-                ub_rhs.append(u)
-    a_ub = np.vstack([lp.a_ub] + ub_rows) if ub_rows else lp.a_ub
-    b_ub = np.concatenate([lp.b_ub, np.asarray(ub_rhs)]) if ub_rows else lp.b_ub
-
-    m_ub, m_eq = a_ub.shape[0], lp.a_eq.shape[0]
+    m_ub, m_eq = lp.a_ub.shape[0], lp.a_eq.shape[0]
     m = m_ub + m_eq
 
-    A = np.vstack([a_ub, lp.a_eq]) if m else np.zeros((0, n))
-    b = np.concatenate([b_ub, lp.b_eq]) if m else np.zeros(0)
+    A = np.vstack([lp.a_ub, lp.a_eq]) if m else np.zeros((0, n))
+    b = np.concatenate([lp.b_ub, lp.b_eq]) if m else np.zeros(0)
 
     sigma = np.ones(m)
     slack = np.zeros((m, m_ub))
@@ -240,7 +243,6 @@ def solve_ratio(
     b_ub=None,
     a_eq=None,
     b_eq=None,
-    upper=None,
 ) -> tuple[RatioSolution, RatioSolution]:
     """Minimum and maximum of (num @ x + num0) / (den @ x + den0) over the LP
     feasible set, as ``(lo, hi)``.
@@ -268,15 +270,6 @@ def solve_ratio(
     if a_ub.shape[0]:
         rows_ub.append(np.hstack([a_ub, -b_ub[:, None]]))
         rhs_ub.append(np.zeros(a_ub.shape[0]))
-    if upper is not None:
-        upper = np.atleast_1d(np.asarray(upper, dtype=float))
-        for i, u in enumerate(upper):
-            if np.isfinite(u):
-                row = np.zeros(n + 1)
-                row[i] = 1.0
-                row[n] = -u
-                rows_ub.append(row[None, :])
-                rhs_ub.append(np.zeros(1))
     rows_eq = [np.hstack([den, [den0]])[None, :]]
     rhs_eq = [np.ones(1)]
     if a_eq.shape[0]:
@@ -292,7 +285,7 @@ def solve_ratio(
     )
     start = _phase1(prog)
     if isinstance(start, LPSolution):
-        bare = LinearProgram.build("max", np.zeros(n), a_ub, b_ub, a_eq, b_eq, upper)
+        bare = LinearProgram.build("max", np.zeros(n), a_ub, b_ub, a_eq, b_eq)
         bare = solve(bare)
         if bare.status == "infeasible":
             empty = RatioSolution(np.nan, None, np.nan, bare, status="infeasible")

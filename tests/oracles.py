@@ -56,7 +56,7 @@ from conic_pricer.lattice import as_values, tail_sum
 from conic_pricer.market import MarketModel, TradingStrategy, _split
 
 from cone_reference import reference_generator_matrix
-from lp_reference import solve_ratio
+from lp_reference import solve_ratio, with_bounds
 
 VERTEX_CAP = 20
 INDEX_GAMMA_LOW = 1e-12
@@ -273,7 +273,7 @@ def correspondence_check(tree, samples):
                 p[idx] @ np.maximum(-x[idx], 0.0)
             )
             prog = lp.LinearProgram.build(
-                "min", p[idx] * x[idx], upper=np.full(len(idx), gamma)
+                "min", p[idx] * x[idx], *with_bounds(np.full(len(idx), gamma))
             )
             mass_lp = float(p[idx] @ x[idx]) + lp.solve(prog).value
             value_ok = abs(mass_closed - mass_lp) <= tol

@@ -37,12 +37,14 @@ from cone_reference import best_single_ratio, reference_generators
 from conftest import (
     binomial_model,
     lp_vertex_oracle,
+    random_box_lp,
     random_cashflow,
     random_market,
     random_self_financing,
     random_tree,
     two_period_model,
 )
+from lp_reference import with_bounds
 from oracles import (
     _closed_form_sum,
     band_extreme_vertices,
@@ -637,14 +639,8 @@ def test_c11_lp_kernel(capsys):
     rng = np.random.default_rng(1111)
     worst_gap = worst_vs_oracle = 0.0
     for _ in range(100):
-        n = int(rng.integers(2, 5))
-        m = int(rng.integers(1, 5))
-        a_ub = rng.normal(size=(m, n))
-        b_ub = np.abs(rng.normal(size=m)) + 0.1
-        upper = rng.uniform(0.5, 3.0, size=n)
-        c = rng.normal(size=n)
-        sense = "max" if rng.random() < 0.5 else "min"
-        prog = lp.LinearProgram.build(sense, c, a_ub=a_ub, b_ub=b_ub, upper=upper)
+        sense, c, a_ub, b_ub, upper = random_box_lp(rng)
+        prog = lp.LinearProgram.build(sense, c, *with_bounds(upper, a_ub, b_ub))
         sol = lp.solve(prog)
         assert sol.status == "optimal"
         worst_gap = max(worst_gap, sol.gap, sol.primal_residual, sol.dual_residual)

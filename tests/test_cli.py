@@ -492,6 +492,12 @@ MALFORMED = {
                                            "horizon must be an integer")
         for horizon in (2.9, True, "2")
     },
+    # the horizon rule comes before any shape is built from the horizon
+    **{
+        f"horizon {horizon}": (lambda m, h=horizon: m.update(horizon=h), None,
+                               f"error: horizon must be >= 1, got {horizon}\n")
+        for horizon in (0, -1)
+    },
     "rates true": (lambda m: m.update(rates=True), None, "rates must be numbers"),
     "probability true": (
         lambda m: m["probabilities"].__setitem__(0, True), None, "probability must be a number"
@@ -544,10 +550,18 @@ MALFORMED = {
     "negative lambda": (
         lambda m: m["securities"][0].update({"lambda": -0.01}), None, "transaction cost"
     ),
-    # rates the fixture's two dates cannot take, and rates no date can
+    # rates the fixture's two dates cannot take, and rates no date can; a
+    # wrong shape is named as every other process's is
     **{
-        f"rates {json.dumps(rates)}": (lambda m, rates=rates: m.update(rates=rates), None, "rate")
-        for rates in ([0.01], [0.01, 0.02, 0.03], [[0.01, 0.0]], [], np.inf, [0.01, np.nan])
+        f"rates {json.dumps(rates)}": (lambda m, rates=rates: m.update(rates=rates), None, named)
+        for rates, named in (
+            ([0.01], "error: rates has shape (1,), expected (2,)\n"),
+            ([0.01, 0.02, 0.03], "rate"),
+            ([[0.01, 0.0]], "error: rates has shape (1, 2), expected (5, 2)\n"),
+            ([], "rate"),
+            (np.inf, "rate"),
+            ([0.01, np.nan], "rate"),
+        )
     },
     "NaN probability": (
         lambda m: m["probabilities"].__setitem__(0, np.nan), None, "probabilities"

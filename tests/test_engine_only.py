@@ -5,9 +5,11 @@ Every top-level function and class of ``src/conic_pricer``, and every
 the package outside its own definition; every other public method of a
 top-level class must be called there (``x.name(...)``), since a name that
 is only read may be another object's attribute of the same name.  Every
-keyword-only parameter of a function there must be passed by name by some
-call in the package: a setting that only the tests set is not an engine
-setting.  ``__init__.py`` does not count: an export alone is not a use.
+parameter with a default, and every keyword-only one, of a function, method
+or constructor there must be passed, by name or by position, by some call in
+the package of that name (a class's name for its constructor): a setting
+that only the tests set is not an engine setting.  ``__init__.py`` does not
+count: an export alone is not a use.
 Reference code that only the tests call belongs in ``tests/``
 (``oracles.py``, ``cone_reference.py``, ``lp_reference.py``).
 """
@@ -20,9 +22,12 @@ import conic_pricer
 
 PACKAGE = pathlib.Path(conic_pricer.__file__).parent
 
-# definitions that are used without being named in the package, and why
+# definitions that are used without being named in the package, and
+# parameters that are passed from outside it, and why
 ALLOWED = {
     "cli._Parser.error": "argparse calls it on a usage error",
+    "cli.main(argv)": "the console script calls main() bare, so argv is passed only "
+    "in process: by the benchmark's fixture workload and the CLI tests",
 }
 
 
@@ -87,20 +92,56 @@ def unreferenced():
     return out
 
 
+def _callables():
+    """``(qualified name, the name a call uses, definition, whether a call
+    binds its first parameter)`` of every function, method and constructor
+    of the package; a constructor is called by its class's name."""
+    for stem, module in _modules().items():
+        owner = {
+            item: cls.name
+            for cls in ast.walk(module) if isinstance(cls, ast.ClassDef)
+            for item in cls.body if isinstance(item, ast.FunctionDef)
+        }
+        for node in ast.walk(module):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            cls = owner.get(node)
+            if cls is None:
+                yield f"{stem}.{node.name}", node.name, node, False
+            elif node.name == "__init__":
+                yield f"{stem}.{cls}", cls, node, True
+            else:
+                static = any(getattr(d, "id", None) == "staticmethod" for d in node.decorator_list)
+                yield f"{stem}.{cls}.{node.name}", node.name, node, not static
+
+
+def _settings(node, bound):
+    """``(name, position)`` of each parameter of ``node`` that a call may
+    leave out: every one with a default, at its position among the call's
+    positional arguments, and every keyword-only one, at position None."""
+    positional = (node.args.posonlyargs + node.args.args)[int(bound):]
+    first = len(positional) - len(node.args.defaults)
+    return [(arg.arg, i) for i, arg in enumerate(positional) if i >= first] + [
+        (arg.arg, None) for arg in node.args.kwonlyargs
+    ]
+
+
 def unpassed_settings():
-    """``function.parameter`` of each keyword-only parameter that no call in
-    the package passes by name to a function of that name."""
-    nodes = [node for module in _modules().values() for node in ast.walk(module)]
-    passed = {
-        (getattr(node.func, "id", getattr(node.func, "attr", None)), keyword.arg)
-        for node in nodes if isinstance(node, ast.Call)
-        for keyword in node.keywords
-    }
+    """``callable(parameter)`` of each parameter that a call may leave out
+    and that no call in the package of that callable's name passes, by name
+    or by position."""
+    passed = set()
+    for module in _modules().values():
+        for call in ast.walk(module):
+            if isinstance(call, ast.Call):
+                name = getattr(call.func, "id", getattr(call.func, "attr", None))
+                passed.update((name, kw.arg) for kw in call.keywords if kw.arg)
+                passed.update((name, i) for i in range(len(call.args)))
     return [
-        f"{node.name}.{arg.arg}"
-        for node in nodes if isinstance(node, ast.FunctionDef)
-        for arg in node.args.kwonlyargs
-        if (node.name, arg.arg) not in passed
+        f"{qual}({arg})"
+        for qual, name, node, bound in _callables()
+        for arg, at in _settings(node, bound)
+        if (name, arg) not in passed and (name, at) not in passed
     ]
 
 
@@ -113,12 +154,12 @@ def test_every_definition_is_used_by_the_engine():
 
 
 def test_every_setting_is_passed_by_the_engine():
-    unpassed = unpassed_settings()
+    unpassed = [name for name in unpassed_settings() if name not in ALLOWED]
     assert unpassed == [], (
-        f"keyword-only parameters no call in the package passes: {unpassed}; "
+        f"parameters with a default that no call in the package passes: {unpassed}; "
         "drop the setting or give it an engine caller"
     )
 
 
 def test_every_allowance_is_still_needed():
-    assert set(ALLOWED) <= set(unreferenced())
+    assert set(ALLOWED) <= set(unreferenced()) | set(unpassed_settings())

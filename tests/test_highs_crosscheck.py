@@ -35,17 +35,14 @@ import test_pricing  # noqa: E402
 HIGHS_STATUS = {0: "optimal", 2: "infeasible", 3: "unbounded"}
 
 
-def highs(c, sense, a_ub=None, b_ub=None, a_eq=None, b_eq=None, upper=None):
-    n = len(c)
-    bounds = [(0.0, None if upper is None or not np.isfinite(u) else u)
-              for u in (upper if upper is not None else [None] * n)]
+def highs(c, sense, a_ub=None, b_ub=None, a_eq=None, b_eq=None):
     res = optimize.linprog(
         -np.asarray(c) if sense == "max" else c,
         A_ub=a_ub if a_ub is not None and len(a_ub) else None,
         b_ub=b_ub if a_ub is not None and len(a_ub) else None,
         A_eq=a_eq if a_eq is not None and len(a_eq) else None,
         b_eq=b_eq if a_eq is not None and len(a_eq) else None,
-        bounds=bounds, method="highs",
+        method="highs",
     )
     value = -res.fun if sense == "max" and res.status == 0 else res.fun
     return HIGHS_STATUS[res.status], value
@@ -57,9 +54,7 @@ def test_lp_values_match_highs(shape):
     for _ in range(20):
         prog = shape(rng)
         sol = solve(prog)
-        status, value = highs(
-            prog.c, prog.sense, prog.a_ub, prog.b_ub, prog.a_eq, prog.b_eq, prog.upper
-        )
+        status, value = highs(prog.c, prog.sense, prog.a_ub, prog.b_ub, prog.a_eq, prog.b_eq)
         assert sol.status == status
         if status == "optimal":
             assert sol.value == pytest.approx(value, rel=1e-7, abs=1e-7)

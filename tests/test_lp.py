@@ -10,9 +10,9 @@ from conic_pricer.fixtures import fixture_path
 from conic_pricer.lp import LinearProgram, solve, solve_ratio
 from conic_pricer.pricing import _with_band
 
-from conftest import lp_vertex_oracle
+from conftest import lp_vertex_oracle, random_box_lp
 from lp_reference import _pivot as full_pivot
-from lp_reference import reference_solve
+from lp_reference import reference_solve, with_bounds
 from lp_reference import solve_ratio as charnes_cooper
 
 
@@ -40,10 +40,7 @@ class TestSolveBasics:
         assert sol.x[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_equalities_and_upper_bounds(self):
-        prog = LinearProgram.build(
-            "max", [1.0, 0.0], a_eq=[[1.0, 1.0]], b_eq=[1.0], upper=[0.25, np.inf]
-        )
-        sol = solve(prog)
+        sol = solve(_one_cap())
         assert sol.value == pytest.approx(0.25, abs=1e-12)
 
     def test_dimension_validation(self):
@@ -70,16 +67,7 @@ class TestCertification:
 
     def test_every_random_solve_is_certified(self, rng):
         for _ in range(60):
-            n = int(rng.integers(2, 5))
-            m = int(rng.integers(1, 5))
-            prog = LinearProgram.build(
-                "max" if rng.random() < 0.5 else "min",
-                rng.normal(size=n),
-                a_ub=rng.normal(size=(m, n)),
-                b_ub=np.abs(rng.normal(size=m)) + 0.2,
-                upper=rng.uniform(0.5, 4.0, size=n),
-            )
-            sol = solve(prog)
+            sol = solve(_capped(rng))
             assert sol.status == "optimal"
             assert max(sol.gap, sol.primal_residual, sol.dual_residual) <= 1e-9
 
@@ -87,15 +75,8 @@ class TestCertification:
 class TestVertexCrossValidation:
     def test_agrees_with_vertex_oracle_on_100_random_lps(self, rng):
         for _ in range(100):
-            n = int(rng.integers(2, 5))
-            m = int(rng.integers(1, 5))
-            a_ub = rng.normal(size=(m, n))
-            b_ub = np.abs(rng.normal(size=m)) + 0.1  # x = 0 feasible
-            upper = rng.uniform(0.5, 3.0, size=n)
-            c = rng.normal(size=n)
-            sense = "max" if rng.random() < 0.5 else "min"
-            prog = LinearProgram.build(sense, c, a_ub=a_ub, b_ub=b_ub, upper=upper)
-            sol = solve(prog)
+            sense, c, a_ub, b_ub, upper = random_box_lp(rng)
+            sol = solve(LinearProgram.build(sense, c, *with_bounds(upper, a_ub, b_ub)))
             ref = lp_vertex_oracle(c, a_ub, b_ub, upper, sense)
             assert sol.status == "optimal"
             assert sol.value == pytest.approx(ref, abs=1e-8)
@@ -103,19 +84,35 @@ class TestVertexCrossValidation:
 
 class TestDeterminism:
     def test_bit_identical_repeat_solves(self, rng):
-        prog = LinearProgram.build(
-            "max",
-            rng.normal(size=4),
-            a_ub=rng.normal(size=(5, 4)),
-            b_ub=np.abs(rng.normal(size=5)) + 0.5,
-            upper=np.full(4, 2.0),
-        )
+        prog = _repeated(rng)
         first = solve(prog)
         for _ in range(5):
             again = solve(prog)
             assert again.value == first.value
             assert np.array_equal(again.x, first.x)
             assert again.iterations == first.iterations
+
+
+# Variables bounded from above, each bound a row appended by with_bounds.
+
+
+def _one_cap():
+    return LinearProgram.build(
+        "max", [1.0, 0.0], *with_bounds([0.25, np.inf]), a_eq=[[1.0, 1.0]], b_eq=[1.0]
+    )
+
+
+def _capped(rng):
+    n = int(rng.integers(2, 5))
+    m = int(rng.integers(1, 5))
+    sense, c = "max" if rng.random() < 0.5 else "min", rng.normal(size=n)
+    a_ub, b_ub = rng.normal(size=(m, n)), np.abs(rng.normal(size=m)) + 0.2
+    return LinearProgram.build(sense, c, *with_bounds(rng.uniform(0.5, 4.0, size=n), a_ub, b_ub))
+
+
+def _repeated(rng):
+    c, a_ub, b_ub = rng.normal(size=4), rng.normal(size=(5, 4)), np.abs(rng.normal(size=5)) + 0.5
+    return LinearProgram.build("max", c, *with_bounds(np.full(4, 2.0), a_ub, b_ub))
 
 
 def _tall(rng):
@@ -152,10 +149,10 @@ def _mixed(rng):
     if rng.random() < 0.3:
         a_eq = np.vstack([a_eq, a_eq[:1]])
     upper = np.where(rng.random(n) < 0.5, rng.uniform(1.0, 3.0, size=n), np.inf)
+    sense, c = "max" if rng.random() < 0.5 else "min", rng.normal(size=n)
     return LinearProgram.build(
-        "max" if rng.random() < 0.5 else "min", rng.normal(size=n),
-        a_ub=a_ub, b_ub=a_ub @ x0 + rng.uniform(0.0, 0.5, size=m),
-        a_eq=a_eq, b_eq=a_eq @ x0, upper=upper,
+        sense, c, *with_bounds(upper, a_ub, a_ub @ x0 + rng.uniform(0.0, 0.5, size=m)),
+        a_eq=a_eq, b_eq=a_eq @ x0,
     )
 
 
@@ -163,12 +160,10 @@ def _degenerate(rng):
     # small integers: many zero right-hand sides and tied ratios, so the
     # Bland tie-breaks decide the pivots
     n, m = int(rng.integers(3, 7)), int(rng.integers(4, 12))
-    return LinearProgram.build(
-        "max", rng.integers(-2, 4, size=n).astype(float),
-        a_ub=rng.integers(-3, 4, size=(m, n)).astype(float),
-        b_ub=rng.integers(0, 3, size=m).astype(float),
-        upper=np.full(n, 2.0),
-    )
+    c = rng.integers(-2, 4, size=n).astype(float)
+    a_ub = rng.integers(-3, 4, size=(m, n)).astype(float)
+    b_ub = rng.integers(0, 3, size=m).astype(float)
+    return LinearProgram.build("max", c, *with_bounds(np.full(n, 2.0), a_ub, b_ub))
 
 
 def _charnes_cooper(rng):
@@ -296,7 +291,7 @@ def _stalling_cone():
     a_ub = rng.normal(size=(m, n))
     a_ub -= np.outer(a_ub @ d / (d @ d) + 0.05, d)
     c = d + 0.5 * rng.normal(size=n)
-    return LinearProgram.build("max", c, a_ub=a_ub, b_ub=np.zeros(m), upper=np.ones(n))
+    return LinearProgram.build("max", c, *with_bounds(np.ones(n), a_ub, np.zeros(m)))
 
 
 class TestStallFallback:
@@ -350,8 +345,8 @@ class TestExactMode:
 
 
 def _is_farkas_ray(sol, prog):
-    """Whether ``sol``'s duals certify that no x >= 0 meets ``prog``'s rows
-    (it has no upper bounds): y^T A >= 0, y >= 0 on the inequality rows and
+    """Whether ``sol``'s duals certify that no x >= 0 meets ``prog``'s rows:
+    y^T A >= 0, y >= 0 on the inequality rows and
     y^T b < 0, each within 1e-9 of the magnitudes entering it."""
     y_ub, y_eq = sol.dual_ub, sol.dual_eq
     if y_ub is None or y_eq is None:
@@ -436,7 +431,8 @@ class TestSolveRatio:
 
     def test_monotone_ratio_on_interval(self):
         # (2x + 1)/(x + 1) over x in [0, 1]: 1 at x = 0, 1.5 at x = 1
-        lo, hi = charnes_cooper([2.0], [1.0], num0=1.0, den0=1.0, upper=[1.0])
+        a_ub, b_ub = with_bounds([1.0])
+        lo, hi = charnes_cooper([2.0], [1.0], num0=1.0, den0=1.0, a_ub=a_ub, b_ub=b_ub)
         assert hi.value == pytest.approx(1.5, abs=1e-9)
         assert hi.x[0] == pytest.approx(1.0, abs=1e-9)
         assert lo.value == pytest.approx(1.0, abs=1e-9)
@@ -471,7 +467,8 @@ class TestSolveRatio:
     def test_upper_bounds_homogenize(self):
         # max (x1 + x2)/(x1 + 1) with x in [0, 2]^2: push x2 to its cap and
         # shrink x1; the minimum 0 needs x2 = 0
-        lo, hi = charnes_cooper([1.0, 1.0], [1.0, 0.0], den0=1.0, upper=[2.0, 2.0])
+        a_ub, b_ub = with_bounds([2.0, 2.0])
+        lo, hi = charnes_cooper([1.0, 1.0], [1.0, 0.0], den0=1.0, a_ub=a_ub, b_ub=b_ub)
         assert hi.value == pytest.approx(2.0, abs=1e-9)
         assert hi.x[0] == pytest.approx(0.0, abs=1e-9)
         assert hi.x[1] == pytest.approx(2.0, abs=1e-9)
