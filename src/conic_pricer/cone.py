@@ -36,10 +36,16 @@ no-good-deal check): a hedge that gains and never loses has L = 0, and L is
 certified to ``lp.TOL``, so arbitrage <=> some node has L <= ``lp.TOL``.
 Arbitrage and no good deal read one witness: the node's least-loss hedge,
 certified by :func:`good_deal_certificate` as a :class:`GoodDealWitness`.
+
+With one security, the same rows read as trades also carry each date-t
+node's no-arbitrage bounds as a backward induction (:func:`_bound_candidates`):
+its hedge is a weight per row and its density a mass per node, which map
+onto the bound LP's dual and primal for the LP's own certificate to judge.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Optional
 
@@ -327,3 +333,228 @@ def _arbitrage(model: MarketModel, rows: NodeRows) -> Optional[GoodDealWitness]:
                 )
             return witness
     return None
+
+
+# A slope within this share of max(1, ask) of a node's bid or ask meets it:
+# where a step is frictionless the two sides of that equality are rounded
+# apart, which would read as an arbitrage of the rounding's size.
+_SLOPE_TOL = 1e-12
+
+
+def _upper_envelope(lines):
+    """The upper envelope of ``lines``, (slope, intercept, owner) triples
+    sorted by slope and then intercept: its breakpoints and its pieces, the
+    lines that top the others on an interval, left to right."""
+    Z, pieces = [], []
+    for line in lines:
+        b, a, _ = line
+        while pieces:
+            b0, a0, _ = pieces[-1]
+            if b0 != b:  # else parallel, and no higher than this line
+                z = (a0 - a) / (b - b0)
+                if not Z or z > Z[-1]:
+                    Z.append(z)
+                    break
+            pieces.pop()
+            del Z[-1:]
+        pieces.append(line)
+    return Z, pieces
+
+
+class _Subtrees:
+    """The subtrees of the date-t nodes of a one-security market: every node
+    from date t on, numbered date by date and within a date in cell order
+    (node ``offset[s] + cell``; the leaves, at the horizon, from ``leaf``),
+    with its children and, discounted, its bid and ask, its ask and bid
+    dividend increments, and what a unit held into it is worth there on
+    exit, long (bid plus ask dividend) and short (ask plus bid dividend), as
+    :func:`generators_for` prices the rows."""
+
+    def __init__(self, model: MarketModel, t: int):
+        tree, sec = model.tree, model.securities[0]
+        T, parts = tree.horizon, tree.partitions
+        self.offset = np.zeros(T + 2, dtype=int)
+        self.offset[t + 1:] = np.cumsum([len(parts[s]) for s in range(t, T + 1)])
+        self.roots, self.leaf = int(self.offset[t + 1]), int(self.offset[T])
+        self.heads = np.array([cell[0] for s in range(t, T + 1) for cell in parts[s]])
+        at = (self.heads, np.repeat(np.arange(t, T + 1), np.diff(self.offset[t:])))
+        before = (at[0], np.maximum(at[1] - 1, 0))
+        _, Binv = model.discounts()
+        self.bid, self.ask = sec.bid[at] * Binv[at], sec.ask[at] * Binv[at]
+        ga = (sec.div_ask[at] - sec.div_ask[before]) * Binv[at]
+        gb = (sec.div_bid[at] - sec.div_bid[before]) * Binv[at]
+        self.quotes = [v.tolist() for v in (self.bid, self.ask, ga, gb)]  # as floats
+        self.exits = (self.bid + ga).tolist(), (self.ask + gb).tolist()
+        self.kids = [[] for _ in range(self.leaf)]
+        for s in range(t + 1, T + 1):
+            heads = self.heads[self.offset[s]:self.offset[s + 1]]
+            parents = self.offset[s - 1] + tree.cell_index(s - 1)[heads]
+            for k, p in enumerate(parents.tolist(), self.offset[s]):
+                self.kids[p].append(k)
+
+    def backward(self, payoff):
+        """Per non-leaf node, the upper envelope G of its children's F as a
+        function of the units held out of it (each piece's owner the index
+        of a child among the children), with the interval [za, zb] of the
+        positions that no trade at the node improves; None where the
+        recursion finds no finite price.  ``payoff`` is discounted, per
+        leaf.  Each F is kept as its lines, whose maximum it is."""
+        bid, ask, ga, gb = self.quotes
+        F = [None] * self.leaf
+        for short, long, v in zip(self.exits[1][self.leaf:], self.exits[0][self.leaf:], payoff):
+            F.append([(-short, v), (-long, v)] if short != long else [(-short, v)])
+        G = [None] * self.leaf
+        for c in range(self.leaf - 1, -1, -1):
+            lines = []
+            for o, k in enumerate(self.kids[c]):
+                if F[k] is None:
+                    break
+                lines += [(s, v, o) for s, v in F[k]]
+            else:
+                lines.sort()
+                Z, pieces = _upper_envelope(lines)
+                tol = _SLOPE_TOL * max(1.0, ask[c])
+                slopes = [p[0] for p in pieces]
+                n = len(pieces)
+                a, b = bisect_left(slopes, -ask[c] - tol), bisect_right(slopes, -bid[c] + tol)
+                if b == 0 or a == n:  # the slopes cannot meet the bid and ask
+                    continue
+                za, zb = Z[a - 1] if a else -np.inf, Z[b - 1] if b < n else np.inf
+                G[c] = Z, pieces, za, zb
+                if c >= self.roots:
+                    F[c] = _traded(Z, pieces, a, b, za, zb, ask[c], bid[c], ga[c], gb[c])
+        return G
+
+    def forward(self, G):
+        """Top-down over :meth:`backward`'s answer: per node, the units held
+        into it and out of it, its share of its date-t node's density mass
+        and its shadow price, and per date-t node its price (None where there
+        is none)."""
+        bid, ask, ga, gb = self.quotes
+        n = len(bid)
+        into, out, mass, price, target = [0.0] * n, [0.0] * n, [0.0] * n, [0.0] * n, [None] * n
+        prices = [None] * self.roots
+        mass[: self.roots] = [1.0] * self.roots
+        for c, g in enumerate(G):
+            if g is None:
+                continue
+            Z, pieces, za, zb = g
+            z, m = into[c], mass[c]
+            held = za if z < za else zb if z > zb else z
+            near = 1e-12 * (1.0 + abs(held))
+            if abs(held - z) <= near:  # no trade but for rounding
+                held = z
+            out[c] = held
+            # the pieces meeting at the position held, breakpoints within
+            # rounding of it taken as one
+            (lo, v, first), (hi, _, last) = (
+                pieces[bisect_left(Z, held - near)], pieces[bisect_right(Z, held + near)]
+            )
+            if c < self.roots:
+                prices[c] = v + lo * held + (ask[c] if held > 0 else bid[c]) * held
+            # the node's shadow price: the ask where it buys, the bid where it
+            # sells, else a slope of G between them that its parent's target
+            # leaves, less the dividend the units held into it earn
+            if held != z:
+                h = -ask[c] if held > z else -bid[c]
+            else:
+                low, high = max(lo, -ask[c]), min(hi, -bid[c])
+                if target[c] is not None:
+                    low = max(low, target[c] + (ga[c] if z >= 0 else gb[c]))
+                    high = min(high, target[c] + (gb[c] if z <= 0 else ga[c]))
+                h = 0.5 * (low + high)
+            h = min(max(h, lo), hi)
+            price[c] = -h
+            kids = self.kids[c]
+            for k in kids:
+                into[k] = held
+            first, last = kids[first], kids[last]
+            if first == last:
+                mass[first], target[first] = m, h
+            else:  # the two owners' slopes average to h
+                share = m * (hi - h) / (hi - lo)
+                mass[first], target[first] = share, lo
+                mass[last], target[last] = m - share, hi
+        return into, out, mass, price, prices
+
+
+def _traded(Z, pieces, a, b, za, zb, ask, bid, ga, gb):
+    """F of a node, as lines, from the breakpoints ``Z`` and ``pieces`` of
+    its G: H, G traded at the node's ``ask`` and ``bid``, is G's pieces
+    ``a`` to ``b - 1`` continued by the lines of slope -ask through G at
+    ``za`` (buy up to it) and -bid through G at ``zb`` (sell down to it);
+    F is H less the dividend the units held into the node earn, ``ga`` a
+    unit long and ``gb`` short (ga <= gb keeps F convex)."""
+    H = [(s, v) for s, v, _ in pieces[a:b]]
+    if a:
+        s, v, _ = pieces[a - 1]
+        H.insert(0, (-ask, v + (s + ask) * za))
+    if b < len(pieces):
+        s, v, _ = pieces[b]
+        H.append((-bid, v + (s + bid) * zb))
+    if ga == gb:
+        return [(s - ga, v) for s, v in H]
+    cuts = Z[max(a - 1, 0):min(b, len(pieces) - 1)]
+    short, long = bisect_left(cuts, 0.0) + 1, bisect_right(cuts, 0.0)
+    return [(s - gb, v) for s, v in H[:short]] + [(s - ga, v) for s, v in H[long:]]
+
+
+def _bound_candidates(model: MarketModel, rows: NodeRows, x) -> list:
+    """Candidate optima of each date-``rows.start`` node's bound slice
+    (``pricing._node_quotes``), ``(lo, hi)`` per node in node order, from
+    the superreplication recursion of a market with one security under
+    trade entry; an extreme the recursion finds no finite price for is
+    None.  ``x`` is the discounted payoff per path.
+
+    The ask of a node is the least cash that superreplicates x from it, and
+    the bid minus the ask of -x (Bensaid, Lesne, Pagès & Scheinkman, Math.
+    Finance 1992; Roux, Tokarz & Zastawniak, Acta Appl. Math. 2008).  With
+    F_c(z) the least cash that pays x on from node c given z units held into
+    it, each F is convex and piecewise linear in z: at a leaf, x_c less the
+    z units' exit value, long or short; above, G_c, the upper envelope of
+    the children's F, traded at c's ask and bid and less the dividend z
+    earns into c (:meth:`_Subtrees.backward`).  The ask is G traded at z = 0.
+
+    A top-down pass (:meth:`_Subtrees.forward`) then reads off both sides of
+    the bound LP's strong duality.  The hedge holds, out of each node, the
+    position nearest the units it came in with at which no trade pays; as
+    weights on the open and carry-on rows (as in :func:`hedge_strategy`),
+    with the ask on the normalization, it is the dual.  The density is the
+    primal: each node's mass goes to the children owning the pieces of G
+    that meet at the position held, in the shares that average their slopes
+    to the node's shadow price (the ask where it buys, the bid where it
+    sells, in between where it holds on), and each carry-on row's envelope
+    excess is the node's mass times its shadow price above the bid (long)
+    or below the ask (short).  The pair is optimal in exact arithmetic;
+    :meth:`conic_pricer.lp._Slice.solve` puts it to the LP's own
+    certificate, and solves any extreme that fails.
+    """
+    sub, tree = _Subtrees(model, rows.start), model.tree
+    payoff = x[sub.heads[sub.leaf:]].tolist()
+    passes = [sub.forward(sub.backward(v)) for v in ([-v for v in payoff], payoff)]
+    into, outof, mass, price = (np.array([p[i] for p in passes]) for i in range(4))
+    # each row's weight: what it holds of the position out of its node,
+    # carried on from the units that came in (long and short alike)
+    at = sub.offset[rows.date] + rows.cell  # each row's node
+    came, held = into[:, at] * rows.side, outof[:, at] * rows.side
+    kept = np.minimum(np.maximum(came, 0.0), np.maximum(held, 0.0))
+    weights = np.where(rows.carry, kept, np.maximum(held, 0.0) - kept)
+    col = at[: len(rows.col_owner)]
+    excess = np.where(
+        rows.side[: len(col)] > 0, price[:, col] - sub.bid[col], sub.ask[col] - price[:, col]
+    )
+    env = mass[:, col] * np.maximum(excess, 0.0)
+    leaves = tree.cell_index(tree.horizon)
+    u = mass[:, sub.leaf + leaves] / np.bincount(leaves, tree.probabilities)[leaves]
+    out = []
+    for node in tree.nodes(rows.start):
+        paths = list(tree.node_paths(node))
+        pick, cols = rows.owner == node.cell, rows.col_owner == node.cell
+        out.append(tuple(
+            None if p[4][node.cell] is None else lp.LPSolution(
+                "optimal", x=np.concatenate([u[k, paths], env[k, cols]]),
+                dual_ub=sign * weights[k, pick], dual_eq=np.array([sign * p[4][node.cell]]),
+            )
+            for k, (sign, p) in enumerate(zip((-1.0, 1.0), passes))
+        ))
+    return out

@@ -31,10 +31,10 @@ side; that keeps the loop finite.
 
 Phase 1 reads only the rows, so :func:`solve` runs it once and phase 2 starts
 from it; :func:`solve_ratio` runs phase 2 twice, once per sense, from copies
-of one phase 1.  The rows are read once per program, into the slack start
-that phase 1, every restart and every certificate share
-(:func:`_slack_start`); they are copied sign-normalized only where a
-right-hand side is negative.
+of one phase 1, for each sense that no candidate answers (below).  The rows
+are read once per program, into the slack start that phase 1, every restart
+and every certificate share (:func:`_slack_start`); they are copied
+sign-normalized only where a right-hand side is negative.
 
 Every optimum keeps its final basis, numbered as phase 1 numbers the
 variables, and a solve can start from an optimum of rows of the same shape
@@ -51,6 +51,13 @@ wider band only loosens the rows, so x stays feasible, and duals that are
 zero on every changed row stay dual feasible.  Otherwise the solve restarts from the
 previous basis, refactored on the new rows by one dense solve against every
 column, [A | I] for the ratio program.
+
+:meth:`_Slice.solve` carries a candidate optimum built outside the simplex
+the same way: an x and duals with no basis (the one-security bounds of
+:func:`conic_pricer.cone._bound_candidates`).  A candidate that passes the
+strong-duality test is the answer; one that fails has no basis to restart
+from, so its extreme takes the shared phase 1 and gets the cold answer bit
+for bit.  Every answer, carried or pivoted, passes the one test.
 
 The surface's band program is built once per transaction cost
 (:class:`_Slice`), and a level step rewrites one column of it in place: the
@@ -677,10 +684,11 @@ def _fits(lp: LinearProgram, prev: LPSolution) -> bool:
 
 def _carry(lp: LinearProgram, rows: _Rows, prev: LPSolution) -> Optional[LPSolution]:
     """``prev``, an optimum of ``rows`` before a :class:`_Slice` rewrote
-    them, as the optimum of ``lp`` when its x and duals pass
-    :func:`_phase2`'s strong-duality test on ``rows``, ``lp``'s rows as
-    supplied; else None.  The answer keeps ``prev``'s basis and tableau, for
-    the next restart, and its residuals are recomputed on the new rows."""
+    them or a candidate optimum built outside the simplex, as the optimum
+    of ``lp`` when its x and duals pass :func:`_phase2`'s strong-duality
+    test on ``rows``, ``lp``'s rows as supplied; else None.  The answer
+    keeps ``prev``'s basis and tableau, for the next restart, and its value
+    and residuals are recomputed on the rows."""
     sense_mult = 1.0 if lp.sense == "max" else -1.0
     y = sense_mult * np.concatenate([prev.dual_ub, prev.dual_eq])
     # the certificate's own tests, the dual residual first: a carry that
@@ -751,27 +759,31 @@ class _Slice:
     def solve(self, warm: Optional[tuple] = None) -> tuple[LPSolution, LPSolution]:
         """``(lo, hi)`` as :func:`solve_ratio` gives them.
 
-        ``warm``, a previous ``(lo, hi)`` of a program of the same shape,
-        starts each extreme from that extreme's answer: its optimum when it
-        was solved on these rows and certifies on them as rewritten (see
-        ``_carry``), else a restart from its final basis (:meth:`_restart`).
-        An extreme that cannot restart takes the shared phase 1 as without
-        ``warm``.
+        ``warm`` holds one answer per extreme, or None, to start that
+        extreme from: a previous ``(lo, hi)`` of a program of the same
+        shape, or candidate optima built outside the simplex, which have no
+        basis.  An extreme's answer is carried, without a pivot, when it is
+        a candidate or was solved on these rows, and it certifies on them as
+        they are now (see ``_carry``); else the extreme restarts from its
+        final basis (:meth:`_restart`).  An extreme that cannot restart,
+        such as a candidate that fails its certificate, takes the shared
+        phase 1 as without ``warm``, so its answer is the cold one bit for
+        bit.
         """
         rows, cold, out = self.rows, None, []
-        for k, side in enumerate(self.sides):
+        for side, prev in zip(self.sides, warm or (None, None)):
             start = None
-            if warm is not None:
+            if prev is not None:
                 # an optimum kept on another slice's rows solved a program
                 # whose data all differ (the surface's row before): its x
                 # does not solve these rows, so no carry is tried
-                kept = warm[k].kept
-                if kept is not None and kept.rows is rows:
-                    carried = _carry(side, rows, warm[k])
+                kept = prev.kept
+                if prev.basis is None or (kept is not None and kept.rows is rows):
+                    carried = _carry(side, rows, prev)
                     if carried is not None:
                         out.append(carried)
                         continue
-                start = self._restart(side, warm[k])
+                start = self._restart(side, prev)
             if start is None:
                 if cold is None:
                     cold = _phase1(self.prog, rows)
@@ -792,7 +804,7 @@ class _Slice:
         return _restart(side, self.rows, prev.basis)
 
 
-def solve_ratio(num, den, a_ub) -> tuple[LPSolution, LPSolution]:
+def solve_ratio(num, den, a_ub, warm: Optional[tuple] = None) -> tuple[LPSolution, LPSolution]:
     """Minimum and maximum of (num @ x) / (den @ x) over the points of the
     cone {x >= 0, a_ub @ x <= 0} with den @ x > 0, as ``(lo, hi)``.
 
@@ -800,7 +812,9 @@ def solve_ratio(num, den, a_ub) -> tuple[LPSolution, LPSolution]:
     num @ x on the slice den @ x = 1.  Both senses start phase 2 from one
     phase 1 of the slice, so each is bit for bit what ``solve`` gives for its
     sense; certification stays per extreme.  Both read ``infeasible``, with
-    one Farkas ray, when the cone does not reach the slice.  A restart from
-    a previous ``(lo, hi)`` goes through :meth:`_Slice.solve`.
+    one Farkas ray, when the cone does not reach the slice.  ``warm`` holds
+    a candidate optimum per extreme, or None (see :meth:`_Slice.solve`): a
+    candidate that certifies is the answer, and any other extreme is solved
+    as without it.
     """
-    return _Slice(num, den, a_ub).solve()
+    return _Slice(num, den, a_ub).solve(warm)

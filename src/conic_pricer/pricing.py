@@ -55,7 +55,12 @@ gamma, or inside the tie band (1 - ``lp.TOL`` <= gamma L_v < 1) its ceiling
 Every band quote, of :func:`good_deal_prices`, :func:`forward_prices` and
 :func:`liquidity_surface` alike, is one node's :class:`_BandRow`, the one
 builder of a band program; the bounds alone solve through
-:func:`conic_pricer.lp.solve_ratio`.
+:func:`conic_pricer.lp.solve_ratio`.  With one security under
+``entry="trade"``, each node's bound LP is handed candidate optima from the
+superreplication recursion (:func:`conic_pricer.cone._bound_candidates`):
+an extreme whose candidate passes the LP's certificate takes it as its
+answer with no pivot, and any other is solved by the simplex, as every
+extreme of ``entry="mark"`` and of a market with more securities is.
 
 Only :func:`noarb_bounds` takes ``entry="mark"``, which switches the
 valuation-date legs of hedges initiated exactly at the pricing date to
@@ -77,8 +82,8 @@ import numpy as np
 from . import lp
 from .acceptability import DensityBand
 from .cone import (
-    GoodDealWitness, NodeRows, _arbitrage, _least_losses, _node_cone, generators_for,
-    good_deal_certificate,
+    GoodDealWitness, NodeRows, _arbitrage, _bound_candidates, _least_losses, _node_cone,
+    generators_for, good_deal_certificate,
 )
 from .errors import ComputationError, ValidationError
 from .lattice import NodeRef, as_values, tail_sum
@@ -195,17 +200,29 @@ def _entry(node: NodeRef, lo, hi) -> PriceEntry:
     return PriceEntry(node, bid, ask, STATUS_OK)
 
 
-def _node_quotes(model: MarketModel, cash_flow, rows: NodeRows) -> list:
+def _node_quotes(model: MarketModel, cash_flow, rows: NodeRows, entry: str) -> list:
     """The min and max of each date-t node's conditional mean of the
     discounted tail over its own cone (:func:`_node_cone`), in node order:
     the node's :class:`PriceEntry` (see :func:`_entry`) with the ``(lo, hi)``
     solutions.  Both solutions of a node the cone cannot charge are the one
-    Farkas ray."""
+    Farkas ray.
+
+    With one security under ``entry="trade"``, the superreplication
+    recursion (:func:`conic_pricer.cone._bound_candidates`) hands each
+    node's slice its candidate optima, which answer the extremes whose
+    certificate they pass; every other extreme, and every node of a market
+    with more securities or under ``entry="mark"``, is solved by the
+    simplex."""
     x = _discounted_tail(model, cash_flow, rows.start)
+    nodes = model.tree.nodes(rows.start)
+    if entry == "trade" and model.n_securities == 1:
+        starts = _bound_candidates(model, rows, x)
+    else:
+        starts = [None] * len(nodes)
     quotes = []
-    for node in model.tree.nodes(rows.start):
+    for node, warm in zip(nodes, starts):
         cone = _node_cone(rows, node.cell, list(model.tree.node_paths(node)))
-        lo, hi = lp.solve_ratio(*_ratio_terms(model, x, node, cone.shape[1]), cone)
+        lo, hi = lp.solve_ratio(*_ratio_terms(model, x, node, cone.shape[1]), cone, warm=warm)
         quotes.append((_entry(node, lo, hi), (lo, hi)))
     return quotes
 
@@ -240,13 +257,15 @@ def noarb_bounds(model: MarketModel, cash_flow, t: int, *, entry: str = "trade")
     """Lower/upper bounds of the conditional discounted tail over the closure
     of the risk-neutral density polytope, per date-t node.
 
-    The bound LPs run first.  When every node's pair proves an equivalent
-    density of its cone (see :func:`_charges_every_path`), the market is free
-    of arbitrage at date t and the bounds are returned as they are; the
-    ``mark`` cone lies inside the ``trade`` cone, so its proof clears the
-    trade rows too.  Otherwise the arbitrage search runs over the trade rows
-    (arbitrage <=> some date-t node has least loss per unit of gain
-    L <= ``lp.TOL``), and an arbitrage makes every status ``STATUS_ARBITRAGE``.
+    The bound LPs run first (one-security trade bounds from the recursion's
+    candidates where they certify, see :func:`_node_quotes`).  When every
+    node's pair proves an equivalent density of its cone (see
+    :func:`_charges_every_path`), the market is free of arbitrage at date t
+    and the bounds are returned as they are; the ``mark`` cone lies inside
+    the ``trade`` cone, so its proof clears the trade rows too.  Otherwise
+    the arbitrage search runs over the trade rows (arbitrage <=> some date-t
+    node has least loss per unit of gain L <= ``lp.TOL``), and an arbitrage
+    makes every status ``STATUS_ARBITRAGE``.
 
     A node that no density of the cone charges (possible under
     ``entry="mark"``) gets ``STATUS_INFEASIBLE`` and NaN bounds.  A bound LP
@@ -255,7 +274,7 @@ def noarb_bounds(model: MarketModel, cash_flow, t: int, *, entry: str = "trade")
     """
     rows = generators_for(model, t, entry)
     try:
-        quotes = _node_quotes(model, cash_flow, rows)
+        quotes = _node_quotes(model, cash_flow, rows, entry)
     except ComputationError:
         if (found := _arbitrage_quote(model, rows, entry)) is not None:
             return found

@@ -173,6 +173,28 @@ def arbitrage_free_market(rng, tree, *, dividends, rates, lam=None, securities=1
     return MarketModel(tree, r, secs)
 
 
+def one_security_panel():
+    """60 one-security markets free of arbitrage, with a random cash flow
+    each, as ``(model, flow)``: 3-11 paths over horizons 2-4, dividends on
+    every other market, stochastic rates on two in three, and costs 0,
+    0.004, 0.02 or drawn from [0.002, 0.03] in turn.  On every sixth market
+    (from the third) a short position pays more dividend than a long one
+    earns, which leaves the generating measure a density of the cone."""
+    for k in range(60):
+        rng = np.random.default_rng(1000 + k)
+        tree = random_tree(rng, 3 + k % 9, 2 + k % 3)
+        model = arbitrage_free_market(
+            rng, tree, dividends=k % 2 == 0, rates=k % 3 != 0, lam=(0.0, 0.004, 0.02, None)[k % 4]
+        )
+        if k % 6 == 2:
+            sec = model.securities[0]
+            extra = random_adapted(rng, tree, base=0.2, vol=0.3)
+            extra[:, 0] = 0.0
+            sec = Security(sec.name, sec.bid, sec.ask, sec.div_ask, sec.div_bid + extra.cumsum(1))
+            model = MarketModel(tree, model.rates, [sec])
+        yield model, random_cashflow(rng, tree)
+
+
 def random_legs(rng, tree, n_securities=1, scale=2.0):
     legs = np.zeros((tree.horizon + 1, n_securities, tree.n_paths))
     for t in range(1, tree.horizon + 1):

@@ -18,6 +18,12 @@ Writes one record per line for
   check c11 that bound variables from above, each bound a row appended by
   ``lp_reference.with_bounds``, at the seeds those tests use: the status,
   value, x and both duals in float hex and the iteration count;
+* ``noarb_bounds`` under trade entry at every date of the tests'
+  ``one_security_panel`` (60 one-security markets free of arbitrage, with
+  dividends and stochastic rates in turn), with the number of bound
+  extremes the simplex solved, where the superreplication recursion's
+  candidate failed or is missing (every extreme, in an engine without the
+  recursion); the pivots also count the arbitrage searches;
 * the ``error:`` line of a fixed panel of malformed edits to the shipped
   fixture files: one per refusal of the loader that the README lists, and
   one per kind of measurability failure (an unadapted explicit cash flow,
@@ -61,7 +67,9 @@ import numpy as np  # noqa: E402
 
 import workloads as W  # noqa: E402
 import test_lp  # noqa: E402
-from conftest import random_box_lp, random_market, random_tree  # noqa: E402
+from conftest import (  # noqa: E402
+    one_security_panel, random_box_lp, random_market, random_tree,
+)
 from conic_pricer import cli, lp, pricing  # noqa: E402
 from conic_pricer.cone import arbitrage_check  # noqa: E402
 from conic_pricer.errors import ComputationError, ValidationError  # noqa: E402
@@ -170,6 +178,28 @@ def arbitrage_records(pivots: PivotCount):
             except ComputationError as exc:
                 body = [f"ComputationError {exc}"]
             yield f"arbitrage {k} t={t}", body, pivots.take()
+
+
+def one_security_records(pivots: PivotCount):
+    answers, solve_ratio = [], lp.solve_ratio
+
+    def recording(*args, **kwargs):
+        pair = solve_ratio(*args, **kwargs)
+        answers.extend(pair)
+        return pair
+
+    lp.solve_ratio = recording
+    try:
+        for k, (model, flow) in enumerate(one_security_panel()):
+            for t in range(model.tree.horizon):
+                body = _call(model, lambda: pricing.noarb_bounds(model, flow, t))
+                # a carried candidate has no basis
+                simplex = sum(a.status != "optimal" or a.basis is not None for a in answers)
+                body.append(f"simplex solved {simplex} of {len(answers)} extremes")
+                answers.clear()
+                yield f"one security {k} bounds t={t}", body, pivots.take()
+    finally:
+        lp.solve_ratio = solve_ratio
 
 
 def _box(rng):
@@ -296,7 +326,7 @@ def sweep() -> list[str]:
     pivots = PivotCount()
     lines = []
     for source in (tree_records, surface_records, fixture_records, arbitrage_records,
-                   bounded_records, error_records):
+                   one_security_records, bounded_records, error_records):
         for name, body, count in source(pivots):
             lines.append(f"{name} pivots={count}")
             lines.extend("  " + line for line in body)

@@ -34,6 +34,8 @@ package, or another reference here, computes another way:
   the quote-first order of ``noarb_bounds`` and ``good_deal_prices``; the
   good-deal node quotes come from a fresh band program per node and level
   (``cold_band_quote``), against the engine's ``_BandRow``;
+* one-security trade bounds from the simplex alone (``cold_bound_quote``),
+  against the superreplication recursion's certified candidates;
 * the natural filtration from each path's whole observed history at every
   date, against the date-by-date refinement of ``derive_filtration``, and
   every cell's spread scanned date by date, against the comparison with each
@@ -373,7 +375,7 @@ def check_first_bounds(model, cash_flow, t, *, entry="trade"):
             for node in model.tree.nodes(t)
         )
         return pricing.PriceQuote(time=t, gamma=None, entries=entries)
-    quotes = pricing._node_quotes(model, cash_flow, generators_for(model, t, entry))
+    quotes = pricing._node_quotes(model, cash_flow, generators_for(model, t, entry), entry)
     return pricing.PriceQuote(time=t, gamma=None, entries=tuple(e for e, _ in quotes))
 
 
@@ -390,6 +392,16 @@ def check_first_good_deal_prices(model, cash_flow, t, gamma):
     rows, x = generators_for(model, t), pricing._discounted_tail(model, cash_flow, t)
     entries = tuple(cold_band_quote(model, x, rows, node, gamma) for node in model.tree.nodes(t))
     return pricing.PriceQuote(time=t, gamma=gamma, entries=entries)
+
+
+def cold_bound_quote(model, x, rows, node):
+    """``node``'s no-arbitrage bounds of ``x`` from the simplex alone: the
+    node's cone of ``rows`` and one ``lp.solve_ratio`` with no candidate,
+    read by ``_entry`` (``cold_band_quote`` without the band)."""
+    paths = list(model.tree.node_paths(node))
+    a_ub = pricing._node_cone(rows, node.cell, paths)
+    num, den = pricing._ratio_terms(model, x, node, a_ub.shape[1])
+    return pricing._entry(node, *lp.solve_ratio(num, den, a_ub))
 
 
 def cold_band_quote(model, x, rows, node, level):

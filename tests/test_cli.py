@@ -208,10 +208,13 @@ class TestBounds:
             raise ComputationError("LP certification failed: injected")
 
         monkeypatch.setattr(lp, "solve_ratio", failing)
-        code, out, err = run(capsys, "bounds", MODEL, PAYOFF)
-        assert code == EXIT_INTERNAL
-        assert "arbitrage" not in out
-        assert "injected" in err
+        # mark bounds go to the simplex alone; trade bounds hand it the
+        # recursion's candidates first
+        for entry in ("mark", "trade"):
+            code, out, err = run(capsys, "bounds", MODEL, PAYOFF, "--entry", entry)
+            assert code == EXIT_INTERNAL
+            assert "arbitrage" not in out
+            assert "injected" in err
         # every command that solves an LP, failing in either solver
         monkeypatch.setattr(lp, "solve", failing)
         for argv in (["price", MODEL, PAYOFF, "--gamma", "8"],

@@ -387,7 +387,9 @@ class TestCertifiedOrError:
 
     def test_uncertified_optimum_raises_once(self, monkeypatch, count_calls):
         # phase 2 stopped where phase 1 left it, (0, 1), short of the optimum
-        # (2, 0): one solve raises, with no second attempt, and the CLI exits 70
+        # (2, 0): one solve raises, with no second attempt, and the CLI exits
+        # 70 (on mark bounds, which the simplex solves: the recursion prices
+        # one-security trade bounds without a phase 2)
         prog = LinearProgram.build("max", [1.0, 0.25], a_eq=[[1.0, 2.0]], b_eq=[2.0])
         assert solve(prog).value == pytest.approx(2.0, abs=1e-12)
         _stop_phase(monkeypatch, 2)
@@ -397,7 +399,7 @@ class TestCertifiedOrError:
             lp.solve(prog)
         assert len(solves) == 1
         model, payoff = fixture_path("two_period_stock.json"), fixture_path("asian_call_65.json")
-        assert main(["bounds", model, payoff]) == EXIT_INTERNAL
+        assert main(["bounds", model, payoff, "--entry", "mark"]) == EXIT_INTERNAL
 
 
 class TestSolveRatio:

@@ -44,6 +44,7 @@ from conftest import (
     arbitrage_free_market,
     binary_tree_market,
     binomial_model,
+    one_security_panel,
     quote_status,
     random_cashflow,
     random_market,
@@ -54,6 +55,7 @@ from oracles import (
     check_first_bounds,
     check_first_good_deal_prices,
     cold_band_quote,
+    cold_bound_quote,
     primal_price_oracle,
     wealth_closed_form,
 )
@@ -121,19 +123,24 @@ class TestNoArbBounds:
 
     def test_solver_failure_is_not_arbitrage(self, monkeypatch):
         # a failing bound LP sends the market to the arbitrage search; once
-        # that clears it, the failure is the solver's and must surface as one
+        # that clears it, the failure is the solver's and must surface as
+        # one.  Under mark the simplex alone solves the bounds; under trade
+        # the failing solve is handed the recursion's candidates first
         def failing(*args, **kwargs):
             raise ComputationError("LP certification failed: injected")
 
         monkeypatch.setattr(lp, "solve_ratio", failing)
         model = two_period_model()
         assert arbitrage_check(model, 0) is None
-        with pytest.raises(ComputationError, match="injected"):
-            noarb_bounds(model, call_payoff(model), 0)
+        for entry in ("mark", "trade"):
+            with pytest.raises(ComputationError, match="injected"):
+                noarb_bounds(model, call_payoff(model), 0, entry=entry)
 
     def test_arbitrage_read_when_bound_lps_fail(self, monkeypatch):
         # the market of test_arbitrage_status: the arbitrage search, not the
-        # failing bound LP, decides its status
+        # failing bound LP, decides its status.  The recursion has no
+        # candidate there (see test_recursion_leaves_arbitrage_to_the_lp), so
+        # under trade as under mark the node goes to the simplex
         def failing(*args, **kwargs):
             raise ComputationError("LP certification failed: injected")
 
@@ -207,13 +214,14 @@ class TestNoArbBounds:
     def test_rounding_crossing_reads_midpoint(self, monkeypatch, bid, ask, quoted):
         # every quote passes through _entry: a min optimum above the max by
         # at most lp.TOL * max(1, |bid|, |ask|) is both sides' midpoint; the
-        # patched optima charge every path, so no arbitrage search runs
+        # patched optima charge every path, so no arbitrage search runs.
+        # Mark bounds, which the simplex solves with no candidate
         model = two_period_model()
-        monkeypatch.setattr(lp, "solve_ratio", lambda num, den, a_ub: (
+        monkeypatch.setattr(lp, "solve_ratio", lambda num, den, a_ub, warm: (
             lp.LPSolution("optimal", value=bid, x=np.ones(a_ub.shape[1])),
             lp.LPSolution("optimal", value=ask, x=np.ones(a_ub.shape[1])),
         ))
-        e = noarb_bounds(model, call_payoff(model), 0).entries[0]
+        e = noarb_bounds(model, call_payoff(model), 0, entry="mark").entries[0]
         assert e.status == STATUS_OK
         if quoted is None:
             assert (e.bid, e.ask) == (bid, ask)
@@ -223,13 +231,13 @@ class TestNoArbBounds:
     def test_wide_crossing_raises(self, monkeypatch):
         # a crossing beyond the tolerance cannot come from two certified
         # optima: noarb_bounds' arbitrage search clears the market, and the
-        # failure is raised
+        # failure is raised (on mark bounds, which the simplex solves)
         model = two_period_model()
-        monkeypatch.setattr(lp, "solve_ratio", lambda *args, **kwargs: (
+        monkeypatch.setattr(lp, "solve_ratio", lambda num, den, a_ub, warm: (
             lp.LPSolution("optimal", value=2.0 + 5e-9), lp.LPSolution("optimal", value=2.0)
         ))
         with pytest.raises(ComputationError, match="exceeds ask"):
-            noarb_bounds(model, call_payoff(model), 0)
+            noarb_bounds(model, call_payoff(model), 0, entry="mark")
 
     @pytest.mark.xfail(
         raises=ComputationError, strict=True,
@@ -1556,3 +1564,152 @@ class TestQuotesFirstMatchCheckFirst:
                 model, good_deal_prices(model, flow, 0, gamma),
                 check_first_good_deal_prices(model, flow, 0, gamma),
             )
+
+
+@pytest.fixture
+def bound_answers(monkeypatch):
+    """Every answer of an ``lp.solve_ratio`` handed candidates, as it comes:
+    a carried candidate has no basis, and an extreme the simplex solved has
+    one (or is ``infeasible``)."""
+    answers, real = [], lp.solve_ratio
+
+    def recording(num, den, a_ub, warm=None):
+        pair = real(num, den, a_ub, warm)
+        if warm is not None:
+            answers.extend(pair)
+        return pair
+
+    monkeypatch.setattr(lp, "solve_ratio", recording)
+    return answers
+
+
+def fell_back(answers):
+    """The answers the simplex gave rather than a candidate."""
+    return [a for a in answers if a.status != "optimal" or a.basis is not None]
+
+
+class TestSuperreplication:
+    """One-security trade bounds: the superreplication recursion's
+    candidates (``cone._bound_candidates``) pass the bound LP's certificate
+    and agree with the simplex alone (``oracles.cold_bound_quote``) to 1e-12
+    relative, with the same statuses; the simplex runs only where a
+    candidate fails."""
+
+    BINARY = list(itertools.product(
+        (1.06, 1.12), (0.9, 0.96), (0.0, 0.02), (0.4, 0.6), (0.0, 0.005, 0.02)
+    ))
+
+    @staticmethod
+    def agree(model, flow, t, pivots=None):
+        """The engine's quote against the simplex's, node by node; with
+        ``pivots`` (``count_calls`` on ``lp._pivot``), the engine's pivots
+        must be none: no answer fell back."""
+        before = None if pivots is None else len(pivots)
+        quote = noarb_bounds(model, flow, t)
+        assert pivots is None or len(pivots) == before
+        rows, x = generators_for(model, t), pricing._discounted_tail(model, flow, t)
+        for e, node in zip(quote.entries, model.tree.nodes(t), strict=True):
+            want = cold_bound_quote(model, x, rows, node)
+            assert e.status == want.status
+            for got, ref in ((e.bid, want.bid), (e.ask, want.ask)):
+                assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref)), (t, node, got, ref)
+
+    def test_binary_markets(self, count_calls, bound_answers):
+        pivots = count_calls(lp, "_pivot")
+        for u, d, r, p_up, lam in self.BINARY:
+            model = binary_tree_market(u, d, r, p_up, lam)
+            for t in (0, 1, 2):
+                self.agree(model, call_payoff(model, 100.0), t, pivots)
+        assert len(bound_answers) == 2 * len(self.BINARY) * (1 + 2 + 4)
+        assert fell_back(bound_answers) == []
+
+    def test_fixture(self, count_calls, bound_answers):
+        pivots = count_calls(lp, "_pivot")
+        for lam in (0.0, 0.005, 0.01):
+            model = two_period_model(lam)
+            for t in (0, 1):
+                self.agree(model, asian_call(model, 0, 65.0), t, pivots)
+        assert len(bound_answers) == 2 * 3 * (1 + 2) and fell_back(bound_answers) == []
+
+    def test_random_one_security_markets(self, bound_answers):
+        spread = []  # the answers on markets whose short pays more dividend than a long earns
+        for model, flow in one_security_panel():
+            before = len(bound_answers)
+            for t in range(model.tree.horizon):
+                self.agree(model, flow, t)
+            sec = model.securities[0]
+            if (sec.div_bid != sec.div_ask).any():
+                spread += bound_answers[before:]
+        assert len(fell_back(bound_answers)) < 0.1 * len(bound_answers)
+        # there each F kinks at z = 0 for the dividends alone: none falls back
+        assert spread and fell_back(spread) == []
+
+    def test_failed_candidate_is_the_simplex_answer_bit_for_bit(self, monkeypatch):
+        # a candidate that fails its certificate (here its price moved by
+        # one) leaves its extreme to phase 1, whose answer is the one the
+        # simplex gives with no candidate at all
+        real = pricing._bound_candidates
+
+        def spoiled(*args):
+            pairs = real(*args)
+            assert all(c is not None for pair in pairs for c in pair)
+            return [tuple(dataclasses.replace(c, dual_eq=c.dual_eq + 1.0) for c in pair)
+                    for pair in pairs]
+
+        monkeypatch.setattr(pricing, "_bound_candidates", spoiled)
+        model = two_period_model(0.01)
+        for flow in (asian_call(model, 0, 65.0), call_payoff(model)):
+            for t in (0, 1):
+                rows, x = generators_for(model, t), pricing._discounted_tail(model, flow, t)
+                for node, (_, got) in zip(
+                    model.tree.nodes(t), pricing._node_quotes(model, flow, rows, "trade")
+                ):
+                    cone_ = pricing._node_cone(rows, node.cell, list(model.tree.node_paths(node)))
+                    num, den = pricing._ratio_terms(model, x, node, cone_.shape[1])
+                    for a, b in zip(got, lp.solve_ratio(num, den, cone_), strict=True):
+                        assert (a.status, a.iterations) == (b.status, b.iterations)
+                        for field in ("value", "x", "dual_ub", "dual_eq", "basis"):
+                            assert np.array_equal(getattr(a, field), getattr(b, field))
+
+    def test_recursion_leaves_arbitrage_to_the_lp(self):
+        # test_arbitrage_status's market: both children bid above the root's
+        # ask, so every unit bought gains and the slopes cannot meet the bid
+        # and ask.  No candidate: the simplex's route finds the arbitrage
+        tree = EventTree(1, [0.5, 0.5], [[(0, 1)], [(0,), (1,)]])
+        bids = np.array([[50.0, 60.0], [50.0, 55.0]])
+        model = MarketModel(tree, 0.0, [apply_transaction_costs(bids, 0.0)])
+        x = pricing._discounted_tail(model, call_payoff(model), 0)
+        assert cone._bound_candidates(model, generators_for(model, 0), x) == [(None, None)]
+        assert noarb_bounds(model, call_payoff(model), 0).entries[0].status == STATUS_ARBITRAGE
+
+    @staticmethod
+    def crr(u, d, r, p_up, strike, horizon, t):
+        """The CRR value of the call at each date-t node, discounted to date
+        0, in node order (a node's first t moves are its cell's bits)."""
+        q, n = (1.0 + r - d) / (u - d), horizon - t
+        return [
+            sum(
+                math.comb(n, k) * q**k * (1.0 - q) ** (n - k)
+                * max(100.0 * u ** (t - downs + k) * d ** (downs + n - k) - strike, 0.0)
+                for k in range(n + 1)
+            ) / (1.0 + r) ** horizon
+            for downs in (bin(cell).count("1") for cell in range(2**t))
+        ]
+
+    def test_horizon_8_takes_no_pivot(self, count_calls):
+        # 256 paths: the simplex took about 2.5 s for the date-0 pair alone
+        args = 1.0518419562876573, 0.9539507146165618, 0.02, 0.5181521759298708
+        strike = 96.20889592020883
+        pivots = count_calls(lp, "_pivot")
+        for lam in (0.0, 0.01):
+            model = binary_tree_market(*args, lam, horizon=8)
+            for t in (0, 1):
+                quote = noarb_bounds(model, call_payoff(model, strike), t)
+                for e, value in zip(quote.entries, self.crr(*args, strike, 8, t), strict=True):
+                    assert e.status == STATUS_OK
+                    if lam == 0.0:
+                        assert e.bid == pytest.approx(value, abs=1e-9)
+                        assert e.ask == pytest.approx(value, abs=1e-9)
+                    else:
+                        assert e.bid <= value <= e.ask
+        assert pivots == []
