@@ -33,8 +33,7 @@ Phase 1 reads only the rows, so :func:`solve` runs it once and phase 2 starts
 from it; :func:`solve_ratio` runs phase 2 twice, once per sense, from copies
 of one phase 1, for each sense that no candidate answers (below).  The rows
 are read once per program, into the slack start that phase 1, every restart
-and every certificate share (:func:`_slack_start`); they are copied
-sign-normalized only where a right-hand side is negative.
+and every certificate share (:func:`_slack_start`).
 
 Every optimum keeps its final basis, numbered as phase 1 numbers the
 variables, and a solve can start from an optimum of rows of the same shape
@@ -77,12 +76,13 @@ certification then run as from phase 1.  A basis that is singular, or whose
 dual simplex finds no feasible point or runs past one pivot per row, is
 dropped for the cold phase 1, which gives the cold answer bit for bit.
 
-Every LP is solved on its rows as supplied, a row negated where its
-right-hand side is negative.  The optimum and its duals are both read from the
-final basis B, not from the tableau, which drifts over many pivots: B x_B = b
-and B^T y = c_B over the rows without a basic slack (a basic slack's row has
-dual zero) and the basic structural columns, at most (variables)^2 entries.
-Both come from one batched ``np.linalg.solve`` over the stack [B, B^T]
+Every right-hand side is nonnegative (the engine's programs are rows <= 0
+cut by one normalization = 1, as Charnes & Cooper, 1962, write a ratio), so
+every LP is solved on its rows as supplied.  The optimum and its duals are
+both read from the final basis B, not from the tableau, which drifts over
+many pivots: B x_B = b and B^T y = c_B over the rows without a basic slack
+(a basic slack's row has dual zero) and the basic structural columns, at
+most (variables)^2 entries.  Both come from one batched ``np.linalg.solve`` over the stack [B, B^T]
 (:func:`_basis_pair`): LAPACK factors each matrix of a batch on its own, so
 x and y are those of two separate solves bit for bit, for half the calls.
 A singular B takes :func:`_basis_solve`'s least squares for each instead.
@@ -118,12 +118,17 @@ TOL = 1e-9  # the one LP tolerance (see the module docstring)
 _most, _least = np.maximum.reduce, np.minimum.reduce
 # Zero-step pivots in a row after which Bland's rule picks the entering column.
 _STALL_PIVOTS = 50
+# Entries near the float range overflow in the pricing and the pivots; the
+# answer is then certified or an error (NaN fails every test), never a
+# warning.  Set once per solve, not per pivot.
+_quiet = np.errstate(over="ignore", invalid="ignore")
 
 
 @dataclass
 class LinearProgram:
     """max/min  c @ x  subject to  a_ub @ x <= b_ub,  a_eq @ x == b_eq,
-    x >= 0.  A variable's bound from above is one more row of ``a_ub``."""
+    x >= 0, with b_ub, b_eq >= 0.  A variable's bound from above is one more
+    row of ``a_ub``."""
 
     sense: str
     c: np.ndarray
@@ -152,6 +157,9 @@ class LinearProgram:
         if not np.isfinite(np.concatenate([arr for _, arr in named], axis=None)).all():
             name = next(name for name, arr in named if not np.isfinite(arr).all())
             raise ValidationError(f"non-finite coefficients in {name}")
+        for name, arr in (("b_ub", b_ub), ("b_eq", b_eq)):
+            if (arr < 0).any():
+                raise ValidationError(f"negative right-hand side in {name}")
         return cls(sense, c, a_ub, b_ub, a_eq, b_eq)
 
 
@@ -216,7 +224,9 @@ def _run_simplex(T, basis, nonbasic, limit, max_iter):
             sq = T[:, cand]  # squared in place: the constraint rows, then rc
             sq *= sq
             score = sq[-1] / (1 + sq[:m].sum(axis=0))
-            cand = cand[score == score.max()]
+            best = cand[score == score.max()]
+            # no largest score (a NaN from an overflow): Bland's rule picks
+            cand = best if best.size else cand
         k = cand[nonbasic[cand].argmin()] if cand.size > 1 else cand[0]
         col = T[:m, k]
         rows = (col > TOL).nonzero()[0]
@@ -225,6 +235,8 @@ def _run_simplex(T, basis, nonbasic, limit, max_iter):
         ratios = T[rows, -1] / col[rows]
         step = ratios.min()
         ties = rows[ratios == step]
+        if not ties.size:
+            raise ComputationError("simplex ratio test read NaN; numerical breakdown")
         row = ties[basis[ties].argmin()] if ties.size > 1 else ties[0]
         _pivot(T, basis, nonbasic, row, k)
         allowed[k] = nonbasic[k] < limit
@@ -286,18 +298,14 @@ class _Rows:
     """An LP's rows as the kernel reads them (its slack start), built once
     by :func:`_slack_start` and left as they are by every solve on them (a
     :class:`_Slice` rewrites one column between solves): the rows as
-    supplied, which every certificate reads, their sign-normalized form,
-    which phase 1, phase 2 and every restart read, and the variable each
-    row's phase-1 basis starts from."""
+    supplied, which phase 1, phase 2, every restart and every certificate
+    read.  Row i's phase-1 basis starts from variable n + i, its slack, or
+    its artificial for an equality."""
 
     max_iter: int
     width: int
-    own: np.ndarray  # the slack or artificial each row's basis starts from
-    A: np.ndarray  # rows sign-normalized: ``supplied`` itself where no rhs is negative
-    sigma: np.ndarray
-    supplied: np.ndarray  # the rows as supplied, a_ub then a_eq
-    b: np.ndarray
-    rhs: np.ndarray  # b sign-normalized, b * sigma >= 0
+    A: np.ndarray  # the rows as supplied, a_ub then a_eq
+    b: np.ndarray  # their right-hand sides, all >= 0
     abs_supplied: np.ndarray
     abs_b: np.ndarray
     b_scale: np.ndarray  # |b| + 1, each primal residual's scale before |rows| |x|
@@ -323,8 +331,8 @@ class _Start:
 class _Kept:
     """An optimum's final condensed tableau (with its ``nonbasic``), kept
     with the rows it was factored on (``rows``, which a :class:`_Slice`
-    rewrites in place) and the rewritable column of their sign-normalized
-    form as it was then (``column``)."""
+    rewrites in place) and their rewritable column as it was then
+    (``column``)."""
 
     rows: _Rows
     T: np.ndarray
@@ -333,60 +341,40 @@ class _Kept:
 
 
 def _slack_start(lp: LinearProgram) -> _Rows:
-    """The rows of ``lp`` sign-normalized, with the variable each row's
-    basis starts from in phase 1: its slack, or its artificial where the
-    slack cannot start it."""
-    n, m_ub = lp.c.shape[0], lp.a_ub.shape[0]
+    """The rows of ``lp``, A x + s = b over its inequalities and
+    A x + a = b over its equalities, b >= 0.
 
-    # Normalized rows A x (+ slack) (+ artificial) = b with b >= 0.
+    Variables: n structural, then variable n + i of row i, the slack of an
+    inequality or the artificial of an equality, which starts its basis.
+    Only equalities take an artificial, which keeps phase 1 small and far
+    less degenerate."""
     rows = np.concatenate((lp.a_ub, lp.a_eq))
     b = np.concatenate((lp.b_ub, lp.b_eq))
-    m = b.shape[0]
-
-    # Variables: n structural, then slack n + i of each <= row i, then the
-    # artificials.  Artificials exist only where the slack cannot start the
-    # basis: equality rows and sign-flipped inequality rows (surplus form).
-    # This keeps phase 1 small and far less degenerate.  With no row
-    # flipped, row i's basis starts from variable n + i either way.
-    own = n + np.arange(m)  # the variable each row's basis starts from
-    flip = b < 0
-    if flip.any():
-        sigma = np.where(flip, -1.0, 1.0)
-        A = rows * sigma[:, None]
-        art_rows = ((np.arange(m) >= m_ub) | flip).nonzero()[0]
-        own[art_rows] = n + m_ub + np.arange(art_rows.size)
-        width = n + m_ub + art_rows.size
-    else:
-        sigma, A, width = np.ones(m), rows, n + m
+    width = lp.c.shape[0] + b.shape[0]
     abs_b = np.abs(b)
-
     return _Rows(
-        max_iter=500 + 80 * (m + width), width=width, own=own, A=A, sigma=sigma,
-        supplied=rows, b=b, rhs=b * sigma, abs_supplied=np.abs(rows), abs_b=abs_b,
-        b_scale=abs_b + 1.0, c_scale=np.abs(lp.c) + 1.0, m_ub=m_ub,
+        max_iter=500 + 80 * (b.shape[0] + width), width=width, A=rows, b=b,
+        abs_supplied=np.abs(rows), abs_b=abs_b, b_scale=abs_b + 1.0,
+        c_scale=np.abs(lp.c) + 1.0, m_ub=lp.a_ub.shape[0],
     )
 
 
-def _phase1(lp: LinearProgram, rows: Optional[_Rows] = None):
-    """Phase 1 on the rows of ``lp`` (``rows``, built by
-    :func:`_slack_start` when not given): the certified ``infeasible``
-    answer, or a :class:`_Start` whose basis has every artificial driven out
-    (rows left holding one are redundant and dropped)."""
-    rows = _slack_start(lp) if rows is None else rows
+def _phase1(lp: LinearProgram, rows: _Rows):
+    """Phase 1 on ``rows``, the rows of ``lp`` (see :func:`_slack_start`):
+    the certified ``infeasible`` answer, or a :class:`_Start` whose basis
+    has every artificial driven out (rows left holding one are redundant
+    and dropped)."""
     n, m_ub, width = lp.c.shape[0], rows.m_ub, rows.width
     m = rows.A.shape[0]
 
     # Condensed tableau: one column per nonbasic variable (``nonbasic[k]``
     # is the variable of column k) plus the rhs; the basic columns of the
     # full tableau are unit vectors and are not stored.
-    surplus = (rows.sigma[:m_ub] < 0).nonzero()[0]
-    nonbasic = np.concatenate([np.arange(n), n + surplus]) if surplus.size else np.arange(n)
-    T = np.zeros((m + 1, nonbasic.size + 1))
+    nonbasic = np.arange(n)
+    T = np.zeros((m + 1, n + 1))
     T[:m, :n] = rows.A
-    if surplus.size:
-        T[surplus, n + np.arange(surplus.size)] = -1.0
-    T[:m, -1] = rows.rhs
-    basis = rows.own.copy()
+    T[:m, -1] = rows.b
+    basis = n + np.arange(m)
     start = _Start(rows, T, basis, nonbasic, np.ones(m, dtype=bool))
 
     it1 = 0
@@ -430,7 +418,7 @@ def _dual_residual(c, c_scale, rows: _Rows, y, abs_y) -> float:
     of them inequalities) are from dual feasibility, y^T rows >= c and y >= 0
     on the inequalities, each relative to the magnitudes entering it;
     ``c_scale`` is |c| + 1 and ``abs_y`` is |y|."""
-    reduced = y @ rows.supplied
+    reduced = y @ rows.A
     np.subtract(c, reduced, out=reduced)
     scale = abs_y @ rows.abs_supplied
     scale += c_scale
@@ -446,18 +434,18 @@ def _infeasible(lp: LinearProgram, start: _Start, iterations: int) -> LPSolution
 
     The phase-1 duals y are read from the final reduced-cost row: the
     reduced cost of row i's own slack is y_i, that of its own artificial
-    y_i + 1, and a basic variable's is zero.  Mapped to the rows as supplied,
-    y must meet y^T A >= 0, y >= 0 on the inequality rows and y^T b < 0, each
-    relative to the magnitudes entering it (see :func:`_dual_residual`).
+    y_i + 1, and a basic variable's is zero.  y must meet y^T A >= 0,
+    y >= 0 on the inequality rows and y^T b < 0, each relative to the
+    magnitudes entering it (see :func:`_dual_residual`).
     """
     n, rows = lp.c.shape[0], start.rows
-    b = rows.b
     rc = np.zeros(rows.width)
     rc[start.nonbasic] = start.T[-1, :-1]
-    y = rows.sigma * (rc[rows.own] - (rows.own >= n + rows.m_ub))
+    y = rc[n:]
+    y[rows.m_ub:] -= 1.0
     abs_y = np.abs(y)
     dual_res = _dual_residual(np.zeros(n), np.ones(n), rows, y, abs_y)
-    value = float(y @ b) / (1.0 + float(abs_y @ rows.abs_b))
+    value = float(y @ rows.b) / (1.0 + float(abs_y @ rows.abs_b))
     if not (dual_res <= TOL and value < -TOL):  # NaN fails too
         raise ComputationError(
             f"LP infeasibility certification failed ({_shape(lp)}): "
@@ -479,25 +467,20 @@ def _restart(lp: LinearProgram, rows: _Rows, basis) -> Optional[_Start]:
 
 def _refactor(lp: LinearProgram, rows: _Rows, basis):
     """The condensed tableau of ``basis`` on ``rows``, ``lp``'s rows,
-    objective row zero, by one dense solve over every column,
-    [A | I] with a surplus row's slack signed -1: ``(T, basis, nonbasic)``,
-    every nonbasic variable in index order; None when the basis does not fit
-    the rows or is singular."""
+    objective row zero, by one dense solve over every column, [A | I]:
+    ``(T, basis, nonbasic)``, every nonbasic variable in index order; None
+    when the basis does not fit the rows or is singular."""
     n, m_ub, m = lp.c.shape[0], rows.m_ub, rows.A.shape[0]
     if basis is None or basis.size != m or (basis >= n + m_ub).any():
         return None
-    cols = np.zeros((m, rows.width))
-    cols[:, :n] = rows.A
-    cols[np.arange(m), rows.own] = 1.0
-    surplus = (rows.sigma[:m_ub] < 0).nonzero()[0]
-    cols[surplus, n + surplus] = -1.0
+    cols = np.hstack((rows.A, np.eye(m)))
     free = np.ones(rows.width, dtype=bool)
     free[basis] = False
     nonbasic = free.nonzero()[0]
     T = np.zeros((m + 1, nonbasic.size + 1))
     try:
         T[:m] = np.linalg.solve(
-            cols[:, basis], np.column_stack([cols[:, nonbasic], rows.rhs])
+            cols[:, basis], np.column_stack([cols[:, nonbasic], rows.b])
         )
     except np.linalg.LinAlgError:
         return None
@@ -517,9 +500,9 @@ def _update(rows: _Rows, kept: _Kept, basis, j: int) -> Optional[np.ndarray]:
     the column's change, so by Sherman-Morrison each column's new entries
     are its old ones less d times its row-r entry over 1 + d_r, with
     d = B^-1 delta: row r is divided by 1 + d_r, and every other row i
-    subtracts d_i times the new row r, as a pivot does.  delta sits on rows
-    whose own slack or artificial has the unit column e_i, so d sums those
-    variables' tableau columns, or unit vectors where they are basic,
+    subtracts d_i times the new row r, as a pivot does.  Row i's slack or
+    artificial, variable n + i, has the unit column e_i, so d sums the
+    tableau columns of delta's rows, or unit vectors where they are basic,
     weighted by delta.  The objective row is left stale for the caller to
     set.
     """
@@ -534,7 +517,7 @@ def _update(rows: _Rows, kept: _Kept, basis, j: int) -> Optional[np.ndarray]:
     slot = np.empty(rows.width, dtype=int)
     slot[nonbasic] = np.arange(nonbasic.size)
     slot[basis] = -2 - np.arange(m)
-    k = slot[rows.own[moved]]
+    k = slot[rows.A.shape[1] + moved]
     column = k >= 0
     d = np.zeros(m + 1)
     d[:m] = T[:m, k[column]] @ delta[moved[column]]
@@ -613,7 +596,7 @@ def _primal_and_gap(c_obj, rows: _Rows, x, y, abs_y, dual_res):
     """:func:`_certificate` of x and y (|y| ``abs_y``) on ``rows`` once
     their dual residual ``dual_res`` is known."""
     value_max = float(c_obj @ x)
-    resid = rows.supplied @ x
+    resid = rows.A @ x
     resid -= rows.b
     eq = resid[rows.m_ub:]
     np.abs(eq, out=eq)
@@ -647,20 +630,16 @@ def _phase2(lp: LinearProgram, start: _Start, column: Optional[int] = None) -> L
     if status2 == "unbounded":
         return LPSolution(status="unbounded", iterations=iterations)
 
-    # The optimum and its duals from the final basis (see the module
-    # docstring); dropped redundant rows carry dual zero.
+    # The optimum and its duals (max sense) from the final basis (see the
+    # module docstring); dropped redundant rows carry dual zero.
     x = np.zeros(n)
-    y_norm = np.zeros(m)
+    y = np.zeros(m)
     tight = alive.copy()
     tight[basis[(basis >= n) & (basis < n + m_ub)] - n] = False
     struct = basis[basis < n]
     live = tight.nonzero()[0]
     if live.size:
-        x[struct], y_norm[live] = _basis_pair(
-            A[live[:, None], struct], rows.rhs[live], c2[struct]
-        )
-    # duals of the rows as supplied (all-<= + eq), max sense
-    y = rows.sigma * y_norm
+        x[struct], y[live] = _basis_pair(A[live[:, None], struct], rows.b[live], c2[struct])
     value_max, primal_res, dual_res, gap = _certificate(c_obj, rows, x, y)
     if not (primal_res <= TOL and dual_res <= TOL and gap <= TOL):  # NaN fails too
         raise ComputationError(
@@ -706,6 +685,7 @@ def _carry(lp: LinearProgram, rows: _Rows, prev: LPSolution) -> Optional[LPSolut
     )
 
 
+@_quiet
 def solve(lp: LinearProgram, *, warm: Optional[LPSolution] = None) -> LPSolution:
     """Solve the LP, certifying optimal answers by strong duality and
     infeasible ones by a Farkas ray.
@@ -749,13 +729,13 @@ class _Slice:
 
     def rewrite(self, i, value: float) -> None:
         """Set entries ``i`` of the rewritable column of ``a_ub`` to
-        ``value``, in the program and in its rows (whose A is the rows as
-        supplied: no right-hand side is negative)."""
+        ``value``, in the program and in its rows."""
         j = self.column
         self.prog.a_ub[i, j] = value
-        self.rows.supplied[i, j] = value
+        self.rows.A[i, j] = value
         self.rows.abs_supplied[i, j] = abs(value)
 
+    @_quiet
     def solve(self, warm: Optional[tuple] = None) -> tuple[LPSolution, LPSolution]:
         """``(lo, hi)`` as :func:`solve_ratio` gives them.
 

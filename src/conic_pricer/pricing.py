@@ -409,7 +409,7 @@ def forward_prices(model: MarketModel, cash_flow, t: int, gamma: float) -> Price
     the witness is the check's, and a tie-band node is priced at its ceiling
     1/L_v, as there."""
     r = model.rates
-    if np.any(np.abs(r - r[0:1, :]) > 1e-12):
+    if (r != r[0]).any():
         raise ValidationError("forward prices require deterministic rates")
     B, _ = model.discounts()
     scale = float(B[0, model.tree.horizon])

@@ -26,7 +26,7 @@ from conic_pricer.errors import ValidationError
 from conic_pricer.lattice import NodeRef, as_values, tail_sum
 from conic_pricer.market import make_self_financing
 
-from lp_reference import solve_ratio
+from lp_reference import homogeneous, solve_ratio
 
 
 @dataclass(frozen=True)
@@ -208,7 +208,7 @@ def enumerated_arbitrage(model, t):
         if not len(G):
             continue
         mass = G[:, paths] @ p[paths]
-        prog = lp.LinearProgram.build(
+        prog = homogeneous(
             "min", np.ones(len(G)),
             a_ub=np.vstack([-G[:, paths].T, -mass[None, :]]),
             b_ub=np.concatenate([np.zeros(len(paths)), [-1.0]]),

@@ -17,7 +17,9 @@ Writes one record per line for
 * ``lp.solve`` on the programs of ``tests/test_lp.py`` and of acceptance
   check c11 that bound variables from above, each bound a row appended by
   ``lp_reference.with_bounds``, at the seeds those tests use: the status,
-  value, x and both duals in float hex and the iteration count;
+  value, x and both duals in float hex and the iteration count (the
+  ``mixed`` programs in homogeneous form, ``lp_reference.homogeneous``,
+  since ``lp`` takes no negative right-hand side);
 * ``noarb_bounds`` under trade entry at every date of the tests'
   ``one_security_panel`` (60 one-security markets free of arbitrage, with
   dividends and stochastic rates in turn), with the number of bound

@@ -18,6 +18,8 @@ equalities, which the whole-tree reference programs need.
 
 ``lp`` bounds no variable from above; :func:`with_bounds` appends such
 bounds to a program's inequality rows, as every test that needs them does.
+``lp`` takes no negative right-hand side; :func:`homogeneous` writes a
+program that has one in the form ``lp`` takes.
 """
 
 from dataclasses import dataclass, field, replace
@@ -27,7 +29,7 @@ from typing import Optional
 import numpy as np
 
 from conic_pricer.errors import ComputationError, ValidationError
-from conic_pricer.lp import TOL, LinearProgram, LPSolution, _phase1, _phase2, solve
+from conic_pricer.lp import TOL, LinearProgram, LPSolution, _phase1, _phase2, _slack_start, solve
 
 STALL_PIVOTS = 50
 
@@ -42,6 +44,30 @@ def with_bounds(upper, a_ub=None, b_ub=None):
     b_ub = np.zeros(0) if b_ub is None else np.atleast_1d(np.asarray(b_ub, float))
     finite = np.isfinite(upper).nonzero()[0]
     return np.vstack([a_ub, np.eye(n)[finite]]), np.concatenate([b_ub, upper[finite]])
+
+
+def homogeneous(sense, c, a_ub=None, b_ub=None, a_eq=None, b_eq=None):
+    """The program max/min c @ x over a_ub @ x <= b_ub, a_eq @ x == b_eq,
+    x >= 0, whose right-hand sides may be negative, in homogeneous form:
+    one more variable tau with column -b and cost 0, every right-hand side
+    0, and the equality tau = 1 appended: the Charnes-Cooper form of
+    :func:`solve_ratio` with the constant denominator 1.  tau is pinned to
+    1, so this is the same LP: the same status and value, and x with
+    tau = 1 appended."""
+    c = np.atleast_1d(np.asarray(c, dtype=float))
+    n = c.shape[0]
+
+    def rows(a, b):
+        a = np.zeros((0, n)) if a is None else np.atleast_2d(np.asarray(a, float))
+        b = np.zeros(0) if b is None else np.atleast_1d(np.asarray(b, float))
+        return np.hstack([a, -b[:, None]]), np.zeros(b.shape[0])
+
+    a_ub, b_ub = rows(a_ub, b_ub)
+    a_eq, b_eq = rows(a_eq, b_eq)
+    return LinearProgram.build(
+        sense, np.append(c, 0.0), a_ub, b_ub,
+        np.vstack([a_eq, np.eye(n + 1)[n]]), np.append(b_eq, 1.0),
+    )
 
 
 def _pivot(T, basis, row, col):
@@ -110,34 +136,15 @@ def reference_solve(lp, *, tol=1e-9, exact=False):
     A = np.vstack([lp.a_ub, lp.a_eq]) if m else np.zeros((0, n))
     b = np.concatenate([lp.b_ub, lp.b_eq]) if m else np.zeros(0)
 
-    sigma = np.ones(m)
-    slack = np.zeros((m, m_ub))
-    for i in range(m_ub):
-        slack[i, i] = 1.0
-    for i in range(m):
-        if b[i] < 0:
-            sigma[i] = -1.0
-            A[i] = -A[i]
-            b[i] = -b[i]
-            if i < m_ub:
-                slack[i, i] = -1.0
-
-    needs_art = [i >= m_ub or sigma[i] < 0 for i in range(m)]
-    art_of = {}
-    n_art = 0
-    for i in range(m):
-        if needs_art[i]:
-            art_of[i] = n + m_ub + n_art
-            n_art += 1
-    width = n + m_ub + n_art
+    # every right-hand side is >= 0: a slack starts each inequality row's
+    # basis and an artificial each equality's
+    width = n + m
+    art_cols = set(range(n + m_ub, width))
     full = np.zeros((m + 1, width + 1))
     if m:
         full[:m, :n] = A
-        full[:m, n : n + m_ub] = slack
-        for i, col in art_of.items():
-            full[i, col] = 1.0
+        full[:m, n:width] = np.eye(m)
         full[:m, -1] = b
-    art_cols = set(art_of.values())
 
     if exact:
         T = _to_fraction_array(full)
@@ -148,11 +155,11 @@ def reference_solve(lp, *, tol=1e-9, exact=False):
         zero = 0.0
         piv_tol = tol
 
-    basis = [art_of[i] if needs_art[i] else n + i for i in range(m)]
+    basis = [n + i for i in range(m)]
     max_iter = 500 + 80 * (m + width)
 
     it1 = 0
-    if n_art:
+    if art_cols:
         c1 = np.zeros(width, dtype=object if exact else float)
         for j in art_cols:
             c1[j] = Fraction(-1) if exact else -1.0
@@ -283,10 +290,9 @@ def solve_ratio(
         a_eq=np.vstack(rows_eq),
         b_eq=np.concatenate(rhs_eq),
     )
-    start = _phase1(prog)
+    start = _phase1(prog, _slack_start(prog))
     if isinstance(start, LPSolution):
-        bare = LinearProgram.build("max", np.zeros(n), a_ub, b_ub, a_eq, b_eq)
-        bare = solve(bare)
+        bare = solve(homogeneous("max", np.zeros(n), a_ub, b_ub, a_eq, b_eq))
         if bare.status == "infeasible":
             empty = RatioSolution(np.nan, None, np.nan, bare, status="infeasible")
             return empty, empty

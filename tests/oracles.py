@@ -58,7 +58,7 @@ from conic_pricer.lattice import as_values, tail_sum
 from conic_pricer.market import MarketModel, TradingStrategy, _split
 
 from cone_reference import reference_generator_matrix
-from lp_reference import solve_ratio, with_bounds
+from lp_reference import homogeneous, solve_ratio, with_bounds
 
 VERTEX_CAP = 20
 INDEX_GAMMA_LOW = 1e-12
@@ -323,7 +323,7 @@ def _least_acceptable_cash(x, G, q, gamma):
     mass = float(q.sum())
     accept = np.concatenate([[-mass, mass], -(G @ q), gamma * q])
     dominate = np.hstack([-np.ones((k, 1)), np.ones((k, 1)), -G.T, -np.eye(k)])
-    prog = lp.LinearProgram.build(
+    prog = homogeneous(
         "min",
         np.concatenate([[1.0, -1.0], np.zeros(m + k)]),
         a_ub=np.vstack([accept[None, :], dominate]),

@@ -153,6 +153,17 @@ class TestPrice:
             assert float(row[1]) == pytest.approx(5.0, abs=1e-9)
             assert float(row[2]) == pytest.approx(5.0, abs=1e-9)
 
+    def test_overflowing_gamma_quotes_or_exits_internal(self, capsys):
+        # the band's entries at gamma = 1e300 square past the float range in
+        # the simplex's pricing: the command quotes, or exits 70 with one
+        # ``internal error:`` line, and never crashes
+        code, out, err = run(capsys, "price", MODEL, PAYOFF, "--gamma", "1e300")
+        assert code in (EXIT_OK, EXIT_INTERNAL)
+        assert len(err.splitlines()) == (code == EXIT_INTERNAL)
+        assert (out == "") == (code == EXIT_INTERNAL)
+        if code == EXIT_INTERNAL:
+            assert err.startswith("internal error: ")
+
 
 class TestBounds:
     def test_frictionless_root(self, capsys):

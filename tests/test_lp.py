@@ -12,7 +12,7 @@ from conic_pricer.pricing import _with_band
 
 from conftest import lp_vertex_oracle, random_box_lp
 from lp_reference import _pivot as full_pivot
-from lp_reference import reference_solve, with_bounds
+from lp_reference import homogeneous, reference_solve, with_bounds
 from lp_reference import solve_ratio as charnes_cooper
 
 
@@ -24,7 +24,7 @@ class TestSolveBasics:
         assert sol.value == pytest.approx(1.0, abs=1e-12)
 
     def test_infeasible(self):
-        prog = LinearProgram.build("max", [0.0], a_ub=[[1.0]], b_ub=[-1.0])
+        prog = homogeneous("max", [0.0], a_ub=[[1.0]], b_ub=[-1.0])
         assert solve(prog).status == "infeasible"
 
     def test_unbounded(self):
@@ -32,9 +32,7 @@ class TestSolveBasics:
         assert solve(prog).status == "unbounded"
 
     def test_min_sense(self):
-        prog = LinearProgram.build(
-            "min", [2.0, 3.0], a_ub=[[-1.0, -1.0]], b_ub=[-1.0]
-        )
+        prog = homogeneous("min", [2.0, 3.0], a_ub=[[-1.0, -1.0]], b_ub=[-1.0])
         sol = solve(prog)
         assert sol.value == pytest.approx(2.0, abs=1e-12)
         assert sol.x[0] == pytest.approx(1.0, abs=1e-12)
@@ -117,11 +115,12 @@ def _repeated(rng):
 
 def _tall(rng):
     # few variables, many rows, like the generator rows of a density polytope
-    # and a normalization row; a third of the rows are tight at x0
+    # and a normalization row; a third of the rows are tight at x0, and
+    # right-hand sides of either sign, in homogeneous form
     n, m = int(rng.integers(3, 7)), int(rng.integers(25, 70))
     x0 = rng.uniform(0.1, 1.0, size=n)
     a_ub, a_eq = rng.normal(size=(m, n)), rng.uniform(0.1, 1.0, size=(1, n))
-    return LinearProgram.build(
+    return homogeneous(
         "max" if rng.random() < 0.5 else "min", rng.normal(size=n),
         a_ub=a_ub, b_ub=a_ub @ x0 + np.abs(rng.normal(size=m)) * (rng.random(m) < 0.7),
         a_eq=a_eq, b_eq=a_eq @ x0,
@@ -129,10 +128,11 @@ def _tall(rng):
 
 
 def _wide(rng):
-    # many variables, few rows, like the arbitrage search: a surplus row
+    # many variables, few rows, like the arbitrage search: a row with
+    # right-hand side -1, in homogeneous form
     n, k = int(rng.integers(15, 40)), int(rng.integers(2, 6))
     G = rng.normal(size=(n, k))
-    return LinearProgram.build(
+    return homogeneous(
         "min", np.ones(n),
         a_ub=np.vstack([-G.T, -np.abs(G).sum(axis=1)[None, :]]),
         b_ub=np.concatenate([np.zeros(k), [-1.0]]),
@@ -140,8 +140,8 @@ def _wide(rng):
 
 
 def _mixed(rng):
-    # equality rows (some repeated, so redundant) and negative right-hand
-    # sides (surplus rows with artificials) under finite and infinite upper
+    # equality rows (some repeated, so redundant) and right-hand sides of
+    # either sign, in homogeneous form, under finite and infinite upper
     # bounds
     n, m, e = int(rng.integers(3, 8)), int(rng.integers(2, 8)), int(rng.integers(1, 3))
     x0 = rng.uniform(0.0, 1.0, size=n)
@@ -150,7 +150,7 @@ def _mixed(rng):
         a_eq = np.vstack([a_eq, a_eq[:1]])
     upper = np.where(rng.random(n) < 0.5, rng.uniform(1.0, 3.0, size=n), np.inf)
     sense, c = "max" if rng.random() < 0.5 else "min", rng.normal(size=n)
-    return LinearProgram.build(
+    return homogeneous(
         sense, c, *with_bounds(upper, a_ub, a_ub @ x0 + rng.uniform(0.0, 0.5, size=m)),
         a_eq=a_eq, b_eq=a_eq @ x0,
     )
@@ -340,7 +340,7 @@ class TestExactMode:
         assert reference_solve(prog, exact=True)[1] == pytest.approx(36.0, abs=1e-12)
 
     def test_exact_infeasible(self):
-        prog = LinearProgram.build("max", [0.0], a_ub=[[1.0]], b_ub=[-2.0])
+        prog = homogeneous("max", [0.0], a_ub=[[1.0]], b_ub=[-2.0])
         assert reference_solve(prog, exact=True)[0] == "infeasible"
 
 
@@ -400,6 +400,31 @@ class TestCertifiedOrError:
         assert len(solves) == 1
         model, payoff = fixture_path("two_period_stock.json"), fixture_path("asian_call_65.json")
         assert main(["bounds", model, payoff, "--entry", "mark"]) == EXIT_INTERNAL
+
+    def test_overflowing_entries_are_certified_or_an_error(self):
+        # 1e200 entries square past the float range, so steepest edge reads
+        # no finite score (Bland's rule picks among the eligible columns), and
+        # pivots on them can leave a NaN for the ratio test: the answer is
+        # certified or an error, never a crash or a warning
+        for prog in (
+            LinearProgram.build(
+                "max", [1e200, 1.0], a_ub=[[1e200, 1.0], [1.0, 1.0]], b_ub=[1.0, 1.0]
+            ),
+            LinearProgram.build(
+                "max", [1.0, 1.0], a_ub=[[1e200, 1.0], [1.0, 1e200]], b_ub=[0.0, 0.0],
+                a_eq=[[1.0, 1.0]], b_eq=[1.0],
+            ),
+            LinearProgram.build(
+                "max", [0.2, 0.1, 0.6, 0.7, 1e200],
+                a_ub=[[0.5, -1e200, 0.7, -0.4, 0.5], [-1e199, -1.0, 1.5, -0.4, 2e200]],
+                b_ub=[0.0, 0.0], a_eq=[[0.8, 0.5, 0.6, 0.03, 1.2]], b_eq=[1.0],
+            ),
+        ):
+            try:
+                sol = solve(prog)
+            except ComputationError:
+                continue
+            assert sol.status in ("optimal", "infeasible")
 
 
 class TestSolveRatio:
@@ -863,6 +888,19 @@ class TestReadOut:
         assert len(calls) == 2
         assert np.array_equal(x, np.linalg.lstsq(mat, rhs, rcond=None)[0])
         assert np.array_equal(y, np.linalg.lstsq(mat.T, cost, rcond=None)[0])
+
+    def test_build_refuses_a_negative_right_hand_side(self):
+        for name in ("b_ub", "b_eq"):
+            data = {"a_ub": np.ones((2, 2)), "b_ub": np.ones(2),
+                    "a_eq": np.ones((1, 2)), "b_eq": np.ones(1)}
+            data[name][-1] = -1e-300
+            with pytest.raises(ValidationError) as exc:
+                LinearProgram.build("max", np.ones(2), **data)
+            assert str(exc.value) == f"negative right-hand side in {name}"
+        # a -0.0 is not negative
+        prog = LinearProgram.build("max", [1.0], a_ub=[[1.0]], b_ub=[-0.0], a_eq=[[1.0]],
+                                   b_eq=[-0.0])
+        assert solve(prog).value == 0.0
 
     def test_build_names_the_first_non_finite_array(self):
         names = ("c", "a_ub", "b_ub", "a_eq", "b_eq")

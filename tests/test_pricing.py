@@ -826,6 +826,13 @@ class TestForwardPrices:
         model = MarketModel(tree, rates, [apply_transaction_costs(bids, 0.0)])
         with pytest.raises(ValidationError, match="deterministic"):
             forward_prices(model, np.zeros((4, 3)), 0, 1.0)
+        # the rule is exact, as every measurability rule is: rates adapted
+        # to the date-1 nodes and 1e-13 apart are not deterministic
+        rates[:2, 1] = 0.1 + 1e-13
+        rates[2:, 1] = 0.1
+        model = MarketModel(tree, rates, [apply_transaction_costs(bids, 0.0)])
+        with pytest.raises(ValidationError, match="deterministic"):
+            forward_prices(model, np.zeros((4, 3)), 0, 1.0)
 
 
 # the benchmark's surface markets 0 and 1: (u, d, r, p_up, strike)
@@ -1065,11 +1072,11 @@ class TestLiquiditySurface:
             cone = pricing._node_cone(rows, node.cell, paths)
             band = pricing._BandRow(model, x, rows, node)
             prog, start = band.slice.prog, band.slice.rows
-            a_ub, stacked, warm = prog.a_ub, start.supplied, None
+            a_ub, stacked, warm = prog.a_ub, start.A, None
             for gamma in (0.25, 0.5, 1.0, 2.0, 4.0, 8.0):
                 e, warm = band.quote(gamma, loss, warm)
                 want = pricing._with_band(cone, len(paths), pricing._band_level(gamma, loss))
-                assert prog.a_ub is a_ub and start.supplied is stacked and start.A is stacked
+                assert prog.a_ub is a_ub and start.A is stacked
                 assert np.array_equal(a_ub, want)
                 assert np.array_equal(stacked, np.vstack([want, prog.a_eq]))
                 assert np.array_equal(start.abs_supplied, np.abs(stacked))
