@@ -259,10 +259,9 @@ def _node_least_loss(model: MarketModel, rows: NodeRows, node: NodeRef, warm=Non
     eye = a_ub[:m, k:]
     eye[:] = -0.0  # -I, signed zeros too: a pivot can carry their sign to the answer
     np.fill_diagonal(eye, -1.0)
-    prog = lp.LinearProgram.build(
-        "min", np.concatenate([np.zeros(len(pick)), q]), a_ub=a_ub,
-        b_ub=np.zeros(len(a_ub)), a_eq=[np.concatenate([G @ q, np.zeros(m)])], b_eq=[1.0],
-    )
+    cost = np.concatenate([np.zeros(len(pick)), q])
+    gain = np.concatenate([G @ q, np.zeros(m)])
+    prog = lp.LinearProgram.build("min", cost, a_ub, gain)
     sol = lp.solve(prog, warm=warm)
     if sol.status != "optimal":
         return np.inf, None, sol

@@ -76,18 +76,20 @@ certification then run as from phase 1.  A basis that is singular, or whose
 dual simplex finds no feasible point or runs past one pivot per row, is
 dropped for the cold phase 1, which gives the cold answer bit for bit.
 
-Every right-hand side is nonnegative (the engine's programs are rows <= 0
-cut by one normalization = 1, as Charnes & Cooper, 1962, write a ratio), so
-every LP is solved on its rows as supplied.  The optimum and its duals are
-both read from the final basis B, not from the tableau, which drifts over
-many pivots: B x_B = b and B^T y = c_B over the rows without a basic slack
-(a basic slack's row has dual zero) and the basic structural columns, at
-most (variables)^2 entries.  Both come from one batched ``np.linalg.solve`` over the stack [B, B^T]
-(:func:`_basis_pair`): LAPACK factors each matrix of a batch on its own, so
-x and y are those of two separate solves bit for bit, for half the calls.
-A singular B takes :func:`_basis_solve`'s least squares for each instead.
-The certificate's fixed scales, |b| + 1 and |c| + 1, are built once with
-the rows.
+Every LP is a slice, the form in which Charnes & Cooper (1962) write a
+ratio: cone rows a_ub @ x <= 0 cut by one normalization den @ x = 1, the one
+form :meth:`LinearProgram.build` writes.  Each cone row's basis starts from
+its own slack and the one artificial is the normalization's, so every LP is
+solved on its rows as supplied.  The optimum and its duals are both read
+from the final basis B, not from the tableau, which drifts over many
+pivots: B x_B = b and B^T y = c_B over the rows without a basic slack (a
+basic slack's row has dual zero) and the basic structural columns, at most
+(variables)^2 entries.  Both come from one batched ``np.linalg.solve`` over
+the stack [B, B^T] (:func:`_basis_pair`): LAPACK factors each matrix of a
+batch on its own, so x and y are those of two separate solves bit for bit,
+for half the calls.  A singular B takes :func:`_basis_solve`'s least
+squares for each instead.  The certificate's fixed scales, |b| + 1 and
+|c| + 1, are built once with the rows.
 
 Every answer but ``unbounded`` is certified on the rows as supplied, or the
 solve raises :class:`~conic_pricer.errors.ComputationError`; a wrong status is
@@ -127,40 +129,40 @@ _quiet = np.errstate(over="ignore", invalid="ignore")
 @dataclass
 class LinearProgram:
     """max/min  c @ x  subject to  a_ub @ x <= b_ub,  a_eq @ x == b_eq,
-    x >= 0, with b_ub, b_eq >= 0.  A variable's bound from above is one more
-    row of ``a_ub``."""
+    x >= 0, in the one form :meth:`build` writes: the Charnes-Cooper slice,
+    cone rows ``a_ub`` with b_ub = 0 cut by the normalization row
+    a_eq = [den] with b_eq = [1].  The one artificial is the
+    normalization's."""
 
     sense: str
     c: np.ndarray
     a_ub: np.ndarray
+    # b_ub (zeros) and b_eq ([1]) are constants, and no variable has an
+    # upper bound; all three are read only by perfbench/tracing.py's tableau
+    # count, and go together with that read
     b_ub: np.ndarray
     a_eq: np.ndarray
     b_eq: np.ndarray
-    # no variable has an upper bound; read only by perfbench/tracing.py's
-    # tableau count, and removed together with that read
     upper: ClassVar[None] = None
 
     @classmethod
-    def build(cls, sense, c, a_ub=None, b_ub=None, a_eq=None, b_eq=None):
+    def build(cls, sense, c, a_ub, den):
+        """The slice max/min c @ x over a_ub @ x <= 0, den @ x == 1, x >= 0
+        (``a_ub`` as given where it is a float matrix, not copied)."""
         if sense not in ("max", "min"):
             raise ValidationError(f"sense must be 'max' or 'min', got {sense!r}")
         c = np.atleast_1d(np.asarray(c, dtype=float))
         n = c.shape[0]
-        a_ub = np.zeros((0, n)) if a_ub is None else np.atleast_2d(np.asarray(a_ub, float))
-        b_ub = np.zeros(0) if b_ub is None else np.atleast_1d(np.asarray(b_ub, float))
-        a_eq = np.zeros((0, n)) if a_eq is None else np.atleast_2d(np.asarray(a_eq, float))
-        b_eq = np.zeros(0) if b_eq is None else np.atleast_1d(np.asarray(b_eq, float))
-        if a_ub.shape != (b_ub.shape[0], n) or a_eq.shape != (b_eq.shape[0], n):
+        a_ub = np.atleast_2d(np.asarray(a_ub, float))
+        den = np.atleast_1d(np.asarray(den, float))
+        if a_ub.shape[1:] != (n,) or den.shape != (n,):
             raise ValidationError("inconsistent LP dimensions")
-        named = (("c", c), ("a_ub", a_ub), ("b_ub", b_ub), ("a_eq", a_eq), ("b_eq", b_eq))
+        named = (("c", c), ("a_ub", a_ub), ("den", den))
         # one pass over every coefficient; the first non-finite array is named
         if not np.isfinite(np.concatenate([arr for _, arr in named], axis=None)).all():
             name = next(name for name, arr in named if not np.isfinite(arr).all())
             raise ValidationError(f"non-finite coefficients in {name}")
-        for name, arr in (("b_ub", b_ub), ("b_eq", b_eq)):
-            if (arr < 0).any():
-                raise ValidationError(f"negative right-hand side in {name}")
-        return cls(sense, c, a_ub, b_ub, a_eq, b_eq)
+        return cls(sense, c, a_ub, np.zeros(a_ub.shape[0]), den[None], np.ones(1))
 
 
 @dataclass
@@ -299,15 +301,14 @@ class _Rows:
     by :func:`_slack_start` and left as they are by every solve on them (a
     :class:`_Slice` rewrites one column between solves): the rows as
     supplied, which phase 1, phase 2, every restart and every certificate
-    read.  Row i's phase-1 basis starts from variable n + i, its slack, or
-    its artificial for an equality."""
+    read.  Row i's phase-1 basis starts from variable n + i: a cone row's
+    slack, or the normalization's artificial for the last row."""
 
     max_iter: int
     width: int
-    A: np.ndarray  # the rows as supplied, a_ub then a_eq
-    b: np.ndarray  # their right-hand sides, all >= 0
+    A: np.ndarray  # the rows as supplied, a_ub then the normalization
+    b: np.ndarray  # their right-hand sides, e_norm: 0 on the cone rows, 1 last
     abs_supplied: np.ndarray
-    abs_b: np.ndarray
     b_scale: np.ndarray  # |b| + 1, each primal residual's scale before |rows| |x|
     c_scale: np.ndarray  # |c| + 1, each dual residual's scale before |y| |rows|
     m_ub: int
@@ -323,7 +324,6 @@ class _Start:
     T: np.ndarray
     basis: np.ndarray
     nonbasic: np.ndarray
-    alive: np.ndarray  # rows kept (redundant equalities dropped)
     iterations: int = 0
 
 
@@ -341,20 +341,21 @@ class _Kept:
 
 
 def _slack_start(lp: LinearProgram) -> _Rows:
-    """The rows of ``lp``, A x + s = b over its inequalities and
-    A x + a = b over its equalities, b >= 0.
+    """The rows of ``lp``, A x + s = 0 over its cone rows and
+    den x + a = 1 for its normalization.
 
-    Variables: n structural, then variable n + i of row i, the slack of an
-    inequality or the artificial of an equality, which starts its basis.
-    Only equalities take an artificial, which keeps phase 1 small and far
-    less degenerate."""
+    Variables: n structural, then variable n + i of row i, which starts its
+    basis: the slack of a cone row, or for the last row the one artificial,
+    the normalization's.  The cone rows take no artificial, which keeps
+    phase 1 small and far less degenerate."""
     rows = np.concatenate((lp.a_ub, lp.a_eq))
-    b = np.concatenate((lp.b_ub, lp.b_eq))
-    width = lp.c.shape[0] + b.shape[0]
-    abs_b = np.abs(b)
+    m = rows.shape[0]
+    b = np.zeros(m)
+    b[-1] = 1.0
+    width = lp.c.shape[0] + m
     return _Rows(
-        max_iter=500 + 80 * (b.shape[0] + width), width=width, A=rows, b=b,
-        abs_supplied=np.abs(rows), abs_b=abs_b, b_scale=abs_b + 1.0,
+        max_iter=500 + 80 * (m + width), width=width, A=rows, b=b,
+        abs_supplied=np.abs(rows), b_scale=b + 1.0,
         c_scale=np.abs(lp.c) + 1.0, m_ub=lp.a_ub.shape[0],
     )
 
@@ -362,9 +363,20 @@ def _slack_start(lp: LinearProgram) -> _Rows:
 def _phase1(lp: LinearProgram, rows: _Rows):
     """Phase 1 on ``rows``, the rows of ``lp`` (see :func:`_slack_start`):
     the certified ``infeasible`` answer, or a :class:`_Start` whose basis
-    has every artificial driven out (rows left holding one are redundant
-    and dropped)."""
-    n, m_ub, width = lp.c.shape[0], rows.m_ub, rows.width
+    does not hold the one artificial, variable ``width - 1``.
+
+    No artificial is left to drive out.  The right-hand side starts as
+    e_norm, 0 on every cone row and 1 on the normalization.  A pivot step of
+    length 0 leaves it unchanged (its pivot row's right-hand side is +-0, so
+    every row subtracts +-0), so while the artificial is basic every cone row
+    reads exactly 0 and the artificial 1.  The ratio test therefore picks the
+    artificial's row only at a step of positive length, and that step takes
+    the artificial out.  Then every basic variable has phase-1 cost 0, so
+    the value reads 0 and the reduced costs 0, the artificial's 1 (to
+    rounding): phase 1 stops, and the artificial does not enter again.  It
+    ends with the artificial nonbasic, or basic at 1, which is the certified
+    ``infeasible``; never basic at 0."""
+    n, width = lp.c.shape[0], rows.width
     m = rows.A.shape[0]
 
     # Condensed tableau: one column per nonbasic variable (``nonbasic[k]``
@@ -375,31 +387,15 @@ def _phase1(lp: LinearProgram, rows: _Rows):
     T[:m, :n] = rows.A
     T[:m, -1] = rows.b
     basis = n + np.arange(m)
-    start = _Start(rows, T, basis, nonbasic, np.ones(m, dtype=bool))
+    start = _Start(rows, T, basis, nonbasic)
 
-    it1 = 0
-    if width > n + m_ub:
-        # Phase 1: maximize -(sum of artificials).
-        c1 = np.zeros(width)
-        c1[n + m_ub:] = -1.0
-        _set_objective(T, basis, nonbasic, c1)
-        status1, it1 = _run_simplex(T, basis, nonbasic, width, rows.max_iter)
-        if status1 != "optimal" or T[-1, -1] < -TOL:
-            return _infeasible(lp, start, it1)
-
-    # Drive remaining basic artificials out; drop redundant rows.
-    drop_rows = []
-    for i in (basis >= n + m_ub).nonzero()[0]:
-        cand = ((np.abs(T[i, :-1]) > TOL) & (nonbasic < n + m_ub)).nonzero()[0]
-        if cand.size:
-            _pivot(T, basis, nonbasic, i, cand[np.argmin(nonbasic[cand])])
-        else:
-            drop_rows.append(i)
-    if drop_rows:
-        start.alive[drop_rows] = False
-        start.T = np.vstack([T[:-1][start.alive], T[-1:]])
-        start.basis = basis[start.alive]
-    start.iterations = it1
+    # maximize -(the artificial)
+    c1 = np.zeros(width)
+    c1[-1] = -1.0
+    _set_objective(T, basis, nonbasic, c1)
+    status1, start.iterations = _run_simplex(T, basis, nonbasic, width, rows.max_iter)
+    if status1 != "optimal" or T[-1, -1] < -TOL:
+        return _infeasible(lp, start, start.iterations)
     return start
 
 
@@ -409,7 +405,7 @@ def _shape(lp: LinearProgram) -> str:
 
 def _solution(rows: _Rows, y, **fields) -> LPSolution:
     """``fields`` with the multipliers ``y`` of ``rows``, split into those
-    of the inequality rows and of the equalities."""
+    of the cone rows and of the normalization."""
     return LPSolution(dual_ub=y[:rows.m_ub], dual_eq=y[rows.m_ub:], **fields)
 
 
@@ -433,19 +429,19 @@ def _infeasible(lp: LinearProgram, start: _Start, iterations: int) -> LPSolution
     Farkas ray, or :class:`ComputationError`.
 
     The phase-1 duals y are read from the final reduced-cost row: the
-    reduced cost of row i's own slack is y_i, that of its own artificial
-    y_i + 1, and a basic variable's is zero.  y must meet y^T A >= 0,
-    y >= 0 on the inequality rows and y^T b < 0, each relative to the
-    magnitudes entering it (see :func:`_dual_residual`).
+    reduced cost of row i's own slack is y_i, that of the normalization's
+    artificial y_i + 1, and a basic variable's is zero.  y must meet
+    y^T A >= 0, y >= 0 on the inequality rows and y^T b < 0, each relative
+    to the magnitudes entering it (see :func:`_dual_residual`).
     """
     n, rows = lp.c.shape[0], start.rows
     rc = np.zeros(rows.width)
     rc[start.nonbasic] = start.T[-1, :-1]
     y = rc[n:]
-    y[rows.m_ub:] -= 1.0
+    y[-1] -= 1.0
     abs_y = np.abs(y)
     dual_res = _dual_residual(np.zeros(n), np.ones(n), rows, y, abs_y)
-    value = float(y @ rows.b) / (1.0 + float(abs_y @ rows.abs_b))
+    value = float(y @ rows.b) / (1.0 + float(abs_y @ rows.b))
     if not (dual_res <= TOL and value < -TOL):  # NaN fails too
         raise ComputationError(
             f"LP infeasibility certification failed ({_shape(lp)}): "
@@ -492,22 +488,22 @@ def _refactor(lp: LinearProgram, rows: _Rows, basis):
 def _update(rows: _Rows, kept: _Kept, basis, j: int) -> Optional[np.ndarray]:
     """The condensed tableau of ``basis`` on ``rows``, from ``kept``, its
     tableau on the same rows before their column ``j`` was rewritten, by one
-    rank-one correction; None where a redundant row was dropped, j is not
-    basic, or the correction's pivot 1 + d_r is below ``TOL``, and the dense
-    refactor of :func:`_restart` runs instead.
+    rank-one correction; None where j is not basic, or the correction's
+    pivot 1 + d_r is below ``TOL``, and the dense refactor of
+    :func:`_restart` runs instead.
 
     With j basic in row r, the new basis matrix is B + delta e_r^T, delta
     the column's change, so by Sherman-Morrison each column's new entries
     are its old ones less d times its row-r entry over 1 + d_r, with
     d = B^-1 delta: row r is divided by 1 + d_r, and every other row i
-    subtracts d_i times the new row r, as a pivot does.  Row i's slack or
-    artificial, variable n + i, has the unit column e_i, so d sums the
-    tableau columns of delta's rows, or unit vectors where they are basic,
-    weighted by delta.  The objective row is left stale for the caller to
-    set.
+    subtracts d_i times the new row r, as a pivot does.  Row i's slack (or
+    the normalization's artificial), variable n + i, has the unit column
+    e_i, so d sums the tableau columns of delta's rows, or unit vectors
+    where they are basic, weighted by delta.  The objective row is left
+    stale for the caller to set.
     """
     at = (basis == j).nonzero()[0]
-    if basis.size != rows.A.shape[0] or at.size != 1:
+    if at.size != 1:
         return None
     r, m = at[0], basis.size
     T, nonbasic = kept.T, kept.nonbasic
@@ -556,7 +552,7 @@ def _resume(lp: LinearProgram, rows: _Rows, T, basis, nonbasic) -> Optional[_Sta
         status, it = _run_dual(T, basis, nonbasic, n + m_ub, m)
         if status != "optimal":
             return None
-    return _Start(rows, T, basis, nonbasic, np.ones(m, dtype=bool), it)
+    return _Start(rows, T, basis, nonbasic, it)
 
 
 def _basis_solve(mat, rhs):
@@ -583,7 +579,7 @@ def _basis_pair(mat, rhs, cost):
 
 def _certificate(c_obj, rows: _Rows, x, y):
     """Strong duality of x and max-sense multipliers y on ``rows`` as
-    supplied (the first ``m_ub`` of them <=, the rest equalities):
+    supplied (the first ``m_ub`` of them <=, the normalization last):
     (c_obj x, primal residual, dual residual, gap).  Each residual is
     relative to the magnitudes entering its row or column, so badly scaled
     data certify honestly."""
@@ -606,7 +602,7 @@ def _primal_and_gap(c_obj, rows: _Rows, x, y, abs_y, dual_res):
     # the largest of -x, the residuals and 0 (a NaN anywhere reads NaN)
     primal_res = float(_most(resid, initial=-_least(x, initial=0.0)))
     dual_value = float(rows.b @ y)
-    gap = abs(value_max - dual_value) / (1.0 + abs(value_max) + float(rows.abs_b @ abs_y))
+    gap = abs(value_max - dual_value) / (1.0 + abs(value_max) + float(rows.b @ abs_y))
     return value_max, primal_res, dual_res, gap
 
 
@@ -615,13 +611,13 @@ def _phase2(lp: LinearProgram, start: _Start, column: Optional[int] = None) -> L
     duality.  With ``column`` given, an optimum keeps its final tableau and
     that column of the rows as they are now (see :class:`_Slice`)."""
     T, basis, nonbasic = start.T.copy(), start.basis.copy(), start.nonbasic.copy()
-    rows, alive = start.rows, start.alive
+    rows = start.rows
     A, m_ub = rows.A, rows.m_ub
     n, m, width = lp.c.shape[0], A.shape[0], rows.width
     sense_mult = 1.0 if lp.sense == "max" else -1.0
     c_obj = sense_mult * lp.c
 
-    # Phase 2 objective; artificials may no longer enter.
+    # Phase 2 objective; the artificial may no longer enter.
     c2 = np.zeros(width)
     c2[:n] = c_obj
     _set_objective(T, basis, nonbasic, c2)
@@ -631,10 +627,10 @@ def _phase2(lp: LinearProgram, start: _Start, column: Optional[int] = None) -> L
         return LPSolution(status="unbounded", iterations=iterations)
 
     # The optimum and its duals (max sense) from the final basis (see the
-    # module docstring); dropped redundant rows carry dual zero.
+    # module docstring).
     x = np.zeros(n)
     y = np.zeros(m)
-    tight = alive.copy()
+    tight = np.ones(m, dtype=bool)
     tight[basis[(basis >= n) & (basis < n + m_ub)] - n] = False
     struct = basis[basis < n]
     live = tight.nonzero()[0]
@@ -658,7 +654,7 @@ def _phase2(lp: LinearProgram, start: _Start, column: Optional[int] = None) -> L
 def _fits(lp: LinearProgram, prev: LPSolution) -> bool:
     """Whether ``prev`` is an optimum of a program of ``lp``'s shape."""
     return (prev.status == "optimal" and prev.x.shape == lp.c.shape
-            and prev.dual_ub.shape == lp.b_ub.shape and prev.dual_eq.shape == lp.b_eq.shape)
+            and prev.dual_ub.shape == lp.a_ub.shape[:1])
 
 
 def _carry(lp: LinearProgram, rows: _Rows, prev: LPSolution) -> Optional[LPSolution]:
@@ -722,7 +718,7 @@ class _Slice:
     """
 
     def __init__(self, num, den, a_ub, column: Optional[int] = None):
-        self.prog = LinearProgram.build("max", num, a_ub, np.zeros(len(a_ub)), den, np.ones(1))
+        self.prog = LinearProgram.build("max", num, a_ub, den)
         self.sides = (replace(self.prog, sense="min"), self.prog)
         self.rows = _slack_start(self.prog)
         self.column = column

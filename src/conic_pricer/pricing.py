@@ -161,6 +161,14 @@ def _with_band(a: np.ndarray, n: int, gamma: float):
     return out
 
 
+def _checked(model: MarketModel, cash_flow) -> CashFlow:
+    """``cash_flow`` as a :class:`CashFlow` of ``model``: one as it is, a raw
+    matrix through the loader's one rule (:meth:`CashFlow.ingest`), which
+    refuses a shape, a non-finite entry or a payment that is not adapted,
+    naming the cash flow, before any LP runs."""
+    return cash_flow if isinstance(cash_flow, CashFlow) else CashFlow.ingest(model.tree, cash_flow)
+
+
 def _discounted_tail(model: MarketModel, cash_flow, t: int) -> np.ndarray:
     """Per-path discounted payments after date t."""
     _, Binv = model.discounts()
@@ -272,6 +280,7 @@ def noarb_bounds(model: MarketModel, cash_flow, t: int, *, entry: str = "trade")
     that fails raises :class:`ComputationError` once the arbitrage search has
     cleared the market: the failure is the solver's, not an arbitrage.
     """
+    cash_flow = _checked(model, cash_flow)
     rows = generators_for(model, t, entry)
     try:
         quotes = _node_quotes(model, cash_flow, rows, entry)
@@ -389,6 +398,7 @@ def good_deal_prices(model: MarketModel, cash_flow, t: int, gamma: float) -> Pri
     band LP that fails, or reads ``infeasible``, there raises
     :class:`ComputationError`.
     """
+    cash_flow = _checked(model, cash_flow)
     rows = generators_for(model, t)
     check, losses = _ngd(model, gamma, rows)
     nodes = model.tree.nodes(t)
@@ -487,7 +497,7 @@ def liquidity_surface(
     least = first = None  # the previous row's least-loss solutions and first quote
     for lam in lambdas:
         model = model_builder(lam)
-        payoff = payoff_builder(model)
+        payoff = _checked(model, payoff_builder(model))
         rows = generators_for(model, t)
         count = len(model.tree.nodes(t))
         if not 0 <= node < count:

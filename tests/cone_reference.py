@@ -259,7 +259,7 @@ def enumerated_polytope(model, t, entry="trade", gamma=None):
 def enumerated_ngd(model, t, gamma, entry="trade"):
     """Whether a band density satisfies every round-trip row."""
     polytope = enumerated_polytope(model, t, entry, gamma)
-    prog = lp.LinearProgram.build("max", np.zeros(polytope["a_ub"].shape[1]), **polytope)
+    prog = homogeneous("max", np.zeros(polytope["a_ub"].shape[1]), **polytope)
     return lp.solve(prog).status == "optimal"
 
 
@@ -293,7 +293,8 @@ def enumerated_quotes(model, cash_flow, t, entry="trade", gamma=None):
 
 def node_form_polytope(model, rows, gamma=None):
     """The density polytope of the node-form ``rows`` over the whole tree, as
-    ``a_ub``/``b_ub`` (and ``a_eq``/``b_eq``) keywords of ``lp.LinearProgram``.
+    ``a_ub``/``b_ub`` (and ``a_eq``/``b_eq``) keywords of
+    ``lp_reference.homogeneous`` and ``lp_reference.solve_ratio``.
 
     Columns: u per path, then the envelope excesses of ``rows``; with
     ``gamma``, one band scalar m for the whole tree.  Rows, in order: the cone

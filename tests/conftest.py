@@ -1,10 +1,15 @@
 """Shared builders for randomized trees, markets and strategies."""
 
+import functools
+import importlib.util
 import itertools
+import os
+import sys
 
 import numpy as np
 import pytest
 
+from conic_pricer.cli import model_from_dict, payoff_from_dict
 from conic_pricer.lattice import EventTree
 from conic_pricer.market import (
     MarketModel,
@@ -257,6 +262,25 @@ def lp_vertex_oracle(c, a_ub, b_ub, upper, sense="max"):
             if best is None or (v > best if sense == "max" else v < best):
                 best = v
     return best
+
+
+@functools.cache
+def _workloads():
+    """``perfbench/workloads.py``, imported once and never changed."""
+    path = os.path.join(os.path.dirname(os.path.dirname(__file__)), "perfbench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+def tree_workload_market(k):
+    """Market ``k`` of the benchmark's ``tree`` workload and its payoff."""
+    workloads = _workloads()
+    market = workloads.binary_market("tree", k, workloads.TREE_HORIZON)
+    model = model_from_dict(market.model_dict())
+    return model, payoff_from_dict(model, market.payoff_dict())
 
 
 @pytest.fixture

@@ -17,9 +17,11 @@ Writes one record per line for
 * ``lp.solve`` on the programs of ``tests/test_lp.py`` and of acceptance
   check c11 that bound variables from above, each bound a row appended by
   ``lp_reference.with_bounds``, at the seeds those tests use: the status,
-  value, x and both duals in float hex and the iteration count (the
-  ``mixed`` programs in homogeneous form, ``lp_reference.homogeneous``,
-  since ``lp`` takes no negative right-hand side);
+  value, x and both duals in float hex and the iteration count.  ``lp``
+  takes only the Charnes-Cooper slice, so each program is written as one by
+  the tests' slice encoder, ``lp_reference.homogeneous`` (an extra column
+  tau = 1, every row <= 0, an equality as two opposite rows): x ends in
+  tau, and ``dual_eq`` is the normalization's;
 * ``noarb_bounds`` under trade entry at every date of the tests'
   ``one_security_panel`` (60 one-security markets free of arbitrage, with
   dividends and stochastic rates in turn), with the number of bound
@@ -77,7 +79,7 @@ from conic_pricer.cone import arbitrage_check  # noqa: E402
 from conic_pricer.errors import ComputationError, ValidationError  # noqa: E402
 from conic_pricer.fixtures import fixture_path  # noqa: E402
 from conic_pricer.market import MarketModel, TradingStrategy  # noqa: E402
-from lp_reference import with_bounds  # noqa: E402
+from lp_reference import homogeneous, with_bounds  # noqa: E402
 
 TREE_MARKETS = range(48)
 SURFACE_MARKETS = range(96)
@@ -206,7 +208,7 @@ def one_security_records(pivots: PivotCount):
 
 def _box(rng):
     sense, c, a_ub, b_ub, upper = random_box_lp(rng)
-    return lp.LinearProgram.build(sense, c, *with_bounds(upper, a_ub, b_ub))
+    return homogeneous(sense, c, *with_bounds(upper, a_ub, b_ub))
 
 
 # (name, seed, count, program from a generator): the bounded programs

@@ -18,8 +18,9 @@ equalities, which the whole-tree reference programs need.
 
 ``lp`` bounds no variable from above; :func:`with_bounds` appends such
 bounds to a program's inequality rows, as every test that needs them does.
-``lp`` takes no negative right-hand side; :func:`homogeneous` writes a
-program that has one in the form ``lp`` takes.
+``lp`` takes only the Charnes-Cooper slice, cone rows <= 0 cut by one
+normalization = 1; :func:`homogeneous` writes any other program in that
+form, and :func:`equality_duals` reads an equality's dual back.
 """
 
 from dataclasses import dataclass, field, replace
@@ -46,28 +47,42 @@ def with_bounds(upper, a_ub=None, b_ub=None):
     return np.vstack([a_ub, np.eye(n)[finite]]), np.concatenate([b_ub, upper[finite]])
 
 
-def homogeneous(sense, c, a_ub=None, b_ub=None, a_eq=None, b_eq=None):
-    """The program max/min c @ x over a_ub @ x <= b_ub, a_eq @ x == b_eq,
-    x >= 0, whose right-hand sides may be negative, in homogeneous form:
-    one more variable tau with column -b and cost 0, every right-hand side
-    0, and the equality tau = 1 appended: the Charnes-Cooper form of
-    :func:`solve_ratio` with the constant denominator 1.  tau is pinned to
-    1, so this is the same LP: the same status and value, and x with
-    tau = 1 appended."""
-    c = np.atleast_1d(np.asarray(c, dtype=float))
-    n = c.shape[0]
-
+def _cone_rows(n, a_ub=None, b_ub=None, a_eq=None, b_eq=None):
+    """The rows a_ub @ x <= b_ub and a_eq @ x == b_eq over n variables as
+    cone rows <= 0 in (x, tau): each row with tau's column -b appended, the
+    inequalities, then the equalities, then the equalities negated."""
     def rows(a, b):
         a = np.zeros((0, n)) if a is None else np.atleast_2d(np.asarray(a, float))
         b = np.zeros(0) if b is None else np.atleast_1d(np.asarray(b, float))
-        return np.hstack([a, -b[:, None]]), np.zeros(b.shape[0])
+        if a.shape != (b.shape[0], n):
+            raise ValidationError("inconsistent LP dimensions")
+        return np.hstack([a, -b[:, None]])
 
-    a_ub, b_ub = rows(a_ub, b_ub)
-    a_eq, b_eq = rows(a_eq, b_eq)
+    eq = rows(a_eq, b_eq)
+    return np.vstack([rows(a_ub, b_ub), eq, -eq])
+
+
+def homogeneous(sense, c, a_ub=None, b_ub=None, a_eq=None, b_eq=None):
+    """The program max/min c @ x over a_ub @ x <= b_ub, a_eq @ x == b_eq,
+    x >= 0 as the slice ``lp`` takes: one more variable tau with cost 0 and
+    column -b, every row <= 0, an equality as two opposite rows, and the
+    normalization tau = 1: the Charnes-Cooper form of :func:`solve_ratio`
+    with the constant denominator 1.  tau is pinned to 1, so this is the
+    same LP: the same status and value, and x with tau = 1 appended.  The
+    duals of the inequalities are the first of ``dual_ub``; those of the
+    equalities, :func:`equality_duals`."""
+    c = np.atleast_1d(np.asarray(c, dtype=float))
+    n = c.shape[0]
     return LinearProgram.build(
-        sense, np.append(c, 0.0), a_ub, b_ub,
-        np.vstack([a_eq, np.eye(n + 1)[n]]), np.append(b_eq, 1.0),
+        sense, np.append(c, 0.0), _cone_rows(n, a_ub, b_ub, a_eq, b_eq), np.eye(n + 1)[n]
     )
+
+
+def equality_duals(sol, e):
+    """The duals of the ``e`` equalities of a program that :func:`homogeneous`
+    wrote, from ``sol``: each the difference of its pair's duals."""
+    pairs = sol.dual_ub[len(sol.dual_ub) - 2 * e:]
+    return pairs[:e] - pairs[e:]
 
 
 def _pivot(T, basis, row, col):
@@ -268,27 +283,8 @@ def solve_ratio(
     n = num.shape[0]
     if den.shape[0] != n:
         raise ValidationError("numerator/denominator dimension mismatch")
-    a_ub = np.zeros((0, n)) if a_ub is None else np.atleast_2d(np.asarray(a_ub, float))
-    b_ub = np.zeros(0) if b_ub is None else np.atleast_1d(np.asarray(b_ub, float))
-    a_eq = np.zeros((0, n)) if a_eq is None else np.atleast_2d(np.asarray(a_eq, float))
-    b_eq = np.zeros(0) if b_eq is None else np.atleast_1d(np.asarray(b_eq, float))
-    rows_ub = []
-    rhs_ub = []
-    if a_ub.shape[0]:
-        rows_ub.append(np.hstack([a_ub, -b_ub[:, None]]))
-        rhs_ub.append(np.zeros(a_ub.shape[0]))
-    rows_eq = [np.hstack([den, [den0]])[None, :]]
-    rhs_eq = [np.ones(1)]
-    if a_eq.shape[0]:
-        rows_eq.append(np.hstack([a_eq, -b_eq[:, None]]))
-        rhs_eq.append(np.zeros(a_eq.shape[0]))
     prog = LinearProgram.build(
-        "max",
-        np.hstack([num, [num0]]),
-        a_ub=np.vstack(rows_ub) if rows_ub else None,
-        b_ub=np.concatenate(rhs_ub) if rows_ub else None,
-        a_eq=np.vstack(rows_eq),
-        b_eq=np.concatenate(rhs_eq),
+        "max", np.append(num, num0), _cone_rows(n, a_ub, b_ub, a_eq, b_eq), np.append(den, den0)
     )
     start = _phase1(prog, _slack_start(prog))
     if isinstance(start, LPSolution):

@@ -274,9 +274,7 @@ def correspondence_check(tree, samples):
             mass_closed = float(p[idx] @ x[idx]) - gamma * float(
                 p[idx] @ np.maximum(-x[idx], 0.0)
             )
-            prog = lp.LinearProgram.build(
-                "min", p[idx] * x[idx], *with_bounds(np.full(len(idx), gamma))
-            )
+            prog = homogeneous("min", p[idx] * x[idx], *with_bounds(np.full(len(idx), gamma)))
             mass_lp = float(p[idx] @ x[idx]) + lp.solve(prog).value
             value_ok = abs(mass_closed - mass_lp) <= tol
             lhs = ratio[idx[0]] >= gamma

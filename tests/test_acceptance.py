@@ -44,7 +44,7 @@ from conftest import (
     random_tree,
     two_period_model,
 )
-from lp_reference import with_bounds
+from lp_reference import homogeneous, with_bounds
 from oracles import (
     _closed_form_sum,
     band_extreme_vertices,
@@ -640,7 +640,7 @@ def test_c11_lp_kernel(capsys):
     worst_gap = worst_vs_oracle = 0.0
     for _ in range(100):
         sense, c, a_ub, b_ub, upper = random_box_lp(rng)
-        prog = lp.LinearProgram.build(sense, c, *with_bounds(upper, a_ub, b_ub))
+        prog = homogeneous(sense, c, *with_bounds(upper, a_ub, b_ub))
         sol = lp.solve(prog)
         assert sol.status == "optimal"
         worst_gap = max(worst_gap, sol.gap, sol.primal_residual, sol.dual_residual)

@@ -8,17 +8,17 @@ from conic_pricer.cli import EXIT_INTERNAL, main
 from conic_pricer.errors import ComputationError, ValidationError
 from conic_pricer.fixtures import fixture_path
 from conic_pricer.lp import LinearProgram, solve, solve_ratio
-from conic_pricer.pricing import _with_band
+from conic_pricer.pricing import _with_band, good_deal_prices, noarb_bounds
 
-from conftest import lp_vertex_oracle, random_box_lp
+from conftest import lp_vertex_oracle, random_box_lp, tree_workload_market
 from lp_reference import _pivot as full_pivot
-from lp_reference import homogeneous, reference_solve, with_bounds
+from lp_reference import equality_duals, homogeneous, reference_solve, with_bounds
 from lp_reference import solve_ratio as charnes_cooper
 
 
 class TestSolveBasics:
     def test_simple_max(self):
-        prog = LinearProgram.build("max", [1.0, 1.0], a_ub=[[1.0, 1.0]], b_ub=[1.0])
+        prog = homogeneous("max", [1.0, 1.0], a_ub=[[1.0, 1.0]], b_ub=[1.0])
         sol = solve(prog)
         assert sol.status == "optimal"
         assert sol.value == pytest.approx(1.0, abs=1e-12)
@@ -28,7 +28,7 @@ class TestSolveBasics:
         assert solve(prog).status == "infeasible"
 
     def test_unbounded(self):
-        prog = LinearProgram.build("max", [1.0])
+        prog = homogeneous("max", [1.0])
         assert solve(prog).status == "unbounded"
 
     def test_min_sense(self):
@@ -40,28 +40,33 @@ class TestSolveBasics:
     def test_equalities_and_upper_bounds(self):
         sol = solve(_one_cap())
         assert sol.value == pytest.approx(0.25, abs=1e-12)
+        # strong duality on the program as written, x1 <= 0.25 and
+        # x1 + x2 = 1, its equality's dual read back from its pair of rows
+        y_eq = equality_duals(sol, 1)
+        assert sol.value == pytest.approx(sol.dual_ub[0] * 0.25 + y_eq[0], abs=1e-12)
 
     def test_dimension_validation(self):
         with pytest.raises(ValidationError):
-            LinearProgram.build("max", [1.0], a_ub=[[1.0, 2.0]], b_ub=[1.0])
+            LinearProgram.build("max", [1.0], [[1.0, 2.0]], [1.0])
         with pytest.raises(ValidationError):
-            LinearProgram.build("max", [np.nan])
+            LinearProgram.build("max", [np.nan], np.zeros((0, 1)), [1.0])
 
 
 class TestCertification:
     def test_duality_gap_reported(self):
-        prog = LinearProgram.build(
-            "max", [3.0, 5.0],
-            a_ub=[[1.0, 0.0], [0.0, 2.0], [3.0, 2.0]],
-            b_ub=[4.0, 12.0, 18.0],
+        b_ub = [4.0, 12.0, 18.0]
+        prog = homogeneous(
+            "max", [3.0, 5.0], a_ub=[[1.0, 0.0], [0.0, 2.0], [3.0, 2.0]], b_ub=b_ub
         )
         sol = solve(prog)
         assert sol.value == pytest.approx(36.0, abs=1e-9)
         assert sol.gap <= 1e-9
         assert sol.primal_residual <= 1e-9
         assert sol.dual_residual <= 1e-9
-        # strong duality identity with the reported multipliers
-        assert sol.value == pytest.approx(float(sol.dual_ub @ prog.b_ub), abs=1e-9)
+        # strong duality identity with the reported multipliers, on the
+        # program as written and on its slice
+        assert sol.value == pytest.approx(float(sol.dual_ub @ b_ub), abs=1e-9)
+        assert sol.value == pytest.approx(float(sol.dual_eq @ prog.b_eq), abs=1e-9)
 
     def test_every_random_solve_is_certified(self, rng):
         for _ in range(60):
@@ -74,7 +79,7 @@ class TestVertexCrossValidation:
     def test_agrees_with_vertex_oracle_on_100_random_lps(self, rng):
         for _ in range(100):
             sense, c, a_ub, b_ub, upper = random_box_lp(rng)
-            sol = solve(LinearProgram.build(sense, c, *with_bounds(upper, a_ub, b_ub)))
+            sol = solve(homogeneous(sense, c, *with_bounds(upper, a_ub, b_ub)))
             ref = lp_vertex_oracle(c, a_ub, b_ub, upper, sense)
             assert sol.status == "optimal"
             assert sol.value == pytest.approx(ref, abs=1e-8)
@@ -95,7 +100,7 @@ class TestDeterminism:
 
 
 def _one_cap():
-    return LinearProgram.build(
+    return homogeneous(
         "max", [1.0, 0.0], *with_bounds([0.25, np.inf]), a_eq=[[1.0, 1.0]], b_eq=[1.0]
     )
 
@@ -105,18 +110,18 @@ def _capped(rng):
     m = int(rng.integers(1, 5))
     sense, c = "max" if rng.random() < 0.5 else "min", rng.normal(size=n)
     a_ub, b_ub = rng.normal(size=(m, n)), np.abs(rng.normal(size=m)) + 0.2
-    return LinearProgram.build(sense, c, *with_bounds(rng.uniform(0.5, 4.0, size=n), a_ub, b_ub))
+    return homogeneous(sense, c, *with_bounds(rng.uniform(0.5, 4.0, size=n), a_ub, b_ub))
 
 
 def _repeated(rng):
     c, a_ub, b_ub = rng.normal(size=4), rng.normal(size=(5, 4)), np.abs(rng.normal(size=5)) + 0.5
-    return LinearProgram.build("max", c, *with_bounds(np.full(4, 2.0), a_ub, b_ub))
+    return homogeneous("max", c, *with_bounds(np.full(4, 2.0), a_ub, b_ub))
 
 
 def _tall(rng):
     # few variables, many rows, like the generator rows of a density polytope
     # and a normalization row; a third of the rows are tight at x0, and
-    # right-hand sides of either sign, in homogeneous form
+    # right-hand sides of either sign
     n, m = int(rng.integers(3, 7)), int(rng.integers(25, 70))
     x0 = rng.uniform(0.1, 1.0, size=n)
     a_ub, a_eq = rng.normal(size=(m, n)), rng.uniform(0.1, 1.0, size=(1, n))
@@ -129,7 +134,7 @@ def _tall(rng):
 
 def _wide(rng):
     # many variables, few rows, like the arbitrage search: a row with
-    # right-hand side -1, in homogeneous form
+    # right-hand side -1
     n, k = int(rng.integers(15, 40)), int(rng.integers(2, 6))
     G = rng.normal(size=(n, k))
     return homogeneous(
@@ -140,9 +145,9 @@ def _wide(rng):
 
 
 def _mixed(rng):
-    # equality rows (some repeated, so redundant) and right-hand sides of
-    # either sign, in homogeneous form, under finite and infinite upper
-    # bounds
+    # equality rows (some repeated, so their pairs of rows are too: a
+    # degenerate case) and right-hand sides of either sign, under finite and
+    # infinite upper bounds
     n, m, e = int(rng.integers(3, 8)), int(rng.integers(2, 8)), int(rng.integers(1, 3))
     x0 = rng.uniform(0.0, 1.0, size=n)
     a_ub, a_eq = rng.normal(size=(m, n)), rng.normal(size=(e, n))
@@ -163,30 +168,27 @@ def _degenerate(rng):
     c = rng.integers(-2, 4, size=n).astype(float)
     a_ub = rng.integers(-3, 4, size=(m, n)).astype(float)
     b_ub = rng.integers(0, 3, size=m).astype(float)
-    return LinearProgram.build("max", c, *with_bounds(np.full(n, 2.0), a_ub, b_ub))
+    return homogeneous("max", c, *with_bounds(np.full(n, 2.0), a_ub, b_ub))
 
 
 def _charnes_cooper(rng):
     # homogeneous rows in (y, s) with the denominator pinned to one, as
-    # solve_ratio builds them
+    # solve_ratio builds them, a homogeneous equality among them as two
+    # opposite rows: already a slice
     n, m = int(rng.integers(3, 7)), int(rng.integers(8, 30))
     x0 = rng.uniform(0.1, 1.0, size=n)
     a_ub, p = rng.normal(size=(m, n)), rng.uniform(0.1, 1.0, size=n)
     b_ub = a_ub @ x0 + np.abs(rng.normal(size=m)) * (rng.random(m) < 0.7)
-    return LinearProgram.build(
-        "max" if rng.random() < 0.5 else "min", np.append(rng.normal(size=n), 0.0),
-        a_ub=np.hstack([a_ub, -b_ub[:, None]]), b_ub=np.zeros(m),
-        a_eq=np.vstack([np.append(rng.uniform(0.1, 1.0, size=n), 0.0), np.append(p, -p @ x0)]),
-        b_eq=[1.0, 0.0],
-    )
+    sense, c = "max" if rng.random() < 0.5 else "min", np.append(rng.normal(size=n), 0.0)
+    den, eq = np.append(rng.uniform(0.1, 1.0, size=n), 0.0), np.append(p, -p @ x0)
+    rows = np.vstack([np.hstack([a_ub, -b_ub[:, None]]), eq, -eq])
+    return LinearProgram.build(sense, c, rows, den)
 
 
 def _infeasible(rng):
     n = int(rng.integers(2, 6))
     a = np.abs(rng.normal(size=(2, n)))
-    return LinearProgram.build(
-        "max", rng.normal(size=n), a_ub=a, b_ub=[1.0, 1.0], a_eq=a[:1], b_eq=[2.0]
-    )
+    return homogeneous("max", rng.normal(size=n), a_ub=a, b_ub=[1.0, 1.0], a_eq=a[:1], b_eq=[2.0])
 
 
 def _unbounded(rng):
@@ -195,7 +197,7 @@ def _unbounded(rng):
     a[:, 0] = -np.abs(a[:, 0])  # x0 can grow without limit
     c = rng.normal(size=n)
     c[0] = 1.0
-    return LinearProgram.build("max", c, a_ub=a, b_ub=np.abs(rng.normal(size=3)))
+    return homogeneous("max", c, a_ub=a, b_ub=np.abs(rng.normal(size=3)))
 
 
 SHAPES = [_tall, _wide, _mixed, _degenerate, _charnes_cooper, _infeasible, _unbounded]
@@ -291,7 +293,58 @@ def _stalling_cone():
     a_ub = rng.normal(size=(m, n))
     a_ub -= np.outer(a_ub @ d / (d @ d) + 0.05, d)
     c = d + 0.5 * rng.normal(size=n)
-    return LinearProgram.build("max", c, *with_bounds(np.ones(n), a_ub, np.zeros(m)))
+    return homogeneous("max", c, *with_bounds(np.ones(n), a_ub, np.zeros(m)))
+
+
+class TestOneArtificial:
+    """Every program is a slice, so phase 1 has one artificial, the
+    normalization's, and ends with it nonbasic or certifies ``infeasible``
+    (see ``lp._phase1``): no artificial is left to drive out, and no row to
+    drop."""
+
+    @staticmethod
+    def _check(prog, rows, start):
+        """Whether ``start``, what ``lp._phase1`` gave on ``prog``'s
+        ``rows``, is a certified ``infeasible`` or a start of every row
+        without the artificial: ``"infeasible"``, ``"start"`` or None."""
+        if isinstance(start, lp.LPSolution):
+            return "infeasible" if start.status == "infeasible" and _is_farkas_ray(
+                start, prog) else None
+        m = rows.A.shape[0]
+        held = rows.width - 1 in start.basis
+        return "start" if not held and start.T.shape[0] == m + 1 and start.basis.size == m else None
+
+    def test_random_programs(self):
+        seen = set()
+        for shape in SHAPES + [lambda rng: _stalling_cone()]:
+            rng = np.random.default_rng(20261018)
+            for _ in range(30):
+                prog = shape(rng)
+                rows = lp._slack_start(prog)
+                outcome = self._check(prog, rows, lp._phase1(prog, rows))
+                assert outcome is not None
+                seen.add(outcome)
+        assert seen == {"infeasible", "start"}
+
+    def test_engine_programs_of_two_tree_markets(self, monkeypatch):
+        # every phase 1 of the bound, least-loss and band programs of the
+        # tree workload's markets 0 and 10 at t = 0 and 1, over its levels;
+        # 15 of market 10's read infeasible
+        outcomes, real = [], lp._phase1
+
+        def phase1(prog, rows):
+            start = real(prog, rows)
+            outcomes.append(self._check(prog, rows, start))
+            return start
+
+        monkeypatch.setattr(lp, "_phase1", phase1)
+        for k in (0, 10):
+            model, payoff = tree_workload_market(k)
+            for t in (0, 1):
+                noarb_bounds(model, payoff, t)
+                for gamma in (0.5, 1.0, 2.0, 4.0, 8.0):
+                    good_deal_prices(model, payoff, t, gamma)
+        assert None not in outcomes and set(outcomes) == {"infeasible", "start"}
 
 
 class TestStallFallback:
@@ -332,10 +385,8 @@ class TestExactMode:
     """The rational reference, ``reference_solve(prog, exact=True)``."""
 
     def test_matches_float_solution(self):
-        prog = LinearProgram.build(
-            "max", [3.0, 5.0],
-            a_ub=[[1.0, 0.0], [0.0, 2.0], [3.0, 2.0]],
-            b_ub=[4.0, 12.0, 18.0],
+        prog = homogeneous(
+            "max", [3.0, 5.0], a_ub=[[1.0, 0.0], [0.0, 2.0], [3.0, 2.0]], b_ub=[4.0, 12.0, 18.0]
         )
         assert reference_solve(prog, exact=True)[1] == pytest.approx(36.0, abs=1e-12)
 
@@ -377,9 +428,9 @@ class TestCertifiedOrError:
     """Every answer is certified or a labelled ``ComputationError``."""
 
     def test_uncertified_infeasible_raises(self, monkeypatch):
-        # x1 + 2 x2 = 2 is met by x = (0, 1), but phase 1 stopped at its
-        # artificial start would call the rows infeasible
-        prog = LinearProgram.build("max", [1.0, 1.0], a_eq=[[1.0, 2.0]], b_eq=[2.0])
+        # x1 / 2 + x2 = 1 is met by x = (0, 1), but phase 1 stopped at its
+        # artificial start would call the slice infeasible
+        prog = LinearProgram.build("max", [1.0, 1.0], np.zeros((0, 2)), [0.5, 1.0])
         assert solve(prog).status == "optimal"
         _stop_phase(monkeypatch, 1)
         with pytest.raises(ComputationError, match="^LP infeasibility certification failed"):
@@ -390,7 +441,7 @@ class TestCertifiedOrError:
         # (2, 0): one solve raises, with no second attempt, and the CLI exits
         # 70 (on mark bounds, which the simplex solves: the recursion prices
         # one-security trade bounds without a phase 2)
-        prog = LinearProgram.build("max", [1.0, 0.25], a_eq=[[1.0, 2.0]], b_eq=[2.0])
+        prog = LinearProgram.build("max", [1.0, 0.25], np.zeros((0, 2)), [0.5, 1.0])
         assert solve(prog).value == pytest.approx(2.0, abs=1e-12)
         _stop_phase(monkeypatch, 2)
         solves = count_calls(lp, "solve")
@@ -407,17 +458,14 @@ class TestCertifiedOrError:
         # pivots on them can leave a NaN for the ratio test: the answer is
         # certified or an error, never a crash or a warning
         for prog in (
-            LinearProgram.build(
+            homogeneous(
                 "max", [1e200, 1.0], a_ub=[[1e200, 1.0], [1.0, 1.0]], b_ub=[1.0, 1.0]
             ),
-            LinearProgram.build(
-                "max", [1.0, 1.0], a_ub=[[1e200, 1.0], [1.0, 1e200]], b_ub=[0.0, 0.0],
-                a_eq=[[1.0, 1.0]], b_eq=[1.0],
-            ),
+            LinearProgram.build("max", [1.0, 1.0], [[1e200, 1.0], [1.0, 1e200]], [1.0, 1.0]),
             LinearProgram.build(
                 "max", [0.2, 0.1, 0.6, 0.7, 1e200],
-                a_ub=[[0.5, -1e200, 0.7, -0.4, 0.5], [-1e199, -1.0, 1.5, -0.4, 2e200]],
-                b_ub=[0.0, 0.0], a_eq=[[0.8, 0.5, 0.6, 0.03, 1.2]], b_eq=[1.0],
+                [[0.5, -1e200, 0.7, -0.4, 0.5], [-1e199, -1.0, 1.5, -0.4, 2e200]],
+                [0.8, 0.5, 0.6, 0.03, 1.2],
             ),
         ):
             try:
@@ -527,9 +575,7 @@ class TestSolveRatio:
             num = rng.normal(size=n)
             lo, hi = solve_ratio(num, den, a_ub)
             for sense, got in (("max", hi), ("min", lo)):
-                want = solve(LinearProgram.build(
-                    sense, num, a_ub=a_ub, b_ub=np.zeros(m), a_eq=[den], b_eq=[1.0]
-                ))
+                want = solve(LinearProgram.build(sense, num, a_ub, den))
                 assert got.status == want.status == "optimal"
                 assert np.float64(got.value).tobytes() == np.float64(want.value).tobytes()
                 assert got.x.tobytes() == want.x.tobytes()
@@ -763,9 +809,7 @@ class TestWarmRestart:
                 if cold[1].status == "infeasible":
                     seen += pair is not None
                     assert all(_same(g, c) for g, c in zip(got, cold))
-                    slice_lp = LinearProgram.build(
-                        "max", num, a_ub=a_ub, b_ub=np.zeros(len(a_ub)), a_eq=[den], b_eq=[1.0]
-                    )
+                    slice_lp = LinearProgram.build("max", num, a_ub, den)
                     assert all(_is_farkas_ray(g, slice_lp) for g in got)
                     break
                 pair = got
@@ -807,8 +851,6 @@ class TestTableauUpdate:
                     for side, sol in zip(band.sides, pair)]
             band.rewrite(upper, -(1.0 + gamma))
             for side, sol, factored in zip(band.sides, pair, kept):
-                if factored is None:  # a redundant row was dropped
-                    continue
                 T, basis, nonbasic = factored
                 got = lp._update(band.rows, lp._Kept(band.rows, T, nonbasic, before), basis,
                                  band.column)
@@ -848,8 +890,6 @@ class TestTableauUpdate:
         for band, upper, pair, gamma in _band_sweep(6, 30):
             band.rewrite(upper, -(1.0 + gamma))
             for side, sol in zip(band.sides, pair):
-                if sol.basis.size != len(band.rows.A):
-                    continue
                 column = band.rows.A[:, band.column]
                 cancel = dataclasses.replace(
                     sol, kept=dataclasses.replace(sol.kept, column=column + sol.kept.column)
@@ -889,24 +929,22 @@ class TestReadOut:
         assert np.array_equal(x, np.linalg.lstsq(mat, rhs, rcond=None)[0])
         assert np.array_equal(y, np.linalg.lstsq(mat.T, cost, rcond=None)[0])
 
-    def test_build_refuses_a_negative_right_hand_side(self):
-        for name in ("b_ub", "b_eq"):
-            data = {"a_ub": np.ones((2, 2)), "b_ub": np.ones(2),
-                    "a_eq": np.ones((1, 2)), "b_eq": np.ones(1)}
-            data[name][-1] = -1e-300
+    def test_build_refuses_a_den_of_the_wrong_shape(self):
+        # den is one row over the variables: a matrix of equalities, or a
+        # row of another width, is refused
+        for den in (np.ones((2, 2)), np.ones(3), np.ones(1), 1.0):
             with pytest.raises(ValidationError) as exc:
-                LinearProgram.build("max", np.ones(2), **data)
-            assert str(exc.value) == f"negative right-hand side in {name}"
-        # a -0.0 is not negative
-        prog = LinearProgram.build("max", [1.0], a_ub=[[1.0]], b_ub=[-0.0], a_eq=[[1.0]],
-                                   b_eq=[-0.0])
-        assert solve(prog).value == 0.0
+                LinearProgram.build("max", np.ones(2), np.ones((1, 2)), den)
+            assert str(exc.value) == "inconsistent LP dimensions"
+        # the slice's right-hand sides are set by build, not passed
+        prog = LinearProgram.build("max", np.ones(2), np.ones((1, 2)), np.ones(2))
+        assert prog.b_ub.tolist() == [0.0] and prog.b_eq.tolist() == [1.0]
+        assert np.array_equal(prog.a_eq, np.ones((1, 2)))
 
     def test_build_names_the_first_non_finite_array(self):
-        names = ("c", "a_ub", "b_ub", "a_eq", "b_eq")
+        names = ("c", "a_ub", "den")
         for first in range(len(names)):
-            data = {"c": np.ones(2), "a_ub": np.ones((1, 2)), "b_ub": np.ones(1),
-                    "a_eq": np.ones((1, 2)), "b_eq": np.ones(1)}
+            data = {"c": np.ones(2), "a_ub": np.ones((1, 2)), "den": np.ones(2)}
             for name in names[first:]:  # this array and every later one
                 data[name].flat[-1] = [np.nan, np.inf, -np.inf][first % 3]
             with pytest.raises(ValidationError) as exc:

@@ -49,8 +49,10 @@ from conftest import (
     random_cashflow,
     random_market,
     random_tree,
+    tree_workload_market,
     two_period_model,
 )
+from lp_reference import homogeneous
 from oracles import (
     check_first_bounds,
     check_first_good_deal_prices,
@@ -389,7 +391,7 @@ class TestNgdCheck:
                 rows = generators_for(model, t)
                 for gamma in (0.05, 0.5):
                     band = node_form_polytope(model, rows, gamma)
-                    prog = lp.LinearProgram.build("max", np.zeros(band["a_ub"].shape[1]), **band)
+                    prog = homogeneous("max", np.zeros(band["a_ub"].shape[1]), **band)
                     empty = lp.solve(prog).status != "optimal"
                     check, _ = pricing._ngd(model, gamma, rows)
                     assert check.holds != empty
@@ -708,6 +710,18 @@ class TestGoodDealPrices:
         assert abs(e.bid - nb.bid) <= 1e-6
         assert abs(e.ask - nb.ask) <= 1e-6
 
+    @pytest.mark.xfail(
+        raises=ComputationError, strict=True,
+        reason="at gamma=2000 a band LP of the tree workload's market 7 fails "
+        "certification (primal residual 9.0e-1), likely because the band "
+        "scalar's column holds -(1 + gamma) on the upper band rows; at "
+        "gamma=1000 it prices (ROADMAP item 7)",
+    )
+    def test_large_level_prices_a_tree_workload_market(self):
+        model, payoff = tree_workload_market(7)
+        quote = good_deal_prices(model, payoff, 0, 2000.0)
+        assert quote_status(quote) == STATUS_OK
+
 
 def crr_call(u, d, r, p_up, strike, horizon):
     """CRR value at the root of a call on the last bid 100 * u^k * d^(T-k),
@@ -773,6 +787,55 @@ class TestFrictionlessBinaryMarkets:
             assert e.status == STATUS_OK
             assert e.bid == pytest.approx(b.bid, abs=1e-8)
             assert e.ask == pytest.approx(b.ask, abs=1e-8)
+
+
+def _unadapted(model):
+    flow = np.zeros((model.tree.n_paths, model.tree.horizon + 1))
+    flow[0, 1] = 1.0  # paid on one path of a date-1 node with two
+    return flow
+
+
+# name: (a raw cash flow on the fixture's 5 paths over horizon 2 from the
+# model, the refusal's message); each is refused before any LP is built
+RAW_FLOWS = {
+    "short rows": (lambda m: np.ones((5, 2)), r"^cash flow has shape \(5, 2\), expected \(5, 3\)$"),
+    "few paths": (lambda m: np.ones((2, 3)), r"^cash flow has shape \(2, 3\), expected \(5, 3\)$"),
+    "NaN": (lambda m: np.full((5, 3), np.nan), "^cash flow contains non-finite entries$"),
+    "vector": (lambda m: np.ones(3), r"^cash flow has shape \(3,\), expected \(5, 3\)$"),
+    "unadapted": (_unadapted, "^cash flow is not measurable at t=1: "),
+}
+
+
+class TestRawCashFlow:
+    """A raw matrix given as the payoff is checked as the loader checks a
+    cash flow, and a :class:`CashFlow` is taken as it is."""
+
+    ENTRY_POINTS = {
+        "bounds": lambda m, f: noarb_bounds(m, f, 0),
+        "price": lambda m, f: good_deal_prices(m, f, 0, 8.0),
+        "forward": lambda m, f: forward_prices(m, f, 0, 8.0),
+        "surface": lambda m, f: liquidity_surface(
+            lambda lam: m, lambda model: f, [8.0], [0.0]),
+    }
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    @pytest.mark.parametrize("flow", RAW_FLOWS)
+    def test_raw_cash_flow_is_refused_by_name(self, entry, flow, count_calls):
+        model = two_period_model(lam=0.01)
+        make, message = RAW_FLOWS[flow]
+        programs = count_calls(lp, "_slack_start")  # every LP's rows
+        with pytest.raises(ValidationError, match=message):
+            self.ENTRY_POINTS[entry](model, make(model))
+        assert not programs
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    def test_cash_flow_is_taken_as_it_is(self, entry, count_calls):
+        model = two_period_model(lam=0.01)
+        payoff = asian_call(model, 0, 65.0)
+        ingests = count_calls(CashFlow, "ingest")
+        want = self.ENTRY_POINTS[entry](model, payoff)
+        assert not ingests
+        assert self.ENTRY_POINTS[entry](model, payoff.values) == want
 
 
 class TestForwardPrices:
