@@ -38,9 +38,11 @@ Arbitrage and no good deal read one witness: the node's least-loss hedge,
 certified by :func:`good_deal_certificate` as a :class:`GoodDealWitness`.
 
 With one security, the same rows read as trades also carry each date-t
-node's no-arbitrage bounds as a backward induction (:func:`_bound_candidates`):
-its hedge is a weight per row and its density a mass per node, which map
-onto the bound LP's dual and primal for the LP's own certificate to judge.
+node's no-arbitrage bounds as a backward induction (:func:`_bound_candidates`),
+one sweep up the tree's node numbering for both extremes and one down it:
+its hedge is a weight per row and its density a mass per node, read at the
+node each row carries, the bound LP's dual and primal for the LP's own
+certificate to judge.
 """
 
 from __future__ import annotations
@@ -72,10 +74,11 @@ class NodeRows:
     """The hedging-cone rows of one start date, ``a_u @ u + a_v @ (V, W) <= 0``.
 
     Row r holds ``side[r]`` (+1 long, -1 short) units of security
-    ``security[r]`` from node (``date[r]``, ``cell[r]``) into its children,
-    opened there or, where ``carry[r]``, carried on from its parent;
-    ``owner`` gives the date-``start`` cell above each row and ``col_owner``
-    the one above each envelope column.
+    ``security[r]`` from node (``date[r]``, ``cell[r]``), ``node[r]`` in the
+    tree's numbering, into its children, opened there or, where ``carry[r]``,
+    carried on from its parent; ``owner`` gives the date-``start`` cell above
+    each row and ``col_owner`` the one above each envelope column j, the
+    excess that carry-on row j takes out.
     """
 
     start: int
@@ -83,6 +86,7 @@ class NodeRows:
     a_v: np.ndarray  # (rows, envelope columns)
     date: np.ndarray
     cell: np.ndarray
+    node: np.ndarray
     security: np.ndarray
     side: np.ndarray
     carry: np.ndarray
@@ -114,7 +118,6 @@ def generators_for(model: MarketModel, t: int, entry: str = "trade") -> NodeRows
     p = tree.probabilities
     _, Binv = model.discounts()
     counts = [len(part) for part in tree.partitions]
-    cells = np.array([tree.cell_index(s) for s in range(T)])  # (date, path)
     mark = entry == "mark" and t >= 1
     # Per block of rows, in row order (the carry-on blocks, then the open
     # ones; each by date, then security, long before short): its date,
@@ -134,8 +137,9 @@ def generators_for(model: MarketModel, t: int, entry: str = "trade") -> NodeRows
     width = sum(size[: 2 * S * (T - 1 - t)])  # the carry-on rows
     date, security, kind, valued, series, start = np.repeat(np.array(table).T, size, axis=1)
     cell = np.arange(first) - start
-    mine = cells[date] == cell[:, None]  # [row, path]: the path is on the row's node
-    head = mine.argmax(axis=1)  # the node's smallest path
+    node = tree.offset[date] + cell
+    head = tree.node_path[node]
+    mine = tree.node_of[date] == node[:, None]  # [row, path]: the path is on the row's node
 
     # Per security (and path and date s < T): the entry legs at s, bid and
     # ask, and the exit legs over (s, s+1], long out at the bid plus the ask
@@ -154,14 +158,14 @@ def generators_for(model: MarketModel, t: int, entry: str = "trade") -> NodeRows
     # columns are the children's carry-on rows: the row's series at the next
     # date, on the nodes whose parent is the row's node.  A carry-on row's
     # own excess, taken out at -1, is on the diagonal.
-    n = tree.n_paths
-    held = (series + 2 * S) * n + cell
-    carried = series[:width] * n + cells[date[:width] - 1, head[:width]]
+    nodes = len(tree.node_path)
+    held = (series + 2 * S) * nodes + node
+    carried = series[:width] * nodes + tree.node_of[date[:width] - 1, head[:width]]
     a_v = (held[:, None] == carried).astype(float)
     np.fill_diagonal(a_v, -1.0)
-    owner = cells[t, head]
+    owner = tree.cell_index(t)[head]
     return NodeRows(
-        start=t, a_u=a_u, a_v=a_v, date=date, cell=cell, security=security,
+        start=t, a_u=a_u, a_v=a_v, date=date, cell=cell, node=node, security=security,
         side=1 - 2 * (kind % 2), carry=kind >= 2, owner=owner, col_owner=owner[:width],
     )
 
@@ -176,14 +180,12 @@ def hedge_strategy(model: MarketModel, rows: NodeRows, weights) -> TradingStrate
     the weights carry on no more than they hold.
     """
     tree = model.tree
-    T, S, n = tree.horizon, model.n_securities, tree.n_paths
+    T, S = tree.horizon, model.n_securities
     w = np.asarray(weights, dtype=float) * rows.side
-    # units held per (date, security, cell), then per path
-    key = (rows.date * S + rows.security) * n + rows.cell
-    per_node = np.bincount(key, w, T * S * n).reshape(T, S, n)
-    cells = np.array([tree.cell_index(s) for s in range(T)])
-    legs = np.zeros((T + 1, S, n))
-    legs[1:] = np.take_along_axis(per_node, cells[:, None, :], axis=2)
+    # units held per (node, security), then per (date, security, path)
+    per_node = np.bincount(rows.node * S + rows.security, w, len(tree.node_path) * S)
+    legs = np.zeros((T + 1, S, tree.n_paths))
+    legs[1:] = per_node.reshape(-1, S)[tree.node_of[:T]].transpose(0, 2, 1)
     return make_self_financing(model, legs)
 
 
@@ -204,7 +206,10 @@ class GoodDealWitness:
 def _node_cone(rows: NodeRows, cell: int, paths):
     """The no-arbitrage cone of date-t node ``cell`` on ``paths``: its rows of
     ``rows`` over its own columns, u of its paths and then its envelope
-    excesses."""
+    excesses.  A node holding every path is its date's only one, and owns
+    the rows whole."""
+    if len(paths) == rows.a_u.shape[1]:
+        return np.concatenate((rows.a_u, rows.a_v), axis=1)
     pick = (rows.owner == cell).nonzero()[0]
     return np.concatenate((
         rows.a_u.take(pick, 0).take(paths, 1),
@@ -314,15 +319,16 @@ def arbitrage_check(model: MarketModel, t: int) -> Optional[GoodDealWitness]:
     :func:`good_deal_certificate`, is the witness.  Rows worth zero up to
     rounding count as worth zero (see ``_node_hedges``).
     """
-    return _arbitrage(model, generators_for(model, t))
+    return _arbitrage(model, generators_for(model, t), model.tree.nodes(t))
 
 
-def _arbitrage(model: MarketModel, rows: NodeRows) -> Optional[GoodDealWitness]:
-    """:func:`arbitrage_check` over the trade rows ``rows`` of its date.  A
-    lossless hedge that its certificate rejects raises
-    :class:`ComputationError`: an arbitrage is never reported without a
-    witness."""
-    for node, loss, weights, _ in _least_losses(model, rows):
+def _arbitrage(model: MarketModel, rows: NodeRows, nodes) -> Optional[GoodDealWitness]:
+    """:func:`arbitrage_check` over the trade rows ``rows`` of its date, at
+    its date-``rows.start`` ``nodes`` (in node order) alone.  A lossless
+    hedge that its certificate rejects raises :class:`ComputationError`: an
+    arbitrage is never reported without a witness."""
+    for node in nodes:
+        loss, weights, _ = _node_least_loss(model, rows, node)
         if loss <= lp.TOL:
             witness = good_deal_certificate(model, rows, node, weights)
             if witness is None:
@@ -340,162 +346,138 @@ def _arbitrage(model: MarketModel, rows: NodeRows) -> Optional[GoodDealWitness]:
 _SLOPE_TOL = 1e-12
 
 
-def _upper_envelope(lines):
-    """The upper envelope of ``lines``, (slope, intercept, owner) triples
-    sorted by slope and then intercept: its breakpoints and its pieces, the
-    lines that top the others on an interval, left to right."""
-    Z, pieces = [], []
-    for line in lines:
-        b, a, _ = line
-        while pieces:
-            b0, a0, _ = pieces[-1]
-            if b0 != b:  # else parallel, and no higher than this line
-                z = (a0 - a) / (b - b0)
-                if not Z or z > Z[-1]:
-                    Z.append(z)
-                    break
-            pieces.pop()
-            del Z[-1:]
-        pieces.append(line)
-    return Z, pieces
-
-
-class _Subtrees:
-    """The subtrees of the date-t nodes of a one-security market: every node
-    from date t on, numbered date by date and within a date in cell order
-    (node ``offset[s] + cell``; the leaves, at the horizon, from ``leaf``),
-    with its children and, discounted, its bid and ask, its ask and bid
-    dividend increments, and what a unit held into it is worth there on
-    exit, long (bid plus ask dividend) and short (ask plus bid dividend), as
-    :func:`generators_for` prices the rows."""
-
-    def __init__(self, model: MarketModel, t: int):
-        tree, sec = model.tree, model.securities[0]
-        T, parts = tree.horizon, tree.partitions
-        self.offset = np.zeros(T + 2, dtype=int)
-        self.offset[t + 1:] = np.cumsum([len(parts[s]) for s in range(t, T + 1)])
-        self.roots, self.leaf = int(self.offset[t + 1]), int(self.offset[T])
-        self.heads = np.array([cell[0] for s in range(t, T + 1) for cell in parts[s]])
-        at = (self.heads, np.repeat(np.arange(t, T + 1), np.diff(self.offset[t:])))
-        before = (at[0], np.maximum(at[1] - 1, 0))
-        _, Binv = model.discounts()
-        self.bid, self.ask = sec.bid[at] * Binv[at], sec.ask[at] * Binv[at]
-        ga = (sec.div_ask[at] - sec.div_ask[before]) * Binv[at]
-        gb = (sec.div_bid[at] - sec.div_bid[before]) * Binv[at]
-        self.quotes = [v.tolist() for v in (self.bid, self.ask, ga, gb)]  # as floats
-        self.exits = (self.bid + ga).tolist(), (self.ask + gb).tolist()
-        self.kids = [[] for _ in range(self.leaf)]
-        for s in range(t + 1, T + 1):
-            heads = self.heads[self.offset[s]:self.offset[s + 1]]
-            parents = self.offset[s - 1] + tree.cell_index(s - 1)[heads]
-            for k, p in enumerate(parents.tolist(), self.offset[s]):
-                self.kids[p].append(k)
-
-    def backward(self, payoff):
-        """Per non-leaf node, the upper envelope G of its children's F as a
-        function of the units held out of it (each piece's owner the index
-        of a child among the children), with the interval [za, zb] of the
-        positions that no trade at the node improves; None where the
-        recursion finds no finite price.  ``payoff`` is discounted, per
-        leaf.  Each F is kept as its lines, whose maximum it is."""
-        bid, ask, ga, gb = self.quotes
-        F = [None] * self.leaf
-        for short, long, v in zip(self.exits[1][self.leaf:], self.exits[0][self.leaf:], payoff):
-            F.append([(-short, v), (-long, v)] if short != long else [(-short, v)])
-        G = [None] * self.leaf
-        for c in range(self.leaf - 1, -1, -1):
+def _backward(kids, quotes, top, roots, leaf, F):
+    """The bottom-up sweep of :func:`_bound_candidates`, both signs node by
+    node over the nodes ``top`` to ``leaf - 1`` (date t's below ``roots``).
+    ``F`` holds per sign each leaf's F as lines (slope, intercept, owner)
+    and gains each node's after date t.  Returns per sign and node G: its
+    breakpoints, its pieces left to right and the interval [za, zb] of the
+    positions that no trade improves; None where no price is finite."""
+    bid, ask, ga, gb = quotes
+    G = [None] * leaf, [None] * leaf
+    sides = tuple(zip(F, G))
+    for c in range(leaf - 1, top - 1, -1):
+        ask_c, bid_c, kids_c = ask[c], bid[c], kids[c]
+        tol = _SLOPE_TOL * max(1.0, ask_c)
+        # G's pieces i..j-1 have slopes in [-ask, -bid] (to tol): a line sorts
+        # below (steep,) when its slope is below, below (flat, inf) at most
+        steep, flat = (-ask_c - tol,), (-bid_c + tol, np.inf)
+        for Fs, Gs in sides:
             lines = []
-            for o, k in enumerate(self.kids[c]):
-                if F[k] is None:
+            for k in kids_c:
+                f = Fs[k]
+                if f is None:
                     break
-                lines += [(s, v, o) for s, v in F[k]]
+                lines += f
             else:
+                # the upper envelope, lines by slope and then intercept; Z
+                # holds each piece's left breakpoint, -inf the first's
                 lines.sort()
-                Z, pieces = _upper_envelope(lines)
-                tol = _SLOPE_TOL * max(1.0, ask[c])
-                slopes = [p[0] for p in pieces]
+                Z, pieces = [], []
+                for line in lines:
+                    b = line[0]
+                    while pieces:
+                        b0, a0, _ = pieces[-1]
+                        if b0 != b:  # else parallel, and no higher than this line
+                            z = (a0 - line[1]) / (b - b0)
+                            if z > Z[-1]:
+                                break
+                        pieces.pop()
+                        Z.pop()
+                    else:
+                        z = -np.inf
+                    pieces.append(line)
+                    Z.append(z)
                 n = len(pieces)
-                a, b = bisect_left(slopes, -ask[c] - tol), bisect_right(slopes, -bid[c] + tol)
-                if b == 0 or a == n:  # the slopes cannot meet the bid and ask
+                i, j = bisect_left(pieces, steep), bisect_left(pieces, flat)
+                if j == 0 or i == n:  # the slopes cannot meet the bid and ask
                     continue
-                za, zb = Z[a - 1] if a else -np.inf, Z[b - 1] if b < n else np.inf
-                G[c] = Z, pieces, za, zb
-                if c >= self.roots:
-                    F[c] = _traded(Z, pieces, a, b, za, zb, ask[c], bid[c], ga[c], gb[c])
-        return G
+                za, zb = Z[i], Z[j] if j < n else np.inf
+                del Z[0]
+                Gs[c] = Z, pieces, za, zb
+                if c < roots:
+                    continue
+                # F: G traded at the ask and bid (pieces i to j - 1, then
+                # slope -ask through G at za, buying up to it, and -bid
+                # through G at zb, selling down to it), less the dividend
+                # the units held into the node earn, ga long and gb short
+                H = pieces[i:j]
+                if i:
+                    s, v, _ = pieces[i - 1]
+                    H.insert(0, (-ask_c, v + (s + ask_c) * za, c))
+                if j < n:
+                    s, v, _ = pieces[j]
+                    H.append((-bid_c, v + (s + bid_c) * zb, c))
+                ga_c, gb_c = ga[c], gb[c]
+                if ga_c == gb_c:
+                    Fs[c] = [(s - ga_c, v, c) for s, v, _ in H]
+                    continue
+                cuts = Z[max(i - 1, 0):min(j, n - 1)]
+                short, long = bisect_left(cuts, 0.0) + 1, bisect_right(cuts, 0.0)
+                Fs[c] = ([(s - gb_c, v, c) for s, v, _ in H[:short]]
+                         + [(s - ga_c, v, c) for s, v, _ in H[long:]])
+    return G
 
-    def forward(self, G):
-        """Top-down over :meth:`backward`'s answer: per node, the units held
-        into it and out of it, its share of its date-t node's density mass
-        and its shadow price, and per date-t node its price (None where there
-        is none)."""
-        bid, ask, ga, gb = self.quotes
-        n = len(bid)
-        into, out, mass, price, target = [0.0] * n, [0.0] * n, [0.0] * n, [0.0] * n, [None] * n
-        prices = [None] * self.roots
-        mass[: self.roots] = [1.0] * self.roots
-        for c, g in enumerate(G):
+
+def _forward(kids, quotes, top, roots, G, end):
+    """The top-down sweep of :func:`_bound_candidates` over ``G``, both
+    signs node by node: per sign and node up to ``end`` the units held into
+    and out of it, its density mass and its shadow price as one (4, 2,
+    ``end``) array, and per sign each date-t node's price (None if none)."""
+    bid, ask, ga, gb = quotes
+    state = [[0.0] * end for _ in range(8)]
+    won = [None] * roots, [None] * roots
+    state[4][top:roots] = state[5][top:roots] = [1.0] * (roots - top)
+    sides = [(G[k], *state[k::2], [None] * end, won[k]) for k in (0, 1)]
+    for c in range(top, len(G[0])):
+        buy, sell, kids_c = -ask[c], -bid[c], kids[c]
+        for Gs, into, out, mass, price, target, prices in sides:
+            g = Gs[c]
             if g is None:
                 continue
             Z, pieces, za, zb = g
-            z, m = into[c], mass[c]
+            z = into[c]
             held = za if z < za else zb if z > zb else z
             near = 1e-12 * (1.0 + abs(held))
             if abs(held - z) <= near:  # no trade but for rounding
                 held = z
             out[c] = held
             # the pieces meeting at the position held, breakpoints within
-            # rounding of it taken as one
+            # rounding of it taken as one, and their owners
             (lo, v, first), (hi, _, last) = (
                 pieces[bisect_left(Z, held - near)], pieces[bisect_right(Z, held + near)]
             )
-            if c < self.roots:
+            if c < roots:
                 prices[c] = v + lo * held + (ask[c] if held > 0 else bid[c]) * held
             # the node's shadow price: the ask where it buys, the bid where it
             # sells, else a slope of G between them that its parent's target
             # leaves, less the dividend the units held into it earn
             if held != z:
-                h = -ask[c] if held > z else -bid[c]
+                h = buy if held > z else sell
             else:
-                low, high = max(lo, -ask[c]), min(hi, -bid[c])
-                if target[c] is not None:
-                    low = max(low, target[c] + (ga[c] if z >= 0 else gb[c]))
-                    high = min(high, target[c] + (gb[c] if z <= 0 else ga[c]))
+                # (max and min written out: the builtins cost a quarter
+                # of the sweep)
+                low, high = buy if buy > lo else lo, sell if sell < hi else hi
+                aim = target[c]
+                if aim is not None:
+                    edge = aim + (ga[c] if z >= 0 else gb[c])
+                    low = edge if edge > low else low
+                    edge = aim + (gb[c] if z <= 0 else ga[c])
+                    high = edge if edge < high else high
                 h = 0.5 * (low + high)
-            h = min(max(h, lo), hi)
+            h = lo if lo > h else h
+            h = hi if hi < h else h
             price[c] = -h
-            kids = self.kids[c]
-            for k in kids:
+            for k in kids_c:
                 into[k] = held
-            first, last = kids[first], kids[last]
+            m = mass[c]
             if first == last:
                 mass[first], target[first] = m, h
             else:  # the two owners' slopes average to h
                 share = m * (hi - h) / (hi - lo)
                 mass[first], target[first] = share, lo
                 mass[last], target[last] = m - share, hi
-        return into, out, mass, price, prices
-
-
-def _traded(Z, pieces, a, b, za, zb, ask, bid, ga, gb):
-    """F of a node, as lines, from the breakpoints ``Z`` and ``pieces`` of
-    its G: H, G traded at the node's ``ask`` and ``bid``, is G's pieces
-    ``a`` to ``b - 1`` continued by the lines of slope -ask through G at
-    ``za`` (buy up to it) and -bid through G at ``zb`` (sell down to it);
-    F is H less the dividend the units held into the node earn, ``ga`` a
-    unit long and ``gb`` short (ga <= gb keeps F convex)."""
-    H = [(s, v) for s, v, _ in pieces[a:b]]
-    if a:
-        s, v, _ = pieces[a - 1]
-        H.insert(0, (-ask, v + (s + ask) * za))
-    if b < len(pieces):
-        s, v, _ = pieces[b]
-        H.append((-bid, v + (s + bid) * zb))
-    if ga == gb:
-        return [(s - ga, v) for s, v in H]
-    cuts = Z[max(a - 1, 0):min(b, len(pieces) - 1)]
-    short, long = bisect_left(cuts, 0.0) + 1, bisect_right(cuts, 0.0)
-    return [(s - gb, v) for s, v in H[:short]] + [(s - ga, v) for s, v in H[long:]]
+    return np.array(state).reshape(4, 2, end), won
 
 
 def _bound_candidates(model: MarketModel, rows: NodeRows, x) -> list:
@@ -512,48 +494,82 @@ def _bound_candidates(model: MarketModel, rows: NodeRows, x) -> list:
     it, each F is convex and piecewise linear in z: at a leaf, x_c less the
     z units' exit value, long or short; above, G_c, the upper envelope of
     the children's F, traded at c's ask and bid and less the dividend z
-    earns into c (:meth:`_Subtrees.backward`).  The ask is G traded at z = 0.
+    earns into c.  The ask is G traded at z = 0.
 
-    A top-down pass (:meth:`_Subtrees.forward`) then reads off both sides of
-    the bound LP's strong duality.  The hedge holds, out of each node, the
-    position nearest the units it came in with at which no trade pays; as
-    weights on the open and carry-on rows (as in :func:`hedge_strategy`),
-    with the ask on the normalization, it is the dual.  The density is the
-    primal: each node's mass goes to the children owning the pieces of G
-    that meet at the position held, in the shares that average their slopes
-    to the node's shadow price (the ask where it buys, the bid where it
-    sells, in between where it holds on), and each carry-on row's envelope
-    excess is the node's mass times its shadow price above the bid (long)
-    or below the ask (short).  The pair is optimal in exact arithmetic;
-    :meth:`conic_pricer.lp._Slice.solve` puts it to the LP's own
-    certificate, and solves any extreme that fails.
+    On the tree's one node numbering (:class:`conic_pricer.lattice.EventTree`),
+    one bottom-up sweep (:func:`_backward`) runs the recursions of -x and x
+    and one top-down sweep (:func:`_forward`) reads off both sides of each
+    extreme's strong duality at the node each row and column carries.  The
+    hedge holds, out of each node, the position nearest the units it came in
+    with at which no trade pays; as weights on the open and carry-on rows
+    (as in :func:`hedge_strategy`), with the ask on the normalization, it is
+    the dual.  The density is the primal: each node's mass goes to the
+    children owning the pieces of G that meet at the position held, in the
+    shares that average their slopes to the node's shadow price (the ask
+    where it buys, the bid where it sells, in between where it holds on),
+    and each carry-on row's envelope excess is the node's mass times its
+    shadow price above the bid (long) or below the ask (short).  The pair is
+    optimal in exact arithmetic; :meth:`conic_pricer.lp._Slice.solve` puts
+    it to the LP's own certificate, and solves any extreme that fails.
     """
-    sub, tree = _Subtrees(model, rows.start), model.tree
-    payoff = x[sub.heads[sub.leaf:]].tolist()
-    passes = [sub.forward(sub.backward(v)) for v in ([-v for v in payoff], payoff)]
-    into, outof, mass, price = (np.array([p[i] for p in passes]) for i in range(4))
+    tree, sec, t = model.tree, model.securities[0], rows.start
+    top, roots, leaf, end = tree.offset[[t, t + 1, tree.horizon, tree.horizon + 1]].tolist()
+    # per node, discounted: its bid and ask, and its ask and bid dividend
+    # increments over the step into it, as generators_for prices the rows
+    # (read by flat index into the (path, date) matrices)
+    at = tree.node_path * (tree.horizon + 1) + tree.node_date
+    was = at - (tree.node_date > 0)
+    discount = model.discounts()[1].take(at)
+    bid, ask = sec.bid.take(at) * discount, sec.ask.take(at) * discount
+    ga = (sec.div_ask.take(at) - sec.div_ask.take(was)) * discount
+    gb = (sec.div_bid.take(at) - sec.div_bid.take(was)) * discount
+    quotes = bid.tolist(), ask.tolist(), ga.tolist(), gb.tolist()
+    # each leaf's F, for -x and for x: the payoff less the exit value of the
+    # units held into it, short (ask plus bid dividend) and long (bid plus ask's)
+    F = [None] * end, [None] * end
+    exits = zip(range(leaf, end), x.take(tree.node_path[leaf:]).tolist(),
+                (ask[leaf:] + gb[leaf:]).tolist(), (bid[leaf:] + ga[leaf:]).tolist())
+    for k, v, short, long in exits:
+        if short != long:
+            F[0][k], F[1][k] = [(-short, -v, k), (-long, -v, k)], [(-short, v, k), (-long, v, k)]
+        else:
+            F[0][k], F[1][k] = [(-short, -v, k)], [(-short, v, k)]
+    G = _backward(tree.children, quotes, top, roots, leaf, F)
+    state, won = _forward(tree.children, quotes, top, roots, G, end)
+
     # each row's weight: what it holds of the position out of its node,
-    # carried on from the units that came in (long and short alike)
-    at = sub.offset[rows.date] + rows.cell  # each row's node
-    came, held = into[:, at] * rows.side, outof[:, at] * rows.side
-    kept = np.minimum(np.maximum(came, 0.0), np.maximum(held, 0.0))
-    weights = np.where(rows.carry, kept, np.maximum(held, 0.0) - kept)
-    col = at[: len(rows.col_owner)]
-    excess = np.where(
-        rows.side[: len(col)] > 0, price[:, col] - sub.bid[col], sub.ask[col] - price[:, col]
-    )
-    env = mass[:, col] * np.maximum(excess, 0.0)
+    # carried on from the units that came in (long and short alike); each
+    # envelope column's excess, on the node of its carry-on row
+    node, side = rows.node, rows.side
+    came, held = state[:2].take(node, axis=2) * side
+    held = np.maximum(held, 0.0)
+    kept = np.minimum(np.maximum(came, 0.0), held)
+    duals = np.where(rows.carry, kept, held - kept)
+    np.negative(duals[0], out=duals[0])  # the bid's extreme is the ask of -x
+    col = node[: len(rows.col_owner)]
+    mass, price = state[2:].take(col, axis=2)
+    excess = np.where(side[: len(col)] > 0, price - bid.take(col), ask.take(col) - price)
+    env = mass * np.maximum(excess, 0.0)
     leaves = tree.cell_index(tree.horizon)
-    u = mass[:, sub.leaf + leaves] / np.bincount(leaves, tree.probabilities)[leaves]
-    out = []
-    for node in tree.nodes(rows.start):
-        paths = list(tree.node_paths(node))
-        pick, cols = rows.owner == node.cell, rows.col_owner == node.cell
-        out.append(tuple(
-            None if p[4][node.cell] is None else lp.LPSolution(
-                "optimal", x=np.concatenate([u[k, paths], env[k, cols]]),
-                dual_ub=sign * weights[k, pick], dual_eq=np.array([sign * p[4][node.cell]]),
+    u = state[2].take(leaf + leaves, axis=1) / np.bincount(leaves, tree.probabilities).take(leaves)
+    xs = np.concatenate((u, env), axis=1)
+    spans = [(0, xs.shape[1], 0, duals.shape[1])]
+    if roots - top > 1:
+        # each date-t node's paths, then its columns, and its rows, side by
+        # side and in order: one stable sort, not a mask per node
+        key = np.concatenate((2 * tree.cell_index(t), 2 * rows.col_owner + 1))
+        xs = xs.take(key.argsort(kind="stable"), axis=1)
+        duals = duals.take(rows.owner.argsort(kind="stable"), axis=1)
+        xe, ye = (np.bincount(k, minlength=roots - top).cumsum().tolist()
+                  for k in (key >> 1, rows.owner))
+        spans = zip([0, *xe], xe, [0, *ye], ye)
+    return [
+        tuple(
+            None if won[k][c] is None else lp.LPSolution(
+                "optimal", x=xs[k, a:b].copy(), dual_ub=duals[k, i:j].copy(),
+                dual_eq=np.array([sign * won[k][c]]),
             )
-            for k, (sign, p) in enumerate(zip((-1.0, 1.0), passes))
-        ))
-    return out
+            for k, sign in ((0, -1.0), (1, 1.0))
+        )
+        for c, (a, b, i, j) in zip(range(top, roots), spans)
+    ]

@@ -34,6 +34,7 @@ on path w3``).  Path labels are distinct, so each names one path.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -117,12 +118,12 @@ class EventTree:
                 f"expected {self.horizon + 1} partitions, got {len(partitions)}"
             )
         # One pass over the cells, date by date: each cell sorted, the cells
-        # sorted by head (an empty cell first), and the paths, cell indices
-        # and heads they list, in that order.
+        # sorted by head (an empty cell first), and the paths and cell
+        # indices they list, in that order.
         n, width = self.n_paths, self.horizon + 1
         everyone = list(range(n))
         norm: list[Partition] = []
-        paths, cell_ids, heads = [], [], []
+        paths, cell_ids = [], []
         for t, part in enumerate(partitions):
             cells = sorted(tuple(sorted(map(int, cell))) for cell in part)
             if cells and not cells[0]:
@@ -136,19 +137,22 @@ class EventTree:
             paths.append(flat)
             for k, c in enumerate(cells):
                 cell_ids += [k] * len(c)
-                heads += c[:1] * len(c)
         if len(norm[0]) != 1:
             raise ValidationError("partition at t=0 must be the single full cell")
         self.partitions: tuple[Partition, ...] = tuple(norm)
 
-        # the cell index and cell head (smallest path index of the cell) of
-        # each path at each date
-        dates, paths = np.arange(width)[:, None], np.array(paths)
-        listed = np.array([cell_ids, heads]).reshape(2, width, n)
+        # The nodes, numbered once: date by date and within a date in cell
+        # order, node (t, k) is offset[t] + k, with its head (smallest path
+        # index) and date.  Per date and path its cell index and node, and
+        # per path and date its cell's head.
+        self.offset = np.array([0, *accumulate(map(len, norm))])
+        self.node_path = np.array([c[0] for cells in norm for c in cells])
+        self.node_date = np.array([t for t, cells in enumerate(norm) for _ in cells])
+        dates = np.arange(width)[:, None]
         self._cell_of = np.empty((width, n), dtype=int)
-        self._cell_of[dates, paths] = listed[0]
-        self._head = np.empty((n, width), dtype=int)
-        self._head[paths, dates] = listed[1]
+        self._cell_of[dates, paths] = np.reshape(cell_ids, (width, n))
+        self.node_of = self.offset[:width, None] + self._cell_of
+        self._head = self.node_path[self.node_of].T
         # a date-(t+1) cell refines date t when each of its paths shares its
         # head's date-t cell
         before = self._cell_of[:-1]
@@ -158,6 +162,12 @@ class EventTree:
             raise ValidationError(
                 f"partition at t={t + 1} does not refine partition at t={t}"
             )
+        # each node's children, numbered ascending: the nodes whose head's
+        # node a date before is it
+        self.children = [[] for _ in self.node_path]
+        below = self.node_date[1:] - 1
+        for v, parent in enumerate(self.node_of[below, self.node_path[1:]].tolist(), 1):
+            self.children[parent].append(v)
 
     # -- node navigation -----------------------------------------------------
 

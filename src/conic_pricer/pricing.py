@@ -223,10 +223,8 @@ def _node_quotes(model: MarketModel, cash_flow, rows: NodeRows, entry: str) -> l
     simplex."""
     x = _discounted_tail(model, cash_flow, rows.start)
     nodes = model.tree.nodes(rows.start)
-    if entry == "trade" and model.n_securities == 1:
-        starts = _bound_candidates(model, rows, x)
-    else:
-        starts = [None] * len(nodes)
+    one = entry == "trade" and model.n_securities == 1
+    starts = _bound_candidates(model, rows, x) if one else [None] * len(nodes)
     quotes = []
     for node, warm in zip(nodes, starts):
         cone = _node_cone(rows, node.cell, list(model.tree.node_paths(node)))
@@ -240,7 +238,14 @@ def _charges_every_path(model: MarketModel, e: PriceEntry, solutions) -> bool:
     density: the sum of the two optima, itself a point of the cone, puts
     more than ``lp.TOL`` times its largest density on each of the node's
     paths.  Such a density prices every hedge of the node at most zero and
-    charges every path, so by Farkas the node has no arbitrage."""
+    charges every path, so by Farkas the node has no arbitrage.
+
+    The arbitrage search would read the same there, so it skips such a
+    node: with r = min u / max u > ``lp.TOL`` the ratio of the pair's
+    density u, every hedge X of the node has E[u X] <= 0, so
+    r E[X+] <= E[X-]; at the least-loss LP's scale E[X] = 1, which makes
+    E[X-] >= r / (1 - r), so the node's least loss per unit of gain L
+    exceeds ``lp.TOL``."""
     if e.status != STATUS_OK:
         return False
     lo, hi = solutions
@@ -248,12 +253,14 @@ def _charges_every_path(model: MarketModel, e: PriceEntry, solutions) -> bool:
     return bool(u.min() > lp.TOL * u.max())
 
 
-def _arbitrage_quote(model: MarketModel, rows: NodeRows, entry: str) -> Optional[PriceQuote]:
+def _arbitrage_quote(
+    model: MarketModel, rows: NodeRows, entry: str, nodes
+) -> Optional[PriceQuote]:
     """The all-``arbitrage`` quote of date ``rows.start`` when its trade rows
-    (``rows`` themselves under ``entry="trade"``) hold an arbitrage, else
-    None."""
+    (``rows`` themselves under ``entry="trade"``) hold an arbitrage at one
+    of its ``nodes``, else None."""
     trade = rows if entry == "trade" else generators_for(model, rows.start)
-    if _arbitrage(model, trade) is None:
+    if _arbitrage(model, trade, nodes) is None:
         return None
     entries = tuple(
         PriceEntry(node, np.nan, np.nan, STATUS_ARBITRAGE) for node in model.tree.nodes(rows.start)
@@ -271,9 +278,10 @@ def noarb_bounds(model: MarketModel, cash_flow, t: int, *, entry: str = "trade")
     :func:`_charges_every_path`), the market is free of arbitrage at date t
     and the bounds are returned as they are; the ``mark`` cone lies inside
     the ``trade`` cone, so its proof clears the trade rows too.  Otherwise
-    the arbitrage search runs over the trade rows (arbitrage <=> some date-t
-    node has least loss per unit of gain L <= ``lp.TOL``), and an arbitrage
-    makes every status ``STATUS_ARBITRAGE``.
+    the arbitrage search runs over the trade rows at the nodes whose pair
+    proves nothing (arbitrage <=> some date-t node has least loss per unit
+    of gain L <= ``lp.TOL``; at every node when a bound LP fails), and an
+    arbitrage makes every status ``STATUS_ARBITRAGE``.
 
     A node that no density of the cone charges (possible under
     ``entry="mark"``) gets ``STATUS_INFEASIBLE`` and NaN bounds.  A bound LP
@@ -285,12 +293,12 @@ def noarb_bounds(model: MarketModel, cash_flow, t: int, *, entry: str = "trade")
     try:
         quotes = _node_quotes(model, cash_flow, rows, entry)
     except ComputationError:
-        if (found := _arbitrage_quote(model, rows, entry)) is not None:
+        if (found := _arbitrage_quote(model, rows, entry, model.tree.nodes(t))) is not None:
             return found
         raise
-    if not all(_charges_every_path(model, e, sols) for e, sols in quotes):
-        if (found := _arbitrage_quote(model, rows, entry)) is not None:
-            return found
+    unproven = [e.node for e, sols in quotes if not _charges_every_path(model, e, sols)]
+    if unproven and (found := _arbitrage_quote(model, rows, entry, unproven)) is not None:
+        return found
     return PriceQuote(time=t, gamma=None, entries=tuple(e for e, _ in quotes))
 
 

@@ -371,11 +371,11 @@ def block_rows(model, t, entry="trade"):
                 if n_kind >= 2:
                     at = base[s, j] + (0 if side > 0 else k)
                     block[:, at : at + k] -= np.eye(k)
-                info = [np.full(k, s), np.arange(k), np.full(k, j), np.full(k, side),
-                        np.full(k, n_kind >= 2), owner]
+                info = [np.full(k, s), np.arange(k), sum(counts[:s]) + np.arange(k),
+                        np.full(k, j), np.full(k, side), np.full(k, n_kind >= 2), owner]
                 blocks[n_kind >= 2].append((weight * value, block, np.array(info)))
     a_u, a_v, meta = zip(*blocks[True], *blocks[False])
-    date, cell, security, side, carry, owner = np.hstack(meta)
+    date, cell, node, security, side, carry, owner = np.hstack(meta)
     return NodeRows(start=t, a_u=np.vstack(a_u), a_v=np.vstack(a_v), date=date, cell=cell,
-                    security=security, side=side, carry=carry == 1, owner=owner,
+                    node=node, security=security, side=side, carry=carry == 1, owner=owner,
                     col_owner=col_owner)

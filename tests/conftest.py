@@ -200,6 +200,22 @@ def one_security_panel():
         yield model, random_cashflow(rng, tree)
 
 
+def one_security_horizons(count):
+    """``count`` one-security markets free of arbitrage, with a random cash
+    flow each, as ``(model, flow)``, over the horizons ``one_security_panel``
+    lacks: horizon 1 (2-13 paths), 5 and 6 (4-13 paths) in turn, dividends
+    on every other market, stochastic rates on one in three, and costs 0,
+    0.004, 0.02 or drawn from [0.002, 0.03] in turn."""
+    for k in range(count):
+        rng = np.random.default_rng(5000 + k)
+        horizon = (1, 5, 6)[k % 3]
+        tree = random_tree(rng, 2 + k % 12 if horizon == 1 else 4 + k % 10, horizon)
+        model = arbitrage_free_market(
+            rng, tree, dividends=k % 2 == 0, rates=k % 3 == 1, lam=(0.0, 0.004, 0.02, None)[k % 4]
+        )
+        yield model, random_cashflow(rng, tree)
+
+
 def random_legs(rng, tree, n_securities=1, scale=2.0):
     legs = np.zeros((tree.horizon + 1, n_securities, tree.n_paths))
     for t in range(1, tree.horizon + 1):
@@ -279,6 +295,14 @@ def tree_workload_market(k):
     """Market ``k`` of the benchmark's ``tree`` workload and its payoff."""
     workloads = _workloads()
     market = workloads.binary_market("tree", k, workloads.TREE_HORIZON)
+    model = model_from_dict(market.model_dict())
+    return model, payoff_from_dict(model, market.payoff_dict())
+
+
+def ladder_workload_market(horizon):
+    """The benchmark's horizon-ladder market of ``horizon`` and its payoff."""
+    workloads = _workloads()
+    market = workloads.ladder_market(horizon)
     model = model_from_dict(market.model_dict())
     return model, payoff_from_dict(model, market.payoff_dict())
 

@@ -7,6 +7,9 @@ Writes one record per line for
 
 * ``tree`` markets 0-47 (horizon 4): ``noarb_bounds`` at t = 0 and 1, and
   ``good_deal_prices`` at t = 0 and 1 for every gamma of the tree panel;
+* the benchmark's horizon ladder, ``ladder_market(T)`` for T = 2..8 (up to
+  511 nodes): ``noarb_bounds`` at t = 0 and 1 (no good-deal prices, whose
+  band LPs run away from T = 7);
 * every cell of the ``surface`` markets 0-95 (horizon 3, the benchmark's
   gamma x lambda grid at the root);
 * the fixture's CLI command set, each command's output at 17 significant
@@ -82,6 +85,7 @@ from conic_pricer.market import MarketModel, TradingStrategy  # noqa: E402
 from lp_reference import homogeneous, with_bounds  # noqa: E402
 
 TREE_MARKETS = range(48)
+LADDER_HORIZONS = range(2, 9)
 SURFACE_MARKETS = range(96)
 ARBITRAGE_MARKETS = range(48)
 WITNESS_RTOL = 1e-12
@@ -142,6 +146,16 @@ def tree_records(pivots: PivotCount):
             for gamma in W.GAMMAS_TREE:
                 body = _call(model, lambda: pricing.good_deal_prices(model, payoff, t, gamma))
                 yield f"tree {k} price t={t} gamma={gamma}", body, pivots.take()
+
+
+def ladder_records(pivots: PivotCount):
+    for T in LADDER_HORIZONS:
+        mkt = W.ladder_market(T)
+        model = cli.model_from_dict(mkt.model_dict())
+        payoff = cli.payoff_from_dict(model, mkt.payoff_dict())
+        for t in (0, 1):
+            body = _call(model, lambda: pricing.noarb_bounds(model, payoff, t))
+            yield f"ladder {T} bounds t={t}", body, pivots.take()
 
 
 def surface_records(pivots: PivotCount):
@@ -329,8 +343,8 @@ def error_records(pivots: PivotCount):
 def sweep() -> list[str]:
     pivots = PivotCount()
     lines = []
-    for source in (tree_records, surface_records, fixture_records, arbitrage_records,
-                   one_security_records, bounded_records, error_records):
+    for source in (tree_records, ladder_records, surface_records, fixture_records,
+                   arbitrage_records, one_security_records, bounded_records, error_records):
         for name, body, count in source(pivots):
             lines.append(f"{name} pivots={count}")
             lines.extend("  " + line for line in body)

@@ -121,6 +121,29 @@ class TestEventTree:
         assert node_of(tree, 1, 4) == NodeRef(1, 1)
         assert tree.node_paths(NodeRef(1, 1)) == (3, 4)
 
+    def test_node_numbering(self, rng):
+        # node (t, k) is offset[t] + k, with its date, its head, its paths'
+        # node_of and its children as the reference finds them, numbered the
+        # same way; the interleaved cells of the last tree make children that
+        # are not consecutive
+        trees = [random_tree(rng, int(rng.integers(2, 12)), int(rng.integers(1, 6)))
+                 for _ in range(20)]
+        trees.append(EventTree(2, [0.25] * 4, [[(0, 1, 2, 3)], [(0, 2), (1, 3)],
+                                                [(0,), (1,), (2,), (3,)]]))
+        for tree in trees:
+            assert tree.offset.tolist() == np.cumsum(
+                [0] + [len(part) for part in tree.partitions]).tolist()
+            assert len(tree.children) == len(tree.node_path) == tree.offset[-1]
+            for t, part in enumerate(tree.partitions):
+                for k, cell in enumerate(part):
+                    v = tree.offset[t] + k
+                    assert (tree.node_date[v], tree.node_path[v]) == (t, cell[0])
+                    assert (tree.node_of[t, list(cell)] == v).all()
+                    assert tree.children[v] == [
+                        tree.offset[t + 1] + c.cell for c in children(tree, NodeRef(t, k))
+                    ]
+        assert trees[-1].children[1:3] == [[3, 5], [4, 6]]
+
 
 class TestAdaptedness:
     def test_exact_measurability_required(self):

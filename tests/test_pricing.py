@@ -44,6 +44,8 @@ from conftest import (
     arbitrage_free_market,
     binary_tree_market,
     binomial_model,
+    ladder_workload_market,
+    one_security_horizons,
     one_security_panel,
     quote_status,
     random_cashflow,
@@ -167,6 +169,18 @@ class TestNoArbBounds:
                 assert quote_status(quote) == STATUS_OK
         assert solves == []
 
+    def test_search_visits_only_the_unproven_nodes(self, count_calls):
+        # 23 of the panel's 180 requests have a node whose bound pair proves
+        # nothing, and the search solves the least-loss LP of those 23 nodes
+        # alone: a node whose pair charges every path has L > lp.TOL (see
+        # _charges_every_path), where searching every node of their dates
+        # took 36 LPs
+        searches = count_calls(pricing, "_arbitrage")
+        losses = count_calls(cone, "_node_least_loss")
+        for model, flow in one_security_panel():
+            for t in range(model.tree.horizon):
+                assert quote_status(noarb_bounds(model, flow, t)) == STATUS_OK
+        assert (len(searches), len(losses)) == (23, 23)
 
     def test_node_the_mark_cone_cannot_charge_is_infeasible(self):
         model = mark_empty_model()
@@ -1713,6 +1727,35 @@ class TestSuperreplication:
         assert len(fell_back(bound_answers)) < 0.1 * len(bound_answers)
         # there each F kinks at z = 0 for the dividends alone: none falls back
         assert spread and fell_back(spread) == []
+
+    def test_benchmark_tree_markets(self, count_calls, bound_answers):
+        # the tree workload's own 48 markets, at both of its dates
+        pivots = count_calls(lp, "_pivot")
+        for k in range(48):
+            model, flow = tree_workload_market(k)
+            for t in (0, 1):
+                self.agree(model, flow, t, pivots)
+        assert len(bound_answers) == 2 * 48 * (1 + 2) and fell_back(bound_answers) == []
+
+    def test_benchmark_ladder(self, count_calls, bound_answers):
+        # the ladder's markets up to 256 paths take no pivot; the simplex
+        # checks them up to horizon 5 (32 paths), within tier-1's time
+        pivots = count_calls(lp, "_pivot")
+        for horizon in range(2, 9):
+            model, flow = ladder_workload_market(horizon)
+            if horizon <= 5:
+                self.agree(model, flow, 0, pivots)
+                continue
+            before = len(pivots)
+            assert quote_status(noarb_bounds(model, flow, 0)) == STATUS_OK
+            assert len(pivots) == before
+        assert len(bound_answers) == 2 * 7 and fell_back(bound_answers) == []
+
+    def test_horizons_one_five_and_six(self, bound_answers):
+        for model, flow in one_security_horizons(24):
+            for t in range(model.tree.horizon):
+                self.agree(model, flow, t)
+        assert fell_back(bound_answers) == []
 
     def test_failed_candidate_is_the_simplex_answer_bit_for_bit(self, monkeypatch):
         # a candidate that fails its certificate (here its price moved by
