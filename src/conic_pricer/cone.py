@@ -38,7 +38,7 @@ Arbitrage and no good deal read one witness: the node's least-loss hedge,
 certified by :func:`good_deal_certificate` as a :class:`GoodDealWitness`.
 
 With one security, the same rows read as trades also carry each date-t
-node's no-arbitrage bounds as a backward induction (:func:`_bound_candidates`),
+node's no-arbitrage bounds as a backward induction (:class:`_Recursion`),
 one sweep up the tree's node numbering for both extremes and one down it:
 its hedge is a weight per row and its density a mass per node, read at the
 node each row carries, the bound LP's dual and primal for the LP's own
@@ -78,7 +78,9 @@ class NodeRows:
     tree's numbering, into its children, opened there or, where ``carry[r]``,
     carried on from its parent; ``owner`` gives the date-``start`` cell above
     each row and ``col_owner`` the one above each envelope column j, the
-    excess that carry-on row j takes out.
+    excess that carry-on row j takes out.  ``mark`` is whether the date-t
+    entry legs are valued at the exit price (``entry="mark"`` at t >= 1);
+    otherwise these are the trade rows.
     """
 
     start: int
@@ -92,6 +94,7 @@ class NodeRows:
     carry: np.ndarray
     owner: np.ndarray
     col_owner: np.ndarray
+    mark: bool
 
     def __len__(self):
         return self.a_u.shape[0]
@@ -106,8 +109,9 @@ def generators_for(model: MarketModel, t: int, entry: str = "trade") -> NodeRows
     bounds: 1,349 against 2,569 with the open rows first).
     Envelope columns: by date t+1..horizon-1, then security, V of each node,
     then W.
-    ``entry="mark"`` values the entry leg of the date-t rows (t >= 1) at the
-    exit price, long at the bid and short at the ask.
+    ``entry="mark"`` values the entry leg of the date-t rows at the exit
+    price, long at the bid and short at the ask.  That needs t >= 1: at
+    t = 0 it builds the trade rows.
     """
     tree = model.tree
     T, S = tree.horizon, model.n_securities
@@ -167,6 +171,7 @@ def generators_for(model: MarketModel, t: int, entry: str = "trade") -> NodeRows
     return NodeRows(
         start=t, a_u=a_u, a_v=a_v, date=date, cell=cell, node=node, security=security,
         side=1 - 2 * (kind % 2), carry=kind >= 2, owner=owner, col_owner=owner[:width],
+        mark=mark,
     )
 
 
@@ -480,12 +485,11 @@ def _forward(kids, quotes, top, roots, G, end):
     return np.array(state).reshape(4, 2, end), won
 
 
-def _bound_candidates(model: MarketModel, rows: NodeRows, x) -> list:
-    """Candidate optima of each date-``rows.start`` node's bound slice
-    (``pricing._node_quotes``), ``(lo, hi)`` per node in node order, from
-    the superreplication recursion of a market with one security under
-    trade entry; an extreme the recursion finds no finite price for is
-    None.  ``x`` is the discounted payoff per path.
+class _Recursion:
+    """The superreplication recursion of a one-security market under trade
+    entry, from date ``t``, for the discounted payoff ``x`` per path: each
+    date-t node's no-arbitrage bounds with a hedge and a density that attain
+    them.
 
     The ask of a node is the least cash that superreplicates x from it, and
     the bid minus the ask of -x (Bensaid, Lesne, Pagès & Scheinkman, Math.
@@ -511,65 +515,103 @@ def _bound_candidates(model: MarketModel, rows: NodeRows, x) -> list:
     shadow price above the bid (long) or below the ask (short).  The pair is
     optimal in exact arithmetic; :meth:`conic_pricer.lp._Slice.solve` puts
     it to the LP's own certificate, and solves any extreme that fails.
-    """
-    tree, sec, t = model.tree, model.securities[0], rows.start
-    top, roots, leaf, end = tree.offset[[t, t + 1, tree.horizon, tree.horizon + 1]].tolist()
-    # per node, discounted: its bid and ask, and its ask and bid dividend
-    # increments over the step into it, as generators_for prices the rows
-    # (read by flat index into the (path, date) matrices)
-    at = tree.node_path * (tree.horizon + 1) + tree.node_date
-    was = at - (tree.node_date > 0)
-    discount = model.discounts()[1].take(at)
-    bid, ask = sec.bid.take(at) * discount, sec.ask.take(at) * discount
-    ga = (sec.div_ask.take(at) - sec.div_ask.take(was)) * discount
-    gb = (sec.div_bid.take(at) - sec.div_bid.take(was)) * discount
-    quotes = bid.tolist(), ask.tolist(), ga.tolist(), gb.tolist()
-    # each leaf's F, for -x and for x: the payoff less the exit value of the
-    # units held into it, short (ask plus bid dividend) and long (bid plus ask's)
-    F = [None] * end, [None] * end
-    exits = zip(range(leaf, end), x.take(tree.node_path[leaf:]).tolist(),
-                (ask[leaf:] + gb[leaf:]).tolist(), (bid[leaf:] + ga[leaf:]).tolist())
-    for k, v, short, long in exits:
-        if short != long:
-            F[0][k], F[1][k] = [(-short, -v, k), (-long, -v, k)], [(-short, v, k), (-long, v, k)]
-        else:
-            F[0][k], F[1][k] = [(-short, -v, k)], [(-short, v, k)]
-    G = _backward(tree.children, quotes, top, roots, leaf, F)
-    state, won = _forward(tree.children, quotes, top, roots, G, end)
 
-    # each row's weight: what it holds of the position out of its node,
-    # carried on from the units that came in (long and short alike); each
-    # envelope column's excess, on the node of its carry-on row
-    node, side = rows.node, rows.side
-    came, held = state[:2].take(node, axis=2) * side
-    held = np.maximum(held, 0.0)
-    kept = np.minimum(np.maximum(came, 0.0), held)
-    duals = np.where(rows.carry, kept, held - kept)
-    np.negative(duals[0], out=duals[0])  # the bid's extreme is the ask of -x
-    col = node[: len(rows.col_owner)]
-    mass, price = state[2:].take(col, axis=2)
-    excess = np.where(side[: len(col)] > 0, price - bid.take(col), ask.take(col) - price)
-    env = mass * np.maximum(excess, 0.0)
-    leaves = tree.cell_index(tree.horizon)
-    u = state[2].take(leaf + leaves, axis=1) / np.bincount(leaves, tree.probabilities).take(leaves)
-    xs = np.concatenate((u, env), axis=1)
-    spans = [(0, xs.shape[1], 0, duals.shape[1])]
-    if roots - top > 1:
-        # each date-t node's paths, then its columns, and its rows, side by
-        # side and in order: one stable sort, not a mask per node
-        key = np.concatenate((2 * tree.cell_index(t), 2 * rows.col_owner + 1))
-        xs = xs.take(key.argsort(kind="stable"), axis=1)
-        duals = duals.take(rows.owner.argsort(kind="stable"), axis=1)
-        xe, ye = (np.bincount(k, minlength=roots - top).cumsum().tolist()
-                  for k in (key >> 1, rows.owner))
-        spans = zip([0, *xe], xe, [0, *ye], ye)
-    return [
-        tuple(
-            None if won[k][c] is None else lp.LPSolution(
-                "optimal", x=xs[k, a:b].copy(), dual_ub=duals[k, i:j].copy(),
-                dual_eq=np.array([sign * won[k][c]]),
+    The sweeps run once, on construction; :meth:`spreads` reads the
+    densities' widths off them, and :meth:`candidates` writes the pairs in
+    the rows' order.
+    """
+
+    def __init__(self, model: MarketModel, t: int, x):
+        tree, sec = model.tree, model.securities[0]
+        top, roots, leaf, end = tree.offset[[t, t + 1, tree.horizon, tree.horizon + 1]].tolist()
+        # per node, discounted: its bid and ask, and its ask and bid dividend
+        # increments over the step into it, as generators_for prices the rows
+        # (read by flat index into the (path, date) matrices)
+        at = tree.node_path * (tree.horizon + 1) + tree.node_date
+        was = at - (tree.node_date > 0)
+        discount = model.discounts()[1].take(at)
+        bid, ask = sec.bid.take(at) * discount, sec.ask.take(at) * discount
+        ga = (sec.div_ask.take(at) - sec.div_ask.take(was)) * discount
+        gb = (sec.div_bid.take(at) - sec.div_bid.take(was)) * discount
+        quotes = bid.tolist(), ask.tolist(), ga.tolist(), gb.tolist()
+        # each leaf's F, for -x and for x: the payoff less the exit value of the
+        # units held into it, short (ask plus bid dividend) and long (bid plus ask's)
+        F = [None] * end, [None] * end
+        exits = zip(range(leaf, end), x.take(tree.node_path[leaf:]).tolist(),
+                    (ask[leaf:] + gb[leaf:]).tolist(), (bid[leaf:] + ga[leaf:]).tolist())
+        for k, v, short, long in exits:
+            if short != long:
+                F[0][k], F[1][k] = [(-short, -v, k), (-long, -v, k)], [(-short, v, k), (-long, v, k)]
+            else:
+                F[0][k], F[1][k] = [(-short, -v, k)], [(-short, v, k)]
+        G = _backward(tree.children, quotes, top, roots, leaf, F)
+        self.state, self.won = _forward(tree.children, quotes, top, roots, G, end)
+        self.tree, self.t, self.top, self.bid, self.ask = tree, t, top, bid, ask
+        # each sign's density per path: its leaf's mass over the leaf's probability
+        leaves = tree.cell_index(tree.horizon)
+        self.u = (self.state[2].take(leaf + leaves, axis=1)
+                  / np.bincount(leaves, tree.probabilities).take(leaves))
+
+    def spreads(self) -> np.ndarray:
+        """Per sign (the bid's extreme, then the ask's) and date-t node, in
+        node order, the ratio of the largest to the smallest density of the
+        node's candidate on its paths: the least band width 1 + level that
+        holds it.  +inf where the node has no candidate or its density
+        misses a path."""
+        # each node's paths side by side, in node order
+        owner = self.tree.cell_index(self.t)
+        u = self.u.take(owner.argsort(kind="stable"), axis=1)
+        cuts = np.concatenate(([0], np.bincount(owner).cumsum()[:-1]))
+        low, high = np.minimum.reduceat(u, cuts, axis=1), np.maximum.reduceat(u, cuts, axis=1)
+        out = np.full(low.shape, np.inf)
+        np.divide(high, low, out=out, where=low > 0.0)
+        out[[[p is None for p in won[self.top:]] for won in self.won]] = np.inf
+        return out
+
+    def candidates(self, rows: NodeRows) -> list:
+        """Candidate optima of each date-t node's bound slice on ``rows``,
+        the trade rows of date t (``pricing._node_quotes``), ``(lo, hi)`` per
+        node in node order; an extreme the recursion finds no finite price
+        for is None."""
+        tree, state, won, bid, ask = self.tree, self.state, self.won, self.bid, self.ask
+        top, roots = self.top, len(won[0])
+        # each row's weight: what it holds of the position out of its node,
+        # carried on from the units that came in (long and short alike); each
+        # envelope column's excess, on the node of its carry-on row
+        node, side = rows.node, rows.side
+        came, held = state[:2].take(node, axis=2) * side
+        held = np.maximum(held, 0.0)
+        kept = np.minimum(np.maximum(came, 0.0), held)
+        duals = np.where(rows.carry, kept, held - kept)
+        np.negative(duals[0], out=duals[0])  # the bid's extreme is the ask of -x
+        col = node[: len(rows.col_owner)]
+        mass, price = state[2:].take(col, axis=2)
+        excess = np.where(side[: len(col)] > 0, price - bid.take(col), ask.take(col) - price)
+        env = mass * np.maximum(excess, 0.0)
+        xs = np.concatenate((self.u, env), axis=1)
+        spans = [(0, xs.shape[1], 0, duals.shape[1])]
+        if roots - top > 1:
+            # each date-t node's paths, then its columns, and its rows, side by
+            # side and in order: one stable sort, not a mask per node
+            key = np.concatenate((2 * tree.cell_index(self.t), 2 * rows.col_owner + 1))
+            xs = xs.take(key.argsort(kind="stable"), axis=1)
+            duals = duals.take(rows.owner.argsort(kind="stable"), axis=1)
+            xe, ye = (np.bincount(k, minlength=roots - top).cumsum().tolist()
+                      for k in (key >> 1, rows.owner))
+            spans = zip([0, *xe], xe, [0, *ye], ye)
+        return [
+            tuple(
+                None if won[k][c] is None else lp.LPSolution(
+                    "optimal", x=xs[k, a:b].copy(), dual_ub=duals[k, i:j].copy(),
+                    dual_eq=np.array([sign * won[k][c]]),
+                )
+                for k, sign in ((0, -1.0), (1, 1.0))
             )
-            for k, sign in ((0, -1.0), (1, 1.0))
-        )
-        for c, (a, b, i, j) in zip(range(top, roots), spans)
-    ]
+            for c, (a, b, i, j) in zip(range(top, roots), spans)
+        ]
+
+
+def _bound_candidates(model: MarketModel, rows: NodeRows, x) -> list:
+    """:meth:`_Recursion.candidates` of ``x`` on ``rows``, the trade rows of
+    a one-security market."""
+    return _Recursion(model, rows.start, x).candidates(rows)

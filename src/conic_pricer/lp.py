@@ -53,15 +53,16 @@ column, [A | I] for the ratio program.
 
 :meth:`_Slice.solve` carries a candidate optimum built outside the simplex
 the same way: an x and duals with no basis (the one-security bounds of
-:func:`conic_pricer.cone._bound_candidates`).  A candidate that passes the
+:class:`conic_pricer.cone._Recursion`, and the band candidates
+:func:`conic_pricer.pricing._band_candidate` makes of them).  A candidate that passes the
 strong-duality test is the answer; one that fails has no basis to restart
 from, so its extreme takes the shared phase 1 and gets the cold answer bit
 for bit.  Every answer, carried or pivoted, passes the one test.
 
 The surface's band program is built once per transaction cost
 (:class:`_Slice`), and a level step rewrites one column of it in place: the
-band scalar's, which is positive at every band density and so basic in every
-optimum.  An optimum solved there keeps its final tableau, and a restart
+band scalar's, m' = (1 + level) m, which is positive at every band density
+and so basic in every optimum.  An optimum solved there keeps its final tableau, and a restart
 from it updates that tableau by one rank-one correction for the changed
 column (Sherman-Morrison, see :func:`_update`) instead of the dense
 refactor, which remains for a correction whose pivot is below ``TOL``.
@@ -108,7 +109,7 @@ the denominator is one, a plain LP.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import ClassVar, Optional
 
 import numpy as np
@@ -675,9 +676,12 @@ def _carry(lp: LinearProgram, rows: _Rows, prev: LPSolution) -> Optional[LPSolut
     value_max, primal_res, _, gap = _primal_and_gap(c_obj, rows, prev.x, y, abs_y, dual_res)
     if not (primal_res <= TOL and gap <= TOL):
         return None
-    return replace(
-        prev, value=sense_mult * value_max, gap=gap, primal_residual=primal_res,
-        dual_residual=dual_res, iterations=0,
+    # the constructor, not dataclasses.replace, which costs several times
+    # as much per call
+    return LPSolution(
+        prev.status, value=sense_mult * value_max, x=prev.x, dual_ub=prev.dual_ub,
+        dual_eq=prev.dual_eq, gap=gap, primal_residual=primal_res, dual_residual=dual_res,
+        basis=prev.basis, kept=prev.kept,
     )
 
 
@@ -719,7 +723,10 @@ class _Slice:
 
     def __init__(self, num, den, a_ub, column: Optional[int] = None):
         self.prog = LinearProgram.build("max", num, a_ub, den)
-        self.sides = (replace(self.prog, sense="min"), self.prog)
+        prog = self.prog
+        self.sides = (
+            LinearProgram("min", prog.c, prog.a_ub, prog.b_ub, prog.a_eq, prog.b_eq), prog
+        )
         self.rows = _slack_start(self.prog)
         self.column = column
 

@@ -8,7 +8,9 @@ against the reference probabilities:
   and the nonnegative Snell-envelope excesses, for every node from the
   valuation date on - these carve out the risk-neutral densities;
 * optional band rows m <= u <= (1 + gamma) m - these restrict to the
-  acceptability density band.
+  acceptability density band; the program writes them over
+  m' = (1 + gamma) m and z = m' - u (:func:`_band_program`), which keeps
+  the level's coefficient in [0, 1) at every level.
 
 Every row belongs to the subtree of one date-t node and is homogeneous, so
 each node is priced over its own cone alone: its rows over its own paths,
@@ -44,8 +46,12 @@ level's verdict from it (:func:`_beats`): L is certified only to
 ``lp.TOL``, so a level within that distance of 1/L reads as 1/L, which no
 hedge beats.  :func:`ngd_check`, :func:`good_deal_prices`,
 :func:`forward_prices` and :func:`liquidity_surface` all take this one
-verdict from L, and no band LP decides it.  There is one witness route: the
-first beaten node's least-loss hedge with its trading strategy, certified
+verdict from L, with one exception, where no L is needed: with one
+security, when every date-t node's band LP at gamma carries both of its
+bound candidates (below), the band densities they certify leave no hedge
+beating gamma, so gamma L >= 1 and the verdict holds at gamma; the quotes
+are then the bounds, and no least-loss LP runs.  There is one witness
+route: the first beaten node's least-loss hedge with its trading strategy, certified
 by :func:`conic_pricer.cone.good_deal_certificate` (re-exported here; the
 arbitrage search certifies its lossless hedge through it too) and then
 judged against the level.
@@ -55,12 +61,16 @@ gamma, or inside the tie band (1 - ``lp.TOL`` <= gamma L_v < 1) its ceiling
 Every band quote, of :func:`good_deal_prices`, :func:`forward_prices` and
 :func:`liquidity_surface` alike, is one node's :class:`_BandRow`, the one
 builder of a band program; the bounds alone solve through
-:func:`conic_pricer.lp.solve_ratio`.  With one security under
-``entry="trade"``, each node's bound LP is handed candidate optima from the
-superreplication recursion (:func:`conic_pricer.cone._bound_candidates`):
-an extreme whose candidate passes the LP's certificate takes it as its
-answer with no pivot, and any other is solved by the simplex, as every
-extreme of ``entry="mark"`` and of a market with more securities is.
+:func:`conic_pricer.lp.solve_ratio`.  With one security on the trade rows
+(``entry="trade"``, and ``entry="mark"`` at t = 0, where it builds them),
+each node's bound LP is handed candidate optima from the superreplication
+recursion (:class:`conic_pricer.cone._Recursion`): an extreme whose
+candidate passes the LP's certificate takes it as its answer with no pivot,
+and any other is solved by the simplex, as every extreme of marked rows and
+of a market with more securities is.  The same candidates start the band
+programs (:func:`_band_candidate`): an extreme whose bound density lies in
+the band at its level, where the band does not bind it, is handed its bound
+pair, which the band LP's certificate judges.
 
 Only :func:`noarb_bounds` takes ``entry="mark"``, which switches the
 valuation-date legs of hedges initiated exactly at the pricing date to
@@ -83,7 +93,7 @@ from . import lp
 from .acceptability import DensityBand
 from .cone import (
     GoodDealWitness, NodeRows, _arbitrage, _bound_candidates, _least_losses, _node_cone,
-    generators_for, good_deal_certificate,
+    _Recursion, generators_for, good_deal_certificate,
 )
 from .errors import ComputationError, ValidationError
 from .lattice import NodeRef, as_values, tail_sum
@@ -146,19 +156,71 @@ class NgdResult:
         return self.holds
 
 
-def _with_band(a: np.ndarray, n: int, gamma: float):
-    """The node cone ``a`` (u of its n paths first) cut down by the band
-    m <= u <= (1 + gamma) m over the node's own scalar m as a last column."""
-    rows, width = a.shape
-    out = np.zeros((rows + 2 * n, width + 1))
-    out[:rows, :width] = a
-    lower, upper = out[rows : rows + n], out[rows + n :]
-    lower[:, :n] = -0.0  # -I, signed zeros too: a pivot can carry their sign to the answer
-    np.fill_diagonal(lower, -1.0)
-    np.fill_diagonal(upper, 1.0)
-    lower[:, -1] = 1.0
-    upper[:, -1] = -(1.0 + gamma)
-    return out
+def _band_share(level: float) -> float:
+    """The band's coefficient in its rows (:func:`_band_program`) at
+    ``level``: level / (1 + level), in [0, 1) at every level."""
+    return level / (1.0 + level)
+
+
+def _band_program(num, den, cone: np.ndarray, n: int, level: float):
+    """The band program of a node's cone ``cone`` (u of its n paths first)
+    pricing num @ x / den @ x, with ``num`` and ``den`` over the cone's
+    columns, cut by the band m <= u <= (1 + level) m: ``(num, den, a_ub,
+    band)`` of the program, ``band`` the indices of its n band rows.
+
+    The band is written over m' = (1 + level) m and z = m' - u in place of
+    u: the cone's u columns become -a_u for z, its other columns stay, and
+    the row sums a_u @ 1 are m''s column.  Then z >= 0 is the upper band,
+    and the n band rows z_i - (level / (1 + level)) m' <= 0 are the lower
+    one.  The level lives only in m''s column on the band rows, a
+    coefficient in [0, 1) at every level; a band written over m held
+    -(1 + level) there, which failed certification at large levels.  Every
+    point of the slice has m' >= u_i > 0, so m' is basic in every optimum,
+    and a level step rewrites one basic column (see
+    :class:`conic_pricer.lp._Slice`)."""
+    rows, width = cone.shape
+    a_ub = np.zeros((rows + n, width + 1))
+    np.negative(cone[:, :n], out=a_ub[:rows, :n])
+    a_ub[:rows, n:width] = cone[:, n:]
+    cone[:, :n].sum(axis=1, out=a_ub[:rows, width])
+    band = np.arange(rows, rows + n)
+    a_ub[band, band - rows] = 1.0
+    a_ub[rows:, width] = -_band_share(level)
+    num, den = (np.concatenate((-v[:n], v[n:], [v[:n].sum()])) for v in (num, den))
+    return num, den, a_ub, band
+
+
+def _band_candidate(sol, n: int) -> lp.LPSolution:
+    """A bound candidate ``sol`` of a node of n paths (its density u first,
+    see :class:`conic_pricer.cone._Recursion`) as a candidate optimum of
+    the node's band program (:func:`_band_program`), which holds no level:
+    z = max u - u, the envelope excesses as they are and m' = max u, with
+    the bound hedge's multipliers on the cone rows and the normalization,
+    and none on the band rows.
+
+    Where u lies in the band (max u <= (1 + level) min u) it is a point of
+    the band program, and it charges every path, so complementary slackness
+    makes the hedge replicate the payoff on every path, which is what dual
+    feasibility on the z columns asks.  The band LP's own strong-duality
+    test judges it (:meth:`conic_pricer.lp._Slice.solve`)."""
+    u = sol.x[:n]
+    top = u.max()
+    return lp.LPSolution(
+        "optimal", x=np.concatenate((top - u, sol.x[n:], [top])),
+        dual_ub=np.concatenate((sol.dual_ub, np.zeros(n))), dual_eq=sol.dual_eq,
+    )
+
+
+def _band_starts(pair, spread, n: int, level: float, other=(None, None)) -> tuple:
+    """Per extreme of a node of n paths, its bound candidate of ``pair`` as
+    a band candidate (:func:`_band_candidate`) where the candidate's
+    density lies in the band at ``level`` (its ``spread`` at most
+    1 + level, see :meth:`conic_pricer.cone._Recursion.spreads`), else that
+    extreme's entry of ``other``."""
+    return tuple(
+        _band_candidate(c, n) if c is not None and width <= 1.0 + level else o
+        for c, width, o in zip(pair, spread, other)
+    )
 
 
 def _checked(model: MarketModel, cash_flow) -> CashFlow:
@@ -208,22 +270,22 @@ def _entry(node: NodeRef, lo, hi) -> PriceEntry:
     return PriceEntry(node, bid, ask, STATUS_OK)
 
 
-def _node_quotes(model: MarketModel, cash_flow, rows: NodeRows, entry: str) -> list:
+def _node_quotes(model: MarketModel, cash_flow, rows: NodeRows) -> list:
     """The min and max of each date-t node's conditional mean of the
     discounted tail over its own cone (:func:`_node_cone`), in node order:
     the node's :class:`PriceEntry` (see :func:`_entry`) with the ``(lo, hi)``
     solutions.  Both solutions of a node the cone cannot charge are the one
     Farkas ray.
 
-    With one security under ``entry="trade"``, the superreplication
+    With one security on the trade rows (``entry="trade"``, or
+    ``entry="mark"`` at t = 0, where it builds them), the superreplication
     recursion (:func:`conic_pricer.cone._bound_candidates`) hands each
     node's slice its candidate optima, which answer the extremes whose
     certificate they pass; every other extreme, and every node of a market
-    with more securities or under ``entry="mark"``, is solved by the
-    simplex."""
+    with more securities or of marked rows, is solved by the simplex."""
     x = _discounted_tail(model, cash_flow, rows.start)
     nodes = model.tree.nodes(rows.start)
-    one = entry == "trade" and model.n_securities == 1
+    one = not rows.mark and model.n_securities == 1
     starts = _bound_candidates(model, rows, x) if one else [None] * len(nodes)
     quotes = []
     for node, warm in zip(nodes, starts):
@@ -253,13 +315,11 @@ def _charges_every_path(model: MarketModel, e: PriceEntry, solutions) -> bool:
     return bool(u.min() > lp.TOL * u.max())
 
 
-def _arbitrage_quote(
-    model: MarketModel, rows: NodeRows, entry: str, nodes
-) -> Optional[PriceQuote]:
+def _arbitrage_quote(model: MarketModel, rows: NodeRows, nodes) -> Optional[PriceQuote]:
     """The all-``arbitrage`` quote of date ``rows.start`` when its trade rows
-    (``rows`` themselves under ``entry="trade"``) hold an arbitrage at one
-    of its ``nodes``, else None."""
-    trade = rows if entry == "trade" else generators_for(model, rows.start)
+    (``rows`` themselves unless they are marked) hold an arbitrage at one of
+    its ``nodes``, else None."""
+    trade = generators_for(model, rows.start) if rows.mark else rows
     if _arbitrage(model, trade, nodes) is None:
         return None
     entries = tuple(
@@ -283,6 +343,8 @@ def noarb_bounds(model: MarketModel, cash_flow, t: int, *, entry: str = "trade")
     of gain L <= ``lp.TOL``; at every node when a bound LP fails), and an
     arbitrage makes every status ``STATUS_ARBITRAGE``.
 
+    At t = 0, ``entry="mark"`` builds the trade rows (it marks only legs
+    entered at t >= 1), so its bounds are the trade bounds bit for bit.
     A node that no density of the cone charges (possible under
     ``entry="mark"``) gets ``STATUS_INFEASIBLE`` and NaN bounds.  A bound LP
     that fails raises :class:`ComputationError` once the arbitrage search has
@@ -291,13 +353,13 @@ def noarb_bounds(model: MarketModel, cash_flow, t: int, *, entry: str = "trade")
     cash_flow = _checked(model, cash_flow)
     rows = generators_for(model, t, entry)
     try:
-        quotes = _node_quotes(model, cash_flow, rows, entry)
+        quotes = _node_quotes(model, cash_flow, rows)
     except ComputationError:
-        if (found := _arbitrage_quote(model, rows, entry, model.tree.nodes(t))) is not None:
+        if (found := _arbitrage_quote(model, rows, model.tree.nodes(t))) is not None:
             return found
         raise
     unproven = [e.node for e, sols in quotes if not _charges_every_path(model, e, sols)]
-    if unproven and (found := _arbitrage_quote(model, rows, entry, unproven)) is not None:
+    if unproven and (found := _arbitrage_quote(model, rows, unproven)) is not None:
         return found
     return PriceQuote(time=t, gamma=None, entries=tuple(e for e, _ in quotes))
 
@@ -352,30 +414,29 @@ def _band_level(gamma: float, loss: float) -> float:
 
 class _BandRow:
     """The band program of date-t ``node`` pricing ``x``: the node's cone of
-    ``rows`` (:func:`_node_cone`) cut by the band of :func:`_with_band`,
-    built once with its slack start.  Each quote rewrites only the band
-    scalar's column, -(1 + level) on the node's n upper band rows, in place
-    (see :class:`conic_pricer.lp._Slice`)."""
+    ``rows`` (:func:`_node_cone`) cut by the band (:func:`_band_program`),
+    built once with its slack start.  Each quote rewrites only m''s column
+    on the node's n band rows, -level / (1 + level), in place (see
+    :class:`conic_pricer.lp._Slice`)."""
 
     def __init__(self, model: MarketModel, x, rows: NodeRows, node: NodeRef):
         paths = list(model.tree.node_paths(node))
-        n, cone = len(paths), _node_cone(rows, node.cell, paths)
-        self.node = node
-        self.upper = np.arange(len(cone) + n, len(cone) + 2 * n)
-        num, den = _ratio_terms(model, x, node, cone.shape[1] + 1)
-        self.slice = lp._Slice(num, den, _with_band(cone, n, 0.0), column=cone.shape[1])
+        cone = _node_cone(rows, node.cell, paths)
+        self.node, self.n = node, len(paths)
+        num, den = _ratio_terms(model, x, node, cone.shape[1])
+        num, den, a_ub, self.band = _band_program(num, den, cone, self.n, 0.0)
+        self.slice = lp._Slice(num, den, a_ub, column=cone.shape[1])
 
-    def quote(self, gamma: float, loss: float, warm=None):
-        """The node's quote, of least loss per unit of gain ``loss``, with
-        the band at :func:`_band_level`, and its ``(lo, hi)`` solutions:
-        from phase 1 without ``warm`` (bit for bit what
+    def quote(self, level: float, warm=None):
+        """The node's quote with the band at ``level`` and its ``(lo, hi)``
+        solutions: from phase 1 without ``warm`` (bit for bit what
         :func:`conic_pricer.lp.solve_ratio` gives on the program), else
-        restarted from it, a previous ``(lo, hi)`` of this program or of the
-        node's program at another transaction cost.  The check holds at the
-        level, so its band cone reaches the slice there: a quote that reads
-        ``infeasible`` raises :class:`ComputationError`."""
-        level = _band_level(gamma, loss)
-        self.slice.rewrite(self.upper, -(1.0 + level))
+        started from it per extreme: a band candidate
+        (:func:`_band_candidate`), or a previous ``(lo, hi)`` of this
+        program or of the node's program at another transaction cost.  The
+        check holds at the level, so its band cone reaches the slice there:
+        a quote that reads ``infeasible`` raises :class:`ComputationError`."""
+        self.slice.rewrite(self.band, -_band_share(level))
         lo, hi = self.slice.solve(warm)
         if hi.status == "infeasible":
             raise ComputationError(
@@ -383,6 +444,13 @@ class _BandRow:
                 "infeasible where the no-good-deal check holds"
             )
         return _entry(self.node, lo, hi), (lo, hi)
+
+
+def _carried(solutions) -> bool:
+    """Whether both extremes are band candidates that passed their
+    certificate: an answer carried from a candidate keeps its lack of a
+    basis, and one the simplex solved has one."""
+    return all(s.status == "optimal" and s.basis is None for s in solutions)
 
 
 def ngd_check(model: MarketModel, t: int, gamma: float) -> NgdResult:
@@ -397,27 +465,59 @@ def good_deal_prices(model: MarketModel, cash_flow, t: int, gamma: float) -> Pri
     """Bid/ask of the discounted tail over band-restricted risk-neutral
     densities; sentinel +inf/-inf quotes when no such density exists.
 
-    One verdict, from L: the no-good-deal check of :func:`ngd_check` runs
-    first and solves each date-t node's least loss per unit of gain L once.
-    A violated level runs no band LP and carries the check's witness, the
-    first beaten node's best-ratio hedge.  A holding level prices each node
-    on its own :class:`_BandRow`, solved from phase 1, at the level the tie
-    rule reads: gamma, or inside the tie band the node's ceiling 1/L_v.  A
-    band LP that fails, or reads ``infeasible``, there raises
-    :class:`ComputationError`.
+    With one security, the superreplication recursion
+    (:class:`conic_pricer.cone._Recursion`) runs first, once the level is
+    validated.  Where every date-t node's two bound densities lie in the
+    band at gamma, each node's :class:`_BandRow` at gamma is handed its
+    bound pair as band candidates (:func:`_band_candidate`).  When every
+    extreme is carried, the check holds at gamma by weak duality (a
+    certified band density at gamma leaves no hedge beating gamma, so
+    gamma L >= 1 and the tie rule would price at gamma): the quotes are the
+    bounds, and no least-loss LP runs.
+
+    Otherwise one verdict, from L: the no-good-deal check of
+    :func:`ngd_check` solves each date-t node's least loss per unit of gain
+    L once.  A violated level runs no band LP and carries the check's
+    witness, the first beaten node's best-ratio hedge.  A holding level
+    prices each node on its own :class:`_BandRow` at the level the tie rule
+    reads: gamma, or inside the tie band the node's ceiling 1/L_v, handed
+    each extreme's band candidate where its density lies in the band there,
+    and from phase 1 otherwise.  A band LP that fails, or reads
+    ``infeasible``, there raises :class:`ComputationError`.
     """
+    DensityBand(gamma)
     cash_flow = _checked(model, cash_flow)
     rows = generators_for(model, t)
-    check, losses = _ngd(model, gamma, rows)
     nodes = model.tree.nodes(t)
+    x = _discounted_tail(model, cash_flow, t)
+    spreads = pairs = None
+    if model.n_securities == 1:
+        recursion = _Recursion(model, t, x)
+        spreads = recursion.spreads()
+        if (spreads <= 1.0 + gamma).all():
+            pairs = recursion.candidates(rows)
+            entries = []
+            for k, (node, pair) in enumerate(zip(nodes, pairs)):
+                band = _BandRow(model, x, rows, node)
+                e, solutions = band.quote(gamma, _band_starts(pair, spreads[:, k], band.n, gamma))
+                if not _carried(solutions):
+                    break
+                entries.append(e)
+            else:
+                return PriceQuote(time=t, gamma=gamma, entries=tuple(entries))
+    check, losses = _ngd(model, gamma, rows)
     if not check.holds:
         entries = tuple(PriceEntry(node, np.inf, -np.inf, STATUS_NGD) for node in nodes)
         return PriceQuote(time=t, gamma=gamma, entries=entries, witness=check.witness)
-    x = _discounted_tail(model, cash_flow, t)
-    entries = tuple(
-        _BandRow(model, x, rows, node).quote(gamma, loss)[0] for node, loss in zip(nodes, losses)
-    )
-    return PriceQuote(time=t, gamma=gamma, entries=entries)
+    levels = [_band_level(gamma, loss) for loss in losses]
+    if pairs is None and spreads is not None and (spreads <= 1.0 + np.array(levels)).any():
+        pairs = recursion.candidates(rows)
+    entries = []
+    for k, (node, level) in enumerate(zip(nodes, levels)):
+        band = _BandRow(model, x, rows, node)
+        warm = None if pairs is None else _band_starts(pairs[k], spreads[:, k], band.n, level)
+        entries.append(band.quote(level, warm)[0])
+    return PriceQuote(time=t, gamma=gamma, entries=tuple(entries))
 
 
 def forward_prices(model: MarketModel, cash_flow, t: int, gamma: float) -> PriceQuote:
@@ -437,6 +537,21 @@ def forward_prices(model: MarketModel, cash_flow, t: int, gamma: float) -> Price
         for e in spot.entries
     )
     return PriceQuote(time=t, gamma=gamma, entries=entries, witness=spot.witness)
+
+
+def _node_bound(model: MarketModel, rows: NodeRows, x, node: int, level: float):
+    """The bound pair of date-t node ``node`` of a one-security market, from
+    the superreplication recursion of ``x`` on ``rows``, with its spreads
+    (:meth:`conic_pricer.cone._Recursion.spreads`); None where the market
+    has more securities or neither density lies in the band at ``level``,
+    the widest the caller prices at."""
+    if model.n_securities != 1:
+        return None
+    recursion = _Recursion(model, rows.start, x)
+    spread = recursion.spreads()[:, node]
+    if not (spread <= 1.0 + level).any():
+        return None
+    return recursion.candidates(rows)[node], spread
 
 
 @dataclass(frozen=True)
@@ -481,20 +596,26 @@ def liquidity_surface(
     the same tie rule.  The threshold covers every date-t node, but only the
     requested node is quoted: the per-node programs are independent.  Its
     band program is built once per row, at the row's first priced level;
-    each later level of the row rewrites only the band scalar's column in
-    place.  The levels are priced in ascending order.  The first priced
-    level of the first row that prices is solved from phase 1, the one
-    solve :func:`good_deal_prices` makes on the same program, so that cell
-    and every violated cell match :func:`good_deal_prices` bit for bit.
+    each later level of the row rewrites only the band column in place.
+    The levels are priced in ascending order.  With one security, the row's
+    superreplication recursion runs at its first priced level, and at every
+    priced level each extreme whose bound density lies in the band there is
+    handed its bound candidate (:func:`_band_candidate`), as
+    :func:`good_deal_prices` hands it.  Any other extreme starts as before:
+    the first priced level of the first row that prices from phase 1, the
+    one solve :func:`good_deal_prices` makes on the same program, so that
+    cell and every violated cell match :func:`good_deal_prices` bit for bit.
     The first priced level of a later row restarts the node's min and max
     LPs from the first priced answers of the row before, refactored on the
-    new rows.  Each later level of a row starts them from the previous
-    level's answers (see :class:`conic_pricer.lp._Slice`): an extreme whose
-    previous optimum still certifies at the wider band, because the band
-    does not bind it, is carried without a solve; any other updates the
-    previous optimum's tableau by the one column that changed, which a wider
-    band leaves optimal or a few dual simplex pivots away.  Restarted quotes
-    agree with a cold solve to rounding, not bit for bit.
+    new rows (an extreme carried from its candidate there has no basis, and
+    keeps the answer of a row before it, if any).  Each later level of a row
+    starts them from the previous level's answers (see
+    :class:`conic_pricer.lp._Slice`): an extreme whose previous optimum
+    still certifies at the wider band, because the band does not bind it,
+    is carried without a solve; any other updates the previous optimum's
+    tableau by the one column that changed, which a wider band leaves
+    optimal or a few dual simplex pivots away.  Restarted quotes agree with
+    a cold solve to rounding, not bit for bit.
     """
     if not gammas or not lambdas:
         raise ValidationError("surface needs nonempty gamma and lambda lists")
@@ -519,12 +640,21 @@ def liquidity_surface(
             gamma = gammas[i]
             if _beats(gamma, loss):
                 e = PriceEntry(at, np.inf, -np.inf, STATUS_NGD)
-            elif band is None:
-                band = _BandRow(model, _discounted_tail(model, payoff, t), rows, at)
-                e, warm = band.quote(gamma, own, first)
-                first = warm
             else:
-                e, warm = band.quote(gamma, own, warm)
+                level = _band_level(gamma, own)
+                opening = band is None
+                if opening:
+                    x = _discounted_tail(model, payoff, t)
+                    band, warm = _BandRow(model, x, rows, at), first
+                    bound = _node_bound(model, rows, x, node, _band_level(max(gammas), own))
+                if bound is not None:
+                    warm = _band_starts(*bound, band.n, level, other=warm or (None, None))
+                e, warm = band.quote(level, warm)
+                if opening:
+                    # a carried candidate has no basis to restart the next
+                    # row from: that extreme keeps the row before's
+                    first = tuple(s if s.basis is not None else f
+                                  for s, f in zip(warm, first or (None, None)))
             spread = e.ask - e.bid if e.status == STATUS_OK else np.nan
             row[i] = SurfaceCell(gamma, lam, e.bid, e.ask, spread, e.status)
         cells.extend(row)

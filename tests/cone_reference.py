@@ -378,4 +378,4 @@ def block_rows(model, t, entry="trade"):
     date, cell, node, security, side, carry, owner = np.hstack(meta)
     return NodeRows(start=t, a_u=np.vstack(a_u), a_v=np.vstack(a_v), date=date, cell=cell,
                     node=node, security=security, side=side, carry=carry == 1, owner=owner,
-                    col_owner=col_owner)
+                    col_owner=col_owner, mark=entry == "mark" and t >= 1)

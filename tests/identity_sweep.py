@@ -41,12 +41,21 @@ Writes one record per line for
 Each request's record holds its status, bid and ask per node in float hex,
 the witness's node, ``dglr`` and cash flow divided by its expected gain on
 its node, a record free of the witness's scale, in float hex, and the number
-of simplex pivots the request made.  A refactor that claims to change no
+of simplex pivots the request made.  A good-deal or surface request's
+header also holds its route: ``pair=c/m``, c of the m band extremes it
+solved carried from the superreplication recursion's bound pair rather than
+solved by the simplex, and for a good-deal request ``least-loss
+skipped=s/n``, s of the n date-t nodes whose least-loss LP did not run
+(every one where the pairs priced the request, the nodes after a witness
+where the check is violated).  A refactor that claims to change no
 answer must leave the record the same: run this script in both checkouts
 (copy it into the other one if its sweep records differently) and diff them
 with ``--against``.  Every line must match byte for byte, except that a
 witness's ``dglr`` and scaled flow may differ by 1e-12 relative (the flow
-relative to its largest entry), since rescaling a hedge rounds.  The
+relative to its largest entry), since rescaling a hedge rounds.  A change
+that claims quotes equal only to rounding adds ``--rtol``: numbers in float
+hex and decimal may then differ by that tolerance relative to their line's
+largest number, and headers by their pivots and route.  The
 markets come from ``perfbench/workloads.py`` (imported, never changed) and
 ``tests/conftest.py``; the engine is the one under ``src/`` of the checkout
 holding this script.  pytest does not collect this file.
@@ -77,7 +86,7 @@ import test_lp  # noqa: E402
 from conftest import (  # noqa: E402
     one_security_panel, random_box_lp, random_market, random_tree,
 )
-from conic_pricer import cli, lp, pricing  # noqa: E402
+from conic_pricer import cli, cone, lp, pricing  # noqa: E402
 from conic_pricer.cone import arbitrage_check  # noqa: E402
 from conic_pricer.errors import ComputationError, ValidationError  # noqa: E402
 from conic_pricer.fixtures import fixture_path  # noqa: E402
@@ -89,6 +98,38 @@ LADDER_HORIZONS = range(2, 9)
 SURFACE_MARKETS = range(96)
 ARBITRAGE_MARKETS = range(48)
 WITNESS_RTOL = 1e-12
+
+
+class RouteCount:
+    """Per good-deal or surface request, how its band quotes were answered:
+    the extremes carried from the superreplication recursion's pair (a
+    carried candidate has no basis) out of every band extreme solved, and
+    the date-t nodes whose least-loss LP did not run."""
+
+    def __init__(self):
+        self.answers, self.losses = [], 0
+        solve, least_loss = lp._Slice.solve, cone._node_least_loss
+
+        def solved(band, warm=None):
+            pair = solve(band, warm)
+            self.answers.extend(pair)
+            return pair
+
+        def counted(*args):
+            self.losses += 1
+            return least_loss(*args)
+
+        lp._Slice.solve, cone._node_least_loss = solved, counted
+
+    def take(self, nodes=None) -> str:
+        """The route since the last read; with ``nodes``, the date-t node
+        count, also the least-loss LPs skipped."""
+        carried = sum(a.status == "optimal" and a.basis is None for a in self.answers)
+        out = f"pair={carried}/{len(self.answers)}"
+        if nodes is not None:
+            out += f" least-loss skipped={nodes - self.losses}/{nodes}"
+        self.answers, self.losses = [], 0
+        return out
 
 
 class PivotCount:
@@ -135,20 +176,22 @@ def _call(model, fn) -> list[str]:
         return [f"ComputationError {exc}"]
 
 
-def tree_records(pivots: PivotCount):
+def tree_records(pivots: PivotCount, route: RouteCount):
     for k in TREE_MARKETS:
         mkt = W.binary_market("tree", k, W.TREE_HORIZON)
         model = cli.model_from_dict(mkt.model_dict())
         payoff = cli.payoff_from_dict(model, mkt.payoff_dict())
         for t in (0, 1):
             body = _call(model, lambda: pricing.noarb_bounds(model, payoff, t))
+            route.take()
             yield f"tree {k} bounds t={t}", body, pivots.take()
             for gamma in W.GAMMAS_TREE:
                 body = _call(model, lambda: pricing.good_deal_prices(model, payoff, t, gamma))
-                yield f"tree {k} price t={t} gamma={gamma}", body, pivots.take()
+                yield (f"tree {k} price t={t} gamma={gamma}", body, pivots.take(),
+                       route.take(len(model.tree.nodes(t))))
 
 
-def ladder_records(pivots: PivotCount):
+def ladder_records(pivots: PivotCount, route: RouteCount):
     for T in LADDER_HORIZONS:
         mkt = W.ladder_market(T)
         model = cli.model_from_dict(mkt.model_dict())
@@ -158,10 +201,11 @@ def ladder_records(pivots: PivotCount):
             yield f"ladder {T} bounds t={t}", body, pivots.take()
 
 
-def surface_records(pivots: PivotCount):
+def surface_records(pivots: PivotCount, route: RouteCount):
     for k in SURFACE_MARKETS:
         mkt = W.binary_market("surface", k, W.SURFACE_HORIZON)
         model_data, payoff_data = mkt.model_dict(), mkt.payoff_dict()
+        route.take()
         cells = pricing.liquidity_surface(
             lambda lam: cli.model_from_dict(model_data, lam_override=lam),
             lambda model: cli.payoff_from_dict(model, payoff_data),
@@ -169,10 +213,10 @@ def surface_records(pivots: PivotCount):
         )
         body = [f"{c.gamma} {c.lam} {c.status} {_hex(c.bid)} {_hex(c.ask)} {_hex(c.spread)}"
                 for c in cells]
-        yield f"surface {k}", body, pivots.take()
+        yield f"surface {k}", body, pivots.take(), route.take()
 
 
-def fixture_records(pivots: PivotCount):
+def fixture_records(pivots: PivotCount, route: RouteCount):
     for argv in W.FixtureWorkload(0, ROOT).commands():
         if argv[0] != "validate":
             argv = argv + ["--precision", "17"]
@@ -184,7 +228,7 @@ def fixture_records(pivots: PivotCount):
         yield f"fixture {name}", body, pivots.take()
 
 
-def arbitrage_records(pivots: PivotCount):
+def arbitrage_records(pivots: PivotCount, route: RouteCount):
     for k in ARBITRAGE_MARKETS:
         rng = np.random.default_rng(k)
         tree = random_tree(rng, int(rng.integers(3, 8)), int(rng.integers(2, 4)))
@@ -198,7 +242,7 @@ def arbitrage_records(pivots: PivotCount):
             yield f"arbitrage {k} t={t}", body, pivots.take()
 
 
-def one_security_records(pivots: PivotCount):
+def one_security_records(pivots: PivotCount, route: RouteCount):
     answers, solve_ratio = [], lp.solve_ratio
 
     def recording(*args, **kwargs):
@@ -238,7 +282,7 @@ BOUNDED_PANEL = (
 )
 
 
-def bounded_records(pivots: PivotCount):
+def bounded_records(pivots: PivotCount, route: RouteCount):
     for name, seed, count, make in BOUNDED_PANEL:
         rng = np.random.default_rng(seed)
         for k in range(count):
@@ -324,7 +368,7 @@ ERROR_PANEL = {
 }
 
 
-def error_records(pivots: PivotCount):
+def error_records(pivots: PivotCount, route: RouteCount):
     files = []
     for name in ("two_period_stock.json", "asian_call_65.json"):
         with open(fixture_path(name), encoding="utf-8") as fh:
@@ -341,21 +385,51 @@ def error_records(pivots: PivotCount):
 
 
 def sweep() -> list[str]:
-    pivots = PivotCount()
+    pivots, route = PivotCount(), RouteCount()
     lines = []
     for source in (tree_records, ladder_records, surface_records, fixture_records,
                    arbitrage_records, one_security_records, bounded_records, error_records):
-        for name, body, count in source(pivots):
-            lines.append(f"{name} pivots={count}")
+        for name, body, count, *how in source(pivots, route):
+            lines.append(" ".join([name, f"pivots={count}", *how]))
             lines.extend("  " + line for line in body)
     return lines
 
 
-def _same(theirs: str, ours: str) -> bool:
+def _number(word: str):
+    """``word`` as a float (in float hex or decimal), or None."""
+    try:
+        return float.fromhex(word) if "0x" in word else float(word)
+    except ValueError:
+        return None
+
+
+def _close(theirs: str, ours: str, rtol: float) -> bool:
+    """Record headers of one request (their pivots and route aside), or
+    lines equal word for word (words split at spaces and commas) except for
+    finite numbers that differ by at most ``rtol`` times the largest
+    magnitude of a finite number on the line: a spread, or a bid equal to
+    its ask, rounds at the size of the quote."""
+    if not theirs.startswith(" ") and not ours.startswith(" "):
+        return theirs.split(" pivots=")[0] == ours.split(" pivots=")[0]
+    a, b = (line.replace(",", " ").split() for line in (theirs, ours))
+    if len(a) != len(b):
+        return False
+    pairs = [(x, y, _number(x), _number(y)) for x, y in zip(a, b)]
+    size = max([abs(u) for *_, u, _ in pairs if u is not None and np.isfinite(u)], default=0.0)
+    for x, y, u, v in pairs:
+        if x == y:
+            continue
+        if u is None or v is None or not np.isfinite(u) or abs(u - v) > rtol * size:
+            return False
+    return True
+
+
+def _same(theirs: str, ours: str, rtol=None) -> bool:
     """Equal lines, or witness records of one node whose ratios agree to
     ``WITNESS_RTOL`` relative and whose scaled flows agree to ``WITNESS_RTOL``
-    times their largest entry."""
-    if theirs == ours:
+    times their largest entry; with ``rtol``, also lines that
+    :func:`_close` matches."""
+    if theirs == ours or (rtol is not None and _close(theirs, ours, rtol)):
         return True
     a, b = theirs.split(), ours.split()
     if a[:2] != b[:2] or a[0] != "witness" or len(a) != len(b):
@@ -370,6 +444,11 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", help="write the record here (default: standard output)")
     parser.add_argument("--against", help="a record written by another checkout to diff with")
+    parser.add_argument(
+        "--rtol", type=float,
+        help="with --against, let quotes differ by this relative tolerance and headers by "
+        "their pivots and route, for a change that claims equal quotes to rounding only",
+    )
     args = parser.parse_args(argv)
     lines = sweep()
     text = "\n".join(lines) + "\n"
@@ -383,7 +462,7 @@ def main(argv=None) -> int:
             theirs = fh.read().splitlines()
         # a line that matches its counterpart within the witness tolerance
         # shows as that counterpart, so the diff holds only real differences
-        shown = [a if _same(a, b) else b for a, b in zip(theirs, lines)]
+        shown = [a if _same(a, b, args.rtol) else b for a, b in zip(theirs, lines)]
         diff = list(difflib.unified_diff(theirs, shown + lines[len(theirs):], args.against,
                                          "this checkout", lineterm="", n=1))
         for line in diff[:200]:

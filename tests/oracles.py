@@ -33,7 +33,9 @@ package, or another reference here, computes another way:
   arbitrage search or the no-good-deal check, then the node quotes), against
   the quote-first order of ``noarb_bounds`` and ``good_deal_prices``; the
   good-deal node quotes come from a fresh band program per node and level
-  (``cold_band_quote``), against the engine's ``_BandRow``;
+  (``cold_band_quote``), against the engine's ``_BandRow``, and with one
+  security the skip of the least-loss LPs where every bound density lies
+  in the band;
 * one-security trade bounds from the simplex alone (``cold_bound_quote``),
   against the superreplication recursion's certified candidates;
 * the natural filtration from each path's whole observed history at every
@@ -50,7 +52,7 @@ from typing import Optional
 
 import numpy as np
 
-from conic_pricer import lp, pricing
+from conic_pricer import cone, lp, pricing
 from conic_pricer.acceptability import DensityBand, dglr_eval
 from conic_pricer.cone import arbitrage_check, generators_for
 from conic_pricer.errors import ComputationError, ValidationError
@@ -373,22 +375,32 @@ def check_first_bounds(model, cash_flow, t, *, entry="trade"):
             for node in model.tree.nodes(t)
         )
         return pricing.PriceQuote(time=t, gamma=None, entries=entries)
-    quotes = pricing._node_quotes(model, cash_flow, generators_for(model, t, entry), entry)
+    quotes = pricing._node_quotes(model, cash_flow, generators_for(model, t, entry))
     return pricing.PriceQuote(time=t, gamma=None, entries=tuple(e for e, _ in quotes))
 
 
 def check_first_good_deal_prices(model, cash_flow, t, gamma):
     """``good_deal_prices`` as the no-good-deal check, then each node's band
-    LP at ``gamma`` itself."""
+    LP at ``gamma`` itself, handed, with one security, each extreme's bound
+    candidate where its density lies in the band at ``gamma``, as
+    ``good_deal_prices`` hands them."""
     check = pricing.ngd_check(model, t, gamma)
+    nodes = model.tree.nodes(t)
     if not check.holds:
-        entries = tuple(
-            pricing.PriceEntry(node, np.inf, -np.inf, pricing.STATUS_NGD)
-            for node in model.tree.nodes(t)
-        )
+        entries = tuple(pricing.PriceEntry(node, np.inf, -np.inf, pricing.STATUS_NGD)
+                        for node in nodes)
         return pricing.PriceQuote(time=t, gamma=gamma, entries=entries, witness=check.witness)
     rows, x = generators_for(model, t), pricing._discounted_tail(model, cash_flow, t)
-    entries = tuple(cold_band_quote(model, x, rows, node, gamma) for node in model.tree.nodes(t))
+    warm = [None] * len(nodes)
+    if model.n_securities == 1:
+        recursion = cone._Recursion(model, t, x)
+        spreads = recursion.spreads()
+        warm = [
+            pricing._band_starts(pair, spreads[:, k], len(model.tree.node_paths(node)), gamma)
+            for k, (node, pair) in enumerate(zip(nodes, recursion.candidates(rows)))
+        ]
+    entries = tuple(cold_band_quote(model, x, rows, node, gamma, start)
+                    for node, start in zip(nodes, warm))
     return pricing.PriceQuote(time=t, gamma=gamma, entries=entries)
 
 
@@ -402,14 +414,16 @@ def cold_bound_quote(model, x, rows, node):
     return pricing._entry(node, *lp.solve_ratio(num, den, a_ub))
 
 
-def cold_band_quote(model, x, rows, node, level):
+def cold_band_quote(model, x, rows, node, level, warm=None):
     """``node``'s quote of ``x`` at band ``level`` from a program built for
-    it alone: the node's cone of ``rows``, ``_with_band``'s rows at the
-    level, and one ``lp.solve_ratio``."""
+    it alone: the node's cone of ``rows``, ``_band_program``'s rows at the
+    level, and one ``lp.solve_ratio``, handed ``warm`` (band candidates,
+    see ``pricing._band_starts``) where given."""
     paths = list(model.tree.node_paths(node))
-    a_ub = pricing._with_band(pricing._node_cone(rows, node.cell, paths), len(paths), level)
-    num, den = pricing._ratio_terms(model, x, node, a_ub.shape[1])
-    return pricing._entry(node, *lp.solve_ratio(num, den, a_ub))
+    cone_ = pricing._node_cone(rows, node.cell, paths)
+    num, den = pricing._ratio_terms(model, x, node, cone_.shape[1])
+    num, den, a_ub, _ = pricing._band_program(num, den, cone_, len(paths), level)
+    return pricing._entry(node, *lp.solve_ratio(num, den, a_ub, warm))
 
 
 # ---------------------------------------------------------------------------

@@ -153,6 +153,14 @@ class TestPrice:
             assert float(row[1]) == pytest.approx(5.0, abs=1e-9)
             assert float(row[2]) == pytest.approx(5.0, abs=1e-9)
 
+    def test_large_gamma_quotes_the_bounds(self, capsys):
+        # the band over m' = (1 + gamma) m stays well scaled at any finite
+        # level, and at these the fixture's band holds its bound densities
+        for gamma in ("1e16", "1e300"):
+            code, out, err = run(capsys, "price", MODEL, PAYOFF, "--gamma", gamma)
+            assert (code, err) == (EXIT_OK, ""), gamma
+            assert out.splitlines() == ["node,bid,ask,status", "0:0,1.25,1.38889,ok"]
+
     def test_overflowing_gamma_quotes_or_exits_internal(self, capsys):
         # the band's entries at gamma = 1e300 square past the float range in
         # the simplex's pricing: the command quotes, or exits 70 with one

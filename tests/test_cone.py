@@ -157,9 +157,10 @@ class TestGeneratorsFor:
                 for entry in ("trade", "mark"):
                     got, ref = generators_for(model, t, entry), block_rows(model, t, entry)
                     assert got.start == ref.start == t
+                    assert got.mark == ref.mark == (entry == "mark" and t >= 1)
                     for field in dataclasses.fields(got):
                         a, b = getattr(got, field.name), getattr(ref, field.name)
-                        if field.name != "start":
+                        if field.name not in ("start", "mark"):
                             assert a.dtype.kind == b.dtype.kind, field.name
                             assert np.array_equal(a, b), field.name
 

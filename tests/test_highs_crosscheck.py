@@ -15,8 +15,8 @@ from conic_pricer.cone import generators_for  # noqa: E402
 from conic_pricer.lp import solve  # noqa: E402
 from conic_pricer.pricing import (  # noqa: E402
     STATUS_OK,
+    _band_program,
     _node_cone,
-    _with_band,
     good_deal_prices,
     liquidity_surface,
     noarb_bounds,
@@ -137,11 +137,11 @@ def node_ratio_lp(model, flow, t, cell, gamma, entry="trade"):
     x = (flow * Binv)[:, t + 1:].sum(axis=1)
     idx = list(tree.partitions[t][cell])
     a_ub = _node_cone(generators_for(model, t, entry), cell, idx)
-    if gamma is not None:
-        a_ub = _with_band(a_ub, len(idx), gamma)
     num, den = np.zeros(a_ub.shape[1]), np.zeros(a_ub.shape[1])
     num[: len(idx)] = p[idx] * x[idx]
     den[: len(idx)] = p[idx]
+    if gamma is not None:
+        num, den, a_ub, _ = _band_program(num, den, a_ub, len(idx), gamma)
     return num, den, a_ub
 
 

@@ -8,7 +8,7 @@ from conic_pricer.cli import EXIT_INTERNAL, main
 from conic_pricer.errors import ComputationError, ValidationError
 from conic_pricer.fixtures import fixture_path
 from conic_pricer.lp import LinearProgram, solve, solve_ratio
-from conic_pricer.pricing import _with_band, good_deal_prices, noarb_bounds
+from conic_pricer.pricing import _band_program, _band_share, good_deal_prices, noarb_bounds
 
 from conftest import lp_vertex_oracle, random_box_lp, tree_workload_market
 from lp_reference import _pivot as full_pivot
@@ -439,8 +439,9 @@ class TestCertifiedOrError:
     def test_uncertified_optimum_raises_once(self, monkeypatch, count_calls):
         # phase 2 stopped where phase 1 left it, (0, 1), short of the optimum
         # (2, 0): one solve raises, with no second attempt, and the CLI exits
-        # 70 (on mark bounds, which the simplex solves: the recursion prices
-        # one-security trade bounds without a phase 2)
+        # 70 (on mark bounds at t=1, which the simplex solves: the recursion
+        # prices one-security trade bounds, and mark bounds at t=0, which
+        # are trade bounds, without a phase 2)
         prog = LinearProgram.build("max", [1.0, 0.25], np.zeros((0, 2)), [0.5, 1.0])
         assert solve(prog).value == pytest.approx(2.0, abs=1e-12)
         _stop_phase(monkeypatch, 2)
@@ -450,7 +451,7 @@ class TestCertifiedOrError:
             lp.solve(prog)
         assert len(solves) == 1
         model, payoff = fixture_path("two_period_stock.json"), fixture_path("asian_call_65.json")
-        assert main(["bounds", model, payoff, "--entry", "mark"]) == EXIT_INTERNAL
+        assert main(["bounds", model, payoff, "--entry", "mark", "--time", "1"]) == EXIT_INTERNAL
 
     def test_overflowing_entries_are_certified_or_an_error(self):
         # 1e200 entries square past the float range, so steepest edge reads
@@ -586,7 +587,7 @@ def _seeded_cones(seed, count):
     """(num, den, a, k): seeded cones over (u, v), u their first k columns,
     holding a point whose u spreads by at most a factor 2, so the band of the
     pricing cones reaches the slice from level 1 on and may miss it below;
-    num and den weigh u alone."""
+    num and den, over (u, v), weigh u alone."""
     rng = np.random.default_rng(seed)
     for _ in range(count):
         k, j, r = int(rng.integers(3, 7)), int(rng.integers(0, 4)), int(rng.integers(4, 16))
@@ -594,8 +595,8 @@ def _seeded_cones(seed, count):
         a = rng.normal(size=(r, k + j))
         a -= np.outer(a @ x0 + np.abs(rng.normal(size=r)) * (rng.random(r) < 0.7), x0 / (x0 @ x0))
         p = rng.dirichlet(np.ones(k))
-        yield (np.concatenate([p * rng.normal(size=k), np.zeros(j + 1)]),
-               np.concatenate([p, np.zeros(j + 1)]), a, k)
+        yield (np.concatenate([p * rng.normal(size=k), np.zeros(j)]),
+               np.concatenate([p, np.zeros(j)]), a, k)
 
 
 LEVELS = (0.05, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0)
@@ -608,12 +609,18 @@ def _close(got, want, num):
     return abs(got.value - want.value) <= 1e-12 * (np.abs(num) @ np.abs(want.x))
 
 
-def _band_program(num, den, a, k):
+def _banded(num, den, a, k, gamma):
+    """A seeded cone's band program at ``gamma`` from the engine's one
+    builder, ``pricing._band_program``: (num, den, a_ub)."""
+    return _band_program(num, den, a, k, gamma)[:3]
+
+
+def _band_slice(num, den, a, k):
     """A seeded cone's band program as the surface's band row holds it: one
-    slice whose band scalar's column is rewritable, and its upper band rows,
-    which that column's rewrite sets to -(1 + level)."""
-    band = lp._Slice(num, den, _with_band(a, k, LEVELS[0]), column=a.shape[1])
-    return band, np.arange(len(a) + k, len(a) + 2 * k)
+    slice whose band column, m''s, is rewritable, and its band rows, which
+    that column's rewrite sets to -level / (1 + level)."""
+    num, den, a_ub, band_rows = _band_program(num, den, a, k, LEVELS[0])
+    return lp._Slice(num, den, a_ub, column=a.shape[1]), band_rows
 
 
 def _same(got, want):
@@ -637,16 +644,16 @@ class TestWarmRestart:
         for num, den, a, k in _seeded_cones(5, 40):
             pair = None
             for gamma in LEVELS:
-                a_ub = _with_band(a, k, gamma)
-                cold = solve_ratio(num, den, a_ub)
+                bnum, bden, a_ub = _banded(num, den, a, k, gamma)
+                cold = solve_ratio(bnum, bden, a_ub)
                 before = len(phase1)
-                got = lp._Slice(num, den, a_ub).solve(pair)
+                got = lp._Slice(bnum, bden, a_ub).solve(pair)
                 cold_solves += 1
                 warm_solves += len(phase1) == before
                 for g, c in zip(got, cold):
                     assert g.status == c.status
                     if c.status == "optimal":
-                        assert _close(g, c, num)
+                        assert _close(g, c, bnum)
                         assert max(g.gap, g.primal_residual, g.dual_residual) <= 1e-9
                 pair = got if got[1].status == "optimal" else None
         assert duals  # some restarts needed the dual simplex
@@ -685,11 +692,11 @@ class TestWarmRestart:
         extremes = self._record_extremes(monkeypatch)
         carried = 0
         for num, den, a, k in _seeded_cones(5, 40):
-            band, upper = _band_program(num, den, a, k)
+            band, band_rows = _band_slice(num, den, a, k)
             pair = None
             for gamma in LEVELS:
-                band.rewrite(upper, -(1.0 + gamma))
-                cold = solve_ratio(num, den, _with_band(a, k, gamma))
+                band.rewrite(band_rows, -_band_share(gamma))
+                cold = solve_ratio(*_banded(num, den, a, k, gamma))
                 extremes.clear()
                 got = band.solve(pair)
                 for g, c, events in zip(got, cold, extremes):
@@ -704,25 +711,27 @@ class TestWarmRestart:
         assert carried
 
     def test_binding_band_is_restarted(self, monkeypatch):
-        # a previous optimum with a nonzero dual on a band row that the wider
-        # level changes is never carried: widening that row breaks its dual
-        # feasibility, so the extreme restarts from its basis, its kept
-        # tableau updated for the rewritten column
+        # a previous optimum with a dual above lp.TOL on a band row that the
+        # wider level changes is never carried: widening that row breaks its
+        # dual feasibility, so the extreme restarts from its basis, its kept
+        # tableau updated for the rewritten column.  (A degenerate band row
+        # can hold a dual of rounding's size, about 1e-16 here, which the
+        # wider level leaves within the certificate's tolerance.)
         extremes = self._record_extremes(monkeypatch)
         binding = 0
         for num, den, a, k in _seeded_cones(5, 40):
-            band, upper = _band_program(num, den, a, k)
+            band, band_rows = _band_slice(num, den, a, k)
             pair = previous = None
             for gamma in LEVELS:
-                a_ub = _with_band(a, k, gamma)
-                band.rewrite(upper, -(1.0 + gamma))
+                a_ub = _banded(num, den, a, k, gamma)[2]
+                band.rewrite(band_rows, -_band_share(gamma))
                 extremes.clear()
                 got = band.solve(pair)
                 if pair is not None:
                     changed = np.any(a_ub != previous, axis=1)
                     assert changed.any()
                     for prev, events in zip(pair, extremes):
-                        if np.any(prev.dual_ub[changed] != 0):
+                        if np.any(np.abs(prev.dual_ub[changed]) > lp.TOL):
                             binding += 1
                             assert events[:2] == [False, "update"]
                 pair, previous = (got, a_ub) if got[1].status == "optimal" else (None, None)
@@ -758,28 +767,28 @@ class TestWarmRestart:
         for num, den, a, k in _seeded_cones(6, 30):
             pair = None
             for gamma in LEVELS:
-                a_ub = _with_band(a, k, gamma)
-                cold = solve_ratio(num, den, a_ub)
+                bnum, bden, a_ub = _banded(num, den, a, k, gamma)
+                cold = solve_ratio(bnum, bden, a_ub)
                 if cold[1].status != "optimal":
                     pair = None
                     continue
                 for warm in (pair, pair[::-1]) if pair is not None else ():
                     outcomes.clear()
-                    got = lp._Slice(num, den, a_ub).solve(warm)
+                    got = lp._Slice(bnum, bden, a_ub).solve(warm)
                     for g, c, sense in zip(got, cold, ("min", "max")):
                         refused, status = outcomes[sense]
                         if refused:
                             assert _same(g, c)
                             refusals[status] = refusals.get(status, 0) + 1
                         else:
-                            assert _close(g, c, num)
+                            assert _close(g, c, bnum)
                 # the singular basis comes with the optimum of the level below
                 if pair is not None:
                     singular = tuple(
                         dataclasses.replace(s, basis=np.zeros_like(s.basis)) for s in pair
                     )
                     outcomes.clear()
-                    got = lp._Slice(num, den, a_ub).solve(singular)
+                    got = lp._Slice(bnum, bden, a_ub).solve(singular)
                     assert outcomes == {"min": (True, None), "max": (True, None)}
                     assert all(_same(g, c) for g, c in zip(got, cold))
                     singular_runs += 1
@@ -802,14 +811,14 @@ class TestWarmRestart:
         for num, den, a, k in _seeded_cones(7, 40):
             pair = None
             for gamma in LEVELS[::-1]:
-                a_ub = _with_band(a, k, gamma)
-                cold = solve_ratio(num, den, a_ub)
-                got = lp._Slice(num, den, a_ub).solve(pair)
+                bnum, bden, a_ub = _banded(num, den, a, k, gamma)
+                cold = solve_ratio(bnum, bden, a_ub)
+                got = lp._Slice(bnum, bden, a_ub).solve(pair)
                 assert [g.status for g in got] == [c.status for c in cold]
                 if cold[1].status == "infeasible":
                     seen += pair is not None
                     assert all(_same(g, c) for g, c in zip(got, cold))
-                    slice_lp = LinearProgram.build("max", num, a_ub, den)
+                    slice_lp = LinearProgram.build("max", bnum, a_ub, bden)
                     assert all(_is_farkas_ray(g, slice_lp) for g in got)
                     break
                 pair = got
@@ -818,18 +827,18 @@ class TestWarmRestart:
 
 def _band_sweep(seed, count):
     """Per seeded cone, its band program stepped through ``LEVELS``: at each
-    level after the first, ``(band, upper, pair, gamma)``, where ``band`` is
-    the cone's slice program with the band scalar's column rewritable,
-    ``upper`` its upper band rows and ``pair`` the previous level's
+    level after the first, ``(band, band_rows, pair, gamma)``, where
+    ``band`` is the cone's slice program with the band column rewritable,
+    ``band_rows`` its band rows and ``pair`` the previous level's
     ``(lo, hi)``.  The caller rewrites ``band`` to ``gamma``; the sweep then
     solves it from ``pair``."""
     for num, den, a, k in _seeded_cones(seed, count):
-        band, upper = _band_program(num, den, a, k)
+        band, band_rows = _band_slice(num, den, a, k)
         pair = band.solve()
         for gamma in LEVELS[1:]:
             if pair[1].status != "optimal":
                 break
-            yield band, upper, pair, gamma
+            yield band, band_rows, pair, gamma
             pair = band.solve(pair)
 
 
@@ -845,11 +854,11 @@ class TestTableauUpdate:
         # refactor's on the rows after it to 1e-12 of the entry's size (a
         # tableau kept from pivots carries their rounding on top)
         checked = 0
-        for band, upper, pair, gamma in _band_sweep(5, 40):
+        for band, band_rows, pair, gamma in _band_sweep(5, 40):
             before = band.rows.A[:, band.column].copy()
             kept = [lp._refactor(side, band.rows, sol.basis)
                     for side, sol in zip(band.sides, pair)]
-            band.rewrite(upper, -(1.0 + gamma))
+            band.rewrite(band_rows, -_band_share(gamma))
             for side, sol, factored in zip(band.sides, pair, kept):
                 T, basis, nonbasic = factored
                 got = lp._update(band.rows, lp._Kept(band.rows, T, nonbasic, before), basis,
@@ -867,8 +876,8 @@ class TestTableauUpdate:
         # answers as a cold solve of its rows does, to 1e-12
         updates, refactors = count_calls(lp, "_update"), count_calls(lp, "_refactor")
         restarted = 0
-        for band, upper, pair, gamma in _band_sweep(5, 40):
-            band.rewrite(upper, -(1.0 + gamma))
+        for band, band_rows, pair, gamma in _band_sweep(5, 40):
+            band.rewrite(band_rows, -_band_share(gamma))
             before = len(updates)
             got = band.solve(pair)
             restarted += len(updates) > before
@@ -887,8 +896,8 @@ class TestTableauUpdate:
         # basis densely instead, to the start a dense refactor gives
         refactors = count_calls(lp, "_refactor")
         tried = 0
-        for band, upper, pair, gamma in _band_sweep(6, 30):
-            band.rewrite(upper, -(1.0 + gamma))
+        for band, band_rows, pair, gamma in _band_sweep(6, 30):
+            band.rewrite(band_rows, -_band_share(gamma))
             for side, sol in zip(band.sides, pair):
                 column = band.rows.A[:, band.column]
                 cancel = dataclasses.replace(
@@ -957,8 +966,8 @@ class TestReadOut:
         # certificate's residuals, bit for bit
         tested = count_calls(lp, "_primal_and_gap")
         passed = failed = 0
-        for band, upper, pair, gamma in _band_sweep(5, 40):
-            band.rewrite(upper, -(1.0 + gamma))
+        for band, band_rows, pair, gamma in _band_sweep(5, 40):
+            band.rewrite(band_rows, -_band_share(gamma))
             for side, sol in zip(band.sides, pair):
                 if sol.status != "optimal":
                     continue

@@ -724,17 +724,29 @@ class TestGoodDealPrices:
         assert abs(e.bid - nb.bid) <= 1e-6
         assert abs(e.ask - nb.ask) <= 1e-6
 
-    @pytest.mark.xfail(
-        raises=ComputationError, strict=True,
-        reason="at gamma=2000 a band LP of the tree workload's market 7 fails "
-        "certification (primal residual 9.0e-1), likely because the band "
-        "scalar's column holds -(1 + gamma) on the upper band rows; at "
-        "gamma=1000 it prices (ROADMAP item 7)",
-    )
     def test_large_level_prices_a_tree_workload_market(self):
         model, payoff = tree_workload_market(7)
         quote = good_deal_prices(model, payoff, 0, 2000.0)
         assert quote_status(quote) == STATUS_OK
+
+    def test_band_program_prices_at_large_levels(self):
+        # the band written over m' = (1 + level) m keeps the level in [0, 1)
+        # in its rows: solved cold, with no candidate, the tree workload's
+        # market 7 and the fixture price inside their bounds at levels where
+        # the band written over m failed certification (from about 2e3 and
+        # 9e15)
+        for (model, payoff), levels in (
+            (tree_workload_market(7), (2e3, 1e6, 1e12, 1e300)),
+            ((lambda m: (m, asian_call(m, 0, 65.0)))(two_period_model()),
+             (1e15, 1e16, 1e100, 1e200, 1e308)),
+        ):
+            rows, x = generators_for(model, 0), pricing._discounted_tail(model, payoff, 0)
+            node = model.tree.nodes(0)[0]
+            bounds = noarb_bounds(model, payoff, 0).entries[0]
+            for level in levels:
+                e = cold_band_quote(model, x, rows, node, level)
+                assert e.status == STATUS_OK
+                assert bounds.bid - 1e-9 <= e.bid <= e.ask <= bounds.ask + 1e-9
 
 
 def crr_call(u, d, r, p_up, strike, horizon):
@@ -1136,8 +1148,8 @@ class TestLiquiditySurface:
 
     def test_band_program_is_rewritten_in_place(self):
         # one band program per lambda row: each level rewrites the band
-        # scalar's column, and the program and its slack start then hold
-        # _with_band's rows at the level the tie rule reads, element for
+        # column, and the program and its slack start then hold
+        # _band_program's rows at the level the tie rule reads, element for
         # element, and quote as a program built for that level alone does
         u, d, r, p_up, strike = PIVOT_BUDGET_MARKETS[0]
         model = binary_tree_market(u, d, r, p_up, 0.01, horizon=3)
@@ -1150,14 +1162,16 @@ class TestLiquiditySurface:
             band = pricing._BandRow(model, x, rows, node)
             prog, start = band.slice.prog, band.slice.rows
             a_ub, stacked, warm = prog.a_ub, start.A, None
+            num, den = pricing._ratio_terms(model, x, node, cone.shape[1])
             for gamma in (0.25, 0.5, 1.0, 2.0, 4.0, 8.0):
-                e, warm = band.quote(gamma, loss, warm)
-                want = pricing._with_band(cone, len(paths), pricing._band_level(gamma, loss))
+                level = pricing._band_level(gamma, loss)
+                e, warm = band.quote(level, warm)
+                want = pricing._band_program(num, den, cone, len(paths), level)[2]
                 assert prog.a_ub is a_ub and start.A is stacked
                 assert np.array_equal(a_ub, want)
                 assert np.array_equal(stacked, np.vstack([want, prog.a_eq]))
                 assert np.array_equal(start.abs_supplied, np.abs(stacked))
-                cold = cold_band_quote(model, x, rows, node, pricing._band_level(gamma, loss))
+                cold = cold_band_quote(model, x, rows, node, level)
                 assert e.bid == pytest.approx(cold.bid, rel=1e-12, abs=0)
                 assert e.ask == pytest.approx(cold.ask, rel=1e-12, abs=0)
 
@@ -1180,7 +1194,15 @@ class TestLiquiditySurface:
         # shifted instead of being refused, which saved 4 more), and a level
         # step updates the previous optimum's tableau instead of refactoring
         # it: the 20 restarts within a row are updates, and the 18 dense
-        # refactors are the 6 least-loss and 12 quote restarts across rows
+        # refactors are the 6 least-loss and 12 quote restarts across rows.
+        # 252 -> 195 with each extreme whose superreplication density lies
+        # in the band at its level handed the recursion's bound pair, which
+        # carries 44 of the 64 priced extremes without a pivot: phase 2 runs
+        # 44 -> 28, the dense refactors 18 -> 11 (6 least-loss and 5 quote
+        # restarts) and the updates 20 -> 11, while phase 1 runs 4 -> 5 (2
+        # least-loss LPs and 3 first quotes: an extreme carried from its
+        # candidate at a row's first priced level leaves the next row no
+        # basis to restart that extreme from)
         pivots = count_calls(lp, "_pivot")
         starts = count_calls(lp, "_phase1")
         solves = count_calls(lp, "solve")
@@ -1195,11 +1217,11 @@ class TestLiquiditySurface:
                 [0.0, 0.005, 0.01, 0.02],
             )
         assert len(pivots) <= 500
-        assert len(starts) == 4
+        assert len(starts) == 5
         assert len(solves) == 8
-        assert len(finishes) == 44
-        assert len(restarts) == 18
-        assert len(updates) == 20
+        assert len(finishes) == 28
+        assert len(restarts) == 11
+        assert len(updates) == 11
 
 
 class TestLeastLoss:
@@ -1775,7 +1797,7 @@ class TestSuperreplication:
             for t in (0, 1):
                 rows, x = generators_for(model, t), pricing._discounted_tail(model, flow, t)
                 for node, (_, got) in zip(
-                    model.tree.nodes(t), pricing._node_quotes(model, flow, rows, "trade")
+                    model.tree.nodes(t), pricing._node_quotes(model, flow, rows)
                 ):
                     cone_ = pricing._node_cone(rows, node.cell, list(model.tree.node_paths(node)))
                     num, den = pricing._ratio_terms(model, x, node, cone_.shape[1])
@@ -1826,3 +1848,131 @@ class TestSuperreplication:
                     else:
                         assert e.bid <= value <= e.ask
         assert pivots == []
+
+
+class TestGoodDealFromBounds:
+    """One-security good-deal quotes from the superreplication recursion:
+    where every date-t node's two bound densities lie in the band at gamma
+    and pass the band LP's certificate as its candidates, the quotes are the
+    bounds and no least-loss LP runs; otherwise the check runs as before,
+    and each extreme whose density lies in the band at its level is still
+    handed its candidate.  Statuses and witnesses match the check-first
+    order, and every quote the band program solved cold to 1e-12
+    relative."""
+
+    # the tree workload's markets (at their own levels) whose good-deal
+    # request at t=0, and at t=1, runs no LP at all
+    NO_LP = {
+        0: [2, 4, 5, 8, 12, 13, 22, 24, 26, 28, 29, 32, 34, 38, 44],
+        1: [2, 4, 5, 8, 9, 12, 13, 22, 24, 26, 28, 29, 32, 34, 36, 38, 44],
+    }
+
+    @staticmethod
+    def agree(model, flow, t, gamma):
+        """The engine's quote against the check-first order's (statuses,
+        witness) and against each node's band program solved cold at the
+        level the tie rule reads (quotes); the engine's status."""
+        quote = good_deal_prices(model, flow, t, gamma)
+        ref = check_first_good_deal_prices(model, flow, t, gamma)
+        assert [e.status for e in quote.entries] == [e.status for e in ref.entries]
+        if quote_status(quote) == STATUS_NGD:
+            assert quote.witness.node == ref.witness.node
+            assert quote.witness.dglr == ref.witness.dglr
+            assert np.array_equal(quote.witness.cash_flow, ref.witness.cash_flow)
+            return STATUS_NGD
+        assert quote.witness is None
+        rows, x = generators_for(model, t), pricing._discounted_tail(model, flow, t)
+        losses = pricing._least_loss(model, rows)[0]
+        for e, node, loss in zip(quote.entries, model.tree.nodes(t), losses, strict=True):
+            cold = cold_band_quote(model, x, rows, node, pricing._band_level(gamma, loss))
+            for got, want in ((e.bid, cold.bid), (e.ask, cold.ask)):
+                assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (t, node, got, want)
+        return quote_status(quote)
+
+    @staticmethod
+    def ran_no_lp(count_calls):
+        """A function of a request that reads whether it ran no least-loss
+        LP and no pivot."""
+        losses, pivots = count_calls(cone, "_node_least_loss"), count_calls(lp, "_pivot")
+
+        def request(call):
+            before = len(losses), len(pivots)
+            call()
+            return (len(losses), len(pivots)) == before
+
+        return request
+
+    def test_benchmark_tree_markets(self, count_calls):
+        quiet = self.ran_no_lp(count_calls)
+        for t in (0, 1):
+            holding, skipped = 0, []
+            for k in range(48):
+                model, flow = tree_workload_market(k)
+                gamma = (0.5, 1.0, 2.0, 4.0, 8.0)[k % 5]
+                if quiet(lambda: good_deal_prices(model, flow, t, gamma)):
+                    skipped.append(k)
+                holding += self.agree(model, flow, t, gamma) == STATUS_OK
+            assert skipped == self.NO_LP[t]
+            assert holding == (28, 31)[t]
+
+    def test_random_one_security_markets(self, count_calls):
+        quiet = self.ran_no_lp(count_calls)
+        seen, skipped = set(), 0
+        for model, flow in one_security_panel():
+            for t in range(model.tree.horizon):
+                for gamma in (0.5, 4.0, 50.0):
+                    skipped += quiet(lambda: good_deal_prices(model, flow, t, gamma))
+                    seen.add(self.agree(model, flow, t, gamma))
+        assert seen == {STATUS_OK, STATUS_NGD} and skipped
+
+    def test_failed_candidate_is_the_cold_answer_bit_for_bit(self, monkeypatch, count_calls):
+        # a band candidate that fails its certificate (here its price moved
+        # by one) leaves its extreme to phase 1, whose answer is the one the
+        # band program gives with no candidate at all; the check runs
+        real = pricing._band_candidate
+
+        def spoiled(sol, n):
+            cand = real(sol, n)
+            return dataclasses.replace(cand, dual_eq=cand.dual_eq + 1.0)
+
+        monkeypatch.setattr(pricing, "_band_candidate", spoiled)
+        checks = count_calls(pricing, "_ngd")
+        for k in self.NO_LP[0][:5]:
+            model, flow = tree_workload_market(k)
+            gamma = (0.5, 1.0, 2.0, 4.0, 8.0)[k % 5]
+            for t in (0, 1):
+                before = len(checks)
+                quote = good_deal_prices(model, flow, t, gamma)
+                assert len(checks) == before + 1
+                rows, x = generators_for(model, t), pricing._discounted_tail(model, flow, t)
+                losses = pricing._least_loss(model, rows)[0]
+                for e, node, loss in zip(quote.entries, model.tree.nodes(t), losses, strict=True):
+                    cold = cold_band_quote(model, x, rows, node, pricing._band_level(gamma, loss))
+                    assert (e.status, e.bid, e.ask) == (cold.status, cold.bid, cold.ask)
+
+    def test_several_securities_take_the_check(self, count_calls):
+        # no recursion runs for a market with more securities: the check,
+        # then each node's band program from phase 1, bit for bit
+        recursions = count_calls(pricing, "_Recursion")
+        rng = np.random.default_rng(7)
+        tree = random_tree(rng, 6, 3)
+        flow = random_cashflow(rng, tree)
+        model = arbitrage_free_market(rng, tree, dividends=True, rates=True, lam=0.01,
+                                      securities=2)
+        seen = set()
+        for t in range(tree.horizon):
+            for gamma in (0.5, 4.0, 50.0):
+                quote = good_deal_prices(model, flow, t, gamma)
+                ref = check_first_good_deal_prices(model, flow, t, gamma)
+                seen.add(quote_status(quote))
+                for e, r in zip(quote.entries, ref.entries, strict=True):
+                    assert np.array_equal([e.bid, e.ask], [r.bid, r.ask])
+        assert recursions == [] and STATUS_OK in seen
+
+    def test_level_validated_before_the_recursion(self, count_calls):
+        recursions = count_calls(pricing, "_Recursion")
+        model = two_period_model(lam=0.01)
+        for gamma in (0.0, -1.0, np.nan, np.inf):
+            with pytest.raises(ValidationError, match="acceptance level"):
+                good_deal_prices(model, asian_call(model, 0, 65.0), 0, gamma)
+        assert recursions == []
