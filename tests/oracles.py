@@ -33,9 +33,9 @@ package, or another reference here, computes another way:
   arbitrage search or the no-good-deal check, then the node quotes), against
   the quote-first order of ``noarb_bounds`` and ``good_deal_prices``; the
   good-deal node quotes come from a fresh band program per node and level
-  (``cold_band_quote``), against the engine's ``_BandRow``, and with one
-  security the skip of the least-loss LPs where every bound density lies
-  in the band;
+  (``cold_band_quote``), against the engine's ``_BandRow``; the check runs
+  even where ``good_deal_prices`` skips it, every node's bound densities
+  lying in the band;
 * one-security trade bounds from the simplex alone (``cold_bound_quote``),
   against the superreplication recursion's certified candidates;
 * the natural filtration from each path's whole observed history at every
