@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .lattice import EventTree, as_values, tail_sum
+from .lattice import EventTree, as_values, integer, tail_sum
 
 __all__ = ["DensityBand", "dglr_eval"]
 
@@ -43,6 +43,7 @@ def dglr_eval(tree: EventTree, cash_flow, t: int) -> np.ndarray:
     Returns a per-path vector (constant on each node) with values in
     [0, inf]; an identically zero remaining flow rates as +inf.
     """
+    t = integer(t, "start date")
     x = tail_sum(as_values(cash_flow), t)
     p = tree.probabilities
     out = np.empty(tree.n_paths)

@@ -56,7 +56,7 @@ import numpy as np
 from . import lp
 from .acceptability import dglr_eval
 from .errors import ComputationError, ValidationError
-from .lattice import NodeRef
+from .lattice import NodeRef, integer
 from .market import MarketModel, TradingStrategy, make_self_financing
 
 __all__ = [
@@ -113,6 +113,7 @@ def generators_for(model: MarketModel, t: int, entry: str = "trade") -> NodeRows
     price, long at the bid and short at the ask.  That needs t >= 1: at
     t = 0 it builds the trade rows.
     """
+    t = integer(t, "start date")
     tree = model.tree
     T, S = tree.horizon, model.n_securities
     if not 0 <= t <= T - 1:
@@ -324,6 +325,7 @@ def arbitrage_check(model: MarketModel, t: int) -> Optional[GoodDealWitness]:
     :func:`good_deal_certificate`, is the witness.  Rows worth zero up to
     rounding count as worth zero (see ``_node_hedges``).
     """
+    t = integer(t, "start date")
     return _arbitrage(model, generators_for(model, t), model.tree.nodes(t))
 
 
@@ -352,8 +354,8 @@ _SLOPE_TOL = 1e-12
 
 
 def _backward(kids, quotes, top, roots, leaf, F):
-    """The bottom-up sweep of :func:`_bound_candidates`, both signs node by
-    node over the nodes ``top`` to ``leaf - 1`` (date t's below ``roots``).
+    """The bottom-up sweep of :class:`_Recursion`, both signs node by node
+    over the nodes ``top`` to ``leaf - 1`` (date t's below ``roots``).
     ``F`` holds per sign each leaf's F as lines (slope, intercept, owner)
     and gains each node's after date t.  Returns per sign and node G: its
     breakpoints, its pieces left to right and the interval [za, zb] of the
@@ -425,8 +427,8 @@ def _backward(kids, quotes, top, roots, leaf, F):
 
 
 def _forward(kids, quotes, top, roots, G, end):
-    """The top-down sweep of :func:`_bound_candidates` over ``G``, both
-    signs node by node: per sign and node up to ``end`` the units held into
+    """The top-down sweep of :class:`_Recursion` over ``G``, both signs
+    node by node: per sign and node up to ``end`` the units held into
     and out of it, its density mass and its shadow price as one (4, 2,
     ``end``) array, and per sign each date-t node's price (None if none)."""
     bid, ask, ga, gb = quotes
@@ -609,9 +611,3 @@ class _Recursion:
             )
             for c, (a, b, i, j) in zip(range(top, roots), spans)
         ]
-
-
-def _bound_candidates(model: MarketModel, rows: NodeRows, x) -> list:
-    """:meth:`_Recursion.candidates` of ``x`` on ``rows``, the trade rows of
-    a one-security market."""
-    return _Recursion(model, rows.start, x).candidates(rows)

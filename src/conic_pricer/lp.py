@@ -31,9 +31,10 @@ side; that keeps the loop finite.
 
 Phase 1 reads only the rows, so :func:`solve` runs it once and phase 2 starts
 from it; :func:`solve_ratio` runs phase 2 twice, once per sense, from copies
-of one phase 1, for each sense that no candidate answers (below).  The rows
-are read once per program, into the slack start that phase 1, every restart
-and every certificate share (:func:`_slack_start`).
+of one phase 1, for each sense that no candidate answers (below).  A program
+is its rows as the kernel reads them, stacked once by
+:meth:`LinearProgram.build`, with their magnitudes: phase 1, every restart
+and every certificate read that one array.
 
 Every optimum keeps its final basis, numbered as phase 1 numbers the
 variables, and a solve can start from an optimum of rows of the same shape
@@ -89,8 +90,8 @@ basic slack's row has dual zero) and the basic structural columns, at most
 the stack [B, B^T] (:func:`_basis_pair`): LAPACK factors each matrix of a
 batch on its own, so x and y are those of two separate solves bit for bit,
 for half the calls.  A singular B takes :func:`_basis_solve`'s least
-squares for each instead.  The certificate's fixed scales, |b| + 1 and
-|c| + 1, are built once with the rows.
+squares for each instead.  The certificate's scale |c| + 1 is built once
+with the rows; b and |b| + 1 follow from their number.
 
 Every answer but ``unbounded`` is certified on the rows as supplied, or the
 solve raises :class:`~conic_pricer.errors.ComputationError`; a wrong status is
@@ -133,23 +134,35 @@ class LinearProgram:
     x >= 0, in the one form :meth:`build` writes: the Charnes-Cooper slice,
     cone rows ``a_ub`` with b_ub = 0 cut by the normalization row
     a_eq = [den] with b_eq = [1].  The one artificial is the
-    normalization's."""
+    normalization's.
+
+    The program is its rows as the kernel reads them: ``A`` stacks the cone
+    rows and the normalization, once, and every solve on it leaves them as
+    they are (a :class:`_Slice` rewrites one column between solves).  Row
+    i's phase-1 basis starts from variable n + i: a cone row's slack, or the
+    normalization's artificial for the last row."""
 
     sense: str
     c: np.ndarray
-    a_ub: np.ndarray
-    # b_ub (zeros) and b_eq ([1]) are constants, and no variable has an
-    # upper bound; all three are read only by perfbench/tracing.py's tableau
-    # count, and go together with that read
-    b_ub: np.ndarray
-    a_eq: np.ndarray
-    b_eq: np.ndarray
+    A: np.ndarray  # the cone rows a_ub, then the normalization
+    abs_A: np.ndarray  # |A|, the magnitudes every residual is relative to
+    c_scale: np.ndarray  # |c| + 1, each dual residual's scale before |y| |A|
+    # the program as written, views of A and constant right-hand sides (no
+    # variable has an upper bound): what the tests and perfbench/tracing.py's
+    # tableau count read
+    a_ub: np.ndarray = field(init=False, repr=False)
+    a_eq: np.ndarray = field(init=False, repr=False)
+    b_ub: np.ndarray = field(init=False, repr=False)
+    b_eq: np.ndarray = field(init=False, repr=False)
     upper: ClassVar[None] = None
+
+    def __post_init__(self):
+        self.a_ub, self.a_eq = self.A[:-1], self.A[-1:]
+        self.b_ub, self.b_eq = np.zeros(self.A.shape[0] - 1), np.ones(1)
 
     @classmethod
     def build(cls, sense, c, a_ub, den):
-        """The slice max/min c @ x over a_ub @ x <= 0, den @ x == 1, x >= 0
-        (``a_ub`` as given where it is a float matrix, not copied)."""
+        """The slice max/min c @ x over a_ub @ x <= 0, den @ x == 1, x >= 0."""
         if sense not in ("max", "min"):
             raise ValidationError(f"sense must be 'max' or 'min', got {sense!r}")
         c = np.atleast_1d(np.asarray(c, dtype=float))
@@ -158,12 +171,14 @@ class LinearProgram:
         den = np.atleast_1d(np.asarray(den, float))
         if a_ub.shape[1:] != (n,) or den.shape != (n,):
             raise ValidationError("inconsistent LP dimensions")
-        named = (("c", c), ("a_ub", a_ub), ("den", den))
-        # one pass over every coefficient; the first non-finite array is named
-        if not np.isfinite(np.concatenate([arr for _, arr in named], axis=None)).all():
-            name = next(name for name, arr in named if not np.isfinite(arr).all())
-            raise ValidationError(f"non-finite coefficients in {name}")
-        return cls(sense, c, a_ub, np.zeros(a_ub.shape[0]), den[None], np.ones(1))
+        A = np.concatenate((a_ub, den[None]))
+        abs_A, c_scale = np.abs(A), np.abs(c) + 1.0
+        # a magnitude array's largest entry is finite exactly where every
+        # coefficient is (a NaN reads NaN); the first non-finite array is named
+        for name, mag in (("c", c_scale), ("a_ub", abs_A[:-1]), ("den", abs_A[-1])):
+            if not np.isfinite(_most(mag, axis=None, initial=0.0)):
+                raise ValidationError(f"non-finite coefficients in {name}")
+        return cls(sense, c, A, abs_A, c_scale)
 
 
 @dataclass
@@ -297,31 +312,11 @@ def _set_objective(T, basis, nonbasic, c):
 
 
 @dataclass
-class _Rows:
-    """An LP's rows as the kernel reads them (its slack start), built once
-    by :func:`_slack_start` and left as they are by every solve on them (a
-    :class:`_Slice` rewrites one column between solves): the rows as
-    supplied, which phase 1, phase 2, every restart and every certificate
-    read.  Row i's phase-1 basis starts from variable n + i: a cone row's
-    slack, or the normalization's artificial for the last row."""
-
-    max_iter: int
-    width: int
-    A: np.ndarray  # the rows as supplied, a_ub then the normalization
-    b: np.ndarray  # their right-hand sides, e_norm: 0 on the cone rows, 1 last
-    abs_supplied: np.ndarray
-    b_scale: np.ndarray  # |b| + 1, each primal residual's scale before |rows| |x|
-    c_scale: np.ndarray  # |c| + 1, each dual residual's scale before |y| |rows|
-    m_ub: int
-
-
-@dataclass
 class _Start:
-    """A basis of ``rows`` with its condensed tableau: at the end of phase
-    1 a feasible one.  Phase 1 reads neither the objective nor the sense, so
-    one start serves both senses."""
+    """A basis of a program's rows with its condensed tableau: at the end of
+    phase 1 a feasible one.  Phase 1 reads neither the objective nor the
+    sense, so one start serves both senses."""
 
-    rows: _Rows
     T: np.ndarray
     basis: np.ndarray
     nonbasic: np.ndarray
@@ -331,40 +326,41 @@ class _Start:
 @dataclass
 class _Kept:
     """An optimum's final condensed tableau (with its ``nonbasic``), kept
-    with the rows it was factored on (``rows``, which a :class:`_Slice`
+    with the row array it was factored on (``A``, which a :class:`_Slice`
     rewrites in place) and their rewritable column as it was then
     (``column``)."""
 
-    rows: _Rows
+    A: np.ndarray
     T: np.ndarray
     nonbasic: np.ndarray
     column: np.ndarray
 
 
-def _slack_start(lp: LinearProgram) -> _Rows:
-    """The rows of ``lp``, A x + s = 0 over its cone rows and
-    den x + a = 1 for its normalization.
+def _max_iter(A) -> int:
+    """The simplex iteration limit on rows ``A``: 500 plus 80 per row and
+    per variable, structural, slack or artificial."""
+    m, n = A.shape
+    return 500 + 80 * (m + n + m)
+
+
+def _e_norm(m: int) -> np.ndarray:
+    """The right-hand side of a program's ``m`` rows: 0 on each cone row, 1
+    on the normalization, last."""
+    b = np.zeros(m)
+    b[-1] = 1.0
+    return b
+
+
+def _phase1(lp: LinearProgram):
+    """Phase 1 on the rows of ``lp``, A x + s = 0 over its cone rows and
+    den x + a = 1 for its normalization: the certified ``infeasible``
+    answer, or a :class:`_Start` whose basis does not hold the one
+    artificial, variable ``n + m - 1``.
 
     Variables: n structural, then variable n + i of row i, which starts its
     basis: the slack of a cone row, or for the last row the one artificial,
     the normalization's.  The cone rows take no artificial, which keeps
-    phase 1 small and far less degenerate."""
-    rows = np.concatenate((lp.a_ub, lp.a_eq))
-    m = rows.shape[0]
-    b = np.zeros(m)
-    b[-1] = 1.0
-    width = lp.c.shape[0] + m
-    return _Rows(
-        max_iter=500 + 80 * (m + width), width=width, A=rows, b=b,
-        abs_supplied=np.abs(rows), b_scale=b + 1.0,
-        c_scale=np.abs(lp.c) + 1.0, m_ub=lp.a_ub.shape[0],
-    )
-
-
-def _phase1(lp: LinearProgram, rows: _Rows):
-    """Phase 1 on ``rows``, the rows of ``lp`` (see :func:`_slack_start`):
-    the certified ``infeasible`` answer, or a :class:`_Start` whose basis
-    does not hold the one artificial, variable ``width - 1``.
+    phase 1 small and far less degenerate.
 
     No artificial is left to drive out.  The right-hand side starts as
     e_norm, 0 on every cone row and 1 on the normalization.  A pivot step of
@@ -377,51 +373,50 @@ def _phase1(lp: LinearProgram, rows: _Rows):
     rounding): phase 1 stops, and the artificial does not enter again.  It
     ends with the artificial nonbasic, or basic at 1, which is the certified
     ``infeasible``; never basic at 0."""
-    n, width = lp.c.shape[0], rows.width
-    m = rows.A.shape[0]
+    m, n = lp.A.shape
+    width = n + m
 
     # Condensed tableau: one column per nonbasic variable (``nonbasic[k]``
     # is the variable of column k) plus the rhs; the basic columns of the
     # full tableau are unit vectors and are not stored.
     nonbasic = np.arange(n)
     T = np.zeros((m + 1, n + 1))
-    T[:m, :n] = rows.A
-    T[:m, -1] = rows.b
+    T[:m, :n] = lp.A
+    T[m - 1, -1] = 1.0  # e_norm
     basis = n + np.arange(m)
-    start = _Start(rows, T, basis, nonbasic)
+    start = _Start(T, basis, nonbasic)
 
     # maximize -(the artificial)
     c1 = np.zeros(width)
     c1[-1] = -1.0
     _set_objective(T, basis, nonbasic, c1)
-    status1, start.iterations = _run_simplex(T, basis, nonbasic, width, rows.max_iter)
+    status1, start.iterations = _run_simplex(T, basis, nonbasic, width, _max_iter(lp.A))
     if status1 != "optimal" or T[-1, -1] < -TOL:
         return _infeasible(lp, start, start.iterations)
     return start
 
 
 def _shape(lp: LinearProgram) -> str:
-    return f"{lp.a_ub.shape[0] + lp.a_eq.shape[0]} rows x {lp.c.shape[0]} columns"
+    return f"{lp.A.shape[0]} rows x {lp.c.shape[0]} columns"
 
 
-def _solution(rows: _Rows, y, **fields) -> LPSolution:
-    """``fields`` with the multipliers ``y`` of ``rows``, split into those
-    of the cone rows and of the normalization."""
-    return LPSolution(dual_ub=y[:rows.m_ub], dual_eq=y[rows.m_ub:], **fields)
+def _solution(y, **fields) -> LPSolution:
+    """``fields`` with the multipliers ``y`` of a program's rows, split into
+    those of the cone rows and of the normalization, last."""
+    return LPSolution(dual_ub=y[:-1], dual_eq=y[-1:], **fields)
 
 
-def _dual_residual(c, c_scale, rows: _Rows, y, abs_y) -> float:
-    """How far multipliers ``y`` of ``rows`` as supplied (the first ``m_ub``
-    of them inequalities) are from dual feasibility, y^T rows >= c and y >= 0
-    on the inequalities, each relative to the magnitudes entering it;
+def _dual_residual(c, c_scale, lp: LinearProgram, y, abs_y) -> float:
+    """How far multipliers ``y`` of the rows of ``lp`` (all but the last of
+    them inequalities) are from dual feasibility, y^T A >= c and y >= 0 on
+    the inequalities, each relative to the magnitudes entering it;
     ``c_scale`` is |c| + 1 and ``abs_y`` is |y|."""
-    reduced = y @ rows.A
+    reduced = y @ lp.A
     np.subtract(c, reduced, out=reduced)
-    scale = abs_y @ rows.abs_supplied
+    scale = abs_y @ lp.abs_A
     scale += c_scale
     reduced /= scale
-    m_ub = rows.m_ub
-    sign = -float(_least(y[:m_ub], initial=0.0)) / (1.0 + float(_most(abs_y[:m_ub], initial=0.0)))
+    sign = -float(_least(y[:-1], initial=0.0)) / (1.0 + float(_most(abs_y[:-1], initial=0.0)))
     return max(float(_most(reduced, initial=0.0)), sign)
 
 
@@ -435,49 +430,49 @@ def _infeasible(lp: LinearProgram, start: _Start, iterations: int) -> LPSolution
     y^T A >= 0, y >= 0 on the inequality rows and y^T b < 0, each relative
     to the magnitudes entering it (see :func:`_dual_residual`).
     """
-    n, rows = lp.c.shape[0], start.rows
-    rc = np.zeros(rows.width)
+    m, n = lp.A.shape
+    rc = np.zeros(n + m)
     rc[start.nonbasic] = start.T[-1, :-1]
     y = rc[n:]
     y[-1] -= 1.0
     abs_y = np.abs(y)
-    dual_res = _dual_residual(np.zeros(n), np.ones(n), rows, y, abs_y)
-    value = float(y @ rows.b) / (1.0 + float(abs_y @ rows.b))
+    dual_res = _dual_residual(np.zeros(n), np.ones(n), lp, y, abs_y)
+    b = _e_norm(m)
+    value = float(y @ b) / (1.0 + float(abs_y @ b))
     if not (dual_res <= TOL and value < -TOL):  # NaN fails too
         raise ComputationError(
             f"LP infeasibility certification failed ({_shape(lp)}): "
             f"dual={dual_res:.3e} value={value:.3e} (tol {TOL:.3e})"
         )
-    return _solution(rows, y, status="infeasible", iterations=iterations)
+    return _solution(y, status="infeasible", iterations=iterations)
 
 
-def _restart(lp: LinearProgram, rows: _Rows, basis) -> Optional[_Start]:
+def _restart(lp: LinearProgram, basis) -> Optional[_Start]:
     """A feasible start of ``lp`` at ``basis``, a previous optimum's
     basis of rows of the same shape, or None, and phase 1 runs instead.
-    ``rows`` are ``lp``'s rows (see :func:`_slack_start`).  The basis is
-    refactored on the new rows (see :func:`_refactor`) and
-    resumed by :func:`_resume`; None where either refuses it.
+    The basis is refactored on the rows of ``lp`` (see :func:`_refactor`)
+    and resumed by :func:`_resume`; None where either refuses it.
     """
-    factored = _refactor(lp, rows, basis)
-    return None if factored is None else _resume(lp, rows, *factored)
+    factored = _refactor(lp, basis)
+    return None if factored is None else _resume(lp, *factored)
 
 
-def _refactor(lp: LinearProgram, rows: _Rows, basis):
-    """The condensed tableau of ``basis`` on ``rows``, ``lp``'s rows,
-    objective row zero, by one dense solve over every column, [A | I]:
+def _refactor(lp: LinearProgram, basis):
+    """The condensed tableau of ``basis`` on the rows of ``lp``, objective
+    row zero, by one dense solve over every column, [A | I]:
     ``(T, basis, nonbasic)``, every nonbasic variable in index order; None
     when the basis does not fit the rows or is singular."""
-    n, m_ub, m = lp.c.shape[0], rows.m_ub, rows.A.shape[0]
-    if basis is None or basis.size != m or (basis >= n + m_ub).any():
+    m, n = lp.A.shape
+    if basis is None or basis.size != m or (basis >= n + m - 1).any():
         return None
-    cols = np.hstack((rows.A, np.eye(m)))
-    free = np.ones(rows.width, dtype=bool)
+    cols = np.hstack((lp.A, np.eye(m)))
+    free = np.ones(n + m, dtype=bool)
     free[basis] = False
     nonbasic = free.nonzero()[0]
     T = np.zeros((m + 1, nonbasic.size + 1))
     try:
         T[:m] = np.linalg.solve(
-            cols[:, basis], np.column_stack([cols[:, nonbasic], rows.b])
+            cols[:, basis], np.column_stack([cols[:, nonbasic], _e_norm(m)])
         )
     except np.linalg.LinAlgError:
         return None
@@ -486,11 +481,11 @@ def _refactor(lp: LinearProgram, rows: _Rows, basis):
     return T, basis.copy(), nonbasic
 
 
-def _update(rows: _Rows, kept: _Kept, basis, j: int) -> Optional[np.ndarray]:
-    """The condensed tableau of ``basis`` on ``rows``, from ``kept``, its
-    tableau on the same rows before their column ``j`` was rewritten, by one
-    rank-one correction; None where j is not basic, or the correction's
-    pivot 1 + d_r is below ``TOL``, and the dense refactor of
+def _update(lp: LinearProgram, kept: _Kept, basis, j: int) -> Optional[np.ndarray]:
+    """The condensed tableau of ``basis`` on the rows of ``lp``, from
+    ``kept``, its tableau on the same rows before their column ``j`` was
+    rewritten, by one rank-one correction; None where j is not basic, or the
+    correction's pivot 1 + d_r is below ``TOL``, and the dense refactor of
     :func:`_restart` runs instead.
 
     With j basic in row r, the new basis matrix is B + delta e_r^T, delta
@@ -506,15 +501,15 @@ def _update(rows: _Rows, kept: _Kept, basis, j: int) -> Optional[np.ndarray]:
     at = (basis == j).nonzero()[0]
     if at.size != 1:
         return None
-    r, m = at[0], basis.size
+    r, (m, n) = at[0], lp.A.shape
     T, nonbasic = kept.T, kept.nonbasic
-    delta = rows.A[:, j] - kept.column
+    delta = lp.A[:, j] - kept.column
     moved = delta.nonzero()[0]
     # where each variable sits: its column k >= 0, or -2 - s if basic in row s
-    slot = np.empty(rows.width, dtype=int)
+    slot = np.empty(n + m, dtype=int)
     slot[nonbasic] = np.arange(nonbasic.size)
     slot[basis] = -2 - np.arange(m)
-    k = slot[rows.A.shape[1] + moved]
+    k = slot[n + moved]
     column = k >= 0
     d = np.zeros(m + 1)
     d[:m] = T[:m, k[column]] @ delta[moved[column]]
@@ -529,31 +524,32 @@ def _update(rows: _Rows, kept: _Kept, basis, j: int) -> Optional[np.ndarray]:
     return out
 
 
-def _resume(lp: LinearProgram, rows: _Rows, T, basis, nonbasic) -> Optional[_Start]:
+def _resume(lp: LinearProgram, T, basis, nonbasic) -> Optional[_Start]:
     """The feasible start of ``lp`` at ``basis``, whose condensed tableau on
-    ``rows``, ``lp``'s rows, is ``T``, objective row aside; or None.  Where
-    a basic value is negative, the dual simplex pivots to a feasible basis
+    the rows of ``lp`` is ``T``, objective row aside; or None.  Where a
+    basic value is negative, the dual simplex pivots to a feasible basis
     on the reduced costs of ``lp``'s objective, each negative one of a
     column that may enter first raised to zero: that shifts the column's
     cost and makes the basis dual feasible, and phase 2 prices the true
     objective again (cost shifting; Maros, *Computational Techniques of the
     Simplex Method*, 2003).  None when the dual simplex finds no feasible
     point or needs more pivots than there are rows."""
-    n, m_ub, m = lp.c.shape[0], rows.m_ub, basis.size
+    n, m = lp.c.shape[0], basis.size
     it = 0
     if T[:m, -1].min(initial=0.0) < -TOL:
-        c = np.zeros(rows.width)
+        c = np.zeros(n + m)
         c[:n] = lp.c if lp.sense == "max" else -lp.c
         _set_objective(T, basis, nonbasic, c)
         rc = T[-1, :-1]
-        np.maximum(rc, 0.0, out=rc, where=nonbasic < n + m_ub)
+        # the artificial, variable n + m - 1, may not enter
+        np.maximum(rc, 0.0, out=rc, where=nonbasic < n + m - 1)
         # a restart needing more pivots than there are rows is no cheaper
         # than phase 1, and the cap keeps the loop finite without a
         # cycling rule
-        status, it = _run_dual(T, basis, nonbasic, n + m_ub, m)
+        status, it = _run_dual(T, basis, nonbasic, n + m - 1, m)
         if status != "optimal":
             return None
-    return _Start(rows, T, basis, nonbasic, it)
+    return _Start(T, basis, nonbasic, it)
 
 
 def _basis_solve(mat, rhs):
@@ -578,32 +574,33 @@ def _basis_pair(mat, rhs, cost):
     return out[0, :, 0], out[1, :, 0]
 
 
-def _certificate(c_obj, rows: _Rows, x, y):
-    """Strong duality of x and max-sense multipliers y on ``rows`` as
-    supplied (the first ``m_ub`` of them <=, the normalization last):
+def _certificate(c_obj, lp: LinearProgram, x, y):
+    """Strong duality of x and max-sense multipliers y on the rows of ``lp``
+    (all but the last of them <=, the normalization last):
     (c_obj x, primal residual, dual residual, gap).  Each residual is
     relative to the magnitudes entering its row or column, so badly scaled
     data certify honestly."""
     abs_y = np.abs(y)
-    dual_res = _dual_residual(c_obj, rows.c_scale, rows, y, abs_y)
-    return _primal_and_gap(c_obj, rows, x, y, abs_y, dual_res)
+    dual_res = _dual_residual(c_obj, lp.c_scale, lp, y, abs_y)
+    return _primal_and_gap(c_obj, lp, x, y, abs_y, dual_res)
 
 
-def _primal_and_gap(c_obj, rows: _Rows, x, y, abs_y, dual_res):
-    """:func:`_certificate` of x and y (|y| ``abs_y``) on ``rows`` once
-    their dual residual ``dual_res`` is known."""
+def _primal_and_gap(c_obj, lp: LinearProgram, x, y, abs_y, dual_res):
+    """:func:`_certificate` of x and y (|y| ``abs_y``) on the rows of
+    ``lp`` once their dual residual ``dual_res`` is known."""
     value_max = float(c_obj @ x)
-    resid = rows.A @ x
-    resid -= rows.b
-    eq = resid[rows.m_ub:]
+    resid = lp.A @ x
+    b = _e_norm(resid.size)
+    resid -= b
+    eq = resid[-1:]
     np.abs(eq, out=eq)
-    scale = rows.abs_supplied @ np.abs(x)
-    scale += rows.b_scale
+    scale = lp.abs_A @ np.abs(x)
+    scale += b + 1.0  # |b| + 1
     resid /= scale
     # the largest of -x, the residuals and 0 (a NaN anywhere reads NaN)
     primal_res = float(_most(resid, initial=-_least(x, initial=0.0)))
-    dual_value = float(rows.b @ y)
-    gap = abs(value_max - dual_value) / (1.0 + abs(value_max) + float(rows.b @ abs_y))
+    dual_value = float(b @ y)
+    gap = abs(value_max - dual_value) / (1.0 + abs(value_max) + float(b @ abs_y))
     return value_max, primal_res, dual_res, gap
 
 
@@ -612,17 +609,17 @@ def _phase2(lp: LinearProgram, start: _Start, column: Optional[int] = None) -> L
     duality.  With ``column`` given, an optimum keeps its final tableau and
     that column of the rows as they are now (see :class:`_Slice`)."""
     T, basis, nonbasic = start.T.copy(), start.basis.copy(), start.nonbasic.copy()
-    rows = start.rows
-    A, m_ub = rows.A, rows.m_ub
-    n, m, width = lp.c.shape[0], A.shape[0], rows.width
+    A = lp.A
+    m, n = A.shape
+    m_ub = m - 1
     sense_mult = 1.0 if lp.sense == "max" else -1.0
     c_obj = sense_mult * lp.c
 
     # Phase 2 objective; the artificial may no longer enter.
-    c2 = np.zeros(width)
+    c2 = np.zeros(n + m)
     c2[:n] = c_obj
     _set_objective(T, basis, nonbasic, c2)
-    status2, it2 = _run_simplex(T, basis, nonbasic, n + m_ub, rows.max_iter)
+    status2, it2 = _run_simplex(T, basis, nonbasic, n + m_ub, _max_iter(A))
     iterations = start.iterations + it2
     if status2 == "unbounded":
         return LPSolution(status="unbounded", iterations=iterations)
@@ -636,17 +633,17 @@ def _phase2(lp: LinearProgram, start: _Start, column: Optional[int] = None) -> L
     struct = basis[basis < n]
     live = tight.nonzero()[0]
     if live.size:
-        x[struct], y[live] = _basis_pair(A[live[:, None], struct], rows.b[live], c2[struct])
-    value_max, primal_res, dual_res, gap = _certificate(c_obj, rows, x, y)
+        x[struct], y[live] = _basis_pair(A[live[:, None], struct], _e_norm(m)[live], c2[struct])
+    value_max, primal_res, dual_res, gap = _certificate(c_obj, lp, x, y)
     if not (primal_res <= TOL and dual_res <= TOL and gap <= TOL):  # NaN fails too
         raise ComputationError(
             f"LP certification failed ({_shape(lp)}): "
             f"primal={primal_res:.3e} dual={dual_res:.3e} gap={gap:.3e} (tol {TOL:.3e})"
         )
 
-    kept = None if column is None else _Kept(rows, T, nonbasic, A[:, column].copy())
+    kept = None if column is None else _Kept(A, T, nonbasic, A[:, column].copy())
     return _solution(
-        rows, sense_mult * y, status="optimal", value=sense_mult * value_max, x=x,
+        sense_mult * y, status="optimal", value=sense_mult * value_max, x=x,
         gap=gap, primal_residual=primal_res, dual_residual=dual_res,
         iterations=iterations, basis=basis, kept=kept,
     )
@@ -658,11 +655,11 @@ def _fits(lp: LinearProgram, prev: LPSolution) -> bool:
             and prev.dual_ub.shape == lp.a_ub.shape[:1])
 
 
-def _carry(lp: LinearProgram, rows: _Rows, prev: LPSolution) -> Optional[LPSolution]:
-    """``prev``, an optimum of ``rows`` before a :class:`_Slice` rewrote
-    them or a candidate optimum built outside the simplex, as the optimum
-    of ``lp`` when its x and duals pass :func:`_phase2`'s strong-duality
-    test on ``rows``, ``lp``'s rows as supplied; else None.  The answer
+def _carry(lp: LinearProgram, prev: LPSolution) -> Optional[LPSolution]:
+    """``prev``, an optimum of the rows of ``lp`` before a :class:`_Slice`
+    rewrote them or a candidate optimum built outside the simplex, as the
+    optimum of ``lp`` when its x and duals pass :func:`_phase2`'s
+    strong-duality test on the rows as they are now; else None.  The answer
     keeps ``prev``'s basis and tableau, for the next restart, and its value
     and residuals are recomputed on the rows."""
     sense_mult = 1.0 if lp.sense == "max" else -1.0
@@ -670,10 +667,10 @@ def _carry(lp: LinearProgram, rows: _Rows, prev: LPSolution) -> Optional[LPSolut
     # the certificate's own tests, the dual residual first: a carry that
     # fails fails there, on the rewritten column, and stops
     c_obj, abs_y = sense_mult * lp.c, np.abs(y)
-    dual_res = _dual_residual(c_obj, rows.c_scale, rows, y, abs_y)
+    dual_res = _dual_residual(c_obj, lp.c_scale, lp, y, abs_y)
     if not dual_res <= TOL:
         return None
-    value_max, primal_res, _, gap = _primal_and_gap(c_obj, rows, prev.x, y, abs_y, dual_res)
+    value_max, primal_res, _, gap = _primal_and_gap(c_obj, lp, prev.x, y, abs_y, dual_res)
     if not (primal_res <= TOL and gap <= TOL):
         return None
     # the constructor, not dataclasses.replace, which costs several times
@@ -698,10 +695,9 @@ def solve(lp: LinearProgram, *, warm: Optional[LPSolution] = None) -> LPSolution
     restart refuses leaves the solve to phase 1, which gives the cold answer
     bit for bit.
     """
-    rows = _slack_start(lp)
-    start = _restart(lp, rows, warm.basis) if warm is not None and _fits(lp, warm) else None
+    start = _restart(lp, warm.basis) if warm is not None and _fits(lp, warm) else None
     if start is None:
-        start = _phase1(lp, rows)
+        start = _phase1(lp)
         if isinstance(start, LPSolution):
             return start
     return _phase2(lp, start)
@@ -709,34 +705,29 @@ def solve(lp: LinearProgram, *, warm: Optional[LPSolution] = None) -> LPSolution
 
 class _Slice:
     """The program of :func:`solve_ratio`: num @ x over the cone
-    {x >= 0, a_ub @ x <= 0} cut by the slice den @ x = 1, with its slack
-    start, built once (``a_ub`` as given, not copied) and solved any number
-    of times.
+    {x >= 0, a_ub @ x <= 0} cut by the slice den @ x = 1, built once and
+    solved any number of times.  Its two sides, one per sense, share every
+    array.
 
-    With ``column`` given, that column of ``a_ub`` may be rewritten in place
-    between solves (:meth:`rewrite`), and every optimum keeps its final
-    tableau.  Only such an optimum is tried as the answer after a rewrite
-    (:func:`_carry`), and a restart from it updates that tableau by one
-    rank-one correction (:func:`_update`) where :func:`_restart` would
+    With ``column`` given, that column of the cone rows may be rewritten in
+    place between solves (:meth:`rewrite`), and every optimum keeps its
+    final tableau.  Only such an optimum is tried as the answer after a
+    rewrite (:func:`_carry`), and a restart from it updates that tableau by
+    one rank-one correction (:func:`_update`) where :func:`_restart` would
     refactor it.
     """
 
     def __init__(self, num, den, a_ub, column: Optional[int] = None):
-        self.prog = LinearProgram.build("max", num, a_ub, den)
-        prog = self.prog
-        self.sides = (
-            LinearProgram("min", prog.c, prog.a_ub, prog.b_ub, prog.a_eq, prog.b_eq), prog
-        )
-        self.rows = _slack_start(self.prog)
+        prog = self.prog = LinearProgram.build("max", num, a_ub, den)
+        self.sides = (LinearProgram("min", prog.c, prog.A, prog.abs_A, prog.c_scale), prog)
         self.column = column
 
     def rewrite(self, i, value: float) -> None:
-        """Set entries ``i`` of the rewritable column of ``a_ub`` to
-        ``value``, in the program and in its rows."""
+        """Set entries ``i`` of the rewritable column of the cone rows to
+        ``value``, in the rows and in their magnitudes."""
         j = self.column
-        self.prog.a_ub[i, j] = value
-        self.rows.A[i, j] = value
-        self.rows.abs_supplied[i, j] = abs(value)
+        self.prog.A[i, j] = value
+        self.prog.abs_A[i, j] = abs(value)
 
     @_quiet
     def solve(self, warm: Optional[tuple] = None) -> tuple[LPSolution, LPSolution]:
@@ -753,7 +744,7 @@ class _Slice:
         phase 1 as without ``warm``, so its answer is the cold one bit for
         bit.
         """
-        rows, cold, out = self.rows, None, []
+        A, cold, out = self.prog.A, None, []
         for side, prev in zip(self.sides, warm or (None, None)):
             start = None
             if prev is not None:
@@ -761,15 +752,15 @@ class _Slice:
                 # whose data all differ (the surface's row before): its x
                 # does not solve these rows, so no carry is tried
                 kept = prev.kept
-                if prev.basis is None or (kept is not None and kept.rows is rows):
-                    carried = _carry(side, rows, prev)
+                if prev.basis is None or (kept is not None and kept.A is A):
+                    carried = _carry(side, prev)
                     if carried is not None:
                         out.append(carried)
                         continue
                 start = self._restart(side, prev)
             if start is None:
                 if cold is None:
-                    cold = _phase1(self.prog, rows)
+                    cold = _phase1(self.prog)
                 if isinstance(cold, LPSolution):
                     return cold, cold
                 start = cold
@@ -780,11 +771,11 @@ class _Slice:
         """A start of ``side`` from ``prev``: its kept tableau updated where
         it was factored on these rows, else :func:`_restart`'s refactor."""
         kept = prev.kept
-        if kept is not None and kept.rows is self.rows:
-            T = _update(self.rows, kept, prev.basis, self.column)
+        if kept is not None and kept.A is side.A:
+            T = _update(side, kept, prev.basis, self.column)
             if T is not None:
-                return _resume(side, self.rows, T, prev.basis.copy(), kept.nonbasic.copy())
-        return _restart(side, self.rows, prev.basis)
+                return _resume(side, T, prev.basis.copy(), kept.nonbasic.copy())
+        return _restart(side, prev.basis)
 
 
 def solve_ratio(num, den, a_ub, warm: Optional[tuple] = None) -> tuple[LPSolution, LPSolution]:

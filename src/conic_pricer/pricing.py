@@ -92,11 +92,11 @@ import numpy as np
 from . import lp
 from .acceptability import DensityBand
 from .cone import (
-    GoodDealWitness, NodeRows, _arbitrage, _bound_candidates, _least_losses, _node_cone,
-    _Recursion, generators_for, good_deal_certificate,
+    GoodDealWitness, NodeRows, _arbitrage, _least_losses, _node_cone, _Recursion,
+    generators_for, good_deal_certificate,
 )
 from .errors import ComputationError, ValidationError
-from .lattice import NodeRef, as_values, tail_sum
+from .lattice import NodeRef, as_values, integer, tail_sum
 from .market import CashFlow, MarketModel
 
 __all__ = [
@@ -279,14 +279,14 @@ def _node_quotes(model: MarketModel, cash_flow, rows: NodeRows) -> list:
 
     With one security on the trade rows (``entry="trade"``, or
     ``entry="mark"`` at t = 0, where it builds them), the superreplication
-    recursion (:func:`conic_pricer.cone._bound_candidates`) hands each
+    recursion (:class:`conic_pricer.cone._Recursion`) hands each
     node's slice its candidate optima, which answer the extremes whose
     certificate they pass; every other extreme, and every node of a market
     with more securities or of marked rows, is solved by the simplex."""
     x = _discounted_tail(model, cash_flow, rows.start)
     nodes = model.tree.nodes(rows.start)
     one = not rows.mark and model.n_securities == 1
-    starts = _bound_candidates(model, rows, x) if one else [None] * len(nodes)
+    starts = _Recursion(model, rows.start, x).candidates(rows) if one else [None] * len(nodes)
     quotes = []
     for node, warm in zip(nodes, starts):
         cone = _node_cone(rows, node.cell, list(model.tree.node_paths(node)))
@@ -350,6 +350,7 @@ def noarb_bounds(model: MarketModel, cash_flow, t: int, *, entry: str = "trade")
     that fails raises :class:`ComputationError` once the arbitrage search has
     cleared the market: the failure is the solver's, not an arbitrage.
     """
+    t = integer(t, "start date")
     cash_flow = _checked(model, cash_flow)
     rows = generators_for(model, t, entry)
     try:
@@ -415,9 +416,8 @@ def _band_level(gamma: float, loss: float) -> float:
 class _BandRow:
     """The band program of date-t ``node`` pricing ``x``: the node's cone of
     ``rows`` (:func:`_node_cone`) cut by the band (:func:`_band_program`),
-    built once with its slack start.  Each quote rewrites only m''s column
-    on the node's n band rows, -level / (1 + level), in place (see
-    :class:`conic_pricer.lp._Slice`)."""
+    built once.  Each quote rewrites only m''s column on the node's n band
+    rows, -level / (1 + level), in place (see :class:`conic_pricer.lp._Slice`)."""
 
     def __init__(self, model: MarketModel, x, rows: NodeRows, node: NodeRef):
         paths = list(model.tree.node_paths(node))
@@ -458,7 +458,7 @@ def ngd_check(model: MarketModel, t: int, gamma: float) -> NgdResult:
     normalization (band feasibility forces strict positivity): the verdict
     from L (see the module docstring), read node by node up to the first
     node that :func:`_beats` gamma, whose best-ratio hedge is the witness."""
-    return _ngd(model, gamma, generators_for(model, t))[0]
+    return _ngd(model, gamma, generators_for(model, integer(t, "start date")))[0]
 
 
 def good_deal_prices(model: MarketModel, cash_flow, t: int, gamma: float) -> PriceQuote:
@@ -485,6 +485,7 @@ def good_deal_prices(model: MarketModel, cash_flow, t: int, gamma: float) -> Pri
     and from phase 1 otherwise.  A band LP that fails, or reads
     ``infeasible``, there raises :class:`ComputationError`.
     """
+    t = integer(t, "start date")
     DensityBand(gamma)
     cash_flow = _checked(model, cash_flow)
     rows = generators_for(model, t)
@@ -526,6 +527,7 @@ def forward_prices(model: MarketModel, cash_flow, t: int, gamma: float) -> Price
     requires a deterministic rate process.  So the verdict is the one from L,
     the witness is the check's, and a tie-band node is priced at its ceiling
     1/L_v, as there."""
+    t = integer(t, "start date")
     r = model.rates
     if (r != r[0]).any():
         raise ValidationError("forward prices require deterministic rates")
@@ -617,6 +619,7 @@ def liquidity_surface(
     optimal or a few dual simplex pivots away.  Restarted quotes agree with
     a cold solve to rounding, not bit for bit.
     """
+    t = integer(t, "start date")
     if not gammas or not lambdas:
         raise ValidationError("surface needs nonempty gamma and lambda lists")
     for gamma in gammas:

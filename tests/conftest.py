@@ -281,19 +281,25 @@ def lp_vertex_oracle(c, a_ub, b_ub, upper, sense="max"):
 
 
 @functools.cache
-def _workloads():
-    """``perfbench/workloads.py``, imported once and never changed."""
-    path = os.path.join(os.path.dirname(os.path.dirname(__file__)), "perfbench", "workloads.py")
-    spec = importlib.util.spec_from_file_location("workloads", path)
+def _perfbench(name):
+    """``perfbench/<name>.py``, imported once and never changed."""
+    path = os.path.join(os.path.dirname(os.path.dirname(__file__)), "perfbench", f"{name}.py")
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # its dataclasses look their module up
     spec.loader.exec_module(module)
     return module
 
 
+def perfbench_tracing():
+    """``perfbench/tracing.py``, which imports ``workloads`` by name."""
+    _perfbench("workloads")
+    return _perfbench("tracing")
+
+
 def tree_workload_market(k):
     """Market ``k`` of the benchmark's ``tree`` workload and its payoff."""
-    workloads = _workloads()
+    workloads = _perfbench("workloads")
     market = workloads.binary_market("tree", k, workloads.TREE_HORIZON)
     model = model_from_dict(market.model_dict())
     return model, payoff_from_dict(model, market.payoff_dict())
@@ -301,7 +307,7 @@ def tree_workload_market(k):
 
 def ladder_workload_market(horizon):
     """The benchmark's horizon-ladder market of ``horizon`` and its payoff."""
-    workloads = _workloads()
+    workloads = _perfbench("workloads")
     market = workloads.ladder_market(horizon)
     model = model_from_dict(market.model_dict())
     return model, payoff_from_dict(model, market.payoff_dict())

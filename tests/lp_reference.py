@@ -30,7 +30,7 @@ from typing import Optional
 import numpy as np
 
 from conic_pricer.errors import ComputationError, ValidationError
-from conic_pricer.lp import TOL, LinearProgram, LPSolution, _phase1, _phase2, _slack_start, solve
+from conic_pricer.lp import TOL, LinearProgram, LPSolution, _phase1, _phase2, solve
 
 STALL_PIVOTS = 50
 
@@ -286,7 +286,7 @@ def solve_ratio(
     prog = LinearProgram.build(
         "max", np.append(num, num0), _cone_rows(n, a_ub, b_ub, a_eq, b_eq), np.append(den, den0)
     )
-    start = _phase1(prog, _slack_start(prog))
+    start = _phase1(prog)
     if isinstance(start, LPSolution):
         bare = solve(homogeneous("max", np.zeros(n), a_ub, b_ub, a_eq, b_eq))
         if bare.status == "infeasible":

@@ -303,15 +303,15 @@ class TestOneArtificial:
     drop."""
 
     @staticmethod
-    def _check(prog, rows, start):
-        """Whether ``start``, what ``lp._phase1`` gave on ``prog``'s
-        ``rows``, is a certified ``infeasible`` or a start of every row
-        without the artificial: ``"infeasible"``, ``"start"`` or None."""
+    def _check(prog, start):
+        """Whether ``start``, what ``lp._phase1`` gave on ``prog``, is a
+        certified ``infeasible`` or a start of every row without the
+        artificial: ``"infeasible"``, ``"start"`` or None."""
         if isinstance(start, lp.LPSolution):
             return "infeasible" if start.status == "infeasible" and _is_farkas_ray(
                 start, prog) else None
-        m = rows.A.shape[0]
-        held = rows.width - 1 in start.basis
+        m, n = prog.A.shape
+        held = n + m - 1 in start.basis
         return "start" if not held and start.T.shape[0] == m + 1 and start.basis.size == m else None
 
     def test_random_programs(self):
@@ -320,8 +320,7 @@ class TestOneArtificial:
             rng = np.random.default_rng(20261018)
             for _ in range(30):
                 prog = shape(rng)
-                rows = lp._slack_start(prog)
-                outcome = self._check(prog, rows, lp._phase1(prog, rows))
+                outcome = self._check(prog, lp._phase1(prog))
                 assert outcome is not None
                 seen.add(outcome)
         assert seen == {"infeasible", "start"}
@@ -332,9 +331,9 @@ class TestOneArtificial:
         # 15 of market 10's read infeasible
         outcomes, real = [], lp._phase1
 
-        def phase1(prog, rows):
-            start = real(prog, rows)
-            outcomes.append(self._check(prog, rows, start))
+        def phase1(prog):
+            start = real(prog)
+            outcomes.append(self._check(prog, start))
             return start
 
         monkeypatch.setattr(lp, "_phase1", phase1)
@@ -499,11 +498,20 @@ class TestSolveRatio:
         with pytest.raises(ValidationError, match="inconsistent LP dimensions"):
             solve_ratio(self.BAND["num"], self.BAND["den"][:2], self.BAND["a_ub"])
 
-    def test_slice_rewrites_the_rows_it_was_given(self):
+    def test_slice_rewrites_its_one_copy_of_the_rows(self):
+        # the rows given are stacked once with the normalization; a rewrite
+        # writes that copy and its magnitudes, which both sides share, and
+        # leaves the caller's array as it was
         a_ub = np.array(self.BAND["a_ub"])
         band = lp._Slice(self.BAND["num"], self.BAND["den"], a_ub, column=2)
         band.rewrite([0, 1], 3.0)
-        assert band.prog.a_ub is a_ub and list(a_ub[:, 2]) == [3.0, 3.0, -2.0, -2.0]
+        prog = band.prog
+        assert prog.a_ub.base is prog.A and prog.a_eq.base is prog.A
+        assert list(prog.a_ub[:, 2]) == [3.0, 3.0, -2.0, -2.0]
+        assert np.array_equal(prog.a_eq, [self.BAND["den"]])
+        assert np.array_equal(prog.abs_A, np.abs(prog.A))
+        assert all(side.A is prog.A and side.abs_A is prog.abs_A for side in band.sides)
+        assert list(a_ub[:, 2]) == [1.0, 1.0, -2.0, -2.0]
 
     def test_monotone_ratio_on_interval(self):
         # (2x + 1)/(x + 1) over x in [0, 1]: 1 at x = 0, 1.5 at x = 1
@@ -749,9 +757,9 @@ class TestWarmRestart:
         outcomes, duals = {}, []  # per restarted sense: (refused, dual simplex status)
         real_restart, real_dual = lp._restart, lp._run_dual
 
-        def restart(side, rows, basis):
+        def restart(side, basis):
             runs = len(duals)
-            start = real_restart(side, rows, basis)
+            start = real_restart(side, basis)
             outcomes[side.sense] = (start is None, duals[-1] if len(duals) > runs else None)
             return start
 
@@ -855,15 +863,13 @@ class TestTableauUpdate:
         # tableau kept from pivots carries their rounding on top)
         checked = 0
         for band, band_rows, pair, gamma in _band_sweep(5, 40):
-            before = band.rows.A[:, band.column].copy()
-            kept = [lp._refactor(side, band.rows, sol.basis)
-                    for side, sol in zip(band.sides, pair)]
+            before = band.prog.A[:, band.column].copy()
+            kept = [lp._refactor(side, sol.basis) for side, sol in zip(band.sides, pair)]
             band.rewrite(band_rows, -_band_share(gamma))
             for side, sol, factored in zip(band.sides, pair, kept):
                 T, basis, nonbasic = factored
-                got = lp._update(band.rows, lp._Kept(band.rows, T, nonbasic, before), basis,
-                                 band.column)
-                want, _, same = lp._refactor(side, band.rows, basis)
+                got = lp._update(side, lp._Kept(side.A, T, nonbasic, before), basis, band.column)
+                want, _, same = lp._refactor(side, basis)
                 assert np.array_equal(same, nonbasic)
                 m = basis.size
                 size = np.maximum(1.0, np.abs(want[:m]))
@@ -899,15 +905,15 @@ class TestTableauUpdate:
         for band, band_rows, pair, gamma in _band_sweep(6, 30):
             band.rewrite(band_rows, -_band_share(gamma))
             for side, sol in zip(band.sides, pair):
-                column = band.rows.A[:, band.column]
+                column = band.prog.A[:, band.column]
                 cancel = dataclasses.replace(
                     sol, kept=dataclasses.replace(sol.kept, column=column + sol.kept.column)
                 )
-                assert lp._update(band.rows, cancel.kept, cancel.basis, band.column) is None
+                assert lp._update(side, cancel.kept, cancel.basis, band.column) is None
                 before = len(refactors)
                 start = band._restart(side, cancel)
                 assert len(refactors) == before + 1
-                want = lp._restart(side, band.rows, sol.basis)
+                want = lp._restart(side, sol.basis)
                 assert (start is None) == (want is None)
                 if start is not None:
                     assert np.array_equal(start.T, want.T)
@@ -972,11 +978,11 @@ class TestReadOut:
                 if sol.status != "optimal":
                     continue
                 before = len(tested)
-                carried = lp._carry(side, band.rows, sol)
+                carried = lp._carry(side, sol)
                 stopped = len(tested) == before
                 sense = 1.0 if side.sense == "max" else -1.0
                 y = sense * np.concatenate([sol.dual_ub, sol.dual_eq])
-                value, primal, dual, gap = lp._certificate(sense * side.c, band.rows, sol.x, y)
+                value, primal, dual, gap = lp._certificate(sense * side.c, side, sol.x, y)
                 if dual > lp.TOL:
                     assert carried is None and stopped
                     failed += 1

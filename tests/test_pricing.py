@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import pickle
 import random
 
 import numpy as np
@@ -849,7 +850,7 @@ class TestRawCashFlow:
     def test_raw_cash_flow_is_refused_by_name(self, entry, flow, count_calls):
         model = two_period_model(lam=0.01)
         make, message = RAW_FLOWS[flow]
-        programs = count_calls(lp, "_slack_start")  # every LP's rows
+        programs = count_calls(lp.LinearProgram, "build")  # every LP
         with pytest.raises(ValidationError, match=message):
             self.ENTRY_POINTS[entry](model, make(model))
         assert not programs
@@ -862,6 +863,37 @@ class TestRawCashFlow:
         want = self.ENTRY_POINTS[entry](model, payoff)
         assert not ingests
         assert self.ENTRY_POINTS[entry](model, payoff.values) == want
+
+
+class TestStartDate:
+    """Every public entry point that takes a date reads it by the package's
+    one integer rule (``lattice.integer``): a bool, a non-integral number or
+    a string is refused naming the start date, and an integral float or a
+    numpy integer quotes exactly as the int does."""
+
+    ENTRY_POINTS = {
+        "bounds": lambda m, f, t: noarb_bounds(m, f, t),
+        "price": lambda m, f, t: good_deal_prices(m, f, t, 0.25),
+        "forward": lambda m, f, t: forward_prices(m, f, t, 0.25),
+        "check": lambda m, f, t: ngd_check(m, t, 0.25),
+        "arbitrage": lambda m, f, t: arbitrage_check(m, t),
+        "rows": lambda m, f, t: generators_for(m, t),
+        "surface": lambda m, f, t: liquidity_surface(lambda lam: m, lambda model: f,
+                                                     [0.25], [0.0], t),
+        "dglr": lambda m, f, t: dglr_eval(m.tree, f, t),
+    }
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    def test_date_is_read_as_an_integer(self, entry):
+        model = two_period_model(lam=0.01)
+        flow, run = asian_call(model, 0, 65.0), self.ENTRY_POINTS[entry]
+        for t in (True, 0.5, "1"):
+            with pytest.raises(ValidationError, match="^start date must be an integer, got "):
+                run(model, flow, t)
+        # the pickled answers compare every float bit for bit and every type
+        want = pickle.dumps(run(model, flow, 1))
+        for t in (1.0, np.int64(1)):
+            assert pickle.dumps(run(model, flow, t)) == want
 
 
 class TestForwardPrices:
@@ -1148,9 +1180,9 @@ class TestLiquiditySurface:
 
     def test_band_program_is_rewritten_in_place(self):
         # one band program per lambda row: each level rewrites the band
-        # column, and the program and its slack start then hold
-        # _band_program's rows at the level the tie rule reads, element for
-        # element, and quote as a program built for that level alone does
+        # column, and the program's one row array and its magnitudes then
+        # hold _band_program's rows at the level the tie rule reads, element
+        # for element, and quote as a program built for that level alone does
         u, d, r, p_up, strike = PIVOT_BUDGET_MARKETS[0]
         model = binary_tree_market(u, d, r, p_up, 0.01, horizon=3)
         rows = generators_for(model, 1)
@@ -1160,17 +1192,17 @@ class TestLiquiditySurface:
             paths = list(model.tree.node_paths(node))
             cone = pricing._node_cone(rows, node.cell, paths)
             band = pricing._BandRow(model, x, rows, node)
-            prog, start = band.slice.prog, band.slice.rows
-            a_ub, stacked, warm = prog.a_ub, start.A, None
+            prog = band.slice.prog
+            stacked, magnitudes, warm = prog.A, prog.abs_A, None
             num, den = pricing._ratio_terms(model, x, node, cone.shape[1])
             for gamma in (0.25, 0.5, 1.0, 2.0, 4.0, 8.0):
                 level = pricing._band_level(gamma, loss)
                 e, warm = band.quote(level, warm)
                 want = pricing._band_program(num, den, cone, len(paths), level)[2]
-                assert prog.a_ub is a_ub and start.A is stacked
-                assert np.array_equal(a_ub, want)
+                assert prog.A is stacked and prog.abs_A is magnitudes
+                assert np.array_equal(prog.a_ub, want)
                 assert np.array_equal(stacked, np.vstack([want, prog.a_eq]))
-                assert np.array_equal(start.abs_supplied, np.abs(stacked))
+                assert np.array_equal(magnitudes, np.abs(stacked))
                 cold = cold_band_quote(model, x, rows, node, level)
                 assert e.bid == pytest.approx(cold.bid, rel=1e-12, abs=0)
                 assert e.ask == pytest.approx(cold.ask, rel=1e-12, abs=0)
@@ -1696,7 +1728,7 @@ def fell_back(answers):
 
 class TestSuperreplication:
     """One-security trade bounds: the superreplication recursion's
-    candidates (``cone._bound_candidates``) pass the bound LP's certificate
+    candidates (``cone._Recursion.candidates``) pass the bound LP's certificate
     and agree with the simplex alone (``oracles.cold_bound_quote``) to 1e-12
     relative, with the same statuses; the simplex runs only where a
     candidate fails."""
@@ -1783,7 +1815,7 @@ class TestSuperreplication:
         # a candidate that fails its certificate (here its price moved by
         # one) leaves its extreme to phase 1, whose answer is the one the
         # simplex gives with no candidate at all
-        real = pricing._bound_candidates
+        real = cone._Recursion.candidates
 
         def spoiled(*args):
             pairs = real(*args)
@@ -1791,7 +1823,7 @@ class TestSuperreplication:
             return [tuple(dataclasses.replace(c, dual_eq=c.dual_eq + 1.0) for c in pair)
                     for pair in pairs]
 
-        monkeypatch.setattr(pricing, "_bound_candidates", spoiled)
+        monkeypatch.setattr(cone._Recursion, "candidates", spoiled)
         model = two_period_model(0.01)
         for flow in (asian_call(model, 0, 65.0), call_payoff(model)):
             for t in (0, 1):
@@ -1814,7 +1846,8 @@ class TestSuperreplication:
         bids = np.array([[50.0, 60.0], [50.0, 55.0]])
         model = MarketModel(tree, 0.0, [apply_transaction_costs(bids, 0.0)])
         x = pricing._discounted_tail(model, call_payoff(model), 0)
-        assert cone._bound_candidates(model, generators_for(model, 0), x) == [(None, None)]
+        candidates = cone._Recursion(model, 0, x).candidates(generators_for(model, 0))
+        assert candidates == [(None, None)]
         assert noarb_bounds(model, call_payoff(model), 0).entries[0].status == STATUS_ARBITRAGE
 
     @staticmethod
